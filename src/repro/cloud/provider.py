@@ -52,7 +52,7 @@ from ..sim.events import Event, EventType
 from .instance import DEFAULT_ZONE, G4DN_12XLARGE, Instance, InstanceState, InstanceType, Market
 from .pricing import CostTracker, PriceSchedule
 from .trace import AvailabilityTrace, TraceEventKind
-from .zone import OutageWindow, ZoneSpec, single_zone, validate_zones
+from .zone import ZoneSpec, single_zone, validate_zones
 
 
 def _zone_victim_seed(base_seed: int, zone_name: str) -> int:
@@ -252,14 +252,6 @@ class CloudProvider:
         """True while *zone* is inside a scheduled outage window."""
         when = self.simulator.now if time is None else time
         return self.zones[zone].outage_at(when) is not None
-
-    def next_outage(self, zone: str, time: Optional[float] = None) -> Optional[OutageWindow]:
-        """The next outage window of *zone* at or after *time* (default: now)."""
-        when = self.simulator.now if time is None else time
-        for window in self.zones[zone].outages:
-            if window.end > when:
-                return window
-        return None
 
     @property
     def zone_outage_count(self) -> int:

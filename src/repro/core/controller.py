@@ -23,12 +23,9 @@ decomposition ``l_req = l_sch + l_exe``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-try:  # numpy powers the vectorized propose sweep; scalar path without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
+import numpy as np
 
 from ..llm.profiler import OfflineProfiler
 from ..perf import NULL_TIMERS, PhaseTimers
@@ -51,13 +48,6 @@ RATE_KEY_DECIMALS = 12
 #: intra-round hits, which is where all the savings are.
 ESTIMATE_MEMO_MAX = 65536
 SWEEP_MEMO_MAX = 256
-
-#: Feasible-space size below which the vectorized propose sweep falls back
-#: to the scalar per-config loop: on tiny fleets the numpy dispatch overhead
-#: exceeds the arithmetic it saves.  Above it the per-round cost is a few
-#: array expressions plus a handful of ConfigEstimate objects for the
-#: near-tie contenders, instead of one Python-level estimate per config.
-VECTOR_SWEEP_MIN_CONFIGS = 64
 
 #: Distinguishes "memoised as None (no feasible config)" from a memo miss.
 _MEMO_MISS = object()
@@ -110,23 +100,14 @@ class ParallelizationController:
         profiler: OfflineProfiler,
         slo_latency: Optional[float] = None,
         latency_tie_margin: float = LATENCY_TIE_MARGIN,
-        memoize: bool = True,
         timers: Optional[PhaseTimers] = None,
-        vectorize: bool = True,
     ) -> None:
         self.config_space = config_space
         self.profiler = profiler
         self.slo_latency = slo_latency
         self.latency_tie_margin = latency_tie_margin
-        self.memoize = memoize
-        #: Batch the propose sweep's per-config cost evaluation with numpy
-        #: (bit-identical to the scalar loop; cross-checked by tests).
-        #: Falls back to the scalar path on small feasible spaces or when
-        #: numpy is unavailable.
-        self.vectorize = vectorize and np is not None
         self.timers = timers if timers is not None else NULL_TIMERS
         self._estimate_memo: Dict[Tuple[ParallelConfig, float], ConfigEstimate] = {}
-        self._estimates_memo: Dict[Tuple[int, float], List[ConfigEstimate]] = {}
         #: Per-fleet-size static arrays backing the vectorized sweep
         #: (configs in enumeration order + exec latency / throughput /
         #: instance / batch / data-degree columns); invalidated with the
@@ -149,7 +130,6 @@ class ParallelizationController:
     def invalidate(self) -> None:
         """Drop memoised estimates (profile or cost-model inputs changed)."""
         self._estimate_memo.clear()
-        self._estimates_memo.clear()
         self._static_memo.clear()
         self._vector_memo.clear()
         self._propose_memo.clear()
@@ -171,24 +151,30 @@ class ParallelizationController:
         estimate itself is always computed from the raw arrival rate -- the
         rounded rate is only the memo key.
         """
-        if not self.memoize:
-            return self._estimate_uncached(config, arrival_rate)
         if self._memo_is_stale():
             self.invalidate()
         key = (config, round(arrival_rate, RATE_KEY_DECIMALS))
         hit = self._estimate_memo.get(key)
         if hit is not None:
             return hit
-        estimate = self._estimate_uncached(config, arrival_rate)
+        execution_latency, throughput, num_instances = self._static(config)
+        estimate = ConfigEstimate(
+            config=config,
+            execution_latency=execution_latency,
+            request_latency=self._request_latency(
+                execution_latency, throughput, config, arrival_rate
+            ),
+            throughput=throughput,
+            num_instances=num_instances,
+        )
         if len(self._estimate_memo) >= ESTIMATE_MEMO_MAX:
             self._estimate_memo.clear()
         self._estimate_memo[key] = estimate
         return estimate
 
-    def _estimate_uncached(
-        self, config: ParallelConfig, arrival_rate: float
-    ) -> ConfigEstimate:
-        static = self._static_memo.get(config) if self.memoize else None
+    def _static(self, config: ParallelConfig) -> Tuple[float, float, int]:
+        """Rate-independent ``(execution latency, throughput, instances)``."""
+        static = self._static_memo.get(config)
         if static is None:
             entry = self.profiler.profile(
                 config.data_degree,
@@ -201,17 +187,8 @@ class ParallelizationController:
                 entry.throughput,
                 config.num_instances(self.config_space.gpus_per_instance),
             )
-            if self.memoize:
-                self._static_memo[config] = static
-        execution_latency, throughput, num_instances = static
-        request_latency = self._request_latency(execution_latency, throughput, config, arrival_rate)
-        return ConfigEstimate(
-            config=config,
-            execution_latency=execution_latency,
-            request_latency=request_latency,
-            throughput=throughput,
-            num_instances=num_instances,
-        )
+            self._static_memo[config] = static
+        return static
 
     def _request_latency(
         self,
@@ -259,18 +236,16 @@ class ParallelizationController:
         max_instances = max(max_instances, available_instances)
 
         with self.timers.phase("propose"):
-            memo_key: Optional[Tuple[int, int, float]] = None
-            if self.memoize:
-                if self._memo_is_stale():
-                    self.invalidate()
-                memo_key = (
-                    available_instances,
-                    max_instances,
-                    round(arrival_rate, RATE_KEY_DECIMALS),
-                )
-                hit = self._propose_memo.get(memo_key, _MEMO_MISS)
-                if hit is not _MEMO_MISS:
-                    return hit
+            if self._memo_is_stale():
+                self.invalidate()
+            memo_key = (
+                available_instances,
+                max_instances,
+                round(arrival_rate, RATE_KEY_DECIMALS),
+            )
+            hit = self._propose_memo.get(memo_key, _MEMO_MISS)
+            if hit is not _MEMO_MISS:
+                return hit
 
             selected = self._select_best(max_instances, arrival_rate)
             if selected is None:
@@ -285,61 +260,10 @@ class ParallelizationController:
                     arrival_rate=arrival_rate,
                     available_instances=available_instances,
                 )
-            if memo_key is not None:
-                if len(self._propose_memo) >= SWEEP_MEMO_MAX:
-                    self._propose_memo.clear()
-                self._propose_memo[memo_key] = decision
+            if len(self._propose_memo) >= SWEEP_MEMO_MAX:
+                self._propose_memo.clear()
+            self._propose_memo[memo_key] = decision
             return decision
-
-    def _select_best(
-        self, max_instances: int, arrival_rate: float
-    ) -> Optional[Tuple[ConfigEstimate, str]]:
-        """Pick Algorithm 1's winning configuration and its objective.
-
-        Dispatches to the numpy-vectorized sweep when it applies (large
-        feasible space, numpy importable) and to the reference scalar loop
-        otherwise.  The two paths are bit-identical -- same winner, same
-        estimate values -- which ``tests/test_controller_vectorized.py``
-        cross-checks over randomized fleets and rates.
-        """
-        if self.vectorize:
-            vectors = self._static_vectors(max_instances)
-            if vectors is not None:
-                return self._select_best_vector(vectors, arrival_rate)
-        return self._select_best_scalar(max_instances, arrival_rate)
-
-    def _select_best_scalar(
-        self, max_instances: int, arrival_rate: float
-    ) -> Optional[Tuple[ConfigEstimate, str]]:
-        """Reference per-config selection loop (Algorithm 1 lines 2-5)."""
-        # One cost-model pass over the feasible space; both objective
-        # branches filter this shared list instead of re-estimating.
-        all_estimates = self._estimates(
-            max_instances, arrival_rate, allow_infinite=True
-        )
-        reachable = [
-            est for est in all_estimates if est.execution_latency != float("inf")
-        ]
-        if not reachable:
-            return None
-
-        # Line 2-3: configurations that keep up with the arrival rate.
-        sustaining = [
-            est
-            for est in reachable
-            if est.throughput >= arrival_rate
-            and est.meets_rate
-            and self._meets_slo(est)
-        ]
-        if sustaining:
-            return self._pick_lowest_latency(sustaining), "latency"
-        # Line 5: no reachable configuration keeps up with the demand,
-        # so maximise throughput.  When the deployment may grow
-        # (on-demand mixing), the maximisation considers the larger
-        # fleet and the resulting positive delta triggers an
-        # allocation (lines 6-8); otherwise it is confined to the
-        # instances at hand.
-        return self._pick_highest_throughput(all_estimates), "throughput"
 
     # ------------------------------------------------------------------
     # Vectorized propose sweep
@@ -349,11 +273,10 @@ class ParallelizationController:
 
         Returns ``(configs, exec_latency, throughput, num_instances,
         batch_size, data_degree)`` with rows in the exact
-        ``feasible_configs`` enumeration order (the scalar sweep's order,
-        which the tie-breaking sorts rely on), or ``None`` when the space
-        is too small for vectorization to pay off.  Cached per fleet size;
-        the profiler/config-space generation counters invalidate it through
-        :meth:`invalidate` like every other memo.
+        ``feasible_configs`` enumeration order, which the tie-breaking sorts
+        rely on.  Cached per fleet size; the profiler/config-space
+        generation counters invalidate it through :meth:`invalidate` like
+        every other memo.
         """
         if self._memo_is_stale():
             self.invalidate()
@@ -361,35 +284,14 @@ class ParallelizationController:
         if cached is not None:
             return cached
         configs = self.config_space.feasible_configs(num_instances)
-        if len(configs) < VECTOR_SWEEP_MIN_CONFIGS:
-            return None
         count = len(configs)
         exec_latency = np.empty(count)
         throughput = np.empty(count)
         instances = np.empty(count, dtype=np.int64)
         batch = np.empty(count, dtype=np.int64)
         data_degree = np.empty(count, dtype=np.int64)
-        static_memo = self._static_memo
-        gpus_per_instance = self.config_space.gpus_per_instance
         for i, config in enumerate(configs):
-            static = static_memo.get(config)
-            if static is None:
-                entry = self.profiler.profile(
-                    config.data_degree,
-                    config.pipeline_degree,
-                    config.tensor_degree,
-                    config.batch_size,
-                )
-                static = (
-                    entry.latency,
-                    entry.throughput,
-                    config.num_instances(gpus_per_instance),
-                )
-                if self.memoize:
-                    static_memo[config] = static
-            exec_latency[i] = static[0]
-            throughput[i] = static[1]
-            instances[i] = static[2]
+            exec_latency[i], throughput[i], instances[i] = self._static(config)
             batch[i] = config.batch_size
             data_degree[i] = config.data_degree
         vectors = (configs, exec_latency, throughput, instances, batch, data_degree)
@@ -422,24 +324,28 @@ class ParallelizationController:
             result[ok] = exec_latency[ok] + batch_wait + queue_wait
         return result
 
-    def _select_best_vector(
-        self, vectors, arrival_rate: float
+    def _select_best(
+        self, max_instances: int, arrival_rate: float
     ) -> Optional[Tuple[ConfigEstimate, str]]:
-        """Vectorized Algorithm 1 selection over the pre-built columns.
+        """Pick Algorithm 1's winning configuration and its objective.
 
         The heavy per-config work (request-latency evaluation, the
         sustaining filter, the near-tie thresholds) runs as whole-array
-        numpy expressions; only the handful of near-tie contenders are
-        materialised as :class:`ConfigEstimate` objects and handed to the
-        exact same tie-breaking sorts as the scalar path, in the same
-        enumeration order -- so the winner (and its floats) are identical.
+        numpy expressions over the feasible space; only the handful of
+        near-tie contenders are materialised as :class:`ConfigEstimate`
+        objects and handed to the tie-breaking sorts, in enumeration order.
+        ``tests/test_controller_vectorized.py`` pins the winner and its
+        floats bit for bit against the scalar per-config loop in
+        ``tests/oracles/controller.py``.
         """
+        vectors = self._static_vectors(max_instances)
         configs, exec_latency, throughput, _, _, _ = vectors
         inf = float("inf")
         reachable = exec_latency != inf
         if not reachable.any():
             return None
         request_latency = self._vector_request_latency(vectors, arrival_rate)
+        # Lines 2-3: configurations that keep up with the arrival rate.
         sustaining = reachable & (throughput >= arrival_rate) & (request_latency != inf)
         if self.slo_latency is not None:
             sustaining &= request_latency <= self.slo_latency
@@ -451,6 +357,11 @@ class ParallelizationController:
                 self.estimate(configs[i], arrival_rate) for i in contender_idx
             ]
             return self._pick_lowest_latency(contenders), "latency"
+        # Line 5: no reachable configuration keeps up with the demand, so
+        # maximise throughput.  When the deployment may grow (on-demand
+        # mixing), the maximisation considers the larger fleet and the
+        # resulting positive delta triggers an allocation (lines 6-8);
+        # otherwise it is confined to the instances at hand.
         best_throughput = throughput.max()
         threshold = best_throughput * (1.0 - self.latency_tie_margin)
         contender_idx = np.nonzero(throughput >= threshold)[0]
@@ -460,51 +371,6 @@ class ParallelizationController:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _estimates(
-        self,
-        num_instances: int,
-        arrival_rate: float,
-        allow_infinite: bool = False,
-    ) -> List[ConfigEstimate]:
-        estimates = self._all_estimates(num_instances, arrival_rate)
-        if allow_infinite:
-            return estimates
-        return [est for est in estimates if est.execution_latency != float("inf")]
-
-    def _all_estimates(
-        self, num_instances: int, arrival_rate: float
-    ) -> List[ConfigEstimate]:
-        """One estimate per feasible configuration, memoised per round key.
-
-        Workload checks, reconfiguration planning and fallback proposals of
-        the same round all ask for the same ``(fleet size, arrival rate)``
-        sweep; the list memo turns those repeats into a single dict hit.
-        """
-        if not self.memoize:
-            return [
-                self.estimate(config, arrival_rate)
-                for config in self.config_space.feasible_configs(num_instances)
-            ]
-        if self._memo_is_stale():
-            self.invalidate()
-        key = (num_instances, round(arrival_rate, RATE_KEY_DECIMALS))
-        hit = self._estimates_memo.get(key)
-        if hit is not None:
-            return list(hit)
-        estimates = [
-            self.estimate(config, arrival_rate)
-            for config in self.config_space.feasible_configs(num_instances)
-        ]
-        if len(self._estimates_memo) >= SWEEP_MEMO_MAX:
-            self._estimates_memo.clear()
-        self._estimates_memo[key] = estimates
-        return list(estimates)
-
-    def _meets_slo(self, estimate: ConfigEstimate) -> bool:
-        if self.slo_latency is None:
-            return True
-        return estimate.request_latency <= self.slo_latency
-
     def _pick_lowest_latency(self, estimates: Sequence[ConfigEstimate]) -> ConfigEstimate:
         """Lowest request latency; near-ties resolved by monetary cost then GPUs."""
         best_latency = min(est.request_latency for est in estimates)

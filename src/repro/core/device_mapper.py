@@ -33,7 +33,7 @@ from ..engine.placement import (
     position_model_bytes,
 )
 from ..llm.spec import ModelSpec
-from ..matching.bipartite import BipartiteGraph, positive_components
+from ..matching.bipartite import positive_components
 from ..matching.hungarian import (
     AssignmentState,
     greedy_assignment,
@@ -79,34 +79,9 @@ class DeviceMapping:
             return 1.0
         return min(self.reused_bytes / self.required_bytes, 1.0)
 
-    def position_of(self, device_id: DeviceId) -> Optional[TopologyPosition]:
-        """Position assigned to *device_id* (None when unused)."""
-        return self.placement.get(device_id)
-
-    def device_at(self, position: TopologyPosition) -> Optional[DeviceId]:
-        """Device assigned to *position* (None when unfilled)."""
-        for device_id, assigned in self.placement.items():
-            if assigned == position:
-                return device_id
-        return None
-
-    @property
-    def unassigned_positions(self) -> List[TopologyPosition]:
-        """Positions of the target mesh that received no device."""
-        assigned = set(self.placement.values())
-        return [
-            position
-            for position in mesh_positions(
-                self.config.data_degree,
-                self.config.pipeline_degree,
-                self.config.tensor_degree,
-            )
-            if position not in assigned
-        ]
-
 
 class DeviceMapper:
-    """Builds the bipartite reuse graph and solves it with Kuhn-Munkres.
+    """Builds the bipartite reuse matrix and solves it with Kuhn-Munkres.
 
     ``zone_of`` (instance id -> availability zone) makes the mapper
     zone-aware: positions that carry no reusable context are filled so that
@@ -121,10 +96,6 @@ class DeviceMapper:
         use_optimal_matching: bool = True,
         hierarchical: bool = True,
         zone_of: Optional[Callable[[str], str]] = None,
-        cache_weights: bool = True,
-        fast_path: bool = True,
-        warm_start: bool = True,
-        decompose: bool = True,
         timers: Optional[PhaseTimers] = None,
     ) -> None:
         self.model = model
@@ -132,16 +103,6 @@ class DeviceMapper:
         self.use_optimal_matching = use_optimal_matching
         self.hierarchical = hierarchical
         self.zone_of = zone_of
-        self.cache_weights = cache_weights
-        #: ``fast_path`` switches map_devices onto the vectorized weight
-        #: matrix plus the sparsified/decomposed/warm-started solves;
-        #: ``fast_path=False`` keeps the original scalar reference
-        #: implementation (the equivalence oracle the fast-path tests solve
-        #: against).  ``warm_start`` and ``decompose`` gate the two flat-solve
-        #: layers individually so tests can isolate them.
-        self.fast_path = fast_path
-        self.warm_start = warm_start
-        self.decompose = decompose
         self.timers = timers if timers is not None else NULL_TIMERS
         # Warm-start states of last round's flat solves, keyed by the exact
         # (devices, positions) of each solved submatrix; replaced wholesale
@@ -154,10 +115,6 @@ class DeviceMapper:
         #: devices in any single zone anyway.  Toggled by the serving system
         #: (see ``SpotServeSystem.handle_zone_outage``).
         self.evacuation_mode = False
-        # Per-round reuse-weight cache, valid only while one map_devices call
-        # runs (config, inheritance and context state are fixed inside it).
-        self._round_weights: Optional[Dict[Tuple[DeviceId, TopologyPosition], float]] = None
-        self._round_stateless: Optional[Dict[DeviceId, bool]] = None
 
     # ------------------------------------------------------------------
     # Edge weights
@@ -170,7 +127,11 @@ class DeviceMapper:
         new_config: ParallelConfig,
         pipeline_inheritance: Optional[Dict[int, int]] = None,
     ) -> float:
-        """Bytes of context device *device_id* could reuse at *position*."""
+        """Bytes of context device *device_id* could reuse at *position*.
+
+        This is the edge-weight definition; :meth:`_weight_matrix` computes
+        the same value for every (device, position) cell at once.
+        """
         daemon = meta_context.daemon(device_id)
         weight = 0.0
         model_ctx = daemon.model_context
@@ -205,71 +166,8 @@ class DeviceMapper:
             )
         return weight
 
-    def _weight(
-        self,
-        meta_context: MetaContextManager,
-        device_id: DeviceId,
-        position: TopologyPosition,
-        new_config: ParallelConfig,
-        pipeline_inheritance: Optional[Dict[int, int]],
-    ) -> float:
-        """Reuse weight via the per-round cache (falls through when absent)."""
-        cache = self._round_weights
-        if cache is None:
-            return self.reuse_weight(
-                meta_context, device_id, position, new_config, pipeline_inheritance
-            )
-        if self._is_stateless(meta_context, device_id):
-            return 0.0
-        key = (device_id, position)
-        weight = cache.get(key)
-        if weight is None:
-            weight = self.reuse_weight(
-                meta_context, device_id, position, new_config, pipeline_inheritance
-            )
-            cache[key] = weight
-        return weight
-
-    def _is_stateless(self, meta_context: MetaContextManager, device_id: DeviceId) -> bool:
-        """True when the device holds no context at all (weight provably 0)."""
-        known = self._round_stateless
-        if known is None:
-            daemon = meta_context.daemon(device_id)
-            return daemon.model_context is None and daemon.cache_context is None
-        if device_id not in known:
-            daemon = meta_context.daemon(device_id)
-            known[device_id] = (
-                daemon.model_context is None and daemon.cache_context is None
-            )
-        return known[device_id]
-
-    def build_graph(
-        self,
-        meta_context: MetaContextManager,
-        devices: Sequence[DeviceId],
-        new_config: ParallelConfig,
-        pipeline_inheritance: Optional[Dict[int, int]] = None,
-    ) -> BipartiteGraph:
-        """Complete weighted bipartite graph between *devices* and positions."""
-        graph: BipartiteGraph = BipartiteGraph()
-        positions = mesh_positions(
-            new_config.data_degree, new_config.pipeline_degree, new_config.tensor_degree
-        )
-        for device_id in devices:
-            graph.add_left(device_id)
-        for position in positions:
-            graph.add_right(position)
-        for device_id in devices:
-            for position in positions:
-                weight = self._weight(
-                    meta_context, device_id, position, new_config, pipeline_inheritance
-                )
-                if weight > 0:
-                    graph.set_weight(device_id, position, weight)
-        return graph
-
     # ------------------------------------------------------------------
-    # Vectorized weight matrix (fast path)
+    # Vectorized weight matrix
     # ------------------------------------------------------------------
     def _weight_lookup(
         self,
@@ -439,101 +337,6 @@ class DeviceMapper:
             matrix[row_index] = row
         return matrix
 
-    def _flat_matching_fast(
-        self,
-        lookup: _WeightLookup,
-        devices: Sequence[DeviceId],
-        positions: Sequence[TopologyPosition],
-    ) -> Dict[DeviceId, TopologyPosition]:
-        """Sparsified + decomposed + warm-started flat matching.
-
-        Three exact reductions shrink the solved matrices:
-
-        * **sparsification** -- devices and positions with provably-zero
-          weight rows/columns never enter the solver; they flow through the
-          zone-aware :meth:`_fill_unassigned` path like any other
-          zero-reuse pair;
-        * **zone decomposition** -- the positive-edge structure decomposes
-          into connected components (in practice: one per zone-local
-          submesh), and since cross-component weights are identically zero
-          (the dominance condition), each component is solved independently;
-          disabled in ``evacuation_mode``, where zone locality is
-          deliberately suspended;
-        * **warm start** -- each component solve is seeded with last round's
-          :class:`AssignmentState` for the same (devices, positions) key;
-          the warm solver is bit-identical to a cold one by construction.
-
-        Matched pairs are committed in global device order, so the FP
-        reuse-sum downstream visits weights in the same order as the
-        reference flat matching.
-        """
-        matrix, _, _ = lookup
-        placement: Dict[DeviceId, TopologyPosition] = {}
-        if not self.use_optimal_matching:
-            # Greedy ablation: positive edges only (zero-weight edges can
-            # never change the matched weight).
-            for row, col in greedy_assignment(matrix):
-                placement[devices[row]] = positions[col]
-            self._fill_unassigned(placement, devices, positions)
-            return placement
-
-        positive_rows = np.flatnonzero(matrix.any(axis=1))
-        positive_cols = np.flatnonzero(matrix.any(axis=0))
-        if positive_rows.size and positive_cols.size:
-            sub = matrix[np.ix_(positive_rows, positive_cols)]
-            if self.decompose and not self.evacuation_mode:
-                components = positive_components(sub)
-            else:
-                components = [
-                    (list(range(sub.shape[0])), list(range(sub.shape[1])))
-                ]
-            next_states: Dict[_WarmKey, AssignmentState] = {}
-            matched: List[Tuple[int, int]] = []
-            # Components with byte-identical matrices (e.g. one per pipeline
-            # stage when old and new shard widths agree) share one solve.
-            component_memo: Dict[Tuple, Tuple] = {}
-            for component_rows, component_cols in components:
-                component_devices = tuple(
-                    devices[positive_rows[r]] for r in component_rows
-                )
-                component_positions = tuple(
-                    positions[positive_cols[c]] for c in component_cols
-                )
-                component_matrix = sub[np.ix_(component_rows, component_cols)]
-                memo_key = (component_matrix.shape, component_matrix.tobytes())
-                memoised = component_memo.get(memo_key)
-                if memoised is None:
-                    if self.warm_start:
-                        key = (component_devices, component_positions)
-                        pairs, state = maximum_weight_assignment(
-                            component_matrix,
-                            initial_assignment=self._warm_states.get(key),
-                            return_state=True,
-                        )
-                    else:
-                        pairs = maximum_weight_assignment(component_matrix)
-                        state = None
-                    component_memo[memo_key] = (pairs, state)
-                else:
-                    pairs, state = memoised
-                if self.warm_start and state is not None:
-                    next_states[(component_devices, component_positions)] = state
-                for row, col in pairs:
-                    matched.append(
-                        (
-                            int(positive_rows[component_rows[row]]),
-                            int(positive_cols[component_cols[col]]),
-                        )
-                    )
-            if self.warm_start:
-                self._warm_states = next_states
-            # Commit in global device order (see docstring).
-            matched.sort()
-            for row, col in matched:
-                placement[devices[row]] = positions[col]
-        self._fill_unassigned(placement, devices, positions)
-        return placement
-
     # ------------------------------------------------------------------
     # Mapping
     # ------------------------------------------------------------------
@@ -561,112 +364,50 @@ class DeviceMapper:
                 f"but only {len(devices)} are available"
             )
         with self.timers.phase("map"):
-            if self.cache_weights:
-                # The round cache lives exactly as long as this call: the
-                # config, inheritance map and context state are all fixed
-                # here, and dropping it afterwards guarantees nothing leaks
-                # into the next adaptation round.
-                self._round_weights = {}
-                self._round_stateless = {}
-            try:
-                return self._map_devices_inner(
-                    meta_context,
-                    devices,
-                    positions,
-                    new_config,
-                    pipeline_inheritance,
-                    cached_tokens_per_pipeline,
-                )
-            finally:
-                self._round_weights = None
-                self._round_stateless = None
-
-    def _map_devices_inner(
-        self,
-        meta_context: MetaContextManager,
-        devices: Sequence[DeviceId],
-        positions: Sequence[TopologyPosition],
-        new_config: ParallelConfig,
-        pipeline_inheritance: Optional[Dict[int, int]],
-        cached_tokens_per_pipeline: Optional[Dict[int, Tuple[int, int]]],
-    ) -> DeviceMapping:
-        lookup: Optional[_WeightLookup] = None
-        if self.fast_path:
             lookup = self._weight_lookup(
                 meta_context, devices, positions, new_config, pipeline_inheritance
             )
-            flat_placement = self._flat_matching_fast(lookup, devices, positions)
-        else:
-            flat_placement = self._flat_matching(
-                meta_context, devices, positions, new_config, pipeline_inheritance
+            flat_placement = self._flat_matching(lookup, devices, positions)
+            placement = flat_placement
+            if self.hierarchical and self.gpus_per_instance > 1:
+                # The two-step (inter-instance, then intra-instance) matching
+                # keeps tensor groups co-located on fast links, but when shard
+                # widths change it can strand reusable context on unmatched
+                # instances; it is only adopted when it reuses at least as
+                # much as the flat KM matching.
+                hierarchical_placement = self._hierarchical_matching(
+                    lookup, devices, positions
+                )
+                if self._placement_reuse(
+                    lookup, hierarchical_placement
+                ) >= self._placement_reuse(lookup, flat_placement):
+                    placement = hierarchical_placement
+            return DeviceMapping(
+                config=new_config,
+                placement=placement,
+                reused_bytes=self._placement_reuse(lookup, placement),
+                required_bytes=self._required_bytes(
+                    new_config, cached_tokens_per_pipeline
+                ),
             )
-        placement = flat_placement
-        if self.hierarchical and self.gpus_per_instance > 1:
-            # The two-step (inter-instance, then intra-instance) matching keeps
-            # tensor groups co-located on fast links, but when shard widths
-            # change it can strand reusable context on unmatched instances; it
-            # is only adopted when it reuses at least as much as the flat KM
-            # matching.
-            hierarchical_placement = self._hierarchical_matching(
-                meta_context,
-                devices,
-                positions,
-                new_config,
-                pipeline_inheritance,
-                lookup=lookup,
-            )
-            if self._placement_reuse(
-                meta_context,
-                hierarchical_placement,
-                new_config,
-                pipeline_inheritance,
-                lookup=lookup,
-            ) >= self._placement_reuse(
-                meta_context,
-                flat_placement,
-                new_config,
-                pipeline_inheritance,
-                lookup=lookup,
-            ):
-                placement = hierarchical_placement
 
-        reused = self._placement_reuse(
-            meta_context, placement, new_config, pipeline_inheritance, lookup=lookup
-        )
-        required = self._required_bytes(new_config, cached_tokens_per_pipeline)
-        return DeviceMapping(
-            config=new_config,
-            placement=placement,
-            reused_bytes=float(reused),
-            required_bytes=required,
-        )
-
+    @staticmethod
     def _placement_reuse(
-        self,
-        meta_context: MetaContextManager,
-        placement: Dict[DeviceId, TopologyPosition],
-        new_config: ParallelConfig,
-        pipeline_inheritance: Optional[Dict[int, int]],
-        lookup: Optional["_WeightLookup"] = None,
+        lookup: _WeightLookup, placement: Dict[DeviceId, TopologyPosition]
     ) -> float:
         """Total reusable bytes of a concrete placement.
 
-        The sum runs in ``placement`` insertion order in both modes, and the
-        matrix cells equal the scalar weights bitwise, so the fast path's
-        total is bit-identical to the reference one (IEEE-754 addition is
-        deterministic for a fixed operand order).
+        The sum runs in ``placement`` insertion order and the matrix cells
+        equal the scalar weights bitwise, so the total is bit-identical to
+        summing :meth:`reuse_weight` over the placement (IEEE-754 addition
+        is deterministic for a fixed operand order).
         """
-        if lookup is not None:
-            matrix, row_of, col_of = lookup
-            return float(
-                sum(
-                    matrix[row_of[device_id], col_of[position]]
-                    for device_id, position in placement.items()
-                )
+        matrix, row_of, col_of = lookup
+        return float(
+            sum(
+                matrix[row_of[device_id], col_of[position]]
+                for device_id, position in placement.items()
             )
-        return sum(
-            self._weight(meta_context, device_id, position, new_config, pipeline_inheritance)
-            for device_id, position in placement.items()
         )
 
     # ------------------------------------------------------------------
@@ -674,151 +415,182 @@ class DeviceMapper:
     # ------------------------------------------------------------------
     def _flat_matching(
         self,
-        meta_context: MetaContextManager,
+        lookup: _WeightLookup,
         devices: Sequence[DeviceId],
         positions: Sequence[TopologyPosition],
-        new_config: ParallelConfig,
-        pipeline_inheritance: Optional[Dict[int, int]],
     ) -> Dict[DeviceId, TopologyPosition]:
-        graph = self.build_graph(meta_context, devices, new_config, pipeline_inheritance)
-        if self.use_optimal_matching:
-            matching = graph.maximum_weight_matching()
-        else:
-            matching = graph.greedy_matching()
-        placement = {
-            device_id: position
-            for device_id, position in matching.items()
-            if position is not None
-        }
+        """Sparsified + decomposed + warm-started flat matching.
+
+        Three exact reductions shrink the solved matrices:
+
+        * **sparsification** -- devices and positions with provably-zero
+          weight rows/columns never enter the solver; they flow through the
+          zone-aware :meth:`_fill_unassigned` path like any other
+          zero-reuse pair;
+        * **zone decomposition** -- the positive-edge structure decomposes
+          into connected components (in practice: one per zone-local
+          submesh), and since cross-component weights are identically zero
+          (the dominance condition), each component is solved independently;
+          disabled in ``evacuation_mode``, where zone locality is
+          deliberately suspended;
+        * **warm start** -- each component solve is seeded with last round's
+          :class:`AssignmentState` for the same (devices, positions) key;
+          the warm solver is bit-identical to a cold one by construction.
+
+        Matched pairs are committed in global device order, so the FP
+        reuse-sum downstream visits weights in the same order as a dense
+        global matching would.
+        """
+        matrix, _, _ = lookup
+        placement: Dict[DeviceId, TopologyPosition] = {}
+        if not self.use_optimal_matching:
+            # Greedy ablation: positive edges only (zero-weight edges can
+            # never change the matched weight).
+            for row, col in greedy_assignment(matrix):
+                placement[devices[row]] = positions[col]
+            self._fill_unassigned(placement, devices, positions)
+            return placement
+
+        positive_rows = np.flatnonzero(matrix.any(axis=1))
+        positive_cols = np.flatnonzero(matrix.any(axis=0))
+        if positive_rows.size and positive_cols.size:
+            sub = matrix[np.ix_(positive_rows, positive_cols)]
+            if self.evacuation_mode:
+                components = [
+                    (list(range(sub.shape[0])), list(range(sub.shape[1])))
+                ]
+            else:
+                components = positive_components(sub)
+            next_states: Dict[_WarmKey, AssignmentState] = {}
+            matched: List[Tuple[int, int]] = []
+            # Components with byte-identical matrices (e.g. one per pipeline
+            # stage when old and new shard widths agree) share one solve.
+            component_memo: Dict[Tuple, Tuple] = {}
+            for component_rows, component_cols in components:
+                key = (
+                    tuple(devices[positive_rows[r]] for r in component_rows),
+                    tuple(positions[positive_cols[c]] for c in component_cols),
+                )
+                component_matrix = sub[np.ix_(component_rows, component_cols)]
+                memo_key = (component_matrix.shape, component_matrix.tobytes())
+                solved = component_memo.get(memo_key)
+                if solved is None:
+                    solved = maximum_weight_assignment(
+                        component_matrix,
+                        initial_assignment=self._warm_states.get(key),
+                        return_state=True,
+                    )
+                    component_memo[memo_key] = solved
+                pairs, next_states[key] = solved
+                for row, col in pairs:
+                    matched.append(
+                        (
+                            int(positive_rows[component_rows[row]]),
+                            int(positive_cols[component_cols[col]]),
+                        )
+                    )
+            self._warm_states = next_states
+            # Commit in global device order (see docstring).
+            matched.sort()
+            for row, col in matched:
+                placement[devices[row]] = positions[col]
         self._fill_unassigned(placement, devices, positions)
         return placement
 
     def _hierarchical_matching(
         self,
-        meta_context: MetaContextManager,
+        lookup: _WeightLookup,
         devices: Sequence[DeviceId],
         positions: Sequence[TopologyPosition],
-        new_config: ParallelConfig,
-        pipeline_inheritance: Optional[Dict[int, int]],
-        lookup: Optional[_WeightLookup] = None,
     ) -> Dict[DeviceId, TopologyPosition]:
         """Two-step matching: instances to position groups, then GPUs within.
 
-        With a *lookup* (fast path) the inner per-(instance, group) solves
-        read submatrices of the round's dense weight matrix instead of
-        issuing scalar weight calls, identical submatrices are solved once
+        The inner per-(instance, group) solves read submatrices of the
+        round's dense weight matrix, identical submatrices are solved once
         (fleets are full of instances sharing a context signature), and the
-        intra-instance placements are materialised lazily -- only for the
-        (instance, group) pairs the outer matching actually selects, rather
+        outer instance x group matrix holds each inner solve's matched
+        weight.  Intra-instance placements are materialised lazily -- only
+        for the (instance, group) pairs the outer matching selects, rather
         than eagerly for all n_instances x n_groups combinations.
         """
         # Group the target positions into instance-sized chunks, keeping the
         # deterministic (d, p, m) order so tensor shards stay co-located.
         ordered = list(positions)
+        gpi = self.gpus_per_instance
         groups: List[List[TopologyPosition]] = [
-            ordered[i : i + self.gpus_per_instance]
-            for i in range(0, len(ordered), self.gpus_per_instance)
+            ordered[i : i + gpi] for i in range(0, len(ordered), gpi)
         ]
         # Bucket devices per instance.
         per_instance: Dict[str, List[DeviceId]] = {}
         for device_id in devices:
             per_instance.setdefault(device_id[0], []).append(device_id)
-
         instance_ids = sorted(per_instance)
-        group_graph: BipartiteGraph = BipartiteGraph()
-        for instance_id in instance_ids:
-            group_graph.add_left(instance_id)
-        for group_index, group in enumerate(groups):
-            group_graph.add_right(group_index)
 
-        if lookup is not None:
-            matrix, row_of, _ = lookup
-            # groups chunk `positions` in order, so group g occupies the
-            # contiguous column slice [g * gpi, (g + 1) * gpi).
-            inner_pairs: Dict[Tuple[str, int], Optional[List[Tuple[int, int]]]] = {}
-            solve_memo: Dict[Tuple, Tuple[List[Tuple[int, int]], float]] = {}
-            gpi = self.gpus_per_instance
-            n_groups = len(groups)
-            # The common fleet shape -- every instance holds exactly gpi GPUs
-            # and the mesh splits into whole groups -- lets one 4-d reshape
-            # replace the n_instances x n_groups per-block nonzero probes.
-            uniform = len(ordered) == n_groups * gpi and all(
-                len(per_instance[instance_id]) == gpi for instance_id in instance_ids
+        matrix, row_of, _ = lookup
+        n_groups = len(groups)
+        outer = np.zeros((len(instance_ids), n_groups))
+        # groups chunk `positions` in order, so group g occupies the
+        # contiguous column slice [g * gpi, (g + 1) * gpi).
+        inner_pairs: Dict[Tuple[str, int], Optional[List[Tuple[int, int]]]] = {}
+        solve_memo: Dict[Tuple, Tuple[List[Tuple[int, int]], float]] = {}
+        # The common fleet shape -- every instance holds exactly gpi GPUs
+        # and the mesh splits into whole groups -- lets one 4-d reshape
+        # replace the n_instances x n_groups per-block nonzero probes.
+        uniform = len(ordered) == n_groups * gpi and all(
+            len(per_instance[instance_id]) == gpi for instance_id in instance_ids
+        )
+        if uniform:
+            row_block = np.array(
+                [
+                    [row_of[d] for d in per_instance[instance_id]]
+                    for instance_id in instance_ids
+                ]
             )
-            if uniform:
-                row_block = np.array(
-                    [
-                        [row_of[d] for d in per_instance[instance_id]]
-                        for instance_id in instance_ids
-                    ]
-                )
-                gathered = matrix[row_block.reshape(-1)].reshape(
-                    len(instance_ids), gpi, n_groups, gpi
-                )
-                nonzero = gathered.any(axis=(1, 3))
-            for instance_index, instance_id in enumerate(instance_ids):
-                if not uniform:
-                    rows = [row_of[d] for d in per_instance[instance_id]]
-                    instance_block = matrix[rows]
-                for group_index in range(n_groups):
-                    if uniform:
-                        if not nonzero[instance_index, group_index]:
-                            # All weights provably zero: positional zip,
-                            # weight 0 (same skip as _match_within).
-                            inner_pairs[(instance_id, group_index)] = None
-                            continue
-                        sub = gathered[instance_index, :, group_index, :]
-                    else:
-                        start = group_index * gpi
-                        sub = instance_block[
-                            :, start : start + len(groups[group_index])
-                        ]
-                        if not sub.any():
-                            inner_pairs[(instance_id, group_index)] = None
-                            continue
-                    memo_key = (sub.shape, sub.tobytes())
-                    memoised = solve_memo.get(memo_key)
-                    if memoised is None:
-                        pairs = maximum_weight_assignment(sub)
-                        # Same summation order as matching_weight: matched
-                        # pairs in row order.
-                        weight = float(sum(sub[r, c] for r, c in pairs))
-                        memoised = (pairs, weight)
-                        solve_memo[memo_key] = memoised
-                    pairs, weight = memoised
-                    inner_pairs[(instance_id, group_index)] = pairs
-                    if weight > 0:
-                        group_graph.set_weight(instance_id, group_index, weight)
-        else:
-            best_inner: Dict[Tuple[str, int], Dict[DeviceId, TopologyPosition]] = {}
-            for instance_id in instance_ids:
-                instance_devices = per_instance[instance_id]
-                for group_index, group in enumerate(groups):
-                    inner, weight = self._match_within(
-                        meta_context, instance_devices, group, new_config, pipeline_inheritance
-                    )
-                    best_inner[(instance_id, group_index)] = inner
-                    if weight > 0:
-                        group_graph.set_weight(instance_id, group_index, weight)
+            gathered = matrix[row_block.reshape(-1)].reshape(
+                len(instance_ids), gpi, n_groups, gpi
+            )
+            nonzero = gathered.any(axis=(1, 3))
+        for instance_index, instance_id in enumerate(instance_ids):
+            if not uniform:
+                rows = [row_of[d] for d in per_instance[instance_id]]
+                instance_block = matrix[rows]
+            for group_index in range(n_groups):
+                if uniform:
+                    if not nonzero[instance_index, group_index]:
+                        # All weights provably zero: positional zip, weight 0.
+                        inner_pairs[(instance_id, group_index)] = None
+                        continue
+                    sub = gathered[instance_index, :, group_index, :]
+                else:
+                    start = group_index * gpi
+                    sub = instance_block[:, start : start + len(groups[group_index])]
+                    if not sub.any():
+                        inner_pairs[(instance_id, group_index)] = None
+                        continue
+                memo_key = (sub.shape, sub.tobytes())
+                memoised = solve_memo.get(memo_key)
+                if memoised is None:
+                    pairs = maximum_weight_assignment(sub)
+                    # Matched pairs summed in row order.
+                    memoised = (pairs, float(sum(sub[r, c] for r, c in pairs)))
+                    solve_memo[memo_key] = memoised
+                inner_pairs[(instance_id, group_index)] = memoised[0]
+                outer[instance_index, group_index] = memoised[1]
 
         if self.use_optimal_matching:
-            instance_matching = group_graph.maximum_weight_matching()
+            instance_pairs = maximum_weight_assignment(outer)
         else:
-            instance_matching = group_graph.greedy_matching()
-
+            instance_pairs = greedy_assignment(outer)
         placement: Dict[DeviceId, TopologyPosition] = {}
-        for instance_id, group_index in instance_matching.items():
-            if lookup is not None:
-                placement.update(
-                    self._materialise_inner(
-                        per_instance[instance_id],
-                        groups[group_index],
-                        inner_pairs[(instance_id, group_index)],
-                    )
+        for row, group_index in instance_pairs:
+            instance_id = instance_ids[row]
+            placement.update(
+                self._materialise_inner(
+                    per_instance[instance_id],
+                    groups[group_index],
+                    inner_pairs[(instance_id, group_index)],
                 )
-            else:
-                placement.update(best_inner[(instance_id, group_index)])
-
+            )
         # Instances left unmatched (more instances than groups) contribute no
         # placement; groups left unmatched are filled arbitrarily below.
         self._fill_unassigned(placement, devices, positions)
@@ -832,9 +604,11 @@ class DeviceMapper:
     ) -> Dict[DeviceId, TopologyPosition]:
         """Intra-instance placement from memoised solver pairs.
 
-        Mirrors the reference :meth:`_match_within` result construction
-        exactly: matched pairs first (in solver row order), then the
-        leftover GPUs zipped onto the leftover positions.
+        Matched pairs first (in solver row order), then the leftover GPUs
+        zipped onto the leftover positions.  ``pairs=None`` marks an
+        all-zero block: Kuhn-Munkres on an all-zero matrix yields the
+        identity pairing in input order, which the positional zip
+        reproduces exactly, so the solve is skipped.
         """
         if pairs is None:
             return dict(zip(instance_devices, group))
@@ -845,61 +619,6 @@ class DeviceMapper:
         for device_id, position in zip(free_devices, free_positions):
             result[device_id] = position
         return result
-
-    def _match_within(
-        self,
-        meta_context: MetaContextManager,
-        instance_devices: Sequence[DeviceId],
-        group: Sequence[TopologyPosition],
-        new_config: ParallelConfig,
-        pipeline_inheritance: Optional[Dict[int, int]],
-    ) -> Tuple[Dict[DeviceId, TopologyPosition], float]:
-        """Match one instance's GPUs onto one position group.
-
-        Returns the matching together with its total reuse weight (the sum of
-        the matched edges, which the caller would otherwise re-derive).
-        """
-        weights: Dict[Tuple[DeviceId, TopologyPosition], float] = {}
-        for device_id in instance_devices:
-            if self.cache_weights and self._is_stateless(meta_context, device_id):
-                continue
-            for position in group:
-                weight = self._weight(
-                    meta_context, device_id, position, new_config, pipeline_inheritance
-                )
-                if weight > 0:
-                    weights[(device_id, position)] = weight
-        if not weights:
-            # All weights are provably zero (e.g. a freshly launched,
-            # stateless instance).  Kuhn-Munkres on an all-zero matrix yields
-            # the identity pairing in input order, which the positional zip
-            # reproduces exactly -- so the O(n^3) solve can be skipped.
-            return (
-                {
-                    device_id: position
-                    for device_id, position in zip(instance_devices, group)
-                },
-                0.0,
-            )
-        graph: BipartiteGraph = BipartiteGraph()
-        for device_id in instance_devices:
-            graph.add_left(device_id)
-        for position in group:
-            graph.add_right(position)
-        for (device_id, position), weight in weights.items():
-            graph.set_weight(device_id, position, weight)
-        matching = graph.maximum_weight_matching()
-        result = dict(matching)
-        matched_weight = graph.matching_weight(matching)
-        # Deterministically fill any unmatched positions of the group with the
-        # instance's remaining GPUs (zero-weight pairs, so the matched weight
-        # is unchanged).
-        assigned = set(result.values())
-        free_devices = [d for d in instance_devices if d not in result]
-        free_positions = [p for p in group if p not in assigned]
-        for device_id, position in zip(free_devices, free_positions):
-            result[device_id] = position
-        return result, matched_weight
 
     def _fill_unassigned(
         self,

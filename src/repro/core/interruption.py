@@ -182,29 +182,3 @@ class InterruptionArranger:
         if announced_deadline is None:
             return False
         return actual_time < announced_deadline - tolerance
-
-    def rearrange_for_early_preemption(
-        self, arrangement: InterruptionArrangement, actual_deadline: float, now: float
-    ) -> InterruptionArrangement:
-        """An instance is disappearing earlier than announced.
-
-        The cache context is abandoned (only the model context of the
-        surviving instances is reused) and decoding stops immediately.
-        """
-        return InterruptionArrangement(
-            tokens_to_decode=0,
-            stop_time=min(now, actual_deadline),
-            migrate_cache=False,
-            kind=arrangement.kind,
-        )
-
-    def should_delay_join(
-        self, pending_migration_time: float, ready_time: float, now: float
-    ) -> bool:
-        """Whether a newly acquired instance's join should be postponed.
-
-        If a migration triggered by an earlier interruption is still running
-        when the new instance becomes ready, SpotServe delays the join so the
-        prior arrangement stays feasible.
-        """
-        return now + pending_migration_time > ready_time

@@ -22,11 +22,10 @@ fallback of reloading weights from S3/disk.
 Fast path
 ---------
 
-``plan`` runs on every reconfiguring adaptation round, and after the map
-phase got its fast path the planner became the largest remaining control
-cost.  The default ``fast_path=True`` applies the same playbook as the
-device mapper, in four layers, each provably byte-identical to the scalar
-reference (``fast_path=False``):
+``plan`` runs on every reconfiguring adaptation round.  The planner has one
+implementation, built in four layers, each byte-identical to the scalar
+per-device reference in ``tests/oracles/migration.py`` that
+``tests/test_planner_fast_path.py`` compares it against:
 
 1. **Geometry interning** — ``stage_layer_range`` / ``shard_interval`` /
    ``stage_layers`` are pure functions of small integer signatures and are
@@ -37,22 +36,22 @@ reference (``fast_path=False``):
    instance (when that instance holds the layer) or its zone (when it does
    not), so the ranked candidate list and the greedy piece decomposition
    are computed once per (layer, rank class, needed segment) and the
-   resulting ``Transfer`` lists instantiated per device.  The greedy code
-   itself is shared with the reference path (``_pieces_from_sources``), so
-   equivalence reduces to the candidate order being equal — which it is,
-   because the sort key ``(not same_instance, not same_zone, device_id)``
-   is a total order (device ids are unique).
+   resulting ``Transfer`` lists instantiated per device.  The weight steps
+   and the cache step share that loop (``_missing_pieces``).  Equivalence
+   with the reference reduces to the candidate order being equal — which
+   it is, because the sort key ``(not same_instance, not same_zone,
+   device_id)`` is a total order (device ids are unique).
 3. **Cross-round plan memoisation** — the finished plan is a pure function
    of (context signatures, placement, config, cache requirements,
    evacuation mode, buffer budget, network spec and zones), so repeated
    (placement, placement) shapes across rounds return the cached
    :class:`MigrationPlan` object.  The serving system invalidates the memo
    when an instance's context is dropped from the meta-context.
-4. **Ordering fast path** — ``_buffer_deltas`` is computed once per step
-   and the deferred-layer greedy argmin is evaluated as a numpy sweep over
-   an (instances x layers) delta matrix, with dead columns masked to +inf
-   so ``argmin``'s first-occurrence rule reproduces the reference's
-   strict-less first-min tie-break exactly.
+4. **Ordering** — ``_buffer_deltas`` is computed once per step and the
+   deferred-layer greedy argmin is evaluated as a numpy sweep over an
+   (instances x layers) delta matrix, with dead columns masked to +inf so
+   ``argmin``'s first-occurrence rule reproduces a strict-less first-min
+   scan exactly.
 """
 
 from __future__ import annotations
@@ -60,17 +59,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..engine.context import DeviceId, MetaContextManager
-from ..engine.placement import (
-    TopologyPosition,
-    shard_interval,
-    stage_layer_range,
-    stage_layers,
-)
+from ..engine.context import CacheContext, DeviceId, MetaContextManager, ModelContext
+from ..engine.placement import TopologyPosition, shard_interval, stage_layers
 from ..llm.memory import DEFAULT_MIGRATION_BUFFER_BYTES
 from ..llm.spec import ModelSpec
 from ..perf import NULL_TIMERS, PhaseTimers
@@ -83,6 +77,14 @@ from .device_mapper import DeviceMapping
 #: per instance a 120 B-parameter GPT (480 GB fp32 over 8 instances) takes
 #: about two minutes, matching the paper's observation.
 DEFAULT_STORAGE_BANDWIDTH = 1.0 * 1024 ** 3
+
+_Context = Union[ModelContext, CacheContext]
+
+#: Layer -> (shard interval, device) pairs holding a slice of that layer.
+_Holders = Dict[int, List[Tuple[Tuple[float, float], DeviceId]]]
+
+#: ``context_map`` entry of a device that holds no context at all.
+_NO_CONTEXT: Tuple[None, None] = (None, None)
 
 
 @lru_cache(maxsize=1024)
@@ -217,7 +219,6 @@ class MigrationPlanner:
         storage_bandwidth: float = DEFAULT_STORAGE_BANDWIDTH,
         engine_restart_time: float = 10.0,
         timers: Optional[PhaseTimers] = None,
-        fast_path: bool = True,
     ) -> None:
         self.model = model
         self.network = network or NetworkModel()
@@ -227,9 +228,6 @@ class MigrationPlanner:
         self.storage_bandwidth = storage_bandwidth
         self.engine_restart_time = engine_restart_time
         self.timers = timers if timers is not None else NULL_TIMERS
-        #: ``False`` runs the scalar reference implementation the
-        #: equivalence tests solve against.
-        self.fast_path = fast_path
         #: During a zone-outage evacuation the same-zone source preference is
         #: suspended: the richest context sources are the doomed zone itself,
         #: and every pull out of it is cross-zone by definition, so ranking
@@ -264,8 +262,6 @@ class MigrationPlanner:
         """
         with self.timers.phase("plan"):
             cache_requirements = cache_requirements or {}
-            if not self.fast_path:
-                return self._build_plan(meta_context, mapping, cache_requirements)
             # One walk of the meta-context feeds the memo key, the holder
             # tables and the per-destination own-context lookups.
             context_map: Dict[DeviceId, Tuple] = {}
@@ -283,8 +279,9 @@ class MigrationPlanner:
                 self.plan_memo_hits += 1
                 return cached
             self.plan_memo_misses += 1
-            built = self._build_plan_fast(
-                context_map, mapping, cache_requirements, zones
+            built = self._assemble(
+                *self._build_steps(context_map, mapping, cache_requirements, zones),
+                mapping,
             )
             self._plan_memo[key] = built
             while len(self._plan_memo) > self.PLAN_MEMO_SIZE:
@@ -426,33 +423,8 @@ class MigrationPlanner:
         )
 
     # ------------------------------------------------------------------
-    # Plan assembly (shared by both paths)
+    # Plan assembly
     # ------------------------------------------------------------------
-    def _build_plan(
-        self,
-        meta_context: MetaContextManager,
-        mapping: DeviceMapping,
-        cache_requirements: Dict[int, Tuple[int, int, int]],
-    ) -> MigrationPlan:
-        """Scalar reference build: per-device scans of the meta-context."""
-        layer_steps = self._plan_layer_steps(meta_context, mapping)
-        cache_step = self._plan_cache_step(meta_context, mapping, cache_requirements)
-        return self._assemble(layer_steps, cache_step, mapping)
-
-    def _build_plan_fast(
-        self,
-        context_map: Dict[DeviceId, Tuple],
-        mapping: DeviceMapping,
-        cache_requirements: Dict[int, Tuple[int, int, int]],
-        zones: Dict[str, Optional[str]],
-    ) -> MigrationPlan:
-        """Fast build: signature-grouped steps off the shared context walk."""
-        layer_steps = self._plan_layer_steps_fast(context_map, mapping, zones)
-        cache_step = self._plan_cache_step_fast(
-            context_map, mapping, cache_requirements, zones
-        )
-        return self._assemble(layer_steps, cache_step, mapping)
-
     def _assemble(
         self,
         layer_steps: Dict[int, MigrationStep],
@@ -547,55 +519,61 @@ class MigrationPlanner:
         )
 
     # ------------------------------------------------------------------
-    # Step construction (scalar reference)
+    # Step construction
     # ------------------------------------------------------------------
-    def _plan_layer_steps(
-        self, meta_context: MetaContextManager, mapping: DeviceMapping
-    ) -> Dict[int, MigrationStep]:
+    def _build_steps(
+        self,
+        context_map: Dict[DeviceId, Tuple],
+        mapping: DeviceMapping,
+        cache_requirements: Dict[int, Tuple[int, int, int]],
+        zones: Dict[str, Optional[str]],
+    ) -> Tuple[Dict[int, MigrationStep], MigrationStep]:
+        """The per-layer weight steps and the cache step of one plan.
+
+        Weight slices that no surviving GPU holds are billed to storage.
+        Lost cache cannot be reloaded from storage; it is simply recomputed
+        and not billed to the plan.
+        """
         config = mapping.config
-        steps: Dict[int, MigrationStep] = {
+        rank_zones = (
+            zones
+            if self.network.zone_of is not None and not self.evacuation_mode
+            else None
+        )
+        layer_steps: Dict[int, MigrationStep] = {
             layer: MigrationStep(kind="weight", layer_index=layer)
             for layer in range(self.model.num_layers)
         }
-        holders = self._model_holders(meta_context)
-        for device_id, position in mapping.placement.items():
-            new_layers = self._stage_layers(position.stage_index, config.pipeline_degree)
-            new_interval = shard_interval(config.tensor_degree, position.shard_index)
-            own = self._own_model_interval(meta_context, device_id)
-            for layer in new_layers:
-                missing = self._subtract_interval(
-                    new_interval, own.get(layer) if own else None
+        model_holders = self._holder_table(
+            (device_id, mctx)
+            for device_id, (mctx, _) in context_map.items()
+            if mctx is not None
+        )
+        targets = [
+            (device_id, position, context_map.get(device_id, _NO_CONTEXT)[0])
+            for device_id, position in mapping.placement.items()
+        ]
+        layer_param_bytes = self.model.layer_param_bytes
+        for layer, device_id, source, fraction in self._missing_pieces(
+            targets, config, model_holders, rank_zones
+        ):
+            size = fraction * layer_param_bytes
+            if size <= 0:
+                continue
+            step = layer_steps[layer]
+            if source is None:
+                step.storage_bytes += size
+            else:
+                step.transfers.append(
+                    Transfer(
+                        src=source,
+                        dst=device_id,
+                        size_bytes=size,
+                        tag=f"model:layer{layer}",
+                    )
                 )
-                for interval in missing:
-                    pieces = self._source_pieces(layer, interval, holders, device_id)
-                    for source, fraction in pieces:
-                        size = fraction * self.model.layer_param_bytes
-                        if size <= 0:
-                            continue
-                        if source is None:
-                            steps[layer].storage_bytes += size
-                        else:
-                            steps[layer].transfers.append(
-                                Transfer(
-                                    src=source,
-                                    dst=device_id,
-                                    size_bytes=size,
-                                    tag=f"model:layer{layer}",
-                                )
-                            )
-        return steps
 
-    def _plan_cache_step(
-        self,
-        meta_context: MetaContextManager,
-        mapping: DeviceMapping,
-        cache_requirements: Dict[int, Tuple[int, int, int]],
-    ) -> MigrationStep:
-        config = mapping.config
-        step = MigrationStep(kind="cache", layer_index=None)
-        if not cache_requirements:
-            return step
-        cache_holders = self._cache_holders(meta_context)
+        cache_step = MigrationStep(kind="cache", layer_index=None)
         for new_data_index, (old_data_index, batch_size, cached_tokens) in cache_requirements.items():
             if cached_tokens <= 0:
                 continue
@@ -606,45 +584,113 @@ class MigrationPlanner:
                 * batch_size
                 * cached_tokens
             )
+            cache_holders = self._holder_table(
+                (device_id, cctx)
+                for device_id, (_, cctx) in context_map.items()
+                if cctx is not None and cctx.position.data_index == old_data_index
+            )
+            targets = []
             for device_id, position in mapping.placement.items():
                 if position.data_index != new_data_index:
                     continue
-                new_layers = self._stage_layers(position.stage_index, config.pipeline_degree)
-                new_interval = shard_interval(config.tensor_degree, position.shard_index)
-                own = self._own_cache_interval(meta_context, device_id, old_data_index)
-                for layer in new_layers:
-                    missing = self._subtract_interval(
-                        new_interval, own.get(layer) if own else None
+                cctx = context_map.get(device_id, _NO_CONTEXT)[1]
+                if cctx is not None and cctx.position.data_index != old_data_index:
+                    cctx = None
+                targets.append((device_id, position, cctx))
+            tag = f"cache:pipeline{new_data_index}"
+            for _, device_id, source, fraction in self._missing_pieces(
+                targets, config, cache_holders, rank_zones
+            ):
+                size = fraction * per_layer_bytes
+                if size > 0 and source is not None:
+                    cache_step.transfers.append(
+                        Transfer(src=source, dst=device_id, size_bytes=size, tag=tag)
                     )
-                    for interval in missing:
-                        pieces = self._source_pieces(
-                            layer, interval, cache_holders.get(old_data_index, {}), device_id
-                        )
-                        for source, fraction in pieces:
-                            size = fraction * per_layer_bytes
-                            if size <= 0:
-                                continue
-                            if source is None:
-                                # Lost cache cannot be reloaded from storage;
-                                # it will simply be recomputed (not billed to
-                                # the migration plan).
-                                continue
-                            step.transfers.append(
-                                Transfer(
-                                    src=source,
-                                    dst=device_id,
-                                    size_bytes=size,
-                                    tag=f"cache:pipeline{new_data_index}",
-                                )
-                            )
-        return step
+        return layer_steps, cache_step
 
-    # ------------------------------------------------------------------
-    # Step construction (fast path)
-    # ------------------------------------------------------------------
-    def _rank_class(
+    def _missing_pieces(
         self,
-        layer_key: Tuple,
+        targets: Sequence[Tuple[DeviceId, TopologyPosition, Optional[_Context]]],
+        config: ParallelConfig,
+        holder_table: Tuple[_Holders, Dict[int, Set[str]]],
+        rank_zones: Optional[Dict[str, Optional[str]]],
+    ) -> Iterator[Tuple[int, DeviceId, Optional[DeviceId], float]]:
+        """Yield ``(layer, destination, source, fraction)`` for each missing piece.
+
+        A target is ``(device, new position, own context or None)``.  Every
+        shard segment of the new position that the own context does not
+        cover is split greedily across the ranked holders; ``source=None``
+        marks a portion nobody holds.  Targets whose own context already
+        sits at their new position are skipped: every missing set is empty.
+
+        Ranked candidate lists are cached per :meth:`_rank_class` and
+        greedy covers per (rank class, segment), then reused across every
+        destination of the class.  Iteration order -- targets, then layers,
+        then segments, then pieces -- fixes the ``Transfer`` order in steps.
+        """
+        num_layers = self.model.num_layers
+        new_pd = config.pipeline_degree
+        new_td = config.tensor_degree
+        holders, holder_instances = holder_table
+        ranked_cache: Dict[Tuple, List[Tuple[Tuple[float, float], DeviceId]]] = {}
+        pieces_cache: Dict[Tuple, List[Tuple[Optional[DeviceId], float]]] = {}
+        missing_cache: Dict[Tuple, List[Tuple[float, float]]] = {}
+        for device_id, position, own in targets:
+            new_stage = position.stage_index
+            new_shard = position.shard_index
+            if own is not None:
+                cpos = own.position
+                if (
+                    own.pipeline_degree == new_pd
+                    and own.tensor_degree == new_td
+                    and cpos.stage_index == new_stage
+                    and cpos.shard_index == new_shard
+                ):
+                    continue
+                own_lo, own_hi, own_interval = _context_span(
+                    num_layers,
+                    own.pipeline_degree,
+                    own.tensor_degree,
+                    cpos.stage_index,
+                    cpos.shard_index,
+                )
+            new_interval = shard_interval(new_td, new_shard)
+            instance = device_id[0]
+            dest_zone = rank_zones[instance] if rank_zones is not None else None
+            for layer in stage_layers(num_layers, new_pd, new_stage):
+                owned = (
+                    own_interval
+                    if own is not None and own_lo <= layer < own_hi
+                    else None
+                )
+                mkey = (new_interval, owned)
+                missing = missing_cache.get(mkey)
+                if missing is None:
+                    missing = self._subtract_interval(new_interval, owned)
+                    missing_cache[mkey] = missing
+                if not missing:
+                    continue
+                rank_class = self._rank_class(
+                    layer, instance, dest_zone, holder_instances.get(layer)
+                )
+                for segment in missing:
+                    pkey = (rank_class, segment)
+                    pieces = pieces_cache.get(pkey)
+                    if pieces is None:
+                        ranked = ranked_cache.get(rank_class)
+                        if ranked is None:
+                            ranked = self._partition_ranked(
+                                holders.get(layer, ()), instance, dest_zone, rank_zones
+                            )
+                            ranked_cache[rank_class] = ranked
+                        pieces = self._pieces_from_sources(ranked, segment)
+                        pieces_cache[pkey] = pieces
+                    for source, fraction in pieces:
+                        yield layer, device_id, source, fraction
+
+    @staticmethod
+    def _rank_class(
+        layer: int,
         instance: str,
         dest_zone: Optional[str],
         layer_instances: Optional[Set[str]],
@@ -660,232 +706,8 @@ class MigrationPlanner:
         colliding.
         """
         if layer_instances and instance in layer_instances:
-            return (layer_key, 0, instance)
-        return (layer_key, 1, dest_zone)
-
-    def _plan_layer_steps_fast(
-        self,
-        context_map: Dict[DeviceId, Tuple],
-        mapping: DeviceMapping,
-        zones: Dict[str, Optional[str]],
-    ) -> Dict[int, MigrationStep]:
-        config = mapping.config
-        num_layers = self.model.num_layers
-        layer_param_bytes = self.model.layer_param_bytes
-        steps: Dict[int, MigrationStep] = {
-            layer: MigrationStep(kind="weight", layer_index=layer)
-            for layer in range(num_layers)
-        }
-        holders, holder_instances = self._model_holder_tables(context_map)
-        rank_zones = (
-            zones
-            if self.network.zone_of is not None and not self.evacuation_mode
-            else None
-        )
-        new_pd = config.pipeline_degree
-        new_td = config.tensor_degree
-        empty_bucket: List[Tuple[Tuple[float, float], DeviceId]] = []
-
-        ranked_cache: Dict[Tuple, List[Tuple[Tuple[float, float], DeviceId]]] = {}
-        pieces_cache: Dict[Tuple, List[Tuple[Optional[DeviceId], float]]] = {}
-        missing_cache: Dict[Tuple, List[Tuple[float, float]]] = {}
-
-        for device_id, position in mapping.placement.items():
-            entry = context_map.get(device_id)
-            ctx = entry[0] if entry is not None else None
-            new_stage = position.stage_index
-            new_shard = position.shard_index
-            if ctx is not None:
-                cpos = ctx.position
-                if (
-                    ctx.pipeline_degree == new_pd
-                    and ctx.tensor_degree == new_td
-                    and cpos.stage_index == new_stage
-                    and cpos.shard_index == new_shard
-                ):
-                    # Unchanged signature: the device already owns exactly
-                    # its new slice, so every missing set is empty.
-                    continue
-                own_lo, own_hi, own_interval = _context_span(
-                    num_layers,
-                    ctx.pipeline_degree,
-                    ctx.tensor_degree,
-                    cpos.stage_index,
-                    cpos.shard_index,
-                )
-            new_layers = stage_layers(num_layers, new_pd, new_stage)
-            new_interval = shard_interval(new_td, new_shard)
-            instance = device_id[0]
-            dest_zone = rank_zones[instance] if rank_zones is not None else None
-            for layer in new_layers:
-                owned = (
-                    own_interval
-                    if ctx is not None and own_lo <= layer < own_hi
-                    else None
-                )
-                mkey = (new_interval, owned)
-                missing = missing_cache.get(mkey)
-                if missing is None:
-                    missing = self._subtract_interval(new_interval, owned)
-                    missing_cache[mkey] = missing
-                if not missing:
-                    continue
-                rank_class = self._rank_class(
-                    layer, instance, dest_zone, holder_instances.get(layer)
-                )
-                step = steps[layer]
-                for segment in missing:
-                    pkey = (rank_class, segment)
-                    pieces = pieces_cache.get(pkey)
-                    if pieces is None:
-                        ranked = ranked_cache.get(rank_class)
-                        if ranked is None:
-                            ranked = self._partition_ranked(
-                                holders.get(layer, empty_bucket),
-                                instance,
-                                dest_zone,
-                                rank_zones,
-                            )
-                            ranked_cache[rank_class] = ranked
-                        pieces = self._pieces_from_sources(ranked, segment)
-                        pieces_cache[pkey] = pieces
-                    for source, fraction in pieces:
-                        size = fraction * layer_param_bytes
-                        if size <= 0:
-                            continue
-                        if source is None:
-                            step.storage_bytes += size
-                        else:
-                            step.transfers.append(
-                                Transfer(
-                                    src=source,
-                                    dst=device_id,
-                                    size_bytes=size,
-                                    tag=f"model:layer{layer}",
-                                )
-                            )
-        return steps
-
-    def _plan_cache_step_fast(
-        self,
-        context_map: Dict[DeviceId, Tuple],
-        mapping: DeviceMapping,
-        cache_requirements: Dict[int, Tuple[int, int, int]],
-        zones: Dict[str, Optional[str]],
-    ) -> MigrationStep:
-        config = mapping.config
-        step = MigrationStep(kind="cache", layer_index=None)
-        if not cache_requirements:
-            return step
-        num_layers = self.model.num_layers
-        tables = self._cache_holder_tables(context_map)
-        rank_zones = (
-            zones
-            if self.network.zone_of is not None and not self.evacuation_mode
-            else None
-        )
-        new_pd = config.pipeline_degree
-        new_td = config.tensor_degree
-        no_holders: Dict[int, List[Tuple[Tuple[float, float], DeviceId]]] = {}
-        no_instances: Dict[int, Set[str]] = {}
-        empty_bucket: List[Tuple[Tuple[float, float], DeviceId]] = []
-
-        ranked_cache: Dict[Tuple, List[Tuple[Tuple[float, float], DeviceId]]] = {}
-        pieces_cache: Dict[Tuple, List[Tuple[Optional[DeviceId], float]]] = {}
-        missing_cache: Dict[Tuple, List[Tuple[float, float]]] = {}
-
-        for new_data_index, (old_data_index, batch_size, cached_tokens) in cache_requirements.items():
-            if cached_tokens <= 0:
-                continue
-            per_layer_bytes = (
-                2.0
-                * self.model.hidden_size
-                * self.model.bytes_per_cache_element
-                * batch_size
-                * cached_tokens
-            )
-            holders, holder_instances = tables.get(
-                old_data_index, (no_holders, no_instances)
-            )
-            for device_id, position in mapping.placement.items():
-                if position.data_index != new_data_index:
-                    continue
-                entry = context_map.get(device_id)
-                ctx = entry[1] if entry is not None else None
-                has_own = ctx is not None and ctx.position.data_index == old_data_index
-                new_stage = position.stage_index
-                new_shard = position.shard_index
-                if has_own:
-                    cpos = ctx.position
-                    if (
-                        ctx.pipeline_degree == new_pd
-                        and ctx.tensor_degree == new_td
-                        and cpos.stage_index == new_stage
-                        and cpos.shard_index == new_shard
-                    ):
-                        # Unchanged signature for this pipeline's cache:
-                        # every missing set is empty.
-                        continue
-                    own_lo, own_hi, own_interval = _context_span(
-                        num_layers,
-                        ctx.pipeline_degree,
-                        ctx.tensor_degree,
-                        cpos.stage_index,
-                        cpos.shard_index,
-                    )
-                new_layers = stage_layers(num_layers, new_pd, new_stage)
-                new_interval = shard_interval(new_td, new_shard)
-                instance = device_id[0]
-                dest_zone = rank_zones[instance] if rank_zones is not None else None
-                for layer in new_layers:
-                    owned = (
-                        own_interval if has_own and own_lo <= layer < own_hi else None
-                    )
-                    mkey = (new_interval, owned)
-                    missing = missing_cache.get(mkey)
-                    if missing is None:
-                        missing = self._subtract_interval(new_interval, owned)
-                        missing_cache[mkey] = missing
-                    if not missing:
-                        continue
-                    rank_class = self._rank_class(
-                        (old_data_index, layer),
-                        instance,
-                        dest_zone,
-                        holder_instances.get(layer),
-                    )
-                    for segment in missing:
-                        pkey = (rank_class, segment)
-                        pieces = pieces_cache.get(pkey)
-                        if pieces is None:
-                            ranked = ranked_cache.get(rank_class)
-                            if ranked is None:
-                                ranked = self._partition_ranked(
-                                    holders.get(layer, empty_bucket),
-                                    instance,
-                                    dest_zone,
-                                    rank_zones,
-                                )
-                                ranked_cache[rank_class] = ranked
-                            pieces = self._pieces_from_sources(ranked, segment)
-                            pieces_cache[pkey] = pieces
-                        for source, fraction in pieces:
-                            size = fraction * per_layer_bytes
-                            if size <= 0:
-                                continue
-                            if source is None:
-                                # Lost cache is recomputed, not reloaded
-                                # (mirrors the reference path).
-                                continue
-                            step.transfers.append(
-                                Transfer(
-                                    src=source,
-                                    dst=device_id,
-                                    size_bytes=size,
-                                    tag=f"cache:pipeline{new_data_index}",
-                                )
-                            )
-        return step
+            return (layer, 0, instance)
+        return (layer, 1, dest_zone)
 
     # ------------------------------------------------------------------
     # Layer ordering (Algorithm 2)
@@ -911,10 +733,7 @@ class MigrationPlanner:
                 deferred.append(layer)
         if not deferred:
             return order
-        if self.fast_path:
-            order.extend(self._drain_deferred_fast(usage, deferred, deltas_by_layer))
-        else:
-            order.extend(self._drain_deferred(usage, deferred, deltas_by_layer))
+        order.extend(self._drain_deferred(usage, deferred, deltas_by_layer))
         return order
 
     def _drain_deferred(
@@ -923,36 +742,18 @@ class MigrationPlanner:
         deferred: List[int],
         deltas_by_layer: Dict[int, Dict[str, float]],
     ) -> List[int]:
-        """Scalar reference drain: repeated first-strict-min greedy picks."""
-        order: List[int] = []
-        while deferred:
-            best_pos = 0
-            best_peak = float("inf")
-            for pos, layer in enumerate(deferred):
-                peak = self._peak_after(usage, deltas_by_layer[layer])
-                if peak < best_peak:
-                    best_peak = peak
-                    best_pos = pos
-            best_layer = deferred.pop(best_pos)
-            self._apply_deltas(usage, deltas_by_layer[best_layer])
-            order.append(best_layer)
-        return order
+        """Order the deferred layers by repeatedly picking the lowest peak.
 
-    def _drain_deferred_fast(
-        self,
-        usage: Dict[str, float],
-        deferred: List[int],
-        deltas_by_layer: Dict[int, Dict[str, float]],
-    ) -> List[int]:
-        """Numpy drain, bit-identical to :meth:`_drain_deferred`.
-
-        ``max(u_i + delta, 0.0)`` with ``delta = 0`` reproduces instances
-        untouched by a layer (usage values are already clamped >= 0, so the
-        clamp is a no-op for them), and all-zero extra rows cannot change a
-        column max over non-negative values.  Dead columns are masked to
-        +inf so ``argmin``'s first-occurrence rule equals the reference's
-        strict-less scan over the shrinking deferred list (``list.remove``
-        preserves the relative order of survivors).
+        Each pick is the first deferred layer whose step leaves the lowest
+        post-step peak buffer usage, evaluated as one numpy sweep over an
+        (instances x deferred layers) delta matrix.  ``max(u_i + delta,
+        0.0)`` with ``delta = 0`` reproduces instances untouched by a layer
+        (usage values are already clamped >= 0, so the clamp is a no-op for
+        them), and all-zero extra rows cannot change a column max over
+        non-negative values.  Dead columns are masked to +inf so
+        ``argmin``'s first-occurrence rule equals a strict-less scan over
+        the shrinking deferred list (``list.pop`` preserves the relative
+        order of survivors).
         """
         instances = sorted(
             set(usage).union(
@@ -961,8 +762,8 @@ class MigrationPlanner:
         )
         order: List[int] = []
         if not instances:
-            # No transfers touch any instance: every peak is 0.0 and the
-            # reference picks the first deferred layer each round.
+            # No transfers touch any instance: every peak is 0.0 and each
+            # round picks the first remaining deferred layer.
             return list(deferred)
         index_of = {instance: i for i, instance in enumerate(instances)}
         delta_matrix = np.zeros((len(instances), len(deferred)))
@@ -978,9 +779,9 @@ class MigrationPlanner:
             if not alive[column]:
                 # Every live peak itself overflowed to +inf (astronomical
                 # transfer sizes), making live columns indistinguishable
-                # from the dead-column mask.  The reference's strict-less
-                # scan never updates in that case and keeps position 0 --
-                # the first *live* candidate.
+                # from the dead-column mask.  A strict-less scan never
+                # updates in that case and keeps position 0 -- the first
+                # *live* candidate.
                 column = int(np.flatnonzero(alive)[0])
             alive[column] = False
             usage_vector = np.maximum(
@@ -1009,13 +810,6 @@ class MigrationPlanner:
     def _apply_deltas(usage: Dict[str, float], deltas: Dict[str, float]) -> None:
         for instance, delta in deltas.items():
             usage[instance] = max(usage.get(instance, 0.0) + delta, 0.0)
-
-    @staticmethod
-    def _peak_after(usage: Dict[str, float], deltas: Dict[str, float]) -> float:
-        combined = dict(usage)
-        for instance, delta in deltas.items():
-            combined[instance] = max(combined.get(instance, 0.0) + delta, 0.0)
-        return max(combined.values(), default=0.0)
 
     # ------------------------------------------------------------------
     # Plan finalisation
@@ -1087,9 +881,6 @@ class MigrationPlanner:
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
-    def _stage_layers(self, stage_index: int, pipeline_degree: int) -> List[int]:
-        return list(stage_layers(self.model.num_layers, pipeline_degree, stage_index))
-
     def _stage_of_layer(self, layer_index: int, config: ParallelConfig) -> int:
         layers_per_stage = self.model.num_layers / config.pipeline_degree
         return min(int(layer_index / layers_per_stage), config.pipeline_degree - 1)
@@ -1099,80 +890,39 @@ class MigrationPlanner:
         # Fresh dict per call: plan assembly decrements the counts in place.
         return {stage: counts[stage] for stage in range(config.pipeline_degree)}
 
-    def _own_model_interval(
-        self, meta_context: MetaContextManager, device_id: DeviceId
-    ) -> Dict[int, Tuple[float, float]]:
-        """Layer -> shard interval the device already holds (model context)."""
-        daemon = meta_context.daemon(device_id)
-        ctx = daemon.model_context
-        if ctx is None:
-            return {}
-        layers = self._stage_layers(ctx.position.stage_index, ctx.pipeline_degree)
-        interval = shard_interval(ctx.tensor_degree, ctx.position.shard_index)
-        return {layer: interval for layer in layers}
+    def _holder_table(
+        self, contexts: Iterable[Tuple[DeviceId, _Context]]
+    ) -> Tuple[_Holders, Dict[int, Set[str]]]:
+        """Per-layer holders of the given contexts, plus per-layer instances.
 
-    def _own_cache_interval(
-        self, meta_context: MetaContextManager, device_id: DeviceId, old_data_index: int
-    ) -> Dict[int, Tuple[float, float]]:
-        daemon = meta_context.daemon(device_id)
-        ctx = daemon.cache_context
-        if ctx is None or ctx.position.data_index != old_data_index:
-            return {}
-        layers = self._stage_layers(ctx.position.stage_index, ctx.pipeline_degree)
-        interval = shard_interval(ctx.tensor_degree, ctx.position.shard_index)
-        return {layer: interval for layer in layers}
-
-    def _model_holders(
-        self, meta_context: MetaContextManager
-    ) -> Dict[int, List[Tuple[Tuple[float, float], DeviceId]]]:
-        """Layer -> list of (shard interval, device) currently holding it."""
-        holders: Dict[int, List[Tuple[Tuple[float, float], DeviceId]]] = {}
-        for device_id in meta_context.devices():
-            daemon = meta_context.daemon(device_id)
-            ctx = daemon.model_context
-            if ctx is None:
-                continue
-            layers = self._stage_layers(ctx.position.stage_index, ctx.pipeline_degree)
-            interval = shard_interval(ctx.tensor_degree, ctx.position.shard_index)
-            for layer in layers:
-                holders.setdefault(layer, []).append((interval, device_id))
-        return holders
-
-    def _cache_holders(
-        self, meta_context: MetaContextManager
-    ) -> Dict[int, Dict[int, List[Tuple[Tuple[float, float], DeviceId]]]]:
-        """Old data index -> layer -> holders of that pipeline's cache."""
-        holders: Dict[int, Dict[int, List[Tuple[Tuple[float, float], DeviceId]]]] = {}
-        for device_id in meta_context.devices():
-            daemon = meta_context.daemon(device_id)
-            ctx = daemon.cache_context
-            if ctx is None:
-                continue
-            layers = self._stage_layers(ctx.position.stage_index, ctx.pipeline_degree)
-            interval = shard_interval(ctx.tensor_degree, ctx.position.shard_index)
-            per_pipeline = holders.setdefault(ctx.position.data_index, {})
-            for layer in layers:
-                per_pipeline.setdefault(layer, []).append((interval, device_id))
-        return holders
-
-    @staticmethod
-    def _interned_buckets(
-        group_entries: List[Tuple[Tuple[float, float], List[DeviceId]]],
-        coverage: Dict[int, List[int]],
-    ) -> Tuple[
-        Dict[int, List[Tuple[Tuple[float, float], DeviceId]]],
-        Dict[int, Set[str]],
-    ]:
-        """Materialise per-layer holder buckets, interned by coverage set.
-
-        Stage spans are contiguous, so runs of adjacent layers are covered
-        by the same set of signature groups; each distinct coverage set is
+        Devices are grouped by their (degrees, stage, shard) context
+        signature so each group's layer span and shard interval resolve
+        once.  Stage spans are contiguous, so runs of adjacent layers are
+        covered by the same set of groups; each distinct coverage set is
         expanded and device-id-sorted once, and the resulting bucket (plus
         its instance set) is shared by every layer with that coverage.
         Buckets are therefore shared, read-only lists.  The device-id sort
-        is what lets :meth:`_partition_ranked` skip sorting entirely.
+        is what lets :meth:`_partition_ranked` skip sorting entirely; the
+        instance sets feed :meth:`_rank_class`.
         """
-        holders: Dict[int, List[Tuple[Tuple[float, float], DeviceId]]] = {}
+        groups: Dict[Tuple[int, int, int, int], List[DeviceId]] = {}
+        for device_id, ctx in contexts:
+            sig = (
+                ctx.pipeline_degree,
+                ctx.tensor_degree,
+                ctx.position.stage_index,
+                ctx.position.shard_index,
+            )
+            groups.setdefault(sig, []).append(device_id)
+        num_layers = self.model.num_layers
+        group_entries: List[Tuple[Tuple[float, float], List[DeviceId]]] = []
+        coverage: Dict[int, List[int]] = {}
+        for (pd, td, stage, shard), devices in groups.items():
+            gi = len(group_entries)
+            group_entries.append((shard_interval(td, shard), devices))
+            for layer in stage_layers(num_layers, pd, stage):
+                coverage.setdefault(layer, []).append(gi)
+        holders: _Holders = {}
         holder_instances: Dict[int, Set[str]] = {}
         bucket_cache: Dict[Tuple[int, ...], Tuple[List, Set[str]]] = {}
         for layer, group_ids in coverage.items():
@@ -1189,87 +939,8 @@ class MigrationPlanner:
                 bucket.sort(key=lambda item: item[1])
                 cached = (bucket, instances)
                 bucket_cache[ckey] = cached
-            holders[layer] = cached[0]
-            holder_instances[layer] = cached[1]
+            holders[layer], holder_instances[layer] = cached
         return holders, holder_instances
-
-    def _model_holder_tables(
-        self, context_map: Dict[DeviceId, Tuple]
-    ) -> Tuple[
-        Dict[int, List[Tuple[Tuple[float, float], DeviceId]]],
-        Dict[int, Set[str]],
-    ]:
-        """Signature-grouped :meth:`_model_holders`, plus per-layer instances.
-
-        Devices are grouped by their (degrees, stage, shard) context
-        signature so the layer list and shard interval are resolved once per
-        group, then per-layer buckets are interned and device-id-sorted by
-        :meth:`_interned_buckets`.  Holder-list order differs from the
-        per-device scan of the reference, which cannot matter: the candidate
-        ranking is a total order over device ids.  The per-layer instance
-        sets feed :meth:`_rank_class`.
-        """
-        groups: Dict[Tuple[int, int, int, int], List[DeviceId]] = {}
-        for device_id, (mctx, _) in context_map.items():
-            if mctx is None:
-                continue
-            sig = (
-                mctx.pipeline_degree,
-                mctx.tensor_degree,
-                mctx.position.stage_index,
-                mctx.position.shard_index,
-            )
-            groups.setdefault(sig, []).append(device_id)
-        num_layers = self.model.num_layers
-        group_entries: List[Tuple[Tuple[float, float], List[DeviceId]]] = []
-        coverage: Dict[int, List[int]] = {}
-        for (pd, td, stage, shard), devices in groups.items():
-            gi = len(group_entries)
-            group_entries.append((shard_interval(td, shard), devices))
-            for layer in stage_layers(num_layers, pd, stage):
-                coverage.setdefault(layer, []).append(gi)
-        return self._interned_buckets(group_entries, coverage)
-
-    def _cache_holder_tables(
-        self, context_map: Dict[DeviceId, Tuple]
-    ) -> Dict[
-        int,
-        Tuple[
-            Dict[int, List[Tuple[Tuple[float, float], DeviceId]]],
-            Dict[int, Set[str]],
-        ],
-    ]:
-        """Signature-grouped :meth:`_cache_holders` keyed by old data index."""
-        groups: Dict[Tuple[int, int, int, int, int], List[DeviceId]] = {}
-        for device_id, (_, cctx) in context_map.items():
-            if cctx is None:
-                continue
-            sig = (
-                cctx.position.data_index,
-                cctx.pipeline_degree,
-                cctx.tensor_degree,
-                cctx.position.stage_index,
-                cctx.position.shard_index,
-            )
-            groups.setdefault(sig, []).append(device_id)
-        num_layers = self.model.num_layers
-        per_data: Dict[
-            int,
-            Tuple[
-                List[Tuple[Tuple[float, float], List[DeviceId]]],
-                Dict[int, List[int]],
-            ],
-        ] = {}
-        for (data_index, pd, td, stage, shard), devices in groups.items():
-            group_entries, coverage = per_data.setdefault(data_index, ([], {}))
-            gi = len(group_entries)
-            group_entries.append((shard_interval(td, shard), devices))
-            for layer in stage_layers(num_layers, pd, stage):
-                coverage.setdefault(layer, []).append(gi)
-        return {
-            data_index: self._interned_buckets(group_entries, coverage)
-            for data_index, (group_entries, coverage) in per_data.items()
-        }
 
     @staticmethod
     def _partition_ranked(
@@ -1280,7 +951,13 @@ class MigrationPlanner:
     ) -> List[Tuple[Tuple[float, float], DeviceId]]:
         """Rank a device-id-sorted bucket without sorting.
 
-        The reference order is ``sorted`` by ``(not same_instance,
+        Sources on the destination's instance come first, then sources in
+        its availability zone, then everything else -- cross-zone pulls ride
+        the slowest link tier, so they are the last resort.  In
+        ``evacuation_mode`` the zone tier is dropped: an evacuation *must*
+        pull context out of the dying zone before it disappears.
+
+        As a sort, that order is ``sorted`` by ``(not same_instance,
         not same_zone, device_id)``.  A stable three-way partition of a
         bucket already sorted by device id produces exactly that order:
         relative device-id order is preserved within each class, and
@@ -1307,48 +984,6 @@ class MigrationPlanner:
                 else:
                     others.append(item)
         return same_instance + same_zone + others
-
-    def _source_pieces(
-        self,
-        layer: int,
-        needed: Tuple[float, float],
-        holders: Dict[int, List[Tuple[Tuple[float, float], DeviceId]]],
-        destination: DeviceId,
-    ) -> List[Tuple[Optional[DeviceId], float]]:
-        """Split a needed shard interval into (source, fraction) pieces.
-
-        Sources on the same instance as *destination* are preferred, then
-        sources in the same availability zone (when the network model knows
-        zones), then everything else -- cross-zone pulls ride the slowest
-        link tier, so they are the last resort.  In ``evacuation_mode`` the
-        zone tier is dropped (cross-zone sources rank equal to local ones):
-        an evacuation *must* pull context out of the dying zone before it
-        disappears.  Portions nobody holds are attributed to storage
-        (``source=None``).
-        """
-        zone_of = self.network.zone_of if not self.evacuation_mode else None
-        candidates = self._ranked_sources(holders.get(layer, []), destination, zone_of)
-        return self._pieces_from_sources(candidates, needed)
-
-    @staticmethod
-    def _ranked_sources(
-        candidates: Sequence[Tuple[Tuple[float, float], DeviceId]],
-        destination: DeviceId,
-        zone_of,
-    ) -> List[Tuple[Tuple[float, float], DeviceId]]:
-        """Sort holder candidates by the source-preference total order."""
-
-        def source_rank(item: Tuple[Tuple[float, float], DeviceId]) -> Tuple:
-            """Prefer same-instance, then same-zone sources (unless evacuating)."""
-            _, device_id = item
-            same_instance = device_id[0] == destination[0]
-            if zone_of is None:
-                same_zone = True
-            else:
-                same_zone = zone_of(device_id[0]) == zone_of(destination[0])
-            return (not same_instance, not same_zone, device_id)
-
-        return sorted(candidates, key=source_rank)
 
     @staticmethod
     def _pieces_from_sources(

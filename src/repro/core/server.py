@@ -59,7 +59,7 @@ from .autoscaler import Autoscaler, AutoscaleSignal, ZoneView, make_autoscaler
 from .config import ConfigurationSpace, ParallelConfig
 from .controller import OptimizerDecision, ParallelizationController
 from .device_mapper import DeviceMapper, DeviceMapping
-from .interruption import InterruptionArrangement, InterruptionArranger
+from .interruption import InterruptionArranger
 from .migration import MigrationPlan, MigrationPlanner
 from .stats import AutoscaleRecord, ReconfigurationRecord, ServingStats
 
@@ -1413,10 +1413,6 @@ class SpotServeSystem(ServingSystemBase):
         )
         self.interruption_arranger = InterruptionArranger(self.latency_model)
         self._downscale_votes = 0
-        #: Last JIT arrangement per busy pipeline (``id(pipeline)`` keyed),
-        #: refreshed by :meth:`_jit_stop_time`; consumed when a reclaim
-        #: lands earlier than announced (Section 4.2 rearrangement).
-        self._active_arrangements: Dict[int, InterruptionArrangement] = {}
         #: Bandwidth-degradation factor the planner's memoised plans were
         #: computed under; a change invalidates the whole-plan memo (its
         #: keys do not encode the network state).  Constant 1.0 without a
@@ -1458,42 +1454,15 @@ class SpotServeSystem(ServingSystemBase):
     ) -> None:
         """Section 4.2: the reclaim beat its announced grace deadline.
 
-        Every pipeline still touching the vanished instance had (at most)
-        a JIT arrangement budgeted against the *announced* deadline; that
-        budget is now void.  Each arrangement is rearranged with
-        :meth:`~repro.core.interruption.InterruptionArranger
-        .rearrange_for_early_preemption` -- decoding stops immediately and
-        the cache context is abandoned -- and the pipelines are torn down
-        accordingly (requests re-queued without their cache, conserving
-        every request), then a fresh plan is made for the survivors.
+        Any JIT arrangement of the pipelines still touching the vanished
+        instance was budgeted against the *announced* deadline and is now
+        void: the cache context is abandoned and decoding stops at once.
+        The affected pipelines are torn down (requests re-queued without
+        their cache, conserving every request), then the survivors are
+        replanned.
         """
-        now = self.simulator.now
-        affected = [
-            pipeline
-            for pipeline in self.pipelines
-            if pipeline.uses_instance(instance.instance_id)
-        ]
-        if not affected:
-            return
-        preserve_any = False
-        for pipeline in affected:
-            arrangement = self._active_arrangements.pop(id(pipeline), None)
-            if arrangement is None:
-                # No JIT arrangement was in flight for this pipeline (e.g.
-                # the notice and the early reclaim raced a planning round):
-                # rearrange a fresh empty preemption arrangement instead.
-                arrangement = InterruptionArrangement(
-                    0, now, migrate_cache=True, kind="preemption"
-                )
-            rearranged = self.interruption_arranger.rearrange_for_early_preemption(
-                arrangement, actual_deadline=now, now=now
-            )
-            preserve_any = preserve_any or rearranged.migrate_cache
-        if not preserve_any:
-            # The rearrangement rule always abandons the cache: tear the
-            # affected pipelines down (interrupt + re-queue, cache dropped).
-            self._teardown_pipelines_using({instance.instance_id})
-        self._plan_reconfiguration(reason="early-preemption")
+        if self._teardown_pipelines_using({instance.instance_id}):
+            self._plan_reconfiguration(reason="early-preemption")
 
     def handle_zone_outage(self, zone: str, phase: str, payload: Dict) -> None:
         """Evacuate the fleet out of a dying zone (the tentpole fault path).
@@ -1920,7 +1889,6 @@ class SpotServeSystem(ServingSystemBase):
         """
         now = self.simulator.now
         stop_time = now
-        self._active_arrangements = {}
         for pipeline in self.pipelines:
             if not pipeline.is_busy or self.current_config is None:
                 continue
@@ -1931,7 +1899,6 @@ class SpotServeSystem(ServingSystemBase):
                 deadline,
                 plan.window_time,
             )
-            self._active_arrangements[id(pipeline)] = arrangement
             stop_time = max(stop_time, arrangement.stop_time)
         return min(stop_time, max(deadline - plan.window_time, now))
 

@@ -166,23 +166,3 @@ class MetaContextManager:
     def total_resident_bytes(self) -> float:
         """Sum of context bytes across the cluster."""
         return sum(daemon.resident_bytes(self.model) for daemon in self._daemons.values())
-
-    def model_replica_coverage(self, pipeline_degree: int, tensor_degree: int) -> float:
-        """Fraction of the model's (P*M) positions that exist on some GPU.
-
-        Used by the fault-tolerance logic: when coverage drops below 1.0 the
-        missing slices have to be reloaded from persistent storage.
-        """
-        needed = {
-            (p, m) for p in range(pipeline_degree) for m in range(tensor_degree)
-        }
-        present = set()
-        for daemon in self._daemons.values():
-            ctx = daemon.model_context
-            if ctx is None:
-                continue
-            if ctx.pipeline_degree == pipeline_degree and ctx.tensor_degree == tensor_degree:
-                present.add((ctx.position.stage_index, ctx.position.shard_index))
-        if not needed:
-            return 1.0
-        return len(needed & present) / len(needed)

@@ -29,11 +29,6 @@ class PipelineAssignment:
     tensor_degree: int
     devices: Dict[TopologyPosition, DeviceId] = field(default_factory=dict)
 
-    def device_at(self, stage_index: int, shard_index: int) -> Optional[DeviceId]:
-        """Device bound to the (stage, shard) position, if any."""
-        position = TopologyPosition(self.pipeline_index, stage_index, shard_index)
-        return self.devices.get(position)
-
     @property
     def device_ids(self) -> List[DeviceId]:
         """Every device participating in this pipeline."""

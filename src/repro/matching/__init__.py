@@ -1,6 +1,5 @@
-"""Bipartite graphs and the Kuhn-Munkres matching substrate."""
+"""The Kuhn-Munkres matching substrate of the device mapper."""
 
-from .bipartite import BipartiteGraph
 from .hungarian import (
     assignment_weight,
     greedy_assignment,
@@ -9,7 +8,6 @@ from .hungarian import (
 )
 
 __all__ = [
-    "BipartiteGraph",
     "assignment_weight",
     "greedy_assignment",
     "maximum_weight_assignment",

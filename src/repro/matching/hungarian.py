@@ -24,8 +24,8 @@ starting from scratch (the sweep's state after ``k`` rows is a pure
 function of the first ``k`` cost rows).  Because the warm path replays the
 reference arithmetic exactly from a recorded intermediate state, its
 result is **bit-identical** to a cold solve of the same matrix -- never
-merely "another optimal assignment" (pinned by
-``tests/test_matching_warm_start.py``).
+merely "another optimal assignment" (pinned by ``TestWarmStartSolver`` in
+``tests/test_mapper_fast_path.py``).
 """
 
 from __future__ import annotations

@@ -1,0 +1,17 @@
+"""Scalar reference implementations the differential suites compare against.
+
+Each control-stack algorithm has one production implementation in
+``src/repro``.  The straightforward scalar version of each lives here, next
+to the tests that use it:
+
+* :mod:`oracles.controller` -- Algorithm 1 as one Python-level estimate per
+  feasible configuration, plus a controller that never serves a memo;
+* :mod:`oracles.device_mapper` -- Section 3.3's matching with one
+  ``reuse_weight`` call per (device, position) pair, solved through
+  :class:`oracles.bipartite.BipartiteGraph`;
+* :mod:`oracles.migration` -- Algorithm 2 with per-device meta-context
+  scans, ``sorted`` source ranking and a scalar deferred-layer drain.
+
+The oracles subclass the production classes and share their unchanged
+helpers, so a comparison isolates exactly the code that was made fast.
+"""

@@ -1,0 +1,188 @@
+"""Scalar reference for the device mapper (Section 3.3).
+
+Every edge weight is one :meth:`DeviceMapper.reuse_weight` call and every
+matching goes through :class:`~oracles.bipartite.BipartiteGraph`: no weight
+matrix, no sparsification, no component decomposition, no warm starts and no
+memoised inner solves.  The production mapper's hierarchical placement must
+equal this one down to dict order, and its flat matching must reuse the
+same number of bytes.
+"""
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.core.config import ParallelConfig
+from repro.core.device_mapper import DeviceMapper, DeviceMapping
+from repro.engine.context import DeviceId, MetaContextManager
+from repro.engine.placement import TopologyPosition, mesh_positions
+
+from .bipartite import BipartiteGraph
+
+Placement = Dict[DeviceId, TopologyPosition]
+
+
+class ReferenceDeviceMapper(DeviceMapper):
+    """:class:`DeviceMapper` whose ``map_devices`` runs the scalar matchers."""
+
+    def map_devices(
+        self,
+        meta_context: MetaContextManager,
+        devices: Sequence[DeviceId],
+        new_config: ParallelConfig,
+        pipeline_inheritance: Optional[Dict[int, int]] = None,
+        cached_tokens_per_pipeline: Optional[Dict[int, Tuple[int, int]]] = None,
+    ) -> DeviceMapping:
+        """Flat and hierarchical scalar matchings; the larger reuse wins."""
+        positions = mesh_positions(
+            new_config.data_degree, new_config.pipeline_degree, new_config.tensor_degree
+        )
+        if len(devices) < len(positions):
+            raise ValueError(f"configuration {new_config} needs {len(positions)} GPUs")
+        args = (meta_context, devices, positions, new_config, pipeline_inheritance)
+        flat = self.flat_matching(*args)
+        placement = flat
+        if self.hierarchical and self.gpus_per_instance > 1:
+            hierarchical = self.hierarchical_matching(*args)
+            if self.placement_reuse(
+                meta_context, hierarchical, new_config, pipeline_inheritance
+            ) >= self.placement_reuse(meta_context, flat, new_config, pipeline_inheritance):
+                placement = hierarchical
+        return DeviceMapping(
+            config=new_config,
+            placement=placement,
+            reused_bytes=float(
+                self.placement_reuse(meta_context, placement, new_config, pipeline_inheritance)
+            ),
+            required_bytes=self._required_bytes(new_config, cached_tokens_per_pipeline),
+        )
+
+    def placement_reuse(
+        self,
+        meta_context: MetaContextManager,
+        placement: Placement,
+        new_config: ParallelConfig,
+        pipeline_inheritance: Optional[Dict[int, int]],
+    ) -> float:
+        """Reusable bytes of *placement*, summed in placement order."""
+        return sum(
+            self.reuse_weight(meta_context, device_id, position, new_config, pipeline_inheritance)
+            for device_id, position in placement.items()
+        )
+
+    def build_graph(
+        self,
+        meta_context: MetaContextManager,
+        devices: Sequence[DeviceId],
+        new_config: ParallelConfig,
+        pipeline_inheritance: Optional[Dict[int, int]] = None,
+    ) -> BipartiteGraph:
+        """Complete weighted bipartite graph between *devices* and positions."""
+        graph: BipartiteGraph = BipartiteGraph()
+        positions = mesh_positions(
+            new_config.data_degree, new_config.pipeline_degree, new_config.tensor_degree
+        )
+        for device_id in devices:
+            graph.add_left(device_id)
+        for position in positions:
+            graph.add_right(position)
+        for device_id in devices:
+            for position in positions:
+                weight = self.reuse_weight(
+                    meta_context, device_id, position, new_config, pipeline_inheritance
+                )
+                if weight > 0:
+                    graph.set_weight(device_id, position, weight)
+        return graph
+
+    def flat_matching(
+        self,
+        meta_context: MetaContextManager,
+        devices: Sequence[DeviceId],
+        positions: Sequence[TopologyPosition],
+        new_config: ParallelConfig,
+        pipeline_inheritance: Optional[Dict[int, int]],
+    ) -> Placement:
+        """One global Kuhn-Munkres (or greedy) solve over the whole graph."""
+        graph = self.build_graph(meta_context, devices, new_config, pipeline_inheritance)
+        if self.use_optimal_matching:
+            placement = graph.maximum_weight_matching()
+        else:
+            placement = graph.greedy_matching()
+        self._fill_unassigned(placement, devices, positions)
+        return placement
+
+    def hierarchical_matching(
+        self,
+        meta_context: MetaContextManager,
+        devices: Sequence[DeviceId],
+        positions: Sequence[TopologyPosition],
+        new_config: ParallelConfig,
+        pipeline_inheritance: Optional[Dict[int, int]],
+    ) -> Placement:
+        """Instances to position groups, then each instance's GPUs within."""
+        ordered = list(positions)
+        groups: List[List[TopologyPosition]] = [
+            ordered[i : i + self.gpus_per_instance]
+            for i in range(0, len(ordered), self.gpus_per_instance)
+        ]
+        per_instance: Dict[str, List[DeviceId]] = {}
+        for device_id in devices:
+            per_instance.setdefault(device_id[0], []).append(device_id)
+        group_graph: BipartiteGraph = BipartiteGraph()
+        for instance_id in sorted(per_instance):
+            group_graph.add_left(instance_id)
+        for group_index in range(len(groups)):
+            group_graph.add_right(group_index)
+        best_inner: Dict[Tuple[str, int], Placement] = {}
+        for instance_id in group_graph.left_nodes:
+            for group_index, group in enumerate(groups):
+                inner, weight = self.match_within(
+                    meta_context,
+                    per_instance[instance_id],
+                    group,
+                    new_config,
+                    pipeline_inheritance,
+                )
+                best_inner[(instance_id, group_index)] = inner
+                if weight > 0:
+                    group_graph.set_weight(instance_id, group_index, weight)
+        if self.use_optimal_matching:
+            instance_matching = group_graph.maximum_weight_matching()
+        else:
+            instance_matching = group_graph.greedy_matching()
+        placement: Placement = {}
+        for instance_id, group_index in instance_matching.items():
+            placement.update(best_inner[(instance_id, group_index)])
+        self._fill_unassigned(placement, devices, positions)
+        return placement
+
+    def match_within(
+        self,
+        meta_context: MetaContextManager,
+        instance_devices: Sequence[DeviceId],
+        group: Sequence[TopologyPosition],
+        new_config: ParallelConfig,
+        pipeline_inheritance: Optional[Dict[int, int]],
+    ) -> Tuple[Placement, float]:
+        """Match one instance's GPUs onto one position group, with its weight."""
+        graph: BipartiteGraph = BipartiteGraph()
+        for device_id in instance_devices:
+            graph.add_left(device_id)
+        for position in group:
+            graph.add_right(position)
+        for device_id in instance_devices:
+            for position in group:
+                weight = self.reuse_weight(
+                    meta_context, device_id, position, new_config, pipeline_inheritance
+                )
+                if weight > 0:
+                    graph.set_weight(device_id, position, weight)
+        matching = graph.maximum_weight_matching()
+        result = dict(matching)
+        # Fill unmatched positions of the group with the instance's leftover
+        # GPUs (zero-weight pairs, so the matched weight is unchanged).
+        assigned = set(result.values())
+        free_devices = [d for d in instance_devices if d not in result]
+        free_positions = [p for p in group if p not in assigned]
+        for device_id, position in zip(free_devices, free_positions):
+            result[device_id] = position
+        return result, graph.matching_weight(matching)

@@ -1,13 +1,14 @@
 """Vectorized propose sweep: bit-identity against the scalar reference.
 
-The PR-5 fast path batches Algorithm 1's per-config cost evaluation
-(request latency, the sustaining filter, the near-tie thresholds) into
-whole-array numpy expressions.  None of that may change a single decision:
-this suite cross-checks the vectorized controller against the scalar
-reference loop over randomized fleets, growth budgets and arrival rates --
-same winning config, same objective, same instance delta, and the winning
-estimate's floats equal bit for bit -- plus the memo/invalidaton contract
-the controller's other caches already obey.
+The controller batches Algorithm 1's per-config cost evaluation (request
+latency, the sustaining filter, the near-tie thresholds) into whole-array
+numpy expressions, at every feasible-space size.  None of that may change a
+single decision: this suite cross-checks the controller against the scalar
+per-config loop in ``tests/oracles/controller.py`` over randomized fleets,
+growth budgets and arrival rates -- same winning config, same objective,
+same instance delta, and the winning estimate's floats equal bit for bit --
+plus the memo/invalidation contract the controller's other caches already
+obey.
 """
 
 import random
@@ -15,25 +16,24 @@ import random
 import pytest
 
 from repro.core.config import ConfigurationSpace
-from repro.core.controller import (
-    VECTOR_SWEEP_MIN_CONFIGS,
-    ParallelizationController,
-)
+from repro.core.controller import ParallelizationController
 from repro.llm.costmodel import LatencyModel
 from repro.llm.memory import MemoryModel
 from repro.llm.profiler import OfflineProfiler
 from repro.llm.spec import get_model
 
+from oracles.controller import MemolessController, ScalarController
+
 MODELS = ("OPT-6.7B", "GPT-20B")
 
 
-def make_controller(model_name, vectorize, **kwargs):
+def make_controller(model_name, cls=ParallelizationController, **kwargs):
     model = get_model(model_name)
     latency_model = LatencyModel(model)
     memory_model = MemoryModel(model)
     space = ConfigurationSpace(model, memory_model)
     profiler = OfflineProfiler(latency_model, memory_model)
-    return ParallelizationController(space, profiler, vectorize=vectorize, **kwargs)
+    return cls(space, profiler, **kwargs)
 
 
 def assert_same_decision(a, b, context=""):
@@ -53,8 +53,8 @@ def assert_same_decision(a, b, context=""):
 class TestVectorizedMatchesScalar:
     @pytest.mark.parametrize("model_name", MODELS)
     def test_randomized_fleets_and_rates(self, model_name):
-        vectorized = make_controller(model_name, vectorize=True)
-        scalar = make_controller(model_name, vectorize=False)
+        vectorized = make_controller(model_name)
+        scalar = make_controller(model_name, ScalarController)
         rng = random.Random(hash(model_name) & 0xFFFF)
         for trial in range(150):
             available = rng.randint(1, 40)
@@ -74,10 +74,30 @@ class TestVectorizedMatchesScalar:
                 a, b, f"model={model_name} N={available}+{extra} rate={rate}"
             )
 
+    @pytest.mark.parametrize("slo", [None, 12.0])
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_small_feasible_spaces_match(self, model_name, slo):
+        """Fleets whose feasible space holds only a handful of configs."""
+        vectorized = make_controller(model_name, slo_latency=slo)
+        scalar = make_controller(model_name, ScalarController, slo_latency=slo)
+        small = [
+            fleet
+            for fleet in range(1, 8)
+            if 0 < len(vectorized.config_space.feasible_configs(fleet)) < 64
+        ]
+        assert small
+        for fleet in small:
+            for rate in (0.0, 1e-3, 0.05, 0.4, 2.0, 9.0, 40.0, 300.0):
+                assert_same_decision(
+                    vectorized.propose(fleet, rate),
+                    scalar.propose(fleet, rate),
+                    f"model={model_name} slo={slo} N={fleet} rate={rate}",
+                )
+
     def test_slo_filter_matches(self):
         for slo in (5.0, 12.0, 60.0):
-            vectorized = make_controller("OPT-6.7B", vectorize=True, slo_latency=slo)
-            scalar = make_controller("OPT-6.7B", vectorize=False, slo_latency=slo)
+            vectorized = make_controller("OPT-6.7B", slo_latency=slo)
+            scalar = make_controller("OPT-6.7B", ScalarController, slo_latency=slo)
             rng = random.Random(int(slo))
             for _ in range(40):
                 available = rng.randint(1, 36)
@@ -89,46 +109,39 @@ class TestVectorizedMatchesScalar:
                 )
 
     def test_memoize_disabled_still_matches(self):
-        vectorized = make_controller("OPT-6.7B", vectorize=True, memoize=False)
-        scalar = make_controller("OPT-6.7B", vectorize=False, memoize=False)
-        for available, rate in [(36, 4.2), (36, 4.2), (12, 0.7), (3, 19.0)]:
+        memoless = make_controller("OPT-6.7B", MemolessController)
+        scalar = make_controller("OPT-6.7B", ScalarController)
+        for available, rate in [(36, 4.2), (36, 4.2), (12, 0.7), (3, 19.0), (1, 0.2)]:
             assert_same_decision(
-                vectorized.propose(available, rate),
+                memoless.propose(available, rate),
                 scalar.propose(available, rate),
                 f"N={available} rate={rate}",
             )
 
     def test_zero_fleet_is_infeasible_on_both_paths(self):
-        vectorized = make_controller("OPT-6.7B", vectorize=True)
-        scalar = make_controller("OPT-6.7B", vectorize=False)
+        vectorized = make_controller("OPT-6.7B")
+        scalar = make_controller("OPT-6.7B", ScalarController)
         assert vectorized.propose(0, 1.0) is None
         assert scalar.propose(0, 1.0) is None
 
 
 class TestVectorPathEngages:
     def test_large_fleet_uses_the_vector_cache(self):
-        controller = make_controller("OPT-6.7B", vectorize=True)
+        controller = make_controller("OPT-6.7B")
         fleet = 36
-        assert (
-            len(controller.config_space.feasible_configs(fleet))
-            >= VECTOR_SWEEP_MIN_CONFIGS
-        )
         controller.propose(fleet, 3.0)
         assert fleet in controller._vector_memo
 
-    def test_small_space_falls_back_to_scalar(self):
-        controller = make_controller("OPT-6.7B", vectorize=True)
+    def test_small_space_uses_the_vector_cache(self):
+        controller = make_controller("OPT-6.7B")
         fleet = 1
-        assert (
-            len(controller.config_space.feasible_configs(fleet))
-            < VECTOR_SWEEP_MIN_CONFIGS
-        )
+        assert len(controller.config_space.feasible_configs(fleet)) < 64
         decision = controller.propose(fleet, 0.2)
         assert decision is not None
-        assert fleet not in controller._vector_memo
+        assert fleet in controller._vector_memo
 
     def test_propose_memo_hits_within_a_round(self):
-        controller = make_controller("OPT-6.7B", vectorize=True)
+        controller = make_controller("OPT-6.7B")
         first = controller.propose(36, 3.0, max_instances=40)
         again = controller.propose(36, 3.0, max_instances=40)
         assert again is first  # same frozen decision object from the memo
@@ -136,7 +149,7 @@ class TestVectorPathEngages:
 
 class TestInvalidation:
     def test_space_mutation_drops_vector_and_propose_memos(self):
-        controller = make_controller("OPT-6.7B", vectorize=True)
+        controller = make_controller("OPT-6.7B")
         before = controller.propose(36, 3.0)
         assert controller._vector_memo and controller._propose_memo
         # Shrinking the feasible space (larger reserved migration buffer)
@@ -144,13 +157,13 @@ class TestInvalidation:
         controller.config_space.migration_buffer_bytes = 2e9
         after = controller.propose(36, 3.0)
         assert controller.config_space.fits(after.config)
-        scalar = make_controller("OPT-6.7B", vectorize=False)
+        scalar = make_controller("OPT-6.7B", ScalarController)
         scalar.config_space.migration_buffer_bytes = 2e9
         assert_same_decision(after, scalar.propose(36, 3.0), "post-invalidation")
         assert before is not after
 
     def test_profiler_clear_invalidates(self):
-        controller = make_controller("OPT-6.7B", vectorize=True)
+        controller = make_controller("OPT-6.7B")
         controller.propose(36, 3.0)
         assert controller._vector_memo
         controller.profiler.clear()

@@ -164,24 +164,3 @@ class TestFaultTolerance:
         assert not arranger.is_early_preemption(110.0, 110.0 - 5e-10)
         # Late reclaims are not early either.
         assert not arranger.is_early_preemption(110.0, 110.5)
-
-    def test_early_preemption_abandons_cache(self, arranger):
-        batch = make_batch(committed=50)
-        original = arranger.arrange_preemption(batch, CONFIG, 0.0, 30.0, 2.0)
-        revised = arranger.rearrange_for_early_preemption(original, actual_deadline=5.0, now=4.0)
-        assert revised.tokens_to_decode == 0
-        assert not revised.migrate_cache
-        assert revised.stop_time <= 5.0
-        assert revised.kind == original.kind
-
-    def test_early_preemption_never_stops_in_the_past(self, arranger):
-        # A reclaim processed *after* the actual deadline (same-instant event
-        # ordering) must clamp the stop time to the deadline, not to "now".
-        batch = make_batch(committed=50)
-        original = arranger.arrange_preemption(batch, CONFIG, 0.0, 30.0, 2.0)
-        revised = arranger.rearrange_for_early_preemption(original, actual_deadline=5.0, now=6.0)
-        assert revised.stop_time == 5.0
-
-    def test_delayed_join_when_migration_still_running(self, arranger):
-        assert arranger.should_delay_join(pending_migration_time=20.0, ready_time=110.0, now=100.0)
-        assert not arranger.should_delay_join(pending_migration_time=5.0, ready_time=110.0, now=100.0)

@@ -7,6 +7,19 @@ from repro.engine.placement import TopologyPosition, position_model_bytes
 from repro.llm.spec import GPT_20B
 
 
+def model_replica_coverage(manager, pipeline_degree, tensor_degree):
+    """Fraction of a (P, M) deployment's positions held by some GPU."""
+    present = set()
+    for device_id in manager.devices():
+        ctx = manager.daemon(device_id).model_context
+        if ctx is not None and (ctx.pipeline_degree, ctx.tensor_degree) == (
+            pipeline_degree,
+            tensor_degree,
+        ):
+            present.add((ctx.position.stage_index, ctx.position.shard_index))
+    return len(present) / (pipeline_degree * tensor_degree)
+
+
 class TestContextDaemon:
     def test_install_and_clear_model_context(self):
         daemon = ContextDaemon(("inst-0", 0))
@@ -60,11 +73,11 @@ class TestMetaContextManager:
         manager = MetaContextManager(GPT_20B)
         # Install only half of a (P=1, M=2) deployment.
         manager.daemon(("inst-0", 0)).install_model_context(1, 2, TopologyPosition(0, 0, 0))
-        assert manager.model_replica_coverage(1, 2) == pytest.approx(0.5)
+        assert model_replica_coverage(manager, 1, 2) == pytest.approx(0.5)
         manager.daemon(("inst-0", 1)).install_model_context(1, 2, TopologyPosition(0, 0, 1))
-        assert manager.model_replica_coverage(1, 2) == pytest.approx(1.0)
+        assert model_replica_coverage(manager, 1, 2) == pytest.approx(1.0)
         # Coverage for a different deployment shape is not satisfied.
-        assert manager.model_replica_coverage(2, 2) == pytest.approx(0.0)
+        assert model_replica_coverage(manager, 2, 2) == pytest.approx(0.0)
 
     def test_total_resident_bytes(self):
         manager = MetaContextManager(GPT_20B)

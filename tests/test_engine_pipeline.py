@@ -35,9 +35,9 @@ class TestAssignment:
         assert len(pipeline.assignment.instance_ids) == 3
 
     def test_device_at_lookup(self):
-        pipeline = make_pipeline()
-        assert pipeline.assignment.device_at(0, 0) == ("inst-0", 0)
-        assert pipeline.assignment.device_at(2, 3) is not None
+        assignment = make_pipeline().assignment
+        assert assignment.devices[TopologyPosition(0, 0, 0)] == ("inst-0", 0)
+        assert assignment.devices.get(TopologyPosition(0, 2, 3)) is not None
 
     def test_uses_instance(self):
         pipeline = make_pipeline()

@@ -11,10 +11,10 @@ The map-phase fast path rests on four claims, each pinned here:
 * per-zone / per-component decomposition only fires when its dominance
   condition holds (no positive edge crosses a component boundary) and then
   matches the global solve's total matched weight exactly;
-* the fast path end to end -- sparsified flat solve, decomposed components,
+* the mapper end to end -- sparsified flat solve, decomposed components,
   memoised hierarchical inner solves, warm states carried across rounds --
   produces the same placements and the same reused-byte totals as the
-  scalar reference implementation (``fast_path=False``) under randomized
+  scalar reference in ``tests/oracles/device_mapper.py`` under randomized
   fleet churn.
 """
 
@@ -38,6 +38,8 @@ from repro.matching.hungarian import (
     maximum_weight_assignment,
     minimum_cost_assignment,
 )
+
+from oracles.device_mapper import ReferenceDeviceMapper
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -299,7 +301,7 @@ class TestWeightMatrixBitIdentity:
 
 
 class TestFastPathEquivalence:
-    """Randomized fleet deltas over rounds: warm fast path == cold reference."""
+    """Randomized fleet deltas over rounds: warm mapper == cold reference."""
 
     @staticmethod
     def random_round(rng, meta, devices, old):
@@ -338,8 +340,8 @@ class TestFastPathEquivalence:
         meta, devices, old = random_fleet_state(rng, model)
         zone_of = self.zone_of if seed % 3 == 0 else None
 
-        warm = DeviceMapper(model, zone_of=zone_of)  # fast path, warm states persist
-        reference = DeviceMapper(model, zone_of=zone_of, fast_path=False)
+        warm = DeviceMapper(model, zone_of=zone_of)  # warm states persist
+        reference = ReferenceDeviceMapper(model, zone_of=zone_of)
         for round_index in range(6):
             devices, new = self.random_round(rng, meta, devices, old)
             inheritance = None
@@ -348,7 +350,7 @@ class TestFastPathEquivalence:
                     d: int(rng.integers(0, new.data_degree))
                     for d in range(old.data_degree)
                 }
-            # A *fresh* fast mapper is a cold solve: no warm state to seed.
+            # A *fresh* mapper is a cold solve: no warm state to seed.
             cold = DeviceMapper(model, zone_of=zone_of)
             warm_mapping = warm.map_devices(meta, devices, new, inheritance)
             cold_mapping = cold.map_devices(meta, devices, new, inheritance)
@@ -358,17 +360,15 @@ class TestFastPathEquivalence:
             assert list(warm_mapping.placement) == list(cold_mapping.placement)
             assert warm_mapping.reused_bytes == cold_mapping.reused_bytes
             # The hierarchical matching -- the branch that decides the golden
-            # digests -- must be bit-identical between the fast and the
-            # scalar reference implementation (the flat branch may tie-break
-            # differently after sparsification; its total is checked below).
+            # digests -- must be bit-identical between the mapper and the
+            # scalar reference (the flat branch may tie-break differently
+            # after sparsification; its total is checked below).
             positions = mesh_positions(
                 new.data_degree, new.pipeline_degree, new.tensor_degree
             )
             lookup = warm._weight_lookup(meta, devices, positions, new, inheritance)
-            fast_hier = warm._hierarchical_matching(
-                meta, devices, positions, new, inheritance, lookup=lookup
-            )
-            ref_hier = reference._hierarchical_matching(
+            fast_hier = warm._hierarchical_matching(lookup, devices, positions)
+            ref_hier = reference.hierarchical_matching(
                 meta, devices, positions, new, inheritance
             )
             assert fast_hier == ref_hier
@@ -380,6 +380,26 @@ class TestFastPathEquivalence:
             assert warm_mapping.reused_bytes == pytest.approx(
                 ref_mapping.reused_bytes, rel=1e-12, abs=1e-6
             )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_greedy_ablation_matches_reference(self, seed):
+        """The greedy matcher solves the same matrices as the graph reference."""
+        rng = np.random.default_rng(100 + seed)
+        model = GPT_20B if seed % 2 else OPT_6_7B
+        meta, devices, old = random_fleet_state(rng, model)
+        zone_of = self.zone_of if seed % 2 == 0 else None
+        mapper = DeviceMapper(model, use_optimal_matching=False, zone_of=zone_of)
+        reference = ReferenceDeviceMapper(
+            model, use_optimal_matching=False, zone_of=zone_of
+        )
+        for round_index in range(4):
+            devices, new = self.random_round(rng, meta, devices, old)
+            mapping = mapper.map_devices(meta, devices, new)
+            ref_mapping = reference.map_devices(meta, devices, new)
+            assert list(mapping.placement.items()) == list(
+                ref_mapping.placement.items()
+            )
+            assert mapping.reused_bytes == ref_mapping.reused_bytes
 
     @staticmethod
     def stateful_fleet(model=GPT_20B, num_instances=6):
@@ -414,16 +434,14 @@ class TestFastPathEquivalence:
         mapper.evacuation_mode = True
         mapping = mapper.map_devices(meta, devices, config)
         assert not calls  # suspended during evacuation
-        reference = DeviceMapper(GPT_20B, fast_path=False)
+        reference = ReferenceDeviceMapper(GPT_20B)
         reference.evacuation_mode = True
         assert mapping.placement == reference.map_devices(meta, devices, config).placement
 
-    def test_decompose_flag_off_matches_reference(self):
+    def test_stateful_fleet_matches_reference(self):
         meta, devices, config = self.stateful_fleet(model=OPT_6_7B)
-        plain = DeviceMapper(OPT_6_7B, decompose=False, warm_start=False)
-        reference = DeviceMapper(OPT_6_7B, fast_path=False)
-        a = plain.map_devices(meta, devices, config)
-        b = reference.map_devices(meta, devices, config)
+        a = DeviceMapper(OPT_6_7B).map_devices(meta, devices, config)
+        b = ReferenceDeviceMapper(OPT_6_7B).map_devices(meta, devices, config)
         assert a.placement == b.placement
         assert a.reused_bytes == b.reused_bytes
 

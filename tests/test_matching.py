@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from repro.matching.bipartite import BipartiteGraph
 from repro.matching.hungarian import (
     assignment_weight,
     greedy_assignment,
     maximum_weight_assignment,
     minimum_cost_assignment,
 )
+
+from oracles.bipartite import BipartiteGraph
 
 
 def scipy_min_cost(matrix):

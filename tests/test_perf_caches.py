@@ -1,10 +1,10 @@
-"""Cache-correctness tests for the adaptation-round fast path.
+"""Cache-correctness tests for the adaptation-round control stack.
 
-The fast path memoises controller estimates, feasible-config enumerations,
-cost-model entry points and per-round reuse weights.  These tests pin the
-two properties that make the caches safe: they are invalidated whenever an
-input they depend on changes, and a fully cached run is byte-identical to a
-fully uncached one.
+The control stack memoises controller estimates and sweeps, feasible-config
+enumerations, cost-model entry points and warm-started mapper solves.
+These tests pin the two properties that make the caches safe: they are
+invalidated whenever an input they depend on changes, and a fully cached
+run is byte-identical to one that never serves a memo.
 """
 
 import pytest
@@ -22,13 +22,16 @@ from repro.llm.memory import MemoryModel
 from repro.llm.profiler import OfflineProfiler
 from repro.llm.spec import GPT_20B, OPT_6_7B
 
+from oracles.controller import MemolessController
+from oracles.device_mapper import ReferenceDeviceMapper
 
-def make_controller(model=OPT_6_7B, **kwargs):
+
+def make_controller(model=OPT_6_7B, cls=ParallelizationController):
     latency = LatencyModel(model)
     memory = MemoryModel(model, latency.gpu)
     profiler = OfflineProfiler(latency, memory)
     space = ConfigurationSpace(model, memory, gpus_per_instance=4)
-    return ParallelizationController(space, profiler, **kwargs)
+    return cls(space, profiler)
 
 
 class TestControllerMemo:
@@ -41,7 +44,7 @@ class TestControllerMemo:
 
     def test_memoized_matches_unmemoized(self):
         cached = make_controller()
-        uncached = make_controller(memoize=False)
+        uncached = make_controller(cls=MemolessController)
         for rate in (0.05, 0.35, 2.0):
             for config in cached.config_space.feasible_configs(3):
                 assert cached.estimate(config, rate) == uncached.estimate(config, rate)
@@ -60,17 +63,17 @@ class TestControllerMemo:
     def test_fleet_space_change_invalidates_sweep(self):
         controller = make_controller(model=GPT_20B)
         space = controller.config_space
-        full_sweep = controller._estimates(4, 0.35, allow_infinite=True)
+        full_sweep = controller._static_vectors(4)[0]
         # Reserving a huge migration buffer shrinks the feasible space; the
-        # memoised sweep for the same (fleet, rate) key must follow.
+        # memoised sweep for the same fleet size must follow.
         space.migration_buffer_bytes = 8 * 1024 ** 3
-        shrunk_sweep = controller._estimates(4, 0.35, allow_infinite=True)
+        shrunk_sweep = controller._static_vectors(4)[0]
         assert len(shrunk_sweep) < len(full_sweep)
-        assert {e.config for e in shrunk_sweep} == set(space.feasible_configs(4))
+        assert set(shrunk_sweep) == set(space.feasible_configs(4))
 
     def test_propose_identical_with_and_without_memo(self):
         cached = make_controller()
-        uncached = make_controller(memoize=False)
+        uncached = make_controller(cls=MemolessController)
         for instances, rate in [(1, 0.1), (3, 0.35), (6, 1.5), (6, 50.0)]:
             a = cached.propose(instances, rate)
             b = uncached.propose(instances, rate)
@@ -110,22 +113,12 @@ def _install(meta, devices, config):
         )
 
 
-class TestMapperRoundCache:
+class TestMapperMatchesReference:
     def devices(self, n, gpus=4):
         return [(f"inst-{i:02d}", g) for i in range(n) for g in range(gpus)]
 
-    def test_round_cache_is_dropped_between_calls(self):
-        meta = MetaContextManager(GPT_20B)
-        devices = self.devices(6)
-        config = ParallelConfig(2, 3, 4, 8)
-        _install(meta, devices, config)
-        mapper = DeviceMapper(GPT_20B)
-        mapper.map_devices(meta, devices, config)
-        assert mapper._round_weights is None
-        assert mapper._round_stateless is None
-
     def test_context_change_between_rounds_is_observed(self):
-        """A weight cached in round N must not leak into round N+1."""
+        """Warm state from round N must not leak a stale weight into N+1."""
         meta = MetaContextManager(GPT_20B)
         devices = self.devices(6)
         config = ParallelConfig(2, 3, 4, 8)
@@ -139,44 +132,43 @@ class TestMapperRoundCache:
         cold = mapper.map_devices(meta, devices, config)
         assert cold.reused_bytes == pytest.approx(0.0)
 
-    def test_cached_mapping_matches_uncached(self):
+    def test_reshaped_mapping_matches_reference(self):
         meta = MetaContextManager(GPT_20B)
         devices = self.devices(6)
         old = ParallelConfig(2, 3, 4, 8)
         new = ParallelConfig(1, 2, 8, 8)
         _install(meta, devices, old)
-        cached = DeviceMapper(GPT_20B, cache_weights=True).map_devices(
-            meta, devices, new
-        )
-        uncached = DeviceMapper(GPT_20B, cache_weights=False).map_devices(
-            meta, devices, new
-        )
-        assert cached.placement == uncached.placement
-        assert cached.reused_bytes == pytest.approx(uncached.reused_bytes)
-        assert cached.required_bytes == pytest.approx(uncached.required_bytes)
+        mapped = DeviceMapper(GPT_20B).map_devices(meta, devices, new)
+        reference = ReferenceDeviceMapper(GPT_20B).map_devices(meta, devices, new)
+        assert mapped.placement == reference.placement
+        assert list(mapped.placement) == list(reference.placement)
+        assert mapped.reused_bytes == reference.reused_bytes
+        assert mapped.required_bytes == reference.required_bytes
 
-    def test_stateless_fleet_mapping_matches_uncached(self):
+    def test_stateless_fleet_mapping_matches_reference(self):
         # Stateless instances take the skip-the-solve path; the placement
-        # must equal the one the full Kuhn-Munkres pipeline produces.
+        # must equal the one a Kuhn-Munkres solve of every block produces.
         meta = MetaContextManager(GPT_20B)
         devices = self.devices(6)
         config = ParallelConfig(2, 3, 4, 8)
-        cached = DeviceMapper(GPT_20B, cache_weights=True).map_devices(
-            meta, devices, config
-        )
-        uncached = DeviceMapper(GPT_20B, cache_weights=False).map_devices(
-            meta, devices, config
-        )
-        assert cached.placement == uncached.placement
+        mapped = DeviceMapper(GPT_20B).map_devices(meta, devices, config)
+        reference = ReferenceDeviceMapper(GPT_20B).map_devices(meta, devices, config)
+        assert mapped.placement == reference.placement
+        assert list(mapped.placement) == list(reference.placement)
 
 
 class UncachedSpotServe(SpotServeSystem):
-    """SpotServe with every fast-path cache disabled (digest cross-check)."""
+    """SpotServe whose controller and cost model never serve a memo."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.controller.memoize = False
-        self.device_mapper.cache_weights = False
+        assert self.autoscaler is None  # nothing else holds the controller
+        self.controller = MemolessController(
+            self.config_space,
+            self.profiler,
+            slo_latency=self.options.slo_latency,
+            timers=self.perf,
+        )
         self.latency_model.disable_caches()
 
 

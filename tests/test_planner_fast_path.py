@@ -8,9 +8,9 @@ The plan-phase fast path rests on four claims, each pinned here:
 * signature-grouped step construction -- interned holder tables, rank-class
   candidate ranking, per-(layer, segment, rank class) piece memoisation --
   produces **byte-equal** :class:`MigrationPlan` fields and identical
-  ``Transfer`` ordering vs the scalar reference (``fast_path=False``) under
-  randomized fleet churn, degrees, evacuation mode, cache requirements and
-  storage fallback;
+  ``Transfer`` ordering vs the scalar reference in
+  ``tests/oracles/migration.py`` under randomized fleet churn, degrees,
+  evacuation mode, cache requirements and storage fallback;
 * the numpy deferred-layer drain picks the same layer order as the scalar
   greedy, strict-less first-min tie-breaks included;
 * the cross-round plan memo hits exactly when every plan input is unchanged
@@ -33,6 +33,8 @@ from repro.engine.context import MetaContextManager
 from repro.engine.placement import mesh_positions, stage_layer_range, stage_layers
 from repro.llm.spec import GPT_20B, OPT_6_7B
 from repro.sim.network import NetworkModel, Transfer
+
+from oracles.migration import ReferenceMigrationPlanner
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -148,7 +150,7 @@ class TestGeometryHelpers:
 
 
 class TestFastReferencePlanEquivalence:
-    """Randomized sweeps: fast_path=True plans == scalar reference plans."""
+    """Randomized sweeps: planner plans == scalar reference plans."""
 
     @staticmethod
     def random_transition(rng, meta, devices, old):
@@ -183,8 +185,7 @@ class TestFastReferencePlanEquivalence:
         network = NetworkModel(zone_of=zones)
 
         fast = MigrationPlanner(model, network)
-        reference = MigrationPlanner(model, network, fast_path=False)
-        assert fast.fast_path and not reference.fast_path
+        reference = ReferenceMigrationPlanner(model, network)
         mapper = DeviceMapper(model, zone_of=zones)
 
         for round_index in range(5):
@@ -224,7 +225,7 @@ class TestFastReferencePlanEquivalence:
             meta.daemon(device)
         mapping = DeviceMapper(OPT_6_7B).map_devices(meta, new_devices, old)
         fast_plan = MigrationPlanner(OPT_6_7B).plan(meta, mapping, {})
-        ref_plan = MigrationPlanner(OPT_6_7B, fast_path=False).plan(meta, mapping, {})
+        ref_plan = ReferenceMigrationPlanner(OPT_6_7B).plan(meta, mapping, {})
         assert fast_plan.storage_load_time > 0
         assert_plans_byte_equal(fast_plan, ref_plan)
 
@@ -238,9 +239,7 @@ class TestFastReferencePlanEquivalence:
         mapping = DeviceMapper(GPT_20B).map_devices(meta, devices, new)
         for budget in (0.01 * GB, 0.1 * GB, 1.0 * GB):
             fast = MigrationPlanner(GPT_20B, max_buffer_bytes=budget)
-            reference = MigrationPlanner(
-                GPT_20B, max_buffer_bytes=budget, fast_path=False
-            )
+            reference = ReferenceMigrationPlanner(GPT_20B, max_buffer_bytes=budget)
             assert_plans_byte_equal(
                 fast.plan(meta, mapping, {}), reference.plan(meta, mapping, {})
             )
@@ -276,7 +275,7 @@ class TestDeferredDrainEquivalence:
         mapping = SimpleNamespace(config=None)
         budget = float(rng.choice([0.5, 1.0, 2.0, 4.0])) * GB
         fast = MigrationPlanner(GPT_20B, max_buffer_bytes=budget)
-        reference = MigrationPlanner(GPT_20B, max_buffer_bytes=budget, fast_path=False)
+        reference = ReferenceMigrationPlanner(GPT_20B, max_buffer_bytes=budget)
         fast.model = reference.model = model
         fast_order = fast._order_layers(steps, mapping)
         ref_order = reference._order_layers(steps, mapping)
@@ -289,7 +288,7 @@ class TestDeferredDrainEquivalence:
         model = SimpleNamespace(num_layers=12)
         mapping = SimpleNamespace(config=None)
         fast = MigrationPlanner(GPT_20B, max_buffer_bytes=0.0)
-        reference = MigrationPlanner(GPT_20B, max_buffer_bytes=0.0, fast_path=False)
+        reference = ReferenceMigrationPlanner(GPT_20B, max_buffer_bytes=0.0)
         fast.model = reference.model = model
         assert fast._order_layers(steps, mapping) == reference._order_layers(
             steps, mapping
@@ -377,14 +376,6 @@ class TestPlanMemo:
         for tokens in range(planner.PLAN_MEMO_SIZE * 2):
             planner.plan(meta, mapping, {0: (0, 8, tokens + 1)})
         assert len(planner._plan_memo) == planner.PLAN_MEMO_SIZE
-
-    def test_reference_path_never_memoises(self):
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B, fast_path=False)
-        first = planner.plan(meta, mapping, {})
-        second = planner.plan(meta, mapping, {})
-        assert first is not second
-        assert not planner._plan_memo
 
     def test_server_hook_invalidates_the_memo(self):
         """SpotServeSystem.handle_context_dropped clears the planner memo."""

@@ -5,7 +5,7 @@ The host/object-storage spill tier rests on four claims, each pinned here:
 * **Differential**: with an infinite-bandwidth, zero-latency tier the
   derived tiered plans carry the byte-identical transfer skeleton (steps,
   ``Transfer`` content and ordering, layer order, byte totals) of the
-  ``fast_path`` GPU-to-GPU reference plans over seeded fleet-churn round
+  scalar GPU-to-GPU reference plans over seeded fleet-churn round
   chains -- the tier changes *transport*, never *what moves where*; and a
   uselessly slow tier (1 B/s) reproduces the tier-less run's legacy
   ``summary_text()`` byte-for-byte.
@@ -24,7 +24,7 @@ The host/object-storage spill tier rests on four claims, each pinned here:
 * **Tooling**: the ``tiered_offload`` scenario is wired through
   ``run_perf.py --check`` (baseline entry + fail/pass/skip guard
   behavior), the CI perf-smoke matrix and the policy benchmark, and the
-  ``_drain_deferred_fast`` all-deferred dead-column guard holds with a
+  ``_drain_deferred`` all-deferred dead-column guard holds with a
   tier configured.
 """
 
@@ -60,6 +60,8 @@ from repro.experiments.scenarios import (
 from repro.faults.injector import FaultPlan, ZoneFaultModel
 from repro.llm.spec import GPT_20B, OPT_6_7B
 from repro.sim.network import NetworkModel, OffloadTierSpec, Transfer
+
+from oracles.migration import ReferenceMigrationPlanner
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -516,7 +518,7 @@ class TestDifferentialInfiniteBandwidth:
         network = NetworkModel()
         network.offload_tier = self.INSTANT
         planner = MigrationPlanner(model, network)
-        reference = MigrationPlanner(model, network, fast_path=False)
+        reference = ReferenceMigrationPlanner(model, network)
         mapper = DeviceMapper(model)
 
         derived = 0
@@ -950,9 +952,7 @@ class TestDrainDeferredGuard:
         if with_tier:
             network.offload_tier = TIERED_OFFLOAD_TIER
         fast = MigrationPlanner(GPT_20B, network, max_buffer_bytes=budget)
-        reference = MigrationPlanner(
-            GPT_20B, network, max_buffer_bytes=budget, fast_path=False
-        )
+        reference = ReferenceMigrationPlanner(GPT_20B, network, max_buffer_bytes=budget)
         return fast, reference
 
     def test_overflowed_live_peaks_match_reference(self):
