@@ -21,7 +21,6 @@ from typing import Dict, Optional, Tuple
 
 from ..cloud.instance import Instance
 from ..core.config import ParallelConfig
-from ..core.migration import MigrationPlanner
 from ..core.server import SpotServeSystem
 from ..engine.context import DeviceId
 from ..engine.placement import TopologyPosition
@@ -37,7 +36,6 @@ class ReparallelizationSystem(SpotServeSystem):
         # Restart-based systems keep nothing across a reconfiguration: no
         # token-level recovery and no context migration.
         self.options = dataclasses.replace(self.options, stateful_recovery=False)
-        self.restart_planner = MigrationPlanner(self.model, self.network)
 
     # ------------------------------------------------------------------
     # Reactive preemption handling
@@ -72,7 +70,7 @@ class ReparallelizationSystem(SpotServeSystem):
     ]:
         devices = self._available_devices()
         placement = self._default_placement(new_config, devices)
-        restart = self.restart_planner.estimate_restart_plan(
+        restart = self.migration_planner.estimate_restart_plan(
             new_config, gpus_per_instance=self.gpus_per_instance
         )
         # Everything stops immediately and stays down for the full restart:

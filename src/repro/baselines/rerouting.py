@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 from ..cloud.instance import Instance
 from ..core.config import ParallelConfig
 from ..core.migration import MigrationPlanner
-from ..core.server import ServingSystemBase
+from ..core.server import ENGINE_LAUNCH_TIME, ServingSystemBase
 from ..core.stats import ReconfigurationRecord
 from ..engine.context import DeviceId
 from ..engine.pipeline import InferencePipeline, PipelineAssignment
@@ -126,7 +126,7 @@ class RequestReroutingSystem(ServingSystemBase):
             1, shape.pipeline_degree, shape.tensor_degree, shape.batch_size
         )
         load_plan = self.restart_planner.estimate_restart_plan(single)
-        delay = load_plan.stall_time + self.options.engine_launch_time
+        delay = load_plan.stall_time + ENGINE_LAUNCH_TIME
         instance_ids = [instance.instance_id for instance in instances]
         self._reserved_instances.update(instance_ids)
         self.simulator.schedule_after(

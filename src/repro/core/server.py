@@ -40,11 +40,11 @@ from ..cloud.instance import Instance
 from ..cloud.manager import InstanceManager
 from ..cloud.provider import CloudProvider
 from ..engine.batching import Batch, RequestQueue
-from ..faults.injector import FaultInjector, RetryPolicy
+from ..faults.injector import RetryPolicy
 from ..engine.context import DeviceId, MetaContextManager
 from ..engine.pipeline import InferencePipeline, PipelineAssignment
 from ..engine.placement import TopologyPosition, mesh_positions
-from ..llm.costmodel import DEFAULT_INPUT_LENGTH, DEFAULT_OUTPUT_LENGTH, LatencyModel
+from ..llm.costmodel import DEFAULT_INPUT_LENGTH, LatencyModel
 from ..llm.memory import DEFAULT_MIGRATION_BUFFER_BYTES, MemoryModel
 from ..llm.profiler import OfflineProfiler
 from ..llm.spec import ModelSpec
@@ -63,10 +63,19 @@ from .interruption import InterruptionArranger
 from .migration import MigrationPlan, MigrationPlanner
 from .stats import AutoscaleRecord, ReconfigurationRecord, ServingStats
 
+#: Engine process launch time on an instance that never served before.
+ENGINE_LAUNCH_TIME = 30.0
+#: Extra on-demand instances Algorithm 1 may request beyond the fleet.
+MAX_ON_DEMAND_EXTRA = 4
+#: Launch-watchdog timeout as a multiple of the instance startup delay.
+LAUNCH_WATCHDOG_MULTIPLIER = 3.0
+#: Capped exponential backoff for acquisition retries.
+RETRY_POLICY = RetryPolicy()
+
 
 @dataclass
 class SpotServeOptions:
-    """Feature switches and tunables of the SpotServe system.
+    """Feature switches and policy choices of the SpotServe system.
 
     The boolean switches correspond one-to-one to the components removed in
     the paper's ablation study (Figure 9).
@@ -86,20 +95,10 @@ class SpotServeOptions:
     stateful_recovery: bool = True
     #: Allow mixing on-demand instances when spot capacity is insufficient.
     allow_on_demand: bool = False
-    #: Upper bound on extra on-demand instances the controller may request.
-    max_on_demand_extra: int = 4
-    #: Spare instances kept as a substitution pool when releasing capacity.
-    candidate_pool_size: int = 2
     #: Seconds between workload re-evaluations (also the arrival-rate window).
     workload_check_interval: float = 30.0
-    #: Engine process launch time on an instance that never served before.
-    engine_launch_time: float = 30.0
-    #: Migration buffer bound ``U_max`` per instance, bytes.
-    max_buffer_bytes: float = DEFAULT_MIGRATION_BUFFER_BYTES
     #: Optional latency SLO passed to the configuration optimizer.
     slo_latency: Optional[float] = None
-    #: Pre-built autoscaler instance (overrides ``autoscale_policy``).
-    autoscaler: Optional[Autoscaler] = None
     #: Autoscaling policy name ("target-utilization", "queue-latency",
     #: "cost-aware"); None disables demand-driven fleet sizing entirely.
     autoscale_policy: Optional[str] = None
@@ -118,39 +117,19 @@ class SpotServeOptions:
     admission: Optional[str] = None
     #: Keyword arguments forwarded to the admission-policy factory.
     admission_params: Optional[Dict] = None
-    #: Pre-built admission policy instance (overrides ``admission``).
-    admission_policy: Optional[AdmissionPolicy] = None
-    #: Cloud-fault injector (see :mod:`repro.faults`).  ``None`` disables
-    #: every fault hook entirely -- byte-identical to builds without the
-    #: subsystem (the golden digests pin this, like ``admission``).  The
-    #: provider's injector is adopted when only the provider carries one.
-    fault_injector: Optional[FaultInjector] = None
-    #: Retry refused or failed acquisitions with capped exponential backoff.
-    #: ``None`` means *auto*: retries turn on exactly when a fault injector
-    #: is installed (retrying by-design spot-market refusals would change
-    #: the fault-free goldens; retrying injected refusals is the point).
-    acquisition_retries: Optional[bool] = None
     #: Host/object-storage spill tier for grace-window migration (see
     #: :class:`repro.sim.network.OffloadTierSpec`).  ``None`` disables the
     #: tier entirely -- byte-identical to builds without the subsystem (the
-    #: golden digests pin this, like ``admission`` and ``fault_injector``).
-    #: With a tier installed, a migration that cannot beat the merged grace
-    #: deadline spills its tail to the tier instead of abandoning cache
-    #: preservation.
+    #: golden digests pin this, like ``admission``).  With a tier
+    #: installed, a migration that cannot beat the merged grace deadline
+    #: spills its tail to the tier instead of abandoning cache preservation.
     offload_tier: Optional[OffloadTierSpec] = None
-    #: Backoff policy for acquisition retries (base/cap/attempts/jitter).
-    retry_policy: RetryPolicy = RetryPolicy()
-    #: Launch-watchdog timeout as a multiple of the instance type's startup
-    #: delay; launches still not ready by then are abandoned and re-requested
-    #: in surviving zones.  ``0`` disables the watchdog.  Only armed while
-    #: retries are enabled.
-    launch_watchdog_multiplier: float = 3.0
     #: Fleet partitioner consulted once per adaptation round (duck-typed to
     #: avoid a circular import; see :class:`repro.core.tenancy.FleetPartitioner`).
     #: ``None`` disables the hook entirely -- byte-identical to builds
     #: without the tenancy subsystem (the golden digests pin this, like
-    #: ``admission`` and ``fault_injector``).  With a partitioner installed
-    #: the system only plans on the share :meth:`share_for` grants it.
+    #: ``admission``).  With a partitioner installed the system only plans
+    #: on the share :meth:`share_for` grants it.
     fleet_partitioner: Optional[object] = None
 
 
@@ -165,11 +144,6 @@ class ServingSystemBase:
         provider: CloudProvider,
         model: ModelSpec,
         options: Optional[SpotServeOptions] = None,
-        latency_model: Optional[LatencyModel] = None,
-        memory_model: Optional[MemoryModel] = None,
-        network: Optional[NetworkModel] = None,
-        input_length: int = DEFAULT_INPUT_LENGTH,
-        output_length: int = DEFAULT_OUTPUT_LENGTH,
         initial_arrival_rate: float = 0.35,
         perf: Optional[PhaseTimers] = None,
         tenant: str = "",
@@ -188,18 +162,14 @@ class ServingSystemBase:
         #: alongside :attr:`instance_owned` by the tenancy coordinator.
         self.allowed_zones: Optional[frozenset] = None
         self.options = options or SpotServeOptions()
-        self.latency_model = latency_model or LatencyModel(model, provider.instance_type.gpu)
-        self.memory_model = memory_model or MemoryModel(model, provider.instance_type.gpu)
-        self.network = network or NetworkModel(zone_of=provider.zone_of)
-        self.input_length = input_length
-        self.output_length = output_length
+        self.latency_model = LatencyModel(model, provider.instance_type.gpu)
+        self.memory_model = MemoryModel(model, provider.instance_type.gpu)
+        self.network = NetworkModel(zone_of=provider.zone_of)
         self.initial_arrival_rate = initial_arrival_rate
         self.gpus_per_instance = provider.instance_type.gpus_per_instance
 
         self.instance_manager = InstanceManager(
-            provider,
-            allow_on_demand=self.options.allow_on_demand,
-            candidate_pool_size=self.options.candidate_pool_size,
+            provider, allow_on_demand=self.options.allow_on_demand
         )
         self.meta_context = MetaContextManager(model)
         self.request_queue = RequestQueue(max_batch_size=8)
@@ -214,12 +184,7 @@ class ServingSystemBase:
         #: sees the whole fleet's control-stack time in one place.
         self.perf = perf if perf is not None else PhaseTimers()
 
-        self.profiler = OfflineProfiler(
-            self.latency_model,
-            self.memory_model,
-            input_length=input_length,
-            output_length=output_length,
-        )
+        self.profiler = OfflineProfiler(self.latency_model, self.memory_model)
         self.config_space = ConfigurationSpace(
             model,
             self.memory_model,
@@ -231,35 +196,27 @@ class ServingSystemBase:
             slo_latency=self.options.slo_latency,
             timers=self.perf,
         )
-        if self.options.autoscaler is not None:
-            self.autoscaler: Optional[Autoscaler] = self.options.autoscaler
-        elif self.options.autoscale_policy is not None:
+        self.autoscaler: Optional[Autoscaler] = None
+        if self.options.autoscale_policy is not None:
             self.autoscaler = make_autoscaler(
                 self.options.autoscale_policy,
                 controller=self.controller,
                 **(self.options.autoscale_params or {}),
             )
-        else:
-            self.autoscaler = None
-        if self.options.admission_policy is not None:
-            self.admission: Optional[AdmissionPolicy] = self.options.admission_policy
-        elif self.options.admission is not None:
+        self.admission: Optional[AdmissionPolicy] = None
+        if self.options.admission is not None:
             self.admission = make_admission_policy(
                 self.options.admission, **(self.options.admission_params or {})
             )
-        else:
-            self.admission = None
 
-        # Fault injection + acquisition resilience.  The injector can arrive
-        # through the options or already installed on the provider; either
-        # way both ends see the same object and its counters mirror into
-        # ``self.stats``.  With no injector (the default) every hook below
-        # is a no-op and the run is byte-identical to the fault-free code.
-        injector = self.options.fault_injector or provider.fault_injector
-        self.fault_injector = injector
-        if injector is not None:
-            provider.fault_injector = injector
-            injector.bind_stats(self.stats)
+        # Fault injection + acquisition resilience.  The injector lives on
+        # the provider and its counters mirror into ``self.stats``;
+        # acquisition retries and the launch watchdog run exactly when it is
+        # set.  With no injector (the default) every hook below is a no-op
+        # and the run is byte-identical to the fault-free code.
+        self.fault_injector = provider.fault_injector
+        if self.fault_injector is not None:
+            self.fault_injector.bind_stats(self.stats)
             self.network.degradation = self._current_bandwidth_factor
         if self.options.offload_tier is not None:
             self.network.offload_tier = self.options.offload_tier
@@ -268,11 +225,6 @@ class ServingSystemBase:
         #: flight, empty otherwise).  Closes the spill conservation equation
         #: at any instant; see :meth:`pending_spill_bytes`.
         self._pending_spill: Dict[str, float] = {}
-        if self.options.acquisition_retries is None:
-            self._retries_enabled = injector is not None
-        else:
-            self._retries_enabled = bool(self.options.acquisition_retries)
-        self._retry_policy = self.options.retry_policy
         #: Instances awaiting a scheduled backoff retry (fed to the
         #: autoscaler as ``pending_retries`` so it never double-requests).
         self._pending_retries: int = 0
@@ -586,9 +538,9 @@ class ServingSystemBase:
 
         The provider's callback already failed the instance and set
         ``applied`` in the payload (False when a zone outage or preemption
-        got there first).  The server forgets the instance and -- when
-        retries are enabled -- re-requests the lost capacity with backoff,
-        avoiding the zone that just failed the launch.
+        got there first).  The server forgets the instance and re-requests
+        the lost capacity with backoff (only an injector fails launches, so
+        retries are on), avoiding the zone that just failed the launch.
         """
         instance: Instance = event.payload["instance"]
         if not self._instance_visible(instance):
@@ -839,12 +791,6 @@ class ServingSystemBase:
         """Bandwidth divisor at the current instant (network degradation hook)."""
         return self.fault_injector.bandwidth_factor(self.simulator.now)
 
-    def _retry_jitter(self, zone: Optional[str]) -> float:
-        """Seeded uniform [0,1) draw for backoff jitter."""
-        if self.fault_injector is not None:
-            return self.fault_injector.retry_jitter(zone or "any")
-        return 0.0
-
     def _schedule_acquisition_retry(
         self,
         count: int,
@@ -855,18 +801,20 @@ class ServingSystemBase:
     ) -> bool:
         """Schedule a backoff retry for *count* refused/failed acquisitions.
 
-        Returns True when a retry was scheduled; False when retries are
-        disabled or the attempt budget is exhausted (the caller then reports
-        the demand as terminally unmet).  ``zone`` scopes the jitter stream
-        (and names the zone that refused, for diagnostics); the retry itself
-        spreads over every non-avoided zone so capacity recovers wherever
-        the cloud still sells it.
+        Returns True when a retry was scheduled; False without a fault
+        injector (retries run exactly when one is installed) or when the
+        attempt budget is exhausted (the caller then reports the demand as
+        terminally unmet).  ``zone`` scopes the jitter stream (and names the
+        zone that refused, for diagnostics); the retry itself spreads over
+        every non-avoided zone so capacity recovers wherever the cloud still
+        sells it.
         """
-        if not self._retries_enabled or count <= 0:
+        if self.fault_injector is None or count <= 0:
             return False
-        if attempt >= self._retry_policy.max_attempts:
+        if attempt >= RETRY_POLICY.max_attempts:
             return False
-        delay = self._retry_policy.delay(attempt, self._retry_jitter(zone))
+        jitter = self.fault_injector.retry_jitter(zone or "any")
+        delay = RETRY_POLICY.delay(attempt, jitter)
         self._pending_retries += count
         self.simulator.schedule_after(
             delay,
@@ -906,11 +854,13 @@ class ServingSystemBase:
             self.stats.allocation_shortfall += missing
 
     def _watch_launches(self, granted: Sequence[Instance]) -> None:
-        """Arm the launch watchdog for every newly granted instance."""
-        multiplier = self.options.launch_watchdog_multiplier
-        if not self._retries_enabled or multiplier <= 0:
+        """Arm the launch watchdog for every newly granted instance.
+
+        Armed exactly when a fault injector is installed, like the retries.
+        """
+        if self.fault_injector is None:
             return
-        timeout = multiplier * self.provider.instance_type.startup_delay
+        timeout = LAUNCH_WATCHDOG_MULTIPLIER * self.provider.instance_type.startup_delay
         for instance in granted:
             event = self.simulator.schedule_after(
                 timeout,
@@ -1080,20 +1030,13 @@ class ServingSystemBase:
         """Record the interrupted batch's KV cache in the pipeline's daemons."""
         if self.current_config is None:
             return
-        for device_id in pipeline.assignment.device_ids:
-            position = None
-            for pos, dev in pipeline.assignment.devices.items():
-                if dev == device_id:
-                    position = pos
-                    break
-            if position is None:
-                continue
+        for position, device_id in pipeline.assignment.devices.items():
             self.meta_context.daemon(device_id).install_cache_context(
                 self.current_config.pipeline_degree,
                 self.current_config.tensor_degree,
                 position,
                 batch.size,
-                self.input_length + batch.committed_tokens,
+                DEFAULT_INPUT_LENGTH + batch.committed_tokens,
                 batch.batch_id,
             )
 
@@ -1406,7 +1349,6 @@ class SpotServeSystem(ServingSystemBase):
         self.migration_planner = MigrationPlanner(
             self.model,
             self.network,
-            max_buffer_bytes=self.options.max_buffer_bytes,
             memory_optimized=self.options.memory_optimized_migration,
             progressive=self.options.progressive_migration,
             timers=self.perf,
@@ -1424,7 +1366,7 @@ class SpotServeSystem(ServingSystemBase):
         #: the lost pipelines re-place across whatever survives.
         self._evacuating_zones: set = set()
         if self.options.memory_optimized_migration:
-            migration_buffer = self.options.max_buffer_bytes
+            migration_buffer = DEFAULT_MIGRATION_BUFFER_BYTES
         else:
             # Without the memory-optimised planner the receive buffer can grow
             # to half of a GPU's model slice, shrinking the feasible space
@@ -1552,7 +1494,7 @@ class SpotServeSystem(ServingSystemBase):
         if available <= 0:
             return None
         arrival_rate = self.estimate_arrival_rate()
-        extra = self.options.max_on_demand_extra if self.options.allow_on_demand else 0
+        extra = MAX_ON_DEMAND_EXTRA if self.options.allow_on_demand else 0
         return self.controller.propose(
             available, arrival_rate, max_instances=available + extra
         )
@@ -1612,8 +1554,7 @@ class SpotServeSystem(ServingSystemBase):
                 budget = min(
                     budget,
                     max(
-                        self.options.max_on_demand_extra
-                        - self.instance_manager.on_demand_alive(),
+                        MAX_ON_DEMAND_EXTRA - self.instance_manager.on_demand_alive(),
                         0,
                     ),
                 )
@@ -1763,7 +1704,7 @@ class SpotServeSystem(ServingSystemBase):
             for device in mapping.placement
             if device[0] not in self._initialized_instances
         }
-        launch_overhead = self.options.engine_launch_time if fresh_instances else 0.0
+        launch_overhead = ENGINE_LAUNCH_TIME if fresh_instances else 0.0
 
         stop_time = now
         preserve = self.options.stateful_recovery
@@ -1927,6 +1868,6 @@ class SpotServeSystem(ServingSystemBase):
             requirements[new_index] = (
                 old_index,
                 batch.size,
-                self.input_length + batch.committed_tokens,
+                DEFAULT_INPUT_LENGTH + batch.committed_tokens,
             )
         return requirements

@@ -33,7 +33,7 @@ counters) is pinned by ``tests/test_tenancy.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cloud.instance import Instance
@@ -350,9 +350,9 @@ class FleetPartitioner:
 class MultiTenantSystem:
     """Coordinator running one serving system per tenant on a shared fleet.
 
-    Each tenant gets an ordinary serving system (SpotServe by default) on
-    the *same* simulator and cloud provider; this class wires the tenancy
-    hooks that keep them from treading on each other:
+    Each tenant gets an ordinary :class:`SpotServeSystem` on the *same*
+    simulator and cloud provider; this class wires the tenancy hooks that
+    keep them from treading on each other:
 
     * every tenant's requests carry its ``tenant`` label and are ignored by
       the other tenants' arrival handlers;
@@ -378,10 +378,6 @@ class MultiTenantSystem:
         simulator: Simulator,
         provider: CloudProvider,
         tenants: Sequence[TenantSpec],
-        partitioner: Optional[FleetPartitioner] = None,
-        system_cls: type = SpotServeSystem,
-        rebalance_interval: Optional[float] = None,
-        perf: Optional[PhaseTimers] = None,
     ) -> None:
         if not tenants:
             raise ValueError("at least one tenant is required")
@@ -391,29 +387,25 @@ class MultiTenantSystem:
         self.simulator = simulator
         self.provider = provider
         self.tenants: Tuple[TenantSpec, ...] = tuple(tenants)
-        self.partitioner = partitioner or FleetPartitioner()
+        self.partitioner = FleetPartitioner()
         #: Live ownership map: instance id -> tenant name.
         self.owners: Dict[str, str] = {}
         self.partitioner.bind_owners(self.owners)
         #: Shared wall-clock phase timers (one propose/map/plan/simulate
         #: account for the whole fleet, read by ``benchmarks/perf``).
-        self.perf = perf if perf is not None else PhaseTimers()
+        self.perf = PhaseTimers()
         intervals = [
             spec.workload_check_interval
             for spec in tenants
             if spec.workload_check_interval > 0
         ]
-        #: Seconds between rebalance rounds (min tenant interval by default).
-        self.rebalance_interval = (
-            rebalance_interval
-            if rebalance_interval is not None
-            else (min(intervals) if intervals else 0.0)
-        )
+        #: Seconds between rebalance rounds (the shortest tenant interval).
+        self.rebalance_interval = min(intervals) if intervals else 0.0
         self.systems: Dict[str, ServingSystemBase] = {}
         for spec in self.tenants:
             options = spec.options()
             options.fleet_partitioner = self.partitioner
-            system = system_cls(
+            system = SpotServeSystem(
                 simulator,
                 provider,
                 get_model(spec.model_name),
@@ -570,31 +562,21 @@ class MultiTenantSystem:
         tenant's own stats.
         """
         total = ServingStats(system_name=self.name, retain_requests=False)
+        # Every int/float field is a summable counter except the latency
+        # maximum; ``type(...) in`` also skips the bool ``retain_requests``.
+        counters = [
+            f.name
+            for f in fields(total)
+            if type(getattr(total, f.name)) in (int, float) and f.name != "_latency_max"
+        ]
         completion_log: List[Tuple[float, float]] = []
         for _, system in sorted(self.systems.items()):
             stats = system.stats
-            total.tokens_generated += stats.tokens_generated
-            total.tokens_recomputed += stats.tokens_recomputed
-            total.preemption_notices += stats.preemption_notices
-            total.acquisitions += stats.acquisitions
-            total.interrupted_batches += stats.interrupted_batches
-            total.rerouted_batches += stats.rerouted_batches
-            total.zone_outages += stats.zone_outages
-            total.requests_rerouted += stats.requests_rerouted
-            total.requests_dropped += stats.requests_dropped
-            total.requests_rejected += stats.requests_rejected
-            total.requests_shed += stats.requests_shed
-            total.allocation_refusals += stats.allocation_refusals
-            total.launch_failures += stats.launch_failures
-            total.acquisition_retries += stats.acquisition_retries
-            total.early_preemptions += stats.early_preemptions
-            total.migration_fallbacks += stats.migration_fallbacks
-            total.allocation_shortfall += stats.allocation_shortfall
+            for name in counters:
+                setattr(total, name, getattr(total, name) + getattr(stats, name))
             total.reconfigurations.extend(stats.reconfigurations)
             total.autoscale_actions.extend(stats.autoscale_actions)
             total.config_timeline.extend(stats.config_timeline)
-            total._completed_count += stats._completed_count
-            total._latency_sum += stats._latency_sum
             total._latency_max = max(total._latency_max, stats._latency_max)
             completion_log.extend(stats._completion_log)
         total.reconfigurations.sort(key=lambda record: record.time)

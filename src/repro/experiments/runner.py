@@ -107,7 +107,6 @@ def run_serving_experiment(
     requests: Optional[List[Request]] = None,
     zones: Optional[Sequence[ZoneSpec]] = None,
     allow_spot_requests: bool = False,
-    stream_arrivals: bool = True,
     fault_injector: Optional[FaultInjector] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> ExperimentResult:
@@ -137,21 +136,17 @@ def run_serving_experiment(
         Arrival-rate estimate used before any request arrives; defaults to
         the submitted request count divided by the duration.
     requests:
-        Pre-generated requests (overrides *arrival_process* generation so the
-        identical workload can be replayed against several systems).
+        Pre-generated requests, all scheduled up front (overrides
+        *arrival_process* so the identical workload can be replayed against
+        several systems).  Without them the workload streams from
+        *arrival_process* with O(1) pending arrival events; both paths draw
+        the same seeded timestamps and give byte-identical results.
     zones:
         Availability zones of a multi-zone spot market (mutually exclusive
         with *trace*); each zone replays its own trace, capacity and prices.
     allow_spot_requests:
         Let the serving system (autoscaler) request extra spot instances
         beyond what the traces grant.
-    stream_arrivals:
-        Feed the workload through the streaming arrival source (O(1)
-        pending arrival events; the default) instead of pre-scheduling one
-        event per request.  The two paths are byte-identical -- the source
-        draws the same seeded timestamps in the same order -- so this only
-        changes memory/scheduling cost, never results.  Ignored when
-        *requests* is given.
     fault_injector:
         A pre-built :class:`~repro.faults.injector.FaultInjector` attached
         to the cloud provider (``None`` -- the default -- installs no
@@ -186,20 +181,13 @@ def run_serving_experiment(
         allow_spot_requests=allow_spot_requests,
         fault_injector=fault_injector,
     )
-    workload: Optional[List[Request]]
-    if requests is not None:
-        workload = requests
-    elif stream_arrivals:
-        workload = None
-    else:
-        workload = arrival_process.generate(run_duration)
     if initial_arrival_rate is None:
         # The streaming path counts the seeded draws without materialising
         # them, so the default rate matches the pre-materialised path bit
         # for bit.
         count = (
-            len(workload)
-            if workload is not None
+            len(requests)
+            if requests is not None
             else arrival_process.count_arrivals(run_duration)
         )
         initial_arrival_rate = max(count / max(run_duration, 1.0), 1e-3)
@@ -211,8 +199,8 @@ def run_serving_experiment(
         options=options,
         initial_arrival_rate=initial_arrival_rate,
     )
-    if workload is not None:
-        system.submit_requests(workload)
+    if requests is not None:
+        system.submit_requests(requests)
     else:
         system.submit_arrival_process(arrival_process, run_duration)
     system.initialize()
@@ -311,28 +299,19 @@ class MultiTenantResult(ExperimentResult):
 def run_multi_tenant_experiment(
     scenario,
     drain_time: float = DEFAULT_DRAIN_TIME,
-    system_cls: Type[ServingSystemBase] = SpotServeSystem,
-    instance_type: InstanceType = G4DN_12XLARGE,
-    allow_spot_requests: bool = False,
-    rebalance_interval: Optional[float] = None,
 ) -> MultiTenantResult:
     """Run a :class:`~repro.experiments.scenarios.MultiTenantScenario`.
 
     Builds one shared simulator and cloud provider, a
     :class:`~repro.core.tenancy.MultiTenantSystem` coordinator over the
     scenario's tenants, streams each tenant's seeded arrival process and
-    returns the fleet-wide result with per-tenant breakdowns.
+    returns the fleet-wide result with per-tenant breakdowns.  The fleet is
+    pinned to the traces (no extra spot requests), so tenants compare at
+    equal cost.
 
     Args:
         scenario: The multi-tenant scenario (tenants, zones, duration).
         drain_time: Extra simulated seconds after the workload ends.
-        system_cls: Per-tenant serving system class (SpotServe by default).
-        instance_type: Cloud instance type of the market.
-        allow_spot_requests: Let tenants request instances beyond the
-            traces (off by default -- the benchmark pins the fleet so the
-            equal-cost comparison holds).
-        rebalance_interval: Seconds between cross-tenant rebalance rounds
-            (``None`` = the coordinator's default).
 
     Returns:
         A :class:`MultiTenantResult`; ``result.tenants[name]`` carries each
@@ -343,20 +322,9 @@ def run_multi_tenant_experiment(
     )
     simulator = Simulator()
     provider = CloudProvider(
-        simulator,
-        None,
-        instance_type=instance_type,
-        zones=scenario.zones,
-        allow_spot_requests=allow_spot_requests,
-        fault_injector=fault_injector,
+        simulator, None, zones=scenario.zones, fault_injector=fault_injector
     )
-    system = MultiTenantSystem(
-        simulator,
-        provider,
-        scenario.tenants,
-        system_cls=system_cls,
-        rebalance_interval=rebalance_interval,
-    )
+    system = MultiTenantSystem(simulator, provider, scenario.tenants)
     system.submit_workloads(scenario.duration)
     system.initialize()
     system.run(until=scenario.duration + drain_time)

@@ -282,23 +282,25 @@ class TestGoldenDigestNeutrality:
         assert digest == MULTI_ZONE_SHA256
         assert result.stats.summary_text() == baseline.stats.summary_text()
 
-    def test_hooks_really_ran(self):
+    def test_hooks_really_ran(self, monkeypatch):
         # Not a vacuous neutrality claim: the "none" policy's hooks are
         # consulted on every arrival and every adaptation round.
         calls = {"admit": 0, "shed": 0}
+        admit, shed = NoAdmissionPolicy.admit, NoAdmissionPolicy.shed
 
-        class CountingNone(NoAdmissionPolicy):
-            def admit(self, request, signal):
-                calls["admit"] += 1
-                return super().admit(request, signal)
+        def counting_admit(self, request, signal):
+            calls["admit"] += 1
+            return admit(self, request, signal)
 
-            def shed(self, queue, signal):
-                calls["shed"] += 1
-                return super().shed(queue, signal)
+        def counting_shed(self, queue, signal):
+            calls["shed"] += 1
+            return shed(self, queue, signal)
 
+        monkeypatch.setattr(NoAdmissionPolicy, "admit", counting_admit)
+        monkeypatch.setattr(NoAdmissionPolicy, "shed", counting_shed)
         scenario = stable_workload_scenario("OPT-6.7B", "AS", duration=400.0)
         options = scenario.options()
-        options.admission_policy = CountingNone()
+        options.admission = "none"
         result = run_serving_experiment(
             SpotServeSystem,
             scenario.model_name,

@@ -18,12 +18,14 @@ Four claims are pinned here:
   exercised end to end through the real event path.
 """
 
+import collections
 import dataclasses
 import hashlib
 import random
 
 import pytest
 
+from repro.cloud.manager import InstanceManager
 from repro.cloud.provider import CloudProvider
 from repro.core.server import SpotServeOptions, SpotServeSystem
 from repro.experiments.runner import run_scenario_experiment, run_serving_experiment
@@ -235,8 +237,6 @@ class TestDigestNeutrality:
     def test_single_zone_golden_with_null_injector(self):
         injector = _CountingInjector(FaultPlan())
         scenario = stable_workload_scenario("OPT-6.7B", "AS", duration=400.0)
-        options = scenario.options()
-        options.fault_injector = injector
         result = run_serving_experiment(
             SpotServeSystem,
             scenario.model_name,
@@ -244,7 +244,8 @@ class TestDigestNeutrality:
             scenario.arrival_process(),
             duration=scenario.duration,
             drain_time=200.0,
-            options=options,
+            options=scenario.options(),
+            fault_injector=injector,
         )
         digest = hashlib.sha256(result.stats.summary_text().encode()).hexdigest()
         assert digest == SINGLE_ZONE_SHA256
@@ -260,8 +261,6 @@ class TestDigestNeutrality:
         scenario, arrivals = multi_zone_fluctuating_scenario(
             "OPT-6.7B", duration=600.0
         )
-        options = scenario.options()
-        options.fault_injector = injector
         result = run_serving_experiment(
             SpotServeSystem,
             scenario.model_name,
@@ -269,9 +268,10 @@ class TestDigestNeutrality:
             arrival_process=arrivals,
             duration=scenario.duration,
             drain_time=300.0,
-            options=options,
+            options=scenario.options(),
             zones=scenario.zones,
             allow_spot_requests=True,
+            fault_injector=injector,
         )
         digest = hashlib.sha256(result.stats.summary_text().encode()).hexdigest()
         assert digest == MULTI_ZONE_SHA256
@@ -309,15 +309,10 @@ class TestDigestNeutrality:
 # ----------------------------------------------------------------------
 # Resilience accounting: retries, watchdog, shortfall
 # ----------------------------------------------------------------------
-def _run_fluctuating_with_plan(plan, options_mutator=None, duration=600.0):
+def _run_fluctuating_with_plan(plan, duration=600.0):
     scenario, arrivals = multi_zone_fluctuating_scenario("OPT-6.7B", duration=duration)
     scenario = dataclasses.replace(scenario, fault_plan=plan)
-    options = scenario.options()
-    if options_mutator is not None:
-        options_mutator(options)
-    return run_scenario_experiment(
-        scenario, arrivals, drain_time=300.0, options=options
-    )
+    return run_scenario_experiment(scenario, arrivals, drain_time=300.0)
 
 
 class TestResilienceAccounting:
@@ -335,20 +330,18 @@ class TestResilienceAccounting:
         # Bounded backoff found capacity eventually: nothing terminally lost.
         assert stats.allocation_shortfall == 0
 
-    def test_retries_disabled_reports_terminal_shortfall(self):
+    def test_partial_grants_report_per_round_shortfall(self):
+        # Refusal rate low enough that some round is granted only in part:
+        # the record carries what was missing while a retry chases it.
         plan = FaultPlan(
-            seed=2, default_model=ZoneFaultModel(refusal_prob=0.9)
+            seed=2, default_model=ZoneFaultModel(refusal_prob=0.7)
         )
-
-        def disable_retries(options):
-            options.acquisition_retries = False
-
-        result = _run_fluctuating_with_plan(plan, disable_retries)
+        result = _run_fluctuating_with_plan(plan)
         stats = result.stats
         assert stats.allocation_refusals > 0
-        assert stats.acquisition_retries == 0
-        assert stats.allocation_shortfall > 0
-        # Per-round detail rides on the autoscale records.
+        assert stats.acquisition_retries > 0
+        # Per-round detail rides on the autoscale records, whether or not
+        # a retry later finds the capacity.
         rounds_with_shortfall = [
             record
             for record in stats.autoscale_actions
@@ -364,12 +357,7 @@ class TestResilienceAccounting:
         # Every refused instance is either re-requested (a retry fired) or
         # reported terminally; the exhaustion path strictly bounds retries.
         plan = FaultPlan(seed=3, default_model=ZoneFaultModel(refusal_prob=1.0))
-        policy = RetryPolicy(base_delay=1.0, max_delay=4.0, max_attempts=3)
-
-        def tighten(options):
-            options.retry_policy = policy
-
-        result = _run_fluctuating_with_plan(plan, tighten)
+        result = _run_fluctuating_with_plan(plan)
         stats = result.stats
         assert stats.allocation_refusals > 0
         assert stats.acquisition_retries > 0
@@ -415,6 +403,55 @@ class TestResilienceAccounting:
             sum(record.acquired.values()) for record in result.stats.autoscale_actions
         )
         assert granted_total <= scenario.max_instances * 3
+
+    def test_only_an_injector_arms_retries_and_the_watchdog(self, monkeypatch):
+        # Count what the server arms (its GENERIC actions) against what the
+        # cloud granted through the instance manager, on the multi-zone
+        # golden run whose autoscaler grows the fleet.
+        counts = collections.Counter()
+        schedule_after = Simulator.schedule_after
+        alloc = InstanceManager.alloc
+
+        def counting_schedule_after(self, delay, event_type, payload=None, callback=None):
+            if isinstance(payload, dict) and "server_action" in payload:
+                counts[payload["server_action"]] += 1
+            return schedule_after(self, delay, event_type, payload, callback)
+
+        def counting_alloc(self, *args, **kwargs):
+            granted = alloc(self, *args, **kwargs)
+            counts["granted"] += len(granted)
+            return granted
+
+        monkeypatch.setattr(Simulator, "schedule_after", counting_schedule_after)
+        monkeypatch.setattr(InstanceManager, "alloc", counting_alloc)
+
+        def run(fault_injector):
+            counts.clear()
+            scenario, arrivals = multi_zone_fluctuating_scenario(
+                "OPT-6.7B", duration=600.0
+            )
+            run_serving_experiment(
+                SpotServeSystem,
+                scenario.model_name,
+                trace=None,
+                arrival_process=arrivals,
+                duration=scenario.duration,
+                drain_time=300.0,
+                options=scenario.options(),
+                zones=scenario.zones,
+                allow_spot_requests=True,
+                fault_injector=fault_injector,
+            )
+            return dict(counts)
+
+        bare = run(None)
+        assert bare["granted"] > 0
+        assert "launch_watchdog" not in bare
+        assert "acquisition_retry" not in bare
+
+        null = run(FaultInjector(FaultPlan()))
+        assert null["granted"] > 0
+        assert null["launch_watchdog"] == null["granted"]
 
 
 # ----------------------------------------------------------------------

@@ -28,19 +28,25 @@ SINGLE_ZONE_SHA256 = "13bd9e142347b849dcba2c5f52829a5ca9c7638ccb40c83512c45d80ce
 MULTI_ZONE_SHA256 = "33c8a35b9b2764488dda4379defb50adea6283cafdcfed7618b22167ecc8502c"
 
 
+def prescheduled(stream_arrivals, arrivals, duration):
+    """The whole workload as requests, unless it should stream."""
+    return None if stream_arrivals else arrivals.generate(duration)
+
+
 def run_single_zone(stream_arrivals, retain_requests=True):
     scenario = stable_workload_scenario("OPT-6.7B", "AS", duration=400.0)
     options = scenario.options()
     options.retain_completed_requests = retain_requests
+    arrivals = scenario.arrival_process()
     return run_serving_experiment(
         SpotServeSystem,
         scenario.model_name,
         scenario.trace,
-        scenario.arrival_process(),
+        arrivals,
         duration=scenario.duration,
         drain_time=200.0,
         options=options,
-        stream_arrivals=stream_arrivals,
+        requests=prescheduled(stream_arrivals, arrivals, scenario.duration),
     )
 
 
@@ -58,7 +64,7 @@ def run_multi_zone(stream_arrivals, retain_requests=True):
         options=options,
         zones=scenario.zones,
         allow_spot_requests=True,
-        stream_arrivals=stream_arrivals,
+        requests=prescheduled(stream_arrivals, arrivals, scenario.duration),
     )
 
 

@@ -425,6 +425,33 @@ def _fleet_conservation(system):
     )
 
 
+class TestAggregateStats:
+    def test_aggregate_sums_every_tenant_counter(self):
+        """Spill counters included: the fleet aggregate misses no counter."""
+        scenario = multi_tenant_scenario("OPT-6.7B", duration=600.0)
+        simulator = Simulator()
+        provider = CloudProvider(simulator, None, zones=scenario.zones)
+        system = MultiTenantSystem(simulator, provider, scenario.tenants)
+        tenants = [system.systems[name].stats for name in sorted(system.systems)]
+        assert len(tenants) == 2
+        for scale, stats in enumerate(tenants, start=1):
+            stats.bytes_spilled = 100.0 * scale
+            stats.bytes_restored = 70.0 * scale
+            stats.bytes_abandoned = 30.0 * scale
+            stats.restores = 2 * scale
+            stats.spill_fallbacks = scale
+            stats.requests_shed = 5 * scale
+            stats._latency_max = 10.0 * scale
+        aggregate = system.aggregate_stats()
+        assert aggregate.bytes_spilled == 300.0
+        assert aggregate.bytes_restored == 210.0
+        assert aggregate.bytes_abandoned == 90.0
+        assert aggregate.restores == 6
+        assert aggregate.spill_fallbacks == 3
+        assert aggregate.requests_shed == 15
+        assert aggregate._latency_max == 20.0
+
+
 class TestPerTenantConservationUnderFaults:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_conservation_holds_at_random_probe_points(self, seed):

@@ -820,7 +820,6 @@ class TestGoldenDigestContract:
             duration=scenario.duration,
             drain_time=200.0,
             options=options,
-            stream_arrivals=True,
         )
         assert digest(result) == SINGLE_ZONE_SHA256
         # The tier was installed yet never consulted: the golden run has no
@@ -842,7 +841,6 @@ class TestGoldenDigestContract:
             options=options,
             zones=scenario.zones,
             allow_spot_requests=True,
-            stream_arrivals=True,
         )
         assert digest(result) == MULTI_ZONE_SHA256
         assert CountingTier.calls == {"spill": 0, "restore": 0}
