@@ -47,7 +47,6 @@ def run_grid():
     return grid
 
 
-@pytest.mark.timeout(3600)
 def test_figure6_end_to_end(benchmark):
     grid = benchmark.pedantic(run_grid, rounds=1, iterations=1)
 

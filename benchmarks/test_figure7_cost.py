@@ -54,7 +54,6 @@ def run_on_demand_fleets(sizes=(6, 8, 10, 12)):
     return results
 
 
-@pytest.mark.timeout(3600)
 def test_figure7_cost_comparison(benchmark):
     def build():
         return run_spot_cells(), run_on_demand_fleets()

@@ -32,7 +32,6 @@ def run_fluctuating(trace_name):
     )
 
 
-@pytest.mark.timeout(3600)
 def test_figure8_fluctuating_workload(benchmark):
     def build():
         return {name: run_fluctuating(name) for name in ("A'S", "B'S")}

@@ -45,7 +45,6 @@ def run_ablation(trace_name):
     return results
 
 
-@pytest.mark.timeout(3600)
 def test_figure9_ablation(benchmark):
     def build():
         return {trace: run_ablation(trace) for trace in ("AS", "BS")}

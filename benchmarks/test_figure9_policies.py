@@ -38,7 +38,6 @@ pytestmark = pytest.mark.slow
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-@pytest.mark.timeout(3600)
 def test_figure9_policy_head_to_head(benchmark):
     payload = benchmark.pedantic(
         lambda: run_policy_benchmark(workers=FIGURE_WORKERS),

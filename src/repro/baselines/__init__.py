@@ -1,13 +1,11 @@
 """Baseline serving systems used in the paper's evaluation."""
 
-from .ondemand import OnDemandSystem, build_on_demand_provider, on_demand_trace
+from .ondemand import on_demand_trace
 from .reparallelization import ReparallelizationSystem
 from .rerouting import RequestReroutingSystem
 
 __all__ = [
-    "OnDemandSystem",
     "ReparallelizationSystem",
     "RequestReroutingSystem",
-    "build_on_demand_provider",
     "on_demand_trace",
 ]

@@ -8,18 +8,15 @@ systems.
 
 On-demand serving needs no new system logic: it is SpotServe running on a
 preemption-free availability trace whose instances are billed at the
-on-demand price.  This module provides the helpers that build such runs.
+on-demand price (``trace_market=Market.ON_DEMAND`` on the provider).  This
+module provides the trace.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..cloud.instance import G4DN_12XLARGE, InstanceType, Market
-from ..cloud.provider import CloudProvider
 from ..cloud.trace import AvailabilityTrace
-from ..core.server import SpotServeSystem
-from ..sim.engine import Simulator
 
 
 def on_demand_trace(
@@ -35,23 +32,3 @@ def on_demand_trace(
         duration=duration,
     )
 
-
-def build_on_demand_provider(
-    simulator: Simulator,
-    num_instances: int,
-    duration: float = 1200.0,
-    instance_type: InstanceType = G4DN_12XLARGE,
-) -> CloudProvider:
-    """Provider whose fixed fleet is billed at the on-demand price."""
-    return CloudProvider(
-        simulator,
-        on_demand_trace(num_instances, duration),
-        instance_type=instance_type,
-        trace_market=Market.ON_DEMAND,
-    )
-
-
-class OnDemandSystem(SpotServeSystem):
-    """SpotServe's serving stack on a fixed, never-preempted fleet."""
-
-    name = "OnDemand"

@@ -9,21 +9,40 @@ from scratch.  It also reacts *after* a preemption takes effect instead of
 using the grace period.
 
 Implementation-wise it reuses SpotServe's planning logic (so the chosen
-configurations match) and only overrides how a configuration switch is
-executed (full restart, nothing preserved) and when preemptions are handled
-(reactively).
+configurations match), prepares its switches with
+:class:`RestartTransitions` (full restart, nothing preserved) and handles
+preemptions reactively.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
 
 from ..cloud.instance import Instance
 from ..core.config import ParallelConfig
+from ..core.reconfiguration import Transition, TransitionPlanner, default_placement
 from ..core.server import SpotServeSystem
-from ..engine.context import DeviceId
-from ..engine.placement import TopologyPosition
+
+
+class RestartTransitions(TransitionPlanner):
+    """Every switch is a full restart: nothing migrates, nothing is preserved."""
+
+    def prepare(self, config: ParallelConfig, reason: str, objective: str) -> Transition:
+        system = self.system
+        restart = system.migration_planner.estimate_restart_plan(
+            config, gpus_per_instance=system.gpus_per_instance
+        )
+        # Everything stops immediately and stays down for the full restart:
+        # the engines relaunch and reload every parameter from storage.
+        return Transition(
+            config=config,
+            placement=default_placement(config, system.instance_manager.stable_devices()),
+            stall_time=restart.stall_time,
+            stop_time=system.simulator.now,
+            reason=reason,
+            preserve_cache=False,
+            objective=objective,
+        )
 
 
 class ReparallelizationSystem(SpotServeSystem):
@@ -36,6 +55,7 @@ class ReparallelizationSystem(SpotServeSystem):
         # Restart-based systems keep nothing across a reconfiguration: no
         # token-level recovery and no context migration.
         self.options = dataclasses.replace(self.options, stateful_recovery=False)
+        self.transitions = RestartTransitions(self)
 
     # ------------------------------------------------------------------
     # Reactive preemption handling
@@ -45,7 +65,7 @@ class ReparallelizationSystem(SpotServeSystem):
         return
 
     def handle_preemption_final(self, instance: Instance) -> None:
-        self._teardown_pipelines_using({instance.instance_id})
+        self.dataplane.teardown({instance.instance_id})
         self._plan_reconfiguration(reason="preemption-final")
 
     def handle_zone_outage(self, zone: str, phase: str, payload: dict) -> None:
@@ -53,28 +73,3 @@ class ReparallelizationSystem(SpotServeSystem):
         # the full restart happens only once the zone is actually gone.
         if phase == "down":
             self._plan_reconfiguration(reason="zone-outage-final")
-
-    # ------------------------------------------------------------------
-    # Restart-based transition
-    # ------------------------------------------------------------------
-    def _prepare_transition(
-        self, new_config: ParallelConfig, reason: str
-    ) -> Tuple[
-        Dict[DeviceId, TopologyPosition],
-        float,
-        float,
-        float,
-        float,
-        bool,
-        Optional[Dict[str, float]],
-    ]:
-        devices = self._available_devices()
-        placement = self._default_placement(new_config, devices)
-        restart = self.migration_planner.estimate_restart_plan(
-            new_config, gpus_per_instance=self.gpus_per_instance
-        )
-        # Everything stops immediately and stays down for the full restart:
-        # the engines relaunch and reload every parameter from storage.
-        stall_time = restart.stall_time
-        stop_time = self.simulator.now
-        return placement, stall_time, stop_time, 0.0, 0.0, False, None

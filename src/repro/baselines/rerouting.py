@@ -13,16 +13,15 @@ model parameters from persistent storage.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..cloud.instance import Instance
 from ..core.config import ParallelConfig
 from ..core.migration import MigrationPlanner
-from ..core.server import ENGINE_LAUNCH_TIME, ServingSystemBase
+from ..core.reconfiguration import ENGINE_LAUNCH_TIME
+from ..core.server import ServingSystemBase
 from ..core.stats import ReconfigurationRecord
 from ..engine.context import DeviceId
-from ..engine.pipeline import InferencePipeline, PipelineAssignment
-from ..engine.placement import TopologyPosition
 from ..sim.events import Event, EventType
 
 
@@ -46,7 +45,7 @@ class RequestReroutingSystem(ServingSystemBase):
         if self.current_config is not None:
             self._fixed_shape = self.current_config
             # Re-index pipelines with the counter so later additions are unique.
-            for pipeline in self.pipelines:
+            for pipeline in self.dataplane.pipelines:
                 next(self._pipeline_counter)
 
     @property
@@ -62,10 +61,10 @@ class RequestReroutingSystem(ServingSystemBase):
         return
 
     def handle_preemption_final(self, instance: Instance) -> None:
-        affected = self._teardown_pipelines_using({instance.instance_id})
+        affected = self.dataplane.teardown({instance.instance_id})
         if affected:
             self._record_scaling("preemption-final", stall_time=0.0)
-            self._dispatch()
+            self.dataplane.dispatch()
         # Note: the surviving instances of a broken pipeline stay idle until a
         # *new* instance is allocated (Section 2.3); they are not re-grouped
         # among themselves, which is exactly what makes the rerouting baseline
@@ -77,7 +76,7 @@ class RequestReroutingSystem(ServingSystemBase):
         # keeps serving on the surviving pipelines (it never re-groups).
         if phase == "down":
             self._record_scaling("zone-outage", stall_time=0.0)
-            self._dispatch()
+            self.dataplane.dispatch()
 
     def handle_acquisition_ready(self, instance: Instance) -> None:
         self._try_add_pipelines()
@@ -95,14 +94,8 @@ class RequestReroutingSystem(ServingSystemBase):
             return 1
         return -(-shape.gpus_per_pipeline // self.gpus_per_instance)
 
-    def _used_instance_ids(self) -> set:
-        used = set(self._reserved_instances)
-        for pipeline in self.pipelines:
-            used.update(pipeline.assignment.instance_ids)
-        return used
-
     def _idle_instances(self) -> List[Instance]:
-        used = self._used_instance_ids()
+        used = self._reserved_instances | self.dataplane.instance_ids()
         return [
             instance
             for instance in self.instance_manager.stable_instances()
@@ -154,40 +147,21 @@ class RequestReroutingSystem(ServingSystemBase):
         for instance in self.instance_manager.stable_instances():
             if instance.instance_id in instance_ids:
                 devices.extend(instance.gpu_ids)
-        pipeline_index = next(self._pipeline_counter)
-        assignment = PipelineAssignment(
-            pipeline_index=pipeline_index,
-            pipeline_degree=shape.pipeline_degree,
-            tensor_degree=shape.tensor_degree,
-        )
-        positions = [
-            TopologyPosition(pipeline_index, p, m)
-            for p in range(shape.pipeline_degree)
-            for m in range(shape.tensor_degree)
-        ]
-        for device, position in zip(devices, positions):
-            assignment.devices[position] = device
-            self.meta_context.daemon(device).install_model_context(
-                shape.pipeline_degree, shape.tensor_degree, position
-            )
-        pipeline = InferencePipeline(assignment, self.latency_model, shape.batch_size)
-        self.pipelines.append(pipeline)
-        for instance_id in instance_ids:
-            self._initialized_instances.add(instance_id)
+        self.dataplane.add_pipeline(shape, next(self._pipeline_counter), devices)
         self._record_scaling("pipeline-added", stall_time=0.0)
-        self._dispatch()
+        self.dataplane.dispatch()
 
     def _record_scaling(self, reason: str, stall_time: float) -> None:
         if self._fixed_shape is None:
             return
         new_config = ParallelConfig(
-            max(len(self.pipelines), 1),
+            max(len(self.dataplane.pipelines), 1),
             self._fixed_shape.pipeline_degree,
             self._fixed_shape.tensor_degree,
             self._fixed_shape.batch_size,
         )
         old_config = self.current_config
-        self.current_config = new_config
+        self.dataplane.config = new_config
         self.stats.record_reconfiguration(
             ReconfigurationRecord(
                 time=self.simulator.now,

@@ -10,7 +10,7 @@ pool of spare instances the paper keeps for smoother substitutions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..sim.events import Event, EventType
 from .instance import Instance, InstanceState, Market
@@ -30,16 +30,25 @@ class InstanceManager:
         self.allow_on_demand = allow_on_demand
         self.candidate_pool_size = candidate_pool_size
         self._held: Dict[str, Instance] = {}
-        self._pending_preemption: Dict[str, float] = {}
+        #: Instance id -> earliest announced reclaim deadline, for every
+        #: instance inside a grace period (preemption notice or zone-outage
+        #: warning).  These instances are out of :meth:`stable_instances`,
+        #: and the JIT arrangement budgets against the earliest deadline.
+        self.grace_deadlines: Dict[str, float] = {}
+        #: Zone -> outage start while a zone-outage warning is active.
+        #: Buying there is wasted (every grant dies at the outage start),
+        #: and an instance becoming ready there is doomed on arrival.
+        self.doomed_zones: Dict[str, float] = {}
         #: Tenancy hooks, installed by :mod:`repro.core.tenancy` and all
         #: ``None`` in single-tenant mode so legacy behaviour (and the golden
-        #: digests) is untouched.  ``allowed_zones`` restricts allocations to
-        #: a subset of the market's zones; ``ownership_filter`` restricts
-        #: provider-wide views (initial adoption, launching/on-demand scans)
-        #: to instances owned by this manager's tenant; ``granted_hook`` is
-        #: called once per freshly granted instance so the coordinator can
-        #: record ownership; ``excluded`` hides instances the fleet
-        #: partitioner assigned to another tenant this round.
+        #: digests) is untouched.  ``allowed_zones`` restricts allocations
+        #: and zone views to a subset of the market's zones;
+        #: ``ownership_filter`` (see :meth:`owns`) restricts provider-wide
+        #: views and the serving system's instance events to instances owned
+        #: by this manager's tenant; ``granted_hook`` is called once per
+        #: freshly granted instance so the coordinator can record ownership;
+        #: ``excluded`` hides instances the fleet partitioner assigned to
+        #: another tenant this round.
         self.allowed_zones: Optional[FrozenSet[str]] = None
         self.ownership_filter: Optional[Callable[[Instance], bool]] = None
         self.granted_hook: Optional[Callable[[Instance], None]] = None
@@ -49,49 +58,57 @@ class InstanceManager:
     # Event intake (wired by the serving system)
     # ------------------------------------------------------------------
     def on_acquisition_ready(self, event: Event) -> Instance:
-        """Record that a new instance became usable."""
+        """Record that a new instance became usable.
+
+        A newcomer in a zone already under an outage warning gets no
+        individual preemption notice, so it is doomed on arrival.
+        """
         instance: Instance = event.payload["instance"]
         self._held[instance.instance_id] = instance
+        deadline = self.doomed_zones.get(instance.zone)
+        if deadline is not None:
+            self.grace_deadlines[instance.instance_id] = deadline
         return instance
 
     def on_preemption_notice(self, event: Event) -> Instance:
-        """Record a preemption notice (the instance stays usable until the deadline)."""
+        """Record a preemption notice (the instance stays usable until the deadline).
+
+        An instance can be doomed twice (zone-outage warning, then an
+        individual trace preemption); the *earliest* deadline wins or the
+        JIT arranger would budget the evacuation past the real reclaim.
+        """
         instance: Instance = event.payload["instance"]
-        self._pending_preemption[instance.instance_id] = event.payload["deadline"]
+        deadline: float = event.payload["deadline"]
+        existing = self.grace_deadlines.get(instance.instance_id)
+        if existing is not None and existing < deadline:
+            deadline = existing
+        self.grace_deadlines[instance.instance_id] = deadline
         return instance
 
     def on_preemption_final(self, event: Event) -> Instance:
         """Drop an instance that has been reclaimed by the cloud."""
         instance: Instance = event.payload["instance"]
         self._held.pop(instance.instance_id, None)
-        self._pending_preemption.pop(instance.instance_id, None)
+        self.grace_deadlines.pop(instance.instance_id, None)
         return instance
 
-    def on_zone_outage_warning(self, zone: str, deadline: float) -> List[Instance]:
+    def on_zone_outage_warning(self, zone: str, deadline: float) -> None:
         """Mark *every* held instance of *zone* as doomed by *deadline*.
 
         Spot instances also receive individual preemption notices from the
         provider, but on-demand instances get none -- a zone outage is the
         only thing that kills them -- so the whole zone is excluded from
-        :meth:`stable_instances` here.  Returns the newly doomed instances.
+        :meth:`stable_instances` here.  Instances already in a grace period
+        keep their announced deadline.
         """
-        doomed: List[Instance] = []
+        self.doomed_zones[zone] = deadline
         for instance in self._held.values():
-            if instance.zone != zone or not instance.is_usable:
-                continue
-            if instance.instance_id not in self._pending_preemption:
-                doomed.append(instance)
-            self._pending_preemption[instance.instance_id] = deadline
-        return doomed
-
-    def mark_doomed(self, instance_id: str, deadline: float) -> None:
-        """Exclude one instance from the stable set until *deadline*.
-
-        Used for instances that become ready inside a zone that is already
-        under an outage warning -- they never get an individual preemption
-        notice but must not be planned onto.
-        """
-        self._pending_preemption[instance_id] = deadline
+            if (
+                instance.zone == zone
+                and instance.is_usable
+                and instance.instance_id not in self.grace_deadlines
+            ):
+                self.grace_deadlines[instance.instance_id] = deadline
 
     def on_zone_outage_down(self, zone: str) -> List[Instance]:
         """Drop every held instance of *zone* that the outage killed.
@@ -100,13 +117,14 @@ class InstanceManager:
         (on-demand, or spot granted after the warning) are removed here;
         returns the instances that were dropped.
         """
+        self.doomed_zones.pop(zone, None)
         dropped: List[Instance] = []
         for instance_id in list(self._held):
             instance = self._held[instance_id]
             if instance.zone != zone or instance.is_alive:
                 continue
             self._held.pop(instance_id, None)
-            self._pending_preemption.pop(instance_id, None)
+            self.grace_deadlines.pop(instance_id, None)
             dropped.append(instance)
         return dropped
 
@@ -129,7 +147,7 @@ class InstanceManager:
             inst
             for inst in self._held.values()
             if inst.is_usable
-            and inst.instance_id not in self._pending_preemption
+            and inst.instance_id not in self.grace_deadlines
             and (excluded is None or inst.instance_id not in excluded)
         ]
 
@@ -138,7 +156,7 @@ class InstanceManager:
         return [
             inst
             for inst in self._held.values()
-            if inst.instance_id in self._pending_preemption and inst.is_usable
+            if inst.instance_id in self.grace_deadlines and inst.is_usable
         ]
 
     def available_count(self) -> int:
@@ -160,7 +178,7 @@ class InstanceManager:
         return sum(
             1
             for inst in self.provider.alive_instances()
-            if inst.market is Market.ON_DEMAND and self._owned(inst)
+            if inst.market is Market.ON_DEMAND and self.owns(inst)
         )
 
     def launching_instances(self) -> List[Instance]:
@@ -173,11 +191,42 @@ class InstanceManager:
         return [
             inst
             for inst in self.provider.alive_instances()
-            if inst.is_launching and self._owned(inst)
+            if inst.is_launching and self.owns(inst)
         ]
 
-    def _owned(self, instance: Instance) -> bool:
-        """True when *instance* belongs to this manager's tenant (or no filter)."""
+    def alive_in_zone(self, zone: str) -> int:
+        """Alive (launching or usable) instances of this tenant in *zone*."""
+        return sum(
+            1
+            for inst in self.provider.instances_in_zone(zone)
+            if inst.is_alive and self.owns(inst)
+        )
+
+    def visible_zones(self) -> List[str]:
+        """The market zones this manager may use (all of them by default)."""
+        if self.allowed_zones is None:
+            return self.provider.zone_names
+        return [name for name in self.provider.zone_names if name in self.allowed_zones]
+
+    def stable_devices(self) -> List[Tuple[str, int]]:
+        """GPU ids of :meth:`stable_instances`, zone-major.
+
+        Zone-major ordering keeps each pipeline's contiguous position block
+        inside one zone whenever the fleet allows it.
+        """
+        devices: List[Tuple[str, int]] = []
+        for instance in sorted(
+            self.stable_instances(), key=lambda inst: (inst.zone, inst.instance_id)
+        ):
+            devices.extend(instance.gpu_ids)
+        return devices
+
+    def owns(self, instance: Instance) -> bool:
+        """True when *instance* belongs to this manager's tenant (or no filter).
+
+        Serving systems sharing one simulator ignore the instance-scoped
+        cloud events this predicate rejects.
+        """
         return self.ownership_filter is None or self.ownership_filter(instance)
 
     def on_launch_failure(self, event: Event) -> Instance:
@@ -188,7 +237,7 @@ class InstanceManager:
         """
         instance: Instance = event.payload["instance"]
         self._held.pop(instance.instance_id, None)
-        self._pending_preemption.pop(instance.instance_id, None)
+        self.grace_deadlines.pop(instance.instance_id, None)
         return instance
 
     def zone_counts(self) -> Dict[str, int]:
@@ -295,7 +344,7 @@ class InstanceManager:
         manager to the slice of the initial fleet the coordinator assigned it.
         """
         for instance in self.provider.usable_instances():
-            if self._owned(instance):
+            if self.owns(instance):
                 self._held[instance.instance_id] = instance
         return self.held_instances()
 
@@ -312,5 +361,5 @@ class InstanceManager:
         Used by the tenancy coordinator to hand an idle instance to another
         tenant's manager; returns the instance, or ``None`` if it was not held.
         """
-        self._pending_preemption.pop(instance_id, None)
+        self.grace_deadlines.pop(instance_id, None)
         return self._held.pop(instance_id, None)

@@ -4,7 +4,6 @@ from .admission import (
     AdmissionPolicy,
     AdmissionSignal,
     DeadlineAwarePolicy,
-    NoAdmissionPolicy,
     QueueCapPolicy,
     TokenBucketPolicy,
     make_admission_policy,
@@ -42,7 +41,6 @@ __all__ = [
     "AdmissionPolicy",
     "AdmissionSignal",
     "DeadlineAwarePolicy",
-    "NoAdmissionPolicy",
     "QueueCapPolicy",
     "TokenBucketPolicy",
     "make_admission_policy",

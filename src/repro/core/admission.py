@@ -9,11 +9,6 @@ the missing layer: an **admission controller** consulted on every request
 arrival and a **queue-shedding policy** consulted once per adaptation round
 (the workload check), both pluggable:
 
-* ``"none"`` -- :class:`NoAdmissionPolicy`: every hook runs but admits
-  everything and sheds nothing.  This is today's behavior; the golden
-  digest regression (``tests/test_admission.py``) pins that wiring the
-  hooks through the serving system moves **zero bytes** of the pinned
-  golden ``summary_text()`` SHA-256s.
 * ``"queue-cap"`` -- :class:`QueueCapPolicy`: reject arrivals while the
   queue is at capacity (classic bounded-buffer admission).
 * ``"deadline-aware"`` -- :class:`DeadlineAwarePolicy`: each adaptation
@@ -41,9 +36,11 @@ Invariants
   system's arrival-rate window, so the autoscaler and the
   parallelization controller size the fleet for the *admitted* load
   instead of chasing demand the admission controller already turned away.
-* **Digest neutrality.**  With admission disabled (``admission=None`` or
-  ``"none"``) the serving system's behavior is byte-identical to a build
-  without this module; the golden sha256 digests stay pinned.
+* **Digest neutrality.**  With admission disabled (``admission=None``)
+  the serving system's behavior is byte-identical to a build without this
+  module, and a policy that admits everything and sheds nothing leaves
+  the golden sha256 digests pinned even though its hooks run
+  (``tests/test_admission.py``).
 """
 
 from __future__ import annotations
@@ -147,17 +144,6 @@ class AdmissionPolicy(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class NoAdmissionPolicy(AdmissionPolicy):
-    """Admit everything, shed nothing (today's behavior, hooks exercised).
-
-    Exists so the golden-digest regression can pin that the admission
-    *wiring* is digest-neutral: the hooks run on every arrival and round,
-    yet the pinned golden sha256 digests stay byte-identical.
-    """
-
-    name = "none"
 
 
 class QueueCapPolicy(AdmissionPolicy):
@@ -284,7 +270,6 @@ class TokenBucketPolicy(AdmissionPolicy):
 
 #: Policy constructors by name (the ``SpotServeOptions.admission`` values).
 ADMISSION_POLICIES: Dict[str, type] = {
-    NoAdmissionPolicy.name: NoAdmissionPolicy,
     QueueCapPolicy.name: QueueCapPolicy,
     DeadlineAwarePolicy.name: DeadlineAwarePolicy,
     TokenBucketPolicy.name: TokenBucketPolicy,
@@ -295,7 +280,7 @@ def make_admission_policy(policy: str, **params) -> AdmissionPolicy:
     """Construct an admission policy by name.
 
     Args:
-        policy: One of ``"none"``, ``"queue-cap"``, ``"deadline-aware"``,
+        policy: One of ``"queue-cap"``, ``"deadline-aware"``,
             ``"token-bucket"`` (see :data:`ADMISSION_POLICIES`).
         **params: Forwarded to the policy constructor (e.g.
             ``max_queue_depth`` for ``queue-cap``, ``slo_latency`` for

@@ -22,9 +22,10 @@ Three pieces cooperate:
   counting-partitioner test).
 * :class:`MultiTenantSystem` -- the coordinator.  It builds one ordinary
   serving system per tenant on the *shared* simulator and provider, wires
-  the ownership predicates that scope instance events, zones and manager
-  views to each tenant, and periodically rebalances idle instances between
-  tenants according to the partitioner's advice.
+  the ownership predicate and zone set that scope each tenant's instance
+  manager -- and with it the tenant's instance events -- to its own slice,
+  and periodically rebalances idle instances between tenants according to
+  the partitioner's advice.
 
 Per-tenant request conservation (``submitted == completed + unfinished +
 dropped + rejected + shed`` for every tenant, summing to the fleet-wide
@@ -354,13 +355,13 @@ class MultiTenantSystem:
     simulator and cloud provider; this class wires the tenancy hooks that
     keep them from treading on each other:
 
-    * every tenant's requests carry its ``tenant`` label and are ignored by
-      the other tenants' arrival handlers;
-    * instance-scoped events (preemptions, acquisitions, launch failures)
-      only reach the owning tenant, via an ownership predicate over the
-      coordinator's owner map;
-    * each tenant's instance manager is restricted to the tenant's zones
-      and granted instances are claimed into the owner map;
+    * every tenant's requests carry its ``tenant`` label, and each arrival
+      and batch-completion event calls back only the system that
+      scheduled it;
+    * each tenant's instance manager gets an ownership predicate over the
+      coordinator's owner map (so instance-scoped events -- preemptions,
+      acquisitions, launch failures -- only reach the owning tenant) and
+      the tenant's zones, and claims granted instances into the owner map;
     * the shared :class:`FleetPartitioner` is installed on every tenant's
       options, so each adaptation round plans only on the tenant's share;
     * a periodic rebalance round moves *idle* instances between tenants
@@ -414,13 +415,9 @@ class MultiTenantSystem:
                 perf=self.perf,
                 tenant=spec.name,
             )
-            owned = self._owner_predicate(spec.name)
-            system.instance_owned = owned
-            zones = frozenset(spec.zones) if spec.zones is not None else None
-            system.allowed_zones = zones
             manager = system.instance_manager
-            manager.allowed_zones = zones
-            manager.ownership_filter = owned
+            manager.allowed_zones = frozenset(spec.zones) if spec.zones is not None else None
+            manager.ownership_filter = self._owner_predicate(spec.name)
             manager.granted_hook = self._claim_hook(spec.name)
             self.partitioner.register(spec, system)
             self.systems[spec.name] = system
@@ -511,7 +508,7 @@ class MultiTenantSystem:
                 instance = by_id[instance_id]
                 if current is not None:
                     source = self.systems[current]
-                    if instance_id in source._pipeline_instance_ids():
+                    if instance_id in source.dataplane.instance_ids():
                         continue  # Busy: never steal a serving instance.
                     source.instance_manager.disown(instance_id)
                     source.meta_context.drop_instance(instance_id)

@@ -9,10 +9,10 @@ Three contracts are pinned here:
   mid-run instants: ``submitted == completed + unfinished + dropped +
   rejected + shed``.  Rejection and shedding are accounting actions, not
   leaks.
-* **Digest neutrality of the wiring** -- with ``admission="none"`` the
-  hooks run on every arrival and every adaptation round, yet both golden
-  ``summary_text()`` sha256 digests stay byte-identical to the values
-  pinned before the subsystem existed.
+* **Digest neutrality of the wiring** -- with a pass-through policy
+  installed the hooks run on every arrival and every adaptation round, yet
+  both golden ``summary_text()`` sha256 digests stay byte-identical to the
+  values pinned before the subsystem existed.
 """
 
 import hashlib
@@ -22,9 +22,9 @@ import pytest
 
 from repro.core.admission import (
     ADMISSION_POLICIES,
+    AdmissionPolicy,
     AdmissionSignal,
     DeadlineAwarePolicy,
-    NoAdmissionPolicy,
     QueueCapPolicy,
     TokenBucketPolicy,
     make_admission_policy,
@@ -239,13 +239,26 @@ class TestOverloadDifferentiation:
 
 
 # ----------------------------------------------------------------------
-# Golden digests: admission="none" is byte-identical
+# Golden digests: a pass-through policy is byte-identical
 # ----------------------------------------------------------------------
+class PassThroughPolicy(AdmissionPolicy):
+    """Admit everything, shed nothing: only the admission wiring runs."""
+
+    name = "pass-through"
+
+
+@pytest.fixture
+def pass_through(monkeypatch):
+    """Register :class:`PassThroughPolicy` for one test; returns its name."""
+    monkeypatch.setitem(ADMISSION_POLICIES, PassThroughPolicy.name, PassThroughPolicy)
+    return PassThroughPolicy.name
+
+
 class TestGoldenDigestNeutrality:
-    def test_single_zone_digest_with_none_policy(self):
+    def test_single_zone_digest_with_pass_through_policy(self, pass_through):
         scenario = stable_workload_scenario("OPT-6.7B", "AS", duration=400.0)
         options = scenario.options()
-        options.admission = "none"
+        options.admission = pass_through
         result = run_serving_experiment(
             SpotServeSystem,
             scenario.model_name,
@@ -260,13 +273,13 @@ class TestGoldenDigestNeutrality:
         assert result.stats.requests_rejected == 0
         assert result.stats.requests_shed == 0
 
-    def test_multi_zone_digest_with_none_policy(self):
+    def test_multi_zone_digest_with_pass_through_policy(self, pass_through):
         baseline = run_multi_zone(stream_arrivals=True)
         from repro.experiments.scenarios import multi_zone_fluctuating_scenario
 
         scenario, arrivals = multi_zone_fluctuating_scenario("OPT-6.7B", duration=600.0)
         options = scenario.options()
-        options.admission = "none"
+        options.admission = pass_through
         result = run_serving_experiment(
             SpotServeSystem,
             scenario.model_name,
@@ -282,11 +295,11 @@ class TestGoldenDigestNeutrality:
         assert digest == MULTI_ZONE_SHA256
         assert result.stats.summary_text() == baseline.stats.summary_text()
 
-    def test_hooks_really_ran(self, monkeypatch):
-        # Not a vacuous neutrality claim: the "none" policy's hooks are
-        # consulted on every arrival and every adaptation round.
+    def test_hooks_really_ran(self, monkeypatch, pass_through):
+        # Not a vacuous neutrality claim: the pass-through policy's hooks
+        # are consulted on every arrival and every adaptation round.
         calls = {"admit": 0, "shed": 0}
-        admit, shed = NoAdmissionPolicy.admit, NoAdmissionPolicy.shed
+        admit, shed = PassThroughPolicy.admit, PassThroughPolicy.shed
 
         def counting_admit(self, request, signal):
             calls["admit"] += 1
@@ -296,11 +309,11 @@ class TestGoldenDigestNeutrality:
             calls["shed"] += 1
             return shed(self, queue, signal)
 
-        monkeypatch.setattr(NoAdmissionPolicy, "admit", counting_admit)
-        monkeypatch.setattr(NoAdmissionPolicy, "shed", counting_shed)
+        monkeypatch.setattr(PassThroughPolicy, "admit", counting_admit)
+        monkeypatch.setattr(PassThroughPolicy, "shed", counting_shed)
         scenario = stable_workload_scenario("OPT-6.7B", "AS", duration=400.0)
         options = scenario.options()
-        options.admission = "none"
+        options.admission = pass_through
         result = run_serving_experiment(
             SpotServeSystem,
             scenario.model_name,

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.baselines.ondemand import OnDemandSystem, build_on_demand_provider, on_demand_trace
+from repro.baselines.ondemand import on_demand_trace
 from repro.baselines.reparallelization import ReparallelizationSystem
 from repro.baselines.rerouting import RequestReroutingSystem
 from repro.cloud.instance import Market
 from repro.cloud.provider import CloudProvider
 from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind
+from repro.core.server import SpotServeSystem
 from repro.llm.spec import GPT_20B
 from repro.sim.engine import Simulator
 from repro.workload.arrival import FixedArrivals, GammaArrivals
@@ -82,9 +83,9 @@ class TestRerouting:
         _, _, system = build(RequestReroutingSystem, trace)
         system.submit_requests(FixedArrivals([100.0]).generate(trace.duration))
         system.initialize()
-        before = len(system.pipelines)
+        before = len(system.dataplane.pipelines)
         stats = system.run(until=400.0)
-        assert len(system.pipelines) <= before
+        assert len(system.dataplane.pipelines) <= before
         assert stats.preemption_notices == 1
 
     def test_interrupted_requests_are_rerouted_and_recomputed(self):
@@ -108,13 +109,22 @@ class TestRerouting:
         _, _, system = build(RequestReroutingSystem, trace)
         system.submit_requests(FixedArrivals([100.0]).generate(trace.duration))
         system.initialize()
-        initial_pipelines = len(system.pipelines)
+        initial_pipelines = len(system.dataplane.pipelines)
         system.run(until=399.0)
-        dropped = len(system.pipelines)
+        dropped = len(system.dataplane.pipelines)
         system.run(until=trace.duration)
-        recovered = len(system.pipelines)
+        recovered = len(system.dataplane.pipelines)
         assert dropped < initial_pipelines
         assert recovered >= dropped
+
+
+def on_demand_provider(simulator, num_instances, duration):
+    """A fixed fleet billed at the on-demand price."""
+    return CloudProvider(
+        simulator,
+        on_demand_trace(num_instances, duration),
+        trace_market=Market.ON_DEMAND,
+    )
 
 
 class TestOnDemand:
@@ -127,15 +137,15 @@ class TestOnDemand:
 
     def test_provider_bills_at_on_demand_price(self):
         simulator = Simulator()
-        provider = build_on_demand_provider(simulator, num_instances=2, duration=3600.0)
+        provider = on_demand_provider(simulator, num_instances=2, duration=3600.0)
         simulator.run(until=3600.0)
         assert provider.cost_tracker.total_cost(3600.0) == pytest.approx(2 * 3.9, rel=1e-6)
         assert provider.cost_tracker.total_cost(3600.0, Market.SPOT) == 0.0
 
     def test_on_demand_system_serves_without_reconfiguring_for_preemptions(self):
         simulator = Simulator()
-        provider = build_on_demand_provider(simulator, num_instances=4, duration=1200.0)
-        system = OnDemandSystem(simulator, provider, GPT_20B, initial_arrival_rate=0.3)
+        provider = on_demand_provider(simulator, num_instances=4, duration=1200.0)
+        system = SpotServeSystem(simulator, provider, GPT_20B, initial_arrival_rate=0.3)
         requests = FixedArrivals([50.0 * i for i in range(1, 10)]).generate(1200.0)
         system.submit_requests(requests)
         stats = system.run(until=1800.0)

@@ -7,6 +7,7 @@ from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind
 from repro.core.server import SpotServeOptions, SpotServeSystem
 from repro.llm.spec import GPT_20B, OPT_6_7B
 from repro.sim.engine import Simulator
+from repro.sim.events import EventType
 from repro.workload.arrival import FixedArrivals, GammaArrivals
 
 
@@ -33,7 +34,7 @@ class TestSteadyState:
         _, _, system = build_system(steady_trace())
         system.initialize()
         assert system.current_config is not None
-        assert system.pipelines
+        assert system.dataplane.pipelines
         assert system.current_config.num_instances(4) <= 6
 
     def test_all_requests_complete_without_preemptions(self):
@@ -63,7 +64,23 @@ class TestSteadyState:
         _, _, system = build_system(trace)
         system.initialize()
         assert system.current_config is None
-        assert system.pipelines == []
+        assert system.dataplane.pipelines == []
+
+    def test_run_after_an_empty_initialize_does_not_initialize_again(self):
+        # One instance cannot host GPT-20B, so initialize() deploys nothing.
+        # A second initialisation from run() would arm a second
+        # WORKLOAD_CHECK chain and run every adaptation round twice.
+        trace = steady_trace(
+            instances=1, events=[TraceEvent(100.0, TraceEventKind.ACQUIRE, 4)]
+        )
+        simulator, _, system = build_system(trace)
+        checks = []
+        simulator.on(EventType.WORKLOAD_CHECK, lambda event: checks.append(event.time))
+        system.initialize()
+        assert system.current_config is None
+        system.run(until=300.0)
+        assert checks == [30.0 * k for k in range(1, 11)]
+        assert system.current_config is not None
 
 
 class TestPreemptionHandling:
@@ -86,7 +103,7 @@ class TestPreemptionHandling:
         preempted = {
             inst.instance_id for inst in provider.instances if not inst.is_alive
         }
-        for pipeline in system.pipelines:
+        for pipeline in system.dataplane.pipelines:
             assert not preempted & set(pipeline.assignment.instance_ids)
 
     def test_reconfiguration_records_context_reuse(self):

@@ -8,7 +8,6 @@ live in ``benchmarks/``.
 
 import pytest
 
-from repro.baselines.ondemand import build_on_demand_provider
 from repro.core.server import SpotServeOptions, SpotServeSystem
 from repro.experiments.runner import run_comparison, run_serving_experiment
 from repro.experiments.scenarios import COMPARED_SYSTEMS, stable_workload_scenario

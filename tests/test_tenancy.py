@@ -18,9 +18,9 @@ Five claims are pinned here:
   dropped + rejected + shed`` holds for every tenant at random mid-run
   probe points under randomized cloud-fault mixes, and the per-tenant
   counters sum to the fleet-wide aggregate.
-* **No cross-tenant teardown** -- ``_teardown_pipelines_using`` and
-  ``_reroute_batch`` are tenant-local by construction (they iterate
-  ``self.pipelines`` and re-queue into ``self.request_queue``); the
+* **No cross-tenant teardown** -- ``Dataplane.teardown`` and
+  ``Dataplane.reroute`` are tenant-local by construction (each tenant has
+  its own dataplane, pipelines and queue); the
   shared-zone outage regression pins that two tenants co-located on the
   same zones evacuate independently with disjoint held sets.
 
@@ -67,6 +67,7 @@ from repro.faults.injector import (
 )
 from repro.llm.spec import get_model
 from repro.sim.engine import Simulator
+from repro.sim.events import EventType
 from repro.workload.arrival import GammaArrivals
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -452,6 +453,36 @@ class TestAggregateStats:
         assert aggregate._latency_max == 20.0
 
 
+class TestEventAddressing:
+    def test_self_scheduled_events_are_not_broadcast(self):
+        """Each tenant's own events call back only that tenant.
+
+        Only WORKLOAD_CHECK and the cloud events may reach every tenant
+        through ``Simulator.on``; arrivals, completions and reconfigurations
+        carry the scheduling system's handler as their callback.
+        """
+        scenario = multi_tenant_scenario("OPT-6.7B", duration=600.0)
+        simulator = Simulator()
+        provider = CloudProvider(simulator, None, zones=scenario.zones)
+        registered = []
+        register = simulator.on
+
+        def recording_on(event_type, handler):
+            registered.append(event_type)
+            register(event_type, handler)
+
+        simulator.on = recording_on
+        system = MultiTenantSystem(simulator, provider, scenario.tenants)
+        assert len(system.systems) == 2
+        assert EventType.WORKLOAD_CHECK in registered
+        assert not {
+            EventType.REQUEST_ARRIVAL,
+            EventType.BATCH_COMPLETION,
+            EventType.RECONFIGURATION,
+            EventType.MIGRATION_COMPLETE,
+        } & set(registered)
+
+
 class TestPerTenantConservationUnderFaults:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_conservation_holds_at_random_probe_points(self, seed):
@@ -535,12 +566,12 @@ def _shared_outage_market(duration):
 class TestSharedZoneEvacuation:
     """No cross-tenant pipeline leakage on a shared-zone outage.
 
-    ``_teardown_pipelines_using`` and ``_reroute_batch`` are tenant-local
-    by construction: they iterate ``self.pipelines`` and re-queue into
-    ``self.request_queue``, so a tenant can only ever tear down and
-    re-queue its *own* work.  The genuinely shared surfaces were the
-    provider-wide fleet scans (zone views, launching counts, initial-fleet
-    adoption), which the ownership predicates now filter -- this regression
+    ``Dataplane.teardown`` and ``Dataplane.reroute`` are tenant-local by
+    construction: each tenant has its own dataplane, pipelines and queue,
+    so a tenant can only ever tear down and re-queue its *own* work.  The
+    genuinely shared surfaces were the provider-wide fleet scans (zone
+    views, launching counts, initial-fleet adoption), which the ownership
+    predicates now filter -- this regression
     pins the end-to-end consequence: two tenants co-located on the same
     zones ride out a full-zone outage with disjoint held sets and intact
     per-tenant conservation.
@@ -596,8 +627,8 @@ class TestSharedZoneEvacuation:
         for instance_id in held_b:
             assert system.owners.get(instance_id) == "shared-b"
         # Pipelines are strictly tenant-local (the teardown/reroute surface).
-        ids_a = system_a._pipeline_instance_ids()
-        ids_b = system_b._pipeline_instance_ids()
+        ids_a = system_a.dataplane.instance_ids()
+        ids_b = system_b.dataplane.instance_ids()
         assert not ids_a & ids_b
         assert ids_a <= held_a
         assert ids_b <= held_b

@@ -296,15 +296,15 @@ class TestEvacuation:
         simulator.run(until=150.0)
         zones_in_use = {
             provider.zone_of(instance_id)
-            for pipeline in system.pipelines
+            for pipeline in system.dataplane.pipelines
             for instance_id in pipeline.assignment.instance_ids
         }
         assert "zone-a" in zones_in_use  # the doomed zone is load-bearing
         simulator.run(until=300.0)
-        assert system.pipelines, "serving must resume on the survivors"
+        assert system.dataplane.pipelines, "serving must resume on the survivors"
         zones_after = {
             provider.zone_of(instance_id)
-            for pipeline in system.pipelines
+            for pipeline in system.dataplane.pipelines
             for instance_id in pipeline.assignment.instance_ids
         }
         assert zones_after == {"zone-b"}
