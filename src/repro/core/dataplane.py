@@ -8,6 +8,13 @@ batches waiting to resume, and the stall gate that holds dispatch while a
 migration runs.  The control plane tells it what to deploy, when to stop
 and when to resume; it never picks a configuration itself.
 
+Dispatch claims idle pipelines from an index, so an event on a saturated
+fleet reads no pipeline state: a min-heap of the idle pipelines' positions
+in :attr:`Dataplane.pipelines`, claimed lowest position first (the order a
+scan of the list visits them in) and released when a batch completes or
+is interrupted.  Only :class:`Dataplane` methods replace ``pipelines``,
+and each replacement rebuilds the index.
+
 Requests are never lost here: an interrupted batch either resumes with its
 KV cache or is re-queued at the front (see :meth:`Dataplane.reroute`), and
 :meth:`Dataplane.unfinished` counts every request the dataplane holds.
@@ -15,6 +22,7 @@ KV cache or is re-queued at the front (see :meth:`Dataplane.reroute`), and
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,6 +56,10 @@ class Dataplane:
         #: and after a halt; kept through a migration's stall).
         self.config: Optional[ParallelConfig] = None
         self.pipelines: List[InferencePipeline] = []
+        #: Idle pipelines' positions in ``pipelines`` (a min-heap), and each
+        #: pipeline's position by ``id``; see :meth:`_install`.
+        self._idle: List[int] = []
+        self._positions: Dict[int, int] = {}
         #: Interrupted batches waiting for a pipeline to resume on.
         self.resume_batches: Deque[Batch] = deque()
         #: Dispatch is held until this instant while a migration runs.
@@ -64,7 +76,7 @@ class Dataplane:
         self, config: ParallelConfig, placement: Dict[DeviceId, TopologyPosition]
     ) -> None:
         """Install *config*'s model contexts on *placement* and build its pipelines."""
-        self.pipelines = self._build(config, placement, range(config.data_degree))
+        self._install(self._build(config, placement, range(config.data_degree)))
         self.queue.max_batch_size = config.batch_size
         self.config = config
 
@@ -77,7 +89,16 @@ class Dataplane:
             for p in range(shape.pipeline_degree)
             for m in range(shape.tensor_degree)
         )
-        self.pipelines.extend(self._build(shape, dict(zip(devices, positions)), (index,)))
+        self._install(
+            self.pipelines + self._build(shape, dict(zip(devices, positions)), (index,))
+        )
+
+    def _install(self, pipelines: List[InferencePipeline]) -> None:
+        """Replace the pipeline list and rebuild the idle index over it."""
+        self.pipelines = pipelines
+        self._positions = {id(pipeline): i for i, pipeline in enumerate(pipelines)}
+        # Ascending positions already form a valid heap.
+        self._idle = [i for i, p in enumerate(pipelines) if p.current_batch is None]
 
     def _build(
         self,
@@ -117,22 +138,34 @@ class Dataplane:
     # Dispatch
     # ------------------------------------------------------------------
     def dispatch(self) -> None:
-        """Start a batch on every idle pipeline while work is waiting."""
-        if not self.pipelines or self.simulator.now < self.stalled_until:
+        """Start a batch on every idle pipeline while work is waiting.
+
+        Idle pipelines are claimed lowest position first, so batches land
+        where a scan of ``pipelines`` in list order would put them.
+        """
+        idle = self._idle
+        if not idle or self.simulator.now < self.stalled_until:
             return
-        for pipeline in self.pipelines:
-            if pipeline.is_busy:
-                continue
+        while idle:
             batch, resume = self._next_batch()
             if batch is None:
                 break
-            finish_time = pipeline.start_batch(batch, self.simulator.now, resume=resume)
-            self._completion_events[id(pipeline)] = self.simulator.schedule_at(
-                finish_time,
-                EventType.BATCH_COMPLETION,
-                payload=(pipeline, batch),
-                callback=self._on_batch_completion,
-            )
+            self._start(self.pipelines[heapq.heappop(idle)], batch, resume)
+
+    def _start(self, pipeline: InferencePipeline, batch: Batch, resume: bool) -> None:
+        finish_time = pipeline.start_batch(batch, self.simulator.now, resume=resume)
+        self._completion_events[id(pipeline)] = self.simulator.schedule_at(
+            finish_time,
+            EventType.BATCH_COMPLETION,
+            payload=(pipeline, batch),
+            callback=self._on_batch_completion,
+        )
+
+    def _release(self, pipeline: InferencePipeline) -> None:
+        """Return a pipeline that just went idle to the index."""
+        position = self._positions.get(id(pipeline))
+        if position is not None:  # Not when the list was replaced under it.
+            heapq.heappush(self._idle, position)
 
     def _next_batch(self) -> Tuple[Optional[Batch], bool]:
         if self.resume_batches:
@@ -152,6 +185,7 @@ class Dataplane:
             return  # The batch was interrupted before completing.
         completed = pipeline.complete_batch(event.time)
         self._completion_events.pop(id(pipeline), None)
+        self._release(pipeline)
         self.stats.tokens_generated += completed.output_tokens * completed.size
         for request in completed.requests:
             self.stats.record_completion(request)
@@ -201,7 +235,7 @@ class Dataplane:
             if batch is not None:
                 self.reroute(batch)
         torn_down = set(map(id, affected))
-        self.pipelines = [p for p in self.pipelines if id(p) not in torn_down]
+        self._install([p for p in self.pipelines if id(p) not in torn_down])
         return affected
 
     def interrupt_all(self, preserve_cache: bool) -> List[Batch]:
@@ -211,6 +245,7 @@ class Dataplane:
             if not pipeline.is_busy:
                 continue  # An idle pipeline holds no completion event.
             batch = self._interrupt(pipeline, preserve_cache)
+            self._release(pipeline)
             self.stats.interrupted_batches += 1
             if preserve_cache and batch.committed_tokens > 0:
                 self._store_cache_context(pipeline, batch)
@@ -244,7 +279,7 @@ class Dataplane:
         self.resume_batches.extend(kept)
         for batch in discarded:
             self.reroute(batch)
-        self.pipelines = []
+        self._install([])
         self.stalled_until = until
 
     def halt(self, preserve_cache: bool) -> None:
@@ -259,7 +294,7 @@ class Dataplane:
                 # digests pin that counter's historical semantics), but the
                 # requests did lose their progress.
                 self.stats.requests_rerouted += batch.size
-        self.pipelines = []
+        self._install([])
         self.config = None
 
     def unfinished(self) -> int:

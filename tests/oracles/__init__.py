@@ -1,8 +1,8 @@
 """Scalar reference implementations the differential suites compare against.
 
-Each control-stack algorithm has one production implementation in
-``src/repro``.  The straightforward scalar version of each lives here, next
-to the tests that use it:
+Each control-stack algorithm, and the dataplane's dispatch, has one
+production implementation in ``src/repro``.  The straightforward scalar
+version of each lives here, next to the tests that use it:
 
 * :mod:`oracles.controller` -- Algorithm 1 as one Python-level estimate per
   feasible configuration, plus a controller that never serves a memo;
@@ -10,7 +10,9 @@ to the tests that use it:
   ``reuse_weight`` call per (device, position) pair, solved through
   :class:`oracles.bipartite.BipartiteGraph`;
 * :mod:`oracles.migration` -- Algorithm 2 with per-device meta-context
-  scans, ``sorted`` source ranking and a scalar deferred-layer drain.
+  scans, ``sorted`` source ranking and a scalar deferred-layer drain;
+* :mod:`oracles.dataplane` -- batch dispatch as a scan of every
+  pipeline's ``is_busy`` per event instead of the idle-pipeline index.
 
 The oracles subclass the production classes and share their unchanged
 helpers, so a comparison isolates exactly the code that was made fast.
