@@ -227,7 +227,7 @@ class CostAwarePolicy(AutoscalePolicy):
         self.headroom = headroom
         self.budget_per_hour = budget_per_hour
         self.max_probe_instances = max_probe_instances
-        self._sweep_cache: Dict[Tuple[int, int, int], Dict[int, float]] = {}
+        self._sweep_cache: Dict[int, Dict[int, float]] = {}
 
     def _budget_cap(self, signal: AutoscaleSignal) -> int:
         if self.budget_per_hour is None or not signal.zones:
@@ -250,19 +250,11 @@ class CostAwarePolicy(AutoscalePolicy):
         >= n), so the smallest sustaining fleet falls out of a single
         enumeration instead of one optimizer run per candidate.  Throughput,
         execution latency and instance count are all independent of the
-        arrival rate, so the sweep is cached per (cap, profiler generation,
-        config-space generation) -- the fluctuating rate that changes every
-        round cannot change this table, only *where* the demand threshold
-        lands in it.
+        arrival rate, so the sweep is cached per cap -- the fluctuating rate
+        that changes every round cannot change this table, only *where* the
+        demand threshold lands in it.
         """
-        # ``getattr`` keeps duck-typed stub controllers (tests) working: a
-        # controller without generation counters caches under a fixed epoch.
-        key = (
-            cap,
-            getattr(getattr(self.controller, "profiler", None), "generation", -1),
-            getattr(self.controller.config_space, "generation", -1),
-        )
-        cached = self._sweep_cache.get(key)
+        cached = self._sweep_cache.get(cap)
         if cached is not None:
             return cached
         best_by_count: Dict[int, float] = {}
@@ -274,7 +266,7 @@ class CostAwarePolicy(AutoscalePolicy):
             best_by_count[n] = max(best_by_count.get(n, 0.0), estimate.throughput)
         if len(self._sweep_cache) >= 8:
             self._sweep_cache.clear()
-        self._sweep_cache[key] = best_by_count
+        self._sweep_cache[cap] = best_by_count
         return best_by_count
 
     def desired_instances(self, signal: AutoscaleSignal) -> int:

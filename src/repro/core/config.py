@@ -13,8 +13,11 @@ parallelization controller explores every configuration that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..llm.memory import MemoryModel
 from ..llm.spec import ModelSpec
@@ -85,7 +88,15 @@ class ParallelConfig:
 
 
 class ConfigurationSpace:
-    """Enumerates candidate configurations for a model on a GPU fleet."""
+    """Enumerates candidate configurations for a model on a GPU fleet.
+
+    The space is laid out once, at construction: every memory-fitting
+    ``(P, M, B)`` shape (with ``P`` up to the layer count) is crossed with
+    every data degree up to ``max_data_degree``, giving one row per
+    configuration of any fleet size.  A fleet's feasible configurations are
+    the rows whose ``D * P * M`` GPUs fit on it, so each fleet size is a mask
+    over the same rows.  The inputs are fixed at construction.
+    """
 
     def __init__(
         self,
@@ -104,113 +115,76 @@ class ConfigurationSpace:
         self.tensor_degrees = tuple(sorted(set(tensor_degrees)))
         self.gpus_per_instance = gpus_per_instance
         self.max_data_degree = max_data_degree
-        self._feasible_cache: dict = {}
-        self._generation = 0
         self.migration_buffer_bytes = migration_buffer_bytes
         self.require_divisible_layers = require_divisible_layers
         if not self.batch_sizes or not self.tensor_degrees:
             raise ValueError("batch_sizes and tensor_degrees must be non-empty")
+        if self.batch_sizes[0] <= 0 or self.tensor_degrees[0] <= 0:
+            raise ValueError("batch sizes and tensor degrees must be positive")
+        if gpus_per_instance < 1:
+            raise ValueError("gpus_per_instance must be >= 1")
+        if max_data_degree < 1:
+            raise ValueError("max_data_degree must be >= 1")
+        if not math.isfinite(migration_buffer_bytes) or migration_buffer_bytes < 0:
+            raise ValueError("migration_buffer_bytes must be finite and non-negative")
 
-    # ------------------------------------------------------------------
-    # Cache management
-    # ------------------------------------------------------------------
-    #: Attributes whose mutation changes which configurations are feasible;
-    #: assigning any of them after construction drops the enumeration cache.
-    _CACHE_SENSITIVE = frozenset(
-        {
-            "model",
-            "memory_model",
-            "batch_sizes",
-            "tensor_degrees",
-            "gpus_per_instance",
-            "max_data_degree",
-            "require_divisible_layers",
-        }
-    )
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name in self._CACHE_SENSITIVE and "_feasible_cache" in self.__dict__:
-            self.invalidate_cache()
-
-    @property
-    def migration_buffer_bytes(self) -> float:
-        """Per-instance migration buffer reserved by the memory check."""
-        return self._migration_buffer_bytes
-
-    @migration_buffer_bytes.setter
-    def migration_buffer_bytes(self, value: float) -> None:
-        """Set the reserved buffer and invalidate the enumeration cache."""
-        # The buffer reservation changes which configurations fit in memory,
-        # so any cached enumeration is stale.
-        self._migration_buffer_bytes = value
-        self.invalidate_cache()
-
-    @property
-    def generation(self) -> int:
-        """Bumped whenever the feasible space may have changed.
-
-        Downstream memos (the controller's per-round estimate sweeps) key
-        their validity on this counter.
-        """
-        return self._generation
-
-    def invalidate_cache(self) -> None:
-        """Drop memoised enumerations (e.g. after mutating the memory model)."""
-        self._feasible_cache.clear()
-        self._generation += 1
+        layers = model.num_layers
+        pipeline_degrees = [
+            degree
+            for degree in range(1, layers + 1)
+            if not require_divisible_layers or layers % degree == 0
+        ]
+        #: The memory-fitting ``(P, M, B)`` shapes, in ``(M, P, B)`` order.
+        self.shapes: Tuple[Tuple[int, int, int], ...] = tuple(
+            (pipeline_degree, tensor_degree, batch_size)
+            for tensor_degree in self.tensor_degrees
+            if model.num_heads % tensor_degree == 0
+            for pipeline_degree in pipeline_degrees
+            for batch_size in self.batch_sizes
+            if self.memory_model.fits(
+                pipeline_degree,
+                tensor_degree,
+                batch_size,
+                migration_buffer_bytes=migration_buffer_bytes,
+            )
+        )
+        pipeline, tensor, batch = np.array(self.shapes, dtype=np.int64).reshape(-1, 3).T
+        shape = np.repeat(np.arange(len(self.shapes)), max_data_degree)
+        data = np.tile(np.arange(1, max_data_degree + 1), len(self.shapes))
+        # Rows in the (M, P, D, B) order of a nested enumeration loop, which
+        # the controller's tie-breaking relies on; lexsort's last key is
+        # the primary one.
+        order = np.lexsort((batch[shape], data, pipeline[shape], tensor[shape]))
+        #: Per-row int64 columns: the row's index into ``shapes``, its data
+        #: degree ``D``, batch size ``B`` and GPU count ``D * P * M``.
+        self.row_shape = shape[order]
+        self.row_data_degree = data[order]
+        self.row_batch_size = batch[self.row_shape]
+        self.row_gpus = (
+            self.row_data_degree * pipeline[self.row_shape] * tensor[self.row_shape]
+        )
 
     # ------------------------------------------------------------------
     # Enumeration
     # ------------------------------------------------------------------
-    def _pipeline_degrees(self, max_degree: int) -> List[int]:
-        degrees = []
-        for degree in range(1, max_degree + 1):
-            if self.require_divisible_layers and self.model.num_layers % degree != 0:
-                continue
-            if degree > self.model.num_layers:
-                break
-            degrees.append(degree)
-        return degrees
+    def feasible_rows(self, num_instances: int) -> np.ndarray:
+        """Indices of the rows that fit on *num_instances* instances, in order."""
+        return np.flatnonzero(self.row_gpus <= num_instances * self.gpus_per_instance)
+
+    def config_at(self, row: int) -> ParallelConfig:
+        """The configuration of one row."""
+        pipeline_degree, tensor_degree, batch_size = self.shapes[self.row_shape[row]]
+        return ParallelConfig(
+            int(self.row_data_degree[row]), pipeline_degree, tensor_degree, batch_size
+        )
 
     def feasible_configs(self, num_instances: int) -> List[ParallelConfig]:
         """Every memory-feasible configuration on *num_instances* instances.
 
-        The enumeration (hundreds of memory-model checks) is memoised per
-        fleet size; the cache is dropped whenever ``migration_buffer_bytes``
-        changes.  A fresh list is returned so callers may mutate it freely.
+        Ordered by tensor degree, then pipeline degree, data degree and batch
+        size.  A fresh list is returned so callers may mutate it freely.
         """
-        if num_instances <= 0:
-            return []
-        cached = self._feasible_cache.get(num_instances)
-        if cached is not None:
-            return list(cached)
-        max_gpus = num_instances * self.gpus_per_instance
-        configs: List[ParallelConfig] = []
-        for tensor_degree in self.tensor_degrees:
-            if self.model.num_heads % tensor_degree != 0:
-                continue
-            for pipeline_degree in self._pipeline_degrees(max_gpus):
-                gpus_per_pipeline = pipeline_degree * tensor_degree
-                if gpus_per_pipeline > max_gpus:
-                    continue
-                max_data = min(self.max_data_degree, max_gpus // gpus_per_pipeline)
-                for data_degree in range(1, max_data + 1):
-                    for batch_size in self.batch_sizes:
-                        if not self.memory_model.fits(
-                            pipeline_degree,
-                            tensor_degree,
-                            batch_size,
-                            migration_buffer_bytes=self.migration_buffer_bytes,
-                        ):
-                            continue
-                        configs.append(
-                            ParallelConfig(
-                                data_degree, pipeline_degree, tensor_degree, batch_size
-                            )
-                        )
-        self._feasible_cache[num_instances] = configs
-        return list(configs)
+        return [self.config_at(row) for row in self.feasible_rows(num_instances)]
 
     def max_gpus(self, num_instances: int) -> int:
         """GPUs available on *num_instances* instances."""

@@ -108,56 +108,43 @@ class ParallelizationController:
         self.latency_tie_margin = latency_tie_margin
         self.timers = timers if timers is not None else NULL_TIMERS
         self._estimate_memo: Dict[Tuple[ParallelConfig, float], ConfigEstimate] = {}
-        #: Per-fleet-size static arrays backing the vectorized sweep
-        #: (configs in enumeration order + exec latency / throughput /
-        #: instance / batch / data-degree columns); invalidated with the
-        #: other memos when the profiler or config space moves.
+        #: Per-fleet-size slices of the cost table backing the vectorized
+        #: sweep: (rows, exec latency, throughput, batch, data degree).
         self._vector_memo: Dict[int, Tuple] = {}
         #: Memoised propose() outcomes per (available, max, rate) round key.
         self._propose_memo: Dict[Tuple[int, int, float], Optional[OptimizerDecision]] = {}
-        #: Rate-independent slice of an estimate per config -- (execution
-        #: latency, throughput, num_instances).  A fluctuating arrival rate
-        #: mints a fresh (config, rate) memo key every round, but these
-        #: values only depend on the profile, so they never need recomputing
-        #: until the profiler or config space moves.
-        self._static_memo: Dict[ParallelConfig, Tuple[float, float, int]] = {}
-        self._profiler_generation = profiler.generation
-        self._space_generation = config_space.generation
+        # The offline cost table, built once: l_exe per (P, M, B) shape of
+        # the space, broadcast to the space's rows, and throughput per row.
+        shape_latency = profiler.latencies(config_space.shapes)
+        self._shape_latency: Dict[Tuple[int, int, int], float] = dict(
+            zip(config_space.shapes, shape_latency.tolist())
+        )
+        self._exec_latency = shape_latency[config_space.row_shape]
+        self._throughput = profiler.throughputs(
+            config_space.row_data_degree, config_space.row_batch_size, self._exec_latency
+        )
 
     # ------------------------------------------------------------------
     # Cost estimation
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop memoised estimates (profile or cost-model inputs changed)."""
+        """Drop memoised estimates, sweeps and decisions (not the cost table)."""
         self._estimate_memo.clear()
-        self._static_memo.clear()
         self._vector_memo.clear()
         self._propose_memo.clear()
-        self._profiler_generation = self.profiler.generation
-        self._space_generation = self.config_space.generation
-
-    def _memo_is_stale(self) -> bool:
-        return (
-            self.profiler.generation != self._profiler_generation
-            or self.config_space.generation != self._space_generation
-        )
 
     def estimate(self, config: ParallelConfig, arrival_rate: float) -> ConfigEstimate:
         """Estimate execution latency, request latency and throughput of *config*.
 
-        Results are memoised per ``(config, arrival rate)``; the memo is
-        dropped whenever the offline profiler is invalidated (its generation
-        counter moves) so stale profiles can never leak into decisions.  The
-        estimate itself is always computed from the raw arrival rate -- the
-        rounded rate is only the memo key.
+        Results are memoised per ``(config, arrival rate)``.  The estimate
+        itself is always computed from the raw arrival rate -- the rounded
+        rate is only the memo key.
         """
-        if self._memo_is_stale():
-            self.invalidate()
         key = (config, round(arrival_rate, RATE_KEY_DECIMALS))
         hit = self._estimate_memo.get(key)
         if hit is not None:
             return hit
-        execution_latency, throughput, num_instances = self._static(config)
+        execution_latency, throughput = self._static(config)
         estimate = ConfigEstimate(
             config=config,
             execution_latency=execution_latency,
@@ -165,30 +152,28 @@ class ParallelizationController:
                 execution_latency, throughput, config, arrival_rate
             ),
             throughput=throughput,
-            num_instances=num_instances,
+            num_instances=config.num_instances(self.config_space.gpus_per_instance),
         )
         if len(self._estimate_memo) >= ESTIMATE_MEMO_MAX:
             self._estimate_memo.clear()
         self._estimate_memo[key] = estimate
         return estimate
 
-    def _static(self, config: ParallelConfig) -> Tuple[float, float, int]:
-        """Rate-independent ``(execution latency, throughput, instances)``."""
-        static = self._static_memo.get(config)
-        if static is None:
-            entry = self.profiler.profile(
-                config.data_degree,
-                config.pipeline_degree,
-                config.tensor_degree,
-                config.batch_size,
-            )
-            static = (
-                entry.latency,
-                entry.throughput,
-                config.num_instances(self.config_space.gpus_per_instance),
-            )
-            self._static_memo[config] = static
-        return static
+    def _static(self, config: ParallelConfig) -> Tuple[float, float]:
+        """Rate-independent ``(execution latency, throughput)`` of *config*.
+
+        Read from the cost table by the config's ``(P, M, B)`` shape, with
+        the throughput column's operations; a shape outside the space is
+        profiled on its own.
+        """
+        shape = (config.pipeline_degree, config.tensor_degree, config.batch_size)
+        latency = self._shape_latency.get(shape)
+        if latency is None:
+            entry = self.profiler.profile(config.data_degree, *shape)
+            return entry.latency, entry.throughput
+        if latency <= 0:
+            return latency, float("inf")
+        return latency, config.data_degree * config.batch_size / latency
 
     def _request_latency(
         self,
@@ -236,8 +221,6 @@ class ParallelizationController:
         max_instances = max(max_instances, available_instances)
 
         with self.timers.phase("propose"):
-            if self._memo_is_stale():
-                self.invalidate()
             memo_key = (
                 available_instances,
                 max_instances,
@@ -269,32 +252,26 @@ class ParallelizationController:
     # Vectorized propose sweep
     # ------------------------------------------------------------------
     def _static_vectors(self, num_instances: int):
-        """Rate-independent columns of the feasible space, as numpy arrays.
+        """Rate-independent columns of a fleet size's feasible space.
 
-        Returns ``(configs, exec_latency, throughput, num_instances,
-        batch_size, data_degree)`` with rows in the exact
-        ``feasible_configs`` enumeration order, which the tie-breaking sorts
-        rely on.  Cached per fleet size; the profiler/config-space
-        generation counters invalidate it through :meth:`invalidate` like
-        every other memo.
+        Returns ``(rows, exec_latency, throughput, batch_size,
+        data_degree)``: the configuration-space rows that fit on
+        *num_instances* instances, in the ``feasible_configs`` order the
+        tie-breaking sorts rely on, and the cost table's columns sliced to
+        them.  Cached per fleet size.
         """
-        if self._memo_is_stale():
-            self.invalidate()
         cached = self._vector_memo.get(num_instances)
         if cached is not None:
             return cached
-        configs = self.config_space.feasible_configs(num_instances)
-        count = len(configs)
-        exec_latency = np.empty(count)
-        throughput = np.empty(count)
-        instances = np.empty(count, dtype=np.int64)
-        batch = np.empty(count, dtype=np.int64)
-        data_degree = np.empty(count, dtype=np.int64)
-        for i, config in enumerate(configs):
-            exec_latency[i], throughput[i], instances[i] = self._static(config)
-            batch[i] = config.batch_size
-            data_degree[i] = config.data_degree
-        vectors = (configs, exec_latency, throughput, instances, batch, data_degree)
+        space = self.config_space
+        rows = space.feasible_rows(num_instances)
+        vectors = (
+            rows,
+            self._exec_latency[rows],
+            self._throughput[rows],
+            space.row_batch_size[rows],
+            space.row_data_degree[rows],
+        )
         self._vector_memo[num_instances] = vectors
         return vectors
 
@@ -305,7 +282,7 @@ class ParallelizationController:
         identical expression ordering on IEEE-754 doubles -- so every
         element equals the scalar result bit for bit.
         """
-        _, exec_latency, throughput, _, batch, data_degree = vectors
+        _, exec_latency, throughput, batch, data_degree = vectors
         if arrival_rate <= 0:
             return exec_latency.copy()
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -339,7 +316,7 @@ class ParallelizationController:
         ``tests/oracles/controller.py``.
         """
         vectors = self._static_vectors(max_instances)
-        configs, exec_latency, throughput, _, _, _ = vectors
+        rows, exec_latency, throughput, _, _ = vectors
         inf = float("inf")
         reachable = exec_latency != inf
         if not reachable.any():
@@ -354,7 +331,8 @@ class ParallelizationController:
             threshold = best_latency * (1.0 + self.latency_tie_margin)
             contender_idx = np.nonzero(sustaining & (request_latency <= threshold))[0]
             contenders = [
-                self.estimate(configs[i], arrival_rate) for i in contender_idx
+                self.estimate(self.config_space.config_at(row), arrival_rate)
+                for row in rows[contender_idx]
             ]
             return self._pick_lowest_latency(contenders), "latency"
         # Line 5: no reachable configuration keeps up with the demand, so
@@ -365,7 +343,10 @@ class ParallelizationController:
         best_throughput = throughput.max()
         threshold = best_throughput * (1.0 - self.latency_tie_margin)
         contender_idx = np.nonzero(throughput >= threshold)[0]
-        contenders = [self.estimate(configs[i], arrival_rate) for i in contender_idx]
+        contenders = [
+            self.estimate(self.config_space.config_at(row), arrival_rate)
+            for row in rows[contender_idx]
+        ]
         return self._pick_highest_throughput(contenders), "throughput"
 
     # ------------------------------------------------------------------

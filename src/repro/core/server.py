@@ -191,6 +191,7 @@ class ServingSystemBase:
             model,
             self.memory_model,
             gpus_per_instance=self.gpus_per_instance,
+            migration_buffer_bytes=self._migration_buffer_bytes(),
         )
         self.controller = ParallelizationController(
             self.config_space,
@@ -366,6 +367,14 @@ class ServingSystemBase:
     # ------------------------------------------------------------------
     # Hooks that subclasses specialise
     # ------------------------------------------------------------------
+    def _migration_buffer_bytes(self) -> float:
+        """Per-GPU receive buffer the memory check reserves for migration.
+
+        Read once, when the configuration space is built; a system that
+        migrates no context (the default) reserves none.
+        """
+        return 0.0
+
     def _initial_config(self) -> Optional[ParallelConfig]:
         decision = self.controller.propose(
             self.instance_manager.available_count(), self.initial_arrival_rate
@@ -785,14 +794,14 @@ class SpotServeSystem(ServingSystemBase):
         #: placement preference and same-zone source ranking are suspended so
         #: the lost pipelines re-place across whatever survives.
         self._evacuating_zones: set = set()
+
+    def _migration_buffer_bytes(self) -> float:
         if self.options.memory_optimized_migration:
-            migration_buffer = DEFAULT_MIGRATION_BUFFER_BYTES
-        else:
-            # Without the memory-optimised planner the receive buffer can grow
-            # to half of a GPU's model slice, shrinking the feasible space
-            # (this is what pushes GPT-20B from 12 back to 16 GPUs).
-            migration_buffer = self.model.total_param_bytes / 16
-        self.config_space.migration_buffer_bytes = migration_buffer
+            return DEFAULT_MIGRATION_BUFFER_BYTES
+        # Without the memory-optimised planner the receive buffer can grow
+        # to half of a GPU's model slice, shrinking the feasible space
+        # (this is what pushes GPT-20B from 12 back to 16 GPUs).
+        return self.model.total_param_bytes / 16
 
     # ------------------------------------------------------------------
     # Event hooks

@@ -82,6 +82,22 @@ class ZoneFaultModel:
     #: ``[now + frac * grace, deadline)``.
     min_grace_fraction: float = 0.25
 
+    def __post_init__(self) -> None:
+        for name in (
+            "refusal_prob",
+            "launch_failure_prob",
+            "straggler_prob",
+            "early_preemption_prob",
+            "min_grace_fraction",
+        ):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if not self.straggler_multiplier >= 1.0:
+            raise ValueError(
+                f"straggler_multiplier must be >= 1, got {self.straggler_multiplier}"
+            )
+
     @property
     def is_null(self) -> bool:
         """True when every fault probability is zero."""
@@ -102,9 +118,19 @@ class DegradedWindow:
     #: Bandwidth divisor inside the window (2.0 means half bandwidth).
     bandwidth_factor: float
 
+    def __post_init__(self) -> None:
+        if not self.start < self.end:
+            raise ValueError(
+                f"window must start before it ends, got [{self.start}, {self.end})"
+            )
+        if not self.bandwidth_factor > 0.0:
+            raise ValueError(
+                f"bandwidth_factor must be positive, got {self.bandwidth_factor}"
+            )
+
     def factor_at(self, time: float) -> float:
         """Return the bandwidth divisor active at *time* (1.0 outside)."""
-        if self.start <= time < self.end and self.bandwidth_factor > 0.0:
+        if self.start <= time < self.end:
             return self.bandwidth_factor
         return 1.0
 
@@ -155,6 +181,18 @@ class RetryPolicy:
     max_delay: float = 30.0
     max_attempts: int = 6
     jitter: float = 0.25
+
+    def __post_init__(self) -> None:
+        if not self.base_delay > 0.0:
+            raise ValueError(f"base_delay must be positive, got {self.base_delay}")
+        if not self.max_delay >= self.base_delay:
+            raise ValueError(
+                f"max_delay must be >= base_delay, got {self.max_delay} < {self.base_delay}"
+            )
+        if self.max_attempts < 0:
+            raise ValueError(f"max_attempts must be >= 0, got {self.max_attempts}")
+        if not self.jitter >= 0.0:
+            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
     def delay(self, attempt: int, u: float) -> float:
         """Backoff before retry *attempt* (0-based), jittered by *u* in [0,1)."""
@@ -237,7 +275,7 @@ class FaultInjector:
         stream = self._stream(zone, "straggler")
         if stream.random() >= model.straggler_prob:
             return 1.0
-        span = max(model.straggler_multiplier, 1.0) - 1.0
+        span = model.straggler_multiplier - 1.0
         multiplier = 1.0 + span * stream.random()
         if multiplier != 1.0:
             self.record("stragglers")
@@ -273,8 +311,7 @@ class FaultInjector:
         stream = self._stream(zone, "early_preemption")
         if stream.random() >= model.early_preemption_prob:
             return None
-        frac = min(max(model.min_grace_fraction, 0.0), 1.0)
-        earliest = now + frac * grace
+        earliest = now + model.min_grace_fraction * grace
         reclaim_at = earliest + (deadline - earliest) * stream.random()
         if reclaim_at >= deadline:
             return None

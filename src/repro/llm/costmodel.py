@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..sim.network import NetworkSpec
 from .hardware import GPUSpec, T4
@@ -45,6 +47,10 @@ TABLE1_REFERENCE: Dict[str, Tuple[Tuple[int, int], float]] = {
     "GPT-20B": ((3, 4), 14.373),
     "LLaMA-30B": ((2, 8), 17.540),
 }
+
+#: Shapes whose decode terms are evaluated together in one 2-D array; a
+#: chunk of 16 shapes x 128 tokens keeps each temporary at 16 KiB.
+_SHAPE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -218,14 +224,15 @@ class LatencyModel:
     # ------------------------------------------------------------------
     # Phase latencies (uncalibrated internals)
     # ------------------------------------------------------------------
-    def _decode_iteration_raw(
-        self,
-        context_length: int,
-        pipeline_degree: int,
-        tensor_degree: int,
-        batch_size: int,
-    ) -> float:
-        _check_parallelism(pipeline_degree, tensor_degree, batch_size)
+    def _decode_shape_terms(
+        self, pipeline_degree: int, tensor_degree: int, batch_size: int
+    ) -> Tuple[float, float, float, float]:
+        """The token-independent terms of one decode iteration of a shape.
+
+        Returns ``(stage share of the layers, memory time per stage,
+        all-reduce time per stage, pipeline hand-off time)``; only the
+        compute term of an iteration depends on the context length.
+        """
         layers_per_stage = self.model.num_layers / pipeline_degree
         # Weight streaming: every resident parameter is read once per token.
         weight_bytes_per_gpu = (
@@ -235,26 +242,40 @@ class LatencyModel:
         memory_time_per_stage = weight_bytes_per_gpu / (
             self.gpu.memory_bandwidth * self.params.memory_efficiency
         )
-        # Compute lower bound (per stage, per GPU).
-        flops_per_stage = (
-            batch_size
-            * self.model.flops_per_token(context_length)
-            * (layers_per_stage / self.model.num_layers)
-            / tensor_degree
-        )
-        peak = self._decode_peak_flops()
-        compute_time_per_stage = flops_per_stage / (
-            peak * self.params.decode_compute_efficiency
-        )
-        stage_time = max(memory_time_per_stage, compute_time_per_stage)
         # Two all-reduces per layer (attention output + FFN output).
         allreduce = 2.0 * layers_per_stage * self._allreduce_time(
             self._activation_bytes(batch_size), tensor_degree
         )
-        per_stage = stage_time + allreduce
         handoff = self._pipeline_handoff_time(
             self._activation_bytes(batch_size), pipeline_degree
         )
+        return (
+            layers_per_stage / self.model.num_layers,
+            memory_time_per_stage,
+            allreduce,
+            handoff,
+        )
+
+    def _decode_iteration_raw(
+        self,
+        context_length: int,
+        pipeline_degree: int,
+        tensor_degree: int,
+        batch_size: int,
+    ) -> float:
+        _check_parallelism(pipeline_degree, tensor_degree, batch_size)
+        share, memory_time_per_stage, allreduce, handoff = self._decode_shape_terms(
+            pipeline_degree, tensor_degree, batch_size
+        )
+        # Compute lower bound (per stage, per GPU).
+        flops_per_stage = (
+            batch_size * self.model.flops_per_token(context_length) * share / tensor_degree
+        )
+        compute_time_per_stage = flops_per_stage / (
+            self._decode_peak_flops() * self.params.decode_compute_efficiency
+        )
+        stage_time = max(memory_time_per_stage, compute_time_per_stage)
+        per_stage = stage_time + allreduce
         return pipeline_degree * per_stage + handoff + self.params.per_iteration_overhead
 
     def _prefill_raw(
@@ -303,12 +324,50 @@ class LatencyModel:
         tensor_degree: int,
         batch_size: int,
     ) -> float:
-        prefill = self._prefill_raw(input_length, pipeline_degree, tensor_degree, batch_size)
-        decode = 0.0
-        for i in range(1, output_length + 1):
-            decode += self._decode_iteration_raw(
-                input_length + i, pipeline_degree, tensor_degree, batch_size
+        shape = (pipeline_degree, tensor_degree, batch_size)
+        return float(self._uncalibrated_l_exe_many(output_length, input_length, [shape])[0])
+
+    def _uncalibrated_l_exe_many(
+        self,
+        output_length: int,
+        input_length: int,
+        shapes: Sequence[Tuple[int, int, int]],
+    ) -> np.ndarray:
+        """Uncalibrated ``l_exe`` of every ``(P, M, B)`` shape, in one pass.
+
+        Only the compute term of a decode iteration depends on the token
+        index, so the ``output_length`` decode terms of a chunk of shapes
+        form one (shapes x tokens) array.  Each row is summed left to right
+        with ``np.add.accumulate`` -- the order of a per-token loop, where
+        ``np.sum`` would sum pairwise -- so every latency equals the scalar
+        loop's bit for bit (``tests/oracles/costmodel.py`` pins that).
+        """
+        # ``_prefill_raw`` rejects non-positive degrees and batch sizes.
+        prefill = np.array(
+            [self._prefill_raw(input_length, p, m, b) for p, m, b in shapes], dtype=float
+        )
+        decode = np.zeros(len(shapes))
+        if output_length > 0 and len(shapes):
+            flops = np.array(
+                [
+                    self.model.flops_per_token(input_length + i)
+                    for i in range(1, output_length + 1)
+                ]
             )
+            peak = self._decode_peak_flops() * self.params.decode_compute_efficiency
+            overhead = self.params.per_iteration_overhead
+            degrees = np.array(shapes, dtype=np.int64).reshape(-1, 3, 1)
+            terms = np.array(
+                [self._decode_shape_terms(p, m, b) for p, m, b in shapes]
+            ).reshape(-1, 4, 1)
+            for start in range(0, len(shapes), _SHAPE_CHUNK):
+                chunk = slice(start, start + _SHAPE_CHUNK)
+                pipeline, tensor, batch = degrees[chunk].transpose(1, 0, 2)
+                share, memory_time, allreduce, handoff = terms[chunk].transpose(1, 0, 2)
+                compute_time = batch * flops * share / tensor / peak
+                per_stage = np.maximum(memory_time, compute_time) + allreduce
+                per_token = pipeline * per_stage + handoff + overhead
+                decode[chunk] = np.add.accumulate(per_token, axis=1)[:, -1]
         return prefill + decode + self.params.per_request_overhead
 
     # ------------------------------------------------------------------
@@ -349,6 +408,22 @@ class LatencyModel:
         """End-to-end execution latency ``l_exe(S_out | S_in)`` of Eq. (1)."""
         return self._calibration * self._uncalibrated_l_exe(
             output_length, input_length, pipeline_degree, tensor_degree, batch_size
+        )
+
+    def l_exe_many(
+        self,
+        shapes: Sequence[Tuple[int, int, int]],
+        input_length: int = DEFAULT_INPUT_LENGTH,
+        output_length: int = DEFAULT_OUTPUT_LENGTH,
+    ) -> np.ndarray:
+        """:meth:`l_exe` of every ``(P, M, B)`` shape in *shapes*, as one array.
+
+        Element ``i`` equals ``l_exe(*shapes[i], input_length,
+        output_length)`` bit for bit; the per-instance cache is not
+        consulted.
+        """
+        return self._calibration * self._uncalibrated_l_exe_many(
+            output_length, input_length, shapes
         )
 
     def partial_decode_time(

@@ -1,11 +1,16 @@
 """Scalar reference implementations the differential suites compare against.
 
-Each control-stack algorithm, and the dataplane's dispatch, has one
-production implementation in ``src/repro``.  The straightforward scalar
-version of each lives here, next to the tests that use it:
+Each control-stack algorithm, the cost table and the dataplane's dispatch
+have one production implementation in ``src/repro``.  The straightforward
+scalar version of each lives here, next to the tests that use it:
 
 * :mod:`oracles.controller` -- Algorithm 1 as one Python-level estimate per
-  feasible configuration, plus a controller that never serves a memo;
+  feasible configuration, enumerated and profiled through the two oracles
+  below, plus a controller that never serves a memo;
+* :mod:`oracles.config` -- the feasible space as a nested loop with one
+  memory check per configuration, instead of a mask over rows built once;
+* :mod:`oracles.costmodel` -- ``l_exe`` as a per-token loop of decode
+  iterations instead of one vectorised pass over many shapes;
 * :mod:`oracles.device_mapper` -- Section 3.3's matching with one
   ``reuse_weight`` call per (device, position) pair, solved through
   :class:`oracles.bipartite.BipartiteGraph`;
@@ -14,6 +19,7 @@ version of each lives here, next to the tests that use it:
 * :mod:`oracles.dataplane` -- batch dispatch as a scan of every
   pipeline's ``is_busy`` per event instead of the idle-pipeline index.
 
-The oracles subclass the production classes and share their unchanged
-helpers, so a comparison isolates exactly the code that was made fast.
+The oracles subclass (or take) the production classes and share their
+unchanged helpers, so a comparison isolates exactly the code that was made
+fast.
 """

@@ -1,0 +1,53 @@
+"""Scalar reference for the configuration space's enumeration.
+
+:class:`~repro.core.config.ConfigurationSpace` lays its rows out once and
+masks them per fleet size.  Here a fleet's feasible configurations come
+from the nested loop over tensor, pipeline and data degrees and batch
+sizes, with one memory check per ``(D, P, M, B)``.  The production mask
+must return the same configurations in the same order.
+"""
+
+from typing import List
+
+from repro.core.config import ConfigurationSpace, ParallelConfig
+
+
+def pipeline_degrees(space: ConfigurationSpace, max_degree: int) -> List[int]:
+    """Pipeline degrees up to *max_degree* that the model's layers allow."""
+    degrees = []
+    for degree in range(1, max_degree + 1):
+        if space.require_divisible_layers and space.model.num_layers % degree != 0:
+            continue
+        if degree > space.model.num_layers:
+            break
+        degrees.append(degree)
+    return degrees
+
+
+def feasible_configs(space: ConfigurationSpace, num_instances: int) -> List[ParallelConfig]:
+    """Every memory-feasible configuration on *num_instances* instances."""
+    if num_instances <= 0:
+        return []
+    max_gpus = num_instances * space.gpus_per_instance
+    configs: List[ParallelConfig] = []
+    for tensor_degree in space.tensor_degrees:
+        if space.model.num_heads % tensor_degree != 0:
+            continue
+        for pipeline_degree in pipeline_degrees(space, max_gpus):
+            gpus_per_pipeline = pipeline_degree * tensor_degree
+            if gpus_per_pipeline > max_gpus:
+                continue
+            max_data = min(space.max_data_degree, max_gpus // gpus_per_pipeline)
+            for data_degree in range(1, max_data + 1):
+                for batch_size in space.batch_sizes:
+                    if not space.memory_model.fits(
+                        pipeline_degree,
+                        tensor_degree,
+                        batch_size,
+                        migration_buffer_bytes=space.migration_buffer_bytes,
+                    ):
+                        continue
+                    configs.append(
+                        ParallelConfig(data_degree, pipeline_degree, tensor_degree, batch_size)
+                    )
+    return configs

@@ -1,21 +1,22 @@
 """Vectorized propose sweep: bit-identity against the scalar reference.
 
-The controller batches Algorithm 1's per-config cost evaluation (request
-latency, the sustaining filter, the near-tie thresholds) into whole-array
-numpy expressions, at every feasible-space size.  None of that may change a
-single decision: this suite cross-checks the controller against the scalar
-per-config loop in ``tests/oracles/controller.py`` over randomized fleets,
-growth budgets and arrival rates -- same winning config, same objective,
-same instance delta, and the winning estimate's floats equal bit for bit --
-plus the memo/invalidation contract the controller's other caches already
-obey.
+The controller reads a cost table built once (the configuration space's
+rows, masked per fleet size, with vectorised ``l_exe`` columns) and batches
+Algorithm 1's per-config cost evaluation (request latency, the sustaining
+filter, the near-tie thresholds) into whole-array numpy expressions.  None
+of that may change a single decision: this suite cross-checks the
+controller against the scalar per-config loop in
+``tests/oracles/controller.py`` -- which enumerates and profiles through the
+scalar oracles, not the table -- over randomized fleets, growth budgets and
+arrival rates: same winning config, same objective, same instance delta,
+and the winning estimate's floats equal bit for bit.
 """
 
 import random
 
 import pytest
 
-from repro.core.config import ConfigurationSpace
+from repro.core.config import ConfigurationSpace, ParallelConfig
 from repro.core.controller import ParallelizationController
 from repro.llm.costmodel import LatencyModel
 from repro.llm.memory import MemoryModel
@@ -27,11 +28,15 @@ from oracles.controller import MemolessController, ScalarController
 MODELS = ("OPT-6.7B", "GPT-20B")
 
 
-def make_controller(model_name, cls=ParallelizationController, **kwargs):
+def make_controller(
+    model_name, cls=ParallelizationController, migration_buffer_bytes=0.0, **kwargs
+):
     model = get_model(model_name)
     latency_model = LatencyModel(model)
     memory_model = MemoryModel(model)
-    space = ConfigurationSpace(model, memory_model)
+    space = ConfigurationSpace(
+        model, memory_model, migration_buffer_bytes=migration_buffer_bytes
+    )
     profiler = OfflineProfiler(latency_model, memory_model)
     return cls(space, profiler, **kwargs)
 
@@ -147,26 +152,48 @@ class TestVectorPathEngages:
         assert again is first  # same frozen decision object from the memo
 
 
-class TestInvalidation:
-    def test_space_mutation_drops_vector_and_propose_memos(self):
+class TestCostTable:
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_table_columns_match_oracle_profiles(self, model_name):
+        """Every row's latency and throughput equal the scalar profile's."""
+        controller = make_controller(model_name)
+        scalar = make_controller(model_name, ScalarController)
+        space = controller.config_space
+        rows, exec_latency, throughput, batch, data = controller._static_vectors(40)
+        assert len(rows) == len(space.feasible_configs(40))
+        for i, row in enumerate(rows):
+            config = space.config_at(row)
+            assert (batch[i], data[i]) == (config.batch_size, config.data_degree)
+            assert (exec_latency[i], throughput[i]) == scalar._static(config)
+            assert controller._static(config) == scalar._static(config)
+
+    def test_shape_outside_the_space_is_profiled(self):
+        """A config whose shape does not fit in memory is not in the table."""
+        controller = make_controller("GPT-20B")
+        config = ParallelConfig(2, 1, 1, 8)
+        assert not controller.config_space.fits(config)
+        entry = controller.profiler.profile(2, 1, 1, 8)
+        assert controller._static(config) == (entry.latency, entry.throughput)
+        assert controller._static(config) == make_controller(
+            "GPT-20B", ScalarController
+        )._static(config)
+
+    def test_buffered_space_matches_scalar(self):
+        """A space built with a larger reserved migration buffer."""
+        controller = make_controller("OPT-6.7B", migration_buffer_bytes=2e9)
+        scalar = make_controller("OPT-6.7B", ScalarController, migration_buffer_bytes=2e9)
+        roomy = make_controller("OPT-6.7B")
+        assert len(controller._static_vectors(36)[0]) < len(roomy._static_vectors(36)[0])
+        after = controller.propose(36, 3.0)
+        assert controller.config_space.fits(after.config)
+        assert_same_decision(after, scalar.propose(36, 3.0), "buffered space")
+
+    def test_invalidate_drops_memos_not_the_table(self):
         controller = make_controller("OPT-6.7B")
         before = controller.propose(36, 3.0)
         assert controller._vector_memo and controller._propose_memo
-        # Shrinking the feasible space (larger reserved migration buffer)
-        # must invalidate: the old winner may no longer fit.
-        controller.config_space.migration_buffer_bytes = 2e9
+        controller.invalidate()
+        assert not controller._vector_memo and not controller._propose_memo
         after = controller.propose(36, 3.0)
-        assert controller.config_space.fits(after.config)
-        scalar = make_controller("OPT-6.7B", ScalarController)
-        scalar.config_space.migration_buffer_bytes = 2e9
-        assert_same_decision(after, scalar.propose(36, 3.0), "post-invalidation")
-        assert before is not after
-
-    def test_profiler_clear_invalidates(self):
-        controller = make_controller("OPT-6.7B")
-        controller.propose(36, 3.0)
-        assert controller._vector_memo
-        controller.profiler.clear()
-        controller.propose(36, 3.0)
-        # The memos were rebuilt against the new generation, not reused.
-        assert controller._profiler_generation == controller.profiler.generation
+        assert after is not before
+        assert_same_decision(after, before, "after invalidate")

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ConfigurationSpace, ParallelConfig
-from repro.llm.memory import MemoryModel
+from repro.llm.memory import DEFAULT_MIGRATION_BUFFER_BYTES, MemoryModel
 from repro.llm.spec import GPT_20B, LLAMA_30B, OPT_6_7B
+
+from oracles import config as config_oracle
 
 
 class TestParallelConfig:
@@ -78,6 +80,53 @@ class TestConfigurationSpace:
     def test_invalid_batch_sizes_rejected(self):
         with pytest.raises(ValueError):
             ConfigurationSpace(GPT_20B, batch_sizes=())
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tensor_degrees": (0, 4)},
+            {"tensor_degrees": (-2,)},
+            {"batch_sizes": (0, 8)},
+            {"batch_sizes": (-1, 2)},
+            {"gpus_per_instance": 0},
+            {"max_data_degree": 0},
+            {"migration_buffer_bytes": -1.0},
+            {"migration_buffer_bytes": float("nan")},
+            {"migration_buffer_bytes": float("inf")},
+        ],
+    )
+    def test_impossible_inputs_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            ConfigurationSpace(OPT_6_7B, **kwargs)
+
+    def test_batch_sizes_restrict_the_space(self):
+        configs = ConfigurationSpace(OPT_6_7B, batch_sizes=(2,)).feasible_configs(1)
+        assert configs
+        assert all(config.batch_size == 2 for config in configs)
+
+    def test_divisible_layers_restrict_pipeline_degrees(self):
+        space = ConfigurationSpace(GPT_20B, require_divisible_layers=True)
+        degrees = {config.pipeline_degree for config in space.feasible_configs(8)}
+        assert degrees
+        assert all(GPT_20B.num_layers % degree == 0 for degree in degrees)
+        everything = ConfigurationSpace(GPT_20B).feasible_configs(8)
+        assert degrees < {config.pipeline_degree for config in everything}
+
+    @pytest.mark.parametrize("buffer", ["none", "default", "sixteenth"])
+    @pytest.mark.parametrize("model", [OPT_6_7B, GPT_20B, LLAMA_30B], ids=lambda m: m.name)
+    def test_feasible_configs_match_nested_loop(self, model, buffer):
+        """Each fleet size's mask over the rows equals the nested-loop
+        enumeration, configuration for configuration and in order."""
+        buffer_bytes = {
+            "none": 0.0,
+            "default": DEFAULT_MIGRATION_BUFFER_BYTES,
+            "sixteenth": model.total_param_bytes / 16,
+        }[buffer]
+        space = ConfigurationSpace(model, migration_buffer_bytes=buffer_bytes)
+        for fleet in range(0, 41):
+            assert space.feasible_configs(fleet) == config_oracle.feasible_configs(
+                space, fleet
+            ), f"fleet={fleet}"
 
     @given(instances=st.integers(min_value=1, max_value=8))
     @settings(max_examples=10, deadline=None)

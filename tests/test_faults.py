@@ -116,6 +116,60 @@ class TestRetryPolicy:
         assert policy.delay(3, 0.5) == policy.delay(3, 0.5)
 
 
+class TestSpecValidation:
+    """Impossible fault specs fail at construction, not mid-run."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"refusal_prob": 1.7},
+            {"refusal_prob": -0.1},
+            {"launch_failure_prob": 2.0},
+            {"straggler_prob": float("nan")},
+            {"early_preemption_prob": -1.0},
+            {"straggler_multiplier": 0.5},
+            {"min_grace_fraction": 1.5},
+            {"min_grace_fraction": -0.25},
+        ],
+    )
+    def test_zone_fault_model_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            ZoneFaultModel(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"base_delay": -1.0},
+            {"base_delay": 0.0},
+            {"base_delay": 10.0, "max_delay": 5.0},
+            {"max_attempts": -3},
+            {"jitter": -0.5},
+        ],
+    )
+    def test_retry_policy_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            RetryPolicy(**kwargs)
+
+    @pytest.mark.parametrize(
+        "window",
+        [(200.0, 100.0, 2.0), (100.0, 100.0, 2.0), (0.0, 100.0, 0.0), (0.0, 100.0, -2.0)],
+    )
+    def test_degraded_window_rejects(self, window):
+        with pytest.raises(ValueError):
+            DegradedWindow(*window)
+
+    def test_boundary_values_construct(self):
+        ZoneFaultModel(
+            refusal_prob=1.0,
+            launch_failure_prob=0.0,
+            straggler_multiplier=1.0,
+            min_grace_fraction=0.0,
+        )
+        ZoneFaultModel(min_grace_fraction=1.0)
+        RetryPolicy(base_delay=5.0, max_delay=5.0, max_attempts=0, jitter=0.0)
+        DegradedWindow(0.0, 1e-9, 0.5)
+
+
 class TestInjectorDeterminism:
     def test_same_plan_same_draws(self):
         plan = chaos_fault_plan(900.0, seed=11)

@@ -14,6 +14,8 @@ from repro.llm.memory import MemoryModel
 from repro.llm.profiler import OfflineProfiler
 from repro.llm.spec import GPT_20B, OPT_6_7B, get_model
 
+from oracles import costmodel as costmodel_oracle
+
 
 class TestCalibration:
     @pytest.mark.parametrize("name", sorted(TABLE1_REFERENCE))
@@ -144,37 +146,78 @@ class TestCostModelParams:
 
 
 class TestOfflineProfiler:
-    def test_profile_is_cached(self):
-        profiler = OfflineProfiler(LatencyModel(GPT_20B))
-        first = profiler.profile(2, 3, 4, 8)
-        second = profiler.profile(2, 3, 4, 8)
-        assert first is second
-
-    def test_sweep_only_returns_memory_feasible_entries(self):
-        latency_model = LatencyModel(GPT_20B)
-        profiler = OfflineProfiler(latency_model, MemoryModel(GPT_20B))
-        entries = profiler.sweep(max_gpus=16)
-        assert entries
-        assert all(entry.fits_memory for entry in entries)
-        assert all(entry.num_gpus <= 16 for entry in entries)
-
-    def test_sweep_respects_head_divisibility(self):
-        profiler = OfflineProfiler(LatencyModel(GPT_20B))
-        entries = profiler.sweep(max_gpus=16)
-        assert all(GPT_20B.num_heads % entry.tensor_degree == 0 for entry in entries)
-
     def test_entry_key_roundtrip(self):
         profiler = OfflineProfiler(LatencyModel(GPT_20B))
         entry = profiler.profile(1, 3, 4, 2)
         assert entry.key == (1, 3, 4, 2)
         assert entry.num_gpus == 12
 
-    def test_clear_empties_cache(self):
-        profiler = OfflineProfiler(LatencyModel(GPT_20B))
-        profiler.profile(1, 3, 4, 2)
-        profiler.clear()
-        assert profiler.cached_entries() == []
 
-    def test_invalid_sweep_rejected(self):
-        with pytest.raises(ValueError):
-            OfflineProfiler(LatencyModel(GPT_20B)).sweep(max_gpus=0)
+def every_shape(model):
+    """Every (P, M, B) with P up to the layer count, M in {1,2,4,8}
+    dividing the heads, and B in {1,2,4,8}."""
+    return [
+        (p, m, b)
+        for m in (1, 2, 4, 8)
+        if model.num_heads % m == 0
+        for p in range(1, model.num_layers + 1)
+        for b in (1, 2, 4, 8)
+    ]
+
+
+class TestVectorisedLExe:
+    @pytest.mark.parametrize("lengths", [(512, 128), (128, 1), (2048, 0)])
+    @pytest.mark.parametrize(
+        "name, count", [("OPT-6.7B", 512), ("GPT-20B", 704), ("LLaMA-30B", 720)]
+    )
+    def test_equals_per_token_loop_on_every_shape(self, name, count, lengths):
+        """``==``, not approx: the decode terms are summed in loop order."""
+        input_length, output_length = lengths
+        model = LatencyModel(name)
+        shapes = every_shape(model.model)
+        assert len(shapes) == count
+        raw = model._uncalibrated_l_exe_many(output_length, input_length, shapes)
+        calibrated = model.l_exe_many(shapes, input_length, output_length)
+        for i, shape in enumerate(shapes):
+            reference = costmodel_oracle.uncalibrated_l_exe(
+                model, output_length, input_length, *shape
+            )
+            assert raw[i] == reference, shape
+            assert calibrated[i] == model.calibration_factor * reference, shape
+        # The scalar entry point runs the same code with one shape.
+        for i in range(0, count, 37):
+            assert model.l_exe(*shapes[i], input_length, output_length) == calibrated[i]
+
+    def test_decode_iteration_equals_reference(self):
+        model = LatencyModel(GPT_20B)
+        for shape in [(1, 1, 1), (3, 4, 8), (2, 8, 4), (44, 2, 2)]:
+            for context_length in (0, 1, 513, 2048):
+                assert model._decode_iteration_raw(
+                    context_length, *shape
+                ) == costmodel_oracle.decode_iteration_raw(model, context_length, *shape)
+
+    @pytest.mark.parametrize("name", sorted(TABLE1_REFERENCE))
+    def test_calibration_uses_the_reference_sum(self, name):
+        (p, m), target = TABLE1_REFERENCE[name]
+        model = LatencyModel(name)
+        raw = costmodel_oracle.uncalibrated_l_exe(
+            model, DEFAULT_OUTPUT_LENGTH, DEFAULT_INPUT_LENGTH, p, m, 1
+        )
+        assert model.calibration_factor == target / raw
+
+    def test_invalid_shapes_rejected(self):
+        model = LatencyModel(GPT_20B)
+        with pytest.raises(ValueError, match="parallel degrees"):
+            model.l_exe_many([(3, 4, 1), (0, 4, 1)])
+        with pytest.raises(ValueError, match="parallel degrees"):
+            model.l_exe_many([(3, 0, 1)])
+        with pytest.raises(ValueError, match="batch_size"):
+            model.l_exe_many([(3, 4, 0)])
+
+    def test_no_output_tokens_is_prefill_plus_overhead(self):
+        model = LatencyModel(GPT_20B)
+        expected = model.calibration_factor * (
+            model._prefill_raw(DEFAULT_INPUT_LENGTH, 3, 4, 2) + model.params.per_request_overhead
+        )
+        assert model.l_exe(3, 4, 2, output_length=0) == expected
+        assert list(model.l_exe_many([])) == []

@@ -1,5 +1,6 @@
 """Tests for the offline configuration profiler."""
 
+import numpy as np
 import pytest
 
 from repro.llm.costmodel import LatencyModel
@@ -20,15 +21,7 @@ class TestProfile:
     def test_entry_fields_are_positive(self, profiler):
         entry = profiler.profile(1, 2, 2, 4)
         assert entry.latency > 0
-        assert entry.prefill_time > 0
-        assert entry.decode_iteration_time > 0
         assert entry.throughput > 0
-
-    def test_profile_is_cached(self, profiler):
-        first = profiler.profile(2, 1, 4, 8)
-        second = profiler.profile(2, 1, 4, 8)
-        assert first is second
-        assert first.key in {e.key for e in profiler.cached_entries()}
 
     def test_num_gpus(self, profiler):
         entry = profiler.profile(2, 3, 4, 1)
@@ -41,33 +34,32 @@ class TestProfile:
         # Execution latency of a single batch does not change with replicas.
         assert two.latency == pytest.approx(one.latency)
 
-    def test_clear_drops_cache(self, profiler):
-        profiler.profile(1, 1, 4, 1)
-        profiler.clear()
-        assert profiler.cached_entries() == []
 
+class TestColumns:
+    def test_columns_equal_per_config_profiles(self, profiler):
+        """The vectorised columns reproduce ``profile`` bit for bit."""
+        configs = [
+            (d, p, m, b) for d in (1, 3) for p in (1, 2, 5) for m in (1, 4, 8) for b in (1, 8)
+        ]
+        shapes = [(p, m, b) for _, p, m, b in configs]
+        latencies = profiler.latencies(shapes)
+        data = np.array([d for d, _, _, _ in configs])
+        batch = np.array([b for _, _, _, b in configs])
+        throughputs = profiler.throughputs(data, batch, latencies)
+        for i, config in enumerate(configs):
+            entry = profiler.profile(*config)
+            assert latencies[i] == entry.latency
+            assert throughputs[i] == entry.throughput
 
-class TestSweep:
-    def test_sweep_respects_gpu_budget(self, profiler):
-        entries = profiler.sweep(max_gpus=8)
-        assert entries
-        assert all(entry.num_gpus <= 8 for entry in entries)
+    def test_profiled_lengths_are_used(self):
+        model = get_model("OPT-6.7B")
+        latency_model = LatencyModel(model, T4)
+        short = OfflineProfiler(latency_model, input_length=128, output_length=1)
+        assert short.latencies([(1, 4, 2)])[0] == latency_model.l_exe(1, 4, 2, 128, 1)
+        default = OfflineProfiler(latency_model)
+        assert short.profile(1, 1, 4, 2).latency < default.profile(1, 1, 4, 2).latency
 
-    def test_sweep_only_returns_memory_feasible_entries(self, profiler):
-        entries = profiler.sweep(max_gpus=8)
-        assert all(entry.fits_memory for entry in entries)
-
-    def test_sweep_respects_divisibility(self, profiler):
-        model = profiler.latency_model.model
-        for entry in profiler.sweep(max_gpus=8):
-            assert model.num_layers % entry.pipeline_degree == 0
-            assert model.num_heads % entry.tensor_degree == 0
-
-    def test_sweep_batch_sizes(self, profiler):
-        entries = profiler.sweep(max_gpus=4, batch_sizes=(2,))
-        assert entries
-        assert all(entry.batch_size == 2 for entry in entries)
-
-    def test_sweep_rejects_non_positive_budget(self, profiler):
-        with pytest.raises(ValueError):
-            profiler.sweep(max_gpus=0)
+    def test_non_positive_latency_has_infinite_throughput(self):
+        latencies = np.array([2.0, 0.0])
+        throughputs = OfflineProfiler.throughputs(np.array([1, 1]), np.array([4, 4]), latencies)
+        assert list(throughputs) == [2.0, float("inf")]
