@@ -2,30 +2,47 @@
 """Adaptation-round perf harness: wall-clock breakdown + BENCH JSON.
 
 Runs the golden end-to-end (single-zone stable) and multi-zone fluctuating
-scenarios with the built-in :mod:`repro.perf` phase timers and reports how
-much wall-clock each adaptation round spends in the control stack:
+scenarios, and the stress scenarios below, and reports how much wall-clock
+each adaptation round spends in the control stack.  The timings come from
+perfbench's span tracer (:mod:`perfbench.tracer`), applied from outside the
+program: for one :func:`measure` call it wraps four class attributes, and
+restores them when the call ends:
 
-* ``propose``  -- Algorithm 1 sweep of the parallelization controller,
-* ``map``      -- Kuhn-Munkres device mapping (flat + hierarchical),
-* ``plan``     -- Algorithm 2 migration planning,
-* ``simulate`` -- the discrete-event loop.  Control-stack calls triggered by
-  events nest inside it, but the initial cold-cache propose/map run during
-  ``initialize()`` *before* the loop, so ``other_s`` below is measured
-  against total wall-clock (wall minus control stack), not against
-  ``simulate_s``.
+* ``ParallelizationController.propose``, reported as ``propose`` --
+  Algorithm 1's configuration sweep;
+* ``DeviceMapper.map_devices``, reported as ``map`` -- the Kuhn-Munkres
+  device mapping (flat + hierarchical);
+* ``MigrationPlanner.plan``, reported as ``plan`` -- Algorithm 2's
+  migration plan;
+* ``Simulator.run``, reported as ``simulate`` -- the discrete-event loop.
+
+They are wrapped on the class because each runner builds its serving
+system internally; the tenants of a multi-tenant run add up into one row.
+Each row splits ``wall_s`` into three exclusive columns that add up to it:
+
+* ``setup_s`` -- time outside every span (building the system and its
+  workload, and the result afterwards);
+* ``simulate_self_s`` -- the event loop minus the control calls it makes;
+* ``control_s`` -- propose + map + plan, including the initial propose
+  that runs before the loop.
+
+``accounting_error_ratio`` is how far their sum misses ``wall_s``;
+:func:`measure` raises when it exceeds 2%.  Rows also report the work the
+run did: ``served_fraction``, ``goodput_tok_per_sim_s`` and simulated p50 /
+p99 latency sit next to ``sim_events_per_sec``.
 
 The headline metric is ``adaptation_round_ms``: control-stack seconds per
 controller invocation.  Results are written as ``BENCH_adaptation.json`` so
 the repo accumulates a perf trajectory, and ``--check`` compares against a
 committed baseline and fails on a > ``--max-regression`` slowdown (the CI
-perf-smoke job runs the quick ``small`` scenario this way).
+perf-smoke job runs seven scenarios this way).
 
-Since the simulate phase became the bottleneck, the harness also reports
-``sim_events_per_sec`` (events dispatched per simulate-phase second) and runs
-a ``heavy-traffic`` scenario: >=100k streamed requests across three zones
-with preemption waves and a price spike, the workload class the event-core
-fast path (``__slots__`` events, tuple payloads, per-type dispatch tables,
-heap compaction, streaming arrivals, incremental stats) exists for.
+The harness also reports ``sim_events_per_sec`` (events dispatched per
+second inside ``Simulator.run``) and runs a ``heavy-traffic`` scenario:
+>=100k streamed requests across three zones with preemption waves and a
+price spike, the workload class the event-core fast path (``__slots__``
+events, tuple payloads, per-type dispatch tables, heap compaction,
+streaming arrivals, incremental stats) exists for.
 
 A ``zone-outage`` scenario keeps the fault-injection path (ZONE_OUTAGE
 events, fleet evacuation, conservation accounting) on the measured/guarded
@@ -55,7 +72,7 @@ Usage::
     python benchmarks/perf/run_perf.py --scenario small \
         --check benchmarks/perf/baseline.json                # regression guard
     python benchmarks/perf/run_perf.py --jobs 4              # scenario sweep on all cores
-    python benchmarks/perf/run_perf.py --scenario heavy-traffic --profile
+    python benchmarks/perf/run_perf.py --scenario heavy-traffic --profile  # not with --check
     python benchmarks/perf/run_perf.py --policy-benchmark    # policy head-to-head
 """
 
@@ -63,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import json
 import multiprocessing
 import platform
@@ -70,12 +88,20 @@ import pstats
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Optional
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+# The program lives under src/; perfbench, whose tracer times it, at the root.
+for _path in (REPO_ROOT, REPO_ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
+from perfbench.tracer import Tracer, patched  # noqa: E402
+from repro.core.controller import ParallelizationController  # noqa: E402
+from repro.core.device_mapper import DeviceMapper  # noqa: E402
+from repro.core.migration import MigrationPlanner  # noqa: E402
 from repro.core.server import SpotServeSystem  # noqa: E402
 from repro.experiments.policy_bench import run_policy_benchmark  # noqa: E402
 from repro.experiments.runner import (  # noqa: E402
@@ -94,18 +120,19 @@ from repro.experiments.scenarios import (  # noqa: E402
     tiered_offload_scenario,
     zone_outage_scenario,
 )
+from repro.sim.engine import Simulator  # noqa: E402
 
-#: Control-stack phases that make up one adaptation round.
-CONTROL_PHASES = ("propose", "map", "plan")
-
-#: Pre-optimization control-stack cost per adaptation round (ms), measured on
-#: the commit before the fast path landed (same scenarios, same machine class
-#: as the committed BENCH_adaptation.json).  Used to report the speedup the
-#: fast path delivers; absent scenarios simply omit the speedup field.
-PRE_FAST_PATH_ROUND_MS = {
-    "end-to-end": 39.11,
-    "multi-zone": 26.41,
+#: The control-stack methods of one adaptation round, by the phase name
+#: each row reports them under.
+CONTROL_PHASES = {
+    "propose": (ParallelizationController, "propose"),
+    "map": (DeviceMapper, "map_devices"),
+    "plan": (MigrationPlanner, "plan"),
 }
+
+#: :func:`measure` raises when ``setup_s + simulate_self_s + control_s``
+#: misses ``wall_s`` by more than this fraction of it.
+MAX_ACCOUNTING_ERROR = 0.02
 
 
 def _run_end_to_end() -> ExperimentResult:
@@ -223,39 +250,85 @@ SCENARIOS: Dict[str, Callable[[], ExperimentResult]] = {
 }
 
 
-def measure(name: str) -> Dict:
-    """Run one scenario and distil the per-phase wall-clock breakdown."""
-    start = time.perf_counter()
-    result = SCENARIOS[name]()
-    wall_s = time.perf_counter() - start
+def _percentile(values: List[float], q: float) -> Optional[float]:
+    return round(float(np.percentile(values, q)), 4) if values else None
 
-    phases = result.perf
-    control_s = sum(phases.get(p, {}).get("seconds", 0.0) for p in CONTROL_PHASES)
+
+def measure(name: str) -> Dict:
+    """Run one scenario and report where its wall-clock time went."""
+    # Spans are only aggregated, never stored, so no simulated clock is read.
+    tracer = Tracer(clock=lambda: 0.0)
+    # The simulated clock at the end of each Simulator.run.
+    sim_end: List[float] = []
+
+    def note_sim_end(args, _dispatched):
+        sim_end.append(args[0].now)
+
+    # Free the cyclic garbage of earlier scenarios in this process first, or
+    # the full collection that frees it lands inside this row's time.
+    gc.collect()
+    with patched() as patches:
+        for phase, (owner, attr) in CONTROL_PHASES.items():
+            patches.wrap(
+                owner, attr, lambda fn, phase=phase: tracer.wrap(phase, fn, control=True)
+            )
+        patches.wrap(
+            Simulator, "run", lambda fn: tracer.wrap("simulate", fn, observe=note_sim_end)
+        )
+        start = time.perf_counter()
+        tracer.start()
+        result = SCENARIOS[name]()
+        tracer.stop()
+        wall_s = time.perf_counter() - start
+
     # One adaptation round may invoke the controller more than once (a
     # workload check and the subsequent reconfiguration planning each call
     # propose), so the unit of the headline metric is one controller
     # invocation -- consistent across baselines, slightly finer than a round.
-    invocations = int(phases.get("propose", {}).get("calls", 0))
+    invocations = tracer.calls("propose")
     if invocations == 0:
-        # A scenario with zero timed controller invocations means the phase
-        # timers are no longer wired through the control stack; failing loudly
-        # keeps the --check guard from passing vacuously at 0.0 ms/round.
+        # The scenario never reached the wrapped method, so the control stack
+        # no longer runs through it; failing loudly keeps the --check guard
+        # from passing vacuously at 0.0 ms/round.
         raise RuntimeError(
-            f"scenario {name!r} recorded no 'propose' phase -- perf timers "
-            f"are not threaded through the control stack (phases: {sorted(phases)})"
+            f"scenario {name!r} made no ParallelizationController.propose call; "
+            "the harness no longer wraps the control stack's entry point"
         )
-    simulate_s = phases.get("simulate", {}).get("seconds", 0.0)
-    round_ms = 1000.0 * control_s / max(invocations, 1)
+    setup_s = tracer.loop_s
+    simulate_self_s = tracer.self_s("simulate")
+    control_s = tracer.control_s
+    accounting_error = abs(setup_s + simulate_self_s + control_s - wall_s) / wall_s
+    if accounting_error > MAX_ACCOUNTING_ERROR:
+        raise RuntimeError(
+            f"scenario {name!r}: setup {setup_s:.4f} s + simulate {simulate_self_s:.4f} s "
+            f"+ control {control_s:.4f} s misses wall {wall_s:.4f} s by "
+            f"{accounting_error:.1%}"
+        )
+    simulate_s = tracer.total_s("simulate")
+    round_ms = 1000.0 * control_s / invocations
+    sim_s = max(sim_end, default=0.0)
+    latencies = result.stats.latencies()
 
     report = {
         "scenario": name,
         "wall_s": round(wall_s, 4),
-        "simulate_s": round(simulate_s, 4),
+        # Exclusive: these three add up to wall_s.
+        "setup_s": round(setup_s, 4),
+        "simulate_self_s": round(simulate_self_s, 4),
         "control_s": round(control_s, 4),
-        "other_s": round(max(wall_s - control_s, 0.0), 4),
+        "accounting_error_ratio": round(accounting_error, 6),
+        # Inclusive: the event loop with the control calls it makes.
+        "simulate_s": round(simulate_s, 4),
         "controller_invocations": invocations,
         "adaptation_round_ms": round(round_ms, 4),
         "submitted_requests": result.submitted_requests,
+        "completed_requests": result.completed_requests,
+        "served_fraction": round(result.completion_ratio, 4),
+        "goodput_tok_per_sim_s": round(result.tokens_generated / sim_s, 3)
+        if sim_s > 0
+        else 0.0,
+        "latency_p50_s": _percentile(latencies, 50),
+        "latency_p99_s": _percentile(latencies, 99),
         "dispatched_events": result.dispatched_events,
         # Raw event-loop throughput: every dispatched event over the whole
         # simulate phase (control-stack work triggered by events included).
@@ -264,13 +337,13 @@ def measure(name: str) -> Dict:
         else 0.0,
         "phases": {
             phase: {
-                "seconds": round(data["seconds"], 6),
-                "calls": int(data["calls"]),
-                "ms_per_call": round(1000.0 * data["seconds"] / max(data["calls"], 1), 4),
+                "seconds": round(tracer.total_s(phase), 6),
+                "calls": tracer.calls(phase),
+                "ms_per_call": round(1000.0 * tracer.total_s(phase) / tracer.calls(phase), 4),
             }
-            for phase, data in sorted(phases.items())
+            for phase in sorted(tracer.stats)
+            if tracer.calls(phase)
         },
-        "completed_requests": result.completed_requests,
         "digest_chars": len(result.stats.summary_text()),
     }
     stats = result.stats
@@ -297,10 +370,6 @@ def measure(name: str) -> Dict:
         # Only tier-configured scenarios (tiered_offload) report the spill
         # accounting; tier-less rows stay byte-stable across this addition.
         report["spill_counters"] = spill_counters
-    baseline_ms = PRE_FAST_PATH_ROUND_MS.get(name)
-    if baseline_ms is not None and round_ms > 0:
-        report["pre_fast_path_round_ms"] = baseline_ms
-        report["speedup_vs_pre_fast_path"] = round(baseline_ms / round_ms, 2)
     return report
 
 
@@ -394,11 +463,6 @@ def check_regression(reports: Dict[str, Dict], baseline_path: Path, max_regressi
     return 0
 
 
-def _measure_job(name: str) -> Dict:
-    """Worker entry point for the ``--jobs`` scenario sweep."""
-    return measure(name)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -438,7 +502,8 @@ def main(argv=None) -> int:
         "--profile",
         action="store_true",
         help="run each scenario under cProfile and print the top 25 "
-        "functions by cumulative time (forces --jobs 1)",
+        "functions by cumulative time (forces --jobs 1; rejected with "
+        "--check, whose guards would read the profiler's overhead)",
     )
     parser.add_argument(
         "--policy-benchmark",
@@ -467,6 +532,10 @@ def main(argv=None) -> int:
         "multi_tenant",
         "tiered_offload",
     ]
+    if args.profile and args.check is not None:
+        # cProfile slows a run 2-3x, which the guards would read as a
+        # regression or, at a smaller slowdown, let a real one through.
+        parser.error("--profile inflates every timing; it cannot be combined with --check")
     if args.check is not None and args.jobs > 1:
         # Parallel scenarios time each other's interference; comparing that
         # against a serially-recorded baseline would fail healthy builds
@@ -487,7 +556,7 @@ def main(argv=None) -> int:
     elif args.jobs > 1 and len(names) > 1:
         print(f"[perf] running {len(names)} scenarios on {args.jobs} workers ...")
         with multiprocessing.Pool(processes=min(args.jobs, len(names))) as pool:
-            outcomes = pool.map(_measure_job, names)
+            outcomes = pool.map(measure, names)
         reports = dict(zip(names, outcomes))
     else:
         for name in names:
@@ -495,13 +564,13 @@ def main(argv=None) -> int:
             reports[name] = measure(name)
 
     for name, report in reports.items():
-        speedup = report.get("speedup_vs_pre_fast_path")
-        speedup_note = f", {speedup}x vs pre-fast-path" if speedup else ""
         print(
             f"[perf] {name}: {report['adaptation_round_ms']:.2f} ms/round over "
             f"{report['controller_invocations']} controller invocations, "
-            f"{report['sim_events_per_sec']:.0f} sim events/s "
-            f"(wall {report['wall_s']:.2f}s{speedup_note})"
+            f"{report['sim_events_per_sec']:.0f} sim events/s, "
+            f"served {report['served_fraction']:.0%} "
+            f"(wall {report['wall_s']:.2f}s = setup {report['setup_s']:.2f} "
+            f"+ simulate {report['simulate_self_s']:.2f} + control {report['control_s']:.2f})"
         )
 
     payload = {

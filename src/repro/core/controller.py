@@ -28,7 +28,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..llm.profiler import OfflineProfiler
-from ..perf import NULL_TIMERS, PhaseTimers
 from .config import ConfigurationSpace, ParallelConfig
 
 #: Two candidate latencies within this relative margin are treated as ties,
@@ -100,13 +99,11 @@ class ParallelizationController:
         profiler: OfflineProfiler,
         slo_latency: Optional[float] = None,
         latency_tie_margin: float = LATENCY_TIE_MARGIN,
-        timers: Optional[PhaseTimers] = None,
     ) -> None:
         self.config_space = config_space
         self.profiler = profiler
         self.slo_latency = slo_latency
         self.latency_tie_margin = latency_tie_margin
-        self.timers = timers if timers is not None else NULL_TIMERS
         self._estimate_memo: Dict[Tuple[ParallelConfig, float], ConfigEstimate] = {}
         #: Per-fleet-size slices of the cost table backing the vectorized
         #: sweep: (rows, exec latency, throughput, batch, data degree).
@@ -220,33 +217,32 @@ class ParallelizationController:
             max_instances = available_instances
         max_instances = max(max_instances, available_instances)
 
-        with self.timers.phase("propose"):
-            memo_key = (
-                available_instances,
-                max_instances,
-                round(arrival_rate, RATE_KEY_DECIMALS),
-            )
-            hit = self._propose_memo.get(memo_key, _MEMO_MISS)
-            if hit is not _MEMO_MISS:
-                return hit
+        memo_key = (
+            available_instances,
+            max_instances,
+            round(arrival_rate, RATE_KEY_DECIMALS),
+        )
+        hit = self._propose_memo.get(memo_key, _MEMO_MISS)
+        if hit is not _MEMO_MISS:
+            return hit
 
-            selected = self._select_best(max_instances, arrival_rate)
-            if selected is None:
-                decision: Optional[OptimizerDecision] = None
-            else:
-                best, objective = selected
-                decision = OptimizerDecision(
-                    config=best.config,
-                    estimate=best,
-                    instance_delta=best.num_instances - available_instances,
-                    objective=objective,
-                    arrival_rate=arrival_rate,
-                    available_instances=available_instances,
-                )
-            if len(self._propose_memo) >= SWEEP_MEMO_MAX:
-                self._propose_memo.clear()
-            self._propose_memo[memo_key] = decision
-            return decision
+        selected = self._select_best(max_instances, arrival_rate)
+        if selected is None:
+            decision: Optional[OptimizerDecision] = None
+        else:
+            best, objective = selected
+            decision = OptimizerDecision(
+                config=best.config,
+                estimate=best,
+                instance_delta=best.num_instances - available_instances,
+                objective=objective,
+                arrival_rate=arrival_rate,
+                available_instances=available_instances,
+            )
+        if len(self._propose_memo) >= SWEEP_MEMO_MAX:
+            self._propose_memo.clear()
+        self._propose_memo[memo_key] = decision
+        return decision
 
     # ------------------------------------------------------------------
     # Vectorized propose sweep

@@ -39,7 +39,6 @@ from ..matching.hungarian import (
     greedy_assignment,
     maximum_weight_assignment,
 )
-from ..perf import NULL_TIMERS, PhaseTimers
 from .config import ParallelConfig
 
 #: Key of a warm-start cache entry: the exact devices (rows) and positions
@@ -96,14 +95,12 @@ class DeviceMapper:
         use_optimal_matching: bool = True,
         hierarchical: bool = True,
         zone_of: Optional[Callable[[str], str]] = None,
-        timers: Optional[PhaseTimers] = None,
     ) -> None:
         self.model = model
         self.gpus_per_instance = gpus_per_instance
         self.use_optimal_matching = use_optimal_matching
         self.hierarchical = hierarchical
         self.zone_of = zone_of
-        self.timers = timers if timers is not None else NULL_TIMERS
         # Warm-start states of last round's flat solves, keyed by the exact
         # (devices, positions) of each solved submatrix; replaced wholesale
         # every round so only the previous round's states are retained.
@@ -363,33 +360,32 @@ class DeviceMapper:
                 f"configuration {new_config} needs {len(positions)} GPUs "
                 f"but only {len(devices)} are available"
             )
-        with self.timers.phase("map"):
-            lookup = self._weight_lookup(
-                meta_context, devices, positions, new_config, pipeline_inheritance
+        lookup = self._weight_lookup(
+            meta_context, devices, positions, new_config, pipeline_inheritance
+        )
+        flat_placement = self._flat_matching(lookup, devices, positions)
+        placement = flat_placement
+        if self.hierarchical and self.gpus_per_instance > 1:
+            # The two-step (inter-instance, then intra-instance) matching
+            # keeps tensor groups co-located on fast links, but when shard
+            # widths change it can strand reusable context on unmatched
+            # instances; it is only adopted when it reuses at least as
+            # much as the flat KM matching.
+            hierarchical_placement = self._hierarchical_matching(
+                lookup, devices, positions
             )
-            flat_placement = self._flat_matching(lookup, devices, positions)
-            placement = flat_placement
-            if self.hierarchical and self.gpus_per_instance > 1:
-                # The two-step (inter-instance, then intra-instance) matching
-                # keeps tensor groups co-located on fast links, but when shard
-                # widths change it can strand reusable context on unmatched
-                # instances; it is only adopted when it reuses at least as
-                # much as the flat KM matching.
-                hierarchical_placement = self._hierarchical_matching(
-                    lookup, devices, positions
-                )
-                if self._placement_reuse(
-                    lookup, hierarchical_placement
-                ) >= self._placement_reuse(lookup, flat_placement):
-                    placement = hierarchical_placement
-            return DeviceMapping(
-                config=new_config,
-                placement=placement,
-                reused_bytes=self._placement_reuse(lookup, placement),
-                required_bytes=self._required_bytes(
-                    new_config, cached_tokens_per_pipeline
-                ),
-            )
+            if self._placement_reuse(
+                lookup, hierarchical_placement
+            ) >= self._placement_reuse(lookup, flat_placement):
+                placement = hierarchical_placement
+        return DeviceMapping(
+            config=new_config,
+            placement=placement,
+            reused_bytes=self._placement_reuse(lookup, placement),
+            required_bytes=self._required_bytes(
+                new_config, cached_tokens_per_pipeline
+            ),
+        )
 
     @staticmethod
     def _placement_reuse(

@@ -67,7 +67,6 @@ from ..engine.context import CacheContext, DeviceId, MetaContextManager, ModelCo
 from ..engine.placement import TopologyPosition, shard_interval, stage_layers
 from ..llm.memory import DEFAULT_MIGRATION_BUFFER_BYTES
 from ..llm.spec import ModelSpec
-from ..perf import NULL_TIMERS, PhaseTimers
 from ..sim.network import NetworkModel, Transfer
 from .config import ParallelConfig
 from .device_mapper import DeviceMapping
@@ -218,7 +217,6 @@ class MigrationPlanner:
         progressive: bool = True,
         storage_bandwidth: float = DEFAULT_STORAGE_BANDWIDTH,
         engine_restart_time: float = 10.0,
-        timers: Optional[PhaseTimers] = None,
     ) -> None:
         self.model = model
         self.network = network or NetworkModel()
@@ -227,7 +225,6 @@ class MigrationPlanner:
         self.progressive = progressive
         self.storage_bandwidth = storage_bandwidth
         self.engine_restart_time = engine_restart_time
-        self.timers = timers if timers is not None else NULL_TIMERS
         #: During a zone-outage evacuation the same-zone source preference is
         #: suspended: the richest context sources are the doomed zone itself,
         #: and every pull out of it is cross-zone by definition, so ranking
@@ -260,33 +257,32 @@ class MigrationPlanner:
             ``new data index -> (old data index, batch_size, cached_tokens)``
             for every new pipeline that resumes an interrupted batch.
         """
-        with self.timers.phase("plan"):
-            cache_requirements = cache_requirements or {}
-            # One walk of the meta-context feeds the memo key, the holder
-            # tables and the per-destination own-context lookups.
-            context_map: Dict[DeviceId, Tuple] = {}
-            for device_id in meta_context.devices():
-                daemon = meta_context.daemon(device_id)
-                mctx = daemon.model_context
-                cctx = daemon.cache_context
-                if mctx is not None or cctx is not None:
-                    context_map[device_id] = (mctx, cctx)
-            zones = self._zones_for(context_map, mapping)
-            key = self._plan_memo_key(context_map, mapping, cache_requirements, zones)
-            cached = self._plan_memo.get(key)
-            if cached is not None:
-                self._plan_memo.move_to_end(key)
-                self.plan_memo_hits += 1
-                return cached
-            self.plan_memo_misses += 1
-            built = self._assemble(
-                *self._build_steps(context_map, mapping, cache_requirements, zones),
-                mapping,
-            )
-            self._plan_memo[key] = built
-            while len(self._plan_memo) > self.PLAN_MEMO_SIZE:
-                self._plan_memo.popitem(last=False)
-            return built
+        cache_requirements = cache_requirements or {}
+        # One walk of the meta-context feeds the memo key, the holder
+        # tables and the per-destination own-context lookups.
+        context_map: Dict[DeviceId, Tuple] = {}
+        for device_id in meta_context.devices():
+            daemon = meta_context.daemon(device_id)
+            mctx = daemon.model_context
+            cctx = daemon.cache_context
+            if mctx is not None or cctx is not None:
+                context_map[device_id] = (mctx, cctx)
+        zones = self._zones_for(context_map, mapping)
+        key = self._plan_memo_key(context_map, mapping, cache_requirements, zones)
+        cached = self._plan_memo.get(key)
+        if cached is not None:
+            self._plan_memo.move_to_end(key)
+            self.plan_memo_hits += 1
+            return cached
+        self.plan_memo_misses += 1
+        built = self._assemble(
+            *self._build_steps(context_map, mapping, cache_requirements, zones),
+            mapping,
+        )
+        self._plan_memo[key] = built
+        while len(self._plan_memo) > self.PLAN_MEMO_SIZE:
+            self._plan_memo.popitem(last=False)
+        return built
 
     def invalidate_plan_memo(self) -> None:
         """Drop every memoised plan.

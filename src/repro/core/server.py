@@ -59,7 +59,6 @@ from ..llm.costmodel import LatencyModel
 from ..llm.memory import DEFAULT_MIGRATION_BUFFER_BYTES, MemoryModel
 from ..llm.profiler import OfflineProfiler
 from ..llm.spec import ModelSpec
-from ..perf import PhaseTimers
 from ..sim.engine import Simulator
 from ..sim.events import Event, EventType
 from ..sim.network import NetworkModel, OffloadTierSpec
@@ -150,7 +149,6 @@ class ServingSystemBase:
         model: ModelSpec,
         options: Optional[SpotServeOptions] = None,
         initial_arrival_rate: float = 0.35,
-        perf: Optional[PhaseTimers] = None,
         tenant: str = "",
     ) -> None:
         self.simulator = simulator
@@ -180,11 +178,6 @@ class ServingSystemBase:
         self.dataplane = Dataplane(simulator, self.stats, self.meta_context, self.latency_model)
         #: The dataplane's FIFO queue (the admission hooks consult it).
         self.request_queue = self.dataplane.queue
-        #: Wall-clock phase timers shared by the whole control stack
-        #: (propose / map / plan / simulate); read by ``benchmarks/perf``.
-        #: Multi-tenant runs pass one shared instance so the perf harness
-        #: sees the whole fleet's control-stack time in one place.
-        self.perf = perf if perf is not None else PhaseTimers()
 
         self.profiler = OfflineProfiler(self.latency_model, self.memory_model)
         self.config_space = ConfigurationSpace(
@@ -197,7 +190,6 @@ class ServingSystemBase:
             self.config_space,
             self.profiler,
             slo_latency=self.options.slo_latency,
-            timers=self.perf,
         )
         self.autoscaler: Optional[Autoscaler] = None
         if self.options.autoscale_policy is not None:
@@ -360,8 +352,7 @@ class ServingSystemBase:
         """Initialise (if not done yet), run the simulation, return the statistics."""
         if not self._initialized:
             self.initialize()
-        with self.perf.phase("simulate"):
-            self.simulator.run(until=until)
+        self.simulator.run(until=until)
         return self.stats
 
     # ------------------------------------------------------------------
@@ -778,14 +769,12 @@ class SpotServeSystem(ServingSystemBase):
             use_optimal_matching=self.options.optimal_device_mapping,
             hierarchical=self.options.hierarchical_mapping,
             zone_of=self.provider.zone_of,
-            timers=self.perf,
         )
         self.migration_planner = MigrationPlanner(
             self.model,
             self.network,
             memory_optimized=self.options.memory_optimized_migration,
             progressive=self.options.progressive_migration,
-            timers=self.perf,
         )
         self.transitions = TransitionPlanner(self)
         self._downscale_votes = 0

@@ -34,13 +34,13 @@ counters) is pinned by ``tests/test_tenancy.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cloud.instance import Instance
 from ..cloud.provider import CloudProvider
 from ..llm.spec import get_model
-from ..perf import PhaseTimers
 from ..sim.engine import Simulator
 from ..sim.events import Event, EventType
 from ..workload.arrival import ArrivalProcess, GammaArrivals
@@ -112,8 +112,32 @@ class TenantSpec:
     autoscale_policy: Optional[str] = None
     #: Autoscaler kwargs as ``((key, value), ...)`` pairs.
     autoscale_params: Optional[Tuple[Tuple[str, object], ...]] = None
-    #: Seconds between this tenant's adaptation rounds.
+    #: Seconds between this tenant's adaptation rounds (0 disables them).
     workload_check_interval: float = 30.0
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            # "" is the single-tenant label that share_for maps to "default".
+            raise ValueError("tenant name must be non-empty")
+        if not (math.isfinite(self.priority) and self.priority > 0.0):
+            raise ValueError(f"priority must be finite and positive, got {self.priority}")
+        if self.min_instances < 0:
+            raise ValueError(f"min_instances must be >= 0, got {self.min_instances}")
+        if self.max_instances is not None and self.max_instances < self.min_instances:
+            raise ValueError(
+                f"max_instances must be >= min_instances, got "
+                f"{self.max_instances} < {self.min_instances}"
+            )
+        if self.zones is not None and not self.zones:
+            raise ValueError("zones must name at least one zone (None means every zone)")
+        if not self.arrival_rate > 0.0:
+            raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
+        if not self.cv > 0.0:
+            raise ValueError(f"cv must be positive, got {self.cv}")
+        if not self.workload_check_interval >= 0.0:
+            raise ValueError(
+                f"workload_check_interval must be >= 0, got {self.workload_check_interval}"
+            )
 
     def arrival_process(self) -> ArrivalProcess:
         """The tenant's seeded Gamma arrival workload."""
@@ -392,9 +416,6 @@ class MultiTenantSystem:
         #: Live ownership map: instance id -> tenant name.
         self.owners: Dict[str, str] = {}
         self.partitioner.bind_owners(self.owners)
-        #: Shared wall-clock phase timers (one propose/map/plan/simulate
-        #: account for the whole fleet, read by ``benchmarks/perf``).
-        self.perf = PhaseTimers()
         intervals = [
             spec.workload_check_interval
             for spec in tenants
@@ -412,7 +433,6 @@ class MultiTenantSystem:
                 get_model(spec.model_name),
                 options=options,
                 initial_arrival_rate=spec.arrival_rate,
-                perf=self.perf,
                 tenant=spec.name,
             )
             manager = system.instance_manager
@@ -482,8 +502,7 @@ class MultiTenantSystem:
         """Initialise (if needed), run the shared simulation, return stats."""
         if not self._initialized:
             self.initialize()
-        with self.perf.phase("simulate"):
-            self.simulator.run(until=until)
+        self.simulator.run(until=until)
         return {name: system.stats for name, system in self.systems.items()}
 
     # ------------------------------------------------------------------

@@ -48,11 +48,9 @@ class ExperimentResult:
     on_demand_cost: float
     tokens_generated: int
     cost_by_zone: Dict[str, float] = field(default_factory=dict)
-    #: Wall-clock per-phase breakdown of the control stack
-    #: (``{phase: {"seconds": ..., "calls": ...}}``; see ``repro.perf``).
-    perf: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Simulation events dispatched during the run (the perf harness divides
-    #: this by the simulate-phase seconds to report ``sim_events_per_sec``).
+    #: this by the seconds spent in ``Simulator.run`` to report
+    #: ``sim_events_per_sec``).
     dispatched_events: int = 0
 
     @property
@@ -223,7 +221,6 @@ def run_serving_experiment(
         on_demand_cost=tracker.total_cost(now, Market.ON_DEMAND),
         tokens_generated=stats.tokens_generated,
         cost_by_zone=tracker.cost_by_zone(now),
-        perf=system.perf.summary(),
         dispatched_events=simulator.dispatched_events,
     )
 
@@ -350,7 +347,6 @@ def run_multi_tenant_experiment(
             spot_cost=tenant_costs.get(spec.name, 0.0),
             on_demand_cost=0.0,
             tokens_generated=stats.tokens_generated,
-            perf=system.perf.summary(),
             dispatched_events=simulator.dispatched_events,
         )
     aggregate = system.aggregate_stats()
@@ -368,7 +364,6 @@ def run_multi_tenant_experiment(
         on_demand_cost=tracker.total_cost(now, Market.ON_DEMAND),
         tokens_generated=aggregate.tokens_generated,
         cost_by_zone=tracker.cost_by_zone(now),
-        perf=system.perf.summary(),
         dispatched_events=simulator.dispatched_events,
         tenants=tenant_results,
     )

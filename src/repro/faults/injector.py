@@ -150,6 +150,13 @@ class FaultPlan:
     zone_models: Tuple[Tuple[str, ZoneFaultModel], ...] = ()
     degraded_windows: Tuple[DegradedWindow, ...] = ()
 
+    def __post_init__(self) -> None:
+        zones = [name for name, _model in self.zone_models]
+        repeated = sorted({name for name in zones if zones.count(name) > 1})
+        if repeated:
+            # model_for would silently ignore every entry after the first.
+            raise ValueError(f"zone_models lists a zone more than once: {repeated}")
+
     def model_for(self, zone: str) -> Optional[ZoneFaultModel]:
         """Return the fault model governing *zone* (or None)."""
         for name, model in self.zone_models:

@@ -158,6 +158,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             DegradedWindow(*window)
 
+    def test_fault_plan_rejects_a_zone_listed_twice(self):
+        harsh = ZoneFaultModel(refusal_prob=0.5)
+        mild = ZoneFaultModel(refusal_prob=0.1)
+        with pytest.raises(ValueError, match="us-east-1a"):
+            FaultPlan(
+                zone_models=(
+                    ("us-east-1a", harsh),
+                    ("us-west-2a", mild),
+                    ("us-east-1a", mild),
+                )
+            )
+
     def test_boundary_values_construct(self):
         ZoneFaultModel(
             refusal_prob=1.0,

@@ -18,7 +18,6 @@ The map-phase fast path rests on four claims, each pinned here:
   fleet churn.
 """
 
-import importlib.util
 import json
 import random
 from pathlib import Path
@@ -450,15 +449,6 @@ class TestPerfCheckMapGuard:
     """run_perf.py --check guards the map phase's ms/call per scenario."""
 
     @staticmethod
-    def load_run_perf():
-        spec = importlib.util.spec_from_file_location(
-            "run_perf", REPO_ROOT / "benchmarks" / "perf" / "run_perf.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    @staticmethod
     def report(map_ms, round_ms=5.0, events=50000.0):
         return {
             "adaptation_round_ms": round_ms,
@@ -479,8 +469,7 @@ class TestPerfCheckMapGuard:
         )
         return path
 
-    def test_map_regression_fails_the_check(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_map_regression_fails_the_check(self, run_perf, tmp_path):
         baseline = self.baseline(tmp_path, 4.0)
         # 20 ms/call vs committed 4.0 at 2x tolerance: regression.
         assert (
@@ -490,8 +479,7 @@ class TestPerfCheckMapGuard:
             == 1
         )
 
-    def test_map_within_limit_passes(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_map_within_limit_passes(self, run_perf, tmp_path):
         baseline = self.baseline(tmp_path, 4.0)
         assert (
             run_perf.check_regression(
@@ -500,8 +488,7 @@ class TestPerfCheckMapGuard:
             == 0
         )
 
-    def test_scenario_without_map_calls_skips_the_guard(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_scenario_without_map_calls_skips_the_guard(self, run_perf, tmp_path):
         baseline = self.baseline(tmp_path, 4.0)
         report = self.report(map_ms=0.0)
         report["phases"] = {}

@@ -166,7 +166,6 @@ class UncachedSpotServe(SpotServeSystem):
             self.config_space,
             self.profiler,
             slo_latency=self.options.slo_latency,
-            timers=self.perf,
         )
         self.latency_model.disable_caches()
 

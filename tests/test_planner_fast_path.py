@@ -17,7 +17,6 @@ The plan-phase fast path rests on four claims, each pinned here:
   and misses (or is invalidated) on any fleet / context / config change.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -393,15 +392,6 @@ class TestPerfCheckPlanGuard:
     """run_perf.py --check guards the plan phase's ms/call per scenario."""
 
     @staticmethod
-    def load_run_perf():
-        spec = importlib.util.spec_from_file_location(
-            "run_perf", REPO_ROOT / "benchmarks" / "perf" / "run_perf.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    @staticmethod
     def report(plan_ms, round_ms=5.0, events=50000.0):
         return {
             "adaptation_round_ms": round_ms,
@@ -422,8 +412,7 @@ class TestPerfCheckPlanGuard:
         )
         return path
 
-    def test_plan_regression_fails_the_check(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_plan_regression_fails_the_check(self, run_perf, tmp_path):
         baseline = self.baseline(tmp_path, 2.0)
         assert (
             run_perf.check_regression(
@@ -432,8 +421,7 @@ class TestPerfCheckPlanGuard:
             == 1
         )
 
-    def test_plan_within_limit_passes(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_plan_within_limit_passes(self, run_perf, tmp_path):
         baseline = self.baseline(tmp_path, 2.0)
         assert (
             run_perf.check_regression(
@@ -442,9 +430,8 @@ class TestPerfCheckPlanGuard:
             == 0
         )
 
-    def test_scenario_without_plan_calls_skips_the_guard(self, tmp_path):
+    def test_scenario_without_plan_calls_skips_the_guard(self, run_perf, tmp_path):
         """Pinned-fleet scenarios have no reconfiguring rounds: skip, don't fail."""
-        run_perf = self.load_run_perf()
         baseline = self.baseline(tmp_path, 2.0)
         report = self.report(plan_ms=0.0)
         report["phases"] = {}

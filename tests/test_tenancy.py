@@ -31,7 +31,6 @@ suite.
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import random
 from pathlib import Path
@@ -650,19 +649,53 @@ class TestTenantLabel:
 
 
 # ----------------------------------------------------------------------
+# TenantSpec rejects impossible values at construction
+# ----------------------------------------------------------------------
+class TestTenantSpecValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"name": ""}, id="empty-name"),
+            pytest.param({"priority": 0.0}, id="zero-priority"),
+            pytest.param({"priority": -1.0}, id="negative-priority"),
+            pytest.param({"priority": float("nan")}, id="nan-priority"),
+            pytest.param({"priority": float("inf")}, id="infinite-priority"),
+            pytest.param({"min_instances": -1}, id="negative-min-instances"),
+            pytest.param(
+                {"min_instances": 3, "max_instances": 2}, id="max-below-min-instances"
+            ),
+            pytest.param({"zones": ()}, id="no-zones"),
+            pytest.param({"arrival_rate": 0.0}, id="zero-arrival-rate"),
+            pytest.param({"arrival_rate": -0.5}, id="negative-arrival-rate"),
+            pytest.param({"cv": 0.0}, id="zero-cv"),
+            pytest.param({"cv": -2.0}, id="negative-cv"),
+            pytest.param(
+                {"workload_check_interval": -30.0}, id="negative-check-interval"
+            ),
+        ],
+    )
+    def test_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            TenantSpec(**{"name": "tenant", **kwargs})
+
+    def test_boundary_values_construct(self):
+        TenantSpec(
+            name="t",
+            priority=1e-6,
+            min_instances=0,
+            max_instances=0,
+            zones=("z",),
+            arrival_rate=1e-6,
+            cv=1e-6,
+            workload_check_interval=0.0,
+        )
+
+
+# ----------------------------------------------------------------------
 # Perf-harness integration: the multi_tenant scenario and its --check guards
 # ----------------------------------------------------------------------
 class TestPerfCheckMultiTenantGuard:
     """run_perf.py --check guards the multi_tenant scenario (fail/pass/skip)."""
-
-    @staticmethod
-    def load_run_perf():
-        spec = importlib.util.spec_from_file_location(
-            "run_perf", REPO_ROOT / "benchmarks" / "perf" / "run_perf.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     @staticmethod
     def report(round_ms, events):
@@ -677,8 +710,7 @@ class TestPerfCheckMultiTenantGuard:
         path.write_text(json.dumps({"scenarios": {"multi_tenant": entry}}))
         return path
 
-    def test_scenario_is_registered(self):
-        run_perf = self.load_run_perf()
+    def test_scenario_is_registered(self, run_perf):
         assert "multi_tenant" in run_perf.SCENARIOS
 
     def test_committed_baseline_guards_the_scenario(self):
@@ -693,32 +725,28 @@ class TestPerfCheckMultiTenantGuard:
         workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
         assert "--scenario multi_tenant" in workflow
 
-    def test_round_regression_fails_the_check(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_round_regression_fails_the_check(self, run_perf, tmp_path):
         baseline = self.baseline(
             tmp_path, {"adaptation_round_ms": 4.5, "min_sim_events_per_sec": 25000}
         )
         reports = {"multi_tenant": self.report(round_ms=20.0, events=90000.0)}
         assert run_perf.check_regression(reports, baseline, max_regression=2.0) == 1
 
-    def test_events_floor_regression_fails_the_check(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_events_floor_regression_fails_the_check(self, run_perf, tmp_path):
         baseline = self.baseline(
             tmp_path, {"adaptation_round_ms": 4.5, "min_sim_events_per_sec": 25000}
         )
         reports = {"multi_tenant": self.report(round_ms=2.0, events=10000.0)}
         assert run_perf.check_regression(reports, baseline, max_regression=2.0) == 1
 
-    def test_within_limits_passes(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_within_limits_passes(self, run_perf, tmp_path):
         baseline = self.baseline(
             tmp_path, {"adaptation_round_ms": 4.5, "min_sim_events_per_sec": 25000}
         )
         reports = {"multi_tenant": self.report(round_ms=4.0, events=90000.0)}
         assert run_perf.check_regression(reports, baseline, max_regression=2.0) == 0
 
-    def test_unlisted_scenario_skips_the_guard(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_unlisted_scenario_skips_the_guard(self, run_perf, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({"scenarios": {}}))
         reports = {"multi_tenant": self.report(round_ms=999.0, events=1.0)}

@@ -30,7 +30,6 @@ The host/object-storage spill tier rests on four claims, each pinned here:
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -1015,15 +1014,6 @@ class TestPerfHarnessWiring:
     """run_perf.py --check gains a guarded tiered_offload entry."""
 
     @staticmethod
-    def load_run_perf():
-        spec = importlib.util.spec_from_file_location(
-            "run_perf", REPO_ROOT / "benchmarks" / "perf" / "run_perf.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    @staticmethod
     def report(round_ms=5.0, events=50000.0):
         return {
             "adaptation_round_ms": round_ms,
@@ -1034,8 +1024,7 @@ class TestPerfHarnessWiring:
             },
         }
 
-    def test_scenario_registered(self):
-        run_perf = self.load_run_perf()
+    def test_scenario_registered(self, run_perf):
         assert "tiered_offload" in run_perf.SCENARIOS
 
     def test_committed_baseline_carries_all_four_guards(self):
@@ -1073,8 +1062,7 @@ class TestPerfHarnessWiring:
         )
         return path
 
-    def test_round_regression_fails_the_check(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_round_regression_fails_the_check(self, run_perf, tmp_path):
         report = self.report(round_ms=50.0)
         assert (
             run_perf.check_regression(
@@ -1083,8 +1071,7 @@ class TestPerfHarnessWiring:
             == 1
         )
 
-    def test_events_floor_regression_fails_the_check(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_events_floor_regression_fails_the_check(self, run_perf, tmp_path):
         report = self.report(events=100.0)
         assert (
             run_perf.check_regression(
@@ -1093,8 +1080,7 @@ class TestPerfHarnessWiring:
             == 1
         )
 
-    def test_healthy_report_passes_the_check(self, tmp_path):
-        run_perf = self.load_run_perf()
+    def test_healthy_report_passes_the_check(self, run_perf, tmp_path):
         assert (
             run_perf.check_regression(
                 {"tiered_offload": self.report()}, self.baseline(tmp_path), 2.0
@@ -1102,9 +1088,8 @@ class TestPerfHarnessWiring:
             == 0
         )
 
-    def test_missing_phases_skip_their_guards(self, tmp_path):
+    def test_missing_phases_skip_their_guards(self, run_perf, tmp_path):
         """A run without reconfiguring rounds skips map/plan, not fails."""
-        run_perf = self.load_run_perf()
         report = self.report()
         report["phases"] = {}
         assert (
@@ -1114,8 +1099,7 @@ class TestPerfHarnessWiring:
             == 0
         )
 
-    def test_measure_attaches_spill_counters(self):
-        run_perf = self.load_run_perf()
+    def test_measure_attaches_spill_counters(self, run_perf):
         report = run_perf.measure("tiered_offload")
         assert report["spill_counters"]["bytes_spilled"] > 0
         assert report["spill_counters"]["restores"] > 0
