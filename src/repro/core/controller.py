@@ -34,18 +34,17 @@ from .config import ConfigurationSpace, ParallelConfig
 #: letting the cheaper configuration win (Section 3.2).
 LATENCY_TIE_MARGIN = 0.05
 
-#: Decimal places the arrival rate is rounded to when keying the estimate
+#: Decimal places the arrival rate is rounded to when keying the propose
 #: memo.  Twelve decimals only merges rates that are numerically
 #: indistinguishable for any decision threshold, so memoisation cannot
 #: change which configuration wins.
 RATE_KEY_DECIMALS = 12
 
-#: Memo size caps.  Fluctuating arrival rates mint a fresh key almost every
-#: round, so on very long runs the memos would grow without bound; once a
-#: cap is hit the memo is flushed wholesale (an epoch flush keeps the hit
-#: path a single dict probe).  The caps comfortably hold many rounds of
+#: Propose-memo size cap.  Fluctuating arrival rates mint a fresh key almost
+#: every round, so on very long runs the memo would grow without bound; once
+#: the cap is hit the memo is flushed wholesale (an epoch flush keeps the hit
+#: path a single dict probe).  The cap comfortably holds many rounds of
 #: intra-round hits, which is where all the savings are.
-ESTIMATE_MEMO_MAX = 65536
 SWEEP_MEMO_MAX = 256
 
 #: Distinguishes "memoised as None (no feasible config)" from a memo miss.
@@ -104,7 +103,6 @@ class ParallelizationController:
         self.profiler = profiler
         self.slo_latency = slo_latency
         self.latency_tie_margin = latency_tie_margin
-        self._estimate_memo: Dict[Tuple[ParallelConfig, float], ConfigEstimate] = {}
         #: Per-fleet-size slices of the cost table backing the vectorized
         #: sweep: (rows, exec latency, throughput, batch, data degree).
         self._vector_memo: Dict[int, Tuple] = {}
@@ -125,24 +123,14 @@ class ParallelizationController:
     # Cost estimation
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop memoised estimates, sweeps and decisions (not the cost table)."""
-        self._estimate_memo.clear()
+        """Drop memoised sweeps and decisions (not the cost table)."""
         self._vector_memo.clear()
         self._propose_memo.clear()
 
     def estimate(self, config: ParallelConfig, arrival_rate: float) -> ConfigEstimate:
-        """Estimate execution latency, request latency and throughput of *config*.
-
-        Results are memoised per ``(config, arrival rate)``.  The estimate
-        itself is always computed from the raw arrival rate -- the rounded
-        rate is only the memo key.
-        """
-        key = (config, round(arrival_rate, RATE_KEY_DECIMALS))
-        hit = self._estimate_memo.get(key)
-        if hit is not None:
-            return hit
+        """Estimate execution latency, request latency and throughput of *config*."""
         execution_latency, throughput = self._static(config)
-        estimate = ConfigEstimate(
+        return ConfigEstimate(
             config=config,
             execution_latency=execution_latency,
             request_latency=self._request_latency(
@@ -151,10 +139,6 @@ class ParallelizationController:
             throughput=throughput,
             num_instances=config.num_instances(self.config_space.gpus_per_instance),
         )
-        if len(self._estimate_memo) >= ESTIMATE_MEMO_MAX:
-            self._estimate_memo.clear()
-        self._estimate_memo[key] = estimate
-        return estimate
 
     def _static(self, config: ParallelConfig) -> Tuple[float, float]:
         """Rate-independent ``(execution latency, throughput)`` of *config*.

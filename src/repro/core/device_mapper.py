@@ -34,20 +34,8 @@ from ..engine.placement import (
 )
 from ..llm.spec import ModelSpec
 from ..matching.bipartite import positive_components
-from ..matching.hungarian import (
-    AssignmentState,
-    greedy_assignment,
-    maximum_weight_assignment,
-)
+from ..matching.hungarian import greedy_assignment, maximum_weight_assignment
 from .config import ParallelConfig
-
-#: Key of a warm-start cache entry: the exact devices (rows) and positions
-#: (columns) of one solved submatrix.  A config change produces different
-#: positions and a fleet change different devices, so stale warm states can
-#: never be offered for a differently-shaped solve -- and even a stale state
-#: with a matching key is only a *seed*: the warm solver verifies row
-#: equality byte-for-byte and recomputes whatever changed.
-_WarmKey = Tuple[Tuple[DeviceId, ...], Tuple[TopologyPosition, ...]]
 
 #: Dense reuse-weight view of one map round: the full device x position
 #: matrix plus the index maps back to device ids and positions.  Every cell
@@ -101,10 +89,6 @@ class DeviceMapper:
         self.use_optimal_matching = use_optimal_matching
         self.hierarchical = hierarchical
         self.zone_of = zone_of
-        # Warm-start states of last round's flat solves, keyed by the exact
-        # (devices, positions) of each solved submatrix; replaced wholesale
-        # every round so only the previous round's states are retained.
-        self._warm_states: Dict[_WarmKey, AssignmentState] = {}
         #: During a zone-outage evacuation the intra-zone clustering
         #: preference is suspended: re-placing the lost pipelines on whatever
         #: survives matters more than keeping pipelines zone-local, and the
@@ -415,9 +399,9 @@ class DeviceMapper:
         devices: Sequence[DeviceId],
         positions: Sequence[TopologyPosition],
     ) -> Dict[DeviceId, TopologyPosition]:
-        """Sparsified + decomposed + warm-started flat matching.
+        """Sparsified + decomposed flat matching.
 
-        Three exact reductions shrink the solved matrices:
+        Two exact reductions shrink the solved matrices:
 
         * **sparsification** -- devices and positions with provably-zero
           weight rows/columns never enter the solver; they flow through the
@@ -428,10 +412,7 @@ class DeviceMapper:
           submesh), and since cross-component weights are identically zero
           (the dominance condition), each component is solved independently;
           disabled in ``evacuation_mode``, where zone locality is
-          deliberately suspended;
-        * **warm start** -- each component solve is seeded with last round's
-          :class:`AssignmentState` for the same (devices, positions) key;
-          the warm solver is bit-identical to a cold one by construction.
+          deliberately suspended.
 
         Matched pairs are committed in global device order, so the FP
         reuse-sum downstream visits weights in the same order as a dense
@@ -457,27 +438,17 @@ class DeviceMapper:
                 ]
             else:
                 components = positive_components(sub)
-            next_states: Dict[_WarmKey, AssignmentState] = {}
             matched: List[Tuple[int, int]] = []
             # Components with byte-identical matrices (e.g. one per pipeline
             # stage when old and new shard widths agree) share one solve.
-            component_memo: Dict[Tuple, Tuple] = {}
+            component_memo: Dict[Tuple, List[Tuple[int, int]]] = {}
             for component_rows, component_cols in components:
-                key = (
-                    tuple(devices[positive_rows[r]] for r in component_rows),
-                    tuple(positions[positive_cols[c]] for c in component_cols),
-                )
                 component_matrix = sub[np.ix_(component_rows, component_cols)]
                 memo_key = (component_matrix.shape, component_matrix.tobytes())
-                solved = component_memo.get(memo_key)
-                if solved is None:
-                    solved = maximum_weight_assignment(
-                        component_matrix,
-                        initial_assignment=self._warm_states.get(key),
-                        return_state=True,
-                    )
-                    component_memo[memo_key] = solved
-                pairs, next_states[key] = solved
+                pairs = component_memo.get(memo_key)
+                if pairs is None:
+                    pairs = maximum_weight_assignment(component_matrix)
+                    component_memo[memo_key] = pairs
                 for row, col in pairs:
                     matched.append(
                         (
@@ -485,7 +456,6 @@ class DeviceMapper:
                             int(positive_cols[component_cols[col]]),
                         )
                     )
-            self._warm_states = next_states
             # Commit in global device order (see docstring).
             matched.sort()
             for row, col in matched:

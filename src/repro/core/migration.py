@@ -27,10 +27,10 @@ implementation, built in four layers, each byte-identical to the scalar
 per-device reference in ``tests/oracles/migration.py`` that
 ``tests/test_planner_fast_path.py`` compares it against:
 
-1. **Geometry interning** — ``stage_layer_range`` / ``shard_interval`` /
-   ``stage_layers`` are pure functions of small integer signatures and are
-   memoised at module level; holder tables are built per distinct
-   (degrees, stage, shard) context signature instead of per device.
+1. **Geometry interning** — ``shard_interval`` / ``stage_layers`` are pure
+   functions of small integer signatures and are memoised at module level;
+   holder tables are built per distinct (degrees, stage, shard) context
+   signature instead of per device.
 2. **Signature-grouped step construction** — the sorted source candidate
    order for a destination depends on the destination only through its
    instance (when that instance holds the layer) or its zone (when it does

@@ -47,6 +47,7 @@ Invariants maintained here (and pinned by the regression suites):
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -135,6 +136,24 @@ class SpotServeOptions:
     #: ``admission``).  With a partitioner installed the system only plans
     #: on the share :meth:`share_for` grants it.
     fleet_partitioner: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        if not (
+            math.isfinite(self.workload_check_interval)
+            and self.workload_check_interval >= 0.0
+        ):
+            # 0 is valid: it disables the periodic workload checks.
+            raise ValueError(
+                "workload_check_interval must be finite and >= 0, "
+                f"got {self.workload_check_interval}"
+            )
+        if self.slo_latency is not None and not (
+            math.isfinite(self.slo_latency) and self.slo_latency > 0.0
+        ):
+            raise ValueError(
+                "slo_latency must be None or finite and positive, "
+                f"got {self.slo_latency}"
+            )
 
 
 class ServingSystemBase:

@@ -55,7 +55,6 @@ def mesh_positions(data_degree: int, pipeline_degree: int, tensor_degree: int) -
     ]
 
 
-@lru_cache(maxsize=4096)
 def stage_layer_range(
     num_layers: int, pipeline_degree: int, stage_index: int
 ) -> Tuple[float, float]:
@@ -64,8 +63,7 @@ def stage_layer_range(
     Uses fractional boundaries so models whose layer count is not divisible
     by ``P`` are still partitioned exactly (the real system balances whole
     layers; the fractional view only changes overlap byte counts by less than
-    one layer).  Pure and memoised: the migration planner resolves the same
-    (stage, degree) signatures thousands of times per plan.
+    one layer).
     """
     if pipeline_degree <= 0:
         raise ValueError("pipeline_degree must be positive")
@@ -79,7 +77,7 @@ def stage_layer_range(
 def shard_interval(tensor_degree: int, shard_index: int) -> Tuple[float, float]:
     """Fraction ``[start, end)`` of each layer's parameters owned by a shard.
 
-    Pure and memoised, like :func:`stage_layer_range`.
+    Pure and memoised.
     """
     if tensor_degree <= 0:
         raise ValueError("tensor_degree must be positive")

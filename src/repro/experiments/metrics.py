@@ -45,11 +45,6 @@ class LatencyStats:
         )
 
     @property
-    def p50(self) -> float:
-        """Median latency (recomputed lazily is unnecessary; use mean/percentiles)."""
-        return self.percentiles.get(50, float("nan"))
-
-    @property
     def p90(self) -> float:
         """90th percentile latency."""
         return self.percentiles[90]

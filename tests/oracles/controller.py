@@ -10,8 +10,8 @@ comes from the production cost table.  The production controller evaluates
 the same filters and near-tie thresholds as whole-array numpy expressions
 over that table and must pick the same winner with bit-identical floats.
 
-:class:`MemolessController` drops every memo before each call, so nothing
-it returns was ever served from a cache.
+:class:`MemolessController` drops every memo before each proposal, so no
+decision it returns was ever served from a cache.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -76,11 +76,7 @@ class ScalarController(ParallelizationController):
 
 
 class MemolessController(ParallelizationController):
-    """A controller that invalidates all of its memos before every call."""
-
-    def estimate(self, config, arrival_rate):
-        self.invalidate()
-        return super().estimate(config, arrival_rate)
+    """A controller that invalidates all of its memos before every proposal."""
 
     def propose(self, available_instances, arrival_rate, max_instances=None):
         self.invalidate()

@@ -2,8 +2,8 @@
 
 Every edge weight is one :meth:`DeviceMapper.reuse_weight` call and every
 matching goes through :class:`~oracles.bipartite.BipartiteGraph`: no weight
-matrix, no sparsification, no component decomposition, no warm starts and no
-memoised inner solves.  The production mapper's hierarchical placement must
+matrix, no sparsification, no component decomposition and no memoised
+solves.  The production mapper's hierarchical placement must
 equal this one down to dict order, and its flat matching must reuse the
 same number of bytes.
 """

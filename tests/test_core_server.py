@@ -1,5 +1,7 @@
 """Integration-style tests for the SpotServe serving system."""
 
+import dataclasses
+
 import pytest
 
 from repro.cloud.provider import CloudProvider
@@ -205,6 +207,33 @@ class TestOptions:
         assert stats.completed_count == len(quiet) + len(surge)
         workload_reconfigs = [r for r in stats.reconfigurations if r.reason == "workload"]
         assert workload_reconfigs
+
+
+class TestOptionsValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"workload_check_interval": -30.0}, id="negative-check-interval"),
+            pytest.param({"workload_check_interval": float("inf")}, id="infinite-check-interval"),
+            pytest.param({"workload_check_interval": float("nan")}, id="nan-check-interval"),
+            pytest.param({"slo_latency": 0.0}, id="zero-slo"),
+            pytest.param({"slo_latency": -60.0}, id="negative-slo"),
+            pytest.param({"slo_latency": float("nan")}, id="nan-slo"),
+            pytest.param({"slo_latency": float("inf")}, id="infinite-slo"),
+        ],
+    )
+    def test_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            SpotServeOptions(**kwargs)
+
+    def test_replace_rechecks(self):
+        with pytest.raises(ValueError):
+            dataclasses.replace(SpotServeOptions(), slo_latency=float("nan"))
+
+    def test_boundary_values_construct(self):
+        # 0 disables the periodic workload checks; None means no SLO.
+        SpotServeOptions(workload_check_interval=0.0, slo_latency=None)
+        SpotServeOptions(workload_check_interval=1e-6, slo_latency=1e-6)
 
 
 class TestArrivalRateEstimator:

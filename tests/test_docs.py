@@ -1,8 +1,8 @@
 """Documentation gate: markdown links resolve, docstring coverage holds.
 
 Runs the same stdlib-only checker the CI docs job invokes
-(``tools/check_docs.py``), so a broken relative link in README/docs or a
-docstring-coverage regression on the public control-plane surface fails
+(``tools/check_docs.py``) over the same tree (``src/repro``), so a broken
+relative link in README/docs or a docstring-coverage regression fails
 tier-1 locally before it fails CI.
 """
 
@@ -15,7 +15,7 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 import check_docs  # noqa: E402
 
 MARKDOWN = ["README.md", "ROADMAP.md", "docs", "benchmarks/perf/README.md"]
-COVERAGE_PATHS = ["src/repro/core", "src/repro/experiments"]
+COVERAGE_PATHS = ["src/repro"]
 COVERAGE_FLOOR = 90.0
 
 

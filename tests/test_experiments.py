@@ -1,7 +1,9 @@
 """Tests for the experiment harness: metrics, runner, scenarios, ablations."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from repro.baselines.rerouting import RequestReroutingSystem
@@ -41,6 +43,18 @@ class TestLatencyStats:
         assert REPORTED_PERCENTILES == (90, 95, 96, 97, 98, 99)
         stats = LatencyStats.from_latencies(range(1, 101))
         assert set(stats.percentiles) == set(REPORTED_PERCENTILES)
+
+    def test_percentile_properties_match_numpy(self):
+        values = [0.5, 3.0, 1.25, 9.0, 2.0, 7.5, 4.0]
+        stats = LatencyStats.from_latencies(values)
+        names = [
+            name
+            for name, attr in vars(LatencyStats).items()
+            if re.fullmatch(r"p\d+", name) and isinstance(attr, property)
+        ]
+        assert names
+        for name in names:
+            assert getattr(stats, name) == np.percentile(values, int(name[1:])), name
 
     def test_empty_input_gives_nans(self):
         stats = LatencyStats.from_latencies([])

@@ -1,23 +1,21 @@
-"""Equivalence tests for the warm-started, zone-decomposed map phase.
+"""Equivalence tests for the sparsified, zone-decomposed map phase.
 
-The map-phase fast path rests on four claims, each pinned here:
+The map-phase fast path rests on three claims, each pinned here:
 
 * the vectorized weight matrix is **bitwise** equal to the scalar
   :meth:`DeviceMapper.reuse_weight`, cell by cell;
-* a warm-started assignment solve is **bit-identical** to a cold solve of
-  the same matrix, for any seed state (the solver resumes the reference
-  sweep from a verified row prefix rather than re-deriving a merely-optimal
-  answer);
 * per-zone / per-component decomposition only fires when its dominance
   condition holds (no positive edge crosses a component boundary) and then
   matches the global solve's total matched weight exactly;
 * the mapper end to end -- sparsified flat solve, decomposed components,
-  memoised hierarchical inner solves, warm states carried across rounds --
-  produces the same placements and the same reused-byte totals as the
-  scalar reference in ``tests/oracles/device_mapper.py`` under randomized
-  fleet churn.
+  memoised hierarchical inner solves -- produces the same placements and
+  the same reused-byte totals as the scalar reference in
+  ``tests/oracles/device_mapper.py`` under randomized fleet churn, and a
+  mapper reused across rounds keeps no state: it maps exactly as a fresh
+  one does.
 """
 
+import copy
 import json
 import random
 from pathlib import Path
@@ -35,7 +33,6 @@ from repro.matching.hungarian import (
     assignment_weight,
     greedy_assignment,
     maximum_weight_assignment,
-    minimum_cost_assignment,
 )
 
 from oracles.device_mapper import ReferenceDeviceMapper
@@ -49,80 +46,6 @@ def random_matrix(rng, rows, cols, sparsity=0.5, integers=False):
     if integers:
         matrix = np.floor(matrix * 100)
     return matrix
-
-
-class TestWarmStartSolver:
-    def test_identical_matrix_is_a_full_cache_hit(self):
-        rng = np.random.default_rng(7)
-        cost = rng.random((12, 12))
-        cold, state = minimum_cost_assignment(cost, return_state=True)
-        assert state.resumed_from == 0
-        warm, warm_state = minimum_cost_assignment(
-            cost, initial_assignment=state, return_state=True
-        )
-        assert warm == cold
-        assert warm_state.resumed_from == cost.shape[0]
-
-    def test_suffix_change_resumes_mid_sweep(self):
-        rng = np.random.default_rng(11)
-        cost = rng.random((14, 14))
-        cold, state = minimum_cost_assignment(cost, return_state=True)
-        changed = cost.copy()
-        changed[-1] = rng.random(14)
-        warm, warm_state = minimum_cost_assignment(
-            changed, initial_assignment=state, return_state=True
-        )
-        # Only the last row differs, so the sweep reuses all prior rows ...
-        assert warm_state.resumed_from == cost.shape[0] - 1
-        # ... and still equals a cold solve bit for bit.
-        assert warm == minimum_cost_assignment(changed)
-
-    def test_shape_change_falls_back_to_cold(self):
-        rng = np.random.default_rng(13)
-        cost = rng.random((10, 10))
-        _, state = minimum_cost_assignment(cost, return_state=True)
-        grown = rng.random((11, 11))
-        warm, warm_state = minimum_cost_assignment(
-            grown, initial_assignment=state, return_state=True
-        )
-        assert warm_state.resumed_from == 0
-        assert warm == minimum_cost_assignment(grown)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_randomized_round_chain_matches_cold_each_round(self, seed):
-        """Random per-round deltas; the threaded warm state never diverges."""
-        rng = np.random.default_rng(seed)
-        size = int(rng.integers(3, 18))
-        cost = rng.random((size, size))
-        state = None
-        for _ in range(8):
-            delta_kind = rng.integers(0, 4)
-            if delta_kind == 0:
-                # Perturb a random suffix of rows (fleet tail churn).
-                row = int(rng.integers(0, size))
-                cost[row:] = rng.random((size - row, size))
-            elif delta_kind == 1:
-                # Whole new matrix (config change).
-                size = int(rng.integers(3, 18))
-                cost = rng.random((size, size))
-            elif delta_kind == 2:
-                # Single-cell bump.
-                cost[rng.integers(0, size), rng.integers(0, size)] = rng.random()
-            # delta_kind == 3: unchanged matrix (full cache hit).
-            warm, state = minimum_cost_assignment(
-                cost, initial_assignment=state, return_state=True
-            )
-            assert warm == minimum_cost_assignment(cost)
-
-    def test_rectangular_warm_start(self):
-        rng = np.random.default_rng(17)
-        weights = random_matrix(rng, 9, 5)
-        cold, state = maximum_weight_assignment(weights, return_state=True)
-        warm, _ = maximum_weight_assignment(
-            weights, initial_assignment=state, return_state=True
-        )
-        assert warm == cold
-        assert all(row < 9 and col < 5 for row, col in warm)
 
 
 class TestGreedySkipsZeroEdges:
@@ -300,7 +223,7 @@ class TestWeightMatrixBitIdentity:
 
 
 class TestFastPathEquivalence:
-    """Randomized fleet deltas over rounds: warm mapper == cold reference."""
+    """Randomized fleet deltas over rounds: reused mapper == fresh mapper == reference."""
 
     @staticmethod
     def random_round(rng, meta, devices, old):
@@ -333,13 +256,13 @@ class TestFastPathEquivalence:
         return f"z{int(instance_id.split('-')[1]) % 3}"
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_warm_fast_path_matches_cold_each_round(self, seed):
+    def test_reused_mapper_matches_fresh_each_round(self, seed):
         rng = np.random.default_rng(seed)
         model = GPT_20B if seed % 2 else OPT_6_7B
         meta, devices, old = random_fleet_state(rng, model)
         zone_of = self.zone_of if seed % 3 == 0 else None
 
-        warm = DeviceMapper(model, zone_of=zone_of)  # warm states persist
+        reused = DeviceMapper(model, zone_of=zone_of)  # maps every round
         reference = ReferenceDeviceMapper(model, zone_of=zone_of)
         for round_index in range(6):
             devices, new = self.random_round(rng, meta, devices, old)
@@ -349,15 +272,14 @@ class TestFastPathEquivalence:
                     d: int(rng.integers(0, new.data_degree))
                     for d in range(old.data_degree)
                 }
-            # A *fresh* mapper is a cold solve: no warm state to seed.
-            cold = DeviceMapper(model, zone_of=zone_of)
-            warm_mapping = warm.map_devices(meta, devices, new, inheritance)
-            cold_mapping = cold.map_devices(meta, devices, new, inheritance)
+            fresh = DeviceMapper(model, zone_of=zone_of)
+            reused_mapping = reused.map_devices(meta, devices, new, inheritance)
+            fresh_mapping = fresh.map_devices(meta, devices, new, inheritance)
             ref_mapping = reference.map_devices(meta, devices, new, inheritance)
-            # Warm vs cold: bit-identical, down to dict order.
-            assert warm_mapping.placement == cold_mapping.placement
-            assert list(warm_mapping.placement) == list(cold_mapping.placement)
-            assert warm_mapping.reused_bytes == cold_mapping.reused_bytes
+            # Reused vs fresh: bit-identical, down to dict order.
+            assert reused_mapping.placement == fresh_mapping.placement
+            assert list(reused_mapping.placement) == list(fresh_mapping.placement)
+            assert reused_mapping.reused_bytes == fresh_mapping.reused_bytes
             # The hierarchical matching -- the branch that decides the golden
             # digests -- must be bit-identical between the mapper and the
             # scalar reference (the flat branch may tie-break differently
@@ -365,8 +287,8 @@ class TestFastPathEquivalence:
             positions = mesh_positions(
                 new.data_degree, new.pipeline_degree, new.tensor_degree
             )
-            lookup = warm._weight_lookup(meta, devices, positions, new, inheritance)
-            fast_hier = warm._hierarchical_matching(lookup, devices, positions)
+            lookup = reused._weight_lookup(meta, devices, positions, new, inheritance)
+            fast_hier = reused._hierarchical_matching(lookup, devices, positions)
             ref_hier = reference.hierarchical_matching(
                 meta, devices, positions, new, inheritance
             )
@@ -375,10 +297,25 @@ class TestFastPathEquivalence:
             # Reuse accounting: both flat solves are optimal matchings of the
             # same matrix, so the totals agree (up to FP summation order of
             # equal-total matchings).
-            assert warm_mapping.required_bytes == ref_mapping.required_bytes
-            assert warm_mapping.reused_bytes == pytest.approx(
+            assert reused_mapping.required_bytes == ref_mapping.required_bytes
+            assert reused_mapping.reused_bytes == pytest.approx(
                 ref_mapping.reused_bytes, rel=1e-12, abs=1e-6
             )
+
+    def test_map_devices_leaves_the_mapper_unchanged(self):
+        """The mapper keeps no state: a call is a function of its arguments."""
+        meta, devices, old = self.stateful_fleet()
+        for zone_of in (None, self.zone_of):
+            mapper = DeviceMapper(GPT_20B, zone_of=zone_of)
+            for new in (old, ParallelConfig(1, 2, 8, 8)):
+                positions = mesh_positions(
+                    new.data_degree, new.pipeline_degree, new.tensor_degree
+                )
+                matrix, _, _ = mapper._weight_lookup(meta, devices, positions, new, None)
+                assert matrix.any()  # the flat matching has components to solve
+                before = copy.deepcopy(vars(mapper))
+                mapper.map_devices(meta, devices, new)
+                assert vars(mapper) == before
 
     @pytest.mark.parametrize("seed", range(4))
     def test_greedy_ablation_matches_reference(self, seed):

@@ -12,9 +12,11 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.matching import hungarian
 from repro.matching.hungarian import (
     _SCALAR_THRESHOLD,
     _solve_square,
+    _solve_square_scalar,
     assignment_weight,
     greedy_assignment,
     maximum_weight_assignment,
@@ -270,3 +272,39 @@ class TestVectorizedSolver:
         assert assignment_weight(weights, assignment) == pytest.approx(
             weights[srows, scols].sum()
         )
+
+
+class TestSolverPathsAgree:
+    """Run the scalar and the vectorized sweep on the same matrices.
+
+    :func:`_solve_square` picks its path by size alone, so the tests above
+    check each path only on its own side of ``_SCALAR_THRESHOLD``.  The
+    device mapper solves every flat-matching component cold, and a component
+    of eight rows or fewer takes the scalar path: both paths must give the
+    same assignment at every size, on both sides of the threshold.
+    """
+
+    @staticmethod
+    def vectorized(cost, monkeypatch):
+        monkeypatch.setattr(hungarian, "_SCALAR_THRESHOLD", 0)
+        return _solve_square(cost.copy())
+
+    @pytest.mark.parametrize("seed", range(170, 178))
+    def test_paths_agree_on_uniform_costs(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 2 * _SCALAR_THRESHOLD))
+        cost = rng.uniform(0.0, 10.0, size=(n, n))
+        scalar = _solve_square_scalar(cost)
+        assert scalar == reference_solve_square(cost)
+        assert self.vectorized(cost, monkeypatch) == scalar
+
+    @pytest.mark.parametrize("seed", range(178, 186))
+    def test_paths_agree_on_tie_heavy_costs(self, seed, monkeypatch):
+        # The mapper's costs are ``max - weight`` over mostly-zero weights, so
+        # most cells tie and the chosen optimum rests on tie-breaking order.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 2 * _SCALAR_THRESHOLD))
+        cost = rng.integers(0, 2, size=(n, n)).astype(float)
+        scalar = _solve_square_scalar(cost)
+        assert scalar == reference_solve_square(cost)
+        assert self.vectorized(cost, monkeypatch) == scalar

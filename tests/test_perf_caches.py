@@ -1,12 +1,12 @@
 """Cache-correctness tests for the adaptation-round control stack.
 
-The control stack memoises controller estimates and sweeps, cost-model
-entry points and warm-started mapper solves, and reads a cost table built
-once from the configuration space and profiler it was constructed with.
-These tests pin the properties that make the caches safe: the table
-follows the inputs it was built from, a memo never leaks a stale value
-across rounds, and a fully cached run is byte-identical to one that never
-serves a memo.
+The control stack memoises controller sweeps and decisions, cost-model
+entry points and identical in-round matching solves, and reads a cost
+table built once from the configuration space and profiler it was
+constructed with.  These tests pin the properties that make the caches
+safe: the table follows the inputs it was built from, a memo never leaks a
+stale value across rounds, and a fully cached run is byte-identical to one
+that never serves a memo.
 """
 
 import pytest
@@ -41,20 +41,6 @@ def make_controller(
 
 
 class TestControllerMemo:
-    def test_repeated_estimates_hit_the_memo(self):
-        controller = make_controller()
-        config = ParallelConfig(1, 2, 2, 4)
-        first = controller.estimate(config, 0.35)
-        # Identity (not merely equality): the memoised object is returned.
-        assert controller.estimate(config, 0.35) is first
-
-    def test_memoized_matches_unmemoized(self):
-        cached = make_controller()
-        uncached = make_controller(cls=MemolessController)
-        for rate in (0.05, 0.35, 2.0):
-            for config in cached.config_space.feasible_configs(3):
-                assert cached.estimate(config, rate) == uncached.estimate(config, rate)
-
     def test_profile_lengths_reach_the_table(self):
         config = ParallelConfig(1, 2, 2, 4)
         before = make_controller().estimate(config, 0.35)
@@ -117,19 +103,19 @@ class TestMapperMatchesReference:
         return [(f"inst-{i:02d}", g) for i in range(n) for g in range(gpus)]
 
     def test_context_change_between_rounds_is_observed(self):
-        """Warm state from round N must not leak a stale weight into N+1."""
+        """A mapper reused across rounds must not leak round N's weights into N+1."""
         meta = MetaContextManager(GPT_20B)
         devices = self.devices(6)
         config = ParallelConfig(2, 3, 4, 8)
         _install(meta, devices, config)
         mapper = DeviceMapper(GPT_20B)
-        warm = mapper.map_devices(meta, devices, config)
-        assert warm.reused_bytes > 0
+        first = mapper.map_devices(meta, devices, config)
+        assert first.reused_bytes > 0
         # The fleet loses all its context (e.g. every instance restarted).
         for device in devices:
             meta.drop_instance(device[0])
-        cold = mapper.map_devices(meta, devices, config)
-        assert cold.reused_bytes == pytest.approx(0.0)
+        second = mapper.map_devices(meta, devices, config)
+        assert second.reused_bytes == pytest.approx(0.0)
 
     def test_reshaped_mapping_matches_reference(self):
         meta = MetaContextManager(GPT_20B)

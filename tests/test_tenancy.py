@@ -690,6 +690,12 @@ class TestTenantSpecValidation:
             workload_check_interval=0.0,
         )
 
+    @pytest.mark.parametrize("slo_latency", [0.0, float("nan"), float("inf")])
+    def test_options_reject_an_impossible_slo(self, slo_latency):
+        spec = TenantSpec(name="tenant", slo_latency=slo_latency)
+        with pytest.raises(ValueError):
+            spec.options()
+
 
 # ----------------------------------------------------------------------
 # Perf-harness integration: the multi_tenant scenario and its --check guards
