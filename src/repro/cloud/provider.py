@@ -41,7 +41,6 @@ like the seed implementation.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -49,16 +48,11 @@ import numpy as np
 from ..faults.injector import FaultInjector
 from ..sim.engine import Simulator
 from ..sim.events import Event, EventType
+from ..sim.rng import derive_seed
 from .instance import DEFAULT_ZONE, G4DN_12XLARGE, Instance, InstanceState, InstanceType, Market
 from .pricing import CostTracker, PriceSchedule
 from .trace import AvailabilityTrace, TraceEventKind
 from .zone import ZoneSpec, single_zone, validate_zones
-
-
-def _zone_victim_seed(base_seed: int, zone_name: str) -> int:
-    """Stable per-zone victim seed (SHA-256 keyed, like repro.sim.rng)."""
-    digest = hashlib.sha256(f"{base_seed}:{zone_name}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 class CloudProvider:
@@ -98,7 +92,7 @@ class CloudProvider:
         if len(self.zones) == 1:
             seeds = {name: victim_seed for name in self.zones}
         else:
-            seeds = {name: _zone_victim_seed(victim_seed, name) for name in self.zones}
+            seeds = {name: derive_seed(victim_seed, name) for name in self.zones}
         self._victim_rngs = {
             name: np.random.default_rng(seed) for name, seed in seeds.items()
         }

@@ -227,18 +227,28 @@ class FleetAcquirer:
         zone: Optional[str] = None,
         avoid_zones: Optional[Sequence[str]] = None,
     ) -> List[Instance]:
-        """Allocate through the instance manager and arm the watchdog on each grant."""
+        """Allocate through the instance manager and arm the watchdog on each grant.
+
+        Every instance request of this system passes here, so the
+        refusals the injector draws during the call are this system's.
+        """
         system = self.system
+        injector = self.injector
+        if injector is None:
+            return system.instance_manager.alloc(count, zone=zone, avoid_zones=avoid_zones)
+        refused_before = injector.counters["allocation_refusals"]
         granted = system.instance_manager.alloc(count, zone=zone, avoid_zones=avoid_zones)
-        if self.injector is not None:
-            timeout = LAUNCH_WATCHDOG_MULTIPLIER * system.provider.instance_type.startup_delay
-            for instance in granted:
-                self._watchdogs[instance.instance_id] = system.simulator.schedule_after(
-                    timeout,
-                    EventType.GENERIC,
-                    payload={"server_action": "launch_watchdog", "instance": instance},
-                    callback=self._on_launch_watchdog,
-                )
+        system.stats.allocation_refusals += (
+            injector.counters["allocation_refusals"] - refused_before
+        )
+        timeout = LAUNCH_WATCHDOG_MULTIPLIER * system.provider.instance_type.startup_delay
+        for instance in granted:
+            self._watchdogs[instance.instance_id] = system.simulator.schedule_after(
+                timeout,
+                EventType.GENERIC,
+                payload={"server_action": "launch_watchdog", "instance": instance},
+                callback=self._on_launch_watchdog,
+            )
         return granted
 
     def _retry(

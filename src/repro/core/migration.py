@@ -43,10 +43,10 @@ per-device reference in ``tests/oracles/migration.py`` that
    device_id)`` is a total order (device ids are unique).
 3. **Cross-round plan memoisation** — the finished plan is a pure function
    of (context signatures, placement, config, cache requirements,
-   evacuation mode, buffer budget, network spec and zones), so repeated
-   (placement, placement) shapes across rounds return the cached
-   :class:`MigrationPlan` object.  The serving system invalidates the memo
-   when an instance's context is dropped from the meta-context.
+   evacuation mode, buffer budget, network spec, bandwidth factor and
+   zones), so repeated (placement, placement) shapes across rounds return
+   the cached :class:`MigrationPlan` object.  Nothing clears the memo:
+   every input is in the key, and the LRU bound caps what it retains.
 4. **Ordering** — ``_buffer_deltas`` is computed once per step and the
    deferred-layer greedy argmin is evaluated as a numpy sweep over an
    (instances x layers) delta matrix, with dead columns masked to +inf so
@@ -284,17 +284,6 @@ class MigrationPlanner:
             self._plan_memo.popitem(last=False)
         return built
 
-    def invalidate_plan_memo(self) -> None:
-        """Drop every memoised plan.
-
-        Called by the serving system when an instance's context leaves the
-        meta-context: keys naming the vanished devices can never hit again,
-        so clearing merely bounds retained memory — correctness never
-        depends on it, because every context/placement/config input is part
-        of the memo key.
-        """
-        self._plan_memo.clear()
-
     def estimate_restart_plan(
         self, config: ParallelConfig, gpus_per_instance: int = 4
     ) -> MigrationPlan:
@@ -512,6 +501,7 @@ class MigrationPlanner:
             self.progressive,
             self.storage_bandwidth,
             self.network.spec,
+            self.network.bandwidth_factor,
         )
 
     # ------------------------------------------------------------------

@@ -75,11 +75,6 @@ class TransitionPlanner:
     def __init__(self, system: "SpotServeSystem") -> None:
         self.system = system
         self.arranger = InterruptionArranger(system.latency_model)
-        #: Bandwidth-degradation factor the planner's memoised plans were
-        #: computed under; a change invalidates the whole-plan memo (its
-        #: keys do not encode the network state).  Constant 1.0 without a
-        #: fault injector, so the memo is never invalidated off-path.
-        self._bandwidth_factor = 1.0
 
     def prepare(self, config: ParallelConfig, reason: str, objective: str) -> Transition:
         """Compute placement, stall, stop time and migration volume for a switch."""
@@ -89,13 +84,8 @@ class TransitionPlanner:
         now = system.simulator.now
         injector = system.fault_injector
         if injector is not None:
-            # The whole-plan memo keys on context/mapping inputs only, not
-            # on the network state: plans cached under a different
-            # degradation factor would report stale migration times.
-            factor = injector.bandwidth_factor(now)
-            if factor != self._bandwidth_factor:
-                planner.invalidate_plan_memo()
-                self._bandwidth_factor = factor
+            # The network as it stands now prices every plan below.
+            system.network.bandwidth_factor = injector.bandwidth_factor(now)
         devices = system.instance_manager.stable_devices()
         inheritance = self._pipeline_inheritance(config)
         cache_info = self._cache_requirements(inheritance)

@@ -223,15 +223,10 @@ class ServingSystemBase:
                 self.options.admission, **(self.options.admission_params or {})
             )
 
-        # Fault injection.  The injector lives on the provider and its
-        # counters mirror into ``self.stats``; with no injector (the
-        # default) the run is byte-identical to the fault-free code.
+        # Fault injection.  The injector lives on the provider; with no
+        # injector (the default) the run is byte-identical to the
+        # fault-free code.
         self.fault_injector = provider.fault_injector
-        if self.fault_injector is not None:
-            self.fault_injector.bind_stats(self.stats)
-            self.network.degradation = lambda: self.fault_injector.bandwidth_factor(
-                self.simulator.now
-            )
         if self.options.offload_tier is not None:
             self.network.offload_tier = self.options.offload_tier
         self.acquirer = FleetAcquirer(self)
@@ -408,13 +403,6 @@ class ServingSystemBase:
         subclasses override to rearrange in-flight work).
         """
 
-    def handle_context_dropped(self, instance_id: str) -> None:
-        """React to an instance's context leaving the meta-context.
-
-        Called after every ``meta_context.drop_instance`` so subclasses can
-        invalidate caches keyed on the dropped devices (subclasses override).
-        """
-
     def handle_acquisition_ready(self, instance: Instance) -> None:
         """React to a new instance becoming usable (subclasses override)."""
 
@@ -477,7 +465,6 @@ class ServingSystemBase:
             self.handle_early_preemption(instance, announced)
         self.handle_preemption_final(instance)
         self.meta_context.drop_instance(instance.instance_id)
-        self.handle_context_dropped(instance.instance_id)
 
     def _on_acquisition_ready(self, event: Event) -> None:
         instance: Instance = event.payload["instance"]
@@ -511,7 +498,6 @@ class ServingSystemBase:
             self.dataplane.teardown({instance.instance_id for instance in dead})
             for instance in dead:
                 self.meta_context.drop_instance(instance.instance_id)
-                self.handle_context_dropped(instance.instance_id)
         self.handle_zone_outage(zone, phase, payload)
 
     def _on_launch_failure(self, event: Event) -> None:
@@ -519,12 +505,13 @@ class ServingSystemBase:
 
         The provider's callback already failed the instance and set
         ``applied`` in the payload (False when a zone outage or preemption
-        got there first).  The server forgets the instance and the acquirer
-        re-requests the lost capacity with backoff.
+        got there first).  The server counts the failure, forgets the
+        instance and the acquirer re-requests the lost capacity with backoff.
         """
         instance: Instance = event.payload["instance"]
         if not self.instance_manager.owns(instance) or not event.payload.get("applied", False):
             return
+        self.stats.launch_failures += 1
         self.instance_manager.on_launch_failure(event)
         self.acquirer.launch_failed(instance)
 
@@ -868,15 +855,6 @@ class SpotServeSystem(ServingSystemBase):
             self._plan_reconfiguration(reason="zone-outage")
         else:
             self._plan_reconfiguration(reason="zone-outage-final")
-
-    def handle_context_dropped(self, instance_id: str) -> None:
-        """Evict memoised plans naming the vanished instance's devices.
-
-        Plan-memo keys that mention the dropped devices can never hit
-        again (the context signature in the key no longer matches), so a
-        full clear is pure memory hygiene, never a correctness need.
-        """
-        self.migration_planner.invalidate_plan_memo()
 
     def handle_acquisition_ready(self, instance: Instance) -> None:
         """Fold the new instance into the deployment (JIT arrangement)."""

@@ -103,10 +103,11 @@ class ServingStats:
     #: round (e.g. ``deadline-aware``: their queue age already exceeded the
     #: SLO-derived bound, so serving them would be wasted capacity).
     requests_shed: int = 0
-    #: Allocation requests refused by the cloud with insufficient-capacity
-    #: errors (fault injection; mirrored from the :class:`FaultInjector`).
+    #: Instances this system requested that the cloud refused with
+    #: insufficient-capacity errors (fault injection).
     allocation_refusals: int = 0
-    #: Granted launches that died while still ``LAUNCHING`` (fault injection).
+    #: This system's granted launches that died while still ``LAUNCHING``
+    #: (fault injection).
     launch_failures: int = 0
     #: Acquisition retries issued by the server's backoff machinery after a
     #: refused or failed acquisition (includes launch-watchdog re-requests).

@@ -531,7 +531,6 @@ class MultiTenantSystem:
                         continue  # Busy: never steal a serving instance.
                     source.instance_manager.disown(instance_id)
                     source.meta_context.drop_instance(instance_id)
-                    source.handle_context_dropped(instance_id)
                 self.owners[instance_id] = tenant
                 target.instance_manager.adopt(instance)
         if self.rebalance_interval > 0:

@@ -275,28 +275,6 @@ def run_admission_cell(
     )
 
 
-def run_tenant_cell(
-    duration: float = DEFAULT_TENANT_DURATION,
-    seed: int = 0,
-) -> MultiTenantResult:
-    """Run the two-tenant price-spike cell (latency tier vs batch tier).
-
-    Both tenants hold mirrored zone pairs of identical size and price, so
-    their fleet costs are byte-equal and any p99 difference is attributable
-    to the per-tenant SLO/admission policies (the latency tier's
-    deadline-aware shedding vs the batch tier's unbounded queue).
-
-    Args:
-        duration: Offered-workload length in seconds.
-        seed: Base workload seed (each tenant derives its own stream).
-
-    Returns:
-        The cell's :class:`~repro.experiments.runner.MultiTenantResult`.
-    """
-    scenario = multi_tenant_scenario(duration=duration, seed=seed)
-    return run_multi_tenant_experiment(scenario, drain_time=120.0)
-
-
 def tenant_result_rows(
     result: MultiTenantResult,
     admission_by_tenant: Optional[Dict[str, str]] = None,
@@ -349,7 +327,13 @@ def _admission_cell_worker(job: Tuple[str, float, int]) -> Dict:
 
 
 def _tenant_cell_worker(job: Tuple[float, int]) -> List[Dict]:
-    """Worker entry point: run the multi-tenant cell, one row per tenant."""
+    """Worker entry point: run the multi-tenant cell, one row per tenant.
+
+    The two-tenant price-spike cell (latency tier vs batch tier): both
+    tenants hold mirrored zone pairs of identical size and price, so their
+    fleet costs are byte-equal and any p99 difference is attributable to
+    the per-tenant SLO/admission policies.
+    """
     duration, seed = job
     scenario = multi_tenant_scenario(duration=duration, seed=seed)
     result = run_multi_tenant_experiment(scenario, drain_time=120.0)

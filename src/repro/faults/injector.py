@@ -14,10 +14,10 @@ rearrangement, migration fallback) can be driven end-to-end.
 Determinism contract
 --------------------
 
-Every fault kind in every zone draws from its own named RNG stream derived
-with SHA-256 from ``(plan.seed, zone, kind)`` -- the same scheme as
-:mod:`repro.sim.rng` -- so enabling one fault type never perturbs the draws
-of another, and runs are reproducible bit-for-bit from the plan alone.
+Every fault kind in every zone draws from its own named RNG stream seeded
+with :func:`repro.sim.rng.derive_seed` from ``(plan.seed, zone, kind)``, so
+enabling one fault type never perturbs the draws of another, and runs are
+reproducible bit-for-bit from the plan alone.
 Probability-zero fault kinds short-circuit *before* drawing, so a plan that
 only enables (say) allocation refusals consumes no launch-failure entropy.
 
@@ -25,9 +25,10 @@ Digest-neutrality contract
 --------------------------
 
 With no injector installed (the default everywhere), every hook site in the
-provider, network model and server is guarded by an ``is None`` check (or a
-``!= 1.0`` factor check) and the simulation is byte-identical to the
-pre-fault code -- the golden digests pinned in
+provider and server is guarded by an ``is None`` check, the network model's
+``bandwidth_factor`` stays at 1.0 (a value its arithmetic skips), and the
+simulation is byte-identical to the pre-fault code -- the golden digests
+pinned in
 ``tests/test_streaming_equivalence.py`` do not move.  A null plan (all
 probabilities zero) keeps the hooks *running* but behavior-free, which is
 what the non-vacuous hooks-installed test pins.
@@ -35,11 +36,12 @@ what the non-vacuous hooks-installed test pins.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+from ..sim.rng import derive_seed
 
 __all__ = [
     "DegradedWindow",
@@ -48,12 +50,6 @@ __all__ = [
     "RetryPolicy",
     "ZoneFaultModel",
 ]
-
-
-def _derive_seed(base_seed: int, name: str) -> int:
-    """Derive a child seed from *base_seed* and a stream *name* (SHA-256)."""
-    digest = hashlib.sha256(f"{base_seed}:{name}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 @dataclass(frozen=True)
@@ -212,15 +208,16 @@ class FaultInjector:
 
     One injector instance serves one simulation run.  The provider consults
     it at allocation and launch-scheduling time, the server consults it for
-    retry jitter, and the network model consults :meth:`bandwidth_factor`
-    through a degradation hook.  Counters accumulate locally and mirror into
-    a bound :class:`~repro.core.stats.ServingStats` when one is attached.
+    retry jitter, and each reconfiguration reads :meth:`bandwidth_factor`
+    once and stores it on the serving system's network model.  Counters
+    accumulate here for the whole run; each serving system counts the
+    refusals and launch failures that hit its own requests in its
+    :class:`~repro.core.stats.ServingStats`.
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
         self.plan = plan or FaultPlan()
         self._streams: Dict[str, np.random.Generator] = {}
-        self._stats = None
         self.counters: Dict[str, int] = {
             "allocation_refusals": 0,
             "launch_failures": 0,
@@ -236,24 +233,18 @@ class FaultInjector:
         name = f"{zone}:{kind}"
         stream = self._streams.get(name)
         if stream is None:
-            stream = np.random.default_rng(_derive_seed(self.plan.seed, name))
+            stream = np.random.default_rng(derive_seed(self.plan.seed, name))
             self._streams[name] = stream
         return stream
 
-    def bind_stats(self, stats) -> None:
-        """Mirror injector-owned counters into *stats* from now on."""
-        self._stats = stats
-
     def record(self, key: str, amount: int = 1) -> None:
-        """Bump local counter *key* (and the bound stats' field if present).
+        """Bump counter *key* by *amount*.
 
         Fault kinds whose effect can be pre-empted by another event (launch
         failures racing zone outages) are recorded by the provider at the
         moment the fault actually lands, not at draw time.
         """
         self.counters[key] = self.counters.get(key, 0) + amount
-        if self._stats is not None and hasattr(self._stats, key):
-            setattr(self._stats, key, getattr(self._stats, key) + amount)
 
     # ------------------------------------------------------------------
     # fault draws (one method per fault kind; all zone-scoped)

@@ -426,28 +426,6 @@ class LatencyModel:
             output_length, input_length, shapes
         )
 
-    def partial_decode_time(
-        self,
-        num_tokens: int,
-        pipeline_degree: int,
-        tensor_degree: int,
-        batch_size: int,
-        context_length: int = DEFAULT_INPUT_LENGTH,
-    ) -> float:
-        """Time to decode *num_tokens* additional tokens from *context_length*.
-
-        Used by the JIT interruption arranger to decide how many iterations
-        fit in the remaining grace period.
-        """
-        if num_tokens < 0:
-            raise ValueError("num_tokens must be non-negative")
-        total = 0.0
-        for i in range(1, num_tokens + 1):
-            total += self._decode_iteration_raw(
-                context_length + i, pipeline_degree, tensor_degree, batch_size
-            )
-        return self._calibration * total
-
     def throughput(
         self,
         data_degree: int,

@@ -1,10 +1,8 @@
 """Discrete-event simulation substrate for the SpotServe reproduction."""
 
-from .clock import SimulationClock
 from .engine import Simulator
 from .events import Event, EventQueue, EventType
 from .network import NetworkModel, NetworkSpec, OffloadTierSpec, Transfer
-from .rng import RandomStreams
 
 __all__ = [
     "Event",
@@ -13,8 +11,6 @@ __all__ = [
     "NetworkModel",
     "NetworkSpec",
     "OffloadTierSpec",
-    "RandomStreams",
-    "SimulationClock",
     "Simulator",
     "Transfer",
 ]

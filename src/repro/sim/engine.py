@@ -1,9 +1,11 @@
 """Discrete-event simulation driver.
 
-The :class:`Simulator` owns the clock and the event queue and repeatedly
-dispatches the earliest event, advancing the clock to its timestamp.  Serving
-systems register handlers per :class:`~repro.sim.events.EventType`; events can
-also carry their own callback.
+The :class:`Simulator` owns simulated time and the event queue and
+repeatedly dispatches the earliest event, moving ``now`` forward to its
+timestamp.  ``now`` is a plain float that only the simulator writes; every
+component reads it from there.  Serving systems register handlers per
+:class:`~repro.sim.events.EventType`; events can also carry their own
+callback.
 
 Dispatch is the simulator's hottest loop, so handler lists are resolved into
 per-type tuples once at registration time (not per event) and the run loop
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .clock import SimulationClock
 from .events import Event, EventQueue, EventType
 
 EventHandler = Callable[[Event], None]
@@ -27,8 +28,9 @@ _NO_HANDLERS: Tuple[EventHandler, ...] = ()
 class Simulator:
     """Minimal deterministic discrete-event simulator."""
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self.clock = SimulationClock(start_time)
+    def __init__(self) -> None:
+        #: Current simulation time in seconds (never moves backwards).
+        self.now = 0.0
         self.queue = EventQueue()
         self._handlers: Dict[EventType, List[EventHandler]] = {}
         #: Per-type dispatch table: rebuilt on registration, read per event.
@@ -38,11 +40,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self.clock.now
-
     @property
     def dispatched_events(self) -> int:
         """Number of events dispatched so far (for diagnostics)."""
@@ -63,7 +60,7 @@ class Simulator:
         to sort lazily generated events exactly where eager scheduling at
         submit time would have placed them.
         """
-        now = self.clock.now
+        now = self.now
         if time < now - 1e-9:
             raise ValueError(
                 f"cannot schedule event in the past: now={now:.3f}, time={time:.3f}"
@@ -98,8 +95,15 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def _fire(self, event: Event) -> None:
-        """Advance the clock to *event* and invoke its callback + handlers."""
-        self.clock.advance_to(event.time)
+        """Move ``now`` to *event*'s time and invoke its callback + handlers."""
+        time = event.time
+        now = self.now
+        if time > now:
+            self.now = float(time)
+        elif time < now - 1e-9:
+            raise ValueError(
+                f"cannot move time backwards: now={now:.6f}, requested={time:.6f}"
+            )
         self._dispatched += 1
         callback = event.callback
         if callback is not None:
@@ -121,9 +125,9 @@ class Simulator:
         Parameters
         ----------
         until:
-            Stop once the next event would fire after this time (the clock is
-            still advanced to ``until``).  ``None`` runs until the queue is
-            empty.
+            Stop once the next event would fire after this time (``now``
+            still moves forward to ``until``).  ``None`` runs until the
+            queue is empty.
         max_events:
             Safety valve bounding the number of dispatched events.
 
@@ -141,6 +145,6 @@ class Simulator:
                 break
             fire(event)
             dispatched += 1
-        if until is not None:
-            self.clock.advance_to(max(until, self.clock.now))
+        if until is not None and until > self.now:
+            self.now = float(until)
         return dispatched

@@ -166,10 +166,11 @@ class NetworkModel:
     transfers whose endpoints live in different zones are charged at the
     (slower, higher-latency) cross-zone tier.
 
-    ``degradation`` is an optional zero-argument hook returning the current
-    bandwidth divisor (fault injection: degraded-bandwidth windows).  It
-    defaults to ``None`` and a returned factor of exactly 1.0 leaves the
-    arithmetic untouched, so the undegraded path stays byte-identical.
+    ``bandwidth_factor`` divides every bandwidth (fault injection:
+    degraded-bandwidth windows).  The serving system sets it once per
+    reconfiguration, before planning.  It defaults to 1.0, and a factor of
+    exactly 1.0 (or a non-positive one) leaves the arithmetic untouched, so
+    the undegraded path stays byte-identical.
 
     ``offload_tier`` is an optional :class:`OffloadTierSpec` pricing the
     host/object-storage spill tier.  It defaults to ``None`` (no tier), in
@@ -184,7 +185,7 @@ class NetworkModel:
     ) -> None:
         self.spec = spec or NetworkSpec()
         self.zone_of = zone_of
-        self.degradation: Optional[Callable[[], float]] = None
+        self.bandwidth_factor = 1.0
         self.offload_tier: Optional[OffloadTierSpec] = None
 
     def is_cross_zone(self, transfer: Transfer) -> bool:
@@ -206,10 +207,9 @@ class NetworkModel:
         else:
             bandwidth = self.spec.inter_instance_bandwidth
             latency = self.spec.per_transfer_latency
-        if self.degradation is not None:
-            factor = self.degradation()
-            if factor != 1.0 and factor > 0.0:
-                bandwidth = bandwidth / factor
+        factor = self.bandwidth_factor
+        if factor != 1.0 and factor > 0.0:
+            bandwidth = bandwidth / factor
         return latency + transfer.size_bytes / bandwidth
 
     def batch_time(self, transfers: Iterable[Transfer]) -> float:
@@ -247,10 +247,9 @@ class NetworkModel:
             bandwidth = self.offload_tier.restore_bandwidth_for(zone)
         else:
             bandwidth = self.offload_tier.spill_bandwidth_for(zone)
-        if self.degradation is not None:
-            factor = self.degradation()
-            if factor != 1.0 and factor > 0.0:
-                bandwidth = bandwidth / factor
+        factor = self.bandwidth_factor
+        if factor != 1.0 and factor > 0.0:
+            bandwidth = bandwidth / factor
         return bandwidth
 
     def spill_time(self, transfers: Iterable[Transfer]) -> float:

@@ -1,20 +1,17 @@
-"""Deterministic random number streams.
+"""Deterministic seed derivation.
 
 Experiments replay traces and stochastic arrival processes.  To make every
 figure reproducible run-to-run, each stochastic component draws from its own
-named stream derived from a single experiment seed, so adding a new consumer
-of randomness never perturbs existing ones.
+named stream whose seed is derived from a single experiment seed, so adding a
+new consumer of randomness never perturbs existing ones.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
-
-import numpy as np
 
 
-def _derive_seed(base_seed: int, name: str) -> int:
+def derive_seed(base_seed: int, name: str) -> int:
     """Derive a child seed from *base_seed* and a stream *name*.
 
     Uses SHA-256 so the mapping is stable across Python versions and
@@ -22,28 +19,3 @@ def _derive_seed(base_seed: int, name: str) -> int:
     """
     digest = hashlib.sha256(f"{base_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-class RandomStreams:
-    """A registry of independent, named ``numpy`` random generators."""
-
-    def __init__(self, base_seed: int = 0) -> None:
-        self.base_seed = int(base_seed)
-        self._streams: Dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the generator for *name*, creating it on first use."""
-        if name not in self._streams:
-            self._streams[name] = np.random.default_rng(_derive_seed(self.base_seed, name))
-        return self._streams[name]
-
-    def reset(self) -> None:
-        """Re-create every stream from its original seed."""
-        names = list(self._streams)
-        self._streams.clear()
-        for name in names:
-            self.stream(name)
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Create a child registry whose base seed is derived from *name*."""
-        return RandomStreams(_derive_seed(self.base_seed, name))

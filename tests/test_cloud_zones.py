@@ -1,5 +1,6 @@
 """Tests for the multi-zone spot market: zones, price schedules, provider."""
 
+import numpy as np
 import pytest
 
 from repro.cloud.instance import DEFAULT_ZONE, G4DN_12XLARGE, Market
@@ -11,6 +12,7 @@ from repro.cloud.zone import ZoneSpec, single_zone, validate_zones
 from repro.sim.engine import Simulator
 from repro.sim.events import EventType
 from repro.sim.network import NetworkModel, NetworkSpec, Transfer
+from repro.sim.rng import derive_seed
 
 
 def make_trace(name="z", initial=2, events=(), duration=600.0):
@@ -200,6 +202,17 @@ class TestMultiZoneProvider:
             return picked, len(fleet)
 
         assert run_once() == run_once()
+
+    def test_victim_streams_are_seeded_through_derive_seed(self):
+        # Several zones: each zone's victim stream is derived from the seed
+        # and the zone name.  One zone: the seed itself, as before zones.
+        provider = CloudProvider(Simulator(), zones=three_zones(), victim_seed=3)
+        for zone in ("alpha", "beta", "gamma"):
+            expected = np.random.default_rng(derive_seed(3, zone)).random(4)
+            assert list(provider._victim_rngs[zone].random(4)) == list(expected)
+        single = CloudProvider(Simulator(), trace=make_trace(), victim_seed=3)
+        (stream,) = single._victim_rngs.values()
+        assert list(stream.random(4)) == list(np.random.default_rng(3).random(4))
 
 
 class TestZoneAwareManager:

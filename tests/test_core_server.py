@@ -275,7 +275,7 @@ class TestArrivalRateEstimator:
             while consumed < len(arrivals) and arrivals[consumed] <= now:
                 system._arrival_times.append(arrivals[consumed])
                 consumed += 1
-            simulator.clock.advance_to(now)
+            simulator.run(until=now)
             expected = self.reference_rate(system, now, arrivals[:consumed])
             assert system.estimate_arrival_rate() == expected
 
@@ -289,7 +289,7 @@ class TestArrivalRateEstimator:
         boundary = now - short_window
         times = [boundary - 1.0, boundary, boundary + 1e-9, now - 1.0]
         system._arrival_times.extend(times)
-        simulator.clock.advance_to(now)
+        simulator.run(until=now)
         assert system.estimate_arrival_rate() == self.reference_rate(system, now, times)
 
     def test_lazy_trim_keeps_memory_bounded(self):
@@ -303,7 +303,7 @@ class TestArrivalRateEstimator:
             now = step * (i + 1)
             system._arrival_times.append(now)
             if i % 200 == 0:
-                simulator.clock.advance_to(now)
+                simulator.run(until=now)
                 system.estimate_arrival_rate()
         # The kept list holds at most ~2x the retention horizon's arrivals.
         assert len(system._arrival_times) <= 2 * int(horizon / step) + 4096

@@ -14,7 +14,13 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import check_docs  # noqa: E402
 
-MARKDOWN = ["README.md", "ROADMAP.md", "docs", "benchmarks/perf/README.md"]
+MARKDOWN = [
+    "README.md",
+    "ROADMAP.md",
+    "docs",
+    "benchmarks/perf/README.md",
+    "perfbench/README.md",
+]
 COVERAGE_PATHS = ["src/repro"]
 COVERAGE_FLOOR = 90.0
 

@@ -23,10 +23,12 @@ import dataclasses
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from repro.cloud.manager import InstanceManager
 from repro.cloud.provider import CloudProvider
+from repro.core.reconfiguration import TransitionPlanner
 from repro.core.server import SpotServeOptions, SpotServeSystem
 from repro.experiments.runner import run_scenario_experiment, run_serving_experiment
 from repro.experiments.scenarios import (
@@ -44,6 +46,7 @@ from repro.faults.injector import (
 )
 from repro.llm.spec import get_model
 from repro.sim.engine import Simulator
+from repro.sim.rng import derive_seed
 
 # The frozen golden digests (see tests/test_streaming_equivalence.py): the
 # fault hooks must not move them while no fault plan is active.
@@ -248,17 +251,18 @@ class TestInjectorDeterminism:
             assert reclaim is not None
             assert 115.0 <= reclaim < 130.0
 
-    def test_bound_stats_mirror(self):
-        from repro.core.stats import ServingStats
-
-        stats = ServingStats()
+    def test_refusals_are_counted_on_the_injector(self):
         injector = FaultInjector(
             FaultPlan(default_model=ZoneFaultModel(refusal_prob=1.0))
         )
-        injector.bind_stats(stats)
-        injector.refused_count("z", "spot", 3)
-        assert stats.allocation_refusals == 3
+        assert injector.refused_count("z", "spot", 3) == 3
         assert injector.counters["allocation_refusals"] == 3
+
+    def test_streams_are_seeded_through_derive_seed(self):
+        injector = FaultInjector(FaultPlan(seed=5))
+        draws = injector._stream("us-east-1a", "refusal:spot").random(4)
+        expected = np.random.default_rng(derive_seed(5, "us-east-1a:refusal:spot"))
+        assert list(draws) == list(expected.random(4))
 
 
 # ----------------------------------------------------------------------
@@ -431,6 +435,21 @@ class TestResilienceAccounting:
         # attempts the unmet demand must land in the shortfall counter.
         assert stats.allocation_shortfall > 0
 
+    def test_single_tenant_counts_equal_the_injector_totals(self):
+        # One serving system makes every request, so it counts every fault.
+        plan = FaultPlan(
+            seed=4,
+            default_model=ZoneFaultModel(refusal_prob=0.5, launch_failure_prob=0.5),
+        )
+        injector = FaultInjector(plan)
+        scenario, arrivals = multi_zone_fluctuating_scenario("OPT-6.7B", duration=600.0)
+        stats = run_scenario_experiment(
+            scenario, arrivals, drain_time=300.0, fault_injector=injector
+        ).stats
+        for key in ("allocation_refusals", "launch_failures"):
+            assert injector.counters[key] > 0, key
+            assert getattr(stats, key) == injector.counters[key], key
+
     def test_launch_failures_trigger_rerequests(self):
         plan = FaultPlan(
             seed=4, default_model=ZoneFaultModel(launch_failure_prob=1.0)
@@ -518,6 +537,49 @@ class TestResilienceAccounting:
         null = run(FaultInjector(FaultPlan()))
         assert null["granted"] > 0
         assert null["launch_watchdog"] == null["granted"]
+
+
+# ----------------------------------------------------------------------
+# Degraded bandwidth: read once per reconfiguration, kept on the network
+# ----------------------------------------------------------------------
+class TestBandwidthFactorPerReconfiguration:
+    PLAN = FaultPlan(
+        degraded_windows=(
+            DegradedWindow(start=100.0, end=400.0, bandwidth_factor=5.0),
+        ),
+    )
+
+    @staticmethod
+    def run_recording(monkeypatch, injector):
+        """Run the fluctuating scenario; record each reconfiguration."""
+        records = []
+        prepare = TransitionPlanner.prepare
+
+        def recording_prepare(self, config, reason, objective):
+            transition = prepare(self, config, reason, objective)
+            system = self.system
+            records.append((system.simulator.now, system.network.bandwidth_factor))
+            return transition
+
+        monkeypatch.setattr(TransitionPlanner, "prepare", recording_prepare)
+        scenario, arrivals = multi_zone_fluctuating_scenario("OPT-6.7B", duration=600.0)
+        run_scenario_experiment(
+            scenario, arrivals, drain_time=300.0, fault_injector=injector
+        )
+        return records
+
+    def test_each_reconfiguration_reads_the_factor_once(self, monkeypatch):
+        injector = _CountingInjector(self.PLAN)
+        records = self.run_recording(monkeypatch, injector)
+        assert records
+        assert injector.calls["bandwidth"] == len(records)
+
+    def test_network_carries_the_factor_of_its_last_reconfiguration(self, monkeypatch):
+        records = self.run_recording(monkeypatch, FaultInjector(self.PLAN))
+        for now, factor in records:
+            assert factor == (5.0 if 100.0 <= now < 400.0 else 1.0), now
+        # The window and the time around it both saw reconfigurations.
+        assert {factor for _, factor in records} == {1.0, 5.0}
 
 
 # ----------------------------------------------------------------------

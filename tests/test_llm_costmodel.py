@@ -72,16 +72,6 @@ class TestLatencyStructure:
         assert model.decode_iteration_time(2, 4, 1) < model.decode_iteration_time(4, 2, 1) * 1.01
         assert model.decode_iteration_time(1, 4, 1) < model.decode_iteration_time(2, 2, 1) * 1.01
 
-    def test_partial_decode_time_linear(self):
-        model = LatencyModel(GPT_20B)
-        ten = model.partial_decode_time(10, 3, 4, 1)
-        twenty = model.partial_decode_time(20, 3, 4, 1)
-        assert twenty == pytest.approx(2 * ten, rel=0.05)
-
-    def test_partial_decode_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LatencyModel(GPT_20B).partial_decode_time(-1, 3, 4, 1)
-
     def test_invalid_parallelism_rejected(self):
         model = LatencyModel(GPT_20B)
         with pytest.raises(ValueError):

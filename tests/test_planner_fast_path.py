@@ -27,7 +27,6 @@ import pytest
 from repro.core.config import ParallelConfig
 from repro.core.device_mapper import DeviceMapper
 from repro.core.migration import MigrationPlanner, MigrationStep, _stage_counts
-from repro.core.server import ServingSystemBase, SpotServeSystem
 from repro.engine.context import MetaContextManager
 from repro.engine.placement import mesh_positions, stage_layer_range, stage_layers
 from repro.llm.spec import GPT_20B, OPT_6_7B
@@ -347,9 +346,26 @@ class TestPlanMemo:
         planner.plan(meta, mapping, {})
         planner.evacuation_mode = False
         planner.max_buffer_bytes /= 2.0
-        planner.plan(meta, mapping, {})
+        undegraded = planner.plan(meta, mapping, {})
+        planner.network.bandwidth_factor = 4.0
+        degraded = planner.plan(meta, mapping, {})
         assert planner.plan_memo_hits == 0
-        assert planner.plan_memo_misses == 3
+        assert planner.plan_memo_misses == 4
+        assert degraded.migration_time > undegraded.migration_time
+        fresh = MigrationPlanner(GPT_20B, max_buffer_bytes=planner.max_buffer_bytes)
+        fresh.network.bandwidth_factor = 4.0
+        assert_plans_byte_equal(degraded, fresh.plan(meta, mapping, {}))
+
+    def test_each_bandwidth_factor_keeps_its_own_plan(self):
+        meta, devices, mapping = self.transition()
+        planner = MigrationPlanner(GPT_20B)
+        undegraded = planner.plan(meta, mapping, {})
+        planner.network.bandwidth_factor = 4.0
+        degraded = planner.plan(meta, mapping, {})
+        assert planner.plan(meta, mapping, {}) is degraded
+        planner.network.bandwidth_factor = 1.0
+        assert planner.plan(meta, mapping, {}) is undegraded
+        assert (planner.plan_memo_hits, planner.plan_memo_misses) == (2, 2)
 
     def test_memoised_plan_equals_fresh_plan(self):
         """A hit returns exactly what an unmemoised build would produce."""
@@ -360,32 +376,12 @@ class TestPlanMemo:
         fresh = MigrationPlanner(GPT_20B).plan(meta, mapping, {})
         assert_plans_byte_equal(hit, fresh)
 
-    def test_invalidate_clears_the_memo(self):
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B)
-        planner.plan(meta, mapping, {})
-        planner.invalidate_plan_memo()
-        planner.plan(meta, mapping, {})
-        assert planner.plan_memo_hits == 0
-        assert planner.plan_memo_misses == 2
-
     def test_memo_is_lru_bounded(self):
         meta, devices, mapping = self.transition()
         planner = MigrationPlanner(GPT_20B)
         for tokens in range(planner.PLAN_MEMO_SIZE * 2):
             planner.plan(meta, mapping, {0: (0, 8, tokens + 1)})
         assert len(planner._plan_memo) == planner.PLAN_MEMO_SIZE
-
-    def test_server_hook_invalidates_the_memo(self):
-        """SpotServeSystem.handle_context_dropped clears the planner memo."""
-        assert hasattr(ServingSystemBase, "handle_context_dropped")
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B)
-        planner.plan(meta, mapping, {})
-        assert planner._plan_memo
-        stub = SimpleNamespace(migration_planner=planner)
-        SpotServeSystem.handle_context_dropped(stub, devices[0][0])
-        assert not planner._plan_memo
 
 
 class TestPerfCheckPlanGuard:

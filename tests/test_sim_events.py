@@ -3,38 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.clock import SimulationClock
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue, EventType
-
-
-class TestSimulationClock:
-    def test_starts_at_zero_by_default(self):
-        assert SimulationClock().now == 0.0
-
-    def test_advance_to_moves_forward(self):
-        clock = SimulationClock()
-        clock.advance_to(5.0)
-        assert clock.now == 5.0
-
-    def test_advance_to_rejects_backwards(self):
-        clock = SimulationClock(10.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(5.0)
-
-    def test_advance_by_rejects_negative(self):
-        clock = SimulationClock()
-        with pytest.raises(ValueError):
-            clock.advance_by(-1.0)
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            SimulationClock(-1.0)
-
-    def test_reset(self):
-        clock = SimulationClock(5.0)
-        clock.reset()
-        assert clock.now == 0.0
 
 
 class TestEventQueue:
@@ -205,6 +175,9 @@ class TestSimulator:
         assert dispatched == 1
         assert sim.now == 5.0
         assert len(sim.queue) == 1
+        # An earlier ``until`` never moves time backwards.
+        assert sim.run(until=3.0) == 0
+        assert sim.now == 5.0
 
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
@@ -212,6 +185,126 @@ class TestSimulator:
         sim.run()
         with pytest.raises(ValueError):
             sim.schedule_at(1.0)
+
+    def test_rounding_step_back_is_clamped_to_now(self):
+        # A time a float rounding error behind ``now`` is tolerated: the
+        # event fires at ``now`` and time never moves backwards.
+        sim = Simulator()
+        sim.schedule_at(10.0)
+        sim.run()
+        seen = []
+        event = sim.schedule_at(
+            10.0 - 1e-12, EventType.GENERIC, callback=lambda e: seen.append(sim.now)
+        )
+        assert event.time == 10.0
+        sim.queue.push(
+            Event(10.0 - 1e-12, EventType.GENERIC, callback=lambda e: seen.append(sim.now))
+        )
+        sim.run()
+        assert seen == [10.0, 10.0]
+        assert sim.now == 10.0
+
+    def test_event_behind_now_raises_when_fired(self):
+        sim = Simulator()
+        sim.schedule_at(10.0)
+        sim.run()
+        sim.queue.push(Event(9.0, EventType.GENERIC))
+        with pytest.raises(ValueError):
+            sim.run()
+        assert sim.now == 10.0
+
+    @pytest.mark.parametrize(
+        "step_back, raises", [(1e-12, False), (5e-10, False), (2e-9, True), (1.0, True)]
+    )
+    def test_fire_tolerates_steps_back_below_one_nanosecond(self, step_back, raises):
+        sim = Simulator()
+        sim.schedule_at(10.0)
+        sim.run()
+        sim.queue.push(Event(10.0 - step_back, EventType.GENERIC))
+        if raises:
+            with pytest.raises(ValueError):
+                sim.run()
+        else:
+            assert sim.run() == 1
+        assert sim.now == 10.0
+
+    @pytest.mark.parametrize("step_back, raises", [(5e-10, False), (2e-9, True)])
+    def test_schedule_at_tolerates_steps_back_below_one_nanosecond(
+        self, step_back, raises
+    ):
+        sim = Simulator()
+        sim.schedule_at(10.0)
+        sim.run()
+        if raises:
+            with pytest.raises(ValueError):
+                sim.schedule_at(10.0 - step_back)
+            assert len(sim.queue) == 0
+        else:
+            assert sim.schedule_at(10.0 - step_back).time == 10.0
+
+    def test_event_behind_now_is_not_dispatched(self):
+        sim = Simulator()
+        seen = []
+        sim.on(EventType.GENERIC, lambda e: seen.append(e.time))
+        sim.schedule_at(10.0)
+        sim.run()
+        sim.queue.push(Event(9.0, EventType.GENERIC, callback=lambda e: seen.append(-1.0)))
+        with pytest.raises(ValueError):
+            sim.step()
+        assert seen == [10.0]
+        assert sim.dispatched_events == 1
+
+    def test_now_starts_at_zero(self):
+        sim = Simulator()
+        assert sim.now == 0.0
+        assert isinstance(sim.now, float)
+
+    def test_now_is_a_float_after_an_integer_timestamp(self):
+        sim = Simulator()
+        sim.schedule_at(3)
+        sim.run()
+        assert sim.now == 3.0
+        assert isinstance(sim.now, float)
+        sim.run(until=7)
+        assert isinstance(sim.now, float)
+
+    def test_run_until_moves_now_on_an_empty_queue(self):
+        sim = Simulator()
+        assert sim.run(until=7.5) == 0
+        assert sim.now == 7.5
+
+    def test_run_until_fires_events_at_exactly_until(self):
+        sim = Simulator()
+        sim.schedule_at(5.0)
+        sim.schedule_at(5.0 + 1e-6)
+        assert sim.run(until=5.0) == 1
+        assert sim.now == 5.0
+        assert len(sim.queue) == 1
+
+    def test_schedule_after_is_relative_to_now(self):
+        sim = Simulator()
+        sim.run(until=4.0)
+        event = sim.schedule_after(2.5)
+        assert event.time == 6.5
+        assert sim.schedule_after(0.0).time == 4.0
+
+    def test_step_moves_now_to_the_event(self):
+        sim = Simulator()
+        sim.schedule_at(2.0)
+        sim.schedule_at(9.0)
+        assert sim.step().time == 2.0
+        assert sim.now == 2.0
+        assert sim.step().time == 9.0
+        assert sim.now == 9.0
+
+    def test_handlers_read_now_at_their_event(self):
+        sim = Simulator()
+        seen = []
+        sim.on(EventType.GENERIC, lambda e: seen.append(sim.now))
+        for time in (1.5, 1.5, 4.0):
+            sim.schedule_at(time)
+        sim.run()
+        assert seen == [1.5, 1.5, 4.0]
 
     def test_schedule_after_negative_delay_rejected(self):
         with pytest.raises(ValueError):

@@ -106,3 +106,64 @@ class TestByteAccounting:
         ]
         assert model.total_bytes(transfers) == pytest.approx(3 * GB)
         assert model.remote_bytes(transfers) == pytest.approx(2 * GB)
+
+
+class TestBandwidthFactor:
+    @staticmethod
+    def model():
+        # Zero startup latency so times are pure bytes / bandwidth.
+        spec = NetworkSpec(per_transfer_latency=0.0, cross_zone_latency=0.0)
+        return NetworkModel(spec, zone_of=lambda instance: instance[0])
+
+    def test_defaults_to_one(self):
+        assert NetworkModel().bandwidth_factor == 1.0
+
+    @pytest.mark.parametrize(
+        "src, dst, src_gpu, dst_gpu",
+        [
+            ("a1", "a1", 0, 1),  # intra-instance
+            ("a1", "a2", 0, 0),  # inter-instance, same zone
+            ("a1", "b1", 0, 0),  # cross-zone
+        ],
+    )
+    def test_factor_divides_every_link_class(self, src, dst, src_gpu, dst_gpu):
+        model = self.model()
+        transfer = make_transfer(src, dst, 2 * GB, src_gpu=src_gpu, dst_gpu=dst_gpu)
+        clean = model.transfer_time(transfer)
+        model.bandwidth_factor = 3.0
+        assert model.transfer_time(transfer) == pytest.approx(3.0 * clean)
+
+    def test_factor_leaves_startup_latency_untouched(self):
+        model = NetworkModel(NetworkSpec(per_transfer_latency=0.5))
+        transfer = make_transfer("a", "b", 4 * GB)
+        payload = model.transfer_time(transfer) - 0.5
+        model.bandwidth_factor = 2.0
+        assert model.transfer_time(transfer) == pytest.approx(0.5 + 2.0 * payload)
+
+    @pytest.mark.parametrize("factor", [0.0, -3.0])
+    def test_non_positive_factor_is_ignored(self, factor):
+        model = self.model()
+        transfer = make_transfer("a1", "a2", 2 * GB)
+        clean = model.transfer_time(transfer)
+        model.bandwidth_factor = factor
+        assert model.transfer_time(transfer) == clean
+
+    def test_batch_time_scales_by_the_factor(self):
+        model = self.model()
+        transfers = [
+            make_transfer("a1", "a2", 2 * GB),
+            make_transfer("a1", "a2", 1 * GB, src_gpu=1),
+            make_transfer("a3", "b1", 3 * GB),
+        ]
+        clean = model.batch_time(transfers)
+        model.bandwidth_factor = 5.0
+        assert model.batch_time(transfers) == pytest.approx(5.0 * clean)
+
+    def test_resetting_to_one_restores_exact_times(self):
+        model = NetworkModel()
+        transfer = make_transfer("a", "b", 3 * GB)
+        clean = model.transfer_time(transfer)
+        model.bandwidth_factor = 7.0
+        assert model.transfer_time(transfer) != clean
+        model.bandwidth_factor = 1.0
+        assert model.transfer_time(transfer) == clean

@@ -1,65 +1,25 @@
-"""Tests for the deterministic named random streams."""
+"""Tests for the deterministic seed derivation."""
 
-from repro.sim.rng import RandomStreams, _derive_seed
+from repro.sim.rng import derive_seed
 
 
 class TestDeriveSeed:
     def test_stable_across_calls(self):
-        assert _derive_seed(0, "arrivals") == _derive_seed(0, "arrivals")
+        assert derive_seed(0, "arrivals") == derive_seed(0, "arrivals")
 
     def test_differs_by_name(self):
-        assert _derive_seed(0, "arrivals") != _derive_seed(0, "preemptions")
+        assert derive_seed(0, "arrivals") != derive_seed(0, "preemptions")
 
     def test_differs_by_base_seed(self):
-        assert _derive_seed(0, "arrivals") != _derive_seed(1, "arrivals")
+        assert derive_seed(0, "arrivals") != derive_seed(1, "arrivals")
 
     def test_fits_in_64_bits(self):
-        assert 0 <= _derive_seed(123, "x") < 2 ** 64
+        assert 0 <= derive_seed(123, "x") < 2 ** 64
 
-
-class TestRandomStreams:
-    def test_same_name_returns_same_generator(self):
-        streams = RandomStreams(0)
-        assert streams.stream("a") is streams.stream("a")
-
-    def test_streams_are_independent_of_creation_order(self):
-        # Drawing from one stream must never perturb another: the sequences
-        # only depend on (base_seed, name).
-        first = RandomStreams(7)
-        a_then_b = (
-            first.stream("a").random(3).tolist(),
-            first.stream("b").random(3).tolist(),
-        )
-        second = RandomStreams(7)
-        b_then_a = (
-            second.stream("b").random(3).tolist(),
-            second.stream("a").random(3).tolist(),
-        )
-        assert a_then_b[0] == b_then_a[1]
-        assert a_then_b[1] == b_then_a[0]
-
-    def test_different_base_seeds_give_different_draws(self):
-        a = RandomStreams(0).stream("x").random(4).tolist()
-        b = RandomStreams(1).stream("x").random(4).tolist()
-        assert a != b
-
-    def test_reset_replays_sequences(self):
-        streams = RandomStreams(3)
-        before = streams.stream("w").random(5).tolist()
-        streams.reset()
-        after = streams.stream("w").random(5).tolist()
-        assert before == after
-
-    def test_spawn_derives_child_registry(self):
-        parent = RandomStreams(5)
-        child_a = parent.spawn("worker")
-        child_b = parent.spawn("worker")
-        assert child_a.base_seed == child_b.base_seed
-        assert child_a.base_seed != parent.base_seed
-        draws_a = child_a.stream("s").random(3).tolist()
-        draws_b = child_b.stream("s").random(3).tolist()
-        assert draws_a == draws_b
-
-    def test_spawn_different_names_diverge(self):
-        parent = RandomStreams(5)
-        assert parent.spawn("alpha").base_seed != parent.spawn("beta").base_seed
+    def test_values_are_pinned(self):
+        # The fault injector's streams and the provider's per-zone victim
+        # RNGs are seeded through this one function; these values must not
+        # move or every seeded replay would.
+        assert derive_seed(0, "arrivals") == 1213280804437773225
+        assert derive_seed(7, "us-east-1a:refusal:spot") == 9245885885761081360
+        assert derive_seed(3, "zone-b") == 6324831758278091460

@@ -529,6 +529,45 @@ class TestPerTenantConservationUnderFaults:
             _fleet_conservation(system)
 
 
+class TestPerTenantFaultCounts:
+    def test_faults_are_counted_for_the_tenant_they_hit(self):
+        # Only the latency tier allocates, and only its zones fault; the
+        # batch tier shares the one injector but never requests capacity.
+        base = multi_tenant_scenario("OPT-6.7B", duration=600.0)
+        zones = tuple(dataclasses.replace(zone, capacity=None) for zone in base.zones)
+        tenants = tuple(
+            dataclasses.replace(spec, autoscale_policy="cost-aware")
+            if spec.name == "latency-tier"
+            else spec
+            for spec in base.tenants
+        )
+        faulty = ZoneFaultModel(refusal_prob=0.5, launch_failure_prob=0.5)
+        injector = FaultInjector(
+            FaultPlan(zone_models=(("lat-east", faulty), ("lat-west", faulty)))
+        )
+        simulator = Simulator()
+        provider = CloudProvider(
+            simulator,
+            None,
+            zones=zones,
+            allow_spot_requests=True,
+            fault_injector=injector,
+        )
+        system = MultiTenantSystem(simulator, provider, tenants)
+        system.submit_workloads(base.duration)
+        system.initialize()
+        simulator.run(until=720.0)
+
+        latency = system.systems["latency-tier"].stats
+        batch = system.systems["batch-tier"].stats
+        for key in ("allocation_refusals", "launch_failures"):
+            total = injector.counters[key]
+            assert total > 0, key
+            assert getattr(latency, key) == total, key
+            assert getattr(batch, key) == 0, key
+            assert getattr(system.aggregate_stats(), key) == total, key
+
+
 # ----------------------------------------------------------------------
 # Shared-zone outage: co-located tenants evacuate independently
 # ----------------------------------------------------------------------

@@ -354,7 +354,7 @@ class TestSpillRestoreTimes:
         transfers = [self.transfer("a", "b", 8.0 * GB)]
         clean_spill = net.spill_time(transfers)
         clean_restore = net.restore_time(transfers)
-        net.degradation = lambda: 4.0
+        net.bandwidth_factor = 4.0
         assert net.spill_time(transfers) == pytest.approx(4.0 * clean_spill)
         assert net.restore_time(transfers) == pytest.approx(4.0 * clean_restore)
 
@@ -363,7 +363,7 @@ class TestSpillRestoreTimes:
         net = self.network(tier)
         transfers = [self.transfer("a", "b", 8.0 * GB)]
         clean = net.spill_time(transfers)
-        net.degradation = lambda: 0.0
+        net.bandwidth_factor = 0.0
         assert net.spill_time(transfers) == pytest.approx(clean)
 
 
@@ -591,7 +591,7 @@ class TestSpillProperties:
         )
         # An active degraded window scales direct *and* tier bandwidths.
         factor = float(rng.choice([1.0, 2.0, 4.0]))
-        network.degradation = lambda: factor
+        network.bandwidth_factor = factor
         planner = MigrationPlanner(model, network)
         mapper = DeviceMapper(model)
         checked = 0
@@ -647,7 +647,7 @@ class TestSpillProperties:
         window = plan.migration_time * 0.5
         clean = planner.derive_tiered_plan(plan, window)
         assert clean is not None
-        planner.network.degradation = lambda: 64.0
+        planner.network.bandwidth_factor = 64.0
         degraded = planner.derive_tiered_plan(plan, window)
         # Under heavy degradation the same window either becomes infeasible
         # or requires spilling at least as late a suffix at a higher cost.
