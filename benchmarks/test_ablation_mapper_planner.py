@@ -38,7 +38,7 @@ def deploy(meta, devices, config):
 
 def build_cluster(num_instances=4):
     devices = [(f"inst-{i:02d}", g) for i in range(num_instances) for g in range(4)]
-    meta = MetaContextManager(GPT_20B)
+    meta = MetaContextManager()
     deploy(meta, devices, ParallelConfig(1, 2, 8, 8))
     return meta, devices
 

@@ -48,11 +48,6 @@ class RequestReroutingSystem(ServingSystemBase):
             for pipeline in self.dataplane.pipelines:
                 next(self._pipeline_counter)
 
-    @property
-    def fixed_shape(self) -> Optional[ParallelConfig]:
-        """The frozen ``(P, M, B)`` shape (D reflects the initial deployment)."""
-        return self._fixed_shape
-
     # ------------------------------------------------------------------
     # Event hooks
     # ------------------------------------------------------------------

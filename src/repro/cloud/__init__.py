@@ -17,7 +17,6 @@ from .trace import (
     AvailabilityTrace,
     TraceEvent,
     TraceEventKind,
-    generate_random_trace,
     get_trace,
     trace_a_prime,
     trace_as,
@@ -43,7 +42,6 @@ __all__ = [
     "TraceEvent",
     "TraceEventKind",
     "ZoneSpec",
-    "generate_random_trace",
     "get_trace",
     "single_zone",
     "trace_a_prime",

@@ -10,7 +10,7 @@ lifecycle state and the timestamps of lifecycle transitions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -195,12 +195,6 @@ class Instance:
             raise ValueError("instance already terminated")
         self.state = InstanceState.RELEASED
         self.termination_time = time
-
-    def billed_hours(self, now: float) -> float:
-        """Hours billed so far (or in total when terminated)."""
-        end = self.termination_time if self.termination_time is not None else now
-        start = self.launch_time
-        return max(end - start, 0.0) / 3600.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

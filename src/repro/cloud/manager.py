@@ -12,9 +12,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..sim.events import Event, EventType
-from .instance import Instance, InstanceState, Market
+from ..sim.events import Event
+from .instance import Instance, Market
 from .provider import CloudProvider
+
+#: Spare instances :meth:`InstanceManager.free` keeps held when asked to
+#: preserve the candidate pool.
+CANDIDATE_POOL_SIZE = 2
 
 
 class InstanceManager:
@@ -24,11 +28,9 @@ class InstanceManager:
         self,
         provider: CloudProvider,
         allow_on_demand: bool = False,
-        candidate_pool_size: int = 2,
     ) -> None:
         self.provider = provider
         self.allow_on_demand = allow_on_demand
-        self.candidate_pool_size = candidate_pool_size
         self._held: Dict[str, Instance] = {}
         #: Instance id -> earliest announced reclaim deadline, for every
         #: instance inside a grace period (preemption notice or zone-outage
@@ -151,27 +153,9 @@ class InstanceManager:
             and (excluded is None or inst.instance_id not in excluded)
         ]
 
-    def doomed_instances(self) -> List[Instance]:
-        """Instances currently inside a preemption grace period."""
-        return [
-            inst
-            for inst in self._held.values()
-            if inst.instance_id in self.grace_deadlines and inst.is_usable
-        ]
-
     def available_count(self) -> int:
         """``N_t`` of Algorithm 1: usable instances not scheduled for preemption."""
         return len(self.stable_instances())
-
-    def available_gpus(self) -> int:
-        """Total GPUs across :meth:`stable_instances`."""
-        return sum(inst.num_gpus for inst in self.stable_instances())
-
-    def on_demand_instances(self) -> List[Instance]:
-        """Held on-demand instances."""
-        return [
-            inst for inst in self._held.values() if inst.market is Market.ON_DEMAND and inst.is_usable
-        ]
 
     def on_demand_alive(self) -> int:
         """On-demand instances alive anywhere (held, launching or spare)."""
@@ -306,14 +290,14 @@ class InstanceManager:
         On-demand instances are released first because they cost more; within
         a market the most recently acquired instances go first.  With
         ``keep_pool=True`` the candidate pool is preserved: the manager keeps
-        up to ``candidate_pool_size`` extra instances as spares.  ``zone``
+        up to :data:`CANDIDATE_POOL_SIZE` extra instances as spares.  ``zone``
         restricts releases to one availability zone and ``avoid`` protects
         instances (e.g. those hosting live pipelines) from release.
         """
         if count <= 0:
             return []
         if keep_pool:
-            count = max(count - self.candidate_pool_size, 0)
+            count = max(count - CANDIDATE_POOL_SIZE, 0)
         if count == 0:
             return []
         protected = set(avoid or ())

@@ -15,10 +15,10 @@ accrued cost without any extra bookkeeping in the provider.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from .instance import DEFAULT_ZONE, Instance, InstanceType, Market
+from .instance import DEFAULT_ZONE, Instance, Market
 
 
 @dataclass(frozen=True)
@@ -183,17 +183,3 @@ class CostTracker:
         if tokens_generated <= 0:
             return float("inf")
         return self.total_cost(now) / tokens_generated
-
-    def instance_hours(self, now: float, market: Optional[Market] = None) -> float:
-        """Total billed instance-hours."""
-        hours = 0.0
-        for record in list(self._closed) + list(self._records.values()):
-            if market is None or record.market is market:
-                end = record.end if record.end is not None else now
-                hours += max(end - record.start, 0.0) / 3600.0
-        return hours
-
-    @property
-    def open_records(self) -> int:
-        """Number of instances currently accruing cost."""
-        return len(self._records)

@@ -50,7 +50,7 @@ from ..sim.engine import Simulator
 from ..sim.events import Event, EventType
 from ..sim.rng import derive_seed
 from .instance import DEFAULT_ZONE, G4DN_12XLARGE, Instance, InstanceState, InstanceType, Market
-from .pricing import CostTracker, PriceSchedule
+from .pricing import CostTracker
 from .trace import AvailabilityTrace, TraceEventKind
 from .zone import ZoneSpec, single_zone, validate_zones
 
@@ -63,7 +63,6 @@ class CloudProvider:
         simulator: Simulator,
         trace: Optional[AvailabilityTrace] = None,
         instance_type: InstanceType = G4DN_12XLARGE,
-        cost_tracker: Optional[CostTracker] = None,
         allow_spot_requests: bool = False,
         trace_market: Market = Market.SPOT,
         victim_seed: int = 0,
@@ -79,7 +78,7 @@ class CloudProvider:
         self.simulator = simulator
         self.zones: Dict[str, ZoneSpec] = {z.name: z for z in validate_zones(zones)}
         self.instance_type = instance_type
-        self.cost_tracker = cost_tracker or CostTracker()
+        self.cost_tracker = CostTracker()
         self.allow_spot_requests = allow_spot_requests
         self.trace_market = trace_market
         #: Optional cloud-fault injector (see :mod:`repro.faults`).  When
@@ -97,8 +96,6 @@ class CloudProvider:
             name: np.random.default_rng(seed) for name, seed in seeds.items()
         }
         self._instances: Dict[str, Instance] = {}
-        self._preempted_count = 0
-        self._zone_outage_count = 0
         #: Pending ``ACQUISITION_READY`` events per launching instance, so a
         #: zone outage can cancel the ready announcement of an instance that
         #: died before finishing its startup delay.
@@ -237,20 +234,8 @@ class CloudProvider:
                 pending_ready.cancel()
             victim.fail(event.time)
             self.cost_tracker.stop_billing(victim, event.time)
-            self._preempted_count += 1
-        self._zone_outage_count += 1
         # Handlers dispatched after this callback see exactly who died.
         event.payload["failed_instances"] = victims
-
-    def zone_is_down(self, zone: str, time: Optional[float] = None) -> bool:
-        """True while *zone* is inside a scheduled outage window."""
-        when = self.simulator.now if time is None else time
-        return self.zones[zone].outage_at(when) is not None
-
-    @property
-    def zone_outage_count(self) -> int:
-        """Number of zone outages that have struck so far."""
-        return self._zone_outage_count
 
     # ------------------------------------------------------------------
     # Spot lifecycle
@@ -417,7 +402,6 @@ class CloudProvider:
             return
         instance.preempt(event.time)
         self.cost_tracker.stop_billing(instance, event.time)
-        self._preempted_count += 1
 
     # ------------------------------------------------------------------
     # Allocation API (used by the instance manager / autoscaler)
@@ -579,8 +563,3 @@ class CloudProvider:
         """Hourly on-demand price of *zone* at *time* (defaults to now)."""
         when = self.simulator.now if time is None else time
         return self.zones[zone].on_demand_schedule(self.instance_type).price_at(when)
-
-    @property
-    def preempted_count(self) -> int:
-        """Number of spot instances reclaimed so far."""
-        return self._preempted_count

@@ -5,8 +5,7 @@ from a 12-hour availability trace collected on AWS ``g4dn`` spot instances
 (Figure 5), and derives ``AS+O`` / ``BS+O`` variants by letting Algorithm 1
 mix in on-demand instances.  The raw AWS trace is not published, so this
 module ships hand-authored trace definitions that match the figure's shape
-(initial fleet size, preemption clusters, re-acquisitions) plus a generator
-for random traces with controllable preemption behaviour.
+(initial fleet size, preemption clusters, re-acquisitions).
 
 A trace is a list of :class:`TraceEvent` items; each event adds or removes a
 number of spot instances at a timestamp.  Traces only describe the *spot*
@@ -16,11 +15,10 @@ manager when mixing is enabled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 
 class TraceEventKind(Enum):
@@ -39,8 +37,8 @@ class TraceEvent:
     count: int = 1
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("trace events cannot occur before time zero")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"trace events need a finite time >= 0, got {self.time}")
         if self.count <= 0:
             raise ValueError("trace events must change at least one instance")
 
@@ -64,21 +62,18 @@ class AvailabilityTrace:
         Availability changes, sorted by time.
     duration:
         Total trace length in seconds (the paper replays 20-minute segments).
-    gpus_per_instance:
-        Informational; the paper's instances have 4 GPUs each.
     """
 
     name: str
     initial_instances: int
     events: List[TraceEvent] = field(default_factory=list)
     duration: float = 1200.0
-    gpus_per_instance: int = 4
 
     def __post_init__(self) -> None:
         if self.initial_instances < 0:
             raise ValueError("initial_instances must be non-negative")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
         self.events = sorted(self.events, key=lambda event: event.time)
         counts = self.instance_counts()
         if any(count < 0 for _, count in counts):
@@ -105,22 +100,6 @@ class AvailabilityTrace:
             count += event.delta
         return count
 
-    def preemption_times(self) -> List[float]:
-        """Timestamps of every preemption event (one entry per instance lost)."""
-        times: List[float] = []
-        for event in self.events:
-            if event.kind is TraceEventKind.PREEMPT:
-                times.extend([event.time] * event.count)
-        return times
-
-    def acquisition_times(self) -> List[float]:
-        """Timestamps of every acquisition event (one entry per instance gained)."""
-        times: List[float] = []
-        for event in self.events:
-            if event.kind is TraceEventKind.ACQUIRE:
-                times.extend([event.time] * event.count)
-        return times
-
     @property
     def min_instances(self) -> int:
         """Lowest concurrent instance count over the trace."""
@@ -131,24 +110,13 @@ class AvailabilityTrace:
         """Highest concurrent instance count over the trace."""
         return max(count for _, count in self.instance_counts())
 
-    def average_instances(self) -> float:
-        """Time-weighted mean instance count over the trace duration."""
-        series = self.instance_counts()
-        total = 0.0
-        for index, (time, count) in enumerate(series):
-            end = series[index + 1][0] if index + 1 < len(series) else self.duration
-            end = min(end, self.duration)
-            if end > time:
-                total += count * (end - time)
-        return total / self.duration
-
     # ------------------------------------------------------------------
     # Manipulation
     # ------------------------------------------------------------------
     def scaled(self, factor: float, name: Optional[str] = None) -> "AvailabilityTrace":
         """Return a copy with every timestamp multiplied by *factor*."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(f"factor must be finite and positive, got {factor}")
         return AvailabilityTrace(
             name=name or f"{self.name}x{factor:g}",
             initial_instances=self.initial_instances,
@@ -157,7 +125,6 @@ class AvailabilityTrace:
                 for event in self.events
             ],
             duration=self.duration * factor,
-            gpus_per_instance=self.gpus_per_instance,
         )
 
 
@@ -250,53 +217,3 @@ def get_trace(name: str) -> AvailabilityTrace:
         if candidate.upper().replace("'", "").replace(" ", "") == key.replace("'", ""):
             return factory()
     raise KeyError(f"unknown trace {name!r}; available: {sorted(BUILTIN_TRACES)}")
-
-
-def generate_random_trace(
-    name: str,
-    duration: float = 1200.0,
-    initial_instances: int = 12,
-    preemption_rate: float = 1.0 / 240.0,
-    acquisition_rate: float = 1.0 / 300.0,
-    min_instances: int = 2,
-    max_instances: int = 16,
-    seed: int = 0,
-) -> AvailabilityTrace:
-    """Generate a synthetic availability trace with Poisson churn.
-
-    Preemptions and acquisitions each arrive as Poisson processes; events that
-    would push the fleet outside ``[min_instances, max_instances]`` are
-    dropped.  Useful for stress tests and sensitivity studies beyond the two
-    published segments.
-    """
-    if initial_instances < min_instances or initial_instances > max_instances:
-        raise ValueError("initial_instances must lie within [min_instances, max_instances]")
-    rng = np.random.default_rng(seed)
-    events: List[TraceEvent] = []
-    count = initial_instances
-    time = 0.0
-    while True:
-        next_preempt = rng.exponential(1.0 / preemption_rate) if preemption_rate > 0 else float("inf")
-        next_acquire = rng.exponential(1.0 / acquisition_rate) if acquisition_rate > 0 else float("inf")
-        step = min(next_preempt, next_acquire)
-        time += step
-        if time >= duration:
-            break
-        if next_preempt <= next_acquire:
-            size = int(rng.integers(1, 3))
-            size = min(size, count - min_instances)
-            if size > 0:
-                events.append(TraceEvent(time, TraceEventKind.PREEMPT, size))
-                count -= size
-        else:
-            size = int(rng.integers(1, 3))
-            size = min(size, max_instances - count)
-            if size > 0:
-                events.append(TraceEvent(time, TraceEventKind.ACQUIRE, size))
-                count += size
-    return AvailabilityTrace(
-        name=name,
-        initial_instances=initial_instances,
-        events=events,
-        duration=duration,
-    )

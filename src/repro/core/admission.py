@@ -45,7 +45,7 @@ Invariants
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -62,6 +62,9 @@ DEFAULT_SLO_LATENCY = 120.0
 
 #: Default burst capacity of :class:`TokenBucketPolicy` (tokens).
 DEFAULT_BUCKET_BURST = 16.0
+
+#: Floor of an adaptive :class:`TokenBucketPolicy` refill rate (tokens/s).
+MIN_BUCKET_RATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -214,9 +217,10 @@ class TokenBucketPolicy(AdmissionPolicy):
     an arrival finding an empty bucket is rejected.  With ``rate=None``
     the refill rate *adapts*: every adaptation round it is reset to the
     serving throughput the controller estimates for the current
-    configuration (clamped below by ``min_rate``), so the bucket admits
-    exactly the sustained load the fleet can serve -- the admission-side
-    dual of the autoscaler, driven by the same adaptation-round signal.
+    configuration (clamped below by :data:`MIN_BUCKET_RATE`), so the bucket
+    admits exactly the sustained load the fleet can serve -- the
+    admission-side dual of the autoscaler, driven by the same
+    adaptation-round signal.
     """
 
     name = "token-bucket"
@@ -225,25 +229,16 @@ class TokenBucketPolicy(AdmissionPolicy):
         self,
         rate: Optional[float] = None,
         burst: float = DEFAULT_BUCKET_BURST,
-        min_rate: float = 0.05,
     ) -> None:
         if rate is not None and rate <= 0:
             raise ValueError("rate must be positive")
         if burst < 1:
             raise ValueError("burst must be at least one token")
-        if min_rate <= 0:
-            raise ValueError("min_rate must be positive")
         self.configured_rate = rate
         self.burst = float(burst)
-        self.min_rate = min_rate
-        self._rate = rate if rate is not None else min_rate
+        self._rate = rate if rate is not None else MIN_BUCKET_RATE
         self._tokens = float(burst)
         self._last_refill = 0.0
-
-    @property
-    def current_rate(self) -> float:
-        """Refill rate in effect (configured, or the last adaptive update)."""
-        return self._rate
 
     def _refill(self, now: float) -> None:
         elapsed = now - self._last_refill
@@ -258,7 +253,7 @@ class TokenBucketPolicy(AdmissionPolicy):
         # the rate change never applies retroactively.
         self._refill(signal.time)
         if signal.serving_throughput > 0:
-            self._rate = max(signal.serving_throughput, self.min_rate)
+            self._rate = max(signal.serving_throughput, MIN_BUCKET_RATE)
 
     def admit(self, request: "Request", signal: AdmissionSignal) -> bool:
         self._refill(signal.time)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .controller import ParallelizationController
 
@@ -115,11 +115,6 @@ class AutoscaleDecision:
     def is_noop(self) -> bool:
         """True when the fleet is left untouched."""
         return not self.acquire and not self.release
-
-    @property
-    def total_delta(self) -> int:
-        """Net requested change in fleet size."""
-        return sum(self.acquire.values()) - sum(self.release.values())
 
 
 class AutoscalePolicy(ABC):

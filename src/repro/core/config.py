@@ -6,8 +6,8 @@ tensor-model-parallel shards and ``B`` the maximum mini-batch size.  The
 parallelization controller explores every configuration that
 
 * uses at most the currently available GPUs,
-* respects the model geometry (layer count divisible enough for ``P``,
-  attention heads divisible by ``M``), and
+* respects the model geometry (``P`` at most the layer count, attention
+  heads divisible by ``M``), and
 * fits in GPU memory (checked by the :class:`~repro.llm.memory.MemoryModel`).
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +29,9 @@ DEFAULT_BATCH_SIZES: Tuple[int, ...] = (1, 2, 4, 8)
 #: explores shards within an instance plus one level of over-sharding (M=8);
 #: wider tensor groups are dominated by their collective latency.
 DEFAULT_TENSOR_DEGREES: Tuple[int, ...] = (1, 2, 4, 8)
+
+#: Most data-parallel pipelines one configuration may run.
+MAX_DATA_DEGREE = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -56,11 +59,6 @@ class ParallelConfig:
     def gpus_per_pipeline(self) -> int:
         """GPUs per data-parallel replica: ``P * M``."""
         return self.pipeline_degree * self.tensor_degree
-
-    @property
-    def concurrent_requests(self) -> int:
-        """Maximum requests decoded concurrently: ``D * B``."""
-        return self.data_degree * self.batch_size
 
     def num_instances(self, gpus_per_instance: int = 4) -> int:
         """Instances required (ceiling division)."""
@@ -92,7 +90,7 @@ class ConfigurationSpace:
 
     The space is laid out once, at construction: every memory-fitting
     ``(P, M, B)`` shape (with ``P`` up to the layer count) is crossed with
-    every data degree up to ``max_data_degree``, giving one row per
+    every data degree up to :data:`MAX_DATA_DEGREE`, giving one row per
     configuration of any fleet size.  A fleet's feasible configurations are
     the rows whose ``D * P * M`` GPUs fit on it, so each fleet size is a mask
     over the same rows.  The inputs are fixed at construction.
@@ -102,45 +100,25 @@ class ConfigurationSpace:
         self,
         model: ModelSpec,
         memory_model: Optional[MemoryModel] = None,
-        batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
-        tensor_degrees: Sequence[int] = DEFAULT_TENSOR_DEGREES,
         gpus_per_instance: int = 4,
-        max_data_degree: int = 16,
         migration_buffer_bytes: float = 0.0,
-        require_divisible_layers: bool = False,
     ) -> None:
         self.model = model
         self.memory_model = memory_model or MemoryModel(model)
-        self.batch_sizes = tuple(sorted(set(batch_sizes)))
-        self.tensor_degrees = tuple(sorted(set(tensor_degrees)))
         self.gpus_per_instance = gpus_per_instance
-        self.max_data_degree = max_data_degree
         self.migration_buffer_bytes = migration_buffer_bytes
-        self.require_divisible_layers = require_divisible_layers
-        if not self.batch_sizes or not self.tensor_degrees:
-            raise ValueError("batch_sizes and tensor_degrees must be non-empty")
-        if self.batch_sizes[0] <= 0 or self.tensor_degrees[0] <= 0:
-            raise ValueError("batch sizes and tensor degrees must be positive")
         if gpus_per_instance < 1:
             raise ValueError("gpus_per_instance must be >= 1")
-        if max_data_degree < 1:
-            raise ValueError("max_data_degree must be >= 1")
         if not math.isfinite(migration_buffer_bytes) or migration_buffer_bytes < 0:
             raise ValueError("migration_buffer_bytes must be finite and non-negative")
 
-        layers = model.num_layers
-        pipeline_degrees = [
-            degree
-            for degree in range(1, layers + 1)
-            if not require_divisible_layers or layers % degree == 0
-        ]
         #: The memory-fitting ``(P, M, B)`` shapes, in ``(M, P, B)`` order.
         self.shapes: Tuple[Tuple[int, int, int], ...] = tuple(
             (pipeline_degree, tensor_degree, batch_size)
-            for tensor_degree in self.tensor_degrees
+            for tensor_degree in DEFAULT_TENSOR_DEGREES
             if model.num_heads % tensor_degree == 0
-            for pipeline_degree in pipeline_degrees
-            for batch_size in self.batch_sizes
+            for pipeline_degree in range(1, model.num_layers + 1)
+            for batch_size in DEFAULT_BATCH_SIZES
             if self.memory_model.fits(
                 pipeline_degree,
                 tensor_degree,
@@ -149,8 +127,8 @@ class ConfigurationSpace:
             )
         )
         pipeline, tensor, batch = np.array(self.shapes, dtype=np.int64).reshape(-1, 3).T
-        shape = np.repeat(np.arange(len(self.shapes)), max_data_degree)
-        data = np.tile(np.arange(1, max_data_degree + 1), len(self.shapes))
+        shape = np.repeat(np.arange(len(self.shapes)), MAX_DATA_DEGREE)
+        data = np.tile(np.arange(1, MAX_DATA_DEGREE + 1), len(self.shapes))
         # Rows in the (M, P, D, B) order of a nested enumeration loop, which
         # the controller's tie-breaking relies on; lexsort's last key is
         # the primary one.

@@ -78,16 +78,6 @@ class OptimizerDecision:
     arrival_rate: float
     available_instances: int
 
-    @property
-    def needs_allocation(self) -> bool:
-        """True when extra instances should be requested."""
-        return self.instance_delta > 0
-
-    @property
-    def can_release(self) -> bool:
-        """True when instances could be released."""
-        return self.instance_delta < 0
-
 
 class ParallelizationController:
     """Adaptive configuration optimizer (Algorithm 1)."""
@@ -97,12 +87,10 @@ class ParallelizationController:
         config_space: ConfigurationSpace,
         profiler: OfflineProfiler,
         slo_latency: Optional[float] = None,
-        latency_tie_margin: float = LATENCY_TIE_MARGIN,
     ) -> None:
         self.config_space = config_space
         self.profiler = profiler
         self.slo_latency = slo_latency
-        self.latency_tie_margin = latency_tie_margin
         #: Per-fleet-size slices of the cost table backing the vectorized
         #: sweep: (rows, exec latency, throughput, batch, data degree).
         self._vector_memo: Dict[int, Tuple] = {}
@@ -308,7 +296,7 @@ class ParallelizationController:
             sustaining &= request_latency <= self.slo_latency
         if sustaining.any():
             best_latency = request_latency[sustaining].min()
-            threshold = best_latency * (1.0 + self.latency_tie_margin)
+            threshold = best_latency * (1.0 + LATENCY_TIE_MARGIN)
             contender_idx = np.nonzero(sustaining & (request_latency <= threshold))[0]
             contenders = [
                 self.estimate(self.config_space.config_at(row), arrival_rate)
@@ -321,7 +309,7 @@ class ParallelizationController:
         # resulting positive delta triggers an allocation (lines 6-8);
         # otherwise it is confined to the instances at hand.
         best_throughput = throughput.max()
-        threshold = best_throughput * (1.0 - self.latency_tie_margin)
+        threshold = best_throughput * (1.0 - LATENCY_TIE_MARGIN)
         contender_idx = np.nonzero(throughput >= threshold)[0]
         contenders = [
             self.estimate(self.config_space.config_at(row), arrival_rate)
@@ -335,7 +323,7 @@ class ParallelizationController:
     def _pick_lowest_latency(self, estimates: Sequence[ConfigEstimate]) -> ConfigEstimate:
         """Lowest request latency; near-ties resolved by monetary cost then GPUs."""
         best_latency = min(est.request_latency for est in estimates)
-        threshold = best_latency * (1.0 + self.latency_tie_margin)
+        threshold = best_latency * (1.0 + LATENCY_TIE_MARGIN)
         contenders = [est for est in estimates if est.request_latency <= threshold]
         contenders.sort(
             key=lambda est: (
@@ -350,7 +338,7 @@ class ParallelizationController:
     def _pick_highest_throughput(self, estimates: Sequence[ConfigEstimate]) -> ConfigEstimate:
         """Highest throughput; ties resolved by lower execution latency and cost."""
         best_throughput = max(est.throughput for est in estimates)
-        threshold = best_throughput * (1.0 - self.latency_tie_margin)
+        threshold = best_throughput * (1.0 - LATENCY_TIE_MARGIN)
         contenders = [est for est in estimates if est.throughput >= threshold]
         contenders.sort(
             key=lambda est: (

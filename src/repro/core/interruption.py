@@ -45,11 +45,6 @@ class InterruptionArrangement:
     #: The kind of interruption being handled ("preemption" or "acquisition").
     kind: str
 
-    @property
-    def reroutes(self) -> bool:
-        """True when the batch is simply rerouted without cache migration."""
-        return not self.migrate_cache
-
 
 class InterruptionArranger:
     """Implements the JIT arrangement and its fault-tolerance guards."""

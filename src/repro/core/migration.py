@@ -77,6 +77,10 @@ from .device_mapper import DeviceMapping
 #: about two minutes, matching the paper's observation.
 DEFAULT_STORAGE_BANDWIDTH = 1.0 * 1024 ** 3
 
+#: Seconds to re-initialise an inference engine after a full restart, on
+#: top of reloading the parameters from storage.
+ENGINE_RESTART_TIME = 10.0
+
 _Context = Union[ModelContext, CacheContext]
 
 #: Layer -> (shard interval, device) pairs holding a slice of that layer.
@@ -215,16 +219,12 @@ class MigrationPlanner:
         max_buffer_bytes: float = DEFAULT_MIGRATION_BUFFER_BYTES,
         memory_optimized: bool = True,
         progressive: bool = True,
-        storage_bandwidth: float = DEFAULT_STORAGE_BANDWIDTH,
-        engine_restart_time: float = 10.0,
     ) -> None:
         self.model = model
         self.network = network or NetworkModel()
         self.max_buffer_bytes = max_buffer_bytes
         self.memory_optimized = memory_optimized
         self.progressive = progressive
-        self.storage_bandwidth = storage_bandwidth
-        self.engine_restart_time = engine_restart_time
         #: During a zone-outage evacuation the same-zone source preference is
         #: suspended: the richest context sources are the doomed zone itself,
         #: and every pull out of it is cross-zone by definition, so ranking
@@ -297,8 +297,8 @@ class MigrationPlanner:
             config.pipeline_degree * config.tensor_degree
         )
         per_instance_bytes = per_gpu_bytes * min(gpus_per_instance, config.num_gpus)
-        load_time = per_instance_bytes / self.storage_bandwidth
-        stall = load_time + self.engine_restart_time
+        load_time = per_instance_bytes / DEFAULT_STORAGE_BANDWIDTH
+        stall = load_time + ENGINE_RESTART_TIME
         return MigrationPlan(
             steps=[],
             layer_order=[],
@@ -499,7 +499,6 @@ class MigrationPlanner:
             self.max_buffer_bytes,
             self.memory_optimized,
             self.progressive,
-            self.storage_bandwidth,
             self.network.spec,
             self.network.bandwidth_factor,
         )
@@ -861,7 +860,7 @@ class MigrationPlanner:
         if storage_bytes <= 0:
             return 0.0
         concurrent_instances = max(parallelism // 4, 1)
-        effective = self.storage_bandwidth * concurrent_instances
+        effective = DEFAULT_STORAGE_BANDWIDTH * concurrent_instances
         return storage_bytes / max(effective, 1.0)
 
     # ------------------------------------------------------------------

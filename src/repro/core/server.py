@@ -188,7 +188,7 @@ class ServingSystemBase:
         self.instance_manager = InstanceManager(
             provider, allow_on_demand=self.options.allow_on_demand
         )
-        self.meta_context = MetaContextManager(model)
+        self.meta_context = MetaContextManager()
         self.stats = ServingStats(
             system_name=self.name,
             tenant=self.tenant,

@@ -51,11 +51,6 @@ class AutoscaleRecord:
         """Net requested fleet change."""
         return sum(self.acquired.values()) - sum(self.released.values())
 
-    @property
-    def shortfall_total(self) -> int:
-        """Total instances refused across zones for this action."""
-        return sum(self.shortfall.values())
-
 
 @dataclass
 class ServingStats:

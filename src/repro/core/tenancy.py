@@ -34,7 +34,6 @@ counters) is pinned by ``tests/test_tenancy.py``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,9 +42,13 @@ from ..cloud.provider import CloudProvider
 from ..llm.spec import get_model
 from ..sim.engine import Simulator
 from ..sim.events import Event, EventType
-from ..workload.arrival import ArrivalProcess, GammaArrivals
+from ..workload.arrival import ArrivalProcess, GammaArrivals, check_positive_finite
 from .server import ServingSystemBase, SpotServeOptions, SpotServeSystem
 from .stats import ServingStats
+
+
+#: Instances every active tenant is guaranteed when the fleet allows it.
+STARVATION_FLOOR = 1
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,7 @@ class TenantSpec:
         if not self.name:
             # "" is the single-tenant label that share_for maps to "default".
             raise ValueError("tenant name must be non-empty")
-        if not (math.isfinite(self.priority) and self.priority > 0.0):
-            raise ValueError(f"priority must be finite and positive, got {self.priority}")
+        check_positive_finite("priority", self.priority)
         if self.min_instances < 0:
             raise ValueError(f"min_instances must be >= 0, got {self.min_instances}")
         if self.max_instances is not None and self.max_instances < self.min_instances:
@@ -130,10 +132,8 @@ class TenantSpec:
             )
         if self.zones is not None and not self.zones:
             raise ValueError("zones must name at least one zone (None means every zone)")
-        if not self.arrival_rate > 0.0:
-            raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
-        if not self.cv > 0.0:
-            raise ValueError(f"cv must be positive, got {self.cv}")
+        check_positive_finite("arrival_rate", self.arrival_rate)
+        check_positive_finite("cv", self.cv)
         if not self.workload_check_interval >= 0.0:
             raise ValueError(
                 f"workload_check_interval must be >= 0, got {self.workload_check_interval}"
@@ -175,7 +175,8 @@ class FleetPartitioner:
 
     The split is a priority-weighted proportional share of each tenant's
     estimated demand (highest-averages / D'Hondt apportionment), after every
-    tenant received its starvation floor.  Zone eligibility and per-tenant
+    tenant received its starvation floor (:data:`STARVATION_FLOOR`, or the
+    tenant's ``min_instances`` when higher).  Zone eligibility and per-tenant
     caps are respected, assignment is sticky (instances stay with their
     previous owner when the counts allow) and the whole computation is a
     pure function of its sorted inputs -- repeat runs are byte-identical,
@@ -192,9 +193,7 @@ class FleetPartitioner:
       set, leaving legacy behaviour -- and the golden digests -- untouched.
     """
 
-    def __init__(self, starvation_floor: int = 1) -> None:
-        #: Instances every active tenant is guaranteed when feasible.
-        self.starvation_floor = starvation_floor
+    def __init__(self) -> None:
         self._specs: Dict[str, TenantSpec] = {}
         self._systems: Dict[str, ServingSystemBase] = {}
         #: Sticky owner map (instance id -> tenant) shared with the
@@ -268,7 +267,7 @@ class FleetPartitioner:
         fill_order = sorted(names, key=lambda n: (-by_name[n].priority, n))
         floors = {
             name: min(
-                max(by_name[name].min_instances, self.starvation_floor), targets[name]
+                max(by_name[name].min_instances, STARVATION_FLOOR), targets[name]
             )
             for name in names
         }
@@ -299,7 +298,7 @@ class FleetPartitioner:
         order = sorted(names, key=lambda n: (-by_name[n].priority, n))
         for name in order:
             floor = min(
-                max(by_name[name].min_instances, self.starvation_floor),
+                max(by_name[name].min_instances, STARVATION_FLOOR),
                 caps[name],
                 remaining,
             )

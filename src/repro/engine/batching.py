@@ -85,7 +85,6 @@ class RequestQueue:
             raise ValueError("max_batch_size must be positive")
         self.max_batch_size = max_batch_size
         self._queue: Deque[Request] = deque()
-        self._enqueued = 0
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -95,15 +94,9 @@ class RequestQueue:
         """Requests waiting to be dispatched."""
         return len(self._queue)
 
-    @property
-    def total_enqueued(self) -> int:
-        """Requests enqueued since the queue was created."""
-        return self._enqueued
-
     def enqueue(self, request: Request) -> None:
         """Add a newly arrived request to the back of the queue."""
         self._queue.append(request)
-        self._enqueued += 1
 
     def enqueue_front(self, requests: Iterable[Request]) -> None:
         """Put interrupted requests back at the *front* of the queue.
@@ -144,9 +137,3 @@ class RequestQueue:
         if shed:
             self._queue = deque(kept)
         return shed
-
-    def peek_oldest_arrival(self) -> Optional[float]:
-        """Arrival time of the oldest waiting request (None when empty)."""
-        if not self._queue:
-            return None
-        return self._queue[0].arrival_time

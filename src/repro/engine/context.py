@@ -11,21 +11,16 @@ The daemon owns two kinds of GPU state:
 Because the daemon is a separate process from the inference engine, the
 context survives engine interruptions; reparallelization then migrates only
 the missing pieces.  In this reproduction the daemon tracks *which* slices
-and *how many bytes* are resident (not actual tensors), which is exactly the
-information the device mapper and migration planner consume.
+are resident and the cached batch's geometry (not actual tensors), which is
+exactly the information the device mapper and migration planner consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..llm.spec import ModelSpec
-from .placement import (
-    TopologyPosition,
-    position_cache_bytes,
-    position_model_bytes,
-)
+from .placement import TopologyPosition
 
 DeviceId = Tuple[str, int]  # (instance_id, gpu_index)
 
@@ -38,10 +33,6 @@ class ModelContext:
     tensor_degree: int
     position: TopologyPosition
 
-    def bytes(self, model: ModelSpec) -> float:
-        """Resident parameter bytes of this slice."""
-        return position_model_bytes(model, self.pipeline_degree, self.tensor_degree)
-
 
 @dataclass
 class CacheContext:
@@ -53,16 +44,6 @@ class CacheContext:
     batch_size: int
     cached_tokens: int
     batch_id: Optional[int] = None
-
-    def bytes(self, model: ModelSpec) -> float:
-        """Resident cache bytes of this slice."""
-        return position_cache_bytes(
-            model,
-            self.cached_tokens,
-            self.batch_size,
-            self.pipeline_degree,
-            self.tensor_degree,
-        )
 
 
 @dataclass
@@ -107,15 +88,6 @@ class ContextDaemon:
         self.model_context = None
         self.cache_context = None
 
-    def resident_bytes(self, model: ModelSpec) -> float:
-        """Total context bytes resident on the GPU."""
-        total = 0.0
-        if self.model_context is not None:
-            total += self.model_context.bytes(model)
-        if self.cache_context is not None:
-            total += self.cache_context.bytes(model)
-        return total
-
 
 class MetaContextManager:
     """Cluster-wide view of every GPU's context daemon.
@@ -125,8 +97,7 @@ class MetaContextManager:
     device mapper and migration planner read when a reconfiguration starts.
     """
 
-    def __init__(self, model: ModelSpec) -> None:
-        self.model = model
+    def __init__(self) -> None:
         self._daemons: Dict[DeviceId, ContextDaemon] = {}
 
     # ------------------------------------------------------------------
@@ -137,10 +108,6 @@ class MetaContextManager:
         if device_id not in self._daemons:
             self._daemons[device_id] = ContextDaemon(device_id)
         return self._daemons[device_id]
-
-    def drop_device(self, device_id: DeviceId) -> None:
-        """Forget a GPU whose instance was preempted or released."""
-        self._daemons.pop(device_id, None)
 
     def drop_instance(self, instance_id: str) -> None:
         """Forget every GPU of an instance."""
@@ -154,15 +121,3 @@ class MetaContextManager:
     def devices(self) -> List[DeviceId]:
         """Every tracked GPU."""
         return list(self._daemons)
-
-    def devices_with_model_context(self) -> List[DeviceId]:
-        """GPUs that currently hold a model-context slice."""
-        return [
-            device_id
-            for device_id, daemon in self._daemons.items()
-            if daemon.model_context is not None
-        ]
-
-    def total_resident_bytes(self) -> float:
-        """Sum of context bytes across the cluster."""
-        return sum(daemon.resident_bytes(self.model) for daemon in self._daemons.values())

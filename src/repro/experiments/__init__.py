@@ -1,12 +1,7 @@
 """Experiment harness: runners, metrics, ablation presets and scenarios."""
 
 from .ablation import ABLATION_ORDER, ablation_options
-from .metrics import (
-    REPORTED_PERCENTILES,
-    LatencyStats,
-    improvement_factor,
-    summarize_latencies,
-)
+from .metrics import REPORTED_PERCENTILES, LatencyStats
 from .policy_bench import (
     BENCH_SCENARIOS,
     POLICY_VARIANTS,
@@ -54,7 +49,6 @@ __all__ = [
     "ablation_options",
     "fluctuating_workload_scenario",
     "heavy_traffic_scenario",
-    "improvement_factor",
     "multi_tenant_scenario",
     "multi_zone_fluctuating_scenario",
     "run_comparison",
@@ -63,6 +57,5 @@ __all__ = [
     "run_scenario_experiment",
     "run_serving_experiment",
     "stable_workload_scenario",
-    "summarize_latencies",
     "zone_outage_scenario",
 ]

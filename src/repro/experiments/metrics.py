@@ -9,7 +9,7 @@ those numbers from a list of per-request latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -45,38 +45,6 @@ class LatencyStats:
         )
 
     @property
-    def p90(self) -> float:
-        """90th percentile latency."""
-        return self.percentiles[90]
-
-    @property
-    def p95(self) -> float:
-        """95th percentile latency."""
-        return self.percentiles[95]
-
-    @property
     def p99(self) -> float:
         """99th percentile tail latency (the paper's headline metric)."""
         return self.percentiles[99]
-
-    def as_row(self) -> Dict[str, float]:
-        """Flat dictionary for tabular reporting."""
-        row = {"count": float(self.count), "avg": self.mean, "max": self.maximum}
-        for percentile, value in sorted(self.percentiles.items()):
-            row[f"p{percentile}"] = value
-        return row
-
-
-def improvement_factor(baseline: float, improved: float) -> float:
-    """How many times smaller *improved* is than *baseline* (paper's "x" numbers)."""
-    if improved <= 0:
-        return float("inf")
-    return baseline / improved
-
-
-def summarize_latencies(latencies_by_system: Dict[str, Iterable[float]]) -> Dict[str, LatencyStats]:
-    """Convenience: compute :class:`LatencyStats` for several systems at once."""
-    return {
-        name: LatencyStats.from_latencies(list(latencies))
-        for name, latencies in latencies_by_system.items()
-    }

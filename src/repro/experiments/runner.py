@@ -13,7 +13,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from ..cloud.instance import G4DN_12XLARGE, InstanceType, Market
+from ..cloud.instance import Market
 from ..cloud.provider import CloudProvider
 from ..cloud.trace import AvailabilityTrace
 from ..cloud.zone import ZoneSpec
@@ -99,7 +99,6 @@ def run_serving_experiment(
     duration: Optional[float] = None,
     drain_time: float = DEFAULT_DRAIN_TIME,
     options: Optional[SpotServeOptions] = None,
-    instance_type: InstanceType = G4DN_12XLARGE,
     trace_market: Market = Market.SPOT,
     initial_arrival_rate: Optional[float] = None,
     requests: Optional[List[Request]] = None,
@@ -173,7 +172,6 @@ def run_serving_experiment(
     provider = CloudProvider(
         simulator,
         trace,
-        instance_type=instance_type,
         trace_market=trace_market,
         zones=zones,
         allow_spot_requests=allow_spot_requests,
@@ -372,12 +370,10 @@ def run_multi_tenant_experiment(
 def _comparison_worker(
     job: Tuple[Type[ServingSystemBase], ModelSpec, Optional[AvailabilityTrace], ArrivalProcess, float, Optional[SpotServeOptions], Dict],
 ) -> ExperimentResult:
-    """Run one comparison cell in a worker process.
+    """Run one comparison cell, streaming the workload from its arrival process.
 
-    The workload is regenerated from the seeded arrival process inside the
-    worker (streaming), which draws exactly the timestamps the serial path
-    materialises -- so parallel and serial sweeps return identical results
-    without shipping request lists between processes.
+    Each call redraws the seeded timestamps, so every system sees the
+    identical workload whether the cells run in this process or in a pool.
     """
     system_cls, model_spec, trace, arrival_process, run_duration, options, kwargs = job
     return run_serving_experiment(
@@ -403,13 +399,10 @@ def run_comparison(
 ) -> Dict[str, ExperimentResult]:
     """Run several systems against the *same* workload and trace.
 
-    Every system sees an identical workload: the request timestamps are the
-    same seeded draws whether the sweep materialises them once and replays
-    copies (serial path) or regenerates them inside worker processes
-    (parallel path), so the comparison is workload-identical (the paper
-    replays the same trace segment for every system).  Multi-zone fleets
-    pass ``trace=None`` plus a ``zones=...`` keyword (forwarded to
-    :func:`run_serving_experiment`).
+    Every system streams the same seeded request timestamps, so the
+    comparison is workload-identical (the paper replays the same trace
+    segment for every system).  Multi-zone fleets pass ``trace=None`` plus
+    a ``zones=...`` keyword (forwarded to :func:`run_serving_experiment`).
 
     ``workers`` > 1 runs the systems in a ``multiprocessing`` pool (one
     process per system, capped at *workers*), which the figure benchmarks
@@ -429,43 +422,21 @@ def run_comparison(
             else max(zone.trace.duration for zone in zones)
         )
     options_by_system = options_by_system or {}
-
-    if workers is not None and workers > 1 and len(systems) > 1:
-        jobs = [
-            (
-                system_cls,
-                model_spec,
-                trace,
-                arrival_process,
-                run_duration,
-                options_by_system.get(name),
-                kwargs,
-            )
-            for name, system_cls in systems.items()
-        ]
-        with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
-            outcomes = pool.map(_comparison_worker, jobs)
-        return dict(zip(systems, outcomes))
-
-    template = arrival_process.generate(run_duration)
-    results: Dict[str, ExperimentResult] = {}
-    for name, system_cls in systems.items():
-        requests = [
-            Request(
-                arrival_time=req.arrival_time,
-                input_tokens=req.input_tokens,
-                output_tokens=req.output_tokens,
-            )
-            for req in template
-        ]
-        results[name] = run_serving_experiment(
+    jobs = [
+        (
             system_cls,
             model_spec,
             trace,
             arrival_process,
-            duration=run_duration,
-            options=options_by_system.get(name),
-            requests=requests,
-            **kwargs,
+            run_duration,
+            options_by_system.get(name),
+            kwargs,
         )
-    return results
+        for name, system_cls in systems.items()
+    ]
+    if workers is not None and workers > 1 and len(jobs) > 1:
+        with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
+            outcomes = pool.map(_comparison_worker, jobs)
+    else:
+        outcomes = [_comparison_worker(job) for job in jobs]
+    return dict(zip(systems, outcomes))

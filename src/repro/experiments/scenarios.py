@@ -9,7 +9,7 @@ copy-pasting magic numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 from ..baselines.reparallelization import ReparallelizationSystem
 from ..baselines.rerouting import RequestReroutingSystem
@@ -93,7 +93,6 @@ def stable_workload_scenario(
             initial_instances=trace.initial_instances,
             events=[e for e in trace.events if e.time < duration],
             duration=duration,
-            gpus_per_instance=trace.gpus_per_instance,
         )
     return Scenario(
         model_name=model_name,

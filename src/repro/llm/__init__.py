@@ -7,7 +7,7 @@ from .costmodel import (
     CostModelParams,
     LatencyModel,
 )
-from .hardware import A100_40GB, GPU_CATALOG, T4, V100_16GB, GPUSpec, get_gpu
+from .hardware import T4, GPUSpec
 from .memory import (
     DEFAULT_ACTIVATION_BYTES,
     DEFAULT_MIGRATION_BUFFER_BYTES,
@@ -22,11 +22,9 @@ from .spec import (
     OPT_6_7B,
     ModelSpec,
     get_model,
-    register_model,
 )
 
 __all__ = [
-    "A100_40GB",
     "CostModelParams",
     "DEFAULT_ACTIVATION_BYTES",
     "DEFAULT_INPUT_LENGTH",
@@ -34,7 +32,6 @@ __all__ = [
     "DEFAULT_OUTPUT_LENGTH",
     "DEFAULT_RESERVE_BYTES",
     "GPT_20B",
-    "GPU_CATALOG",
     "GPUSpec",
     "LLAMA_30B",
     "LatencyModel",
@@ -46,8 +43,5 @@ __all__ = [
     "ProfileEntry",
     "T4",
     "TABLE1_REFERENCE",
-    "V100_16GB",
-    "get_gpu",
     "get_model",
-    "register_model",
 ]

@@ -116,10 +116,10 @@ class LatencyModel:
         hand-off costs).
     params:
         Efficiency factors; see :class:`CostModelParams`.
-    calibrate:
-        When True (default) and the model appears in Table 1, a scalar
-        correction factor is fitted so the reference-point latency matches the
-        published number exactly.
+
+    A model that appears in Table 1 is calibrated: a scalar correction
+    factor is fitted so the reference-point latency matches the published
+    number exactly.  Any other model keeps a factor of 1.0.
     """
 
     def __init__(
@@ -128,7 +128,6 @@ class LatencyModel:
         gpu: GPUSpec = T4,
         network: Optional[NetworkSpec] = None,
         params: Optional[CostModelParams] = None,
-        calibrate: bool = True,
     ) -> None:
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = gpu
@@ -140,12 +139,9 @@ class LatencyModel:
         # their arguments.  Each instance carries its own unbounded memo
         # (the argument space is the small finite configuration space); the
         # class-level methods stay uncached for tests and subclasses.
-        self._uncached_entry_points = {
-            name: getattr(self, name) for name in self._CACHED_ENTRY_POINTS
-        }
-        for name, method in self._uncached_entry_points.items():
-            setattr(self, name, lru_cache(maxsize=None)(method))
-        if calibrate and self.model.name in TABLE1_REFERENCE:
+        for name in self._CACHED_ENTRY_POINTS:
+            setattr(self, name, lru_cache(maxsize=None)(getattr(self, name)))
+        if self.model.name in TABLE1_REFERENCE:
             (p_ref, m_ref), target = TABLE1_REFERENCE[self.model.name]
             raw = self._uncalibrated_l_exe(
                 DEFAULT_OUTPUT_LENGTH,
@@ -168,11 +164,6 @@ class LatencyModel:
     def calibration_factor(self) -> float:
         """Multiplier applied to raw analytic latencies (1.0 when uncalibrated)."""
         return self._calibration
-
-    def disable_caches(self) -> None:
-        """Restore the uncached entry points (cache-correctness tests only)."""
-        for name, method in self._uncached_entry_points.items():
-            setattr(self, name, method)
 
     def cache_info(self) -> Dict[str, Tuple[int, int]]:
         """``{entry point: (hits, misses)}`` for the per-instance caches."""

@@ -3,13 +3,12 @@
 The paper's evaluation runs on AWS ``g4dn.12xlarge`` instances, each with four
 NVIDIA Tesla T4 GPUs.  The analytic cost model only needs a handful of device
 numbers (memory capacity, peak compute, memory bandwidth), which this module
-records; other GPU types can be registered for what-if studies.
+records for the T4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 GB = 1024 ** 3
 TFLOP = 1e12
@@ -51,29 +50,3 @@ T4 = GPUSpec(
     fp32_flops=8.1 * TFLOP,
     memory_bandwidth=300 * GB,
 )
-
-A100_40GB = GPUSpec(
-    name="A100-40GB",
-    memory_bytes=40 * GB,
-    fp16_flops=312 * TFLOP,
-    fp32_flops=19.5 * TFLOP,
-    memory_bandwidth=1555 * GB,
-)
-
-V100_16GB = GPUSpec(
-    name="V100-16GB",
-    memory_bytes=16 * GB,
-    fp16_flops=125 * TFLOP,
-    fp32_flops=15.7 * TFLOP,
-    memory_bandwidth=900 * GB,
-)
-
-GPU_CATALOG: Dict[str, GPUSpec] = {gpu.name: gpu for gpu in (T4, A100_40GB, V100_16GB)}
-
-
-def get_gpu(name: str) -> GPUSpec:
-    """Look up a GPU spec by name (case-insensitive)."""
-    for key, spec in GPU_CATALOG.items():
-        if key.lower() == name.lower():
-            return spec
-    raise KeyError(f"unknown GPU {name!r}; available: {sorted(GPU_CATALOG)}")

@@ -51,23 +51,21 @@ class ProfileEntry:
 
 
 class OfflineProfiler:
-    """Cost-model estimates of configurations at fixed sequence lengths.
+    """Cost-model estimates of configurations at the paper's sequence lengths.
 
-    Which configurations fit in memory is the configuration space's
-    question: the profiler keeps ``memory_model`` but never consults it.
+    Every estimate serves a ``DEFAULT_INPUT_LENGTH``-token prompt and
+    decodes ``DEFAULT_OUTPUT_LENGTH`` tokens.  Which configurations fit in
+    memory is the configuration space's question: the profiler keeps
+    ``memory_model`` but never consults it.
     """
 
     def __init__(
         self,
         latency_model: LatencyModel,
         memory_model: Optional[MemoryModel] = None,
-        input_length: int = DEFAULT_INPUT_LENGTH,
-        output_length: int = DEFAULT_OUTPUT_LENGTH,
     ) -> None:
         self.latency_model = latency_model
         self.memory_model = memory_model or MemoryModel(latency_model.model, latency_model.gpu)
-        self.input_length = input_length
-        self.output_length = output_length
 
     def profile(
         self,
@@ -81,8 +79,8 @@ class OfflineProfiler:
             pipeline_degree,
             tensor_degree,
             batch_size,
-            self.input_length,
-            self.output_length,
+            DEFAULT_INPUT_LENGTH,
+            DEFAULT_OUTPUT_LENGTH,
         )
         return ProfileEntry(
             data_degree=data_degree,
@@ -95,8 +93,8 @@ class OfflineProfiler:
                 pipeline_degree,
                 tensor_degree,
                 batch_size,
-                self.input_length,
-                self.output_length,
+                DEFAULT_INPUT_LENGTH,
+                DEFAULT_OUTPUT_LENGTH,
             ),
         )
 
@@ -105,7 +103,9 @@ class OfflineProfiler:
 
         Element ``i`` equals :meth:`profile`'s latency for that shape.
         """
-        return self.latency_model.l_exe_many(shapes, self.input_length, self.output_length)
+        return self.latency_model.l_exe_many(
+            shapes, DEFAULT_INPUT_LENGTH, DEFAULT_OUTPUT_LENGTH
+        )
 
     @staticmethod
     def throughputs(

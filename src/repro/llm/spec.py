@@ -20,8 +20,8 @@ counts from first principles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 GB = 1024 ** 3
 
@@ -77,11 +77,6 @@ class ModelSpec:
     # ------------------------------------------------------------------
     # Derived sizes
     # ------------------------------------------------------------------
-    @property
-    def head_dim(self) -> int:
-        """Per-head dimension."""
-        return self.hidden_size // self.num_heads
-
     @property
     def params_per_layer(self) -> int:
         """Parameter count of one transformer layer.
@@ -145,13 +140,6 @@ class ModelSpec:
         lm_head = 2.0 * self.hidden_size * self.vocab_size
         return matmul + attention + lm_head
 
-    def prefill_flops(self, prompt_length: int) -> float:
-        """Approximate FLOPs of the initial phase over *prompt_length* tokens."""
-        total = 0.0
-        for position in range(1, prompt_length + 1):
-            total += self.flops_per_token(position)
-        return total
-
 
 # ----------------------------------------------------------------------
 # Model catalog (Table 1)
@@ -201,10 +189,3 @@ def get_model(name: str) -> ModelSpec:
         if key.lower() == name.lower():
             return spec
     raise KeyError(f"unknown model {name!r}; available: {sorted(MODEL_CATALOG)}")
-
-
-def register_model(spec: ModelSpec, overwrite: bool = False) -> None:
-    """Add a custom :class:`ModelSpec` to the catalog."""
-    if spec.name in MODEL_CATALOG and not overwrite:
-        raise ValueError(f"model {spec.name!r} already registered")
-    MODEL_CATALOG[spec.name] = spec

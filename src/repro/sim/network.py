@@ -20,7 +20,7 @@ two-tier behaviour exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 GB = 1024 ** 3
 
@@ -307,14 +307,4 @@ class NetworkModel:
         """Payload that crosses instance boundaries (the expensive part)."""
         return float(
             sum(t.size_bytes for t in transfers if not t.is_noop and not t.is_local)
-        )
-
-    def cross_zone_bytes(self, transfers: Sequence[Transfer]) -> float:
-        """Payload that crosses availability zones (the most expensive part)."""
-        return float(
-            sum(
-                t.size_bytes
-                for t in transfers
-                if not t.is_noop and self.is_cross_zone(t)
-            )
         )

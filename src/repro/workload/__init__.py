@@ -5,7 +5,6 @@ from .arrival import (
     ArrivalProcess,
     FixedArrivals,
     GammaArrivals,
-    PoissonArrivals,
     TimeVaryingArrivals,
     default_rate_for,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "FixedArrivals",
     "GammaArrivals",
     "MAFProfile",
-    "PoissonArrivals",
     "Request",
     "RequestState",
     "TimeVaryingArrivals",

@@ -12,9 +12,9 @@ experiments are exactly reproducible.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -33,6 +33,16 @@ DEFAULT_ARRIVAL_RATES = {
 #: identically for batched and scalar draws, so the produced timestamps are
 #: bit-for-bit the ones the scalar reference loop yields (pinned by tests).
 _DRAW_BLOCK = 1024
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless *value* is a finite number above zero.
+
+    A rate or CV of ``inf`` or ``nan`` would make a stream yield ``0.0`` or
+    ``nan`` forever, so it is refused when the process is built.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 class ArrivalProcess(ABC):
@@ -82,45 +92,6 @@ class ArrivalProcess(ABC):
         ]
 
 
-class PoissonArrivals(ArrivalProcess):
-    """Memoryless arrivals at a constant rate (CV = 1)."""
-
-    def __init__(
-        self,
-        rate: float,
-        seed: int = 0,
-        input_tokens: int = DEFAULT_INPUT_TOKENS,
-        output_tokens: int = DEFAULT_OUTPUT_TOKENS,
-    ) -> None:
-        super().__init__(input_tokens, output_tokens)
-        if rate <= 0:
-            raise ValueError("arrival rate must be positive")
-        self.rate = rate
-        self.seed = seed
-
-    def arrival_times(self, duration: float) -> List[float]:
-        rng = np.random.default_rng(self.seed)
-        times: List[float] = []
-        now = 0.0
-        while True:
-            now += rng.exponential(1.0 / self.rate)
-            if now >= duration:
-                break
-            times.append(now)
-        return times
-
-    def iter_times(self, duration: float) -> Iterator[float]:
-        rng = np.random.default_rng(self.seed)
-        mean_gap = 1.0 / self.rate
-        now = 0.0
-        while True:
-            for gap in rng.exponential(mean_gap, _DRAW_BLOCK).tolist():
-                now += gap
-                if now >= duration:
-                    return
-                yield now
-
-
 class GammaArrivals(ArrivalProcess):
     """Gamma-distributed inter-arrival times with a configurable CV.
 
@@ -137,10 +108,8 @@ class GammaArrivals(ArrivalProcess):
         output_tokens: int = DEFAULT_OUTPUT_TOKENS,
     ) -> None:
         super().__init__(input_tokens, output_tokens)
-        if rate <= 0:
-            raise ValueError("arrival rate must be positive")
-        if cv <= 0:
-            raise ValueError("coefficient of variation must be positive")
+        check_positive_finite("arrival rate", rate)
+        check_positive_finite("coefficient of variation", cv)
         self.rate = rate
         self.cv = cv
         self.seed = seed
@@ -196,8 +165,13 @@ class TimeVaryingArrivals(ArrivalProcess):
         profile = sorted((float(t), float(r)) for t, r in rate_profile)
         if profile[0][0] > 0:
             profile.insert(0, (0.0, profile[0][1]))
-        if any(rate < 0 for _, rate in profile):
-            raise ValueError("rates must be non-negative")
+        for time, rate in profile:
+            if not (math.isfinite(time) and math.isfinite(rate) and rate >= 0):
+                raise ValueError(
+                    f"profile pieces need a finite time and a finite rate >= 0, "
+                    f"got ({time}, {rate})"
+                )
+        check_positive_finite("coefficient of variation", cv)
         self.rate_profile = profile
         self.cv = cv
         self.seed = seed
@@ -273,8 +247,8 @@ class FixedArrivals(ArrivalProcess):
     ) -> None:
         super().__init__(input_tokens, output_tokens)
         self._times = sorted(float(t) for t in times)
-        if any(t < 0 for t in self._times):
-            raise ValueError("arrival times must be non-negative")
+        if not all(math.isfinite(t) and t >= 0 for t in self._times):
+            raise ValueError("arrival times must be finite and non-negative")
 
     def arrival_times(self, duration: float) -> List[float]:
         return [t for t in self._times if t < duration]

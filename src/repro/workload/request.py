@@ -111,9 +111,3 @@ class Request:
         if self.completion_time is None:
             return None
         return self.completion_time - self.arrival_time
-
-    def scheduling_delay(self) -> Optional[float]:
-        """Queueing delay ``l_sch`` before the request first executed."""
-        if self.first_start_time is None:
-            return None
-        return self.first_start_time - self.arrival_time

@@ -9,19 +9,13 @@ must return the same configurations in the same order.
 
 from typing import List
 
-from repro.core.config import ConfigurationSpace, ParallelConfig
-
-
-def pipeline_degrees(space: ConfigurationSpace, max_degree: int) -> List[int]:
-    """Pipeline degrees up to *max_degree* that the model's layers allow."""
-    degrees = []
-    for degree in range(1, max_degree + 1):
-        if space.require_divisible_layers and space.model.num_layers % degree != 0:
-            continue
-        if degree > space.model.num_layers:
-            break
-        degrees.append(degree)
-    return degrees
+from repro.core.config import (
+    DEFAULT_BATCH_SIZES,
+    DEFAULT_TENSOR_DEGREES,
+    MAX_DATA_DEGREE,
+    ConfigurationSpace,
+    ParallelConfig,
+)
 
 
 def feasible_configs(space: ConfigurationSpace, num_instances: int) -> List[ParallelConfig]:
@@ -30,16 +24,16 @@ def feasible_configs(space: ConfigurationSpace, num_instances: int) -> List[Para
         return []
     max_gpus = num_instances * space.gpus_per_instance
     configs: List[ParallelConfig] = []
-    for tensor_degree in space.tensor_degrees:
+    for tensor_degree in DEFAULT_TENSOR_DEGREES:
         if space.model.num_heads % tensor_degree != 0:
             continue
-        for pipeline_degree in pipeline_degrees(space, max_gpus):
+        for pipeline_degree in range(1, min(max_gpus, space.model.num_layers) + 1):
             gpus_per_pipeline = pipeline_degree * tensor_degree
             if gpus_per_pipeline > max_gpus:
                 continue
-            max_data = min(space.max_data_degree, max_gpus // gpus_per_pipeline)
+            max_data = min(MAX_DATA_DEGREE, max_gpus // gpus_per_pipeline)
             for data_degree in range(1, max_data + 1):
-                for batch_size in space.batch_sizes:
+                for batch_size in DEFAULT_BATCH_SIZES:
                     if not space.memory_model.fits(
                         pipeline_degree,
                         tensor_degree,

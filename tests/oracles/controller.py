@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import ParallelConfig
 from repro.core.controller import ConfigEstimate, ParallelizationController
+from repro.llm.costmodel import DEFAULT_INPUT_LENGTH, DEFAULT_OUTPUT_LENGTH
 
 from . import config as config_oracle
 from . import costmodel as costmodel_oracle
@@ -38,8 +39,8 @@ class ScalarController(ParallelizationController):
             latency = costmodel_oracle.l_exe(
                 self.profiler.latency_model,
                 *shape,
-                self.profiler.input_length,
-                self.profiler.output_length,
+                DEFAULT_INPUT_LENGTH,
+                DEFAULT_OUTPUT_LENGTH,
             )
             self._oracle_latency[shape] = latency
         return latency, config.data_degree * config.batch_size / latency

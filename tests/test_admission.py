@@ -24,6 +24,7 @@ from repro.core.admission import (
     ADMISSION_POLICIES,
     AdmissionPolicy,
     AdmissionSignal,
+    MIN_BUCKET_RATE,
     DeadlineAwarePolicy,
     QueueCapPolicy,
     TokenBucketPolicy,
@@ -132,14 +133,24 @@ class TestTokenBucket:
         assert not policy.admit(request(0.0), signal(time=100.0))
 
     def test_adaptive_rate_follows_the_round_signal(self):
-        policy = TokenBucketPolicy(burst=4.0)
-        assert policy.current_rate == pytest.approx(policy.min_rate)
-        policy.observe_round(signal(time=30.0, serving_throughput=2.5))
-        assert policy.current_rate == pytest.approx(2.5)
+        policy = TokenBucketPolicy(burst=1.0)
+        assert policy.admit(request(0.0), signal(time=0.0))
+        # Before any round the bucket refills at the floor rate.
+        refill = 1.0 / MIN_BUCKET_RATE
+        assert not policy.admit(request(0.0), signal(time=0.95 * refill))
+        assert policy.admit(request(0.0), signal(time=1.05 * refill))
+        # After a round it refills at the estimated throughput: the next
+        # token takes 0.4 s, not another 20.
+        now = 1.05 * refill
+        policy.observe_round(signal(time=now, serving_throughput=2.5))
+        assert not policy.admit(request(0.0), signal(time=now + 0.3))
+        assert policy.admit(request(0.0), signal(time=now + 0.5))
         # A configured rate never adapts.
-        fixed = TokenBucketPolicy(rate=1.5)
-        fixed.observe_round(signal(time=30.0, serving_throughput=9.0))
-        assert fixed.current_rate == pytest.approx(1.5)
+        fixed = TokenBucketPolicy(rate=1.5, burst=1.0)
+        assert fixed.admit(request(0.0), signal(time=0.0))
+        fixed.observe_round(signal(time=0.0, serving_throughput=9.0))
+        assert not fixed.admit(request(0.0), signal(time=0.5))
+        assert fixed.admit(request(0.0), signal(time=0.7))
 
 
 class TestRequestQueueShed:

@@ -70,7 +70,7 @@ class TestRerouting:
         _, _, system = build(RequestReroutingSystem, trace)
         system.submit_requests(FixedArrivals([100.0, 400.0, 700.0]).generate(trace.duration))
         system.initialize()
-        shape = system.fixed_shape
+        shape = system.current_config
         stats = system.run(until=trace.duration)
         assert shape is not None
         for _, config in stats.config_timeline:
@@ -130,7 +130,7 @@ def on_demand_provider(simulator, num_instances, duration):
 class TestOnDemand:
     def test_trace_has_no_preemptions(self):
         trace = on_demand_trace(4, duration=600.0)
-        assert trace.preemption_times() == []
+        assert trace.events == []
         assert trace.initial_instances == 4
         with pytest.raises(ValueError):
             on_demand_trace(0)

@@ -102,11 +102,3 @@ class TestInstanceLifecycle:
         assert instance.state is InstanceState.RELEASED
         with pytest.raises(ValueError):
             instance.release(600.0)
-
-    def test_billed_hours(self):
-        instance = spot_instance(launch_time=0.0)
-        instance.mark_ready(0.0)
-        assert instance.billed_hours(1800.0) == pytest.approx(0.5)
-        instance.notify_preemption(3570.0)
-        instance.preempt(3600.0)
-        assert instance.billed_hours(7200.0) == pytest.approx(1.0)

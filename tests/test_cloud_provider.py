@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cloud.instance import G4DN_12XLARGE, Instance, Market
-from repro.cloud.manager import InstanceManager
+from repro.cloud.instance import G4DN_12XLARGE, Instance, InstanceState, Market
+from repro.cloud.manager import CANDIDATE_POOL_SIZE, InstanceManager
 from repro.cloud.pricing import CostTracker
 from repro.cloud.provider import CloudProvider
 from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind
@@ -49,7 +49,7 @@ class TestCloudProvider:
         assert notices[0].time == pytest.approx(100.0)
         assert finals[0].time == pytest.approx(100.0 + G4DN_12XLARGE.grace_period)
         assert notices[0].payload["deadline"] == pytest.approx(finals[0].time)
-        assert provider.preempted_count == 1
+        assert finals[0].payload["instance"].state is InstanceState.PREEMPTED
         assert len(provider.usable_instances()) == 2
 
     def test_trace_acquisition_announces_instance(self):
@@ -133,7 +133,7 @@ class TestCostTracker:
         tracker.start_billing(od, 0.0)
         assert tracker.total_cost(3600.0, Market.SPOT) == pytest.approx(1.9)
         assert tracker.total_cost(3600.0, Market.ON_DEMAND) == pytest.approx(3.9)
-        assert tracker.instance_hours(3600.0) == pytest.approx(2.0)
+        assert len(tracker.iter_records()) == 2
 
     def test_double_billing_rejected(self):
         tracker = CostTracker()
@@ -160,14 +160,14 @@ class TestInstanceManager:
     def _provider(self, allow_on_demand=True):
         sim = Simulator()
         provider = CloudProvider(sim, small_trace())
-        manager = InstanceManager(provider, allow_on_demand=allow_on_demand, candidate_pool_size=1)
+        manager = InstanceManager(provider, allow_on_demand=allow_on_demand)
         manager.adopt_initial_fleet()
         return sim, provider, manager
 
     def test_adopt_initial_fleet(self):
         _, _, manager = self._provider()
         assert manager.available_count() == 3
-        assert manager.available_gpus() == 12
+        assert sum(inst.num_gpus for inst in manager.stable_instances()) == 12
 
     def test_preemption_notice_excludes_instance_from_stable_set(self):
         sim, provider, manager = self._provider()
@@ -175,10 +175,10 @@ class TestInstanceManager:
         sim.on(EventType.PREEMPTION_FINAL, manager.on_preemption_final)
         sim.run(until=110.0)
         assert manager.available_count() == 2
-        assert len(manager.doomed_instances()) == 1
+        assert len(manager.grace_deadlines) == 1
         sim.run(until=200.0)
         assert manager.available_count() == 2
-        assert manager.doomed_instances() == []
+        assert manager.grace_deadlines == {}
 
     def test_alloc_uses_on_demand_when_spot_unavailable(self):
         _, _, manager = self._provider(allow_on_demand=True)
@@ -192,8 +192,8 @@ class TestInstanceManager:
 
     def test_free_keeps_candidate_pool(self):
         _, _, manager = self._provider()
-        released = manager.free(2)
-        # Pool size 1 means only one of the two requested releases happens.
+        released = manager.free(CANDIDATE_POOL_SIZE + 1)
+        # The pool absorbs all but one of the requested releases.
         assert len(released) == 1
         assert manager.available_count() == 2
 
@@ -202,7 +202,8 @@ class TestInstanceManager:
         sim.on(EventType.ACQUISITION_READY, manager.on_acquisition_ready)
         manager.alloc(1)
         sim.run(until=G4DN_12XLARGE.startup_delay + 1)
-        assert len(manager.on_demand_instances()) == 1
-        released = manager.free(2)
+        held = manager.held_instances()
+        assert [inst.market for inst in held].count(Market.ON_DEMAND) == 1
+        released = manager.free(CANDIDATE_POOL_SIZE + 1)
         assert released
         assert released[0].market is Market.ON_DEMAND

@@ -219,7 +219,7 @@ class TestZoneAwareManager:
     def _manager(self):
         sim = Simulator()
         provider = CloudProvider(sim, zones=three_zones(), allow_spot_requests=True)
-        manager = InstanceManager(provider, candidate_pool_size=0)
+        manager = InstanceManager(provider)
         manager.adopt_initial_fleet()
         return sim, provider, manager
 
@@ -272,7 +272,8 @@ class TestCrossZoneNetwork:
             Transfer(("a-0", 0), ("b-0", 0), 100.0),
             Transfer(("a-0", 0), ("a-1", 0), 50.0),
         ]
-        assert model.cross_zone_bytes(transfers) == pytest.approx(100.0)
+        cross = sum(t.size_bytes for t in transfers if model.is_cross_zone(t))
+        assert cross == pytest.approx(100.0)
         assert model.remote_bytes(transfers) == pytest.approx(150.0)
 
     def test_without_topology_everything_is_one_zone(self):

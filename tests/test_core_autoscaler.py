@@ -219,7 +219,7 @@ class TestAutoscaler:
                              current_instances=4, zones=zones)
         decision = scaler.plan(signal)  # wants 8, delta +4
         assert decision.acquire == {"cheap": 2, "mid": 2}
-        assert decision.total_delta == 4
+        assert decision.release == {}
 
     def test_releases_most_expensive_zone_first(self):
         scaler = self._autoscaler()
@@ -237,7 +237,8 @@ class TestAutoscaler:
                              current_instances=4, zones=zones)
         decision = scaler.plan(signal)
         assert decision.desired_instances == 5
-        assert decision.total_delta == 1
+        assert sum(decision.acquire.values()) == 1
+        assert decision.release == {}
 
     def test_cooldown_suppresses_consecutive_actions(self):
         scaler = self._autoscaler(cooldown=60.0)

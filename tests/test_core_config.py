@@ -15,7 +15,6 @@ class TestParallelConfig:
         config = ParallelConfig(2, 3, 4, 8)
         assert config.num_gpus == 24
         assert config.gpus_per_pipeline == 12
-        assert config.concurrent_requests == 16
         assert config.num_instances(4) == 6
         assert config.without_batch() == (2, 3, 4)
 
@@ -77,19 +76,10 @@ class TestConfigurationSpace:
         tight = ConfigurationSpace(GPT_20B, migration_buffer_bytes=GPT_20B.total_param_bytes / 16)
         assert len(tight.feasible_configs(3)) < len(roomy.feasible_configs(3))
 
-    def test_invalid_batch_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            ConfigurationSpace(GPT_20B, batch_sizes=())
-
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"tensor_degrees": (0, 4)},
-            {"tensor_degrees": (-2,)},
-            {"batch_sizes": (0, 8)},
-            {"batch_sizes": (-1, 2)},
             {"gpus_per_instance": 0},
-            {"max_data_degree": 0},
             {"migration_buffer_bytes": -1.0},
             {"migration_buffer_bytes": float("nan")},
             {"migration_buffer_bytes": float("inf")},
@@ -98,19 +88,6 @@ class TestConfigurationSpace:
     def test_impossible_inputs_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             ConfigurationSpace(OPT_6_7B, **kwargs)
-
-    def test_batch_sizes_restrict_the_space(self):
-        configs = ConfigurationSpace(OPT_6_7B, batch_sizes=(2,)).feasible_configs(1)
-        assert configs
-        assert all(config.batch_size == 2 for config in configs)
-
-    def test_divisible_layers_restrict_pipeline_degrees(self):
-        space = ConfigurationSpace(GPT_20B, require_divisible_layers=True)
-        degrees = {config.pipeline_degree for config in space.feasible_configs(8)}
-        assert degrees
-        assert all(GPT_20B.num_layers % degree == 0 for degree in degrees)
-        everything = ConfigurationSpace(GPT_20B).feasible_configs(8)
-        assert degrees < {config.pipeline_degree for config in everything}
 
     @pytest.mark.parametrize("buffer", ["none", "default", "sixteenth"])
     @pytest.mark.parametrize("model", [OPT_6_7B, GPT_20B, LLAMA_30B], ids=lambda m: m.name)

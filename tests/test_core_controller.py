@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import ConfigurationSpace, ParallelConfig
-from repro.core.controller import ParallelizationController
+from repro.core.controller import LATENCY_TIE_MARGIN, ParallelizationController
 from repro.llm.costmodel import LatencyModel
 from repro.llm.memory import MemoryModel
 from repro.llm.profiler import OfflineProfiler
@@ -76,7 +76,6 @@ class TestAlgorithm1:
         )
         assert decision is not None
         if decision.config.num_instances(4) > 3:
-            assert decision.needs_allocation
             assert decision.instance_delta > 0
 
     def test_can_release_when_overprovisioned(self):
@@ -85,7 +84,7 @@ class TestAlgorithm1:
         assert decision is not None
         assert decision.config.num_instances(4) <= 12
         if decision.config.num_instances(4) < 12:
-            assert decision.can_release
+            assert decision.instance_delta < 0
 
     def test_tie_break_prefers_fewer_instances(self):
         controller = make_controller()
@@ -98,7 +97,7 @@ class TestAlgorithm1:
             for c in controller.config_space.feasible_configs(12)
         ]
         sustaining = [e for e in estimates if e.throughput >= 0.35 and e.meets_rate]
-        threshold = decision.estimate.request_latency * (1 + controller.latency_tie_margin)
+        threshold = decision.estimate.request_latency * (1 + LATENCY_TIE_MARGIN)
         near_ties = [e for e in sustaining if e.request_latency <= threshold]
         assert decision.estimate.num_instances <= min(e.num_instances for e in near_ties)
 

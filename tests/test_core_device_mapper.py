@@ -32,7 +32,7 @@ def install_configuration(meta, devices, config):
 
 class TestMapping:
     def test_same_configuration_reuses_everything(self):
-        meta = MetaContextManager(GPT_20B)
+        meta = MetaContextManager()
         devices = devices_for(6)
         config = ParallelConfig(2, 3, 4, 8)
         install_configuration(meta, devices, config)
@@ -42,7 +42,7 @@ class TestMapping:
         assert mapping.transfer_bytes == pytest.approx(0.0, abs=1e-3)
 
     def test_empty_cluster_requires_full_transfer(self):
-        meta = MetaContextManager(GPT_20B)
+        meta = MetaContextManager()
         devices = devices_for(6)
         config = ParallelConfig(2, 3, 4, 8)
         mapping = DeviceMapper(GPT_20B).map_devices(meta, devices, config)
@@ -51,7 +51,7 @@ class TestMapping:
         assert mapping.reuse_fraction == 0.0
 
     def test_every_position_gets_a_device(self):
-        meta = MetaContextManager(GPT_20B)
+        meta = MetaContextManager()
         devices = devices_for(6)
         old = ParallelConfig(2, 3, 4, 8)
         new = ParallelConfig(1, 2, 8, 8)
@@ -63,12 +63,12 @@ class TestMapping:
         assert len(set(mapping.placement.values())) == new.num_gpus
 
     def test_not_enough_devices_rejected(self):
-        meta = MetaContextManager(GPT_20B)
+        meta = MetaContextManager()
         with pytest.raises(ValueError):
             DeviceMapper(GPT_20B).map_devices(meta, devices_for(1), ParallelConfig(2, 3, 4, 8))
 
     def test_optimal_reuses_at_least_as_much_as_greedy_and_arbitrary(self):
-        meta = MetaContextManager(GPT_20B)
+        meta = MetaContextManager()
         devices = devices_for(4)
         old = ParallelConfig(2, 2, 4, 8)
         new = ParallelConfig(1, 4, 4, 8)
@@ -96,7 +96,7 @@ class TestMapping:
         """Figure 4a's transition (D=1, P=2, M=8) -> (D=1, P=3, M=4) keeps a
         substantial fraction of the model context in place (each new position
         can reuse at most half of its slice because the shard width doubles)."""
-        meta = MetaContextManager(GPT_20B)
+        meta = MetaContextManager()
         devices = devices_for(4)
         old = ParallelConfig(1, 2, 8, 8)
         install_configuration(meta, devices, old)
@@ -108,7 +108,7 @@ class TestMapping:
     def test_cache_reuse_prefers_inheriting_pipeline(self):
         """Figure 4b: the device holding pipeline 0's KV cache should be
         mapped into the new pipeline that inherits pipeline 0's requests."""
-        meta = MetaContextManager(OPT_6_7B)
+        meta = MetaContextManager()
         devices = devices_for(2)
         old = ParallelConfig(2, 2, 2, 4)
         placement = install_configuration(meta, devices, old)
@@ -135,7 +135,7 @@ class TestMapping:
             assert mapping.placement[device].data_index == 0
 
     def test_hierarchical_matches_flat_reuse_on_aligned_groups(self):
-        meta = MetaContextManager(GPT_20B)
+        meta = MetaContextManager()
         devices = devices_for(6)
         old = ParallelConfig(2, 3, 4, 8)
         install_configuration(meta, devices, old)

@@ -49,7 +49,7 @@ class TestPreemptionArrangement:
         # Barely any progress and a large migration cost: plain rerouting wins.
         batch = make_batch(committed=0)
         arrangement = arranger.arrange_preemption(batch, CONFIG, 100.0, 102.0, migration_time=50.0)
-        assert arrangement.reroutes
+        assert not arrangement.migrate_cache
         # Plenty of progress: keeping the cache is worth the migration.
         advanced = make_batch(committed=100)
         arrangement = arranger.arrange_preemption(advanced, CONFIG, 100.0, 130.0, migration_time=5.0)
@@ -126,7 +126,7 @@ class TestHandComputedArrangements:
         batch = make_batch()
         arrangement = fixed.arrange_preemption(batch, CONFIG, 100.0, 110.0, 9.8)
         assert arrangement.tokens_to_decode == 0
-        assert arrangement.reroutes
+        assert not arrangement.migrate_cache
 
     def test_acquisition_covers_initialisation(self, fixed):
         # T^+ = 4.3 s -> S = ceil(4.3 / 0.5) = 9 iterations, stop at 104.5.

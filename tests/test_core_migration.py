@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.config import ParallelConfig
 from repro.core.device_mapper import DeviceMapper
-from repro.core.migration import MigrationPlanner
+from repro.core.migration import (
+    DEFAULT_STORAGE_BANDWIDTH,
+    ENGINE_RESTART_TIME,
+    MigrationPlanner,
+)
 from repro.engine.context import MetaContextManager
 from repro.engine.placement import mesh_positions
 from repro.llm.memory import DEFAULT_MIGRATION_BUFFER_BYTES
@@ -39,7 +43,7 @@ def deploy(meta, devices, config, cached_tokens=0, batch_size=8):
 
 
 def plan_transition(model, old, new, num_instances, planner=None, cached_tokens=0):
-    meta = MetaContextManager(model)
+    meta = MetaContextManager()
     devices = devices_for(num_instances)
     deploy(meta, devices, old, cached_tokens=cached_tokens)
     mapper = DeviceMapper(model)
@@ -116,7 +120,7 @@ class TestMigrationPlan:
 
     def test_lost_replica_falls_back_to_storage(self):
         """If no surviving GPU holds a slice, it must be fetched from storage."""
-        meta = MetaContextManager(OPT_6_7B)
+        meta = MetaContextManager()
         old_devices = devices_for(1)
         old = ParallelConfig(1, 1, 4, 8)
         deploy(meta, old_devices, old)
@@ -152,7 +156,7 @@ class TestRestartPlan:
         config = ParallelConfig(2, 3, 4, 8)
         plan = planner.estimate_restart_plan(config, gpus_per_instance=4)
         per_instance_bytes = GPT_20B.total_param_bytes / 12 * 4
-        expected = per_instance_bytes / planner.storage_bandwidth + planner.engine_restart_time
+        expected = per_instance_bytes / DEFAULT_STORAGE_BANDWIDTH + ENGINE_RESTART_TIME
         assert plan.stall_time == pytest.approx(expected)
 
     def test_120b_model_restart_takes_minutes(self):

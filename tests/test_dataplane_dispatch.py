@@ -142,7 +142,7 @@ class Side:
     def __init__(self, dataplane_cls):
         self.simulator = Simulator()
         self.dataplane = dataplane_cls(
-            self.simulator, ServingStats(), MetaContextManager(OPT_6_7B), LatencyModel(OPT_6_7B)
+            self.simulator, ServingStats(), MetaContextManager(), LatencyModel(OPT_6_7B)
         )
         self.request_ids = itertools.count()
         self.extra_indices = itertools.count(100)

@@ -83,16 +83,3 @@ class TestRequestQueue:
         queue.enqueue_front(interrupted)
         batch = queue.next_batch()
         assert batch.requests == interrupted + tail
-
-    def test_peek_oldest_arrival(self):
-        queue = RequestQueue()
-        assert queue.peek_oldest_arrival() is None
-        queue.enqueue(Request(arrival_time=42.0))
-        assert queue.peek_oldest_arrival() == 42.0
-
-    def test_total_enqueued_counter(self):
-        queue = RequestQueue()
-        for request in make_requests(5):
-            queue.enqueue(request)
-        queue.next_batch()
-        assert queue.total_enqueued == 5

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.engine.context import ContextDaemon, MetaContextManager
-from repro.engine.placement import TopologyPosition, position_model_bytes
-from repro.llm.spec import GPT_20B
+from repro.engine.context import ContextDaemon, MetaContextManager, ModelContext
+from repro.engine.placement import TopologyPosition
 
 
 def model_replica_coverage(manager, pipeline_degree, tensor_degree):
@@ -24,53 +23,39 @@ class TestContextDaemon:
     def test_install_and_clear_model_context(self):
         daemon = ContextDaemon(("inst-0", 0))
         daemon.install_model_context(2, 4, TopologyPosition(0, 1, 2))
-        assert daemon.model_context is not None
-        assert daemon.resident_bytes(GPT_20B) == pytest.approx(
-            position_model_bytes(GPT_20B, 2, 4)
-        )
+        assert daemon.model_context == ModelContext(2, 4, TopologyPosition(0, 1, 2))
+        daemon.install_cache_context(2, 4, TopologyPosition(0, 1, 2), batch_size=4, cached_tokens=600)
         daemon.clear()
         assert daemon.model_context is None
-        assert daemon.resident_bytes(GPT_20B) == 0.0
+        assert daemon.cache_context is None
 
-    def test_cache_context_adds_bytes(self):
+    def test_clearing_the_cache_keeps_the_model_context(self):
         daemon = ContextDaemon(("inst-0", 0))
         daemon.install_model_context(2, 4, TopologyPosition(0, 0, 0))
-        before = daemon.resident_bytes(GPT_20B)
         daemon.install_cache_context(2, 4, TopologyPosition(0, 0, 0), batch_size=4, cached_tokens=600)
-        assert daemon.resident_bytes(GPT_20B) > before
+        assert (daemon.cache_context.batch_size, daemon.cache_context.cached_tokens) == (4, 600)
         daemon.clear_cache_context()
-        assert daemon.resident_bytes(GPT_20B) == pytest.approx(before)
+        assert daemon.cache_context is None
+        assert daemon.model_context == ModelContext(2, 4, TopologyPosition(0, 0, 0))
 
 
 class TestMetaContextManager:
     def test_daemon_created_on_demand(self):
-        manager = MetaContextManager(GPT_20B)
+        manager = MetaContextManager()
         daemon = manager.daemon(("inst-0", 0))
         assert manager.daemon(("inst-0", 0)) is daemon
         assert ("inst-0", 0) in manager.devices()
 
     def test_drop_instance_removes_all_gpus(self):
-        manager = MetaContextManager(GPT_20B)
+        manager = MetaContextManager()
         for gpu in range(4):
             manager.daemon(("inst-0", gpu))
         manager.daemon(("inst-1", 0))
         manager.drop_instance("inst-0")
         assert manager.devices() == [("inst-1", 0)]
 
-    def test_drop_device(self):
-        manager = MetaContextManager(GPT_20B)
-        manager.daemon(("inst-0", 0))
-        manager.drop_device(("inst-0", 0))
-        assert manager.devices() == []
-
-    def test_devices_with_model_context(self):
-        manager = MetaContextManager(GPT_20B)
-        manager.daemon(("inst-0", 0)).install_model_context(1, 2, TopologyPosition(0, 0, 0))
-        manager.daemon(("inst-0", 1))
-        assert manager.devices_with_model_context() == [("inst-0", 0)]
-
     def test_replica_coverage(self):
-        manager = MetaContextManager(GPT_20B)
+        manager = MetaContextManager()
         # Install only half of a (P=1, M=2) deployment.
         manager.daemon(("inst-0", 0)).install_model_context(1, 2, TopologyPosition(0, 0, 0))
         assert model_replica_coverage(manager, 1, 2) == pytest.approx(0.5)
@@ -78,11 +63,3 @@ class TestMetaContextManager:
         assert model_replica_coverage(manager, 1, 2) == pytest.approx(1.0)
         # Coverage for a different deployment shape is not satisfied.
         assert model_replica_coverage(manager, 2, 2) == pytest.approx(0.0)
-
-    def test_total_resident_bytes(self):
-        manager = MetaContextManager(GPT_20B)
-        manager.daemon(("inst-0", 0)).install_model_context(2, 2, TopologyPosition(0, 0, 0))
-        manager.daemon(("inst-0", 1)).install_model_context(2, 2, TopologyPosition(0, 0, 1))
-        assert manager.total_resident_bytes() == pytest.approx(
-            2 * position_model_bytes(GPT_20B, 2, 2)
-        )

@@ -10,12 +10,7 @@ from repro.baselines.rerouting import RequestReroutingSystem
 from repro.core.server import SpotServeOptions, SpotServeSystem
 from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind, get_trace
 from repro.experiments.ablation import ABLATION_ORDER, ablation_options
-from repro.experiments.metrics import (
-    REPORTED_PERCENTILES,
-    LatencyStats,
-    improvement_factor,
-    summarize_latencies,
-)
+from repro.experiments.metrics import REPORTED_PERCENTILES, LatencyStats
 from repro.experiments.runner import run_comparison, run_serving_experiment
 from repro.experiments.scenarios import (
     COMPARED_SYSTEMS,
@@ -37,7 +32,7 @@ class TestLatencyStats:
         assert stats.minimum == 1.0
         assert stats.maximum == 4.0
         assert stats.p99 <= stats.maximum
-        assert stats.p90 <= stats.p99
+        assert stats.percentiles[90] <= stats.p99
 
     def test_reported_percentiles_match_paper_axis(self):
         assert REPORTED_PERCENTILES == (90, 95, 96, 97, 98, 99)
@@ -61,20 +56,6 @@ class TestLatencyStats:
         assert stats.count == 0
         assert math.isnan(stats.mean)
         assert math.isnan(stats.p99)
-
-    def test_as_row(self):
-        row = LatencyStats.from_latencies([1.0, 2.0]).as_row()
-        assert row["count"] == 2
-        assert "p99" in row and "avg" in row
-
-    def test_improvement_factor(self):
-        assert improvement_factor(10.0, 5.0) == pytest.approx(2.0)
-        assert improvement_factor(10.0, 0.0) == float("inf")
-
-    def test_summarize_latencies(self):
-        summary = summarize_latencies({"a": [1.0, 2.0], "b": [4.0]})
-        assert summary["a"].count == 2
-        assert summary["b"].mean == 4.0
 
 
 def tiny_trace():
@@ -135,9 +116,9 @@ class TestRunner:
         )
 
     def test_parallel_comparison_matches_serial(self):
-        # The multiprocessing sweep regenerates the workload from the
-        # seeded process inside each worker; results must be identical to
-        # the serial template-replay path, digest for digest.
+        # Serial and pooled sweeps both stream the workload from the seeded
+        # process; each must match a run that schedules the same requests
+        # up front, digest for digest.
         systems = {"SpotServe": SpotServeSystem, "Rerouting": RequestReroutingSystem}
         arrivals = GammaArrivals(rate=0.25, cv=2.0, seed=5)
         serial = run_comparison(
@@ -146,13 +127,21 @@ class TestRunner:
         parallel = run_comparison(
             systems, "GPT-20B", tiny_trace(), arrivals, drain_time=400.0, workers=2
         )
-        assert set(parallel) == set(serial)
-        for name in systems:
-            assert (
-                parallel[name].stats.summary_text() == serial[name].stats.summary_text()
+        assert set(parallel) == set(serial) == set(systems)
+        for name, system_cls in systems.items():
+            trace = tiny_trace()
+            scheduled = run_serving_experiment(
+                system_cls,
+                "GPT-20B",
+                trace,
+                arrivals,
+                drain_time=400.0,
+                requests=arrivals.generate(trace.duration),
             )
-            assert parallel[name].submitted_requests == serial[name].submitted_requests
-            assert parallel[name].total_cost == serial[name].total_cost
+            for result in (serial[name], parallel[name]):
+                assert result.stats.summary_text() == scheduled.stats.summary_text()
+                assert result.submitted_requests == scheduled.submitted_requests
+                assert result.total_cost == scheduled.total_cost
 
 
 class TestScenarios:

@@ -12,7 +12,7 @@ from repro.llm.costmodel import (
 )
 from repro.llm.memory import MemoryModel
 from repro.llm.profiler import OfflineProfiler
-from repro.llm.spec import GPT_20B, OPT_6_7B, get_model
+from repro.llm.spec import GPT_20B, OPT_6_7B, ModelSpec, get_model
 
 from oracles import costmodel as costmodel_oracle
 
@@ -32,8 +32,10 @@ class TestCalibration:
             assert 0.3 < factor < 3.0
 
     def test_uncalibrated_model_has_unit_factor(self):
-        model = LatencyModel(GPT_20B, calibrate=False)
-        assert model.calibration_factor == 1.0
+        # A model outside Table 1 has no reference latency to fit.
+        custom = ModelSpec(name="custom-1B", num_layers=8, hidden_size=2048, num_heads=16)
+        assert custom.name not in TABLE1_REFERENCE
+        assert LatencyModel(custom).calibration_factor == 1.0
 
 
 class TestLatencyStructure:

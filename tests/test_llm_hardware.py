@@ -1,8 +1,8 @@
-"""Tests for the GPU hardware catalog."""
+"""Tests for the GPU hardware spec."""
 
 import pytest
 
-from repro.llm.hardware import A100_40GB, GB, GPU_CATALOG, GPUSpec, T4, get_gpu
+from repro.llm.hardware import GB, GPUSpec, T4
 
 
 class TestGPUSpec:
@@ -10,12 +10,6 @@ class TestGPUSpec:
         assert T4.memory_bytes == 16 * GB
         assert T4.memory_bandwidth == 300 * GB
         assert T4.fp32_flops < T4.fp16_flops
-
-    def test_all_catalog_entries_are_consistent(self):
-        for name, spec in GPU_CATALOG.items():
-            assert spec.name == name
-            assert spec.memory_bytes > 0
-            assert spec.memory_bandwidth > 0
 
     def test_non_positive_characteristic_rejected(self):
         with pytest.raises(ValueError):
@@ -38,17 +32,3 @@ class TestGPUSpec:
     def test_specs_are_immutable(self):
         with pytest.raises(Exception):
             T4.memory_bytes = 1
-
-
-class TestGetGpu:
-    def test_exact_lookup(self):
-        assert get_gpu("T4") is T4
-
-    def test_case_insensitive_lookup(self):
-        assert get_gpu("t4") is T4
-        assert get_gpu("a100-40gb") is A100_40GB
-
-    def test_unknown_gpu_raises_with_catalog(self):
-        with pytest.raises(KeyError) as excinfo:
-            get_gpu("H100")
-        assert "T4" in str(excinfo.value)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.llm.hardware import A100_40GB, T4
+from repro.llm.hardware import GB, TFLOP, GPUSpec, T4
 from repro.llm.memory import MemoryModel
 from repro.llm.spec import GPT_20B, LLAMA_30B, OPT_6_7B, get_model
 
@@ -26,9 +26,15 @@ class TestTable1MinGpus:
         assert model.fits(p, m, batch_size=8)
 
     def test_a100_needs_fewer_gpus(self):
+        a100 = GPUSpec(
+            name="A100-40GB",
+            memory_bytes=40 * GB,
+            fp16_flops=312 * TFLOP,
+            fp32_flops=19.5 * TFLOP,
+            memory_bandwidth=1555 * GB,
+        )
         t4 = MemoryModel(GPT_20B, T4).min_gpus(batch_size=8)
-        a100 = MemoryModel(GPT_20B, A100_40GB).min_gpus(batch_size=8)
-        assert a100 < t4
+        assert MemoryModel(GPT_20B, a100).min_gpus(batch_size=8) < t4
 
 
 class TestFootprintComponents:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.llm.costmodel import LatencyModel
+from repro.llm.costmodel import DEFAULT_INPUT_LENGTH, DEFAULT_OUTPUT_LENGTH, LatencyModel
 from repro.llm.hardware import T4
 from repro.llm.memory import MemoryModel
 from repro.llm.profiler import OfflineProfiler
@@ -51,13 +51,12 @@ class TestColumns:
             assert latencies[i] == entry.latency
             assert throughputs[i] == entry.throughput
 
-    def test_profiled_lengths_are_used(self):
-        model = get_model("OPT-6.7B")
-        latency_model = LatencyModel(model, T4)
-        short = OfflineProfiler(latency_model, input_length=128, output_length=1)
-        assert short.latencies([(1, 4, 2)])[0] == latency_model.l_exe(1, 4, 2, 128, 1)
-        default = OfflineProfiler(latency_model)
-        assert short.profile(1, 1, 4, 2).latency < default.profile(1, 1, 4, 2).latency
+    def test_profiles_at_the_paper_lengths(self):
+        latency_model = LatencyModel(get_model("OPT-6.7B"), T4)
+        profiler = OfflineProfiler(latency_model)
+        expected = latency_model.l_exe(1, 4, 2, DEFAULT_INPUT_LENGTH, DEFAULT_OUTPUT_LENGTH)
+        assert profiler.latencies([(1, 4, 2)])[0] == expected
+        assert profiler.profile(1, 1, 4, 2).latency == expected
 
     def test_non_positive_latency_has_infinite_throughput(self):
         latencies = np.array([2.0, 0.0])

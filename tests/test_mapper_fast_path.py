@@ -162,7 +162,7 @@ def devices_for(num_instances, gpus_per_instance=4, prefix="inst"):
 
 def random_fleet_state(rng, model):
     """Random meta-context state: some instances stateful, some fresh."""
-    meta = MetaContextManager(model)
+    meta = MetaContextManager()
     n_instances = int(rng.integers(2, 9))
     devices = devices_for(n_instances)
     old = ParallelConfig(
@@ -339,7 +339,7 @@ class TestFastPathEquivalence:
 
     @staticmethod
     def stateful_fleet(model=GPT_20B, num_instances=6):
-        meta = MetaContextManager(model)
+        meta = MetaContextManager()
         devices = devices_for(num_instances)
         config = ParallelConfig(2, 3, 4, 8)
         positions = mesh_positions(

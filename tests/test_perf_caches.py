@@ -28,12 +28,10 @@ from oracles.controller import MemolessController
 from oracles.device_mapper import ReferenceDeviceMapper
 
 
-def make_controller(
-    model=OPT_6_7B, cls=ParallelizationController, input_length=512, migration_buffer_bytes=0.0
-):
+def make_controller(model=OPT_6_7B, cls=ParallelizationController, migration_buffer_bytes=0.0):
     latency = LatencyModel(model)
     memory = MemoryModel(model, latency.gpu)
-    profiler = OfflineProfiler(latency, memory, input_length=input_length)
+    profiler = OfflineProfiler(latency, memory)
     space = ConfigurationSpace(
         model, memory, gpus_per_instance=4, migration_buffer_bytes=migration_buffer_bytes
     )
@@ -41,18 +39,16 @@ def make_controller(
 
 
 class TestControllerMemo:
-    def test_profile_lengths_reach_the_table(self):
+    def test_profile_reaches_the_table(self):
         config = ParallelConfig(1, 2, 2, 4)
-        before = make_controller().estimate(config, 0.35)
-        # Profiled at a different sequence length, the table's latencies
-        # must follow, for the estimate and for the sweep's columns alike.
-        controller = make_controller(input_length=2048)
-        after = controller.estimate(config, 0.35)
-        assert after.execution_latency != before.execution_latency
-        assert after.execution_latency == controller.profiler.profile(1, 2, 2, 4).latency
+        # The table's latencies are the profiler's, for the estimate and
+        # for the sweep's columns alike.
+        controller = make_controller()
+        estimate = controller.estimate(config, 0.35)
+        assert estimate.execution_latency == controller.profiler.profile(1, 2, 2, 4).latency
         rows, exec_latency = controller._static_vectors(1)[:2]
         configs = [controller.config_space.config_at(row) for row in rows]
-        assert exec_latency[configs.index(config)] == after.execution_latency
+        assert exec_latency[configs.index(config)] == estimate.execution_latency
 
     def test_fleet_space_sweep_follows_the_buffer(self):
         full_sweep = make_controller(model=GPT_20B)._static_vectors(4)[0]
@@ -104,7 +100,7 @@ class TestMapperMatchesReference:
 
     def test_context_change_between_rounds_is_observed(self):
         """A mapper reused across rounds must not leak round N's weights into N+1."""
-        meta = MetaContextManager(GPT_20B)
+        meta = MetaContextManager()
         devices = self.devices(6)
         config = ParallelConfig(2, 3, 4, 8)
         _install(meta, devices, config)
@@ -118,7 +114,7 @@ class TestMapperMatchesReference:
         assert second.reused_bytes == pytest.approx(0.0)
 
     def test_reshaped_mapping_matches_reference(self):
-        meta = MetaContextManager(GPT_20B)
+        meta = MetaContextManager()
         devices = self.devices(6)
         old = ParallelConfig(2, 3, 4, 8)
         new = ParallelConfig(1, 2, 8, 8)
@@ -133,7 +129,7 @@ class TestMapperMatchesReference:
     def test_stateless_fleet_mapping_matches_reference(self):
         # Stateless instances take the skip-the-solve path; the placement
         # must equal the one a Kuhn-Munkres solve of every block produces.
-        meta = MetaContextManager(GPT_20B)
+        meta = MetaContextManager()
         devices = self.devices(6)
         config = ParallelConfig(2, 3, 4, 8)
         mapped = DeviceMapper(GPT_20B).map_devices(meta, devices, config)
@@ -153,7 +149,10 @@ class UncachedSpotServe(SpotServeSystem):
             self.profiler,
             slo_latency=self.options.slo_latency,
         )
-        self.latency_model.disable_caches()
+        # The caches are instance attributes over the class methods.
+        for name in LatencyModel._CACHED_ENTRY_POINTS:
+            delattr(self.latency_model, name)
+        assert self.latency_model.cache_info() == {}
 
 
 class TestCachedRunsAreByteIdentical:

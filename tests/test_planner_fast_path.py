@@ -53,7 +53,7 @@ def zone_of(instance_id):
 
 def random_fleet_state(rng, model):
     """Random meta-context state: some instances stateful, some fresh."""
-    meta = MetaContextManager(model)
+    meta = MetaContextManager()
     n_instances = int(rng.integers(2, 9))
     devices = devices_for(n_instances)
     old = ParallelConfig(
@@ -211,7 +211,7 @@ class TestFastReferencePlanEquivalence:
 
     def test_storage_fallback_matches_reference(self):
         """Lost slices are billed to storage identically on both paths."""
-        meta = MetaContextManager(OPT_6_7B)
+        meta = MetaContextManager()
         old = ParallelConfig(1, 1, 4, 8)
         devices = devices_for(1)
         positions = mesh_positions(1, 1, 4)
@@ -298,7 +298,7 @@ class TestPlanMemo:
 
     @staticmethod
     def transition(model=GPT_20B, num_instances=6):
-        meta = MetaContextManager(model)
+        meta = MetaContextManager()
         devices = devices_for(num_instances)
         old = ParallelConfig(1, 2, 8, 8)
         positions = mesh_positions(old.data_degree, old.pipeline_degree, old.tensor_degree)

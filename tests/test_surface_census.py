@@ -1,0 +1,196 @@
+"""The name census: nothing in ``src/repro`` is reached only by tests.
+
+Runs the stdlib-only ``tools/surface_census.py`` the CI docs job runs, on
+the repository and on small synthetic trees that each pin one rule of
+the census.
+"""
+
+import ast
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+
+import surface_census  # noqa: E402
+
+
+def write(root, relative, source):
+    path = root / relative
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(source), encoding="utf-8")
+
+
+def test_repository_census_matches_the_kept_table(capsys):
+    assert surface_census.main(["--check"]) == 0, capsys.readouterr().out
+
+
+def test_kept_entries_all_carry_a_reason():
+    assert all(reason.strip() for reason in surface_census.KEPT.values())
+
+
+def test_dead_chain_is_listed_and_getattr_names_are_not(tmp_path):
+    write(
+        tmp_path,
+        "src/repro/__init__.py",
+        """
+        from .mod import dead, used  # re-exports are not uses
+        """,
+    )
+    write(
+        tmp_path,
+        "src/repro/mod.py",
+        """
+        LIMIT = 3
+
+
+        def helper():
+            # unreached() is named here, in a comment only
+            return LIMIT
+
+
+        def dead():
+            return helper()
+
+
+        def used():
+            return LIMIT
+
+
+        class Box:
+            def reached_by_getattr(self):
+                return 1
+
+            def unreached(self):
+                return 2
+        """,
+    )
+    write(
+        tmp_path,
+        "examples/run.py",
+        """
+        from repro.mod import Box, used
+
+        used()
+        getattr(Box(), "reached_by_getattr")()
+        """,
+    )
+    write(tmp_path, "tests/test_mod.py", "from repro.mod import dead\ndead()\n")
+
+    assert surface_census.census(tmp_path) == [
+        "repro.mod.Box.unreached",
+        "repro.mod.dead",
+        "repro.mod.helper",
+    ]
+    # None of the three is in KEPT, so the gate fails on this tree.
+    assert surface_census.main(["--root", str(tmp_path), "--check"]) == 1
+
+
+def listed(tmp_path, modules, users=None):
+    """Census of a synthetic tree: ``src/repro/<name>.py`` plus user files."""
+    for name, source in modules.items():
+        write(tmp_path, f"src/repro/{name}.py", source)
+    for relative, source in (users or {}).items():
+        write(tmp_path, relative, source)
+    return surface_census.census(tmp_path)
+
+
+@pytest.mark.parametrize("tree", ["benchmarks", "examples", "perfbench", "tools"])
+def test_each_user_tree_counts_as_a_use(tmp_path, tree):
+    modules = {"mod": "def entry():\n    return 1\n\n\ndef other():\n    return 2\n"}
+    users = {f"{tree}/user.py": "from repro.mod import entry\n\nentry()\n"}
+    assert listed(tmp_path, modules, users) == ["repro.mod.other"]
+
+
+def test_only_whole_words_count(tmp_path):
+    modules = {
+        "mod": """
+        LIMIT = 3
+        LIMIT_MAX = 4
+        """
+    }
+    users = {"examples/run.py": "from repro.mod import LIMIT_MAX\n\nprint(LIMIT_MAX)\n"}
+    assert listed(tmp_path, modules, users) == ["repro.mod.LIMIT"]
+
+
+def test_a_use_inside_its_own_definition_does_not_count(tmp_path):
+    modules = {
+        "mod": """
+        def countdown(n):
+            return n if n <= 0 else countdown(n - 1)
+        """
+    }
+    assert listed(tmp_path, modules) == ["repro.mod.countdown"]
+
+
+def test_methods_of_a_listed_class_go_with_it(tmp_path):
+    modules = {
+        "mod": """
+        class Orphan:
+            def lonely(self):
+                return self.lonelier()
+
+            def lonelier(self):
+                return 0
+        """
+    }
+    assert listed(tmp_path, modules) == ["repro.mod.Orphan"]
+
+
+def test_dunder_names_are_never_listed(tmp_path):
+    modules = {
+        "mod": """
+        __all__ = ["Point"]
+
+
+        class Point:
+            def __repr__(self):
+                return "Point()"
+        """
+    }
+    users = {"examples/run.py": "from repro.mod import Point\n\nprint(Point())\n"}
+    assert listed(tmp_path, modules, users) == []
+
+
+def test_annotated_constants_are_listed(tmp_path):
+    modules = {"mod": "LIMIT: int = 3\nUSED: int = 4\n"}
+    users = {"tools/run.py": "from repro.mod import USED\n\nprint(USED)\n"}
+    assert listed(tmp_path, modules, users) == ["repro.mod.LIMIT"]
+
+
+def test_check_passes_when_the_list_equals_kept(tmp_path, monkeypatch):
+    names = listed(tmp_path, {"mod": "def kept():\n    return 1\n"})
+    monkeypatch.setattr(surface_census, "KEPT", {name: "a reason" for name in names})
+    assert surface_census.main(["--root", str(tmp_path), "--check"]) == 0
+
+
+def test_check_fails_on_a_stale_kept_entry(tmp_path, monkeypatch, capsys):
+    modules = {"mod": "def kept():\n    return 1\n"}
+    users = {"examples/run.py": "from repro.mod import kept\n\nkept()\n"}
+    assert listed(tmp_path, modules, users) == []
+    monkeypatch.setattr(surface_census, "KEPT", {"repro.mod.kept": "a reason"})
+    assert surface_census.main(["--root", str(tmp_path), "--check"]) == 1
+    assert "STALE KEPT ENTRY: repro.mod.kept" in capsys.readouterr().out
+
+
+def test_the_tool_parses_as_python_3_9():
+    source = (REPO_ROOT / "tools" / "surface_census.py").read_text(encoding="utf-8")
+    ast.parse(source, feature_version=(3, 9))
+
+
+def test_the_census_never_imports_repro():
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(REPO_ROOT / 'tools')!r})\n"
+        "import surface_census\n"
+        "surface_census.census()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -43,6 +43,7 @@ from repro.cloud.zone import AvailabilityTrace, OutageWindow, PriceSchedule, Zon
 from repro.core.server import SpotServeOptions, SpotServeSystem
 from repro.core.stats import ServingStats
 from repro.core.tenancy import (
+    STARVATION_FLOOR,
     FleetPartitioner,
     MultiTenantSystem,
     TenantDemand,
@@ -144,9 +145,9 @@ class TestFleetPartitionerProperties:
             )
             for i in range(rng.randint(2, 4))
         ]
-        partitioner = FleetPartitioner(starvation_floor=1)
+        partitioner = FleetPartitioner()
         floors = {
-            demand.name: max(demand.min_instances, partitioner.starvation_floor)
+            demand.name: max(demand.min_instances, STARVATION_FLOOR)
             for demand in demands
         }
         # Fleet large enough to feed every floor: nobody may starve.
@@ -708,6 +709,10 @@ class TestTenantSpecValidation:
             pytest.param({"arrival_rate": -0.5}, id="negative-arrival-rate"),
             pytest.param({"cv": 0.0}, id="zero-cv"),
             pytest.param({"cv": -2.0}, id="negative-cv"),
+            pytest.param({"arrival_rate": float("inf")}, id="infinite-arrival-rate"),
+            pytest.param({"arrival_rate": float("nan")}, id="nan-arrival-rate"),
+            pytest.param({"cv": float("inf")}, id="infinite-cv"),
+            pytest.param({"cv": float("nan")}, id="nan-cv"),
             pytest.param(
                 {"workload_check_interval": -30.0}, id="negative-check-interval"
             ),

@@ -101,7 +101,7 @@ def devices_for(num_instances, gpus_per_instance=4, prefix="inst"):
 
 def installed_transition(model=GPT_20B, num_instances=6):
     """A deterministic stateful fleet transition with a non-trivial plan."""
-    meta = MetaContextManager(model)
+    meta = MetaContextManager()
     devices = devices_for(num_instances)
     old = ParallelConfig(1, 2, 8, 8)
     positions = mesh_positions(old.data_degree, old.pipeline_degree, old.tensor_degree)
@@ -116,7 +116,7 @@ def installed_transition(model=GPT_20B, num_instances=6):
 
 def random_fleet_state(rng, model):
     """Random meta-context state, mirroring the planner fast-path harness."""
-    meta = MetaContextManager(model)
+    meta = MetaContextManager()
     n_instances = int(rng.integers(2, 9))
     devices = devices_for(n_instances)
     old = ParallelConfig(
