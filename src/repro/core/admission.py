@@ -49,6 +49,8 @@ from abc import ABC
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..workload.arrival import check_positive_finite
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..engine.batching import RequestQueue
     from ..workload.request import Request
@@ -160,8 +162,7 @@ class QueueCapPolicy(AdmissionPolicy):
     name = "queue-cap"
 
     def __init__(self, max_queue_depth: int = DEFAULT_QUEUE_CAP) -> None:
-        if max_queue_depth <= 0:
-            raise ValueError("max_queue_depth must be positive")
+        check_positive_finite("max_queue_depth", max_queue_depth)
         self.max_queue_depth = max_queue_depth
 
     def admit(self, request: "Request", signal: AdmissionSignal) -> bool:
@@ -188,8 +189,8 @@ class DeadlineAwarePolicy(AdmissionPolicy):
         slo_latency: Optional[float] = None,
         min_age_fraction: float = 0.1,
     ) -> None:
-        if slo_latency is not None and slo_latency <= 0:
-            raise ValueError("slo_latency must be positive")
+        if slo_latency is not None:
+            check_positive_finite("slo_latency", slo_latency)
         if not 0 < min_age_fraction <= 1:
             raise ValueError("min_age_fraction must be in (0, 1]")
         self.slo_latency = slo_latency
@@ -230,8 +231,9 @@ class TokenBucketPolicy(AdmissionPolicy):
         rate: Optional[float] = None,
         burst: float = DEFAULT_BUCKET_BURST,
     ) -> None:
-        if rate is not None and rate <= 0:
-            raise ValueError("rate must be positive")
+        if rate is not None:
+            check_positive_finite("rate", rate)
+        check_positive_finite("burst", burst)
         if burst < 1:
             raise ValueError("burst must be at least one token")
         self.configured_rate = rate

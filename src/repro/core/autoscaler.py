@@ -40,6 +40,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
+from ..workload.arrival import check_non_negative_finite, check_positive_finite
 from .controller import ParallelizationController
 
 
@@ -140,8 +141,7 @@ class TargetUtilizationPolicy(AutoscalePolicy):
     def __init__(self, target: float = 0.7, dead_band: float = 0.1) -> None:
         if not 0 < target <= 1:
             raise ValueError("target utilization must be in (0, 1]")
-        if dead_band < 0:
-            raise ValueError("dead band must be non-negative")
+        check_non_negative_finite("dead_band", dead_band)
         self.target = target
         self.dead_band = dead_band
 
@@ -173,8 +173,7 @@ class QueueLatencyPolicy(AutoscalePolicy):
         max_queue_delay: float = 60.0,
         scale_down_utilization: float = 0.5,
     ) -> None:
-        if max_queue_delay <= 0:
-            raise ValueError("max_queue_delay must be positive")
+        check_positive_finite("max_queue_delay", max_queue_delay)
         if not 0 <= scale_down_utilization < 1:
             raise ValueError("scale_down_utilization must be in [0, 1)")
         self.max_queue_delay = max_queue_delay
@@ -214,10 +213,11 @@ class CostAwarePolicy(AutoscalePolicy):
         budget_per_hour: Optional[float] = None,
         max_probe_instances: int = 32,
     ) -> None:
+        check_positive_finite("headroom", headroom)
         if headroom < 1.0:
             raise ValueError("headroom must be at least 1.0")
-        if budget_per_hour is not None and budget_per_hour <= 0:
-            raise ValueError("budget_per_hour must be positive")
+        if budget_per_hour is not None:
+            check_positive_finite("budget_per_hour", budget_per_hour)
         self.controller = controller
         self.headroom = headroom
         self.budget_per_hour = budget_per_hour
@@ -305,8 +305,9 @@ class Autoscaler:
     ) -> None:
         if min_instances < 0 or max_instances < min_instances:
             raise ValueError("need 0 <= min_instances <= max_instances")
-        if cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
+        check_non_negative_finite("cooldown", cooldown)
+        if scale_down_cooldown is not None:
+            check_non_negative_finite("scale_down_cooldown", scale_down_cooldown)
         if arbitrage not in ARBITRAGE_MODES:
             raise ValueError(
                 f"unknown arbitrage mode {arbitrage!r}; available: {ARBITRAGE_MODES}"

@@ -15,7 +15,8 @@ selects the next parallel configuration ``C_{t+1}``:
   ``N_t`` is returned so the instance manager can allocate (on-demand and
   spot together) or release (on-demand first) instances.
 
-``l_req`` is estimated as the execution latency from the offline profiler
+``l_req`` is estimated as the execution latency from the offline cost table
+(built once from :meth:`~repro.llm.costmodel.LatencyModel.l_exe_many`)
 plus a simple queueing/batch-formation term, mirroring the paper's
 decomposition ``l_req = l_sch + l_exe``.
 """
@@ -27,7 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..llm.profiler import OfflineProfiler
+from ..llm.costmodel import LatencyModel
 from .config import ConfigurationSpace, ParallelConfig
 
 #: Two candidate latencies within this relative margin are treated as ties,
@@ -85,11 +86,11 @@ class ParallelizationController:
     def __init__(
         self,
         config_space: ConfigurationSpace,
-        profiler: OfflineProfiler,
+        latency_model: LatencyModel,
         slo_latency: Optional[float] = None,
     ) -> None:
         self.config_space = config_space
-        self.profiler = profiler
+        self.latency_model = latency_model
         self.slo_latency = slo_latency
         #: Per-fleet-size slices of the cost table backing the vectorized
         #: sweep: (rows, exec latency, throughput, batch, data degree).
@@ -97,15 +98,21 @@ class ParallelizationController:
         #: Memoised propose() outcomes per (available, max, rate) round key.
         self._propose_memo: Dict[Tuple[int, int, float], Optional[OptimizerDecision]] = {}
         # The offline cost table, built once: l_exe per (P, M, B) shape of
-        # the space, broadcast to the space's rows, and throughput per row.
-        shape_latency = profiler.latencies(config_space.shapes)
+        # the space at the paper's sequence lengths, broadcast to the
+        # space's rows, and throughput phi(C) = D * B / l_exe per row (inf
+        # where l_exe <= 0).
+        shape_latency = latency_model.l_exe_many(config_space.shapes)
         self._shape_latency: Dict[Tuple[int, int, int], float] = dict(
             zip(config_space.shapes, shape_latency.tolist())
         )
-        self._exec_latency = shape_latency[config_space.row_shape]
-        self._throughput = profiler.throughputs(
-            config_space.row_data_degree, config_space.row_batch_size, self._exec_latency
-        )
+        latency = shape_latency[config_space.row_shape]
+        self._exec_latency = latency
+        with np.errstate(divide="ignore"):
+            self._throughput = np.where(
+                latency > 0,
+                (config_space.row_data_degree * config_space.row_batch_size) / latency,
+                float("inf"),
+            )
 
     # ------------------------------------------------------------------
     # Cost estimation
@@ -132,14 +139,12 @@ class ParallelizationController:
         """Rate-independent ``(execution latency, throughput)`` of *config*.
 
         Read from the cost table by the config's ``(P, M, B)`` shape, with
-        the throughput column's operations; a shape outside the space is
-        profiled on its own.
+        the throughput column's operations.  Every config this controller
+        estimates comes from its own space, so a shape outside the table
+        raises ``KeyError``.
         """
         shape = (config.pipeline_degree, config.tensor_degree, config.batch_size)
-        latency = self._shape_latency.get(shape)
-        if latency is None:
-            entry = self.profiler.profile(config.data_degree, *shape)
-            return entry.latency, entry.throughput
+        latency = self._shape_latency[shape]
         if latency <= 0:
             return latency, float("inf")
         return latency, config.data_degree * config.batch_size / latency

@@ -168,10 +168,9 @@ class MigrationPlan:
     tier: str = "direct"
     #: Bytes written to the offload tier during the grace window.
     spilled_bytes: float = 0.0
-    #: Bytes the destinations read back from the tier (equals
-    #: :attr:`spilled_bytes` at planning time; runtime accounting splits
-    #: restored from abandoned when destinations die mid-restore).
-    restored_bytes: float = 0.0
+    #: Spilled bytes each destination instance restores from the tier
+    #: after the switch (offload plans only, else ``None``).
+    spill_restores: Optional[Dict[str, float]] = None
     #: Duration of the source-side spill phase.
     spill_time: float = 0.0
     #: Duration of the destination-side restore phase.
@@ -325,10 +324,10 @@ class MigrationPlanner:
         fall through to the pre-tiering reroute fallback.
 
         The input plan may be a shared, memoised object: it is never
-        mutated.  Suffix steps are rebuilt with fresh ``tier="offload"``
-        :class:`~repro.sim.network.Transfer` records; prefix steps are
-        reused as-is (read-only).  The derived plan is *not* memoised --
-        the window varies continuously with simulation time.
+        mutated, and the derived plan shares its steps (read-only).  The
+        suffix is recorded as per-destination restore bytes
+        (:attr:`MigrationPlan.spill_restores`).  The derived plan is *not*
+        memoised -- the window varies continuously with simulation time.
         """
         if self.network.offload_tier is None:
             return None
@@ -368,31 +367,16 @@ class MigrationPlanner:
             # The deadline miss is not transfer-bound (e.g. storage loads):
             # spilling moves nothing and cannot shorten the plan.
             return None
-        new_steps: List[MigrationStep] = list(steps[:best_k])
-        for step in steps[best_k:]:
-            new_steps.append(
-                MigrationStep(
-                    kind=step.kind,
-                    layer_index=step.layer_index,
-                    transfers=[
-                        Transfer(
-                            src=t.src,
-                            dst=t.dst,
-                            size_bytes=t.size_bytes,
-                            tag=t.tag,
-                            tier="offload",
-                        )
-                        for t in step.transfers
-                    ],
-                    storage_bytes=step.storage_bytes,
-                    stages_ready=list(step.stages_ready),
-                )
-            )
+        spill_restores: Dict[str, float] = {}
+        for t in suffix_transfers:
+            if not t.is_noop and t.size_bytes > 0:
+                dst = t.dst[0]
+                spill_restores[dst] = spill_restores.get(dst, 0.0) + t.size_bytes
         direct_window_time = prefix_times[best_k]
         stall_time = direct_window_time + spill_time + restore_time
         return MigrationPlan(
-            steps=new_steps,
-            layer_order=list(plan.layer_order),
+            steps=steps,
+            layer_order=plan.layer_order,
             total_time=stall_time,
             stall_time=stall_time,
             peak_buffer_bytes=plan.peak_buffer_bytes,
@@ -401,7 +385,7 @@ class MigrationPlanner:
             remote_bytes=plan.remote_bytes,
             tier="offload",
             spilled_bytes=spilled_bytes,
-            restored_bytes=spilled_bytes,
+            spill_restores=spill_restores,
             spill_time=spill_time,
             restore_time=restore_time,
             direct_window_time=direct_window_time,

@@ -170,21 +170,8 @@ class TransitionPlanner:
             migrated_bytes=plan.total_bytes,
             reused_bytes=mapping.reused_bytes,
             objective=objective,
-            spill_restores=self._spill_restores(plan),
+            spill_restores=plan.spill_restores,
         )
-
-    @staticmethod
-    def _spill_restores(plan: MigrationPlan) -> Optional[Dict[str, float]]:
-        """Offload bytes per destination instance of a tiered *plan*."""
-        if plan.tier != "offload" or plan.spilled_bytes <= 0:
-            return None
-        restores: Dict[str, float] = {}
-        for step in plan.steps:
-            for transfer in step.transfers:
-                if transfer.tier == "offload" and not transfer.is_noop and transfer.size_bytes > 0:
-                    dst = transfer.dst[0]
-                    restores[dst] = restores.get(dst, 0.0) + transfer.size_bytes
-        return restores
 
     def _jit_stop_time(self, deadline: float, plan: MigrationPlan) -> float:
         """Latest stop time that still leaves room for the migration itself.

@@ -47,7 +47,6 @@ Invariants maintained here (and pinned by the regression suites):
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -58,12 +57,11 @@ from ..cloud.provider import CloudProvider
 from ..engine.context import MetaContextManager
 from ..llm.costmodel import LatencyModel
 from ..llm.memory import DEFAULT_MIGRATION_BUFFER_BYTES, MemoryModel
-from ..llm.profiler import OfflineProfiler
 from ..llm.spec import ModelSpec
 from ..sim.engine import Simulator
 from ..sim.events import Event, EventType
 from ..sim.network import NetworkModel, OffloadTierSpec
-from ..workload.arrival import ArrivalProcess
+from ..workload.arrival import ArrivalProcess, check_non_negative_finite, check_positive_finite
 from ..workload.request import Request
 from .acquisition import MAX_ON_DEMAND_EXTRA, FleetAcquirer
 from .admission import AdmissionPolicy, AdmissionSignal, make_admission_policy
@@ -138,22 +136,10 @@ class SpotServeOptions:
     fleet_partitioner: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.workload_check_interval)
-            and self.workload_check_interval >= 0.0
-        ):
-            # 0 is valid: it disables the periodic workload checks.
-            raise ValueError(
-                "workload_check_interval must be finite and >= 0, "
-                f"got {self.workload_check_interval}"
-            )
-        if self.slo_latency is not None and not (
-            math.isfinite(self.slo_latency) and self.slo_latency > 0.0
-        ):
-            raise ValueError(
-                "slo_latency must be None or finite and positive, "
-                f"got {self.slo_latency}"
-            )
+        # 0 is valid: it disables the periodic workload checks.
+        check_non_negative_finite("workload_check_interval", self.workload_check_interval)
+        if self.slo_latency is not None:
+            check_positive_finite("slo_latency", self.slo_latency)
 
 
 class ServingSystemBase:
@@ -198,7 +184,6 @@ class ServingSystemBase:
         #: The dataplane's FIFO queue (the admission hooks consult it).
         self.request_queue = self.dataplane.queue
 
-        self.profiler = OfflineProfiler(self.latency_model, self.memory_model)
         self.config_space = ConfigurationSpace(
             model,
             self.memory_model,
@@ -207,7 +192,7 @@ class ServingSystemBase:
         )
         self.controller = ParallelizationController(
             self.config_space,
-            self.profiler,
+            self.latency_model,
             slo_latency=self.options.slo_latency,
         )
         self.autoscaler: Optional[Autoscaler] = None

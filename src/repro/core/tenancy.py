@@ -42,7 +42,12 @@ from ..cloud.provider import CloudProvider
 from ..llm.spec import get_model
 from ..sim.engine import Simulator
 from ..sim.events import Event, EventType
-from ..workload.arrival import ArrivalProcess, GammaArrivals, check_positive_finite
+from ..workload.arrival import (
+    ArrivalProcess,
+    GammaArrivals,
+    check_non_negative_finite,
+    check_positive_finite,
+)
 from .server import ServingSystemBase, SpotServeOptions, SpotServeSystem
 from .stats import ServingStats
 
@@ -134,10 +139,8 @@ class TenantSpec:
             raise ValueError("zones must name at least one zone (None means every zone)")
         check_positive_finite("arrival_rate", self.arrival_rate)
         check_positive_finite("cv", self.cv)
-        if not self.workload_check_interval >= 0.0:
-            raise ValueError(
-                f"workload_check_interval must be >= 0, got {self.workload_check_interval}"
-            )
+        # 0 is valid: it disables the tenant's adaptation rounds.
+        check_non_negative_finite("workload_check_interval", self.workload_check_interval)
 
     def arrival_process(self) -> ArrivalProcess:
         """The tenant's seeded Gamma arrival workload."""

@@ -14,7 +14,6 @@ from .memory import (
     DEFAULT_RESERVE_BYTES,
     MemoryModel,
 )
-from .profiler import OfflineProfiler, ProfileEntry
 from .spec import (
     GPT_20B,
     LLAMA_30B,
@@ -39,8 +38,6 @@ __all__ = [
     "MemoryModel",
     "ModelSpec",
     "OPT_6_7B",
-    "OfflineProfiler",
-    "ProfileEntry",
     "T4",
     "TABLE1_REFERENCE",
     "get_model",

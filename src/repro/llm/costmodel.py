@@ -4,7 +4,7 @@ SpotServe's parallelization controller, migration planner and interruption
 arranger all consume an *offline-profiled* cost model (Section 5 of the
 paper): given a parallel configuration they need the execution latency
 ``l_exe(S_out | S_in)`` of Eq. (1)/(2), the per-iteration decoding latency
-``t_exe(1)``, and the serving throughput ``phi(C)``.
+``t_exe(1)``, and the serving throughput ``phi(C)`` that follows from it.
 
 The original system profiles FasterTransformer on real T4 GPUs.  Without
 GPUs, this module provides an analytic roofline-style model:
@@ -154,7 +154,7 @@ class LatencyModel:
                 self._calibration = target / raw
 
     #: Pure entry points wrapped with a per-instance ``lru_cache`` in
-    #: ``__init__`` (``throughput`` benefits transitively via ``l_exe``).
+    #: ``__init__``.
     _CACHED_ENTRY_POINTS = ("decode_iteration_time", "prefill_time", "l_exe")
 
     # ------------------------------------------------------------------
@@ -416,29 +416,6 @@ class LatencyModel:
         return self._calibration * self._uncalibrated_l_exe_many(
             output_length, input_length, shapes
         )
-
-    def throughput(
-        self,
-        data_degree: int,
-        pipeline_degree: int,
-        tensor_degree: int,
-        batch_size: int,
-        input_length: int = DEFAULT_INPUT_LENGTH,
-        output_length: int = DEFAULT_OUTPUT_LENGTH,
-    ) -> float:
-        """Serving throughput ``phi(C)`` in requests/second.
-
-        With ``D`` independent pipelines each completing a batch of ``B``
-        requests every ``l_exe`` seconds.
-        """
-        if data_degree <= 0:
-            raise ValueError("data_degree must be positive")
-        latency = self.l_exe(
-            pipeline_degree, tensor_degree, batch_size, input_length, output_length
-        )
-        if latency <= 0:
-            return float("inf")
-        return data_degree * batch_size / latency
 
 
 def _check_parallelism(pipeline_degree: int, tensor_degree: int, batch_size: int) -> None:

@@ -7,15 +7,15 @@ component reads it from there.  Serving systems register handlers per
 :class:`~repro.sim.events.EventType`; events can also carry their own
 callback.
 
-Dispatch is the simulator's hottest loop, so handler lists are resolved into
-per-type tuples once at registration time (not per event) and the run loop
-pops the next live event with a single heap walk
-(:meth:`~repro.sim.events.EventQueue.pop_next`) instead of a peek + pop pair.
+Dispatch is the simulator's hottest loop, so handlers are kept as per-type
+tuples extended at registration time (not resolved per event) and the run
+loop pops the next live event with a single heap walk
+(:meth:`~repro.sim.events.EventQueue.pop_next`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .events import Event, EventQueue, EventType
 
@@ -32,8 +32,7 @@ class Simulator:
         #: Current simulation time in seconds (never moves backwards).
         self.now = 0.0
         self.queue = EventQueue()
-        self._handlers: Dict[EventType, List[EventHandler]] = {}
-        #: Per-type dispatch table: rebuilt on registration, read per event.
+        #: Per-type dispatch table: extended on registration, read per event.
         self._dispatch: Dict[EventType, Tuple[EventHandler, ...]] = {}
         self._dispatched = 0
 
@@ -87,9 +86,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def on(self, event_type: EventType, handler: EventHandler) -> None:
         """Register *handler* to be invoked for every event of *event_type*."""
-        handlers = self._handlers.setdefault(event_type, [])
-        handlers.append(handler)
-        self._dispatch[event_type] = tuple(handlers)
+        self._dispatch[event_type] = self._dispatch.get(event_type, _NO_HANDLERS) + (handler,)
 
     # ------------------------------------------------------------------
     # Execution
@@ -119,27 +116,16 @@ class Simulator:
         self._fire(event)
         return event
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run the simulation.
+    def run(self, until: Optional[float] = None) -> int:
+        """Run the simulation and return the number of events it dispatched.
 
-        Parameters
-        ----------
-        until:
-            Stop once the next event would fire after this time (``now``
-            still moves forward to ``until``).  ``None`` runs until the
-            queue is empty.
-        max_events:
-            Safety valve bounding the number of dispatched events.
-
-        Returns
-        -------
-        int
-            The number of events dispatched by this call.
+        Stops once the next event would fire after *until* (``now`` still
+        moves forward to ``until``); ``None`` runs until the queue is empty.
         """
         dispatched = 0
         pop_next = self.queue.pop_next
         fire = self._fire
-        while max_events is None or dispatched < max_events:
+        while True:
             event = pop_next(until)
             if event is None:
                 break

@@ -15,9 +15,10 @@ hundreds of thousands of events, so :class:`Event` uses ``__slots__`` and the
 hot event types carry their payload as a bare object or tuple instead of a
 per-event dict (``REQUEST_ARRIVAL`` carries the request itself,
 ``BATCH_COMPLETION`` a ``(pipeline, batch)`` tuple).  Cancelled events are
-dropped lazily, but the queue compacts its heap once cancelled entries
-outnumber live ones so cancel-heavy runs (repeated batch interruption) keep
-the heap bounded by the number of live events.
+dropped lazily as they reach the top of the heap.  The events that get
+cancelled (batch completions, launch watchdogs, instance-ready events) fall
+due within one batch or startup horizon, so they leave the heap as simulated
+time passes; ``tests/test_sim_events.py`` pins the bound under chaos traffic.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class EventType(Enum):
     PREEMPTION_NOTICE = "preemption_notice"
     PREEMPTION_FINAL = "preemption_final"
     ZONE_OUTAGE = "zone_outage"
-    ACQUISITION_REQUESTED = "acquisition_requested"
     ACQUISITION_READY = "acquisition_ready"
     LAUNCH_FAILURE = "launch_failure"
     BATCH_COMPLETION = "batch_completion"
@@ -61,7 +61,7 @@ class Event:
         Optional callable invoked with the event when it is dispatched.
     """
 
-    __slots__ = ("time", "event_type", "payload", "callback", "cancelled", "_queue")
+    __slots__ = ("time", "event_type", "payload", "callback", "cancelled")
 
     def __init__(
         self,
@@ -69,23 +69,16 @@ class Event:
         event_type: EventType = EventType.GENERIC,
         payload: Any = None,
         callback: Optional[Callable[["Event"], None]] = None,
-        cancelled: bool = False,
     ) -> None:
         self.time = time
         self.event_type = event_type
         self.payload = {} if payload is None else payload
         self.callback = callback
-        self.cancelled = cancelled
-        self._queue: Optional["EventQueue"] = None
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event as cancelled; the queue will silently drop it."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        queue = self._queue
-        if queue is not None:
-            queue._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -94,31 +87,17 @@ class Event:
         )
 
 
-#: Heap size below which compaction is never attempted (a rebuild of a tiny
-#: heap costs more than the lazy pops it saves).
-COMPACTION_MIN_HEAP = 64
-
-
 class EventQueue:
     """A priority queue of :class:`Event` objects ordered by time.
 
     Ties are broken by insertion order so repeated runs with the same inputs
-    produce identical traces.  ``len()`` counts *live* (non-cancelled)
-    events; cancelled entries are discarded lazily on pop/peek and in bulk by
-    :meth:`_compact` once they outnumber the live ones.
+    produce identical traces.  Cancelled entries stay in the heap until they
+    reach its top, where :meth:`pop_next` discards them.
     """
 
     def __init__(self) -> None:
         self._heap: list = []
         self._counter = itertools.count()
-        self._size = 0
-        self._cancelled = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
 
     def push(self, event: Event, order: Optional[tuple] = None) -> Event:
         """Schedule *event* and return it (useful for later cancellation).
@@ -131,13 +110,11 @@ class EventQueue:
         """
         if event.time < 0:
             raise ValueError(f"cannot schedule event in negative time: {event.time}")
-        event._queue = self
         if order is None:
             entry = (event.time, next(self._counter), 0, event)
         else:
             entry = (event.time, order[0], order[1], event)
         heapq.heappush(self._heap, entry)
-        self._size += 1
         return event
 
     def reserve_order(self) -> int:
@@ -149,65 +126,11 @@ class EventQueue:
         """
         return next(self._counter)
 
-    def schedule(
-        self,
-        time: float,
-        event_type: EventType = EventType.GENERIC,
-        payload: Any = None,
-        callback: Optional[Callable[[Event], None]] = None,
-    ) -> Event:
-        """Convenience wrapper building an :class:`Event` and pushing it."""
-        return self.push(Event(time, event_type, payload, callback))
-
-    # ------------------------------------------------------------------
-    # Cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """One scheduled event was cancelled; compact once they dominate."""
-        self._cancelled += 1
-        self._size -= 1
-        heap_size = len(self._heap)
-        if heap_size >= COMPACTION_MIN_HEAP and 2 * self._cancelled > heap_size:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify the survivors.
-
-        Entries are ``(time, major, minor, event)`` tuples with unique
-        ``(major, minor)`` pairs, so the rebuilt heap pops in exactly the
-        same sequence as the lazy-discard path would have.
-        """
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-
-    # ------------------------------------------------------------------
-    # Removal
-    # ------------------------------------------------------------------
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Raises
-        ------
-        IndexError
-            If the queue is empty (after discarding cancelled events).
-        """
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._size -= 1
-            event._queue = None
-            return event
-        raise IndexError("pop from an empty EventQueue")
-
     def pop_next(self, until: Optional[float] = None) -> Optional[Event]:
         """Pop the earliest live event, or ``None`` when empty / past *until*.
 
-        This merges :meth:`peek_time` and :meth:`pop` into one heap walk --
-        the simulator's inner loop calls it once per dispatched event.
+        Cancelled entries met at the top of the heap are discarded on the
+        way; the simulator's inner loop calls this once per dispatched event.
         """
         heap = self._heap
         while heap:
@@ -215,32 +138,9 @@ class EventQueue:
             event = entry[3]
             if event.cancelled:
                 heapq.heappop(heap)
-                self._cancelled -= 1
                 continue
             if until is not None and entry[0] > until:
                 return None
             heapq.heappop(heap)
-            self._size -= 1
-            event._queue = None
             return event
         return None
-
-    def peek_time(self) -> Optional[float]:
-        """Return the timestamp of the next live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            time, _, _, event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-                continue
-            return time
-        return None
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for entry in self._heap:
-            entry[3]._queue = None
-        self._heap.clear()
-        self._size = 0
-        self._cancelled = 0

@@ -82,8 +82,7 @@ class OffloadTierSpec:
     planner may instead *spill* context from the doomed sources to this
     slower tier inside the grace window and *restore* it on the destination
     side afterwards.  Spill and restore bandwidths are separate (object
-    stores typically ingest slower than they serve), and per-zone overrides
-    let degraded or distant zones pay a different price.
+    stores typically ingest slower than they serve).
 
     Attributes
     ----------
@@ -94,40 +93,17 @@ class OffloadTierSpec:
         instance.
     per_spill_latency:
         Fixed startup latency per spill/restore stream, seconds.
-    zone_bandwidth:
-        Optional per-zone ``(zone, spill_bandwidth)`` overrides, stored as a
-        tuple of pairs so the spec stays hashable/frozen.
     """
 
     spill_bandwidth: float = 0.75 * GB
     restore_bandwidth: float = 1.5 * GB
     per_spill_latency: float = 0.05
-    zone_bandwidth: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.spill_bandwidth <= 0 or self.restore_bandwidth <= 0:
             raise ValueError("offload tier bandwidths must be positive")
         if self.per_spill_latency < 0:
             raise ValueError("offload tier latency must be non-negative")
-        for zone, bandwidth in self.zone_bandwidth:
-            if bandwidth <= 0:
-                raise ValueError(f"zone {zone!r} offload bandwidth must be positive")
-
-    def spill_bandwidth_for(self, zone: Optional[str]) -> float:
-        """Spill bandwidth applying any per-zone override for *zone*."""
-        if zone is not None:
-            for name, bandwidth in self.zone_bandwidth:
-                if name == zone:
-                    return bandwidth
-        return self.spill_bandwidth
-
-    def restore_bandwidth_for(self, zone: Optional[str]) -> float:
-        """Restore bandwidth (per-zone overrides scale it proportionally)."""
-        if zone is not None:
-            for name, bandwidth in self.zone_bandwidth:
-                if name == zone:
-                    return bandwidth * (self.restore_bandwidth / self.spill_bandwidth)
-        return self.restore_bandwidth
 
 
 @dataclass(frozen=True)
@@ -137,16 +113,13 @@ class Transfer:
     ``src`` and ``dst`` identify devices as ``(instance_id, gpu_index)``
     tuples; ``size_bytes`` is the payload size.  ``tag`` is free-form and used
     by the migration planner to distinguish model-context from cache-context
-    transfers.  ``tier`` records which transport carries the payload:
-    ``"direct"`` (GPU-to-GPU, the default -- byte-identical to the
-    pre-tiering records) or ``"offload"`` (spilled through the slow tier).
+    transfers.
     """
 
     src: Tuple[str, int]
     dst: Tuple[str, int]
     size_bytes: float
     tag: str = "model"
-    tier: str = "direct"
 
     @property
     def is_local(self) -> bool:
@@ -239,14 +212,13 @@ class NetworkModel:
             loads[loads.index(min(loads))] += duration
         return max(loads)
 
-    def _tier_bandwidth(self, instance: str, restore: bool) -> float:
-        """Effective per-instance offload bandwidth, degradation applied."""
+    def _tier_bandwidth(self, restore: bool) -> float:
+        """Per-instance spill (or restore) bandwidth, degradation applied."""
         assert self.offload_tier is not None
-        zone = self.zone_of(instance) if self.zone_of is not None else None
         if restore:
-            bandwidth = self.offload_tier.restore_bandwidth_for(zone)
+            bandwidth = self.offload_tier.restore_bandwidth
         else:
-            bandwidth = self.offload_tier.spill_bandwidth_for(zone)
+            bandwidth = self.offload_tier.spill_bandwidth
         factor = self.bandwidth_factor
         if factor != 1.0 and factor > 0.0:
             bandwidth = bandwidth / factor
@@ -271,10 +243,8 @@ class NetworkModel:
         if not per_instance:
             return 0.0
         latency = self.offload_tier.per_spill_latency
-        return max(
-            latency + size / self._tier_bandwidth(instance, restore=False)
-            for instance, size in per_instance.items()
-        )
+        bandwidth = self._tier_bandwidth(restore=False)
+        return max(latency + size / bandwidth for size in per_instance.values())
 
     def restore_time(self, transfers: Iterable[Transfer]) -> float:
         """Duration of restoring *transfers*' payloads from the offload tier.
@@ -294,14 +264,8 @@ class NetworkModel:
         if not per_instance:
             return 0.0
         latency = self.offload_tier.per_spill_latency
-        return max(
-            latency + size / self._tier_bandwidth(instance, restore=True)
-            for instance, size in per_instance.items()
-        )
-
-    def total_bytes(self, transfers: Sequence[Transfer]) -> float:
-        """Total payload moved by *transfers*, excluding no-ops."""
-        return float(sum(t.size_bytes for t in transfers if not t.is_noop))
+        bandwidth = self._tier_bandwidth(restore=True)
+        return max(latency + size / bandwidth for size in per_instance.values())
 
     def remote_bytes(self, transfers: Sequence[Transfer]) -> float:
         """Payload that crosses instance boundaries (the expensive part)."""

@@ -45,6 +45,12 @@ def check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def check_non_negative_finite(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless *value* is a finite number of at least zero."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 class ArrivalProcess(ABC):
     """Base class for request arrival processes.
 

@@ -37,7 +37,7 @@ class ScalarController(ParallelizationController):
         latency = self._oracle_latency.get(shape)
         if latency is None:
             latency = costmodel_oracle.l_exe(
-                self.profiler.latency_model,
+                self.latency_model,
                 *shape,
                 DEFAULT_INPUT_LENGTH,
                 DEFAULT_OUTPUT_LENGTH,

@@ -1,4 +1,4 @@
-"""Scalar reference for the cost model's execution latency ``l_exe``.
+"""Scalar references for the cost model's ``l_exe`` and throughput ``phi(C)``.
 
 :class:`~repro.llm.costmodel.LatencyModel` evaluates ``l_exe`` for many
 ``(P, M, B)`` shapes in one numpy pass.  Here it is the straightforward
@@ -7,9 +7,14 @@ added to a running sum from left to right, plus the per-request overhead.
 Each decode iteration is spelled out in full rather than split into the
 shape terms the production model shares between its scalar and array
 paths.  The production arrays must equal these sums bit for bit.
+
+:func:`profile` is the per-configuration ``(l_exe, phi)`` pair that the
+parallelization controller's cost table must reproduce row by row.
 """
 
-from repro.llm.costmodel import LatencyModel
+from typing import Tuple
+
+from repro.llm.costmodel import DEFAULT_INPUT_LENGTH, DEFAULT_OUTPUT_LENGTH, LatencyModel
 
 
 def decode_iteration_raw(
@@ -80,3 +85,25 @@ def l_exe(
     return latency_model.calibration_factor * uncalibrated_l_exe(
         latency_model, output_length, input_length, pipeline_degree, tensor_degree, batch_size
     )
+
+
+def profile(
+    latency_model: LatencyModel,
+    data_degree: int,
+    pipeline_degree: int,
+    tensor_degree: int,
+    batch_size: int,
+    input_length: int = DEFAULT_INPUT_LENGTH,
+    output_length: int = DEFAULT_OUTPUT_LENGTH,
+) -> Tuple[float, float]:
+    """``(l_exe, phi)`` of one configuration, ``phi = D * B / l_exe``.
+
+    ``D`` independent pipelines each complete a batch of ``B`` requests
+    every ``l_exe`` seconds; the throughput is infinite where ``l_exe <= 0``.
+    """
+    latency = l_exe(
+        latency_model, pipeline_degree, tensor_degree, batch_size, input_length, output_length
+    )
+    if latency <= 0:
+        return latency, float("inf")
+    return latency, data_degree * batch_size / latency

@@ -80,9 +80,33 @@ class TestQueueCap:
         assert not policy.admit(request(0.0), signal(queue_depth=2))
         assert not policy.admit(request(0.0), signal(queue_depth=50))
 
-    def test_rejects_invalid_cap(self):
+    @pytest.mark.parametrize(
+        "cap",
+        [
+            pytest.param(0, id="zero"),
+            pytest.param(float("nan"), id="nan"),
+            pytest.param(float("inf"), id="inf"),
+        ],
+    )
+    def test_rejects_invalid_cap(self, cap):
         with pytest.raises(ValueError):
-            QueueCapPolicy(max_queue_depth=0)
+            QueueCapPolicy(max_queue_depth=cap)
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        pytest.param(DeadlineAwarePolicy, {"slo_latency": float("nan")}, id="nan-slo"),
+        pytest.param(DeadlineAwarePolicy, {"slo_latency": float("inf")}, id="inf-slo"),
+        pytest.param(TokenBucketPolicy, {"rate": float("nan")}, id="nan-rate"),
+        pytest.param(TokenBucketPolicy, {"rate": float("inf")}, id="inf-rate"),
+        pytest.param(TokenBucketPolicy, {"burst": float("nan")}, id="nan-burst"),
+        pytest.param(TokenBucketPolicy, {"burst": float("inf")}, id="inf-burst"),
+    ],
+)
+def test_rejects_non_finite_params(cls, kwargs):
+    with pytest.raises(ValueError):
+        cls(**kwargs)
 
 
 class TestDeadlineAware:

@@ -14,15 +14,16 @@ and the winning estimate's floats equal bit for bit.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.config import ConfigurationSpace, ParallelConfig
 from repro.core.controller import ParallelizationController
-from repro.llm.costmodel import LatencyModel
+from repro.llm.costmodel import DEFAULT_INPUT_LENGTH, DEFAULT_OUTPUT_LENGTH, LatencyModel
 from repro.llm.memory import MemoryModel
-from repro.llm.profiler import OfflineProfiler
 from repro.llm.spec import get_model
 
+from oracles import costmodel as costmodel_oracle
 from oracles.controller import MemolessController, ScalarController
 
 MODELS = ("OPT-6.7B", "GPT-20B")
@@ -37,8 +38,7 @@ def make_controller(
     space = ConfigurationSpace(
         model, memory_model, migration_buffer_bytes=migration_buffer_bytes
     )
-    profiler = OfflineProfiler(latency_model, memory_model)
-    return cls(space, profiler, **kwargs)
+    return cls(space, latency_model, **kwargs)
 
 
 def assert_same_decision(a, b, context=""):
@@ -167,16 +167,83 @@ class TestCostTable:
             assert (exec_latency[i], throughput[i]) == scalar._static(config)
             assert controller._static(config) == scalar._static(config)
 
-    def test_shape_outside_the_space_is_profiled(self):
-        """A config whose shape does not fit in memory is not in the table."""
+    def test_columns_equal_per_config_profiles(self):
+        """The table's columns reproduce the scalar per-config profile."""
+        controller = make_controller("OPT-6.7B")
+        space = controller.config_space
+        configs = [
+            ParallelConfig(d, p, m, b)
+            for d in (1, 3)
+            for p in (1, 2, 5)
+            for m in (1, 4, 8)
+            for b in (1, 8)
+        ]
+        configs = [config for config in configs if space.fits(config)]
+        assert len(configs) >= 24
+        rows, exec_latency, throughput = controller._static_vectors(30)[:3]
+        row_of = {space.config_at(row): i for i, row in enumerate(rows)}
+        for config in configs:
+            expected = costmodel_oracle.profile(
+                controller.latency_model,
+                config.data_degree,
+                config.pipeline_degree,
+                config.tensor_degree,
+                config.batch_size,
+            )
+            assert controller._static(config) == expected, config
+            i = row_of[config]
+            assert (exec_latency[i], throughput[i]) == expected, config
+
+    def test_shape_outside_the_space_raises(self):
+        """A config whose shape does not fit in memory is not in the table.
+
+        Every config the controller estimates comes from its own space, so
+        such a shape is a defect, not a reason to profile on the side.
+        """
         controller = make_controller("GPT-20B")
         config = ParallelConfig(2, 1, 1, 8)
         assert not controller.config_space.fits(config)
-        entry = controller.profiler.profile(2, 1, 1, 8)
-        assert controller._static(config) == (entry.latency, entry.throughput)
-        assert controller._static(config) == make_controller(
-            "GPT-20B", ScalarController
-        )._static(config)
+        with pytest.raises(KeyError):
+            controller.estimate(config, 0.35)
+
+    def test_table_is_at_the_paper_lengths(self):
+        controller = make_controller("OPT-6.7B")
+        expected = controller.latency_model.l_exe(
+            1, 4, 2, DEFAULT_INPUT_LENGTH, DEFAULT_OUTPUT_LENGTH
+        )
+        assert controller._static(ParallelConfig(1, 1, 4, 2))[0] == expected
+
+    def test_entries_are_positive(self):
+        latency, throughput = make_controller("OPT-6.7B")._static(ParallelConfig(1, 2, 2, 4))
+        assert latency > 0
+        assert throughput > 0
+
+    def test_data_parallel_replicas_scale_throughput(self):
+        controller = make_controller("OPT-6.7B")
+        one = controller.estimate(ParallelConfig(1, 1, 4, 4), 0.0)
+        two = controller.estimate(ParallelConfig(2, 1, 4, 4), 0.0)
+        assert two.throughput == pytest.approx(2.0 * one.throughput)
+        # Execution latency of a single batch does not change with replicas.
+        assert two.execution_latency == one.execution_latency
+
+    def test_non_positive_latency_has_infinite_throughput(self):
+        class FreeShapes(LatencyModel):
+            """Latencies of 0 for 4-way tensor shards, 2 s for the rest."""
+
+            def l_exe_many(self, shapes, *lengths):
+                return np.array([0.0 if m == 4 else 2.0 for _, m, _ in shapes])
+
+        model = get_model("OPT-6.7B")
+        controller = ParallelizationController(
+            ConfigurationSpace(model, MemoryModel(model)), FreeShapes(model)
+        )
+        assert controller._static(ParallelConfig(1, 1, 4, 4)) == (0.0, float("inf"))
+        assert controller._static(ParallelConfig(1, 1, 8, 4)) == (2.0, 2.0)
+        rows, exec_latency, throughput = controller._static_vectors(16)[:3]
+        free = exec_latency == 0.0
+        assert free.any() and (~free).any()
+        assert (throughput[free] == float("inf")).all()
+        assert (throughput[~free] < float("inf")).all()
 
     def test_buffered_space_matches_scalar(self):
         """A space built with a larger reserved migration buffer."""

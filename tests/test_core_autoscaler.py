@@ -17,7 +17,6 @@ from repro.core.controller import ParallelizationController
 from repro.llm.costmodel import LatencyModel
 from repro.llm.hardware import T4
 from repro.llm.memory import MemoryModel
-from repro.llm.profiler import OfflineProfiler
 from repro.llm.spec import get_model
 
 
@@ -77,11 +76,18 @@ class TestTargetUtilizationPolicy:
         signal = make_signal(serving_throughput=0.0, arrival_rate=1.0, current_instances=3)
         assert policy.desired_instances(signal) == 4
 
-    def test_invalid_params_rejected(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"target": 0.0}, id="zero-target"),
+            pytest.param({"dead_band": -0.1}, id="negative-dead-band"),
+            pytest.param({"dead_band": float("nan")}, id="nan-dead-band"),
+            pytest.param({"dead_band": float("inf")}, id="inf-dead-band"),
+        ],
+    )
+    def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            TargetUtilizationPolicy(target=0.0)
-        with pytest.raises(ValueError):
-            TargetUtilizationPolicy(dead_band=-0.1)
+            TargetUtilizationPolicy(**kwargs)
 
 
 class TestQueueLatencyPolicy:
@@ -107,11 +113,18 @@ class TestQueueLatencyPolicy:
         signal = make_signal(queue_depth=5, serving_throughput=0.0, current_instances=2)
         assert policy.desired_instances(signal) == 3
 
-    def test_invalid_params_rejected(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"max_queue_delay": 0.0}, id="zero-max-queue-delay"),
+            pytest.param({"scale_down_utilization": 1.0}, id="full-scale-down-utilization"),
+            pytest.param({"max_queue_delay": float("nan")}, id="nan-max-queue-delay"),
+            pytest.param({"max_queue_delay": float("inf")}, id="inf-max-queue-delay"),
+        ],
+    )
+    def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            QueueLatencyPolicy(max_queue_delay=0.0)
-        with pytest.raises(ValueError):
-            QueueLatencyPolicy(scale_down_utilization=1.0)
+            QueueLatencyPolicy(**kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +132,8 @@ def controller():
     model = get_model("OPT-6.7B")
     latency_model = LatencyModel(model, T4)
     memory_model = MemoryModel(model, T4)
-    profiler = OfflineProfiler(latency_model, memory_model)
     space = ConfigurationSpace(model, memory_model, gpus_per_instance=4)
-    return ParallelizationController(space, profiler)
+    return ParallelizationController(space, latency_model)
 
 
 class TestCostAwarePolicy:
@@ -191,11 +203,20 @@ class TestCostAwarePolicy:
         with pytest.raises(ValueError):
             make_policy("cost-aware")
 
-    def test_invalid_params_rejected(self, controller):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"headroom": 0.5}, id="headroom-below-one"),
+            pytest.param({"budget_per_hour": 0.0}, id="zero-budget"),
+            pytest.param({"headroom": float("nan")}, id="nan-headroom"),
+            pytest.param({"headroom": float("inf")}, id="inf-headroom"),
+            pytest.param({"budget_per_hour": float("nan")}, id="nan-budget"),
+            pytest.param({"budget_per_hour": float("inf")}, id="inf-budget"),
+        ],
+    )
+    def test_invalid_params_rejected(self, controller, kwargs):
         with pytest.raises(ValueError):
-            CostAwarePolicy(controller, headroom=0.5)
-        with pytest.raises(ValueError):
-            CostAwarePolicy(controller, budget_per_hour=0.0)
+            CostAwarePolicy(controller, **kwargs)
 
 
 class TestAutoscaler:
@@ -357,11 +378,21 @@ class TestAutoscaler:
                              current_instances=4, zones=zones)
         assert scaler.plan(signal).is_noop
 
-    def test_invalid_bounds_rejected(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"min_instances": 5, "max_instances": 2}, id="max-below-min"),
+            pytest.param({"cooldown": -1.0}, id="negative-cooldown"),
+            pytest.param({"cooldown": float("nan")}, id="nan-cooldown"),
+            pytest.param({"cooldown": float("inf")}, id="inf-cooldown"),
+            pytest.param({"scale_down_cooldown": -1.0}, id="negative-scale-down-cooldown"),
+            pytest.param({"scale_down_cooldown": float("nan")}, id="nan-scale-down-cooldown"),
+            pytest.param({"scale_down_cooldown": float("inf")}, id="inf-scale-down-cooldown"),
+        ],
+    )
+    def test_invalid_bounds_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            self._autoscaler(min_instances=5, max_instances=2)
-        with pytest.raises(ValueError):
-            self._autoscaler(cooldown=-1.0)
+            self._autoscaler(**kwargs)
 
 
 class TestFactories:

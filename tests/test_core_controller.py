@@ -6,16 +6,14 @@ from repro.core.config import ConfigurationSpace, ParallelConfig
 from repro.core.controller import LATENCY_TIE_MARGIN, ParallelizationController
 from repro.llm.costmodel import LatencyModel
 from repro.llm.memory import MemoryModel
-from repro.llm.profiler import OfflineProfiler
-from repro.llm.spec import GPT_20B, OPT_6_7B, get_model
+from repro.llm.spec import GPT_20B, OPT_6_7B
 
 
 def make_controller(model=GPT_20B, slo=None):
     latency_model = LatencyModel(model)
     memory_model = MemoryModel(model)
     space = ConfigurationSpace(model, memory_model)
-    profiler = OfflineProfiler(latency_model, memory_model)
-    return ParallelizationController(space, profiler, slo_latency=slo)
+    return ParallelizationController(space, latency_model, slo_latency=slo)
 
 
 class TestEstimates:

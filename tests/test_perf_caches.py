@@ -2,7 +2,7 @@
 
 The control stack memoises controller sweeps and decisions, cost-model
 entry points and identical in-round matching solves, and reads a cost
-table built once from the configuration space and profiler it was
+table built once from the configuration space and latency model it was
 constructed with.  These tests pin the properties that make the caches
 safe: the table follows the inputs it was built from, a memo never leaks a
 stale value across rounds, and a fully cached run is byte-identical to one
@@ -21,7 +21,6 @@ from repro.experiments.runner import run_serving_experiment
 from repro.experiments.scenarios import stable_workload_scenario
 from repro.llm.costmodel import LatencyModel
 from repro.llm.memory import MemoryModel
-from repro.llm.profiler import OfflineProfiler
 from repro.llm.spec import GPT_20B, OPT_6_7B
 
 from oracles.controller import MemolessController
@@ -31,21 +30,20 @@ from oracles.device_mapper import ReferenceDeviceMapper
 def make_controller(model=OPT_6_7B, cls=ParallelizationController, migration_buffer_bytes=0.0):
     latency = LatencyModel(model)
     memory = MemoryModel(model, latency.gpu)
-    profiler = OfflineProfiler(latency, memory)
     space = ConfigurationSpace(
         model, memory, gpus_per_instance=4, migration_buffer_bytes=migration_buffer_bytes
     )
-    return cls(space, profiler)
+    return cls(space, latency)
 
 
 class TestControllerMemo:
-    def test_profile_reaches_the_table(self):
+    def test_latency_model_reaches_the_table(self):
         config = ParallelConfig(1, 2, 2, 4)
-        # The table's latencies are the profiler's, for the estimate and
-        # for the sweep's columns alike.
+        # The table's latencies are the latency model's, for the estimate
+        # and for the sweep's columns alike.
         controller = make_controller()
         estimate = controller.estimate(config, 0.35)
-        assert estimate.execution_latency == controller.profiler.profile(1, 2, 2, 4).latency
+        assert estimate.execution_latency == controller.latency_model.l_exe(2, 2, 4)
         rows, exec_latency = controller._static_vectors(1)[:2]
         configs = [controller.config_space.config_at(row) for row in rows]
         assert exec_latency[configs.index(config)] == estimate.execution_latency
@@ -146,7 +144,7 @@ class UncachedSpotServe(SpotServeSystem):
         assert self.autoscaler is None  # nothing else holds the controller
         self.controller = MemolessController(
             self.config_space,
-            self.profiler,
+            self.latency_model,
             slo_latency=self.options.slo_latency,
         )
         # The caches are instance attributes over the class methods.

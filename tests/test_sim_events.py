@@ -3,134 +3,109 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.experiments.runner import run_scenario_experiment
+from repro.experiments.scenarios import chaos_scenario
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue, EventType
+
+
+def push_at(queue, time, payload=None):
+    return queue.push(Event(time, EventType.GENERIC, payload))
+
+
+def drain(queue):
+    events = []
+    while True:
+        event = queue.pop_next()
+        if event is None:
+            return events
+        events.append(event)
 
 
 class TestEventQueue:
     def test_pop_orders_by_time(self):
         queue = EventQueue()
-        queue.schedule(3.0)
-        queue.schedule(1.0)
-        queue.schedule(2.0)
-        times = [queue.pop().time for _ in range(3)]
-        assert times == [1.0, 2.0, 3.0]
+        for time in (3.0, 1.0, 2.0):
+            push_at(queue, time)
+        assert [event.time for event in drain(queue)] == [1.0, 2.0, 3.0]
 
     def test_ties_broken_by_insertion_order(self):
         queue = EventQueue()
-        first = queue.schedule(1.0, payload={"idx": 1})
-        second = queue.schedule(1.0, payload={"idx": 2})
-        assert queue.pop() is first
-        assert queue.pop() is second
+        first = push_at(queue, 1.0, {"idx": 1})
+        second = push_at(queue, 1.0, {"idx": 2})
+        assert queue.pop_next() is first
+        assert queue.pop_next() is second
 
     def test_cancelled_events_are_skipped(self):
         queue = EventQueue()
-        cancelled = queue.schedule(1.0)
-        kept = queue.schedule(2.0)
+        cancelled = push_at(queue, 1.0)
+        kept = push_at(queue, 2.0)
         cancelled.cancel()
-        assert queue.pop() is kept
+        assert queue.pop_next() is kept
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
+    def test_pop_next_on_empty_returns_none(self):
+        assert EventQueue().pop_next() is None
 
     def test_negative_time_rejected(self):
         queue = EventQueue()
         with pytest.raises(ValueError):
             queue.push(Event(time=-1.0))
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        cancelled = queue.schedule(1.0)
-        queue.schedule(5.0)
-        cancelled.cancel()
-        assert queue.peek_time() == 5.0
-
-    def test_len_and_clear(self):
-        queue = EventQueue()
-        queue.schedule(1.0)
-        queue.schedule(2.0)
-        assert len(queue) == 2
-        queue.clear()
-        assert len(queue) == 0
-        assert not queue
-
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
     def test_pop_is_monotone_nondecreasing(self, times):
         queue = EventQueue()
         for time in times:
-            queue.schedule(time)
-        popped = []
-        while queue:
-            popped.append(queue.pop().time)
+            push_at(queue, time)
+        popped = [event.time for event in drain(queue)]
         assert popped == sorted(popped)
         assert len(popped) == len(times)
 
-
-class TestEventQueueCompaction:
-    def test_len_counts_live_events_only(self):
+    def test_pop_next_respects_until(self):
         queue = EventQueue()
-        events = [queue.schedule(float(i + 1)) for i in range(10)]
-        events[3].cancel()
-        events[7].cancel()
-        assert len(queue) == 8
+        push_at(queue, 1.0)
+        push_at(queue, 10.0)
+        assert queue.pop_next(until=5.0).time == 1.0
+        assert queue.pop_next(until=5.0) is None
+        assert queue.pop_next() is not None
 
-    def test_cancel_heavy_schedule_keeps_heap_bounded(self):
-        # Emulates repeated batch interruption: every round schedules a
-        # completion event and cancels it before it fires.  Without
-        # compaction the heap grows by one dead entry per round.
-        queue = EventQueue()
-        for round_index in range(5000):
-            event = queue.schedule(float(round_index + 1))
-            event.cancel()
-        assert len(queue) == 0
-        assert len(queue._heap) < 128
 
-    def test_compaction_preserves_pop_order(self):
+class TestCancellation:
+    def test_cancelled_entries_keep_pop_order(self):
         queue = EventQueue()
-        events = [queue.schedule(float(i), payload={"idx": i}) for i in range(200)]
+        events = [push_at(queue, float(i), {"idx": i}) for i in range(200)]
         for i, event in enumerate(events):
             if i % 2 == 0:
                 event.cancel()
-        popped = [queue.pop().payload["idx"] for _ in range(len(queue))]
+        popped = [event.payload["idx"] for event in drain(queue)]
         assert popped == [i for i in range(200) if i % 2 == 1]
 
-    def test_compaction_preserves_same_time_insertion_order(self):
+    def test_cancelled_entries_keep_same_time_insertion_order(self):
         queue = EventQueue()
         keep = []
         for i in range(300):
-            event = queue.schedule(1.0, payload={"idx": i})
+            event = push_at(queue, 1.0, {"idx": i})
             if i % 3 == 0:
                 keep.append(i)
             else:
                 event.cancel()
-        assert [queue.pop().payload["idx"] for _ in range(len(queue))] == keep
+        assert [event.payload["idx"] for event in drain(queue)] == keep
 
     def test_cancel_after_pop_is_harmless(self):
         queue = EventQueue()
-        first = queue.schedule(1.0)
-        queue.schedule(2.0)
-        popped = queue.pop()
+        first = push_at(queue, 1.0)
+        push_at(queue, 2.0)
+        popped = queue.pop_next()
         assert popped is first
-        popped.cancel()  # already dispatched: must not corrupt accounting
-        assert len(queue) == 1
-        assert queue.pop().time == 2.0
+        popped.cancel()  # already dispatched: must not disturb the queue
+        assert [event.time for event in drain(queue)] == [2.0]
 
-    def test_double_cancel_counts_once(self):
+    def test_double_cancel_is_harmless(self):
         queue = EventQueue()
-        event = queue.schedule(1.0)
-        queue.schedule(2.0)
+        event = push_at(queue, 1.0)
+        push_at(queue, 2.0)
         event.cancel()
         event.cancel()
-        assert len(queue) == 1
-
-    def test_pop_next_respects_until(self):
-        queue = EventQueue()
-        queue.schedule(1.0)
-        queue.schedule(10.0)
-        assert queue.pop_next(until=5.0).time == 1.0
-        assert queue.pop_next(until=5.0) is None
-        assert queue.pop_next() is not None
+        assert [event.time for event in drain(queue)] == [2.0]
 
     def test_interleaved_cancel_and_run_dispatches_survivors(self):
         sim = Simulator()
@@ -146,6 +121,30 @@ class TestEventQueueCompaction:
                 event.cancel()
         sim.run()
         assert fired == [float(i + 1) for i in range(500) if i % 5 == 0]
+
+    def test_cancelled_entries_stay_bounded_under_chaos_traffic(self, monkeypatch):
+        """Cancelled entries leave the heap as simulated time passes.
+
+        The queue drops a cancelled entry only when it reaches the top of
+        the heap.  The events that get cancelled (batch completions, launch
+        watchdogs, ready events) fall due within one batch or startup
+        horizon, so under the cancel-heaviest traffic (the chaos scenario:
+        repeated interruption, refused and stuck launches) the number
+        resident at once stays small (50 at most over chaos seeds 0-3, up
+        to 1,800 s).
+        """
+        most = [0]
+        push = EventQueue.push
+
+        def counting_push(queue, event, order=None):
+            resident = sum(entry[3].cancelled for entry in queue._heap)
+            most[0] = max(most[0], resident)
+            return push(queue, event, order)
+
+        monkeypatch.setattr(EventQueue, "push", counting_push)
+        scenario, arrivals = chaos_scenario("OPT-6.7B", duration=300.0, target_requests=8000)
+        run_scenario_experiment(scenario, arrivals, drain_time=100.0)
+        assert 10 <= most[0] <= 64
 
 
 class TestSimulator:
@@ -174,10 +173,12 @@ class TestSimulator:
         dispatched = sim.run(until=5.0)
         assert dispatched == 1
         assert sim.now == 5.0
-        assert len(sim.queue) == 1
         # An earlier ``until`` never moves time backwards.
         assert sim.run(until=3.0) == 0
         assert sim.now == 5.0
+        # The later event is still queued.
+        assert sim.run() == 1
+        assert sim.now == 10.0
 
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
@@ -238,7 +239,7 @@ class TestSimulator:
         if raises:
             with pytest.raises(ValueError):
                 sim.schedule_at(10.0 - step_back)
-            assert len(sim.queue) == 0
+            assert sim.run() == 0
         else:
             assert sim.schedule_at(10.0 - step_back).time == 10.0
 
@@ -279,7 +280,7 @@ class TestSimulator:
         sim.schedule_at(5.0 + 1e-6)
         assert sim.run(until=5.0) == 1
         assert sim.now == 5.0
-        assert len(sim.queue) == 1
+        assert sim.run() == 1
 
     def test_schedule_after_is_relative_to_now(self):
         sim = Simulator()
@@ -322,12 +323,6 @@ class TestSimulator:
         sim.schedule_at(1.0, EventType.GENERIC, callback=chain)
         sim.run()
         assert seen == [1.0, 2.0, 3.0]
-
-    def test_max_events_bound(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule_at(float(i + 1))
-        assert sim.run(max_events=4) == 4
 
     def test_step_returns_none_when_empty(self):
         assert Simulator().step() is None

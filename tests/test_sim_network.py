@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.migration import MigrationStep
 from repro.sim.network import GB, NetworkModel, NetworkSpec, Transfer
 
 
@@ -104,7 +105,9 @@ class TestByteAccounting:
             make_transfer("a", "b", 2 * GB),  # remote
             make_transfer("a", "a", 5 * GB),  # no-op (same device)
         ]
-        assert model.total_bytes(transfers) == pytest.approx(3 * GB)
+        # The migration step's total is the production byte count.
+        step = MigrationStep(kind="weight", layer_index=0, transfers=transfers)
+        assert step.total_bytes == pytest.approx(3 * GB)
         assert model.remote_bytes(transfers) == pytest.approx(2 * GB)
 
 

@@ -117,6 +117,44 @@ def test_only_whole_words_count(tmp_path):
     assert listed(tmp_path, modules, users) == ["repro.mod.LIMIT"]
 
 
+def test_a_docstring_mention_is_not_a_use(tmp_path):
+    modules = {
+        "mod": '''
+        """Module notes: ``module_note`` is documented here."""
+
+
+        def module_note():
+            return 0
+
+
+        def documented():
+            """Walks the heap once, where ``peek`` would walk it twice."""
+            return getattr(Queue(), "by_getattr")()
+
+
+        class Queue:
+            """A queue; ``class_note`` is documented here."""
+
+            def peek(self):
+                return 1
+
+            def by_getattr(self):
+                return 2
+
+            def class_note(self):
+                return 3
+        '''
+    }
+    users = {"examples/run.py": "from repro.mod import documented\n\ndocumented()\n"}
+    # Docstrings of a module, a class and a function do not count; the
+    # getattr string, like any other string literal, still does.
+    assert listed(tmp_path, modules, users) == [
+        "repro.mod.Queue.class_note",
+        "repro.mod.Queue.peek",
+        "repro.mod.module_note",
+    ]
+
+
 def test_a_use_inside_its_own_definition_does_not_count(tmp_path):
     modules = {
         "mod": """

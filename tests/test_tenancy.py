@@ -716,6 +716,9 @@ class TestTenantSpecValidation:
             pytest.param(
                 {"workload_check_interval": -30.0}, id="negative-check-interval"
             ),
+            pytest.param(
+                {"workload_check_interval": float("inf")}, id="infinite-check-interval"
+            ),
         ],
     )
     def test_rejects(self, kwargs):

@@ -19,8 +19,9 @@ The host/object-storage spill tier rests on four claims, each pinned here:
   preemption-final probe under randomized fault mixes, collapsing to the
   exact three-term equation once drained; the new counters appear in
   ``extended_summary_text()`` only, and both legacy golden digests stay
-  byte-identical with a *counting* tier model installed (non-vacuously:
-  the same model's counters move the moment a deadline miss exercises it).
+  byte-identical with a *counting* tier installed (non-vacuously: its
+  spill/restore pricing counters move the moment a deadline miss
+  exercises it).
 * **Tooling**: the ``tiered_offload`` scenario is wired through
   ``run_perf.py --check`` (baseline entry + fail/pass/skip guard
   behavior), the CI perf-smoke matrix and the policy benchmark, and the
@@ -164,11 +165,6 @@ def random_transition(rng, meta, devices, old):
             return devices, new
 
 
-def transfer_skeleton(transfer):
-    """Everything about a Transfer except its transport tier."""
-    return (transfer.src, transfer.dst, transfer.size_bytes, transfer.tag)
-
-
 def assert_skeletons_byte_equal(tiered, reference):
     """The tiered plan moves byte-identical pieces in identical order."""
     assert tiered.layer_order == reference.layer_order
@@ -182,9 +178,27 @@ def assert_skeletons_byte_equal(tiered, reference):
         assert tiered_step.layer_index == ref_step.layer_index
         assert tiered_step.storage_bytes == ref_step.storage_bytes
         assert tiered_step.stages_ready == ref_step.stages_ready
-        assert [transfer_skeleton(t) for t in tiered_step.transfers] == [
-            transfer_skeleton(t) for t in ref_step.transfers
-        ]
+        assert tiered_step.transfers == ref_step.transfers
+
+
+def restore_ledger(steps):
+    """Bytes each destination instance restores when *steps* are spilled."""
+    ledger = {}
+    for step in steps:
+        for t in step.transfers:
+            if not t.is_noop and t.size_bytes > 0:
+                ledger[t.dst[0]] = ledger.get(t.dst[0], 0.0) + t.size_bytes
+    return ledger
+
+
+def spilled_suffix(planner, tiered):
+    """The steps a tiered plan spills: those after its direct prefix."""
+    elapsed = 0.0
+    for k, step in enumerate(tiered.steps):
+        if elapsed == tiered.direct_window_time:
+            return tiered.steps[k:]
+        elapsed += planner.network.batch_time(step.transfers)
+    raise AssertionError("no step boundary matches the direct prefix")
 
 
 def digest(result) -> str:
@@ -244,51 +258,18 @@ class TestOffloadTierSpec:
         with pytest.raises(ValueError):
             OffloadTierSpec(per_spill_latency=-0.01)
 
-    def test_non_positive_zone_override_rejected(self):
-        with pytest.raises(ValueError):
-            OffloadTierSpec(zone_bandwidth=(("us-east-1a", 0.0),))
-
-    def test_zone_override_applies_to_spill(self):
-        spec = OffloadTierSpec(
-            spill_bandwidth=2.0 * GB, zone_bandwidth=(("slow", 0.5 * GB),)
-        )
-        assert spec.spill_bandwidth_for("slow") == 0.5 * GB
-        assert spec.spill_bandwidth_for("fast") == 2.0 * GB
-        assert spec.spill_bandwidth_for(None) == 2.0 * GB
-
-    def test_zone_override_scales_restore_proportionally(self):
-        spec = OffloadTierSpec(
-            spill_bandwidth=2.0 * GB,
-            restore_bandwidth=4.0 * GB,
-            zone_bandwidth=(("slow", 0.5 * GB),),
-        )
-        # Restore keeps the global 2x read/write ratio under the override.
-        assert spec.restore_bandwidth_for("slow") == pytest.approx(1.0 * GB)
-        assert spec.restore_bandwidth_for(None) == 4.0 * GB
-
-
-class TestTransferTier:
-    def test_default_tier_is_direct(self):
-        transfer = Transfer(src=("a", 0), dst=("b", 0), size_bytes=1.0)
-        assert transfer.tier == "direct"
-
-    def test_tier_participates_in_equality(self):
-        direct = Transfer(src=("a", 0), dst=("b", 0), size_bytes=1.0)
-        offload = Transfer(src=("a", 0), dst=("b", 0), size_bytes=1.0, tier="offload")
-        assert direct != offload
-        assert offload == dataclasses.replace(direct, tier="offload")
 
 
 class TestSpillRestoreTimes:
     @staticmethod
-    def network(tier=None, zone_of=None):
-        net = NetworkModel(zone_of=zone_of)
+    def network(tier=None):
+        net = NetworkModel()
         net.offload_tier = tier
         return net
 
     @staticmethod
-    def transfer(src, dst, size, tier="offload"):
-        return Transfer(src=(src, 0), dst=(dst, 0), size_bytes=size, tier=tier)
+    def transfer(src, dst, size):
+        return Transfer(src=(src, 0), dst=(dst, 0), size_bytes=size)
 
     def test_no_tier_means_zero(self):
         net = self.network()
@@ -335,16 +316,6 @@ class TestSpillRestoreTimes:
         ]
         # Destination x downloads 5 GB, y 4 GB, in parallel: 5 s wins.
         assert net.restore_time(transfers) == pytest.approx(5.0)
-
-    def test_zone_override_prices_the_degraded_zone(self):
-        tier = OffloadTierSpec(
-            spill_bandwidth=4.0 * GB,
-            per_spill_latency=0.0,
-            zone_bandwidth=(("cold", 1.0 * GB),),
-        )
-        net = self.network(tier, zone_of=lambda inst: "cold" if inst == "a" else "hot")
-        assert net.spill_time([self.transfer("a", "x", 4.0 * GB)]) == pytest.approx(4.0)
-        assert net.spill_time([self.transfer("b", "x", 4.0 * GB)]) == pytest.approx(1.0)
 
     def test_degraded_window_divides_both_directions(self):
         tier = OffloadTierSpec(
@@ -410,18 +381,24 @@ class TestDeriveTieredPlan:
         assert tiered.window_time <= window
         assert plan.migration_time > window  # direct genuinely missed
 
-    def test_spilled_equals_restored_equals_suffix_bytes(self):
+    def test_restore_ledger_is_the_suffix_per_destination(self):
         planner, plan = self.planner_and_plan()
         tiered = planner.derive_tiered_plan(plan, plan.migration_time / 2)
-        offload_bytes = sum(
-            t.size_bytes
-            for step in tiered.steps
-            for t in step.transfers
-            if t.tier == "offload" and not t.is_noop
-        )
-        assert tiered.spilled_bytes == pytest.approx(offload_bytes)
-        assert tiered.restored_bytes == pytest.approx(tiered.spilled_bytes)
+        suffix = spilled_suffix(planner, tiered)
+        assert 0 < len(suffix) < len(tiered.steps)
+        expected = restore_ledger(suffix)
+        # Same bytes summed in the same order: equal bit for bit, keys in
+        # the order the restore phase meets the destinations.
+        assert tiered.spill_restores == expected
+        assert list(tiered.spill_restores) == list(expected)
+        assert sum(tiered.spill_restores.values()) == pytest.approx(tiered.spilled_bytes)
         assert tiered.spilled_bytes > 0
+        # The restore phase is priced on exactly these per-destination bytes.
+        tier = planner.network.offload_tier
+        assert tiered.restore_time == max(
+            tier.per_spill_latency + size / tier.restore_bandwidth
+            for size in tiered.spill_restores.values()
+        )
 
     def test_stall_time_sums_the_three_phases(self):
         planner, plan = self.planner_and_plan()
@@ -440,15 +417,15 @@ class TestDeriveTieredPlan:
             for step in plan.steps
         ]
         tier_before = plan.tier
-        planner.derive_tiered_plan(plan, plan.migration_time / 2)
+        tiered = planner.derive_tiered_plan(plan, plan.migration_time / 2)
         assert plan.tier == tier_before == "direct"
+        assert plan.spill_restores is None
         assert [
             (step.kind, step.layer_index, tuple(step.transfers))
             for step in plan.steps
         ] == before
-        assert all(
-            t.tier == "direct" for step in plan.steps for t in step.transfers
-        )
+        # The derived plan reads the input plan's steps; it copies none.
+        assert tiered.steps is plan.steps
 
     def test_memoised_plan_survives_derivation(self):
         """The planner memo hands out shared plan objects; derivation from a
@@ -462,6 +439,7 @@ class TestDeriveTieredPlan:
         second = planner.plan(meta, mapping, {})
         assert second is first  # memo hit, still byte-intact
         assert second.tier == "direct"
+        assert second.spill_restores is None
 
     def test_derivation_is_not_memoised(self):
         planner, plan = self.planner_and_plan()
@@ -552,9 +530,7 @@ class TestDifferentialInfiniteBandwidth:
         tiered = planner.derive_tiered_plan(plan, 1e-6)
         assert tiered is not None
         assert tiered.direct_window_time == 0.0
-        assert all(
-            t.tier == "offload" for step in tiered.steps for t in step.transfers
-        )
+        assert tiered.spill_restores == restore_ledger(plan.steps)
         assert_skeletons_byte_equal(tiered, plan)
 
     def test_useless_tier_reproduces_tierless_summary(
@@ -638,9 +614,8 @@ class TestSpillProperties:
         assert first.spill_time == second.spill_time
         assert first.restore_time == second.restore_time
         assert first.direct_window_time == second.direct_window_time
-        assert [
-            [t.tier for t in step.transfers] for step in first.steps
-        ] == [[t.tier for t in step.transfers] for step in second.steps]
+        assert first.spill_restores == second.spill_restores
+        assert list(first.spill_restores) == list(second.spill_restores)
 
     def test_degradation_makes_feasibility_strictly_harder(self):
         planner, plan = TestDeriveTieredPlan.planner_and_plan()
@@ -770,30 +745,36 @@ class TestSpillConservation:
 
 
 class CountingTier(OffloadTierSpec):
-    """A tier spec that counts every bandwidth consultation."""
+    """A tier whose spill and restore pricing is counted.
+
+    The ``counting_tier`` fixture wraps ``NetworkModel.spill_time`` and
+    ``restore_time``; every call on a network with this tier installed
+    counts.
+    """
 
     calls = {"spill": 0, "restore": 0}
 
-    def spill_bandwidth_for(self, zone):
-        CountingTier.calls["spill"] += 1
-        return super().spill_bandwidth_for(zone)
 
-    def restore_bandwidth_for(self, zone):
-        CountingTier.calls["restore"] += 1
-        return super().restore_bandwidth_for(zone)
+@pytest.fixture
+def counting_tier(monkeypatch):
+    CountingTier.calls = {"spill": 0, "restore": 0}
+    for name, key in (("spill_time", "spill"), ("restore_time", "restore")):
 
-    @classmethod
-    def reset(cls):
-        cls.calls = {"spill": 0, "restore": 0}
+        def counted(network, transfers, _priced=getattr(NetworkModel, name), _key=key):
+            if isinstance(network.offload_tier, CountingTier):
+                CountingTier.calls[_key] += 1
+            return _priced(network, transfers)
+
+        monkeypatch.setattr(NetworkModel, name, counted)
+    return CountingTier
 
 
 class TestGoldenDigestContract:
     """Legacy digests stay byte-identical -- pinned non-vacuously."""
 
-    def test_counting_tier_counts_when_exercised(self):
-        """The pin below is meaningful only if the counting model actually
+    def test_counting_tier_counts_when_exercised(self, counting_tier):
+        """The pin below is meaningful only if the counting tier actually
         counts: drive a deadline miss and watch both counters move."""
-        CountingTier.reset()
         network = NetworkModel()
         network.offload_tier = CountingTier(
             spill_bandwidth=1e6 * GB, restore_bandwidth=2e6 * GB
@@ -806,8 +787,7 @@ class TestGoldenDigestContract:
         assert CountingTier.calls["spill"] > 0
         assert CountingTier.calls["restore"] > 0
 
-    def test_single_zone_digest_survives_installed_tier(self):
-        CountingTier.reset()
+    def test_single_zone_digest_survives_installed_tier(self, counting_tier):
         scenario = stable_workload_scenario("OPT-6.7B", "AS", duration=400.0)
         options = scenario.options()
         options.offload_tier = CountingTier()
@@ -825,8 +805,7 @@ class TestGoldenDigestContract:
         # deadline misses, so the pin is exact, not accidental.
         assert CountingTier.calls == {"spill": 0, "restore": 0}
 
-    def test_multi_zone_digest_survives_installed_tier(self):
-        CountingTier.reset()
+    def test_multi_zone_digest_survives_installed_tier(self, counting_tier):
         scenario, arrivals = multi_zone_fluctuating_scenario("OPT-6.7B", duration=600.0)
         options = scenario.options()
         options.offload_tier = CountingTier()

@@ -12,10 +12,12 @@ that is not a comment:
   ``tools/`` (this file excepted, since ``KEPT`` names every kept
   definition).
 
-Strings count, so a name read through ``getattr`` is used.  The census
-repeats until the list stops growing: the body of a listed definition
-no longer counts as a use, so a helper that only a dead function calls
-is listed on the next pass.
+Strings count, so a name read through ``getattr`` is used, but the
+docstring of a module, class or function does not: a name that only
+documentation mentions is not used.  The census repeats until the list
+stops growing: the body of a listed definition no longer counts as a
+use, so a helper that only a dead function calls is listed on the next
+pass.
 
 Names can collide (a method called ``plan`` is used wherever any
 ``plan`` is), so the list is a floor, not the whole dead surface.
@@ -64,6 +66,9 @@ KEPT: Dict[str, str] = {
     ),
     "repro.core.interruption.InterruptionArranger._min_tokens_covering": (
         "only arrange_acquisition calls it; it follows that method's fate"
+    ),
+    "repro.workload.arrival.FixedArrivals": (
+        "test fixture built 21 times in 6 test files; moving it into tests/ removes nothing"
     ),
 }
 
@@ -127,12 +132,37 @@ def definitions(path: Path, src: Path) -> List[Definition]:
     return found
 
 
+def _docstring_spans(source: str) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """``(start, end)`` positions of every module, class and function docstring."""
+    spans = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            continue
+        first = node.body[0] if node.body else None
+        if (
+            isinstance(first, ast.Expr)
+            and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)
+        ):
+            spans.append(
+                ((first.lineno, first.col_offset), (first.end_lineno, first.end_col_offset))
+            )
+    return spans
+
+
 def word_lines(path: Path) -> Dict[str, List[int]]:
-    """Map each word in a non-comment token to the lines it appears on."""
+    """Map each word in a non-comment, non-docstring token to its lines."""
     lines: Dict[str, List[int]] = {}
     source = path.read_text(encoding="utf-8")
+    docstrings = _docstring_spans(source)
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type == tokenize.COMMENT:
+            continue
+        if token.type == tokenize.STRING and any(
+            start <= token.start and token.end <= end for start, end in docstrings
+        ):
             continue
         first = token.start[0]
         for offset, text in enumerate(token.string.split("\n")):
