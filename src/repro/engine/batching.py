@@ -6,13 +6,17 @@ parallel configuration) and dispatches them to idle inference pipelines.
 This module provides the FIFO queue and the :class:`Batch` object used by
 every serving system in the reproduction (SpotServe and baselines share it
 so comparisons stay apples-to-apples).
+
+A batch's shape (its size and token lengths) is fixed when it is built,
+and its progress is a field that committing tokens and dropping the cache
+update, so the per-event dispatch and completion paths read plain
+attributes instead of walking the member requests.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Deque, Iterable, List, Optional
 
 from ..workload.request import Request
@@ -20,36 +24,61 @@ from ..workload.request import Request
 _batch_ids = itertools.count()
 
 
-@dataclass
 class Batch:
-    """A mini-batch of requests decoded together by one pipeline."""
+    """A mini-batch of requests decoded together by one pipeline.
 
-    requests: List[Request]
-    batch_id: int = field(default_factory=lambda: next(_batch_ids))
+    The batch's shape is fixed when it is built: nothing changes its
+    members or their token counts afterwards, so ``size``, ``input_tokens``
+    and ``output_tokens`` are set once.  Its progress, ``committed_tokens``,
+    is a field that :meth:`commit_tokens` and :meth:`drop_cache` keep equal
+    to the smallest progress among the members, even when they start out
+    of step or differ in length: committing *k* tokens moves every member
+    to ``min(c + k, o)``, and the minimum of those is
+    ``min(min(c) + k, min(o))``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.requests:
+    __slots__ = (
+        "requests",
+        "batch_id",
+        "size",
+        "input_tokens",
+        "output_tokens",
+        "committed_tokens",
+        "cache_preserved",
+        "_shortest_output",
+    )
+
+    def __init__(self, requests: List[Request]) -> None:
+        if not requests:
             raise ValueError("a batch must contain at least one request")
-
-    @property
-    def size(self) -> int:
-        """Number of requests in the batch."""
-        return len(self.requests)
-
-    @property
-    def input_tokens(self) -> int:
-        """Prompt length (the paper uses a uniform S_in per experiment)."""
-        return max(request.input_tokens for request in self.requests)
-
-    @property
-    def output_tokens(self) -> int:
-        """Output length to generate for the batch."""
-        return max(request.output_tokens for request in self.requests)
-
-    @property
-    def committed_tokens(self) -> int:
-        """Decoding progress already committed (minimum across requests)."""
-        return min(request.committed_tokens for request in self.requests)
+        # One walk over the members for all four aggregates: a batch is
+        # built per dispatch, and most hold one or two requests.
+        first = requests[0]
+        prompt = first.input_tokens
+        longest = shortest = first.output_tokens
+        committed = first.committed_tokens
+        for request in requests:
+            if request.input_tokens > prompt:
+                prompt = request.input_tokens
+            if request.output_tokens > longest:
+                longest = request.output_tokens
+            elif request.output_tokens < shortest:
+                shortest = request.output_tokens
+            if request.committed_tokens < committed:
+                committed = request.committed_tokens
+        self.requests = requests
+        self.batch_id = next(_batch_ids)
+        #: Number of requests in the batch.
+        self.size = len(requests)
+        #: Prompt length (the paper uses a uniform S_in per experiment).
+        self.input_tokens = prompt
+        #: Output length to generate for the batch (its longest member).
+        self.output_tokens = longest
+        self._shortest_output = shortest
+        #: Decoding progress already committed (minimum across requests).
+        self.committed_tokens = committed
+        #: Whether the KV cache survived the batch's most recent interruption.
+        self.cache_preserved = True
 
     @property
     def remaining_tokens(self) -> int:
@@ -65,11 +94,13 @@ class Batch:
         """Commit *count* decoded tokens on every request of the batch."""
         for request in self.requests:
             request.commit_tokens(count)
+        self.committed_tokens = min(self.committed_tokens + count, self._shortest_output)
 
     def drop_cache(self) -> None:
         """The batch's KV cache was lost; decoding restarts from the prompt."""
         for request in self.requests:
             request.drop_cache()
+        self.committed_tokens = 0
 
     def mark_interrupted(self) -> None:
         """Record an interruption on every member request."""

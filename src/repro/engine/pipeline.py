@@ -120,10 +120,9 @@ class InferencePipeline:
         recovery), so neither the prefill nor the committed tokens are
         recomputed; otherwise decoding restarts from the prompt.
         """
-        remaining = batch.remaining_tokens
         iteration = self._iteration_time(batch)
         if resume and batch.committed_tokens > 0:
-            return remaining * iteration
+            return batch.remaining_tokens * iteration
         return self._prefill_time(batch) + batch.output_tokens * iteration
 
     # ------------------------------------------------------------------

@@ -15,6 +15,7 @@ loop pops the next live event with a single heap walk
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Optional, Tuple
 
 from .events import Event, EventQueue, EventType
@@ -23,6 +24,8 @@ EventHandler = Callable[[Event], None]
 
 #: Shared empty dispatch tuple for event types nobody registered for.
 _NO_HANDLERS: Tuple[EventHandler, ...] = ()
+
+_INFINITY = math.inf
 
 
 class Simulator:
@@ -58,12 +61,18 @@ class Simulator:
         :meth:`~repro.sim.events.EventQueue.push`); streaming sources use it
         to sort lazily generated events exactly where eager scheduling at
         submit time would have placed them.
+
+        Raises ``ValueError`` when *time* is before ``now`` or not finite:
+        ``nan`` fails every comparison and would fire at ``now``, and ``inf``
+        would move ``now`` to infinity.
         """
         now = self.now
-        if time < now - 1e-9:
-            raise ValueError(
-                f"cannot schedule event in the past: now={now:.3f}, time={time:.3f}"
-            )
+        if not now - 1e-9 <= time < _INFINITY:
+            if time < now - 1e-9:
+                raise ValueError(
+                    f"cannot schedule event in the past: now={now:.3f}, time={time:.3f}"
+                )
+            raise ValueError(f"cannot schedule event at a non-finite time: {time}")
         return self.queue.push(
             Event(time if time > now else now, event_type, payload, callback),
             order=order,

@@ -13,6 +13,7 @@ experiments are exactly reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from typing import Iterable, Iterator, List, Sequence
 
@@ -51,6 +52,21 @@ def check_non_negative_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
+def check_token_count(name: str, value: int) -> int:
+    """Return *value* as an ``int``; raise ``ValueError`` unless it is a positive integer.
+
+    Refusing a bad count when the process is built keeps it from failing
+    at the first generated request, mid-run when arrivals are streamed.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
+    if count <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return count
+
+
 class ArrivalProcess(ABC):
     """Base class for request arrival processes.
 
@@ -67,8 +83,8 @@ class ArrivalProcess(ABC):
         input_tokens: int = DEFAULT_INPUT_TOKENS,
         output_tokens: int = DEFAULT_OUTPUT_TOKENS,
     ) -> None:
-        self.input_tokens = input_tokens
-        self.output_tokens = output_tokens
+        self.input_tokens = check_token_count("input_tokens", input_tokens)
+        self.output_tokens = check_token_count("output_tokens", output_tokens)
 
     @abstractmethod
     def arrival_times(self, duration: float) -> List[float]:

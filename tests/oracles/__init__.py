@@ -17,7 +17,10 @@ scalar version of each lives here, next to the tests that use it:
 * :mod:`oracles.migration` -- Algorithm 2 with per-device meta-context
   scans, ``sorted`` source ranking and a scalar deferred-layer drain;
 * :mod:`oracles.dataplane` -- batch dispatch as a scan of every
-  pipeline's ``is_busy`` per event instead of the idle-pipeline index.
+  pipeline's ``is_busy`` per event instead of the idle-pipeline index;
+* :mod:`oracles.batching` -- a batch's size, token lengths and progress
+  as a walk over its member requests on every read, instead of a shape
+  fixed when the batch is built and a progress field.
 
 The oracles subclass (or take) the production classes and share their
 unchanged helpers, so a comparison isolates exactly the code that was made

@@ -1,13 +1,67 @@
 """Tests for the request queue and batch formation."""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from oracles import batching as batching_oracle
 from repro.engine.batching import Batch, RequestQueue
 from repro.workload.request import Request
 
 
 def make_requests(n, start=0.0):
     return [Request(arrival_time=start + i, output_tokens=16) for i in range(n)]
+
+
+#: Members as (input tokens, output tokens, tokens committed before joining):
+#: mixed lengths, and progress out of step across the members.
+MEMBERS = st.lists(
+    st.tuples(st.integers(1, 64), st.integers(1, 24), st.integers(0, 30)),
+    min_size=1,
+    max_size=5,
+)
+
+
+class BatchAggregates(RuleBasedStateMachine):
+    """A batch's fixed shape and progress field against the member walk."""
+
+    def _build(self, members, carried=()):
+        requests = list(carried)
+        for input_tokens, output_tokens, committed in members:
+            request = Request(
+                arrival_time=0.0, input_tokens=input_tokens, output_tokens=output_tokens
+            )
+            request.commit_tokens(committed)
+            requests.append(request)
+        self.batch = Batch(requests)
+
+    @initialize(members=MEMBERS)
+    def build(self, members):
+        self._build(members)
+
+    @rule(members=MEMBERS, carry=st.booleans())
+    def rebuild(self, members, carry):
+        """A new batch, which may take over the last one's requests and progress."""
+        self._build(members, self.batch.requests if carry else ())
+
+    @rule(count=st.integers(0, 30))
+    def commit_tokens(self, count):
+        self.batch.commit_tokens(count)
+
+    @rule()
+    def drop_cache(self):
+        self.batch.drop_cache()
+
+    @invariant()
+    def aggregates_match_the_member_walk(self):
+        for aggregate in batching_oracle.AGGREGATES:
+            assert getattr(self.batch, aggregate.__name__) == aggregate(self.batch), (
+                aggregate.__name__
+            )
+
+
+TestBatchAggregates = BatchAggregates.TestCase
+TestBatchAggregates.settings = settings(max_examples=60, stateful_step_count=25, deadline=None)
 
 
 class TestBatch:
@@ -44,6 +98,14 @@ class TestBatch:
 
     def test_unique_batch_ids(self):
         assert Batch(make_requests(1)).batch_id != Batch(make_requests(1)).batch_id
+
+    def test_undeclared_attributes_are_refused(self):
+        request = make_requests(1)[0]
+        batch = Batch([request])
+        for instance in (request, batch):
+            assert not hasattr(instance, "__dict__")
+            with pytest.raises(AttributeError):
+                instance.undeclared = True
 
 
 class TestRequestQueue:

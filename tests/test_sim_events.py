@@ -187,6 +187,24 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.schedule_at(1.0)
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            pytest.param(lambda sim: sim.schedule_at(float("nan")), id="time-nan"),
+            pytest.param(lambda sim: sim.schedule_at(float("inf")), id="time-inf"),
+            pytest.param(lambda sim: sim.schedule_after(float("nan")), id="delay-nan"),
+            pytest.param(lambda sim: sim.schedule_after(float("inf")), id="delay-inf"),
+        ],
+    )
+    def test_non_finite_time_rejected(self, schedule):
+        # A ``nan`` time would fire at ``now``, an ``inf`` one move ``now`` to infinity.
+        sim = Simulator()
+        sim.run(until=4.0)
+        with pytest.raises(ValueError):
+            schedule(sim)
+        assert sim.run() == 0
+        assert sim.now == 4.0
+
     def test_rounding_step_back_is_clamped_to_now(self):
         # A time a float rounding error behind ``now`` is tolerated: the
         # event fires at ``now`` and time never moves backwards.

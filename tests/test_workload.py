@@ -58,6 +58,28 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(arrival_time=0.0).commit_tokens(-1)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param({"arrival_time": float("nan")}, id="arrival-nan"),
+            pytest.param({"arrival_time": float("inf")}, id="arrival-inf"),
+            pytest.param({"output_tokens": 2.5}, id="output-fractional"),
+            pytest.param({"output_tokens": float("nan")}, id="output-nan"),
+            pytest.param({"output_tokens": float("inf")}, id="output-inf"),
+            pytest.param({"input_tokens": 2.5}, id="input-fractional"),
+        ],
+    )
+    def test_non_finite_time_and_non_integer_counts_rejected(self, fields):
+        with pytest.raises(ValueError):
+            Request(**{"arrival_time": 0.0, **fields})
+
+    def test_numpy_integer_counts_accepted(self):
+        request = Request(
+            arrival_time=0.0, input_tokens=np.int64(8), output_tokens=np.int32(4)
+        )
+        assert (request.input_tokens, request.output_tokens) == (8, 4)
+        assert type(request.output_tokens) is int
+
     def test_unique_ids(self):
         assert Request(arrival_time=0.0).request_id != Request(arrival_time=0.0).request_id
 
@@ -114,6 +136,41 @@ class TestArrivalProcesses:
     def test_invalid_rates_rejected(self, build, bad):
         with pytest.raises(ValueError):
             build(bad)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda bad: GammaArrivals(rate=1.0, output_tokens=bad), id="gamma-output"
+            ),
+            pytest.param(
+                lambda bad: GammaArrivals(rate=1.0, input_tokens=bad), id="gamma-input"
+            ),
+            pytest.param(
+                lambda bad: TimeVaryingArrivals([(0.0, 1.0)], output_tokens=bad),
+                id="time-varying-output",
+            ),
+            pytest.param(lambda bad: FixedArrivals([1.0], output_tokens=bad), id="fixed-output"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # Refused when the process is built, not at its first request.
+            pytest.param(0, id="zero"),
+            pytest.param(-3, id="negative"),
+            pytest.param(2.5, id="fractional"),
+            pytest.param(float("nan"), id="nan"),
+            pytest.param(float("inf"), id="inf"),
+        ],
+    )
+    def test_invalid_token_counts_rejected(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)
+
+    def test_numpy_integer_token_counts_accepted(self):
+        process = GammaArrivals(rate=1.0, input_tokens=np.int64(256), output_tokens=np.int64(32))
+        assert (process.input_tokens, process.output_tokens) == (256, 32)
 
     @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
     def test_invalid_fixed_times_rejected(self, bad):
