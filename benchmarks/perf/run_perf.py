@@ -11,7 +11,9 @@ restores them when the call ends:
 * ``ParallelizationController.propose``, reported as ``propose`` --
   Algorithm 1's configuration sweep;
 * ``DeviceMapper.map_devices``, reported as ``map`` -- the Kuhn-Munkres
-  device mapping (flat + hierarchical);
+  device mapping (hierarchical first; the flat matching only when the
+  hierarchical placement misses the reuse bound or the weights are not
+  integers);
 * ``MigrationPlanner.plan``, reported as ``plan`` -- Algorithm 2's
   migration plan;
 * ``Simulator.run``, reported as ``simulate`` -- the discrete-event loop.
@@ -29,7 +31,11 @@ Each row splits ``wall_s`` into three exclusive columns that add up to it:
 ``accounting_error_ratio`` is how far their sum misses ``wall_s``;
 :func:`measure` raises when it exceeds 2%.  Rows also report the work the
 run did: ``served_fraction``, ``goodput_tok_per_sim_s`` and simulated p50 /
-p99 latency sit next to ``sim_events_per_sec``.
+p99 latency sit next to ``sim_events_per_sec``, and ``hungarian_solves``
+counts calls of the module global
+``repro.core.device_mapper.maximum_weight_assignment`` (the name perfbench
+counts too).  It is a plain counter, not a span, so it leaves the three
+columns unchanged.
 
 The headline metric is ``adaptation_round_ms``: control-stack seconds per
 controller invocation.  Results are written as ``BENCH_adaptation.json`` so
@@ -99,6 +105,7 @@ for _path in (REPO_ROOT, REPO_ROOT / "src"):
         sys.path.insert(0, str(_path))
 
 from perfbench.tracer import Tracer, patched  # noqa: E402
+from repro.core import device_mapper as device_mapper_module  # noqa: E402
 from repro.core.controller import ParallelizationController  # noqa: E402
 from repro.core.device_mapper import DeviceMapper  # noqa: E402
 from repro.core.migration import MigrationPlanner  # noqa: E402
@@ -264,6 +271,15 @@ def measure(name: str) -> Dict:
     def note_sim_end(args, _dispatched):
         sim_end.append(args[0].now)
 
+    def count_solves(solve):
+        """The device mapper's Kuhn-Munkres solver, counted without a span."""
+
+        def counted(*args, **kwargs):
+            tracer.counts["hungarian_solves"] += 1
+            return solve(*args, **kwargs)
+
+        return counted
+
     # Free the cyclic garbage of earlier scenarios in this process first, or
     # the full collection that frees it lands inside this row's time.
     gc.collect()
@@ -275,6 +291,7 @@ def measure(name: str) -> Dict:
         patches.wrap(
             Simulator, "run", lambda fn: tracer.wrap("simulate", fn, observe=note_sim_end)
         )
+        patches.wrap(device_mapper_module, "maximum_weight_assignment", count_solves)
         start = time.perf_counter()
         tracer.start()
         result = SCENARIOS[name]()
@@ -321,6 +338,7 @@ def measure(name: str) -> Dict:
         "simulate_s": round(simulate_s, 4),
         "controller_invocations": invocations,
         "adaptation_round_ms": round(round_ms, 4),
+        "hungarian_solves": int(tracer.counts["hungarian_solves"]),
         "submitted_requests": result.submitted_requests,
         "completed_requests": result.completed_requests,
         "served_fraction": round(result.completion_ratio, 4),

@@ -10,6 +10,7 @@ lifecycle state and the timestamps of lifecycle transitions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -67,10 +68,14 @@ class InstanceType:
     def __post_init__(self) -> None:
         if self.gpus_per_instance <= 0:
             raise ValueError("instances must have at least one GPU")
-        if self.spot_price_per_hour < 0 or self.on_demand_price_per_hour < 0:
-            raise ValueError("prices must be non-negative")
-        if self.grace_period < 0 or self.startup_delay < 0:
-            raise ValueError("grace period and startup delay must be non-negative")
+        prices = (self.spot_price_per_hour, self.on_demand_price_per_hour)
+        if not all(math.isfinite(p) and p >= 0 for p in prices):
+            raise ValueError(f"prices must be finite and non-negative, got {prices}")
+        delays = (self.grace_period, self.startup_delay)
+        if not all(math.isfinite(d) and d >= 0 for d in delays):
+            raise ValueError(
+                f"grace period and startup delay must be finite and non-negative, got {delays}"
+            )
 
     def price_per_hour(self, market: Market) -> float:
         """Hourly price for the given market."""

@@ -15,6 +15,7 @@ accrued cost without any extra bookkeeping in the provider.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -33,11 +34,15 @@ class PriceSchedule:
     changes: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.base_price < 0:
-            raise ValueError("prices must be non-negative")
+        if not (math.isfinite(self.base_price) and self.base_price >= 0):
+            raise ValueError(f"prices must be finite and non-negative, got {self.base_price}")
         ordered = tuple(sorted((float(t), float(p)) for t, p in self.changes))
-        if any(t < 0 or p < 0 for t, p in ordered):
-            raise ValueError("price change points must have non-negative time and price")
+        if not all(
+            math.isfinite(t) and t >= 0 and math.isfinite(p) and p >= 0 for t, p in ordered
+        ):
+            raise ValueError(
+                "price change points must have finite, non-negative time and price"
+            )
         object.__setattr__(self, "changes", ordered)
 
     @classmethod

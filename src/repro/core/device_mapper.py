@@ -11,9 +11,18 @@ side, topology positions on the other, edge weights equal to the bytes of
 reusable context.  SpotServe solves it with the Kuhn-Munkres algorithm.  For
 multi-GPU instances the paper applies a hierarchical two-step matching
 (inter-instance first, intra-instance second) so that tensor groups stay
-within the fast intra-instance interconnect; both the flat and the
-hierarchical matcher are implemented here (the flat one doubles as the
-ablation baseline together with a greedy matcher).
+within the fast intra-instance interconnect.
+
+The mapper solves the hierarchical matching first.  No matching can reuse
+more than the smaller of the sum of row maxima and the sum of column maxima
+of the weight matrix.  When every weight is an integer and that bound is
+below 2^53, every float sum over the matrix is exact, so a hierarchical
+placement that reaches the bound is optimal and the flat global matching is
+not solved.  Otherwise the flat matching is solved too and replaces the
+hierarchical placement only when it reuses strictly more.  Without the
+hierarchy (single-GPU instances, or the ablation) the flat matching is the
+only one; it doubles as the ablation baseline together with a greedy
+matcher.
 """
 
 from __future__ import annotations
@@ -335,6 +344,14 @@ class DeviceMapper:
         ``(batch_size, cached_tokens)`` of the batch that pipeline will
         resume; it is only used to compute the total context the new
         deployment requires (the denominator of the reuse fraction).
+
+        With the hierarchy on (``hierarchical`` and more than one GPU per
+        instance) the hierarchical placement is solved first, and the flat
+        matching only when :meth:`_reaches_reuse_bound` cannot rule out
+        that it reuses more; it replaces the hierarchical placement only
+        on strictly more reuse.  The adopted placement, its dict order and
+        ``reused_bytes`` are bit-identical to solving both and keeping the
+        hierarchical placement on ties, for the greedy matcher too.
         """
         positions = mesh_positions(
             new_config.data_degree, new_config.pipeline_degree, new_config.tensor_degree
@@ -347,28 +364,48 @@ class DeviceMapper:
         lookup = self._weight_lookup(
             meta_context, devices, positions, new_config, pipeline_inheritance
         )
-        flat_placement = self._flat_matching(lookup, devices, positions)
-        placement = flat_placement
         if self.hierarchical and self.gpus_per_instance > 1:
             # The two-step (inter-instance, then intra-instance) matching
             # keeps tensor groups co-located on fast links, but when shard
             # widths change it can strand reusable context on unmatched
-            # instances; it is only adopted when it reuses at least as
-            # much as the flat KM matching.
-            hierarchical_placement = self._hierarchical_matching(
-                lookup, devices, positions
-            )
-            if self._placement_reuse(
-                lookup, hierarchical_placement
-            ) >= self._placement_reuse(lookup, flat_placement):
-                placement = hierarchical_placement
+            # instances; the flat KM matching replaces it when it reuses
+            # strictly more.
+            placement = self._hierarchical_matching(lookup, devices, positions)
+            reused = self._placement_reuse(lookup, placement)
+            if not self._reaches_reuse_bound(lookup[0], reused):
+                flat_placement = self._flat_matching(lookup, devices, positions)
+                flat_reused = self._placement_reuse(lookup, flat_placement)
+                if flat_reused > reused:
+                    placement, reused = flat_placement, flat_reused
+        else:
+            placement = self._flat_matching(lookup, devices, positions)
+            reused = self._placement_reuse(lookup, placement)
         return DeviceMapping(
             config=new_config,
             placement=placement,
-            reused_bytes=self._placement_reuse(lookup, placement),
+            reused_bytes=reused,
             required_bytes=self._required_bytes(
                 new_config, cached_tokens_per_pipeline
             ),
+        )
+
+    @staticmethod
+    def _reaches_reuse_bound(matrix: np.ndarray, reuse: float) -> bool:
+        """True when no placement on *matrix* can reuse more than *reuse*.
+
+        The weights are non-negative, so a placement (a matching) reuses at
+        most the sum of the row maxima and at most the sum of the column
+        maxima.  When every weight is an integer and the smaller sum is
+        below 2^53, every partial sum of weights is an integer below 2^53
+        and so exact in any order: the computed bound is the true one, and
+        no other placement's float sum can exceed a *reuse* equal to it.
+        With fractional weights a sum may round, so the answer is False.
+        """
+        bound = min(matrix.max(axis=1).sum(), matrix.max(axis=0).sum())
+        return bool(
+            reuse == bound
+            and bound < 2.0**53
+            and (np.floor(matrix) == matrix).all()
         )
 
     @staticmethod

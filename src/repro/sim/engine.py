@@ -130,7 +130,12 @@ class Simulator:
 
         Stops once the next event would fire after *until* (``now`` still
         moves forward to ``until``); ``None`` runs until the queue is empty.
+        Raises ``ValueError`` before anything fires when *until* is not
+        finite: ``nan`` fails every comparison and would ignore the bound,
+        and ``inf`` would move ``now`` to infinity.
         """
+        if until is not None and not math.isfinite(until):
+            raise ValueError(f"cannot run until a non-finite time: {until}")
         dispatched = 0
         pop_next = self.queue.pop_next
         fire = self._fire

@@ -19,6 +19,7 @@ two-tier behaviour exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
@@ -62,14 +63,16 @@ class NetworkSpec:
     concurrent_streams: int = 8
 
     def __post_init__(self) -> None:
-        if (
-            self.inter_instance_bandwidth <= 0
-            or self.intra_instance_bandwidth <= 0
-            or self.cross_zone_bandwidth <= 0
-        ):
-            raise ValueError("bandwidths must be positive")
-        if self.per_transfer_latency < 0 or self.cross_zone_latency < 0:
-            raise ValueError("latency must be non-negative")
+        bandwidths = (
+            self.inter_instance_bandwidth,
+            self.intra_instance_bandwidth,
+            self.cross_zone_bandwidth,
+        )
+        if not all(math.isfinite(b) and b > 0 for b in bandwidths):
+            raise ValueError(f"bandwidths must be finite and positive, got {bandwidths}")
+        latencies = (self.per_transfer_latency, self.cross_zone_latency)
+        if not all(math.isfinite(t) and t >= 0 for t in latencies):
+            raise ValueError(f"latencies must be finite and non-negative, got {latencies}")
         if self.concurrent_streams < 1:
             raise ValueError("need at least one concurrent stream")
 
@@ -100,10 +103,16 @@ class OffloadTierSpec:
     per_spill_latency: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.spill_bandwidth <= 0 or self.restore_bandwidth <= 0:
-            raise ValueError("offload tier bandwidths must be positive")
-        if self.per_spill_latency < 0:
-            raise ValueError("offload tier latency must be non-negative")
+        bandwidths = (self.spill_bandwidth, self.restore_bandwidth)
+        if not all(math.isfinite(b) and b > 0 for b in bandwidths):
+            raise ValueError(
+                f"offload tier bandwidths must be finite and positive, got {bandwidths}"
+            )
+        latency = self.per_spill_latency
+        if not (math.isfinite(latency) and latency >= 0):
+            raise ValueError(
+                f"offload tier latency must be finite and non-negative, got {latency}"
+            )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ scalar version of each lives here, next to the tests that use it:
   iterations instead of one vectorised pass over many shapes;
 * :mod:`oracles.device_mapper` -- Section 3.3's matching with one
   ``reuse_weight`` call per (device, position) pair, solved through
-  :class:`oracles.bipartite.BipartiteGraph`;
+  :class:`oracles.bipartite.BipartiteGraph`; and the adoption rule before
+  the reuse-bound skip, which solves the flat matching in every round;
 * :mod:`oracles.migration` -- Algorithm 2 with per-device meta-context
   scans, ``sorted`` source ranking and a scalar deferred-layer drain;
 * :mod:`oracles.dataplane` -- batch dispatch as a scan of every

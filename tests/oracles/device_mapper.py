@@ -1,11 +1,16 @@
-"""Scalar reference for the device mapper (Section 3.3).
+"""References for the device mapper (Section 3.3).
 
-Every edge weight is one :meth:`DeviceMapper.reuse_weight` call and every
-matching goes through :class:`~oracles.bipartite.BipartiteGraph`: no weight
-matrix, no sparsification, no component decomposition and no memoised
-solves.  The production mapper's hierarchical placement must
-equal this one down to dict order, and its flat matching must reuse the
-same number of bytes.
+:class:`ReferenceDeviceMapper` is the scalar reference: every edge weight
+is one :meth:`DeviceMapper.reuse_weight` call and every matching goes
+through :class:`~oracles.bipartite.BipartiteGraph`: no weight matrix, no
+sparsification, no component decomposition and no memoised solves.  The
+production mapper's hierarchical placement must equal this one down to
+dict order, and its flat matching must reuse the same number of bytes.
+
+:class:`TwoSolveDeviceMapper` is the adoption rule the reuse-bound skip
+replaced: the production matchers, both solved in every round.  The
+production mapper must adopt its placement down to dict order, with
+bit-equal ``reused_bytes``.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -18,6 +23,42 @@ from repro.engine.placement import TopologyPosition, mesh_positions
 from .bipartite import BipartiteGraph
 
 Placement = Dict[DeviceId, TopologyPosition]
+
+
+class TwoSolveDeviceMapper(DeviceMapper):
+    """:class:`DeviceMapper` that solves the flat and hierarchical matchings every round."""
+
+    def map_devices(
+        self,
+        meta_context: MetaContextManager,
+        devices: Sequence[DeviceId],
+        new_config: ParallelConfig,
+        pipeline_inheritance: Optional[Dict[int, int]] = None,
+        cached_tokens_per_pipeline: Optional[Dict[int, Tuple[int, int]]] = None,
+    ) -> DeviceMapping:
+        """The flat matching, replaced by the hierarchical one when it reuses at least as much."""
+        positions = mesh_positions(
+            new_config.data_degree, new_config.pipeline_degree, new_config.tensor_degree
+        )
+        if len(devices) < len(positions):
+            raise ValueError(f"configuration {new_config} needs {len(positions)} GPUs")
+        lookup = self._weight_lookup(
+            meta_context, devices, positions, new_config, pipeline_inheritance
+        )
+        flat = self._flat_matching(lookup, devices, positions)
+        placement = flat
+        if self.hierarchical and self.gpus_per_instance > 1:
+            hierarchical = self._hierarchical_matching(lookup, devices, positions)
+            if self._placement_reuse(lookup, hierarchical) >= self._placement_reuse(
+                lookup, flat
+            ):
+                placement = hierarchical
+        return DeviceMapping(
+            config=new_config,
+            placement=placement,
+            reused_bytes=self._placement_reuse(lookup, placement),
+            required_bytes=self._required_bytes(new_config, cached_tokens_per_pipeline),
+        )
 
 
 class ReferenceDeviceMapper(DeviceMapper):

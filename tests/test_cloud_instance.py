@@ -42,6 +42,17 @@ class TestInstanceType:
         with pytest.raises(ValueError):
             InstanceType(spot_price_per_hour=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field",
+        ["spot_price_per_hour", "on_demand_price_per_hour", "grace_period", "startup_delay"],
+    )
+    def test_non_finite_value_rejected(self, field, value):
+        # ``nan`` passes a ``< 0`` check, and an infinite price or delay
+        # would poison every bill or launch time derived from it.
+        with pytest.raises(ValueError):
+            InstanceType(**{field: value})
+
 
 class TestInstanceLifecycle:
     def test_unique_instance_ids(self):

@@ -69,6 +69,20 @@ class TestPriceSchedule:
         with pytest.raises(ValueError):
             PriceSchedule(base_price=1.0, changes=((10.0, -2.0),))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda v: PriceSchedule(base_price=v), id="base_price"),
+            pytest.param(lambda v: PriceSchedule(1.0, changes=((v, 2.0),)), id="change_time"),
+            pytest.param(lambda v: PriceSchedule(1.0, changes=((10.0, v),)), id="change_price"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, build, value):
+        # A ``nan`` price used to pass and turn the run's total cost into ``nan``.
+        with pytest.raises(ValueError):
+            build(value)
+
 
 class TestZoneSpec:
     def test_capacity_must_cover_initial_fleet(self):

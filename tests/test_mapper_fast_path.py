@@ -13,11 +13,18 @@ The map-phase fast path rests on three claims, each pinned here:
   ``tests/oracles/device_mapper.py`` under randomized fleet churn, and a
   mapper reused across rounds keeps no state: it maps exactly as a fresh
   one does.
+
+A fourth claim pins the reuse-bound skip: solving the hierarchical
+matching first and the flat one only when the bound cannot rule it out
+adopts exactly what solving both did (the oracle's ``TwoSolveDeviceMapper``),
+and the flat matching runs exactly in the rounds where the guard fails.
 """
 
 import copy
+import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +42,7 @@ from repro.matching.hungarian import (
     maximum_weight_assignment,
 )
 
-from oracles.device_mapper import ReferenceDeviceMapper
+from oracles.device_mapper import ReferenceDeviceMapper, TwoSolveDeviceMapper
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -188,6 +195,36 @@ def random_fleet_state(rng, model):
     return meta, devices, old
 
 
+def random_round(rng, meta, devices, old):
+    """Apply one random fleet delta, then pick a round's inputs."""
+    delta = rng.integers(0, 4)
+    if delta == 0 and len({d[0] for d in devices}) > 2:
+        # Preemption: drop a random instance and its contexts.
+        victim = sorted({d[0] for d in devices})[
+            int(rng.integers(0, len({d[0] for d in devices})))
+        ]
+        meta.drop_instance(victim)
+        devices = [d for d in devices if d[0] != victim]
+    elif delta == 1:
+        # Acquisition: a fresh (stateless) instance joins.
+        index = len({d[0] for d in devices}) + int(rng.integers(10, 90))
+        devices = devices + devices_for(1, prefix=f"new-{index:02d}")
+    # delta in (2, 3): fleet unchanged this round.
+    while True:
+        new = ParallelConfig(
+            int(rng.choice([1, 2])),
+            int(rng.choice([1, 2, 3])),
+            int(rng.choice([2, 4])),
+            8,
+        )
+        if new.num_gpus <= len(devices):
+            return devices, new
+
+
+def zone_by_ordinal(instance_id):
+    return f"z{int(instance_id.split('-')[1]) % 3}"
+
+
 class TestWeightMatrixBitIdentity:
     @pytest.mark.parametrize("seed", range(10))
     def test_vectorized_matrix_equals_scalar_weights_bitwise(self, seed):
@@ -225,47 +262,17 @@ class TestWeightMatrixBitIdentity:
 class TestFastPathEquivalence:
     """Randomized fleet deltas over rounds: reused mapper == fresh mapper == reference."""
 
-    @staticmethod
-    def random_round(rng, meta, devices, old):
-        """Apply one random fleet delta, then pick a round's inputs."""
-        delta = rng.integers(0, 4)
-        if delta == 0 and len({d[0] for d in devices}) > 2:
-            # Preemption: drop a random instance and its contexts.
-            victim = sorted({d[0] for d in devices})[
-                int(rng.integers(0, len({d[0] for d in devices})))
-            ]
-            meta.drop_instance(victim)
-            devices = [d for d in devices if d[0] != victim]
-        elif delta == 1:
-            # Acquisition: a fresh (stateless) instance joins.
-            index = len({d[0] for d in devices}) + int(rng.integers(10, 90))
-            devices = devices + devices_for(1, prefix=f"new-{index:02d}")
-        # delta in (2, 3): fleet unchanged this round.
-        while True:
-            new = ParallelConfig(
-                int(rng.choice([1, 2])),
-                int(rng.choice([1, 2, 3])),
-                int(rng.choice([2, 4])),
-                8,
-            )
-            if new.num_gpus <= len(devices):
-                return devices, new
-
-    @staticmethod
-    def zone_of(instance_id):
-        return f"z{int(instance_id.split('-')[1]) % 3}"
-
     @pytest.mark.parametrize("seed", range(8))
     def test_reused_mapper_matches_fresh_each_round(self, seed):
         rng = np.random.default_rng(seed)
         model = GPT_20B if seed % 2 else OPT_6_7B
         meta, devices, old = random_fleet_state(rng, model)
-        zone_of = self.zone_of if seed % 3 == 0 else None
+        zone_of = zone_by_ordinal if seed % 3 == 0 else None
 
         reused = DeviceMapper(model, zone_of=zone_of)  # maps every round
         reference = ReferenceDeviceMapper(model, zone_of=zone_of)
         for round_index in range(6):
-            devices, new = self.random_round(rng, meta, devices, old)
+            devices, new = random_round(rng, meta, devices, old)
             inheritance = None
             if rng.random() < 0.5:
                 inheritance = {
@@ -305,7 +312,7 @@ class TestFastPathEquivalence:
     def test_map_devices_leaves_the_mapper_unchanged(self):
         """The mapper keeps no state: a call is a function of its arguments."""
         meta, devices, old = self.stateful_fleet()
-        for zone_of in (None, self.zone_of):
+        for zone_of in (None, zone_by_ordinal):
             mapper = DeviceMapper(GPT_20B, zone_of=zone_of)
             for new in (old, ParallelConfig(1, 2, 8, 8)):
                 positions = mesh_positions(
@@ -323,13 +330,13 @@ class TestFastPathEquivalence:
         rng = np.random.default_rng(100 + seed)
         model = GPT_20B if seed % 2 else OPT_6_7B
         meta, devices, old = random_fleet_state(rng, model)
-        zone_of = self.zone_of if seed % 2 == 0 else None
+        zone_of = zone_by_ordinal if seed % 2 == 0 else None
         mapper = DeviceMapper(model, use_optimal_matching=False, zone_of=zone_of)
         reference = ReferenceDeviceMapper(
             model, use_optimal_matching=False, zone_of=zone_of
         )
         for round_index in range(4):
-            devices, new = self.random_round(rng, meta, devices, old)
+            devices, new = random_round(rng, meta, devices, old)
             mapping = mapper.map_devices(meta, devices, new)
             ref_mapping = reference.map_devices(meta, devices, new)
             assert list(mapping.placement.items()) == list(
@@ -380,6 +387,184 @@ class TestFastPathEquivalence:
         b = ReferenceDeviceMapper(OPT_6_7B).map_devices(meta, devices, config)
         assert a.placement == b.placement
         assert a.reused_bytes == b.reused_bytes
+
+
+#: (model, pipeline inheritance, zone_of, optimal matcher) for the skip suite.
+SKIP_GRID = list(
+    itertools.product((OPT_6_7B, GPT_20B), (False, True), (False, True), (True, False))
+)
+
+#: Fleets per grid cell, and map rounds per fleet.
+SKIP_FLEETS = 3
+SKIP_ROUNDS = 5
+
+
+def skip_case_id(cell):
+    model, inherits, zoned, optimal = cell
+    return "-".join(
+        (
+            model.name,
+            "inherit" if inherits else "no_inherit",
+            "zoned" if zoned else "unzoned",
+            "optimal" if optimal else "greedy",
+        )
+    )
+
+
+def exact_sum(values):
+    return sum((Fraction(float(v)) for v in values), Fraction(0))
+
+
+def map_skip_rounds(cell_index):
+    """One grid cell's rounds: the mapper and the two-solve oracle, side by side.
+
+    Each record holds both mappings, the exact reuse bound
+    min(sum of row maxima, sum of column maxima) as a ``Fraction``, whether
+    every weight is an integer, the hierarchical placement's reuse, the
+    oracle placement's exact reuse, and how often the mapper ran
+    ``_flat_matching``.
+    """
+    model, inherits, zoned, optimal = SKIP_GRID[cell_index]
+    zone_of = zone_by_ordinal if zoned else None
+    records = []
+    for fleet in range(SKIP_FLEETS):
+        rng = np.random.default_rng(500 + SKIP_FLEETS * cell_index + fleet)
+        meta, devices, old = random_fleet_state(rng, model)
+        mapper = DeviceMapper(model, use_optimal_matching=optimal, zone_of=zone_of)
+        oracle = TwoSolveDeviceMapper(
+            model, use_optimal_matching=optimal, zone_of=zone_of
+        )
+        flat_calls = []
+        flat_matching = mapper._flat_matching
+
+        def counting_flat(*args, flat_matching=flat_matching, flat_calls=flat_calls):
+            flat_calls.append(1)
+            return flat_matching(*args)
+
+        mapper._flat_matching = counting_flat
+        for _ in range(SKIP_ROUNDS):
+            devices, new = random_round(rng, meta, devices, old)
+            inheritance = None
+            if inherits:
+                inheritance = {
+                    d: int(rng.integers(0, new.data_degree))
+                    for d in range(old.data_degree)
+                }
+            flat_calls.clear()
+            mapping = mapper.map_devices(meta, devices, new, inheritance)
+            flat_runs = len(flat_calls)
+            expected = oracle.map_devices(meta, devices, new, inheritance)
+            positions = mesh_positions(
+                new.data_degree, new.pipeline_degree, new.tensor_degree
+            )
+            lookup = oracle._weight_lookup(meta, devices, positions, new, inheritance)
+            matrix, row_of, col_of = lookup
+            hierarchical = oracle._hierarchical_matching(lookup, devices, positions)
+            records.append(
+                {
+                    "mapping": mapping,
+                    "expected": expected,
+                    "flat_runs": flat_runs,
+                    "integral": all(float(w).is_integer() for w in matrix.ravel()),
+                    "bound": min(
+                        exact_sum(matrix.max(axis=1)), exact_sum(matrix.max(axis=0))
+                    ),
+                    "hierarchical_reuse": oracle._placement_reuse(lookup, hierarchical),
+                    "expected_exact_reuse": exact_sum(
+                        matrix[row_of[device], col_of[position]]
+                        for device, position in expected.placement.items()
+                    ),
+                }
+            )
+    return records
+
+
+def guard_holds(record):
+    """The skip's three conditions, restated over exact sums."""
+    return (
+        record["integral"]
+        and record["bound"] < 2**53
+        and Fraction(record["hierarchical_reuse"]) == record["bound"]
+    )
+
+
+def skip_case(record):
+    """``skip``, ``integral_miss`` or ``fractional``."""
+    if not record["integral"]:
+        return "fractional"
+    return "skip" if guard_holds(record) else "integral_miss"
+
+
+@pytest.fixture(scope="module")
+def skip_sweep():
+    """Every grid cell's round records, computed once for the module."""
+    return [map_skip_rounds(index) for index in range(len(SKIP_GRID))]
+
+
+class TestReuseBoundSkip:
+    """Hierarchical first, flat only when the bound cannot rule it out."""
+
+    @pytest.mark.parametrize(
+        "cell_index", range(len(SKIP_GRID)), ids=[skip_case_id(c) for c in SKIP_GRID]
+    )
+    def test_adopts_what_solving_both_adopted(self, skip_sweep, cell_index):
+        for record in skip_sweep[cell_index]:
+            mapping, expected = record["mapping"], record["expected"]
+            assert list(mapping.placement.items()) == list(expected.placement.items())
+            assert mapping.reused_bytes.hex() == expected.reused_bytes.hex()
+            assert mapping.required_bytes == expected.required_bytes
+
+    @pytest.mark.parametrize(
+        "cell_index", range(len(SKIP_GRID)), ids=[skip_case_id(c) for c in SKIP_GRID]
+    )
+    def test_no_placement_reuses_more_than_the_bound(self, skip_sweep, cell_index):
+        for record in skip_sweep[cell_index]:
+            assert record["expected_exact_reuse"] <= record["bound"]
+            if record["integral"]:
+                # Integral sums below 2^53 are exact, so the float agrees.
+                assert Fraction(record["expected"].reused_bytes) == record[
+                    "expected_exact_reuse"
+                ]
+
+    @pytest.mark.parametrize(
+        "cell_index", range(len(SKIP_GRID)), ids=[skip_case_id(c) for c in SKIP_GRID]
+    )
+    def test_flat_matching_runs_exactly_where_the_guard_fails(
+        self, skip_sweep, cell_index
+    ):
+        for record in skip_sweep[cell_index]:
+            assert record["flat_runs"] == (0 if guard_holds(record) else 1)
+
+    def test_the_sweep_covers_every_case(self, skip_sweep):
+        """Skips, integral misses the flat placement won, and fractional rounds."""
+        cases = {"skip": 0, "integral_miss": 0, "fractional": 0}
+        flat_won_a_miss = False
+        for record in itertools.chain.from_iterable(skip_sweep):
+            case = skip_case(record)
+            cases[case] += 1
+            if case == "integral_miss":
+                flat_won_a_miss |= (
+                    record["expected"].reused_bytes > record["hierarchical_reuse"]
+                )
+        assert all(cases.values()), cases
+        assert flat_won_a_miss
+        assert sum(cases.values()) == len(SKIP_GRID) * SKIP_FLEETS * SKIP_ROUNDS
+
+    @pytest.mark.parametrize(
+        "matrix, reuse, reaches",
+        [
+            pytest.param([[3.0, 1.0], [1.0, 2.0]], 5.0, True, id="on_the_bound"),
+            pytest.param([[3.0, 1.0], [1.0, 2.0]], 4.0, False, id="below_the_bound"),
+            pytest.param([[0.5, 0.0], [0.0, 1.0]], 1.5, False, id="fractional"),
+            pytest.param(
+                [[2.0**52, 0.0], [0.0, 2.0**52 - 1]], 2.0**53 - 1, True, id="below_2^53"
+            ),
+            pytest.param([[2.0**52, 0.0], [0.0, 2.0**52]], 2.0**53, False, id="at_2^53"),
+        ],
+    )
+    def test_guard_conditions(self, matrix, reuse, reaches):
+        # Row maxima and column maxima both sum to the bound in each matrix.
+        assert DeviceMapper._reaches_reuse_bound(np.array(matrix), reuse) is reaches
 
 
 class TestPerfCheckMapGuard:

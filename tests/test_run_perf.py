@@ -1,23 +1,27 @@
 """``benchmarks/perf/run_perf.py``: ``measure()`` and its command line.
 
 ``measure()`` times the control stack with perfbench's tracer, wrapped
-around four class attributes for the length of one call.  These tests
+around four class attributes for the length of one call, and counts the
+device mapper's Kuhn-Munkres solves.  These tests
 drive it on the ``small`` scenario (about 0.1 s of wall time per call).
 """
 
 import pytest
 
+import repro.core.device_mapper as device_mapper_module
 from repro.core.controller import ParallelizationController
 from repro.core.device_mapper import DeviceMapper
 from repro.core.migration import MigrationPlanner
 from repro.sim.engine import Simulator
 
-#: The class attributes ``measure()`` wraps while a scenario runs.
+#: The attributes ``measure()`` wraps while a scenario runs: four class
+#: attributes and the solver the device mapper calls.
 WRAPPED = (
     (ParallelizationController, "propose"),
     (DeviceMapper, "map_devices"),
     (MigrationPlanner, "plan"),
     (Simulator, "run"),
+    (device_mapper_module, "maximum_weight_assignment"),
 )
 
 
@@ -62,6 +66,8 @@ class TestMeasure:
         assert report["controller_invocations"] == calls["propose"] > 0
         assert calls["map"] == calls["plan"] > 0
         assert calls["simulate"] == 1
+        assert report["hungarian_solves"] > 0
+        assert "hungarian_solves" not in report["phases"]
 
     def test_exclusive_columns_add_up_to_wall(self, small):
         _before, reports = small
@@ -74,7 +80,12 @@ class TestMeasure:
     def test_two_calls_in_one_process_count_the_same(self, small):
         _before, (first, second) = small
         assert _calls(first) == _calls(second)
-        for key in ("controller_invocations", "submitted_requests", "dispatched_events"):
+        for key in (
+            "controller_invocations",
+            "hungarian_solves",
+            "submitted_requests",
+            "dispatched_events",
+        ):
             assert first[key] == second[key]
 
     def test_rows_report_work_done(self, small):

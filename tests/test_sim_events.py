@@ -205,6 +205,19 @@ class TestSimulator:
         assert sim.run() == 0
         assert sim.now == 4.0
 
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_until_rejected(self, until):
+        # ``nan`` would ignore the bound and ``inf`` move ``now`` to infinity.
+        sim = Simulator()
+        sim.schedule_at(5.0)
+        sim.schedule_at(50.0)
+        with pytest.raises(ValueError):
+            sim.run(until=until)
+        assert sim.now == 0.0
+        assert sim.dispatched_events == 0
+        assert sim.run() == 2
+        assert sim.now == 50.0
+
     def test_rounding_step_back_is_clamped_to_now(self):
         # A time a float rounding error behind ``now`` is tolerated: the
         # event fires at ``now`` and time never moves backwards.

@@ -25,6 +25,22 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             NetworkSpec(concurrent_streams=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "inter_instance_bandwidth",
+            "intra_instance_bandwidth",
+            "cross_zone_bandwidth",
+            "per_transfer_latency",
+            "cross_zone_latency",
+        ],
+    )
+    def test_non_finite_value_rejected(self, field, value):
+        # ``nan`` passes every ``<= 0`` / ``< 0`` check.
+        with pytest.raises(ValueError):
+            NetworkSpec(**{field: value})
+
 
 class TestTransferTime:
     def test_noop_transfer_is_free(self):

@@ -258,6 +258,16 @@ class TestOffloadTierSpec:
         with pytest.raises(ValueError):
             OffloadTierSpec(per_spill_latency=-0.01)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field", ["spill_bandwidth", "restore_bandwidth", "per_spill_latency"]
+    )
+    def test_non_finite_value_rejected(self, field, value):
+        # A ``nan`` spill bandwidth used to run as a merely slow tier:
+        # nothing spilled, every spill fell back.
+        with pytest.raises(ValueError):
+            OffloadTierSpec(**{field: value})
+
 
 
 class TestSpillRestoreTimes:
