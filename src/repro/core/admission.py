@@ -46,8 +46,7 @@ Invariants
 from __future__ import annotations
 
 from abc import ABC
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 from ..workload.arrival import check_positive_finite
 
@@ -69,8 +68,7 @@ DEFAULT_BUCKET_BURST = 16.0
 MIN_BUCKET_RATE = 0.05
 
 
-@dataclass(frozen=True)
-class AdmissionSignal:
+class AdmissionSignal(NamedTuple):
     """Serving-state snapshot the admission hooks may consult.
 
     Arrival-time hooks (:meth:`AdmissionPolicy.admit`) see the queue depth
@@ -78,6 +76,10 @@ class AdmissionSignal:
     :meth:`AdmissionPolicy.observe_round`) additionally see the control
     stack's current estimates.  All fields are exact functions of the
     seeded simulation, so admission decisions are deterministic.
+
+    One is built per arrival, so the snapshot is a named tuple: it is
+    immutable, and it builds without the per-field ``object.__setattr__``
+    a frozen dataclass pays.
     """
 
     #: Simulation time the hook fires at.

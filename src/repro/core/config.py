@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -44,7 +45,14 @@ class ParallelConfig:
     batch_size: int = 1
 
     def __post_init__(self) -> None:
-        if min(self.data_degree, self.pipeline_degree, self.tensor_degree, self.batch_size) <= 0:
+        # ``operator.index`` accepts Python and NumPy integers and refuses
+        # every float, ``nan`` (which fails any comparison) and ``inf`` too.
+        components = (self.data_degree, self.pipeline_degree, self.tensor_degree, self.batch_size)
+        try:
+            smallest = min(map(index, components))
+        except TypeError:
+            raise ValueError(f"configuration components must be integers, got {self!r}") from None
+        if smallest <= 0:
             raise ValueError("all configuration components must be positive")
 
     # ------------------------------------------------------------------

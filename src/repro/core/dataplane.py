@@ -15,6 +15,11 @@ scan of the list visits them in) and released when a batch completes or
 is interrupted.  Only :class:`Dataplane` methods replace ``pipelines``,
 and each replacement rebuilds the index.
 
+Each pipeline holds the context daemons of its GPUs, resolved once when
+the dataplane builds it, and a completed batch clears their cache contexts
+through those references; :meth:`Dataplane._on_batch_completion` explains
+why that equals a meta-context lookup per device.
+
 Requests are never lost here: an interrupted batch either resumes with its
 KV cache or is re-queued at the front (see :meth:`Dataplane.reroute`), and
 :meth:`Dataplane.unfinished` counts every request the dataplane holds.
@@ -35,6 +40,10 @@ from ..sim.engine import Simulator
 from ..sim.events import Event, EventType
 from .config import ParallelConfig
 from .stats import ServingStats
+
+# Read once per batch; an Enum member read through its class costs ~0.1 us
+# on Python 3.11, against one global lookup here.
+_BATCH_COMPLETION = EventType.BATCH_COMPLETION
 
 
 class Dataplane:
@@ -106,6 +115,12 @@ class Dataplane:
         placement: Dict[DeviceId, TopologyPosition],
         indices: Iterable[int],
     ) -> List[InferencePipeline]:
+        """Install *placement*'s model contexts and build the pipelines of *indices*.
+
+        Each pipeline holds its devices' context daemons, resolved here once
+        (see :meth:`_on_batch_completion`).
+        """
+        daemon = self.meta_context.daemon
         assignments = {
             index: PipelineAssignment(
                 pipeline_index=index,
@@ -115,14 +130,19 @@ class Dataplane:
             for index in indices
         }
         for device_id, position in placement.items():
-            self.meta_context.daemon(device_id).install_model_context(
+            daemon(device_id).install_model_context(
                 config.pipeline_degree, config.tensor_degree, position
             )
             assignment = assignments.get(position.data_index)
             if assignment is not None:
                 assignment.devices[position] = device_id
         return [
-            InferencePipeline(assignment, self.latency_model, config.batch_size)
+            InferencePipeline(
+                assignment,
+                self.latency_model,
+                config.batch_size,
+                tuple(daemon(device_id) for device_id in assignment.devices.values()),
+            )
             for assignment in assignments.values()
         ]
 
@@ -155,10 +175,7 @@ class Dataplane:
     def _start(self, pipeline: InferencePipeline, batch: Batch, resume: bool) -> None:
         finish_time = pipeline.start_batch(batch, self.simulator.now, resume=resume)
         self._completion_events[id(pipeline)] = self.simulator.schedule_at(
-            finish_time,
-            EventType.BATCH_COMPLETION,
-            payload=(pipeline, batch),
-            callback=self._on_batch_completion,
+            finish_time, _BATCH_COMPLETION, (pipeline, batch), self._on_batch_completion
         )
 
     def _release(self, pipeline: InferencePipeline) -> None:
@@ -180,6 +197,26 @@ class Dataplane:
         return self.queue.next_batch(self.config.batch_size if self.config else None), False
 
     def _on_batch_completion(self, event: Event) -> None:
+        """Finish a batch, free its pipeline and clear the batch's KV cache.
+
+        The cache contexts are cleared through the daemons the pipeline has
+        held since :meth:`_build`, not through
+        :meth:`~repro.engine.context.MetaContextManager.daemon`.  The two
+        differ only once ``drop_instance`` has removed one of the devices,
+        and that happens only to instances no live pipeline uses:
+
+        * ``ServingSystemBase._on_preemption_final`` drops the instance
+          after ``handle_preemption_final``, and every override of that
+          (SpotServe, request rerouting, reparallelization) tears down the
+          instance's pipelines first;
+        * a zone outage's ``down`` phase tears down before it drops;
+        * the tenant rebalance skips instances in :meth:`instance_ids`.
+
+        A torn-down pipeline's completion never gets here: its event was
+        cancelled and its ``current_batch`` is gone.  Even the empty daemon
+        a lookup would re-create is skipped by the migration planner's
+        walk of the meta-context.
+        """
         pipeline, batch = event.payload  # type: InferencePipeline, Batch
         if pipeline.current_batch is not batch:
             return  # The batch was interrupted before completing.
@@ -189,8 +226,8 @@ class Dataplane:
         self.stats.tokens_generated += completed.output_tokens * completed.size
         for request in completed.requests:
             self.stats.record_completion(request)
-        for device_id in pipeline.assignment.device_ids:
-            self.meta_context.daemon(device_id).clear_cache_context()
+        for daemon in pipeline.daemons:
+            daemon.cache_context = None
         self.dispatch()
 
     # ------------------------------------------------------------------

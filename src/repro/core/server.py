@@ -75,6 +75,10 @@ from .migration import MigrationPlanner
 from .reconfiguration import Transition, TransitionPlanner, default_placement
 from .stats import ReconfigurationRecord, ServingStats
 
+# Read once per arrival; an Enum member read through its class costs
+# ~0.1 us on Python 3.11, against one global lookup here.
+_REQUEST_ARRIVAL = EventType.REQUEST_ARRIVAL
+
 
 @dataclass
 class SpotServeOptions:
@@ -267,9 +271,9 @@ class ServingSystemBase:
                 request.tenant = self.tenant
             schedule(
                 request.arrival_time,
-                EventType.REQUEST_ARRIVAL,
-                payload=request,
-                callback=self._on_request_arrival,
+                _REQUEST_ARRIVAL,
+                request,
+                self._on_request_arrival,
             )
         self._submitted_requests += len(requests)
 
@@ -318,10 +322,10 @@ class ServingSystemBase:
         self._submitted_requests += 1
         self.simulator.schedule_at(
             time,
-            EventType.REQUEST_ARRIVAL,
-            payload=request,
-            callback=self._on_streamed_arrival,
-            order=(self._arrival_order_major, self._submitted_requests),
+            _REQUEST_ARRIVAL,
+            request,
+            self._on_streamed_arrival,
+            (self._arrival_order_major, self._submitted_requests),
         )
 
     def _on_streamed_arrival(self, event: Event) -> None:
@@ -409,10 +413,14 @@ class ServingSystemBase:
         self._arrived_requests += 1
         if self.admission is not None and not self.admission.admit(
             request,
+            # Positional: time, queue depth, and no round estimates.
             AdmissionSignal(
-                time=event.time,
-                queue_depth=self.request_queue.pending,
-                slo_latency=self.options.slo_latency,
+                event.time,
+                self.request_queue.pending,
+                0.0,
+                0.0,
+                0.0,
+                self.options.slo_latency,
             ),
         ):
             # Rejected requests never enter the queue *or* the arrival-rate
@@ -449,6 +457,9 @@ class ServingSystemBase:
             self.stats.early_preemptions += 1
             self.handle_early_preemption(instance, announced)
         self.handle_preemption_final(instance)
+        # Only now, with the instance's pipelines torn down: a live pipeline
+        # clears its cache through the daemons it holds (see
+        # ``Dataplane._on_batch_completion``).
         self.meta_context.drop_instance(instance.instance_id)
 
     def _on_acquisition_ready(self, event: Event) -> None:
@@ -480,6 +491,7 @@ class ServingSystemBase:
         elif phase == "down":
             self.stats.zone_outages += 1
             dead = self.instance_manager.on_zone_outage_down(zone)
+            # Tear down before dropping, as on a preemption final.
             self.dataplane.teardown({instance.instance_id for instance in dead})
             for instance in dead:
                 self.meta_context.drop_instance(instance.instance_id)

@@ -13,6 +13,13 @@ context survives engine interruptions; reparallelization then migrates only
 the missing pieces.  In this reproduction the daemon tracks *which* slices
 are resident and the cached batch's geometry (not actual tensors), which is
 exactly the information the device mapper and migration planner consume.
+
+An :class:`~repro.engine.pipeline.InferencePipeline` holds the daemons of
+its GPUs from the moment it is built, and a completed batch sets their
+``cache_context`` to ``None`` directly.  A held daemon stays the
+:class:`MetaContextManager`'s daemon for its device because
+:meth:`MetaContextManager.drop_instance` is only called for instances no
+live pipeline uses.
 """
 
 from __future__ import annotations
@@ -78,10 +85,6 @@ class ContextDaemon:
             cached_tokens,
             batch_id,
         )
-
-    def clear_cache_context(self) -> None:
-        """Drop the cache context (e.g. batch completed or cache discarded)."""
-        self.cache_context = None
 
     def clear(self) -> None:
         """Drop everything (instance lost or restarted from scratch)."""

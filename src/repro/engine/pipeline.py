@@ -12,11 +12,11 @@ SpotServe's stateful inference recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..llm.costmodel import LatencyModel
 from .batching import Batch
-from .context import DeviceId
+from .context import ContextDaemon, DeviceId
 from .placement import TopologyPosition
 
 
@@ -28,11 +28,6 @@ class PipelineAssignment:
     pipeline_degree: int
     tensor_degree: int
     devices: Dict[TopologyPosition, DeviceId] = field(default_factory=dict)
-
-    @property
-    def device_ids(self) -> List[DeviceId]:
-        """Every device participating in this pipeline."""
-        return list(self.devices.values())
 
     @property
     def instance_ids(self) -> List[str]:
@@ -57,10 +52,15 @@ class InferencePipeline:
         assignment: PipelineAssignment,
         latency_model: LatencyModel,
         batch_size: int,
+        daemons: Sequence[ContextDaemon],
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.assignment = assignment
+        #: The context daemons of the pipeline's GPUs (Figure 3 runs one
+        #: next to every inference engine); a completed batch clears their
+        #: cache contexts.
+        self.daemons = daemons
         self.latency_model = latency_model
         self.batch_size = batch_size
         self.current_batch: Optional[Batch] = None

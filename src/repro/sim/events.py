@@ -30,7 +30,17 @@ from typing import Any, Callable, Optional
 
 
 class EventType(Enum):
-    """Classification of events used by the serving simulations."""
+    """Classification of events used by the serving simulations.
+
+    Members hash by identity: the simulator looks up every event's type in
+    its dispatch table, and ``Enum.__hash__`` is Python code
+    (``hash(self._name_)``).  Members are singletons and ``Enum`` equality
+    is identity, so every dict and set lookup gives the same answer; only
+    the iteration order of a set of members can differ, and nothing
+    iterates one.
+    """
+
+    __hash__ = object.__hash__
 
     REQUEST_ARRIVAL = "request_arrival"
     PREEMPTION_NOTICE = "preemption_notice"

@@ -9,12 +9,7 @@ from .arrival import (
     default_rate_for,
 )
 from .maf import MAFProfile, synthesize_maf_profile
-from .request import (
-    DEFAULT_INPUT_TOKENS,
-    DEFAULT_OUTPUT_TOKENS,
-    Request,
-    RequestState,
-)
+from .request import DEFAULT_INPUT_TOKENS, DEFAULT_OUTPUT_TOKENS, Request
 
 __all__ = [
     "ArrivalProcess",
@@ -25,7 +20,6 @@ __all__ = [
     "GammaArrivals",
     "MAFProfile",
     "Request",
-    "RequestState",
     "TimeVaryingArrivals",
     "default_rate_for",
     "synthesize_maf_profile",

@@ -9,7 +9,6 @@ and its scheduling/execution breakdown.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from math import isfinite
 from operator import index
 from typing import Optional
@@ -18,24 +17,6 @@ DEFAULT_INPUT_TOKENS = 512
 DEFAULT_OUTPUT_TOKENS = 128
 
 _request_ids = itertools.count()
-
-
-class RequestState(Enum):
-    """Lifecycle of an inference request inside the serving system."""
-
-    QUEUED = "queued"
-    RUNNING = "running"
-    INTERRUPTED = "interrupted"
-    COMPLETED = "completed"
-    FAILED = "failed"
-
-
-# Each request changes state three times, and reading a member through its
-# Enum class costs ~0.1 us on Python 3.11, against one global lookup here.
-_QUEUED = RequestState.QUEUED
-_RUNNING = RequestState.RUNNING
-_INTERRUPTED = RequestState.INTERRUPTED
-_COMPLETED = RequestState.COMPLETED
 
 
 class Request:
@@ -52,10 +33,8 @@ class Request:
         "input_tokens",
         "output_tokens",
         "request_id",
-        "state",
         "tenant",
         "committed_tokens",
-        "cache_preserved",
         "first_start_time",
         "completion_time",
         "interruptions",
@@ -87,15 +66,12 @@ class Request:
         self.input_tokens = input_tokens
         self.output_tokens = output_tokens
         self.request_id = next(_request_ids) if request_id is None else request_id
-        self.state = _QUEUED
         #: Tenant that submitted the request (``""`` in single-tenant mode; set
         #: by :mod:`repro.core.tenancy` so each tenant's serving system only
         #: processes its own arrivals on a shared simulator).
         self.tenant = tenant
         #: Number of output tokens whose KV cache has been committed so far.
         self.committed_tokens = 0
-        #: Whether the committed KV cache survived the most recent interruption.
-        self.cache_preserved = True
         #: Time the request first started executing on a pipeline.
         self.first_start_time: Optional[float] = None
         #: Completion timestamp (set when the final token is produced).
@@ -128,23 +104,19 @@ class Request:
         """The KV cache of committed tokens was lost; they must be recomputed."""
         self.recomputed_tokens += self.committed_tokens
         self.committed_tokens = 0
-        self.cache_preserved = False
 
     def mark_started(self, time: float) -> None:
         """Record the first time the request began executing."""
         if self.first_start_time is None:
             self.first_start_time = time
-        self.state = _RUNNING
 
     def mark_interrupted(self) -> None:
         """Record an interruption (preemption hit the serving pipeline)."""
         self.interruptions += 1
-        self.state = _INTERRUPTED
 
     def mark_completed(self, time: float) -> None:
         """Record completion at *time*."""
         self.completion_time = time
-        self.state = _COMPLETED
 
     # ------------------------------------------------------------------
     # Latency metrics

@@ -57,6 +57,25 @@ def request(arrival_time):
 # ----------------------------------------------------------------------
 # Policy unit semantics
 # ----------------------------------------------------------------------
+class TestAdmissionSignal:
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            signal(queue_depth=3).queue_depth = 4
+
+    def test_positional_and_keyword_builds_are_equal(self):
+        # The arrival path builds it positionally, the round path by keyword.
+        assert AdmissionSignal(5.0, 3, 0.0, 0.0, 0.0, 60.0) == AdmissionSignal(
+            time=5.0, queue_depth=3, slo_latency=60.0
+        )
+        assert AdmissionSignal(1.0, 2, 0.5, 0.25, 4.0) == AdmissionSignal(
+            time=1.0,
+            queue_depth=2,
+            arrival_rate=0.5,
+            serving_throughput=0.25,
+            execution_latency=4.0,
+        )
+
+
 class TestFactory:
     def test_every_registered_policy_constructs(self):
         for name in ADMISSION_POLICIES:

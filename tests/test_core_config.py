@@ -1,5 +1,8 @@
 """Tests for parallel configurations and the configuration search space."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +31,18 @@ class TestParallelConfig:
             ParallelConfig(1, 1, 1, 0)
         with pytest.raises(ValueError):
             ParallelConfig(1, 2, 3, 1).num_instances(0)
+
+    @pytest.mark.parametrize(
+        "components",
+        [(2.5, 1, 1), (math.nan, 1, 1), (1, 1, 1, math.inf)],
+        ids=["fraction", "nan", "inf"],
+    )
+    def test_non_integer_components_rejected(self, components):
+        with pytest.raises(ValueError, match="integers"):
+            ParallelConfig(*components)
+
+    def test_numpy_integer_components_accepted(self):
+        assert ParallelConfig(np.int64(2), 1, 1).num_gpus == 2
 
     def test_compatibility_with_model_geometry(self):
         assert ParallelConfig(1, 2, 4, 1).is_compatible_with(GPT_20B)

@@ -89,7 +89,7 @@ class TestBatch:
         batch.commit_tokens(6)
         batch.drop_cache()
         assert batch.committed_tokens == 0
-        assert all(not r.cache_preserved for r in batch.requests)
+        assert all(r.recomputed_tokens == 6 for r in batch.requests)
 
     def test_mark_interrupted(self):
         batch = Batch(make_requests(2))

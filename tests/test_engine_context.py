@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.core.config import ParallelConfig
+from repro.core.dataplane import Dataplane
+from repro.core.stats import ServingStats
 from repro.engine.context import ContextDaemon, MetaContextManager, ModelContext
 from repro.engine.placement import TopologyPosition
+from repro.llm.costmodel import LatencyModel
+from repro.llm.spec import OPT_6_7B
+from repro.sim.engine import Simulator
+from repro.workload.request import Request
 
 
 def model_replica_coverage(manager, pipeline_degree, tensor_degree):
@@ -30,13 +37,24 @@ class TestContextDaemon:
         assert daemon.cache_context is None
 
     def test_clearing_the_cache_keeps_the_model_context(self):
-        daemon = ContextDaemon(("inst-0", 0))
-        daemon.install_model_context(2, 4, TopologyPosition(0, 0, 0))
-        daemon.install_cache_context(2, 4, TopologyPosition(0, 0, 0), batch_size=4, cached_tokens=600)
-        assert (daemon.cache_context.batch_size, daemon.cache_context.cached_tokens) == (4, 600)
-        daemon.clear_cache_context()
-        assert daemon.cache_context is None
-        assert daemon.model_context == ModelContext(2, 4, TopologyPosition(0, 0, 0))
+        # A completed batch clears its pipeline's cache contexts in place.
+        simulator, manager = Simulator(), MetaContextManager()
+        dataplane = Dataplane(simulator, ServingStats(), manager, LatencyModel(OPT_6_7B))
+        placement = {("inst-0", m): TopologyPosition(0, 0, m) for m in range(2)}
+        dataplane.deploy(ParallelConfig(1, 1, 2, 1), placement)
+        for device_id, position in placement.items():
+            manager.daemon(device_id).install_cache_context(
+                1, 2, position, batch_size=4, cached_tokens=600
+            )
+            assert manager.daemon(device_id).cache_context.cached_tokens == 600
+        dataplane.queue.enqueue(Request(arrival_time=0.0, output_tokens=4))
+        dataplane.dispatch()
+        simulator.run()
+        assert dataplane.stats.completed_count == 1
+        for device_id, position in placement.items():
+            daemon = manager.daemon(device_id)
+            assert daemon.cache_context is None
+            assert daemon.model_context == ModelContext(1, 2, position)
 
 
 class TestMetaContextManager:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.batching import Batch
+from repro.engine.context import ContextDaemon
 from repro.engine.pipeline import InferencePipeline, PipelineAssignment
 from repro.engine.placement import TopologyPosition, mesh_positions
 from repro.llm.costmodel import LatencyModel
@@ -20,7 +21,8 @@ def make_pipeline(pipeline_degree=3, tensor_degree=4, batch_size=4, pipeline_ind
         actual = TopologyPosition(pipeline_index, position.stage_index, position.shard_index)
         gpu_index = position.stage_index * tensor_degree + position.shard_index
         assignment.devices[actual] = (f"inst-{gpu_index // 4}", gpu_index % 4)
-    return InferencePipeline(assignment, LatencyModel(GPT_20B), batch_size)
+    daemons = tuple(ContextDaemon(device) for device in assignment.devices.values())
+    return InferencePipeline(assignment, LatencyModel(GPT_20B), batch_size, daemons)
 
 
 def make_batch(size=4, output_tokens=64):
@@ -31,7 +33,7 @@ class TestAssignment:
     def test_fully_assigned(self):
         pipeline = make_pipeline()
         assert pipeline.assignment.is_fully_assigned
-        assert len(pipeline.assignment.device_ids) == 12
+        assert len(pipeline.assignment.devices) == 12
         assert len(pipeline.assignment.instance_ids) == 3
 
     def test_device_at_lookup(self):
@@ -117,9 +119,11 @@ class TestInterruption:
         pipeline = make_pipeline()
         batch = make_batch()
         finish = pipeline.start_batch(batch, time=0.0)
+        committed = pipeline.commit_progress(finish / 2)
+        assert committed > 0
         pipeline.interrupt(finish / 2, preserve_cache=False)
         assert batch.committed_tokens == 0
-        assert all(not r.cache_preserved for r in batch.requests)
+        assert all(r.recomputed_tokens == committed for r in batch.requests)
 
     def test_interrupt_idle_pipeline_returns_none(self):
         assert make_pipeline().interrupt(1.0) is None
@@ -150,4 +154,4 @@ class TestInterruption:
     def test_invalid_batch_size_rejected(self):
         assignment = PipelineAssignment(0, 1, 1)
         with pytest.raises(ValueError):
-            InferencePipeline(assignment, LatencyModel(GPT_20B), 0)
+            InferencePipeline(assignment, LatencyModel(GPT_20B), 0, ())

@@ -12,7 +12,7 @@ from repro.workload.arrival import (
     default_rate_for,
 )
 from repro.workload.maf import synthesize_maf_profile
-from repro.workload.request import Request, RequestState
+from repro.workload.request import Request
 
 
 class TestRequest:
@@ -31,7 +31,8 @@ class TestRequest:
         request.drop_cache()
         assert request.committed_tokens == 0
         assert request.recomputed_tokens == 7
-        assert not request.cache_preserved
+        request.drop_cache()
+        assert request.recomputed_tokens == 7
 
     def test_latency_and_scheduling_delay(self):
         request = Request(arrival_time=5.0)
@@ -41,14 +42,14 @@ class TestRequest:
         request.mark_completed(20.0)
         assert request.first_start_time - request.arrival_time == pytest.approx(3.0)
         assert request.latency() == pytest.approx(15.0)
-        assert request.state is RequestState.COMPLETED
+        assert request.completion_time == 20.0
 
     def test_interruption_counter(self):
         request = Request(arrival_time=0.0)
         request.mark_interrupted()
         request.mark_interrupted()
         assert request.interruptions == 2
-        assert request.state is RequestState.INTERRUPTED
+        assert request.completion_time is None
 
     def test_invalid_requests_rejected(self):
         with pytest.raises(ValueError):
