@@ -59,8 +59,9 @@ layer (seeded allocation refusals, launch failures, straggler launches,
 early reclaims, degraded-bandwidth windows) and the acquisition
 retry/backoff + launch-watchdog machinery that chases those faults (its
 row carries the ``fault_counters`` block); a ``multi_tenant`` scenario
-keeps the fleet-partitioner path (per-round fleet splits, sticky ownership
-rebalancing, per-tenant conservation accounting) measured and guarded; and
+keeps the multi-tenant coordinator (one fleet split per rebalance round,
+sticky ownership handovers, per-tenant conservation accounting) measured
+and guarded; and
 a ``tiered_offload`` scenario keeps the migration planner's host/object
 storage spill tier (tiered plan derivation inside the grace window,
 spill/restore accounting -- its row carries the ``spill_counters`` block)
@@ -215,9 +216,9 @@ def _run_tiered_offload() -> ExperimentResult:
 
 def _run_multi_tenant() -> ExperimentResult:
     # Two tenants (latency-tier vs batch-tier) sharing a four-zone spot
-    # fleet through the FleetPartitioner: per-round partitioning, sticky
-    # ownership rebalancing and per-tenant accounting all on the measured
-    # path.  Returns the fleet-wide aggregate result (per-tenant digests
+    # fleet through the multi-tenant coordinator: one fleet split per
+    # rebalance round, sticky ownership handovers and per-tenant accounting
+    # all on the measured path.  Returns the fleet-wide aggregate result (per-tenant digests
     # are exercised by the tier-1 tenancy tests, not timed here).
     scenario = multi_tenant_scenario("OPT-6.7B", duration=600.0)
     return run_multi_tenant_experiment(scenario, drain_time=120.0)
@@ -245,9 +246,9 @@ SCENARIOS: Dict[str, Callable[[], ExperimentResult]] = {
     # fault-injection and acquisition-resilience machinery on the measured
     # path.
     "chaos": _run_chaos,
-    # Two tenants sharing a four-zone spot fleet through the
-    # FleetPartitioner: per-round fleet partitioning, sticky ownership
-    # rebalancing and per-tenant conservation accounting on the measured
+    # Two tenants sharing a four-zone spot fleet through the multi-tenant
+    # coordinator: one fleet split per rebalance round, sticky ownership
+    # handovers and per-tenant conservation accounting on the measured
     # path.
     "multi_tenant": _run_multi_tenant,
     # Big-model migration under grace-deadline pressure with the

@@ -3,10 +3,10 @@
 A latency-tier tenant (moderate load, 60 s SLO, deadline-aware shedding,
 double priority) and a batch tenant (sustained overload, no admission
 control) share a four-zone spot market through the
-:class:`~repro.core.tenancy.FleetPartitioner`: once per adaptation round
-the fleet is split proportionally to each tenant's priority-weighted
-demand estimate (with a starvation floor), and each tenant then runs the
-ordinary propose/map/plan stack on its own share.
+:class:`~repro.core.tenancy.MultiTenantSystem` coordinator: once per
+adaptation round it splits the fleet proportionally to each tenant's
+priority-weighted demand estimate (with a starvation floor), and each
+tenant then runs the ordinary propose/map/plan stack on its own share.
 
 The market's zone pairs are *mirrored* -- both tenants hold three
 instances at byte-identical prices through the same mid-run price spike --

@@ -49,8 +49,9 @@ class InstanceManager:
         #: views and the serving system's instance events to instances owned
         #: by this manager's tenant; ``granted_hook`` is called once per
         #: freshly granted instance so the coordinator can record ownership;
-        #: ``excluded`` hides instances the fleet partitioner assigned to
-        #: another tenant this round.
+        #: ``excluded`` hides, until the next rebalance, the held instances
+        #: the coordinator's fleet split left out of this tenant's share
+        #: (busy ones it gave to another tenant, and any cap overflow).
         self.allowed_zones: Optional[FrozenSet[str]] = None
         self.ownership_filter: Optional[Callable[[Instance], bool]] = None
         self.granted_hook: Optional[Callable[[Instance], None]] = None

@@ -91,10 +91,13 @@ class BillingRecord:
 
     def cost(self, now: float) -> float:
         """Cost in USD accrued up to *now* (or to the interval end)."""
-        end = self.end if self.end is not None else now
+        return self.cost_between(self.start, self.end if self.end is not None else now)
+
+    def cost_between(self, start: float, end: float) -> float:
+        """Cost in USD accrued from *start* to *end* at this record's prices."""
         if self.schedule is not None and not self.schedule.is_flat:
-            return self.schedule.cost_between(self.start, max(end, self.start))
-        hours = max(end - self.start, 0.0) / 3600.0
+            return self.schedule.cost_between(start, end)
+        hours = max(end - start, 0.0) / 3600.0
         return hours * self.price_per_hour
 
 
@@ -178,8 +181,8 @@ class CostTracker:
         """Every billing record, closed intervals first then open ones.
 
         The tenancy layer uses this to apportion fleet cost per tenant: each
-        record's ``instance_id`` is matched against the coordinator's
-        ownership map and its :meth:`BillingRecord.cost` summed per owner.
+        record is split at its instance's handovers and every stretch's
+        :meth:`BillingRecord.cost_between` billed to the tenant owning it.
         """
         return list(self._closed) + list(self._records.values())
 

@@ -31,10 +31,10 @@ from .migration import MigrationPlan, MigrationPlanner, MigrationStep
 from .server import ServingSystemBase, SpotServeOptions, SpotServeSystem
 from .stats import AutoscaleRecord, ReconfigurationRecord, ServingStats
 from .tenancy import (
-    FleetPartitioner,
     MultiTenantSystem,
     TenantDemand,
     TenantSpec,
+    partition_fleet,
 )
 
 __all__ = [
@@ -71,8 +71,8 @@ __all__ = [
     "ServingSystemBase",
     "SpotServeOptions",
     "SpotServeSystem",
-    "FleetPartitioner",
     "MultiTenantSystem",
     "TenantDemand",
     "TenantSpec",
+    "partition_fleet",
 ]

@@ -35,22 +35,6 @@ from .config import ConfigurationSpace, ParallelConfig
 #: letting the cheaper configuration win (Section 3.2).
 LATENCY_TIE_MARGIN = 0.05
 
-#: Decimal places the arrival rate is rounded to when keying the propose
-#: memo.  Twelve decimals only merges rates that are numerically
-#: indistinguishable for any decision threshold, so memoisation cannot
-#: change which configuration wins.
-RATE_KEY_DECIMALS = 12
-
-#: Propose-memo size cap.  Fluctuating arrival rates mint a fresh key almost
-#: every round, so on very long runs the memo would grow without bound; once
-#: the cap is hit the memo is flushed wholesale (an epoch flush keeps the hit
-#: path a single dict probe).  The cap comfortably holds many rounds of
-#: intra-round hits, which is where all the savings are.
-SWEEP_MEMO_MAX = 256
-
-#: Distinguishes "memoised as None (no feasible config)" from a memo miss.
-_MEMO_MISS = object()
-
 
 @dataclass(frozen=True)
 class ConfigEstimate:
@@ -76,8 +60,6 @@ class OptimizerDecision:
     estimate: ConfigEstimate
     instance_delta: int
     objective: str  # "latency" (line 3) or "throughput" (line 5)
-    arrival_rate: float
-    available_instances: int
 
 
 class ParallelizationController:
@@ -95,8 +77,6 @@ class ParallelizationController:
         #: Per-fleet-size slices of the cost table backing the vectorized
         #: sweep: (rows, exec latency, throughput, batch, data degree).
         self._vector_memo: Dict[int, Tuple] = {}
-        #: Memoised propose() outcomes per (available, max, rate) round key.
-        self._propose_memo: Dict[Tuple[int, int, float], Optional[OptimizerDecision]] = {}
         # The offline cost table, built once: l_exe per (P, M, B) shape of
         # the space at the paper's sequence lengths, broadcast to the
         # space's rows, and throughput phi(C) = D * B / l_exe per row (inf
@@ -118,9 +98,8 @@ class ParallelizationController:
     # Cost estimation
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop memoised sweeps and decisions (not the cost table)."""
+        """Drop the memoised per-fleet-size sweeps (not the cost table)."""
         self._vector_memo.clear()
-        self._propose_memo.clear()
 
     def estimate(self, config: ParallelConfig, arrival_rate: float) -> ConfigEstimate:
         """Estimate execution latency, request latency and throughput of *config*."""
@@ -193,33 +172,16 @@ class ParallelizationController:
         if max_instances is None:
             max_instances = available_instances
         max_instances = max(max_instances, available_instances)
-
-        memo_key = (
-            available_instances,
-            max_instances,
-            round(arrival_rate, RATE_KEY_DECIMALS),
-        )
-        hit = self._propose_memo.get(memo_key, _MEMO_MISS)
-        if hit is not _MEMO_MISS:
-            return hit
-
         selected = self._select_best(max_instances, arrival_rate)
         if selected is None:
-            decision: Optional[OptimizerDecision] = None
-        else:
-            best, objective = selected
-            decision = OptimizerDecision(
-                config=best.config,
-                estimate=best,
-                instance_delta=best.num_instances - available_instances,
-                objective=objective,
-                arrival_rate=arrival_rate,
-                available_instances=available_instances,
-            )
-        if len(self._propose_memo) >= SWEEP_MEMO_MAX:
-            self._propose_memo.clear()
-        self._propose_memo[memo_key] = decision
-        return decision
+            return None
+        best, objective = selected
+        return OptimizerDecision(
+            config=best.config,
+            estimate=best,
+            instance_delta=best.num_instances - available_instances,
+            objective=objective,
+        )
 
     # ------------------------------------------------------------------
     # Vectorized propose sweep

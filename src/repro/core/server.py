@@ -131,13 +131,6 @@ class SpotServeOptions:
     #: installed, a migration that cannot beat the merged grace deadline
     #: spills its tail to the tier instead of abandoning cache preservation.
     offload_tier: Optional[OffloadTierSpec] = None
-    #: Fleet partitioner consulted once per adaptation round (duck-typed to
-    #: avoid a circular import; see :class:`repro.core.tenancy.FleetPartitioner`).
-    #: ``None`` disables the hook entirely -- byte-identical to builds
-    #: without the tenancy subsystem (the golden digests pin this, like
-    #: ``admission``).  With a partitioner installed the system only plans
-    #: on the share :meth:`share_for` grants it.
-    fleet_partitioner: Optional[object] = None
 
     def __post_init__(self) -> None:
         # 0 is valid: it disables the periodic workload checks.
@@ -520,11 +513,11 @@ class ServingSystemBase:
         owner = event.payload.get("system") if event.payload else None
         if owner is not None and owner is not self:
             return
-        # Fleet partition first, then overload control: shedding runs before
-        # the autoscaler and the workload re-evaluation so sizing and
-        # configuration decisions see the post-shed backlog (and, in
-        # multi-tenant mode, only this round's share of the fleet).
-        self._run_partitioner_round()
+        # Overload control first: shedding runs before the autoscaler and
+        # the workload re-evaluation so sizing and configuration decisions
+        # see the post-shed backlog.  (In multi-tenant mode the coordinator's
+        # rebalance, just before this round, already narrowed the instance
+        # manager to this tenant's share of the fleet.)
         self._run_admission_round()
         self.acquirer.run_autoscaler()
         self.handle_workload_check()
@@ -534,30 +527,6 @@ class ServingSystemBase:
                 EventType.WORKLOAD_CHECK,
                 payload={"system": self},
             )
-
-    def _run_partitioner_round(self) -> None:
-        """Consult the fleet partitioner once per adaptation round.
-
-        With no partitioner installed (the default) this is a no-op.  With
-        one installed, the instances the partitioner assigns to *other*
-        tenants are excluded from the manager's stable view for the rest of
-        the round, so the propose/map/plan stack only ever sees this
-        tenant's share.  A partitioner that grants the whole stable set
-        (any single-tenant setup) leaves the view untouched, which the
-        counting-partitioner golden test pins non-vacuously.
-        """
-        partitioner = self.options.fleet_partitioner
-        if partitioner is None:
-            return
-        # Lift last round's restriction first: the partitioner re-splits
-        # from the whole stable set, never from its own previous output.
-        self.instance_manager.excluded = None
-        share = partitioner.share_for(self)
-        stable = self.instance_manager.stable_instances()
-        excluded = frozenset(
-            inst.instance_id for inst in stable if inst.instance_id not in share
-        )
-        self.instance_manager.excluded = excluded or None
 
     def _run_admission_round(self) -> None:
         """Consult the shedding policy once per adaptation round.
@@ -979,8 +948,6 @@ class SpotServeSystem(ServingSystemBase):
             estimate=current_estimate,
             instance_delta=0,
             objective="keep",
-            arrival_rate=arrival_rate,
-            available_instances=available,
         )
 
     def _can_skip_reconfiguration(self, new_config: ParallelConfig, reason: str) -> bool:
@@ -1026,6 +993,4 @@ class SpotServeSystem(ServingSystemBase):
             estimate=estimate,
             instance_delta=shrunk.num_instances(self.gpus_per_instance) - available,
             objective="static",
-            arrival_rate=arrival_rate,
-            available_instances=available,
         )

@@ -1,31 +1,30 @@
 """Multi-tenant serving: several model specs sharing one spot fleet.
 
 The paper's adaptation loop assumes a single model spec owns the whole
-fleet.  This module lifts that assumption the way ReaLHF's
-``ModelDeviceMapping`` maps multiple models onto overlapping device meshes:
-a :class:`FleetPartitioner` splits the available fleet across tenants once
-per adaptation round (proportional share by estimated demand, priority
-weighted, with a starvation floor), and each tenant then runs the existing
-propose/map/plan stack against its own partition -- the device mapper
-places heterogeneous pipeline groups side by side and the migration
-planner stays tenant-local.
+fleet.  Algorithm 1 plans on the ``N_t`` instances the instance manager
+reports, so tenancy only has to decide which instances each tenant's
+manager reports.  This module makes that decision in one place, the way
+ReaLHF's ``ModelDeviceMapping`` keeps every model's device assignment in
+one map: once per adaptation round the coordinator splits the fleet across
+tenants (proportional share by estimated demand, priority weighted, with a
+starvation floor), and each tenant then runs the existing propose/map/plan
+stack against its own share -- the device mapper places heterogeneous
+pipeline groups side by side and the migration planner stays
+tenant-local.
 
 Three pieces cooperate:
 
 * :class:`TenantSpec` -- one tenant's model, SLO, priority, admission
   budget and arrival workload.
-* :class:`FleetPartitioner` -- the per-round split.  Installed on
-  ``SpotServeOptions.fleet_partitioner`` it is consulted by every tenant's
-  :meth:`~repro.core.server.ServingSystemBase._run_partitioner_round`; a
-  single-tenant setup always receives its full stable set back, so the
-  legacy golden digests stay byte-identical (pinned non-vacuously by a
-  counting-partitioner test).
+* :func:`partition_fleet` -- the split, a pure function of the fleet, the
+  tenants' demand snapshots and the previous owners.
 * :class:`MultiTenantSystem` -- the coordinator.  It builds one ordinary
   serving system per tenant on the *shared* simulator and provider, wires
   the ownership predicate and zone set that scope each tenant's instance
   manager -- and with it the tenant's instance events -- to its own slice,
-  and periodically rebalances idle instances between tenants according to
-  the partitioner's advice.
+  and applies each round's split: idle instances change owner, busy ones
+  leave their holder's planning view until they drain.  Single-tenant
+  systems never meet any of this, so the golden digests cannot move.
 
 Per-tenant request conservation (``submitted == completed + unfinished +
 dropped + rejected + shed`` for every tenant, summing to the fleet-wide
@@ -58,7 +57,7 @@ STARVATION_FLOOR = 1
 
 @dataclass(frozen=True)
 class TenantDemand:
-    """One tenant's demand snapshot, as seen by the partitioner."""
+    """One tenant's demand snapshot, as :func:`partition_fleet` sees it."""
 
     #: Tenant name (the partition key).
     name: str
@@ -95,7 +94,7 @@ class TenantSpec:
     name: str
     #: Model catalog name served for this tenant.
     model_name: str = "OPT-6.7B"
-    #: Partitioner priority weight (higher wins more of the contended fleet).
+    #: Fleet-split priority weight (higher wins more of the contended fleet).
     priority: float = 1.0
     #: Latency SLO forwarded to the tenant's optimizer/admission policy.
     slo_latency: Optional[float] = None
@@ -104,7 +103,7 @@ class TenantSpec:
     admission: Optional[str] = None
     #: Admission-policy kwargs as ``((key, value), ...)`` pairs.
     admission_params: Optional[Tuple[Tuple[str, object], ...]] = None
-    #: Starvation floor the partitioner must honour when feasible.
+    #: Starvation floor the fleet split must honour when feasible.
     min_instances: int = 0
     #: Hard cap on this tenant's fleet share (``None`` = unbounded).
     max_instances: Optional[int] = None
@@ -125,7 +124,8 @@ class TenantSpec:
 
     def __post_init__(self) -> None:
         if not self.name:
-            # "" is the single-tenant label that share_for maps to "default".
+            # "" is the single-tenant label: a tenant named "" would lose its
+            # stats digest label and share tenant_costs' never-owned bucket.
             raise ValueError("tenant name must be non-empty")
         check_positive_finite("priority", self.priority)
         if self.min_instances < 0:
@@ -173,205 +173,116 @@ class TenantSpec:
         )
 
 
-class FleetPartitioner:
-    """Splits the available fleet across tenants, once per adaptation round.
+def partition_fleet(
+    instances: Sequence[Instance],
+    demands: Sequence[TenantDemand],
+    previous: Optional[Dict[str, str]] = None,
+) -> Dict[str, Tuple[str, ...]]:
+    """Split *instances* across *demands*; returns name -> instance ids.
 
     The split is a priority-weighted proportional share of each tenant's
     estimated demand (highest-averages / D'Hondt apportionment), after every
     tenant received its starvation floor (:data:`STARVATION_FLOOR`, or the
-    tenant's ``min_instances`` when higher).  Zone eligibility and per-tenant
-    caps are respected, assignment is sticky (instances stay with their
-    previous owner when the counts allow) and the whole computation is a
-    pure function of its sorted inputs -- repeat runs are byte-identical,
-    which the property suite pins.
-
-    Consulted two ways:
-
-    * :meth:`partition` -- the full multi-tenant split, used by the
-      :class:`MultiTenantSystem` coordinator.
-    * :meth:`share_for` -- the per-round hook each serving system calls via
-      ``SpotServeOptions.fleet_partitioner``.  For a registered tenant it
-      returns that tenant's slice of the full split; for an unregistered
-      (single-tenant) system it degenerates to the system's entire stable
-      set, leaving legacy behaviour -- and the golden digests -- untouched.
+    tenant's ``min_instances`` when higher).  Shares are disjoint and cover
+    at most the input fleet (instances no eligible tenant can take stay
+    unassigned).  Floors are honoured before any proportional top-up, so no
+    tenant starves while the fleet can feed it.  *previous* (instance id ->
+    tenant name) makes the assignment sticky: an instance keeps its owner
+    whenever the new counts and eligibility allow, minimising migration
+    churn.  The result is a pure function of its sorted inputs -- repeat
+    runs are byte-identical, which the property suite pins.
     """
-
-    def __init__(self) -> None:
-        self._specs: Dict[str, TenantSpec] = {}
-        self._systems: Dict[str, ServingSystemBase] = {}
-        #: Sticky owner map (instance id -> tenant) shared with the
-        #: coordinator; ``None`` until :meth:`bind_owners` is called.
-        self._owners: Optional[Dict[str, str]] = None
-
-    # ------------------------------------------------------------------
-    # Coordinator wiring
-    # ------------------------------------------------------------------
-    def register(self, spec: TenantSpec, system: ServingSystemBase) -> None:
-        """Attach one tenant's spec and live serving system."""
-        self._specs[spec.name] = spec
-        self._systems[spec.name] = system
-
-    def bind_owners(self, owners: Dict[str, str]) -> None:
-        """Share the coordinator's live owner map for sticky assignment."""
-        self._owners = owners
-
-    # ------------------------------------------------------------------
-    # The split
-    # ------------------------------------------------------------------
-    def partition(
-        self,
-        instances: Sequence[Instance],
-        demands: Sequence[TenantDemand],
-        previous: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, Tuple[str, ...]]:
-        """Split *instances* across *demands*; returns name -> instance ids.
-
-        Shares are disjoint and cover at most the input fleet (instances no
-        eligible tenant can take stay unassigned).  Floors are honoured
-        before any proportional top-up, so no tenant starves while the
-        fleet can feed it.  *previous* (instance id -> tenant name) makes
-        the assignment sticky: an instance keeps its owner whenever the new
-        counts and eligibility allow, minimising migration churn.
-        """
-        ordered = sorted(instances, key=lambda inst: (inst.zone, inst.instance_id))
-        by_name = {demand.name: demand for demand in demands}
-        names = sorted(by_name)
-        eligible_count = {
-            name: sum(1 for inst in ordered if by_name[name].eligible(inst))
-            for name in names
-        }
-        caps = {
-            name: min(
-                eligible_count[name],
-                by_name[name].max_instances
-                if by_name[name].max_instances is not None
-                else len(ordered),
-            )
-            for name in names
-        }
-        targets = self._target_counts(len(ordered), by_name, names, caps)
-
-        shares: Dict[str, List[str]] = {name: [] for name in names}
-        assigned: Dict[str, str] = {}
-        # Sticky pass: keep instances with their previous owner while the
-        # new target still wants them.
-        if previous:
-            for inst in ordered:
-                owner = previous.get(inst.instance_id)
-                if (
-                    owner in by_name
-                    and by_name[owner].eligible(inst)
-                    and len(shares[owner]) < targets[owner]
-                ):
-                    shares[owner].append(inst.instance_id)
-                    assigned[inst.instance_id] = owner
-        # Fill pass: floors first for everyone, then top up to targets, in
-        # priority order (name-tie-broken) -- all-sorted, so deterministic.
-        fill_order = sorted(names, key=lambda n: (-by_name[n].priority, n))
-        floors = {
-            name: min(
-                max(by_name[name].min_instances, STARVATION_FLOOR), targets[name]
-            )
-            for name in names
-        }
-        for bound in (floors, targets):
-            for name in fill_order:
-                demand = by_name[name]
-                for inst in ordered:
-                    if len(shares[name]) >= bound[name]:
-                        break
-                    if inst.instance_id in assigned or not demand.eligible(inst):
-                        continue
-                    shares[name].append(inst.instance_id)
-                    assigned[inst.instance_id] = name
-        return {name: tuple(shares[name]) for name in names}
-
-    def _target_counts(
-        self,
-        fleet_size: int,
-        by_name: Dict[str, TenantDemand],
-        names: Sequence[str],
-        caps: Dict[str, int],
-    ) -> Dict[str, int]:
-        """Per-tenant instance counts: floors, then highest-averages top-up."""
-        targets = {name: 0 for name in names}
-        remaining = fleet_size
-        # Floors (starvation guarantee), granted in priority order while
-        # capacity lasts.
-        order = sorted(names, key=lambda n: (-by_name[n].priority, n))
-        for name in order:
-            floor = min(
-                max(by_name[name].min_instances, STARVATION_FLOOR),
-                caps[name],
-                remaining,
-            )
-            targets[name] = floor
-            remaining -= floor
-        # Highest-averages (D'Hondt) proportional top-up on the
-        # priority-weighted demand.
-        while remaining > 0:
-            best: Optional[str] = None
-            best_avg = -1.0
-            for name in names:
-                if targets[name] >= caps[name]:
-                    continue
-                avg = by_name[name].weight() / (targets[name] + 1)
-                if avg > best_avg or (avg == best_avg and (best is None or name < best)):
-                    best = name
-                    best_avg = avg
-            if best is None:
-                break
-            targets[best] += 1
-            remaining -= 1
-        return targets
-
-    # ------------------------------------------------------------------
-    # Per-round hook (called by ServingSystemBase._run_partitioner_round)
-    # ------------------------------------------------------------------
-    def share_for(self, system: ServingSystemBase) -> frozenset:
-        """The instance ids *system* may plan on this round.
-
-        Registered tenants receive their slice of the full multi-tenant
-        split over the union of every tenant's stable instances; an
-        unregistered (single-tenant) caller receives its entire stable set,
-        so installing a partitioner on a single-tenant run is a no-op by
-        construction.
-        """
-        name = system.tenant
-        if name not in self._systems:
-            stable = system.instance_manager.stable_instances()
-            share = self.partition(stable, [TenantDemand(name=name or "default")])
-            return frozenset(share.get(name or "default", ()))
-        demands = [
-            self._specs[tenant].demand(peer.estimate_arrival_rate())
-            for tenant, peer in sorted(self._systems.items())
-        ]
-        shares = self.partition(
-            self._gather_stable(), demands, previous=self._owners
+    ordered = sorted(instances, key=lambda inst: (inst.zone, inst.instance_id))
+    by_name = {demand.name: demand for demand in demands}
+    names = sorted(by_name)
+    eligible_count = {
+        name: sum(1 for inst in ordered if by_name[name].eligible(inst))
+        for name in names
+    }
+    caps = {
+        name: min(
+            eligible_count[name],
+            by_name[name].max_instances
+            if by_name[name].max_instances is not None
+            else len(ordered),
         )
-        return frozenset(shares.get(name, ()))
+        for name in names
+    }
+    targets = _target_counts(len(ordered), by_name, names, caps)
 
-    def _gather_stable(self) -> List[Instance]:
-        """Union of every registered tenant's stable instances.
+    shares: Dict[str, List[str]] = {name: [] for name in names}
+    assigned: Dict[str, str] = {}
+    # Sticky pass: keep instances with their previous owner while the
+    # new target still wants them.
+    if previous:
+        for inst in ordered:
+            owner = previous.get(inst.instance_id)
+            if (
+                owner in by_name
+                and by_name[owner].eligible(inst)
+                and len(shares[owner]) < targets[owner]
+            ):
+                shares[owner].append(inst.instance_id)
+                assigned[inst.instance_id] = owner
+    # Fill pass: floors first for everyone, then top up to targets, in
+    # priority order (name-tie-broken) -- all-sorted, so deterministic.
+    fill_order = sorted(names, key=lambda n: (-by_name[n].priority, n))
+    floors = {
+        name: min(
+            max(by_name[name].min_instances, STARVATION_FLOOR), targets[name]
+        )
+        for name in names
+    }
+    for bound in (floors, targets):
+        for name in fill_order:
+            demand = by_name[name]
+            for inst in ordered:
+                if len(shares[name]) >= bound[name]:
+                    break
+                if inst.instance_id in assigned or not demand.eligible(inst):
+                    continue
+                shares[name].append(inst.instance_id)
+                assigned[inst.instance_id] = name
+    return {name: tuple(shares[name]) for name in names}
 
-        Each manager's per-round ``excluded`` view is bypassed (the
-        partitioner must see the whole fleet to re-split it).
-        """
-        gathered: List[Instance] = []
-        seen = set()
-        for _, system in sorted(self._systems.items()):
-            manager = system.instance_manager
-            saved = manager.excluded
-            manager.excluded = None
-            try:
-                stable = manager.stable_instances()
-            finally:
-                manager.excluded = saved
-            for inst in stable:
-                if inst.instance_id not in seen:
-                    seen.add(inst.instance_id)
-                    gathered.append(inst)
-        return gathered
+
+def _target_counts(
+    fleet_size: int,
+    by_name: Dict[str, TenantDemand],
+    names: Sequence[str],
+    caps: Dict[str, int],
+) -> Dict[str, int]:
+    """Per-tenant instance counts: floors, then highest-averages top-up."""
+    targets = {name: 0 for name in names}
+    remaining = fleet_size
+    # Floors (starvation guarantee), granted in priority order while
+    # capacity lasts.
+    order = sorted(names, key=lambda n: (-by_name[n].priority, n))
+    for name in order:
+        floor = min(
+            max(by_name[name].min_instances, STARVATION_FLOOR),
+            caps[name],
+            remaining,
+        )
+        targets[name] = floor
+        remaining -= floor
+    # Highest-averages (D'Hondt) proportional top-up on the
+    # priority-weighted demand.
+    while remaining > 0:
+        best: Optional[str] = None
+        best_avg = -1.0
+        for name in names:
+            if targets[name] >= caps[name]:
+                continue
+            avg = by_name[name].weight() / (targets[name] + 1)
+            if avg > best_avg or (avg == best_avg and (best is None or name < best)):
+                best = name
+                best_avg = avg
+        if best is None:
+            break
+        targets[best] += 1
+        remaining -= 1
+    return targets
 
 
 class MultiTenantSystem:
@@ -388,10 +299,11 @@ class MultiTenantSystem:
       coordinator's owner map (so instance-scoped events -- preemptions,
       acquisitions, launch failures -- only reach the owning tenant) and
       the tenant's zones, and claims granted instances into the owner map;
-    * the shared :class:`FleetPartitioner` is installed on every tenant's
-      options, so each adaptation round plans only on the tenant's share;
-    * a periodic rebalance round moves *idle* instances between tenants
-      when the partitioner's split says demand shifted.
+    * a periodic rebalance round splits the fleet once for every tenant
+      (:func:`partition_fleet`): it moves *idle* instances to the tenant
+      the split gives them, and hides the *busy* ones it gave away from
+      their holder's planning view (``InstanceManager.excluded``) until
+      they drain.
 
     The per-tenant runs compose exactly like independent single-tenant runs
     on the partitioned sub-fleets -- the differential test in
@@ -414,10 +326,11 @@ class MultiTenantSystem:
         self.simulator = simulator
         self.provider = provider
         self.tenants: Tuple[TenantSpec, ...] = tuple(tenants)
-        self.partitioner = FleetPartitioner()
         #: Live ownership map: instance id -> tenant name.
         self.owners: Dict[str, str] = {}
-        self.partitioner.bind_owners(self.owners)
+        #: Instance id -> ``(time, previous owner)`` per rebalance handover,
+        #: in time order; :meth:`tenant_costs` splits each bill there.
+        self.handovers: Dict[str, List[Tuple[float, str]]] = {}
         intervals = [
             spec.workload_check_interval
             for spec in tenants
@@ -427,13 +340,11 @@ class MultiTenantSystem:
         self.rebalance_interval = min(intervals) if intervals else 0.0
         self.systems: Dict[str, ServingSystemBase] = {}
         for spec in self.tenants:
-            options = spec.options()
-            options.fleet_partitioner = self.partitioner
             system = SpotServeSystem(
                 simulator,
                 provider,
                 get_model(spec.model_name),
-                options=options,
+                options=spec.options(),
                 initial_arrival_rate=spec.arrival_rate,
                 tenant=spec.name,
             )
@@ -441,7 +352,6 @@ class MultiTenantSystem:
             manager.allowed_zones = frozenset(spec.zones) if spec.zones is not None else None
             manager.ownership_filter = self._owner_predicate(spec.name)
             manager.granted_hook = self._claim_hook(spec.name)
-            self.partitioner.register(spec, system)
             self.systems[spec.name] = system
         self._initialized = False
 
@@ -482,7 +392,7 @@ class MultiTenantSystem:
         tenant's same-time workload check already sees it (insertion order
         breaks simulator ties).
         """
-        shares = self.partitioner.partition(
+        shares = partition_fleet(
             self.provider.usable_instances(),
             [spec.demand() for spec in self.tenants],
         )
@@ -490,12 +400,7 @@ class MultiTenantSystem:
             for instance_id in instance_ids:
                 self.owners[instance_id] = tenant
         if self.rebalance_interval > 0:
-            self.simulator.schedule_after(
-                self.rebalance_interval,
-                EventType.GENERIC,
-                payload={"server_action": "tenant_rebalance"},
-                callback=self._on_rebalance,
-            )
+            self._arm_rebalance()
         for spec in self.tenants:
             self.systems[spec.name].initialize()
         self._initialized = True
@@ -510,16 +415,34 @@ class MultiTenantSystem:
     # ------------------------------------------------------------------
     # Rebalance round
     # ------------------------------------------------------------------
+    def _arm_rebalance(self) -> None:
+        """Schedule the next rebalance round one interval from now."""
+        self.simulator.schedule_after(
+            self.rebalance_interval,
+            EventType.GENERIC,
+            payload={"server_action": "tenant_rebalance"},
+            callback=self._on_rebalance,
+        )
+
     def _on_rebalance(self, event: Event) -> None:
-        """Move idle instances between tenants per the partitioner's split."""
+        """Split the fleet once for every tenant's coming round.
+
+        Idle instances move to the tenant the split gives them.  A busy one
+        stays with its holder (never steal a serving instance) but joins
+        the holder's ``excluded`` view, as does any instance the split gave
+        nobody, so each tenant's adaptation round plans only on its share
+        and drains the rest off its pipelines by the next rebalance.
+        """
+        for system in self.systems.values():
+            system.instance_manager.excluded = None
         demands = [
-            self._demand_live(spec) for spec in self.tenants
+            spec.demand(self.systems[spec.name].estimate_arrival_rate())
+            for spec in self.tenants
         ]
         instances = self._rebalancable_instances()
-        shares = self.partitioner.partition(
-            instances, demands, previous=self.owners
-        )
+        shares = partition_fleet(instances, demands, previous=self.owners)
         by_id = {inst.instance_id: inst for inst in instances}
+        now = self.simulator.now
         for tenant, instance_ids in shares.items():
             target = self.systems[tenant]
             for instance_id in instance_ids:
@@ -533,28 +456,36 @@ class MultiTenantSystem:
                         continue  # Busy: never steal a serving instance.
                     source.instance_manager.disown(instance_id)
                     source.meta_context.drop_instance(instance_id)
+                    self.handovers.setdefault(instance_id, []).append((now, current))
                 self.owners[instance_id] = tenant
                 target.instance_manager.adopt(instance)
-        if self.rebalance_interval > 0:
-            self.simulator.schedule_after(
-                self.rebalance_interval,
-                EventType.GENERIC,
-                payload={"server_action": "tenant_rebalance"},
-                callback=self._on_rebalance,
+        for tenant, system in self.systems.items():
+            share = set(shares[tenant])
+            manager = system.instance_manager
+            excluded = frozenset(
+                inst.instance_id
+                for inst in manager.stable_instances()
+                if inst.instance_id not in share
             )
-
-    def _demand_live(self, spec: TenantSpec) -> TenantDemand:
-        """*spec*'s demand at its system's live arrival-rate estimate."""
-        return spec.demand(self.systems[spec.name].estimate_arrival_rate())
+            manager.excluded = excluded or None
+        self._arm_rebalance()
 
     def _rebalancable_instances(self) -> List[Instance]:
-        """Stable held instances plus usable instances nobody owns yet."""
-        gathered = self.partitioner._gather_stable()
-        seen = {inst.instance_id for inst in gathered}
-        for instance in self.provider.usable_instances():
-            if instance.instance_id not in seen and instance.instance_id not in self.owners:
-                seen.add(instance.instance_id)
-                gathered.append(instance)
+        """Stable held instances plus usable instances nobody owns yet.
+
+        Held sets are disjoint and every held instance is owned, so no
+        instance is gathered twice.
+        """
+        gathered = [
+            instance
+            for system in self.systems.values()
+            for instance in system.instance_manager.stable_instances()
+        ]
+        gathered.extend(
+            instance
+            for instance in self.provider.usable_instances()
+            if instance.instance_id not in self.owners
+        )
         return gathered
 
     # ------------------------------------------------------------------
@@ -605,12 +536,19 @@ class MultiTenantSystem:
     def tenant_costs(self, now: float) -> Dict[str, float]:
         """USD spent per tenant up to *now* (``""`` = never-owned instances).
 
-        Each billing record is attributed to the instance's (final) owner;
-        zone-disjoint tenants never exchange instances, so their shares are
-        exact.
+        Each billing record is split at its instance's handovers: every
+        stretch goes to the tenant that owned the instance then, and the
+        stretch before the first handover to its first owner.  The shares
+        sum to the fleet bill.
         """
         costs: Dict[str, float] = {spec.name: 0.0 for spec in self.tenants}
         for record in self.provider.cost_tracker.iter_records():
             owner = self.owners.get(record.instance_id, "")
-            costs[owner] = costs.get(owner, 0.0) + record.cost(now)
+            end = record.end if record.end is not None else now
+            start = record.start
+            for time, previous in self.handovers.get(record.instance_id, ()):
+                time = min(time, end)
+                costs[previous] += record.cost_between(start, time)
+                start = time
+            costs[owner] = costs.get(owner, 0.0) + record.cost_between(start, end)
         return costs

@@ -10,8 +10,8 @@ comes from the production cost table.  The production controller evaluates
 the same filters and near-tie thresholds as whole-array numpy expressions
 over that table and must pick the same winner with bit-identical floats.
 
-:class:`MemolessController` drops every memo before each proposal, so no
-decision it returns was ever served from a cache.
+:class:`MemolessController` drops the per-fleet-size sweep memo before
+each proposal, so no decision it returns was built from a cached sweep.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -77,7 +77,7 @@ class ScalarController(ParallelizationController):
 
 
 class MemolessController(ParallelizationController):
-    """A controller that invalidates all of its memos before every proposal."""
+    """A controller that drops its sweep memo before every proposal."""
 
     def propose(self, available_instances, arrival_rate, max_instances=None):
         self.invalidate()

@@ -145,12 +145,6 @@ class TestVectorPathEngages:
         assert decision is not None
         assert fleet in controller._vector_memo
 
-    def test_propose_memo_hits_within_a_round(self):
-        controller = make_controller("OPT-6.7B")
-        first = controller.propose(36, 3.0, max_instances=40)
-        again = controller.propose(36, 3.0, max_instances=40)
-        assert again is first  # same frozen decision object from the memo
-
 
 class TestCostTable:
     @pytest.mark.parametrize("model_name", MODELS)
@@ -258,9 +252,9 @@ class TestCostTable:
     def test_invalidate_drops_memos_not_the_table(self):
         controller = make_controller("OPT-6.7B")
         before = controller.propose(36, 3.0)
-        assert controller._vector_memo and controller._propose_memo
+        assert 36 in controller._vector_memo
         controller.invalidate()
-        assert not controller._vector_memo and not controller._propose_memo
+        assert not controller._vector_memo
         after = controller.propose(36, 3.0)
         assert after is not before
         assert_same_decision(after, before, "after invalidate")

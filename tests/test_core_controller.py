@@ -115,10 +115,3 @@ class TestAlgorithm1:
         assert base is not None and constrained is not None
         if constrained.objective == "latency":
             assert constrained.estimate.request_latency <= 20.0
-
-    def test_decision_records_inputs(self):
-        controller = make_controller()
-        decision = controller.propose(available_instances=6, arrival_rate=0.35)
-        assert decision is not None
-        assert decision.available_instances == 6
-        assert decision.arrival_rate == pytest.approx(0.35)

@@ -1,6 +1,6 @@
 """Cache-correctness tests for the adaptation-round control stack.
 
-The control stack memoises controller sweeps and decisions, cost-model
+The control stack memoises the controller's per-fleet-size sweeps, cost-model
 entry points and identical in-round matching solves, and reads a cost
 table built once from the configuration space and latency model it was
 constructed with.  These tests pin the properties that make the caches

@@ -50,7 +50,7 @@ USER_TREES = ("benchmarks", "examples", "perfbench", "tools")
 KEPT: Dict[str, str] = {
     "repro.core.controller.ParallelizationController.invalidate": (
         "tests/oracles/controller.py::MemolessController calls it before "
-        "every proposal to prove the memos change nothing"
+        "every proposal to prove the per-fleet-size sweep memo changes nothing"
     ),
     "repro.core.controller.ConfigEstimate.meets_rate": (
         "the Algorithm 1 oracle in tests/oracles/controller.py filters on it"
