@@ -6,8 +6,9 @@ policy has saturated the fleet ceiling, the arrival rate still exceeds the
 serving capability, so the queue -- and with it every latency percentile --
 grows without bound, identically for every policy.  This module provides
 the missing layer: an **admission controller** consulted on every request
-arrival and a **queue-shedding policy** consulted once per adaptation round
-(the workload check), both pluggable:
+arrival (when the policy can refuse one; see :meth:`AdmissionPolicy.admit`)
+and a **queue-shedding policy** consulted once per adaptation round (the
+workload check), both pluggable:
 
 * ``"queue-cap"`` -- :class:`QueueCapPolicy`: reject arrivals while the
   queue is at capacity (classic bounded-buffer admission).
@@ -40,7 +41,8 @@ Invariants
   the serving system's behavior is byte-identical to a build without this
   module, and a policy that admits everything and sheds nothing leaves
   the golden sha256 digests pinned even though its hooks run
-  (``tests/test_admission.py``).
+  (``tests/test_admission.py``).  A policy that inherits the admit-all
+  :meth:`AdmissionPolicy.admit` is not called per arrival at all.
 """
 
 from __future__ import annotations
@@ -114,7 +116,10 @@ class AdmissionPolicy(ABC):
         """Decide whether *request* may enter the queue.
 
         Called on every ``REQUEST_ARRIVAL`` event, before the request is
-        enqueued or counted in the arrival-rate window.
+        enqueued or counted in the arrival-rate window, when the policy's
+        class overrides this method.  The serving system checks that once,
+        when it is built: this base admits everything, so a policy that
+        inherits it is never called and no signal is built for it.
 
         Args:
             request: The arriving request (not yet enqueued).

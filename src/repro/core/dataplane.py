@@ -161,15 +161,18 @@ class Dataplane:
         """Start a batch on every idle pipeline while work is waiting.
 
         Idle pipelines are claimed lowest position first, so batches land
-        where a scan of ``pipelines`` in list order would put them.
+        where a scan of ``pipelines`` in list order would put them.  The
+        loop stops as soon as no interrupted batch and no queued request
+        waits, so an idle pipeline with nothing to take costs no call; with
+        either waiting, :meth:`_next_batch` always returns a batch.
         """
         idle = self._idle
         if not idle or self.simulator.now < self.stalled_until:
             return
-        while idle:
+        queue = self.queue
+        resume_batches = self.resume_batches
+        while idle and (resume_batches or queue._queue):
             batch, resume = self._next_batch()
-            if batch is None:
-                break
             self._start(self.pipelines[heapq.heappop(idle)], batch, resume)
 
     def _start(self, pipeline: InferencePipeline, batch: Batch, resume: bool) -> None:

@@ -204,6 +204,13 @@ class ServingSystemBase:
             self.admission = make_admission_policy(
                 self.options.admission, **(self.options.admission_params or {})
             )
+        #: Whether arrivals consult ``admission.admit``: only a policy whose
+        #: class overrides the admit-all base can refuse a request, so the
+        #: others build no signal and make no call per arrival.
+        self._admit_can_refuse = (
+            self.admission is not None
+            and type(self.admission).admit is not AdmissionPolicy.admit
+        )
 
         # Fault injection.  The injector lives on the provider; with no
         # injector (the default) the run is byte-identical to the
@@ -306,12 +313,8 @@ class ServingSystemBase:
             self._arrival_iter = None
             return
         input_tokens, output_tokens = self._arrival_token_sizes
-        request = Request(
-            arrival_time=time,
-            input_tokens=input_tokens,
-            output_tokens=output_tokens,
-            tenant=self.tenant,
-        )
+        # Positional, like ``schedule_at`` below: this runs per arrival.
+        request = Request(time, input_tokens, output_tokens, None, self.tenant)
         self._submitted_requests += 1
         self.simulator.schedule_at(
             time,
@@ -404,7 +407,7 @@ class ServingSystemBase:
     def _on_request_arrival(self, event: Event) -> None:
         request: Request = event.payload
         self._arrived_requests += 1
-        if self.admission is not None and not self.admission.admit(
+        if self._admit_can_refuse and not self.admission.admit(
             request,
             # Positional: time, queue depth, and no round estimates.
             AdmissionSignal(

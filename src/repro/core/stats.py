@@ -149,8 +149,9 @@ class ServingStats:
     def record_completion(self, request: Request) -> None:
         """Record a finished request."""
         self._completed_count += 1
-        latency = request.latency()
-        if latency is not None:
+        completion_time = request.completion_time
+        if completion_time is not None:
+            latency = completion_time - request.arrival_time
             self._latency_sum = self._latency_sum + latency
             if latency > self._latency_max:
                 self._latency_max = latency

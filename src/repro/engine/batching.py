@@ -28,13 +28,13 @@ class Batch:
     """A mini-batch of requests decoded together by one pipeline.
 
     The batch's shape is fixed when it is built: nothing changes its
-    members or their token counts afterwards, so ``size``, ``input_tokens``
-    and ``output_tokens`` are set once.  Its progress, ``committed_tokens``,
-    is a field that :meth:`commit_tokens` and :meth:`drop_cache` keep equal
-    to the smallest progress among the members, even when they start out
-    of step or differ in length: committing *k* tokens moves every member
-    to ``min(c + k, o)``, and the minimum of those is
-    ``min(min(c) + k, min(o))``.
+    members or their token counts afterwards, so ``size``, ``input_tokens``,
+    ``output_tokens`` and ``shortest_output`` are set once.  Its progress,
+    ``committed_tokens``, is a field that :meth:`commit_tokens` and
+    :meth:`drop_cache` keep equal to the smallest progress among the
+    members, even when they start out of step or differ in length:
+    committing *k* tokens moves every member to ``min(c + k, o)``, and the
+    minimum of those is ``min(min(c) + k, min(o))``.
     """
 
     __slots__ = (
@@ -45,7 +45,7 @@ class Batch:
         "output_tokens",
         "committed_tokens",
         "cache_preserved",
-        "_shortest_output",
+        "shortest_output",
     )
 
     def __init__(self, requests: List[Request]) -> None:
@@ -74,7 +74,9 @@ class Batch:
         self.input_tokens = prompt
         #: Output length to generate for the batch (its longest member).
         self.output_tokens = longest
-        self._shortest_output = shortest
+        #: Output length of the batch's shortest member: the progress a
+        #: completed batch ends at.
+        self.shortest_output = shortest
         #: Decoding progress already committed (minimum across requests).
         self.committed_tokens = committed
         #: Whether the KV cache survived the batch's most recent interruption.
@@ -94,7 +96,7 @@ class Batch:
         """Commit *count* decoded tokens on every request of the batch."""
         for request in self.requests:
             request.commit_tokens(count)
-        self.committed_tokens = min(self.committed_tokens + count, self._shortest_output)
+        self.committed_tokens = min(self.committed_tokens + count, self.shortest_output)
 
     def drop_cache(self) -> None:
         """The batch's KV cache was lost; decoding restarts from the prompt."""
@@ -109,7 +111,12 @@ class Batch:
 
 
 class RequestQueue:
-    """FIFO queue with batch formation."""
+    """FIFO queue with batch formation.
+
+    ``Dataplane.dispatch`` tests the deque ``_queue`` for emptiness
+    directly, so an arrival or completion with nothing waiting makes no
+    call here.
+    """
 
     def __init__(self, max_batch_size: int = 8) -> None:
         if max_batch_size <= 0:

@@ -67,8 +67,6 @@ class InferencePipeline:
         self._batch_start_time: Optional[float] = None
         self._tokens_at_start: int = 0
         self._prefill_needed: bool = True
-        self.total_tokens_generated: int = 0
-        self.total_batches_completed: int = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -83,53 +81,20 @@ class InferencePipeline:
         """True while a batch is being decoded."""
         return self.current_batch is not None
 
-    @property
-    def pipeline_degree(self) -> int:
-        """Pipeline (inter-operator) parallel degree."""
-        return self.assignment.pipeline_degree
-
-    @property
-    def tensor_degree(self) -> int:
-        """Tensor (intra-operator) parallel degree."""
-        return self.assignment.tensor_degree
-
     def uses_instance(self, instance_id: str) -> bool:
         """True when any of the pipeline's GPUs lives on *instance_id*."""
         return instance_id in self.assignment.instance_ids
-
-    # ------------------------------------------------------------------
-    # Timing helpers
-    # ------------------------------------------------------------------
-    def _iteration_time(self, batch: Batch) -> float:
-        return self.latency_model.decode_iteration_time(
-            self.pipeline_degree,
-            self.tensor_degree,
-            batch.size,
-            context_length=batch.input_tokens,
-        )
-
-    def _prefill_time(self, batch: Batch) -> float:
-        return self.latency_model.prefill_time(
-            self.pipeline_degree, self.tensor_degree, batch.size, batch.input_tokens
-        )
-
-    def execution_time(self, batch: Batch, resume: bool = False) -> float:
-        """Wall time to finish *batch* from its current committed progress.
-
-        ``resume=True`` means the batch's KV cache is resident (stateful
-        recovery), so neither the prefill nor the committed tokens are
-        recomputed; otherwise decoding restarts from the prompt.
-        """
-        iteration = self._iteration_time(batch)
-        if resume and batch.committed_tokens > 0:
-            return batch.remaining_tokens * iteration
-        return self._prefill_time(batch) + batch.output_tokens * iteration
 
     # ------------------------------------------------------------------
     # Batch lifecycle
     # ------------------------------------------------------------------
     def start_batch(self, batch: Batch, time: float, resume: bool = False) -> float:
         """Begin decoding *batch* at *time*; returns the completion timestamp.
+
+        ``resume=True`` means the batch's KV cache is resident (stateful
+        recovery), so a batch with committed progress decodes only its
+        remaining tokens; otherwise its cache is dropped and decoding
+        restarts from the prompt, prefill included.
 
         Raises
         ------
@@ -145,21 +110,42 @@ class InferencePipeline:
         if not resume and batch.committed_tokens > 0:
             batch.drop_cache()
         for request in batch.requests:
-            request.mark_started(time)
-        return time + self.execution_time(batch, resume=resume)
+            if request.first_start_time is None:
+                request.first_start_time = time
+        assignment = self.assignment
+        iteration = self.latency_model.decode_iteration_time(
+            assignment.pipeline_degree,
+            assignment.tensor_degree,
+            batch.size,
+            context_length=batch.input_tokens,
+        )
+        if not self._prefill_needed:
+            return time + batch.remaining_tokens * iteration
+        prefill = self.latency_model.prefill_time(
+            assignment.pipeline_degree, assignment.tensor_degree, batch.size, batch.input_tokens
+        )
+        return time + (prefill + batch.output_tokens * iteration)
 
     def tokens_decoded_by(self, time: float) -> int:
         """Output tokens (per request) decoded between batch start and *time*."""
         if self.current_batch is None or self._batch_start_time is None:
             return 0
         batch = self.current_batch
+        assignment = self.assignment
         elapsed = max(time - self._batch_start_time, 0.0)
         if self._prefill_needed:
-            prefill = self._prefill_time(batch)
+            prefill = self.latency_model.prefill_time(
+                assignment.pipeline_degree, assignment.tensor_degree, batch.size, batch.input_tokens
+            )
             if elapsed <= prefill:
                 return 0
             elapsed -= prefill
-        iteration = self._iteration_time(batch)
+        iteration = self.latency_model.decode_iteration_time(
+            assignment.pipeline_degree,
+            assignment.tensor_degree,
+            batch.size,
+            context_length=batch.input_tokens,
+        )
         if iteration <= 0:
             return batch.output_tokens - self._tokens_at_start
         decoded = int(elapsed // iteration)
@@ -177,21 +163,27 @@ class InferencePipeline:
         newly = max(decoded - already, 0)
         if newly > 0:
             self.current_batch.commit_tokens(newly)
-            self.total_tokens_generated += newly * self.current_batch.size
         return newly
 
     def complete_batch(self, time: float) -> Batch:
-        """Finish the current batch at *time* and return it."""
-        if self.current_batch is None:
-            raise RuntimeError("no batch to complete")
+        """Finish the current batch at *time* and return it.
+
+        One walk over the members sets each one's progress to its own
+        output length and its completion time to *time*.  That equals
+        committing the batch's remainder on every member: the batch's
+        progress is the smallest member progress ``c``, so its remainder
+        ``L - c`` (``L`` the longest output) is at least every member's
+        own, and committing it moves each member to
+        ``min(c_r + L - c, o_r) = o_r`` and the batch to its shortest
+        output.
+        """
         batch = self.current_batch
-        remaining = batch.output_tokens - batch.committed_tokens
-        if remaining > 0:
-            batch.commit_tokens(remaining)
-            self.total_tokens_generated += remaining * batch.size
+        if batch is None:
+            raise RuntimeError("no batch to complete")
         for request in batch.requests:
-            request.mark_completed(time)
-        self.total_batches_completed += 1
+            request.committed_tokens = request.output_tokens
+            request.completion_time = time
+        batch.committed_tokens = batch.shortest_output
         self.current_batch = None
         self._batch_start_time = None
         self._tokens_at_start = 0

@@ -8,14 +8,16 @@ component reads it from there.  Serving systems register handlers per
 callback.
 
 Dispatch is the simulator's hottest loop, so handlers are kept as per-type
-tuples extended at registration time (not resolved per event) and the run
-loop pops the next live event with a single heap walk
-(:meth:`~repro.sim.events.EventQueue.pop_next`).
+tuples extended at registration time (not resolved per event), and
+:meth:`Simulator.run` pops the heap and fires each event in one loop turn;
+:meth:`Simulator.step` does the same for one event, through
+:meth:`~repro.sim.events.EventQueue.pop_next` and :meth:`Simulator._fire`.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop
 from typing import Callable, Dict, Optional, Tuple
 
 from .events import Event, EventQueue, EventType
@@ -133,18 +135,41 @@ class Simulator:
         Raises ``ValueError`` before anything fires when *until* is not
         finite: ``nan`` fails every comparison and would ignore the bound,
         and ``inf`` would move ``now`` to infinity.
+
+        Each loop turn does what :meth:`step` does through
+        :meth:`~repro.sim.events.EventQueue.pop_next` and :meth:`_fire`,
+        reading the queue's heap of ``(time, major, minor, event)`` entries
+        directly: cancelled entries at the top are dropped, and an event
+        more than 1 ns behind ``now`` is popped and raises before it fires.
         """
         if until is not None and not math.isfinite(until):
             raise ValueError(f"cannot run until a non-finite time: {until}")
+        bound = _INFINITY if until is None else until
+        heap = self.queue._heap
+        table = self._dispatch
         dispatched = 0
-        pop_next = self.queue.pop_next
-        fire = self._fire
-        while True:
-            event = pop_next(until)
-            if event is None:
+        while heap:
+            time, _major, _minor, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
+                continue
+            if time > bound:
                 break
-            fire(event)
+            heappop(heap)
+            now = self.now
+            if time > now:
+                self.now = float(time)
+            elif time < now - 1e-9:
+                raise ValueError(
+                    f"cannot move time backwards: now={now:.6f}, requested={time:.6f}"
+                )
+            self._dispatched += 1
             dispatched += 1
+            callback = event.callback
+            if callback is not None:
+                callback(event)
+            for handler in table.get(event.event_type, _NO_HANDLERS):
+                handler(event)
         if until is not None and until > self.now:
             self.now = float(until)
         return dispatched

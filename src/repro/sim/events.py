@@ -103,6 +103,11 @@ class EventQueue:
     Ties are broken by insertion order so repeated runs with the same inputs
     produce identical traces.  Cancelled entries stay in the heap until they
     reach its top, where :meth:`pop_next` discards them.
+
+    The heap holds ``(time, major, minor, event)`` entries, and
+    :meth:`~repro.sim.engine.Simulator.run` reads it directly: it pops and
+    fires each event in one loop turn instead of calling :meth:`pop_next`
+    per event, and drops cancelled entries the same way.
     """
 
     def __init__(self) -> None:
@@ -140,7 +145,8 @@ class EventQueue:
         """Pop the earliest live event, or ``None`` when empty / past *until*.
 
         Cancelled entries met at the top of the heap are discarded on the
-        way; the simulator's inner loop calls this once per dispatched event.
+        way; :meth:`~repro.sim.engine.Simulator.step` calls this once per
+        event.
         """
         heap = self._heap
         while heap:

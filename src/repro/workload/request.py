@@ -72,9 +72,12 @@ class Request:
         self.tenant = tenant
         #: Number of output tokens whose KV cache has been committed so far.
         self.committed_tokens = 0
-        #: Time the request first started executing on a pipeline.
+        #: Time the request first started executing on a pipeline (set by
+        #: ``InferencePipeline.start_batch``; a restart keeps the first).
         self.first_start_time: Optional[float] = None
-        #: Completion timestamp (set when the final token is produced).
+        #: Completion timestamp, set by ``InferencePipeline.complete_batch``
+        #: when the final token is produced; ``completion_time -
+        #: arrival_time`` is the end-to-end latency ``l_req``.
         self.completion_time: Optional[float] = None
         #: Number of times the request was interrupted by a preemption.
         self.interruptions = 0
@@ -105,24 +108,6 @@ class Request:
         self.recomputed_tokens += self.committed_tokens
         self.committed_tokens = 0
 
-    def mark_started(self, time: float) -> None:
-        """Record the first time the request began executing."""
-        if self.first_start_time is None:
-            self.first_start_time = time
-
     def mark_interrupted(self) -> None:
         """Record an interruption (preemption hit the serving pipeline)."""
         self.interruptions += 1
-
-    def mark_completed(self, time: float) -> None:
-        """Record completion at *time*."""
-        self.completion_time = time
-
-    # ------------------------------------------------------------------
-    # Latency metrics
-    # ------------------------------------------------------------------
-    def latency(self) -> Optional[float]:
-        """End-to-end request latency ``l_req`` (None until completed)."""
-        if self.completion_time is None:
-            return None
-        return self.completion_time - self.arrival_time

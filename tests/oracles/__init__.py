@@ -21,7 +21,10 @@ scalar version of each lives here, next to the tests that use it:
   pipeline's ``is_busy`` per event instead of the idle-pipeline index;
 * :mod:`oracles.batching` -- a batch's size, token lengths and progress
   as a walk over its member requests on every read, instead of a shape
-  fixed when the batch is built and a progress field.
+  fixed when the batch is built and a progress field;
+* :mod:`oracles.engine` -- the simulator's run loop as one ``pop_next``
+  call and one ``_fire`` call per event, instead of one loop turn that
+  pops the heap and fires the event.
 
 The oracles subclass (or take) the production classes and share their
 unchanged helpers, so a comparison isolates exactly the code that was made

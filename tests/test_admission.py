@@ -10,9 +10,11 @@ Three contracts are pinned here:
   rejected + shed``.  Rejection and shedding are accounting actions, not
   leaks.
 * **Digest neutrality of the wiring** -- with a pass-through policy
-  installed the hooks run on every arrival and every adaptation round, yet
-  both golden ``summary_text()`` sha256 digests stay byte-identical to the
-  values pinned before the subsystem existed.
+  installed the round hooks run every adaptation round, and an ``admit``
+  it overrides runs on every arrival, yet both golden ``summary_text()``
+  sha256 digests stay byte-identical to the values pinned before the
+  subsystem existed.  A policy that inherits the admit-all ``admit`` is
+  not called per arrival at all.
 """
 
 import hashlib
@@ -349,9 +351,40 @@ class TestGoldenDigestNeutrality:
         assert digest == MULTI_ZONE_SHA256
         assert result.stats.summary_text() == baseline.stats.summary_text()
 
+    def test_inherited_admit_is_never_called(self, monkeypatch, pass_through):
+        # A policy that inherits the admit-all base cannot refuse anyone,
+        # so arrivals build no signal and make no call; the deadline-aware
+        # policy is one of these.
+        calls = {"admit": 0}
+        admit = AdmissionPolicy.admit
+
+        def counting_admit(self, request, signal):
+            calls["admit"] += 1
+            return admit(self, request, signal)
+
+        monkeypatch.setattr(AdmissionPolicy, "admit", counting_admit)
+        assert PassThroughPolicy.admit is DeadlineAwarePolicy.admit is counting_admit
+        scenario = stable_workload_scenario("OPT-6.7B", "AS", duration=400.0)
+        options = scenario.options()
+        options.admission = pass_through
+        result = run_serving_experiment(
+            SpotServeSystem,
+            scenario.model_name,
+            scenario.trace,
+            scenario.arrival_process(),
+            duration=scenario.duration,
+            drain_time=200.0,
+            options=options,
+        )
+        assert result.submitted_requests > 0
+        assert calls["admit"] == 0
+        digest = hashlib.sha256(result.stats.summary_text().encode()).hexdigest()
+        assert digest == SINGLE_ZONE_SHA256
+
     def test_hooks_really_ran(self, monkeypatch, pass_through):
-        # Not a vacuous neutrality claim: the pass-through policy's hooks
-        # are consulted on every arrival and every adaptation round.
+        # Not a vacuous neutrality claim: once the pass-through policy
+        # overrides ``admit`` (here, with a counter), its hooks are
+        # consulted on every arrival and every adaptation round.
         calls = {"admit": 0, "shed": 0}
         admit, shed = PassThroughPolicy.admit, PassThroughPolicy.shed
 

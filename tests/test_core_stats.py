@@ -9,8 +9,8 @@ from repro.workload.request import Request
 
 def finished_request(arrival, latency):
     request = Request(arrival_time=arrival, input_tokens=8, output_tokens=4)
-    request.mark_started(arrival)
-    request.mark_completed(arrival + latency)
+    request.first_start_time = arrival
+    request.completion_time = arrival + latency
     return request
 
 

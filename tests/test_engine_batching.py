@@ -6,6 +6,10 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from oracles import batching as batching_oracle
 from repro.engine.batching import Batch, RequestQueue
+from repro.engine.pipeline import InferencePipeline, PipelineAssignment
+from repro.engine.placement import TopologyPosition
+from repro.llm.costmodel import LatencyModel
+from repro.llm.spec import GPT_20B
 from repro.workload.request import Request
 
 
@@ -22,8 +26,40 @@ MEMBERS = st.lists(
 )
 
 
+#: Request fields a batch's start and completion may change.
+REQUEST_STATE = (
+    "committed_tokens",
+    "first_start_time",
+    "completion_time",
+    "recomputed_tokens",
+    "interruptions",
+)
+
+#: One cost model for every pipeline the state machine builds.
+LATENCY_MODEL = LatencyModel(GPT_20B)
+
+
+def request_state(request):
+    return tuple(getattr(request, name) for name in REQUEST_STATE)
+
+
+def clone(request):
+    """A request with *request*'s shape and its current progress."""
+    copy = Request(
+        request.arrival_time, request.input_tokens, request.output_tokens, request.request_id
+    )
+    for name in REQUEST_STATE:
+        setattr(copy, name, getattr(request, name))
+    return copy
+
+
 class BatchAggregates(RuleBasedStateMachine):
-    """A batch's fixed shape and progress field against the member walk."""
+    """A batch's fixed shape and progress field against the member walk.
+
+    ``start_and_complete`` also checks the pipeline's one walk per start
+    and per completion against the member walks they replaced, on members
+    of different lengths whose progress is out of step.
+    """
 
     def _build(self, members, carried=()):
         requests = list(carried)
@@ -51,6 +87,20 @@ class BatchAggregates(RuleBasedStateMachine):
     @rule()
     def drop_cache(self):
         self.batch.drop_cache()
+
+    @rule(start=st.integers(0, 40), duration=st.integers(0, 40), resume=st.booleans())
+    def start_and_complete(self, start, duration, resume):
+        expected = Batch([clone(request) for request in self.batch.requests])
+        batching_oracle.start_and_complete(expected, start, start + duration, resume)
+        assignment = PipelineAssignment(0, 1, 1, {TopologyPosition(0, 0, 0): ("inst-0", 0)})
+        pipeline = InferencePipeline(assignment, LATENCY_MODEL, self.batch.size, ())
+        pipeline.start_batch(self.batch, start, resume=resume)
+        assert pipeline.complete_batch(start + duration) is self.batch
+        assert not pipeline.is_busy
+        assert [request_state(r) for r in self.batch.requests] == [
+            request_state(r) for r in expected.requests
+        ]
+        assert self.batch.committed_tokens == expected.committed_tokens
 
     @invariant()
     def aggregates_match_the_member_walk(self):

@@ -47,20 +47,24 @@ class TestAssignment:
         assert not pipeline.uses_instance("inst-99")
 
 
-class TestDecoding:
-    def test_execution_time_matches_cost_model(self):
-        pipeline = make_pipeline()
-        batch = make_batch()
-        model = LatencyModel(GPT_20B)
-        expected = model.prefill_time(3, 4, 4, batch.input_tokens) + batch.output_tokens * model.decode_iteration_time(3, 4, 4, batch.input_tokens)
-        assert pipeline.execution_time(batch) == pytest.approx(expected)
+def fresh_execution_time(batch, pipeline_degree=3, tensor_degree=4):
+    """Prefill plus every output token, straight from the cost model."""
+    model = LatencyModel(GPT_20B)
+    iteration = model.decode_iteration_time(
+        pipeline_degree, tensor_degree, batch.size, context_length=batch.input_tokens
+    )
+    prefill = model.prefill_time(pipeline_degree, tensor_degree, batch.size, batch.input_tokens)
+    return prefill + batch.output_tokens * iteration
 
+
+class TestDecoding:
     def test_start_batch_returns_completion_time(self):
         pipeline = make_pipeline()
         batch = make_batch()
         finish = pipeline.start_batch(batch, time=10.0)
-        assert finish == pytest.approx(10.0 + pipeline.execution_time(batch))
+        assert finish == 10.0 + fresh_execution_time(batch)
         assert pipeline.is_busy
+        assert all(r.first_start_time == 10.0 for r in batch.requests)
 
     def test_double_start_rejected(self):
         pipeline = make_pipeline()
@@ -93,11 +97,14 @@ class TestDecoding:
         batch = make_batch()
         finish = pipeline.start_batch(batch, time=0.0)
         completed = pipeline.complete_batch(finish)
+        assert completed is batch
         assert completed.is_complete
         assert all(r.completion_time == finish for r in completed.requests)
         assert not pipeline.is_busy
-        assert pipeline.total_batches_completed == 1
-        assert pipeline.total_tokens_generated == batch.output_tokens * batch.size
+        assert completed.committed_tokens == batch.output_tokens
+        assert sum(r.committed_tokens for r in completed.requests) == (
+            batch.output_tokens * batch.size
+        )
 
     def test_complete_without_batch_rejected(self):
         with pytest.raises(RuntimeError):
@@ -136,11 +143,24 @@ class TestInterruption:
         committed = batch.committed_tokens
         assert committed > 0
 
-        fresh_time = pipeline.execution_time(batch, resume=False)
-        resume_time = pipeline.execution_time(batch, resume=True)
-        assert resume_time < fresh_time
-        iteration = pipeline.latency_model.decode_iteration_time(3, 4, batch.size, batch.input_tokens)
+        resume_time = pipeline.start_batch(batch, time=finish, resume=True) - finish
+        assert resume_time < fresh_execution_time(batch)
+        iteration = pipeline.latency_model.decode_iteration_time(
+            3, 4, batch.size, context_length=batch.input_tokens
+        )
         assert resume_time == pytest.approx((batch.output_tokens - committed) * iteration)
+        assert batch.committed_tokens == committed
+
+    def test_restart_keeps_the_first_start_time(self):
+        pipeline = make_pipeline()
+        batch = make_batch()
+        pipeline.start_batch(batch, time=8.0)
+        pipeline.interrupt(9.0, preserve_cache=True)
+        end = pipeline.start_batch(batch, time=9.0, resume=True)
+        pipeline.complete_batch(end)
+        for request in batch.requests:
+            assert request.first_start_time == 8.0
+            assert request.completion_time == end
 
     def test_restart_without_resume_drops_cache(self):
         pipeline = make_pipeline()

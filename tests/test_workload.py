@@ -34,15 +34,11 @@ class TestRequest:
         request.drop_cache()
         assert request.recomputed_tokens == 7
 
-    def test_latency_and_scheduling_delay(self):
+    def test_new_request_has_not_started_or_completed(self):
+        # The pipeline sets both timestamps (tests/test_engine_pipeline.py).
         request = Request(arrival_time=5.0)
-        assert request.latency() is None
-        request.mark_started(8.0)
-        request.mark_started(9.0)  # a restart keeps the first start
-        request.mark_completed(20.0)
-        assert request.first_start_time - request.arrival_time == pytest.approx(3.0)
-        assert request.latency() == pytest.approx(15.0)
-        assert request.completion_time == 20.0
+        assert request.first_start_time is None
+        assert request.completion_time is None
 
     def test_interruption_counter(self):
         request = Request(arrival_time=0.0)
