@@ -214,7 +214,7 @@ class DeadlineAwarePolicy(AdmissionPolicy):
         cutoff = signal.time - bound
         if cutoff <= 0:
             return []
-        return queue.shed(lambda request: request.arrival_time < cutoff)
+        return queue.shed_before(cutoff)
 
 
 class TokenBucketPolicy(AdmissionPolicy):

@@ -9,11 +9,13 @@ migration runs.  The control plane tells it what to deploy, when to stop
 and when to resume; it never picks a configuration itself.
 
 Dispatch claims idle pipelines from an index, so an event on a saturated
-fleet reads no pipeline state: a min-heap of the idle pipelines' positions
-in :attr:`Dataplane.pipelines`, claimed lowest position first (the order a
-scan of the list visits them in) and released when a batch completes or
-is interrupted.  Only :class:`Dataplane` methods replace ``pipelines``,
-and each replacement rebuilds the index.
+fleet reads no pipeline state: :attr:`Dataplane.idle`, a min-heap of the
+idle pipelines' positions in :attr:`Dataplane.pipelines`, claimed lowest
+position first (the order a scan of the list visits them in) and released
+when a batch completes or is interrupted.  Each pipeline holds its own
+position and its pending completion event.  Only :class:`Dataplane`
+methods replace ``pipelines``, and each replacement renumbers the
+positions and rebuilds the index.
 
 Each pipeline holds the context daemons of its GPUs, resolved once when
 the dataplane builds it, and a completed batch clears their cache contexts
@@ -27,9 +29,9 @@ KV cache or is re-queued at the front (see :meth:`Dataplane.reroute`), and
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Deque, Dict, Iterable, List, Optional, Sequence
 
 from ..engine.batching import Batch, RequestQueue
 from ..engine.context import DeviceId, MetaContextManager
@@ -65,10 +67,9 @@ class Dataplane:
         #: and after a halt; kept through a migration's stall).
         self.config: Optional[ParallelConfig] = None
         self.pipelines: List[InferencePipeline] = []
-        #: Idle pipelines' positions in ``pipelines`` (a min-heap), and each
-        #: pipeline's position by ``id``; see :meth:`_install`.
-        self._idle: List[int] = []
-        self._positions: Dict[int, int] = {}
+        #: Idle pipelines' positions in ``pipelines`` (a min-heap; empty
+        #: when every pipeline is busy); see :meth:`_install`.
+        self.idle: List[int] = []
         #: Interrupted batches waiting for a pipeline to resume on.
         self.resume_batches: Deque[Batch] = deque()
         #: Dispatch is held until this instant while a migration runs.
@@ -76,7 +77,6 @@ class Dataplane:
         #: Instances whose inference engine has launched; a placement on any
         #: other instance pays the engine launch time.
         self.launched: set = set()
-        self._completion_events: Dict[int, Event] = {}
 
     # ------------------------------------------------------------------
     # Deployment
@@ -103,11 +103,18 @@ class Dataplane:
         )
 
     def _install(self, pipelines: List[InferencePipeline]) -> None:
-        """Replace the pipeline list and rebuild the idle index over it."""
+        """Replace the pipeline list, renumber it and rebuild the idle index.
+
+        A pipeline dropped from the list loses its position, so a batch
+        still completing on it returns nothing to the index.
+        """
+        for pipeline in self.pipelines:
+            pipeline.position = None
+        for position, pipeline in enumerate(pipelines):
+            pipeline.position = position
         self.pipelines = pipelines
-        self._positions = {id(pipeline): i for i, pipeline in enumerate(pipelines)}
         # Ascending positions already form a valid heap.
-        self._idle = [i for i, p in enumerate(pipelines) if p.current_batch is None]
+        self.idle = [i for i, p in enumerate(pipelines) if p.current_batch is None]
 
     def _build(
         self,
@@ -161,43 +168,41 @@ class Dataplane:
         """Start a batch on every idle pipeline while work is waiting.
 
         Idle pipelines are claimed lowest position first, so batches land
-        where a scan of ``pipelines`` in list order would put them.  The
-        loop stops as soon as no interrupted batch and no queued request
-        waits, so an idle pipeline with nothing to take costs no call; with
-        either waiting, :meth:`_next_batch` always returns a batch.
+        where a scan of ``pipelines`` in list order would put them.
+        Interrupted batches resume before queued requests start; one too
+        large for the deployed batch size is rerouted instead.  The loop
+        stops as soon as no interrupted batch and no queued request waits,
+        so an idle pipeline with nothing to take costs no call.
         """
-        idle = self._idle
-        if not idle or self.simulator.now < self.stalled_until:
+        idle = self.idle
+        simulator = self.simulator
+        now = simulator.now
+        if not idle or now < self.stalled_until:
             return
         queue = self.queue
         resume_batches = self.resume_batches
-        while idle and (resume_batches or queue._queue):
-            batch, resume = self._next_batch()
-            self._start(self.pipelines[heapq.heappop(idle)], batch, resume)
-
-    def _start(self, pipeline: InferencePipeline, batch: Batch, resume: bool) -> None:
-        finish_time = pipeline.start_batch(batch, self.simulator.now, resume=resume)
-        self._completion_events[id(pipeline)] = self.simulator.schedule_at(
-            finish_time, _BATCH_COMPLETION, (pipeline, batch), self._on_batch_completion
-        )
-
-    def _release(self, pipeline: InferencePipeline) -> None:
-        """Return a pipeline that just went idle to the index."""
-        position = self._positions.get(id(pipeline))
-        if position is not None:  # Not when the list was replaced under it.
-            heapq.heappush(self._idle, position)
-
-    def _next_batch(self) -> Tuple[Optional[Batch], bool]:
-        if self.resume_batches:
-            batch = self.resume_batches.popleft()
-            max_size = self.config.batch_size if self.config else batch.size
-            if batch.size > max_size:
-                # The new configuration cannot hold the whole batch: drop its
-                # cache and requeue the member requests.
-                self.reroute(batch)
-                return self._next_batch()
-            return batch, batch.cache_preserved and batch.committed_tokens > 0
-        return self.queue.next_batch(self.config.batch_size if self.config else None), False
+        config = self.config
+        while idle:
+            if resume_batches:
+                batch = resume_batches.popleft()
+                if config is not None and batch.size > config.batch_size:
+                    # The new configuration cannot hold the whole batch: drop
+                    # its cache and requeue the member requests.
+                    self.reroute(batch)
+                    continue
+                resume = batch.cache_preserved and batch.committed_tokens > 0
+            elif queue._queue:
+                batch = queue.next_batch(None if config is None else config.batch_size)
+                resume = False
+            else:
+                return
+            pipeline = self.pipelines[heappop(idle)]
+            pipeline.completion = simulator.schedule_at(
+                pipeline.start_batch(batch, now, resume),
+                _BATCH_COMPLETION,
+                (pipeline, batch),
+                self._on_batch_completion,
+            )
 
     def _on_batch_completion(self, event: Event) -> None:
         """Finish a batch, free its pipeline and clear the batch's KV cache.
@@ -223,12 +228,14 @@ class Dataplane:
         pipeline, batch = event.payload  # type: InferencePipeline, Batch
         if pipeline.current_batch is not batch:
             return  # The batch was interrupted before completing.
-        completed = pipeline.complete_batch(event.time)
-        self._completion_events.pop(id(pipeline), None)
-        self._release(pipeline)
-        self.stats.tokens_generated += completed.output_tokens * completed.size
-        for request in completed.requests:
-            self.stats.record_completion(request)
+        pipeline.complete_batch(event.time)
+        position = pipeline.position
+        if position is not None:  # Not when the list was replaced under it.
+            heappush(self.idle, position)
+        stats = self.stats
+        stats.tokens_generated += batch.output_tokens * batch.size
+        for request in batch.requests:
+            stats.record_completion(request)
         for daemon in pipeline.daemons:
             daemon.cache_context = None
         self.dispatch()
@@ -247,13 +254,6 @@ class Dataplane:
         self.stats.rerouted_batches += 1
         self.stats.requests_rerouted += batch.size
 
-    def _interrupt(self, pipeline: InferencePipeline, preserve_cache: bool) -> Optional[Batch]:
-        """Cancel *pipeline*'s completion event and interrupt its batch."""
-        event = self._completion_events.pop(id(pipeline), None)
-        if event is not None:
-            event.cancel()
-        return pipeline.interrupt(self.simulator.now, preserve_cache=preserve_cache)
-
     def teardown(self, instance_ids: set) -> List[InferencePipeline]:
         """Interrupt and remove every pipeline that uses one of *instance_ids*.
 
@@ -270,8 +270,9 @@ class Dataplane:
         ]
         if not affected:
             return []
+        now = self.simulator.now
         for pipeline in affected:
-            batch = self._interrupt(pipeline, preserve_cache=False)
+            batch = pipeline.interrupt(now, preserve_cache=False)
             if batch is not None:
                 self.reroute(batch)
         torn_down = set(map(id, affected))
@@ -281,11 +282,12 @@ class Dataplane:
     def interrupt_all(self, preserve_cache: bool) -> List[Batch]:
         """Interrupt every busy pipeline, returning the interrupted batches."""
         interrupted: List[Batch] = []
+        now = self.simulator.now
         for pipeline in self.pipelines:
             if not pipeline.is_busy:
                 continue  # An idle pipeline holds no completion event.
-            batch = self._interrupt(pipeline, preserve_cache)
-            self._release(pipeline)
+            batch = pipeline.interrupt(now, preserve_cache=preserve_cache)
+            heappush(self.idle, pipeline.position)
             self.stats.interrupted_batches += 1
             if preserve_cache and batch.committed_tokens > 0:
                 self._store_cache_context(pipeline, batch)

@@ -233,8 +233,10 @@ class ServingSystemBase:
         #: estimator trims lazily instead of popping per call.
         self._arrival_times: List[float] = []
         self._arrival_start: int = 0
-        #: Streaming workload source (see :meth:`submit_arrival_process`).
+        #: Streaming workload source (see :meth:`submit_arrival_process`)
+        #: and its pending request (``None`` once the stream has ended).
         self._arrival_iter: Optional[Iterator[float]] = None
+        self._streamed: Optional[Request] = None
         self._arrival_token_sizes: Tuple[int, int] = (0, 0)
         self._arrival_order_major: int = 0
         self._submitted_requests: int = 0
@@ -280,22 +282,28 @@ class ServingSystemBase:
     def submit_arrival_process(self, process: ArrivalProcess, duration: float) -> None:
         """Stream arrivals from *process* instead of pre-scheduling them all.
 
-        Only the *next* arrival is ever pending: each arrival event's
-        callback re-arms the source with the following timestamp from
-        :meth:`~repro.workload.arrival.ArrivalProcess.iter_times` before
-        handling its request, so the event heap holds O(1) arrival entries
-        instead of one per request and no :class:`Request` exists before
-        its arrival instant.  Arrival times are generated by exactly the
-        same seeded draws as ``process.arrival_times(duration)``, and a
-        tie-break order slot reserved *now* makes every streamed arrival
-        sort against same-time events exactly as if the whole workload had
-        been pre-scheduled here -- so runs are byte-identical with the
-        pre-scheduled path even on exact timestamp ties (e.g. integer
-        ``FixedArrivals`` colliding with a workload check).
+        Only the *next* arrival is ever pending: when the stream's pending
+        request arrives, :meth:`_on_request_arrival` first arms the
+        following timestamp from
+        :meth:`~repro.workload.arrival.ArrivalProcess.iter_times`, so the
+        event heap holds O(1) arrival entries instead of one per request
+        and no :class:`Request` exists before its arrival instant.  Arrival
+        times are generated by exactly the same seeded draws as
+        ``process.arrival_times(duration)``, and a tie-break order slot
+        reserved *now* makes every streamed arrival sort against same-time
+        events exactly as if the whole workload had been pre-scheduled
+        here -- so runs are byte-identical with the pre-scheduled path even
+        on exact timestamp ties (e.g. integer ``FixedArrivals`` colliding
+        with a workload check).
+
+        Raises ``ValueError`` while an earlier stream still has arrivals to
+        come: one system streams from one source at a time.
         """
+        if self._streamed is not None:
+            raise ValueError("an arrival process is already streaming into this system")
         self._arrival_iter = process.iter_times(duration)
         self._arrival_token_sizes = (process.input_tokens, process.output_tokens)
-        self._arrival_order_major = self.simulator.queue.reserve_order()
+        self._arrival_order_major = self.simulator.reserve_order()
         self._arm_next_arrival()
 
     @property
@@ -304,29 +312,28 @@ class ServingSystemBase:
         return self._submitted_requests
 
     def _arm_next_arrival(self) -> None:
-        """Schedule the streaming source's next arrival (or finish)."""
-        iterator = self._arrival_iter
-        if iterator is None:
-            return
-        time = next(iterator, None)
+        """Schedule the stream's next arrival, or end the stream.
+
+        :meth:`_on_request_arrival` does the same inline, since it runs
+        once per streamed arrival.
+        """
+        time = next(self._arrival_iter, None)
         if time is None:
-            self._arrival_iter = None
+            self._arrival_iter = self._streamed = None
             return
         input_tokens, output_tokens = self._arrival_token_sizes
-        # Positional, like ``schedule_at`` below: this runs per arrival.
-        request = Request(time, input_tokens, output_tokens, None, self.tenant)
-        self._submitted_requests += 1
+        following = Request(time, input_tokens, output_tokens, None, self.tenant)
+        # Scheduled before any state changes: a first time behind ``now``
+        # raises here and leaves no stream active.
         self.simulator.schedule_at(
             time,
             _REQUEST_ARRIVAL,
-            request,
-            self._on_streamed_arrival,
-            (self._arrival_order_major, self._submitted_requests),
+            following,
+            self._on_request_arrival,
+            (self._arrival_order_major, self._submitted_requests + 1),
         )
-
-    def _on_streamed_arrival(self, event: Event) -> None:
-        self._arm_next_arrival()
-        self._on_request_arrival(event)
+        self._submitted_requests += 1
+        self._streamed = following
 
     def initialize(self) -> None:
         """Deploy the initial configuration on the time-zero fleet (pre-warmed)."""
@@ -406,6 +413,24 @@ class ServingSystemBase:
     # ------------------------------------------------------------------
     def _on_request_arrival(self, event: Event) -> None:
         request: Request = event.payload
+        if request is self._streamed:
+            # The stream's pending request: arm the next one first, as
+            # :meth:`_arm_next_arrival` does (inline: this runs per arrival).
+            time = next(self._arrival_iter, None)
+            if time is None:
+                self._arrival_iter = self._streamed = None
+            else:
+                input_tokens, output_tokens = self._arrival_token_sizes
+                following = Request(time, input_tokens, output_tokens, None, self.tenant)
+                self.simulator.schedule_at(
+                    time,
+                    _REQUEST_ARRIVAL,
+                    following,
+                    self._on_request_arrival,
+                    (self._arrival_order_major, self._submitted_requests + 1),
+                )
+                self._submitted_requests += 1
+                self._streamed = following
         self._arrived_requests += 1
         if self._admit_can_refuse and not self.admission.admit(
             request,
@@ -426,7 +451,9 @@ class ServingSystemBase:
             return
         self._arrival_times.append(request.arrival_time)
         self.request_queue.enqueue(request)
-        self.dataplane.dispatch()
+        dataplane = self.dataplane
+        if dataplane.idle:
+            dataplane.dispatch()
 
     def _on_preemption_notice(self, event: Event) -> None:
         instance: Instance = event.payload["instance"]

@@ -9,6 +9,7 @@ single place where the serving systems record everything those figures need.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -57,13 +58,15 @@ class ServingStats:
     """Aggregated counters and logs for one serving run.
 
     Per-request metrics are accumulated *incrementally* at completion time
-    (count, latency sum/max, and an ``(arrival, latency)`` float log for the
-    timeline plots), so the derived metrics and :meth:`summary` never need
-    the :class:`~repro.workload.request.Request` objects themselves.  The
-    completed requests are still retained by default for tests and ad-hoc
-    inspection; heavy-traffic runs pass ``retain_requests=False`` so memory
-    stops growing with run length (two floats per request instead of a
-    whole object graph).
+    (count, latency sum/max, and each completed request's arrival time and
+    latency for the timeline plots), so the derived metrics and
+    :meth:`summary` never need the :class:`~repro.workload.request.Request`
+    objects themselves.  The completed requests are still retained by
+    default for tests and ad-hoc inspection; heavy-traffic runs pass
+    ``retain_requests=False``, and then a completed request costs two
+    floats: its arrival time and latency sit in two ``array('d')`` columns
+    (16 bytes, and nothing the garbage collector tracks), not in a tuple
+    or the request's object graph.
     """
 
     system_name: str = ""
@@ -138,10 +141,10 @@ class ServingStats:
     _completed_count: int = field(default=0, init=False, repr=False)
     _latency_sum: float = field(default=0, init=False, repr=False)
     _latency_max: float = field(default=0.0, init=False, repr=False)
-    #: ``(arrival_time, latency)`` per completed request, in completion order.
-    _completion_log: List[Tuple[float, float]] = field(
-        default_factory=list, init=False, repr=False
-    )
+    #: Arrival time and latency of each completed request, in completion
+    #: order (two parallel columns).
+    _arrivals: array = field(default_factory=lambda: array("d"), init=False, repr=False)
+    _latencies: array = field(default_factory=lambda: array("d"), init=False, repr=False)
 
     # ------------------------------------------------------------------
     # Recording helpers
@@ -155,7 +158,8 @@ class ServingStats:
             self._latency_sum = self._latency_sum + latency
             if latency > self._latency_max:
                 self._latency_max = latency
-            self._completion_log.append((request.arrival_time, latency))
+            self._arrivals.append(request.arrival_time)
+            self._latencies.append(latency)
         if self.retain_requests:
             self.completed_requests.append(request)
 
@@ -177,11 +181,11 @@ class ServingStats:
     # ------------------------------------------------------------------
     def latencies(self) -> List[float]:
         """End-to-end latencies of completed requests, in completion order."""
-        return [latency for _, latency in self._completion_log]
+        return self._latencies.tolist()
 
     def request_timeline(self) -> List[Tuple[float, float]]:
         """``(arrival_time, latency)`` pairs for the per-request plots (Fig. 8g/h)."""
-        return sorted(self._completion_log)
+        return sorted(zip(self._arrivals, self._latencies))
 
     @property
     def completed_count(self) -> int:

@@ -517,7 +517,7 @@ class MultiTenantSystem:
             for f in fields(total)
             if type(getattr(total, f.name)) in (int, float) and f.name != "_latency_max"
         ]
-        completion_log: List[Tuple[float, float]] = []
+        timeline: List[Tuple[float, float]] = []
         for _, system in sorted(self.systems.items()):
             stats = system.stats
             for name in counters:
@@ -526,11 +526,13 @@ class MultiTenantSystem:
             total.autoscale_actions.extend(stats.autoscale_actions)
             total.config_timeline.extend(stats.config_timeline)
             total._latency_max = max(total._latency_max, stats._latency_max)
-            completion_log.extend(stats._completion_log)
+            timeline.extend(stats.request_timeline())
         total.reconfigurations.sort(key=lambda record: record.time)
         total.autoscale_actions.sort(key=lambda record: record.time)
         total.config_timeline.sort(key=lambda entry: entry[0])
-        total._completion_log.extend(sorted(completion_log))
+        timeline.sort()
+        total._arrivals.extend(arrival for arrival, _ in timeline)
+        total._latencies.extend(latency for _, latency in timeline)
         return total
 
     def tenant_costs(self, now: float) -> Dict[str, float]:

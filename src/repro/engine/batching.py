@@ -87,11 +87,6 @@ class Batch:
         """Output tokens still to generate for the slowest request."""
         return max(request.remaining_tokens for request in self.requests)
 
-    @property
-    def is_complete(self) -> bool:
-        """True when every request in the batch finished decoding."""
-        return all(request.is_complete for request in self.requests)
-
     def commit_tokens(self, count: int) -> None:
         """Commit *count* decoded tokens on every request of the batch."""
         for request in self.requests:
@@ -157,21 +152,25 @@ class RequestQueue:
             members.append(self._queue.popleft())
         return Batch(members)
 
-    def shed(self, predicate) -> List[Request]:
-        """Remove and return every queued request matching *predicate*.
+    def shed_before(self, cutoff: float) -> List[Request]:
+        """Remove and return every queued request that arrived before *cutoff*.
 
-        The relative order of the surviving requests is preserved.  Used by
-        the overload-control shedding policies (:mod:`repro.core.admission`);
-        the caller is responsible for accounting the removed requests (the
-        serving system counts them in ``ServingStats.requests_shed`` so the
-        request-conservation invariant keeps holding).
+        One pass over the queue, comparing arrival times in place; it is
+        exact in any queue order (``enqueue_front`` can put older requests
+        behind newer ones).  The relative order of the surviving requests
+        is preserved.  Used by the overload-control shedding policies
+        (:mod:`repro.core.admission`); the caller is responsible for
+        accounting the removed requests (the serving system counts them in
+        ``ServingStats.requests_shed`` so the request-conservation
+        invariant keeps holding).
         """
         shed: List[Request] = []
-        if not self._queue:
-            return shed
         kept: List[Request] = []
         for request in self._queue:
-            (shed if predicate(request) else kept).append(request)
+            if request.arrival_time < cutoff:
+                shed.append(request)
+            else:
+                kept.append(request)
         if shed:
             self._queue = deque(kept)
         return shed

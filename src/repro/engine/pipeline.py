@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..llm.costmodel import LatencyModel
+from ..sim.events import Event
 from .batching import Batch
 from .context import ContextDaemon, DeviceId
 from .placement import TopologyPosition
@@ -64,6 +65,12 @@ class InferencePipeline:
         self.latency_model = latency_model
         self.batch_size = batch_size
         self.current_batch: Optional[Batch] = None
+        #: The pending ``BATCH_COMPLETION`` event of ``current_batch``, set by
+        #: the dataplane that scheduled it; :meth:`interrupt` cancels it.
+        self.completion: Optional[Event] = None
+        #: Index in the owning dataplane's ``pipelines`` (``None`` outside
+        #: that list); the dataplane's idle index holds these.
+        self.position: Optional[int] = None
         self._batch_start_time: Optional[float] = None
         self._tokens_at_start: int = 0
         self._prefill_needed: bool = True
@@ -101,7 +108,7 @@ class InferencePipeline:
         RuntimeError
             If the pipeline is already busy.
         """
-        if self.is_busy:
+        if self.current_batch is not None:
             raise RuntimeError(f"pipeline {self.pipeline_index} is already decoding a batch")
         self.current_batch = batch
         self._batch_start_time = time
@@ -185,6 +192,7 @@ class InferencePipeline:
             request.completion_time = time
         batch.committed_tokens = batch.shortest_output
         self.current_batch = None
+        self.completion = None
         self._batch_start_time = None
         self._tokens_at_start = 0
         self._prefill_needed = True
@@ -193,13 +201,17 @@ class InferencePipeline:
     def interrupt(self, time: float, preserve_cache: bool = True) -> Optional[Batch]:
         """Stop decoding at *time*, committing progress when the cache survives.
 
-        Returns the interrupted batch (None when idle).  With
-        ``preserve_cache=False`` the KV cache is lost and the batch's
-        progress is reset (the request-rerouting baseline behaviour).
+        Returns the interrupted batch (None when idle) and cancels its
+        completion event.  With ``preserve_cache=False`` the KV cache is
+        lost and the batch's progress is reset (the request-rerouting
+        baseline behaviour).
         """
         if self.current_batch is None:
             return None
         batch = self.current_batch
+        if self.completion is not None:
+            self.completion.cancel()
+            self.completion = None
         if preserve_cache:
             self.commit_progress(time)
         else:

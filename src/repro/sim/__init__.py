@@ -1,12 +1,11 @@
 """Discrete-event simulation substrate for the SpotServe reproduction."""
 
 from .engine import Simulator
-from .events import Event, EventQueue, EventType
+from .events import Event, EventType
 from .network import NetworkModel, NetworkSpec, OffloadTierSpec, Transfer
 
 __all__ = [
     "Event",
-    "EventQueue",
     "EventType",
     "NetworkModel",
     "NetworkSpec",

@@ -1,26 +1,34 @@
 """Discrete-event simulation driver.
 
-The :class:`Simulator` owns simulated time and the event queue and
+The :class:`Simulator` owns simulated time and the event heap and
 repeatedly dispatches the earliest event, moving ``now`` forward to its
 timestamp.  ``now`` is a plain float that only the simulator writes; every
 component reads it from there.  Serving systems register handlers per
 :class:`~repro.sim.events.EventType`; events can also carry their own
 callback.
 
+The heap holds ``(time, major, minor, event)`` entries, and only this
+module writes or reads them: :meth:`Simulator.schedule_at` pushes them and
+:meth:`Simulator.run` and :meth:`Simulator.step` pop them.  ``major`` is the
+insertion counter (or a slot claimed by :meth:`Simulator.reserve_order`),
+so same-time events fire in the order they were scheduled.  Cancelled
+entries stay in the heap until they reach its top, where they are dropped.
+
 Dispatch is the simulator's hottest loop, so handlers are kept as per-type
 tuples extended at registration time (not resolved per event), and
 :meth:`Simulator.run` pops the heap and fires each event in one loop turn;
 :meth:`Simulator.step` does the same for one event, through
-:meth:`~repro.sim.events.EventQueue.pop_next` and :meth:`Simulator._fire`.
+:meth:`Simulator._fire`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Callable, Dict, Optional, Tuple
 
-from .events import Event, EventQueue, EventType
+from .events import Event, EventType
 
 EventHandler = Callable[[Event], None]
 
@@ -36,7 +44,9 @@ class Simulator:
     def __init__(self) -> None:
         #: Current simulation time in seconds (never moves backwards).
         self.now = 0.0
-        self.queue = EventQueue()
+        #: ``(time, major, minor, event)`` entries; see the module docstring.
+        self._heap: list = []
+        self._counter = itertools.count()
         #: Per-type dispatch table: extended on registration, read per event.
         self._dispatch: Dict[EventType, Tuple[EventHandler, ...]] = {}
         self._dispatched = 0
@@ -46,7 +56,11 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def dispatched_events(self) -> int:
-        """Number of events dispatched so far (for diagnostics)."""
+        """Number of events dispatched so far (for diagnostics).
+
+        A :meth:`run` in progress adds its own count when it returns or
+        raises.
+        """
         return self._dispatched
 
     def schedule_at(
@@ -57,16 +71,18 @@ class Simulator:
         callback: Optional[Callable[[Event], None]] = None,
         order: Optional[Tuple[int, int]] = None,
     ) -> Event:
-        """Schedule an event at absolute simulation time *time*.
+        """Schedule an event at absolute simulation time *time* and return it.
 
-        ``order`` overrides the same-time tie-break (see
-        :meth:`~repro.sim.events.EventQueue.push`); streaming sources use it
-        to sort lazily generated events exactly where eager scheduling at
-        submit time would have placed them.
+        ``order`` is an optional ``(major, minor)`` tie-break pair replacing
+        the default ``(next insertion counter, 0)``.  A streaming source
+        uses a *reserved* major (see :meth:`reserve_order`) plus a per-item
+        minor, so lazily generated events sort exactly where eager
+        scheduling at submit time would have placed them.
 
         Raises ``ValueError`` when *time* is before ``now`` or not finite:
         ``nan`` fails every comparison and would fire at ``now``, and ``inf``
-        would move ``now`` to infinity.
+        would move ``now`` to infinity.  A time less than 1 ns behind ``now``
+        (a float rounding step) is moved to ``now``.
         """
         now = self.now
         if not now - 1e-9 <= time < _INFINITY:
@@ -75,10 +91,14 @@ class Simulator:
                     f"cannot schedule event in the past: now={now:.3f}, time={time:.3f}"
                 )
             raise ValueError(f"cannot schedule event at a non-finite time: {time}")
-        return self.queue.push(
-            Event(time if time > now else now, event_type, payload, callback),
-            order=order,
-        )
+        if time <= now:
+            time = now
+        event = Event(time, event_type, payload, callback)
+        if order is None:
+            heappush(self._heap, (time, next(self._counter), 0, event))
+        else:
+            heappush(self._heap, (time, order[0], order[1], event))
+        return event
 
     def schedule_after(
         self,
@@ -91,6 +111,15 @@ class Simulator:
         if delay < 0:
             raise ValueError("delay must be non-negative")
         return self.schedule_at(self.now + delay, event_type, payload, callback)
+
+    def reserve_order(self) -> int:
+        """Claim the next insertion-order slot without scheduling anything.
+
+        Events later scheduled with ``order=(slot, k)`` win ties against
+        everything scheduled after this call and lose them to everything
+        scheduled before it, exactly as if they had all been scheduled here.
+        """
+        return next(self._counter)
 
     # ------------------------------------------------------------------
     # Handlers
@@ -120,56 +149,60 @@ class Simulator:
             handler(event)
 
     def step(self) -> Optional[Event]:
-        """Dispatch the next event, or return ``None`` if the queue is empty."""
-        event = self.queue.pop_next()
-        if event is None:
-            return None
-        self._fire(event)
-        return event
+        """Dispatch the next live event, or return ``None`` if none is left."""
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[3]
+            if not event.cancelled:
+                self._fire(event)
+                return event
+        return None
 
     def run(self, until: Optional[float] = None) -> int:
         """Run the simulation and return the number of events it dispatched.
 
         Stops once the next event would fire after *until* (``now`` still
-        moves forward to ``until``); ``None`` runs until the queue is empty.
+        moves forward to ``until``); ``None`` runs until the heap is empty.
         Raises ``ValueError`` before anything fires when *until* is not
         finite: ``nan`` fails every comparison and would ignore the bound,
         and ``inf`` would move ``now`` to infinity.
 
-        Each loop turn does what :meth:`step` does through
-        :meth:`~repro.sim.events.EventQueue.pop_next` and :meth:`_fire`,
-        reading the queue's heap of ``(time, major, minor, event)`` entries
-        directly: cancelled entries at the top are dropped, and an event
-        more than 1 ns behind ``now`` is popped and raises before it fires.
+        Each loop turn does what :meth:`step` does through :meth:`_fire`:
+        cancelled entries at the top are dropped, and an event more than
+        1 ns behind ``now`` is popped and raises before it fires.  The loop
+        counts events in a local and adds it to :attr:`dispatched_events`
+        when it returns or raises.
         """
         if until is not None and not math.isfinite(until):
             raise ValueError(f"cannot run until a non-finite time: {until}")
         bound = _INFINITY if until is None else until
-        heap = self.queue._heap
+        heap = self._heap
         table = self._dispatch
         dispatched = 0
-        while heap:
-            time, _major, _minor, event = heap[0]
-            if event.cancelled:
+        try:
+            while heap:
+                time, _major, _minor, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if time > bound:
+                    break
                 heappop(heap)
-                continue
-            if time > bound:
-                break
-            heappop(heap)
-            now = self.now
-            if time > now:
-                self.now = float(time)
-            elif time < now - 1e-9:
-                raise ValueError(
-                    f"cannot move time backwards: now={now:.6f}, requested={time:.6f}"
-                )
-            self._dispatched += 1
-            dispatched += 1
-            callback = event.callback
-            if callback is not None:
-                callback(event)
-            for handler in table.get(event.event_type, _NO_HANDLERS):
-                handler(event)
+                now = self.now
+                if time > now:
+                    self.now = float(time)
+                elif time < now - 1e-9:
+                    raise ValueError(
+                        f"cannot move time backwards: now={now:.6f}, requested={time:.6f}"
+                    )
+                dispatched += 1
+                callback = event.callback
+                if callback is not None:
+                    callback(event)
+                for handler in table.get(event.event_type, _NO_HANDLERS):
+                    handler(event)
+        finally:
+            self._dispatched += dispatched
         if until is not None and until > self.now:
             self.now = float(until)
         return dispatched

@@ -4,11 +4,12 @@ The SpotServe reproduction is driven by a small discrete-event simulator.
 Everything that happens in the system -- request arrivals, instance
 preemption notifications, the end of a grace period, the completion of a
 decoding batch, the completion of a context migration -- is an :class:`Event`
-scheduled on an :class:`EventQueue` and dispatched in timestamp order.
+scheduled on the :class:`~repro.sim.engine.Simulator`'s heap and dispatched
+in timestamp order.
 
-Events carry an ``order`` tie-breaker so that events scheduled for the same
-instant are processed in the order they were scheduled, which keeps the
-simulation fully deterministic.
+The simulator breaks ties between events scheduled for the same instant by
+the order they were scheduled in, which keeps the simulation fully
+deterministic.
 
 The event core is the simulator's hot path: a heavy-traffic run dispatches
 hundreds of thousands of events, so :class:`Event` uses ``__slots__`` and the
@@ -23,8 +24,6 @@ time passes; ``tests/test_sim_events.py`` pins the bound under chaos traffic.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -87,7 +86,7 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the event as cancelled; the queue will silently drop it."""
+        """Mark the event as cancelled; the simulator will silently drop it."""
         self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -95,68 +94,3 @@ class Event:
             f"Event(time={self.time!r}, event_type={self.event_type!r}, "
             f"cancelled={self.cancelled!r})"
         )
-
-
-class EventQueue:
-    """A priority queue of :class:`Event` objects ordered by time.
-
-    Ties are broken by insertion order so repeated runs with the same inputs
-    produce identical traces.  Cancelled entries stay in the heap until they
-    reach its top, where :meth:`pop_next` discards them.
-
-    The heap holds ``(time, major, minor, event)`` entries, and
-    :meth:`~repro.sim.engine.Simulator.run` reads it directly: it pops and
-    fires each event in one loop turn instead of calling :meth:`pop_next`
-    per event, and drops cancelled entries the same way.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list = []
-        self._counter = itertools.count()
-
-    def push(self, event: Event, order: Optional[tuple] = None) -> Event:
-        """Schedule *event* and return it (useful for later cancellation).
-
-        ``order`` is an optional ``(major, minor)`` tie-break pair replacing
-        the default ``(next insertion counter, 0)``.  A streaming source uses
-        a *reserved* major (see :meth:`reserve_order`) plus a per-item minor
-        so lazily generated events sort exactly where eagerly scheduled ones
-        would have -- the heap key stays ``(time, major, minor)``.
-        """
-        if event.time < 0:
-            raise ValueError(f"cannot schedule event in negative time: {event.time}")
-        if order is None:
-            entry = (event.time, next(self._counter), 0, event)
-        else:
-            entry = (event.time, order[0], order[1], event)
-        heapq.heappush(self._heap, entry)
-        return event
-
-    def reserve_order(self) -> int:
-        """Claim the next insertion-order slot without scheduling anything.
-
-        Events later pushed with ``order=(slot, k)`` win ties against
-        everything scheduled after this call and lose them to everything
-        scheduled before it, exactly as if they had all been pushed here.
-        """
-        return next(self._counter)
-
-    def pop_next(self, until: Optional[float] = None) -> Optional[Event]:
-        """Pop the earliest live event, or ``None`` when empty / past *until*.
-
-        Cancelled entries met at the top of the heap are discarded on the
-        way; :meth:`~repro.sim.engine.Simulator.step` calls this once per
-        event.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
-                heapq.heappop(heap)
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            heapq.heappop(heap)
-            return event
-        return None

@@ -92,11 +92,6 @@ class Request:
         """Output tokens still to be generated."""
         return max(self.output_tokens - self.committed_tokens, 0)
 
-    @property
-    def is_complete(self) -> bool:
-        """True once every output token has been generated."""
-        return self.committed_tokens >= self.output_tokens
-
     def commit_tokens(self, count: int) -> None:
         """Record *count* newly generated (and cached) output tokens."""
         if count < 0:

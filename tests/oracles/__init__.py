@@ -17,14 +17,15 @@ scalar version of each lives here, next to the tests that use it:
   the reuse-bound skip, which solves the flat matching in every round;
 * :mod:`oracles.migration` -- Algorithm 2 with per-device meta-context
   scans, ``sorted`` source ranking and a scalar deferred-layer drain;
-* :mod:`oracles.dataplane` -- batch dispatch as a scan of every
-  pipeline's ``is_busy`` per event instead of the idle-pipeline index;
+* :mod:`oracles.dataplane` -- batch dispatch, and the arrival's "is any
+  pipeline idle?" question, as a scan of every pipeline's ``is_busy`` per
+  event instead of the idle-pipeline index;
 * :mod:`oracles.batching` -- a batch's size, token lengths and progress
   as a walk over its member requests on every read, instead of a shape
   fixed when the batch is built and a progress field;
-* :mod:`oracles.engine` -- the simulator's run loop as one ``pop_next``
-  call and one ``_fire`` call per event, instead of one loop turn that
-  pops the heap and fires the event.
+* :mod:`oracles.engine` -- the simulator's run loop as one pop of the
+  next live event and one ``_fire`` call per event, instead of one loop
+  turn that pops the heap and fires the event.
 
 The oracles subclass (or take) the production classes and share their
 unchanged helpers, so a comparison isolates exactly the code that was made

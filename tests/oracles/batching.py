@@ -39,13 +39,8 @@ def remaining_tokens(batch):
     return max(request.remaining_tokens for request in batch.requests)
 
 
-def is_complete(batch):
-    """True when every member finished decoding."""
-    return all(request.is_complete for request in batch.requests)
-
-
 #: Every aggregate, each named like the ``Batch`` attribute it pins.
-AGGREGATES = (size, input_tokens, output_tokens, committed_tokens, remaining_tokens, is_complete)
+AGGREGATES = (size, input_tokens, output_tokens, committed_tokens, remaining_tokens)
 
 
 def start_and_complete(batch, start, end, resume):

@@ -6,13 +6,27 @@ pipeline, in list order, and starts a batch on each idle one until the
 queue runs dry.  The production :class:`~repro.core.dataplane.Dataplane`
 claims idle pipelines from an index, lowest position first, and must start
 the same batches on the same pipelines at the same instants.
+
+The serving system asks the dataplane's ``idle`` whether any pipeline is
+idle before it dispatches an arrival; here that question is answered by
+the same scan.
 """
 
 from repro.core.dataplane import Dataplane
+from repro.sim.events import EventType
 
 
 class ReferenceDataplane(Dataplane):
     """Dispatch as a scan over every pipeline; keeps no idle index."""
+
+    @property
+    def idle(self):
+        """Idle pipelines' positions, read off every pipeline's ``is_busy``."""
+        return [i for i, pipeline in enumerate(self.pipelines) if not pipeline.is_busy]
+
+    @idle.setter
+    def idle(self, _positions):
+        """The scan reads idleness off the pipelines: nothing to store."""
 
     def dispatch(self) -> None:
         if not self.pipelines or self.simulator.now < self.stalled_until:
@@ -23,7 +37,23 @@ class ReferenceDataplane(Dataplane):
             batch, resume = self._next_batch()
             if batch is None:
                 break
-            self._start(pipeline, batch, resume)
+            finish_time = pipeline.start_batch(batch, self.simulator.now, resume=resume)
+            pipeline.completion = self.simulator.schedule_at(
+                finish_time,
+                EventType.BATCH_COMPLETION,
+                (pipeline, batch),
+                self._on_batch_completion,
+            )
 
-    def _release(self, pipeline) -> None:
-        """The scan reads idleness off the pipelines: nothing to release."""
+    def _next_batch(self):
+        if self.resume_batches:
+            batch = self.resume_batches.popleft()
+            max_size = self.config.batch_size if self.config else batch.size
+            if batch.size > max_size:
+                # The new configuration cannot hold the whole batch: drop its
+                # cache and requeue the member requests.
+                self.reroute(batch)
+                return self._next_batch()
+            return batch, batch.cache_preserved and batch.committed_tokens > 0
+        return self.queue.next_batch(self.config.batch_size if self.config else None), False
+

@@ -1,27 +1,54 @@
-"""Stepping reference for the simulator's run loop.
+"""Stepping reference for the simulator's run loop, and raw heap entries.
 
-:meth:`~repro.sim.engine.Simulator.run` pops the event queue's heap and
+:meth:`~repro.sim.engine.Simulator.run` pops the simulator's heap and
 fires each event in one loop turn.  :class:`SteppingSimulator` runs the way
-that loop used to: one :meth:`~repro.sim.events.EventQueue.pop_next` call
-and one :meth:`~repro.sim.engine.Simulator._fire` call per event.  Both
-must dispatch the same events in the same order, leave ``now`` and
+that loop used to: pop the next live event off the heap, then one
+:meth:`~repro.sim.engine.Simulator._fire` call per event.  Both must
+dispatch the same events in the same order, leave ``now`` and
 ``dispatched_events`` equal and return the same counts.
+
+:func:`push_raw` is the one place tests write a heap entry themselves, to
+put an event behind ``now`` that ``schedule_at`` would refuse or clamp.
 """
 
 import math
+from heapq import heappop, heappush
 
 from repro.sim.engine import Simulator
 
 
+def push_raw(sim, event):
+    """Push *event* at its own time with the next insertion order; return it.
+
+    Skips every check ``schedule_at`` makes, so the run loop's own
+    backwards-time check is what meets the event.
+    """
+    heappush(sim._heap, (event.time, next(sim._counter), 0, event))
+    return event
+
+
 class SteppingSimulator(Simulator):
-    """Runs through ``pop_next`` and ``_fire``, one call of each per event."""
+    """Pops the next live event, then calls ``_fire``, once per event."""
+
+    def _pop_next(self, until):
+        heap = self._heap
+        while heap:
+            time, _major, _minor, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
+                continue
+            if until is not None and time > until:
+                return None
+            heappop(heap)
+            return event
+        return None
 
     def run(self, until=None):
         if until is not None and not math.isfinite(until):
             raise ValueError(f"cannot run until a non-finite time: {until}")
         dispatched = 0
         while True:
-            event = self.queue.pop_next(until)
+            event = self._pop_next(until)
             if event is None:
                 break
             self._fire(event)

@@ -18,9 +18,11 @@ Three contracts are pinned here:
 """
 
 import hashlib
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.admission import (
     ADMISSION_POLICIES,
@@ -204,14 +206,34 @@ class TestRequestQueueShed:
         times = [5.0, 1.0, 7.0, 3.0, 9.0]
         for t in times:
             queue.enqueue(request(t))
-        shed = queue.shed(lambda r: r.arrival_time < 4.0)
-        assert sorted(r.arrival_time for r in shed) == [1.0, 3.0]
+        shed = queue.shed_before(4.0)
+        assert [r.arrival_time for r in shed] == [1.0, 3.0]
         survivors = [queue.next_batch(1).requests[0].arrival_time for _ in range(3)]
         assert survivors == [5.0, 7.0, 9.0]
 
     def test_shed_on_empty_queue_is_a_noop(self):
         queue = RequestQueue()
-        assert queue.shed(lambda r: True) == []
+        assert queue.shed_before(math.inf) == []
+        assert queue.pending == 0
+
+    @given(
+        st.lists(st.integers(0, 20).map(float), max_size=30),
+        st.integers(0, 30),
+        st.integers(-1, 21).map(float),
+    )
+    def test_shed_is_exact_in_any_queue_order(self, times, front, cutoff):
+        # ``enqueue_front`` puts older requests behind newer ones, and equal
+        # arrival times tie: every request before the cutoff goes, in queue
+        # order, and the rest stay in theirs.
+        requests = [request(t) for t in times]
+        queue = RequestQueue()
+        split = min(front, len(requests))
+        for r in requests[split:]:
+            queue.enqueue(r)
+        queue.enqueue_front(requests[:split])
+        shed = queue.shed_before(cutoff)
+        assert shed == [r for r in requests if r.arrival_time < cutoff]
+        assert list(queue._queue) == [r for r in requests if r.arrival_time >= cutoff]
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,9 @@ count, so stdlib differences between Python versions stay out of the
 number, and the counts repeat exactly (checked under ``PYTHONHASHSEED``
 0, 1 and 2).
 
-A rise above :data:`MAX_CALLS_PER_EVENT` means a call came back into the
-per-event path: a helper, property or wrapper the run loop, an arrival or
-a batch now goes through.  The failure message lists the most frequent
+A rise above a workload's bound in :data:`MAX_CALLS_PER_EVENT` means a
+call came back into the per-event path: a helper, property or wrapper the
+run loop, an arrival or a batch now goes through.  The failure message lists the most frequent
 callees; ``python -m cProfile`` on the same workload shows who calls them.
 """
 
@@ -34,10 +34,11 @@ if str(REPO_ROOT) not in sys.path:
 
 from perfbench import workloads  # noqa: E402
 
-#: Calls into ``repro`` per dispatched event allowed on either workload.
-#: Measured 12.54 on serve and 12.51 on ingest; a run loop that goes back
-#: through ``pop_next`` and ``_fire`` adds two per event and fails both.
-MAX_CALLS_PER_EVENT = 14.0
+#: Calls into ``repro`` per dispatched event allowed on each workload: the
+#: measured count plus one.  Measured 8.38 on serve and 6.35 on ingest; a
+#: run loop that goes back through a pop helper and ``_fire`` adds two per
+#: event and fails both.
+MAX_CALLS_PER_EVENT = {"serve": 9.38, "ingest": 7.35}
 
 #: Shortened workload sizes, in simulated seconds.
 SIZES = {"serve": 1200.0, "ingest": 600.0}
@@ -85,4 +86,4 @@ def calls_per_event(name):
 def test_calls_per_event_stay_under_the_guard(name):
     ratio, callees = calls_per_event(name)
     top = ", ".join(f"{file}:{function} {count}" for (file, function), count in callees.most_common(8))
-    assert ratio <= MAX_CALLS_PER_EVENT, f"{name}: {ratio:.2f} calls per event ({top})"
+    assert ratio <= MAX_CALLS_PER_EVENT[name], f"{name}: {ratio:.2f} calls per event ({top})"

@@ -18,7 +18,7 @@ min-heap of their list positions.  The reference,
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.core.server as server_module
 from repro.baselines.rerouting import RequestReroutingSystem
@@ -227,6 +227,9 @@ def operations():
 
 @settings(max_examples=120, deadline=None)
 @given(operations())
+# A deployment over busy pipelines: their batches complete afterwards and
+# must return no position to the new deployment's index.
+@example([("deploy", 2, 1), ("arrive", [4, 4]), ("deploy", 2, 1), ("advance", 10.0)])
 def test_random_operations_match_the_scan_step_by_step(ops):
     indexed, scanned = Side(Dataplane), Side(ReferenceDataplane)
     for op in ops:
@@ -235,7 +238,24 @@ def test_random_operations_match_the_scan_step_by_step(ops):
         assert indexed.snapshot() == scanned.snapshot(), op
         dataplane = indexed.dataplane
         idle = [i for i, p in enumerate(dataplane.pipelines) if p.current_batch is None]
-        assert sorted(dataplane._idle) == idle, op
+        assert sorted(dataplane.idle) == idle, op
+
+
+@pytest.mark.parametrize("interrupt", ["interrupt_all", "teardown"])
+def test_an_interrupted_batch_leaves_no_completion_event(interrupt):
+    side = Side(Dataplane)
+    side.apply(("deploy", 2, 1))
+    side.apply(("arrive", [4, 4]))
+    dataplane = side.dataplane
+    events = [pipeline.completion for pipeline in dataplane.pipelines]
+    assert all(event is not None and not event.cancelled for event in events)
+    if interrupt == "interrupt_all":
+        dataplane.interrupt_all(preserve_cache=True)
+    else:
+        dataplane.teardown({"i0"})  # Both pipelines' GPUs live on i0.
+    assert all(event.cancelled for event in events)
+    assert all(pipeline.completion is None for pipeline in dataplane.pipelines)
+    assert side.simulator.run() == 0
 
 
 # ----------------------------------------------------------------------

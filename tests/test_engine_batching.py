@@ -97,6 +97,7 @@ class BatchAggregates(RuleBasedStateMachine):
         pipeline.start_batch(self.batch, start, resume=resume)
         assert pipeline.complete_batch(start + duration) is self.batch
         assert not pipeline.is_busy
+        assert all(r.committed_tokens == r.output_tokens for r in self.batch.requests)
         assert [request_state(r) for r in self.batch.requests] == [
             request_state(r) for r in expected.requests
         ]
@@ -130,9 +131,10 @@ class TestBatch:
         batch = Batch(make_requests(4))
         batch.commit_tokens(6)
         assert all(r.committed_tokens == 6 for r in batch.requests)
-        assert not batch.is_complete
+        assert batch.remaining_tokens == 10
         batch.commit_tokens(10)
-        assert batch.is_complete
+        assert all(r.committed_tokens == r.output_tokens for r in batch.requests)
+        assert batch.remaining_tokens == 0
 
     def test_drop_cache_resets_all(self):
         batch = Batch(make_requests(2))

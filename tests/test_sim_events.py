@@ -3,109 +3,119 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles.engine import push_raw
 from repro.experiments.runner import run_scenario_experiment
 from repro.experiments.scenarios import chaos_scenario
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue, EventType
+from repro.sim.events import Event, EventType
 
 
-def push_at(queue, time, payload=None):
-    return queue.push(Event(time, EventType.GENERIC, payload))
+def push_at(sim, time, payload=None):
+    return sim.schedule_at(time, EventType.GENERIC, payload)
 
 
-def drain(queue):
+def drain(sim):
     events = []
     while True:
-        event = queue.pop_next()
+        event = sim.step()
         if event is None:
             return events
         events.append(event)
 
 
-class TestEventQueue:
+class TestEventOrder:
     def test_pop_orders_by_time(self):
-        queue = EventQueue()
+        sim = Simulator()
         for time in (3.0, 1.0, 2.0):
-            push_at(queue, time)
-        assert [event.time for event in drain(queue)] == [1.0, 2.0, 3.0]
+            push_at(sim, time)
+        assert [event.time for event in drain(sim)] == [1.0, 2.0, 3.0]
 
     def test_ties_broken_by_insertion_order(self):
-        queue = EventQueue()
-        first = push_at(queue, 1.0, {"idx": 1})
-        second = push_at(queue, 1.0, {"idx": 2})
-        assert queue.pop_next() is first
-        assert queue.pop_next() is second
+        sim = Simulator()
+        first = push_at(sim, 1.0, {"idx": 1})
+        second = push_at(sim, 1.0, {"idx": 2})
+        assert sim.step() is first
+        assert sim.step() is second
+
+    def test_reserved_slot_sorts_where_it_was_reserved(self):
+        sim = Simulator()
+        before = push_at(sim, 1.0)
+        slot = sim.reserve_order()
+        after = push_at(sim, 1.0)
+        late = sim.schedule_at(1.0, EventType.GENERIC, None, None, (slot, 2))
+        early = sim.schedule_at(1.0, EventType.GENERIC, None, None, (slot, 1))
+        assert drain(sim) == [before, early, late, after]
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        cancelled = push_at(queue, 1.0)
-        kept = push_at(queue, 2.0)
+        sim = Simulator()
+        cancelled = push_at(sim, 1.0)
+        kept = push_at(sim, 2.0)
         cancelled.cancel()
-        assert queue.pop_next() is kept
-
-    def test_pop_next_on_empty_returns_none(self):
-        assert EventQueue().pop_next() is None
+        assert sim.step() is kept
 
     def test_negative_time_rejected(self):
-        queue = EventQueue()
+        sim = Simulator()
         with pytest.raises(ValueError):
-            queue.push(Event(time=-1.0))
+            sim.schedule_at(-1.0)
+        assert sim.step() is None
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
     def test_pop_is_monotone_nondecreasing(self, times):
-        queue = EventQueue()
+        sim = Simulator()
         for time in times:
-            push_at(queue, time)
-        popped = [event.time for event in drain(queue)]
+            push_at(sim, time)
+        popped = [event.time for event in drain(sim)]
         assert popped == sorted(popped)
         assert len(popped) == len(times)
 
-    def test_pop_next_respects_until(self):
-        queue = EventQueue()
-        push_at(queue, 1.0)
-        push_at(queue, 10.0)
-        assert queue.pop_next(until=5.0).time == 1.0
-        assert queue.pop_next(until=5.0) is None
-        assert queue.pop_next() is not None
+    def test_run_respects_until(self):
+        sim = Simulator()
+        seen = []
+        for time in (1.0, 10.0):
+            sim.schedule_at(time, EventType.GENERIC, callback=lambda e: seen.append(e.time))
+        assert sim.run(until=5.0) == 1
+        assert sim.run(until=5.0) == 0
+        assert seen == [1.0]
+        assert sim.step().time == 10.0
 
 
 class TestCancellation:
     def test_cancelled_entries_keep_pop_order(self):
-        queue = EventQueue()
-        events = [push_at(queue, float(i), {"idx": i}) for i in range(200)]
+        sim = Simulator()
+        events = [push_at(sim, float(i), {"idx": i}) for i in range(200)]
         for i, event in enumerate(events):
             if i % 2 == 0:
                 event.cancel()
-        popped = [event.payload["idx"] for event in drain(queue)]
+        popped = [event.payload["idx"] for event in drain(sim)]
         assert popped == [i for i in range(200) if i % 2 == 1]
 
     def test_cancelled_entries_keep_same_time_insertion_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         keep = []
         for i in range(300):
-            event = push_at(queue, 1.0, {"idx": i})
+            event = push_at(sim, 1.0, {"idx": i})
             if i % 3 == 0:
                 keep.append(i)
             else:
                 event.cancel()
-        assert [event.payload["idx"] for event in drain(queue)] == keep
+        assert [event.payload["idx"] for event in drain(sim)] == keep
 
     def test_cancel_after_pop_is_harmless(self):
-        queue = EventQueue()
-        first = push_at(queue, 1.0)
-        push_at(queue, 2.0)
-        popped = queue.pop_next()
+        sim = Simulator()
+        first = push_at(sim, 1.0)
+        push_at(sim, 2.0)
+        popped = sim.step()
         assert popped is first
-        popped.cancel()  # already dispatched: must not disturb the queue
-        assert [event.time for event in drain(queue)] == [2.0]
+        popped.cancel()  # already dispatched: must not disturb the heap
+        assert [event.time for event in drain(sim)] == [2.0]
 
     def test_double_cancel_is_harmless(self):
-        queue = EventQueue()
-        event = push_at(queue, 1.0)
-        push_at(queue, 2.0)
+        sim = Simulator()
+        event = push_at(sim, 1.0)
+        push_at(sim, 2.0)
         event.cancel()
         event.cancel()
-        assert [event.time for event in drain(queue)] == [2.0]
+        assert [event.time for event in drain(sim)] == [2.0]
 
     def test_interleaved_cancel_and_run_dispatches_survivors(self):
         sim = Simulator()
@@ -125,8 +135,8 @@ class TestCancellation:
     def test_cancelled_entries_stay_bounded_under_chaos_traffic(self, monkeypatch):
         """Cancelled entries leave the heap as simulated time passes.
 
-        The queue drops a cancelled entry only when it reaches the top of
-        the heap.  The events that get cancelled (batch completions, launch
+        The simulator drops a cancelled entry only when it reaches the top
+        of the heap.  The events that get cancelled (batch completions, launch
         watchdogs, ready events) fall due within one batch or startup
         horizon, so under the cancel-heaviest traffic (the chaos scenario:
         repeated interruption, refused and stuck launches) the number
@@ -134,14 +144,14 @@ class TestCancellation:
         to 1,800 s).
         """
         most = [0]
-        push = EventQueue.push
+        schedule_at = Simulator.schedule_at
 
-        def counting_push(queue, event, order=None):
-            resident = sum(entry[3].cancelled for entry in queue._heap)
+        def counting_schedule_at(sim, *args, **kwargs):
+            resident = sum(entry[3].cancelled for entry in sim._heap)
             most[0] = max(most[0], resident)
-            return push(queue, event, order)
+            return schedule_at(sim, *args, **kwargs)
 
-        monkeypatch.setattr(EventQueue, "push", counting_push)
+        monkeypatch.setattr(Simulator, "schedule_at", counting_schedule_at)
         scenario, arrivals = chaos_scenario("OPT-6.7B", duration=300.0, target_requests=8000)
         run_scenario_experiment(scenario, arrivals, drain_time=100.0)
         assert 10 <= most[0] <= 64
@@ -229,8 +239,8 @@ class TestSimulator:
             10.0 - 1e-12, EventType.GENERIC, callback=lambda e: seen.append(sim.now)
         )
         assert event.time == 10.0
-        sim.queue.push(
-            Event(10.0 - 1e-12, EventType.GENERIC, callback=lambda e: seen.append(sim.now))
+        push_raw(
+            sim, Event(10.0 - 1e-12, EventType.GENERIC, callback=lambda e: seen.append(sim.now))
         )
         sim.run()
         assert seen == [10.0, 10.0]
@@ -240,7 +250,7 @@ class TestSimulator:
         sim = Simulator()
         sim.schedule_at(10.0)
         sim.run()
-        sim.queue.push(Event(9.0, EventType.GENERIC))
+        push_raw(sim, Event(9.0, EventType.GENERIC))
         with pytest.raises(ValueError):
             sim.run()
         assert sim.now == 10.0
@@ -252,7 +262,7 @@ class TestSimulator:
         sim = Simulator()
         sim.schedule_at(10.0)
         sim.run()
-        sim.queue.push(Event(10.0 - step_back, EventType.GENERIC))
+        push_raw(sim, Event(10.0 - step_back, EventType.GENERIC))
         if raises:
             with pytest.raises(ValueError):
                 sim.run()
@@ -280,7 +290,7 @@ class TestSimulator:
         sim.on(EventType.GENERIC, lambda e: seen.append(e.time))
         sim.schedule_at(10.0)
         sim.run()
-        sim.queue.push(Event(9.0, EventType.GENERIC, callback=lambda e: seen.append(-1.0)))
+        push_raw(sim, Event(9.0, EventType.GENERIC, callback=lambda e: seen.append(-1.0)))
         with pytest.raises(ValueError):
             sim.step()
         assert seen == [10.0]

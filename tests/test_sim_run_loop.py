@@ -2,7 +2,7 @@
 
 ``Simulator.run`` pops the event heap and fires each event in one loop
 turn; ``oracles.engine.SteppingSimulator`` does the same work through one
-``pop_next`` call and one ``_fire`` call per event.  Random schedules run
+pop of the next live event and one ``_fire`` call per event.  Random schedules run
 on both in ``run(until=)`` slices must dispatch the same events in the same
 order, and after every slice leave the same ``now`` and
 ``dispatched_events`` and return the same count, or raise the same error.
@@ -15,7 +15,7 @@ event, raises, or pushes an event behind ``now``.
 
 from hypothesis import example, given, settings, strategies as st
 
-from oracles.engine import SteppingSimulator
+from oracles.engine import SteppingSimulator, push_raw
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventType
 
@@ -111,7 +111,7 @@ class Schedule:
             raise Boom(ident)
         elif action[0] == "behind" and room and now >= action[1]:
             event = Event(now - action[1], EventType.GENERIC, len(self.events), self.callback)
-            self.events.append(self.sim.queue.push(event))
+            self.events.append(push_raw(self.sim, event))
 
 
 def replay(sim_class, setup, actions, slices):
@@ -123,7 +123,7 @@ def replay(sim_class, setup, actions, slices):
         if step[0] == "event":
             schedule.schedule(step[1], step[2])
         elif step[0] == "reserve":
-            slots.append(sim.queue.reserve_order())
+            slots.append(sim.reserve_order())
         elif step[0] == "ordered" and slots:
             # A unique minor: equal (time, major, minor) keys never occur.
             minor = step[4] * MAX_EVENTS + len(schedule.events)

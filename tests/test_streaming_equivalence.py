@@ -13,6 +13,8 @@ carried since PR 2).
 
 import hashlib
 
+import pytest
+
 from repro.core.server import SpotServeSystem
 from repro.experiments.runner import run_serving_experiment
 from repro.experiments.scenarios import (
@@ -161,3 +163,68 @@ class TestExactTimestampTies:
         # Sanity: the scenario really does contain exact ties.
         times = [t for _, t in streamed_seq]
         assert len(times) != len(set(times))
+
+
+class TestOneStreamAtATime:
+    """A system streams from one arrival process at a time.
+
+    A second ``submit_arrival_process`` while the first stream still has
+    arrivals to come used to replace its iterator: the first stream's
+    remaining arrivals vanished and ``submitted_requests`` undercounted.
+    """
+
+    @staticmethod
+    def build():
+        from repro.cloud.provider import CloudProvider
+        from repro.cloud.trace import AvailabilityTrace
+        from repro.llm.spec import OPT_6_7B
+        from repro.sim.engine import Simulator
+
+        simulator = Simulator()
+        trace = AvailabilityTrace(name="pinned", initial_instances=4, events=[], duration=300.0)
+        system = SpotServeSystem(
+            simulator, CloudProvider(simulator, trace), OPT_6_7B, initial_arrival_rate=0.1
+        )
+        system.initialize()
+        return system
+
+    @staticmethod
+    def served(system):
+        stats = system.run(until=300.0)
+        assert stats.completed_count == system.submitted_requests
+        return sorted(request.arrival_time for request in stats.completed_requests)
+
+    def test_second_stream_is_refused_at_time_zero(self):
+        from repro.workload.arrival import FixedArrivals
+
+        system = self.build()
+        system.submit_arrival_process(FixedArrivals([10, 20, 30]), 100.0)
+        with pytest.raises(ValueError, match="already streaming"):
+            system.submit_arrival_process(FixedArrivals([12, 40]), 100.0)
+        assert self.served(system) == [10.0, 20.0, 30.0]
+        assert system.submitted_requests == 3
+
+    def test_second_stream_is_refused_mid_stream(self):
+        from repro.workload.arrival import FixedArrivals
+
+        system = self.build()
+        system.submit_arrival_process(FixedArrivals([10, 20, 30]), 100.0)
+        system.run(until=15.0)
+        # Refused for being second, before its first time (behind now) is read.
+        with pytest.raises(ValueError, match="already streaming"):
+            system.submit_arrival_process(FixedArrivals([1.0, 40]), 100.0)
+        assert self.served(system) == [10.0, 20.0, 30.0]
+
+    def test_a_new_stream_follows_one_that_ended(self):
+        from repro.workload.arrival import FixedArrivals
+
+        system = self.build()
+        system.submit_arrival_process(FixedArrivals([10, 20]), 100.0)
+        system.run(until=25.0)
+        # A first time behind now is refused and leaves no stream active.
+        with pytest.raises(ValueError, match="in the past"):
+            system.submit_arrival_process(FixedArrivals([1.0, 40]), 100.0)
+        assert system.submitted_requests == 2
+        system.submit_arrival_process(FixedArrivals([50, 60]), 100.0)
+        assert self.served(system) == [10.0, 20.0, 50.0, 60.0]
+        assert system.submitted_requests == 4

@@ -23,7 +23,7 @@ class TestRequest:
         assert request.remaining_tokens == 6
         request.commit_tokens(100)
         assert request.committed_tokens == 10
-        assert request.is_complete
+        assert request.remaining_tokens == 0
 
     def test_drop_cache_resets_progress(self):
         request = Request(arrival_time=0.0, output_tokens=10)
