@@ -365,30 +365,13 @@ def measure(name: str) -> Dict:
         },
         "digest_chars": len(result.stats.summary_text()),
     }
-    stats = result.stats
-    fault_counters = {
-        "allocation_refusals": stats.allocation_refusals,
-        "launch_failures": stats.launch_failures,
-        "acquisition_retries": stats.acquisition_retries,
-        "early_preemptions": stats.early_preemptions,
-        "migration_fallbacks": stats.migration_fallbacks,
-        "allocation_shortfall": stats.allocation_shortfall,
-    }
-    if any(fault_counters.values()):
-        # Only fault-injected scenarios (chaos) report the resilience
-        # counters; fault-free rows stay byte-stable across this addition.
-        report["fault_counters"] = fault_counters
-    spill_counters = {
-        "bytes_spilled": stats.bytes_spilled,
-        "bytes_restored": stats.bytes_restored,
-        "bytes_abandoned": stats.bytes_abandoned,
-        "restores": stats.restores,
-        "spill_fallbacks": stats.spill_fallbacks,
-    }
-    if any(spill_counters.values()):
-        # Only tier-configured scenarios (tiered_offload) report the spill
-        # accounting; tier-less rows stay byte-stable across this addition.
-        report["spill_counters"] = spill_counters
+    # Only scenarios that touch a group report it: fault-injected ones
+    # (chaos) the resilience counters, tier-configured ones
+    # (tiered_offload) the spill accounting.  Other rows omit both blocks.
+    for block, group in (("fault_counters", "faults"), ("spill_counters", "spill")):
+        counters = result.stats.counters(group)
+        if any(counters.values()):
+            report[block] = counters
     return report
 
 

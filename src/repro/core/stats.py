@@ -10,11 +10,23 @@ single place where the serving systems record everything those figures need.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..workload.request import Request
 from .config import ParallelConfig
+
+
+def _counter(group: str, default: float = 0) -> Any:
+    """Declare a summable run counter reported in *group*.
+
+    The groups, in declaration order: ``"digest"`` (in :meth:`ServingStats.summary`
+    and so in the golden digests), then ``"conservation"``, ``"faults"`` and
+    ``"spill"`` (in :meth:`ServingStats.extended_summary` only).  Every report
+    reads counters through :meth:`ServingStats.counters`, so the field is the
+    counter's only declaration.
+    """
+    return field(default=default, metadata={"group": group})
 
 
 @dataclass
@@ -79,63 +91,70 @@ class ServingStats:
     completed_requests: List[Request] = field(default_factory=list)
     reconfigurations: List[ReconfigurationRecord] = field(default_factory=list)
     autoscale_actions: List[AutoscaleRecord] = field(default_factory=list)
-    tokens_generated: int = 0
-    tokens_recomputed: int = 0
-    preemption_notices: int = 0
-    acquisitions: int = 0
-    interrupted_batches: int = 0
-    rerouted_batches: int = 0
+    #: Output tokens of every completed batch.
+    tokens_generated: int = _counter("digest")
+    #: Decoded tokens lost to interruptions and decoded again.  Nothing
+    #: counts them yet (``tests/test_counters.py`` lists the exception).
+    tokens_recomputed: int = _counter("digest")
+    #: Preemption notices received for this system's instances.
+    preemption_notices: int = _counter("digest")
+    #: Instances that became ready for this system.
+    acquisitions: int = _counter("digest")
+    #: In-flight batches stopped by a reconfiguration.
+    interrupted_batches: int = _counter("digest")
+    #: Interrupted batches whose requests went back to the queue uncached.
+    rerouted_batches: int = _counter("digest")
     #: Whole-availability-zone outages observed (``ZONE_OUTAGE`` down phases).
-    zone_outages: int = 0
+    zone_outages: int = _counter("conservation")
     #: Requests whose in-flight batch was torn down and re-queued (they lose
     #: cached progress but are never lost -- the conservation invariant).
-    requests_rerouted: int = 0
+    requests_rerouted: int = _counter("conservation")
     #: Requests dropped outright.  SpotServe never drops a request -- every
     #: interrupted batch is re-queued -- so this stays zero and exists as the
     #: accounting bucket the evacuation-conservation regression pins.
-    requests_dropped: int = 0
+    requests_dropped: int = _counter("conservation")
     #: Requests turned away at the admission boundary (overload control);
     #: they never enter the queue or the arrival-rate window.
-    requests_rejected: int = 0
+    requests_rejected: int = _counter("conservation")
     #: Queued requests abandoned by the shedding policy at an adaptation
     #: round (e.g. ``deadline-aware``: their queue age already exceeded the
     #: SLO-derived bound, so serving them would be wasted capacity).
-    requests_shed: int = 0
+    requests_shed: int = _counter("conservation")
     #: Instances this system requested that the cloud refused with
     #: insufficient-capacity errors (fault injection).
-    allocation_refusals: int = 0
+    allocation_refusals: int = _counter("faults")
     #: This system's granted launches that died while still ``LAUNCHING``
     #: (fault injection).
-    launch_failures: int = 0
+    launch_failures: int = _counter("faults")
     #: Acquisition retries issued by the server's backoff machinery after a
     #: refused or failed acquisition (includes launch-watchdog re-requests).
-    acquisition_retries: int = 0
+    acquisition_retries: int = _counter("faults")
     #: Preemption finals that fired *before* their announced grace deadline
     #: (Section 4.2's "earlier than expected" case).
-    early_preemptions: int = 0
+    early_preemptions: int = _counter("faults")
     #: Migrations abandoned because the (possibly degraded) network could no
     #: longer beat the grace deadline; context was rerouted instead.
-    migration_fallbacks: int = 0
+    migration_fallbacks: int = _counter("faults")
     #: Instances the serving system asked for and *terminally* never
     #: received: autoscaler demand with no retry machinery to chase it, or
     #: demand whose bounded-backoff retries exhausted.  Per-round detail
     #: lives in :attr:`AutoscaleRecord.shortfall`.
-    allocation_shortfall: int = 0
+    allocation_shortfall: int = _counter("faults")
     #: Context bytes spilled to the host/object-storage offload tier during
     #: grace windows (tiered migration; zero when no tier is configured).
-    bytes_spilled: float = 0.0
+    bytes_spilled: float = _counter("spill", 0.0)
     #: Spilled bytes successfully restored onto surviving destinations.
-    bytes_restored: float = 0.0
+    bytes_restored: float = _counter("spill", 0.0)
     #: Spilled bytes abandoned because their destination died before the
     #: restore completed.  At any drained instant
     #: ``bytes_spilled == bytes_restored + bytes_abandoned``.
-    bytes_abandoned: float = 0.0
+    bytes_abandoned: float = _counter("spill", 0.0)
     #: Tiered migrations whose destination-side restore completed.
-    restores: int = 0
+    restores: int = _counter("spill")
     #: Deadline misses where even the offload tier could not fit the grace
     #: window, so the planner fell through to rerouting (each of these also
     #: increments :attr:`migration_fallbacks`).
-    spill_fallbacks: int = 0
+    spill_fallbacks: int = _counter("spill")
     config_timeline: List[Tuple[float, ParallelConfig]] = field(default_factory=list)
     #: Streaming aggregates, filled by :meth:`record_completion`.
     _completed_count: int = field(default=0, init=False, repr=False)
@@ -197,6 +216,22 @@ class ServingStats:
         """Total serving stall caused by reconfigurations."""
         return sum(record.stall_time for record in self.reconfigurations)
 
+    def counters(self, *groups: str) -> Dict[str, float]:
+        """This run's counters in *groups* (every group when none), in declaration order.
+
+        Raises:
+            ValueError: If a group names no declared counter.
+        """
+        declared = [f for f in fields(self) if "group" in f.metadata]
+        unknown = set(groups) - {f.metadata["group"] for f in declared}
+        if unknown:
+            raise ValueError(f"unknown counter groups: {sorted(unknown)}")
+        return {
+            f.name: getattr(self, f.name)
+            for f in declared
+            if not groups or f.metadata["group"] in groups
+        }
+
     # ------------------------------------------------------------------
     # Deterministic summary (golden regression tests)
     # ------------------------------------------------------------------
@@ -213,12 +248,7 @@ class ServingStats:
         summary: Dict[str, object] = {
             "system": self.system_name,
             "completed": self.completed_count,
-            "tokens_generated": self.tokens_generated,
-            "tokens_recomputed": self.tokens_recomputed,
-            "preemption_notices": self.preemption_notices,
-            "acquisitions": self.acquisitions,
-            "interrupted_batches": self.interrupted_batches,
-            "rerouted_batches": self.rerouted_batches,
+            **self.counters("digest"),
             "reconfiguration_count": len(self.reconfigurations),
             "autoscale_action_count": len(self.autoscale_actions),
             "autoscale_net_delta": sum(r.delta for r in self.autoscale_actions),
@@ -243,37 +273,17 @@ class ServingStats:
         return "\n".join(f"{key}={summary[key]!r}" for key in sorted(summary))
 
     def extended_summary(self) -> Dict[str, object]:
-        """:meth:`summary` plus the fault-injection and overload counters.
+        """:meth:`summary` plus the conservation, fault and spill counters.
 
-        The zone-outage / overload-control / request-conservation counters
-        live here instead of in :meth:`summary` so the golden sha256 digests
-        pinned before those subsystems existed stay byte-identical; outage
-        and admission goldens pin the digest of
-        :meth:`extended_summary_text` instead.  Together the counters close
-        the conservation equation ``submitted == completed + unfinished +
-        dropped + rejected + shed`` at any simulation instant.
+        Those groups live here instead of in :meth:`summary` so the golden
+        sha256 digests pinned before their subsystems existed stay
+        byte-identical; outage and admission goldens pin the digest of
+        :meth:`extended_summary_text` instead.  The conservation counters
+        close the equation ``submitted == completed + unfinished + dropped
+        + rejected + shed`` at any simulation instant.
         """
         summary = self.summary()
-        summary.update(
-            {
-                "zone_outages": self.zone_outages,
-                "requests_rerouted": self.requests_rerouted,
-                "requests_dropped": self.requests_dropped,
-                "requests_rejected": self.requests_rejected,
-                "requests_shed": self.requests_shed,
-                "allocation_refusals": self.allocation_refusals,
-                "launch_failures": self.launch_failures,
-                "acquisition_retries": self.acquisition_retries,
-                "early_preemptions": self.early_preemptions,
-                "migration_fallbacks": self.migration_fallbacks,
-                "allocation_shortfall": self.allocation_shortfall,
-                "bytes_spilled": self.bytes_spilled,
-                "bytes_restored": self.bytes_restored,
-                "bytes_abandoned": self.bytes_abandoned,
-                "restores": self.restores,
-                "spill_fallbacks": self.spill_fallbacks,
-            }
-        )
+        summary.update(self.counters("conservation", "faults", "spill"))
         return summary
 
     def extended_summary_text(self) -> str:

@@ -33,7 +33,7 @@ counters) is pinned by ``tests/test_tenancy.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cloud.instance import Instance
@@ -510,13 +510,9 @@ class MultiTenantSystem:
         tenant's own stats.
         """
         total = ServingStats(system_name=self.name, retain_requests=False)
-        # Every int/float field is a summable counter except the latency
-        # maximum; ``type(...) in`` also skips the bool ``retain_requests``.
-        counters = [
-            f.name
-            for f in fields(total)
-            if type(getattr(total, f.name)) in (int, float) and f.name != "_latency_max"
-        ]
+        # Every declared counter and the two streaming sums add up; the
+        # latency maximum takes the max below.
+        counters = [*total.counters(), "_completed_count", "_latency_sum"]
         timeline: List[Tuple[float, float]] = []
         for _, system in sorted(self.systems.items()):
             stats = system.stats

@@ -200,8 +200,8 @@ def result_row(
 
     Returns:
         A flat JSON-safe dict: cost, latency percentiles, request
-        accounting (incl. the ``requests_rejected`` / ``requests_shed``
-        overload counters) and adaptation activity.
+        accounting, every :class:`~repro.core.stats.ServingStats` counter
+        in declaration order, and adaptation activity.
     """
     stats = result.stats
     return {
@@ -214,20 +214,7 @@ def result_row(
         "submitted_requests": result.submitted_requests,
         "completed_requests": result.completed_requests,
         "requests_unserved": result.unserved_requests,
-        "requests_rejected": stats.requests_rejected,
-        "requests_shed": stats.requests_shed,
-        "requests_rerouted": stats.requests_rerouted,
-        "zone_outages": stats.zone_outages,
-        "preemption_notices": stats.preemption_notices,
-        "allocation_refusals": stats.allocation_refusals,
-        "launch_failures": stats.launch_failures,
-        "acquisition_retries": stats.acquisition_retries,
-        "early_preemptions": stats.early_preemptions,
-        "migration_fallbacks": stats.migration_fallbacks,
-        "allocation_shortfall": stats.allocation_shortfall,
-        "bytes_spilled": round(stats.bytes_spilled, 1),
-        "restores": stats.restores,
-        "spill_fallbacks": stats.spill_fallbacks,
+        **stats.counters(),
         "autoscale_actions": len(stats.autoscale_actions),
         "reconfigurations": len(stats.reconfigurations),
         "cost_per_token": _finite(result.cost_per_token),

@@ -78,18 +78,6 @@ class ExperimentResult:
             return float("inf")
         return self.total_cost / self.tokens_generated
 
-    def summary(self) -> Dict[str, float]:
-        """Flat summary row for reporting."""
-        row = {
-            "avg_latency": self.latency.mean,
-            "p99_latency": self.latency.p99,
-            "completed": float(self.completed_requests),
-            "submitted": float(self.submitted_requests),
-            "total_cost": self.total_cost,
-            "cost_per_token": self.cost_per_token,
-        }
-        return row
-
 
 def run_serving_experiment(
     system_cls: Type[ServingSystemBase],

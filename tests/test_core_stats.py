@@ -120,6 +120,23 @@ class TestSummary:
         assert a.summary_text() != b.summary_text()
 
 
+class TestCounters:
+    def test_groups_cover_every_counter_in_declaration_order(self):
+        stats = ServingStats()
+        groups = ("digest", "conservation", "faults", "spill")
+        assert [name for group in groups for name in stats.counters(group)] == list(
+            stats.counters()
+        )
+        assert list(stats.extended_summary()) == [
+            *stats.summary(),
+            *stats.counters("conservation", "faults", "spill"),
+        ]
+
+    def test_an_unknown_group_is_refused(self):
+        with pytest.raises(ValueError, match="spil"):
+            ServingStats().counters("faults", "spil")
+
+
 class TestIncrementalAggregates:
     def test_unretained_stats_match_retained_metrics(self):
         retained = ServingStats(system_name="s", retain_requests=True)

@@ -85,7 +85,6 @@ class TestRunner:
         assert result.total_cost > 0
         assert result.tokens_generated >= 3 * 128
         assert result.cost_per_token > 0
-        assert "p99_latency" in result.summary()
 
     def test_runner_is_deterministic(self):
         def run_once():

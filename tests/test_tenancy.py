@@ -51,7 +51,9 @@ from repro.core.tenancy import (
     TenantSpec,
     partition_fleet,
 )
-from repro.experiments.runner import run_multi_tenant_experiment
+from repro.experiments.metrics import LatencyStats
+from repro.experiments.policy_bench import result_row
+from repro.experiments.runner import ExperimentResult, run_multi_tenant_experiment
 from repro.experiments.scenarios import multi_tenant_scenario
 from repro.faults.injector import (
     DegradedWindow,
@@ -324,6 +326,46 @@ class TestAggregateStats:
         assert aggregate.spill_fallbacks == 3
         assert aggregate.requests_shed == 15
         assert aggregate._latency_max == 20.0
+
+    def test_every_report_carries_each_counter_under_its_own_name(self):
+        """Each counter holds a value no other counter holds, so a report
+        that reads one counter under another's name fails."""
+        scenario = multi_tenant_scenario("OPT-6.7B", duration=600.0)
+        simulator = Simulator()
+        provider = CloudProvider(simulator, None, zones=scenario.zones)
+        system = MultiTenantSystem(simulator, provider, scenario.tenants)
+        names = list(ServingStats().counters())
+        for scale, tenant in enumerate(sorted(system.systems), start=1):
+            stats = system.systems[tenant].stats
+            for rank, name in enumerate(names, start=1):
+                setattr(stats, name, rank * 10**scale)
+            stats._completed_count = 7 * scale
+            stats._latency_sum = 0.5 * scale
+        expected = {name: 110 * rank for rank, name in enumerate(names, start=1)}
+        aggregate = system.aggregate_stats()
+        assert list(aggregate.counters().items()) == list(expected.items())
+        summary = aggregate.extended_summary()
+        assert {name: summary[name] for name in names} == expected
+        assert (summary["completed"], summary["latency_sum"]) == (21, 1.5)
+        result = ExperimentResult(
+            system_name="fleet",
+            model_name="OPT-6.7B",
+            trace_name="none",
+            duration=600.0,
+            stats=aggregate,
+            latency=LatencyStats.from_latencies([]),
+            submitted_requests=30,
+            completed_requests=21,
+            total_cost=1.0,
+            spot_cost=1.0,
+            on_demand_cost=0.0,
+            tokens_generated=aggregate.tokens_generated,
+        )
+        row = result_row("multi-tenant", "fixed-fleet", result)
+        keys = list(row)
+        start = keys.index("requests_unserved") + 1
+        assert keys[start : start + len(names)] == names
+        assert {name: row[name] for name in names} == expected
 
 
 class TestEventAddressing:
