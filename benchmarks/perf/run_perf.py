@@ -31,7 +31,7 @@ Each row splits ``wall_s`` into three exclusive columns that add up to it:
 ``accounting_error_ratio`` is how far their sum misses ``wall_s``;
 :func:`measure` raises when it exceeds 2%.  Rows also report the work the
 run did: ``served_fraction``, ``goodput_tok_per_sim_s`` and simulated p50 /
-p99 latency sit next to ``sim_events_per_sec``, and ``hungarian_solves``
+p99 latency sit next to ``sim_requests_per_sec``, and ``hungarian_solves``
 counts calls of the module global
 ``repro.core.device_mapper.maximum_weight_assignment`` (the name perfbench
 counts too).  It is a plain counter, not a span, so it leaves the three
@@ -43,8 +43,10 @@ the repo accumulates a perf trajectory, and ``--check`` compares against a
 committed baseline and fails on a > ``--max-regression`` slowdown (the CI
 perf-smoke job runs seven scenarios this way).
 
-The harness also reports ``sim_events_per_sec`` (events dispatched per
-second inside ``Simulator.run``) and runs a ``heavy-traffic`` scenario:
+The harness also reports ``sim_requests_per_sec`` (submitted requests per
+second inside ``Simulator.run``; not events, because an arrival that finds
+every pipeline busy takes in the arrivals before the next pending event
+without events of their own) and runs a ``heavy-traffic`` scenario:
 >=100k streamed requests across three zones with preemption waves and a
 price spike, the workload class the event-core fast path (``__slots__``
 events, tuple payloads, per-type dispatch tables, heap compaction,
@@ -231,7 +233,7 @@ SCENARIOS: Dict[str, Callable[[], ExperimentResult]] = {
     # Shortened multi-zone run for the CI perf-smoke job.
     "small": _run_small_wrapper,
     # >=100k streamed requests across three zones: the event-core stress
-    # scenario behind the ``sim_events_per_sec`` metric.
+    # scenario behind the ``sim_requests_per_sec`` metric.
     "heavy-traffic": _run_heavy_traffic,
     # Full-zone fault injection: the cheapest zone goes dark mid-run and the
     # fleet evacuates across the survivors (ZONE_OUTAGE events, evacuation
@@ -349,9 +351,10 @@ def measure(name: str) -> Dict:
         "latency_p50_s": _percentile(latencies, 50),
         "latency_p99_s": _percentile(latencies, 99),
         "dispatched_events": result.dispatched_events,
-        # Raw event-loop throughput: every dispatched event over the whole
+        # Simulator throughput: every submitted request over the whole
         # simulate phase (control-stack work triggered by events included).
-        "sim_events_per_sec": round(result.dispatched_events / simulate_s, 1)
+        # Not per event: one arrival event can take in many requests.
+        "sim_requests_per_sec": round(result.submitted_requests / simulate_s, 1)
         if simulate_s > 0
         else 0.0,
         "phases": {
@@ -390,9 +393,9 @@ def check_regression(reports: Dict[str, Dict], baseline_path: Path, max_regressi
       planner's fast path.  Scenarios without reconfiguring rounds (the
       pinned-fleet ``overload``) record no ``plan`` phase and skip the
       guard with a message, like the map guard;
-    * ``min_sim_events_per_sec`` -- fails when the event-loop throughput
-      drops below the committed floor (already padded for slow runners, so
-      no multiplier is applied).
+    * ``min_sim_requests_per_sec`` -- fails when the simulator's request
+      throughput drops below the committed floor (already padded for slow
+      runners, so no multiplier is applied).
     """
     baseline = json.loads(baseline_path.read_text())
     failures = []
@@ -401,12 +404,12 @@ def check_regression(reports: Dict[str, Dict], baseline_path: Path, max_regressi
         allowed = entry.get("adaptation_round_ms")
         map_allowed = entry.get("map_ms_per_call")
         plan_allowed = entry.get("plan_ms_per_call")
-        min_events = entry.get("min_sim_events_per_sec")
+        min_requests = entry.get("min_sim_requests_per_sec")
         if (
             allowed is None
             and map_allowed is None
             and plan_allowed is None
-            and min_events is None
+            and min_requests is None
         ):
             print(f"[check] {name}: no committed baseline, skipping")
             continue
@@ -450,14 +453,14 @@ def check_regression(reports: Dict[str, Dict], baseline_path: Path, max_regressi
                 )
                 if measured > limit and name not in failures:
                     failures.append(name)
-        if min_events is not None:
-            events_per_sec = report.get("sim_events_per_sec", 0.0)
-            verdict = "OK" if events_per_sec >= min_events else "REGRESSION"
+        if min_requests is not None:
+            requests_per_sec = report.get("sim_requests_per_sec", 0.0)
+            verdict = "OK" if requests_per_sec >= min_requests else "REGRESSION"
             print(
-                f"[check] {name}: {events_per_sec:.0f} sim events/s vs floor "
-                f"{min_events:.0f} -> {verdict}"
+                f"[check] {name}: {requests_per_sec:.0f} sim requests/s vs floor "
+                f"{min_requests:.0f} -> {verdict}"
             )
-            if events_per_sec < min_events and name not in failures:
+            if requests_per_sec < min_requests and name not in failures:
                 failures.append(name)
     if failures:
         print(f"[check] FAILED: perf regressed on {', '.join(failures)}")
@@ -569,7 +572,7 @@ def main(argv=None) -> int:
         print(
             f"[perf] {name}: {report['adaptation_round_ms']:.2f} ms/round over "
             f"{report['controller_invocations']} controller invocations, "
-            f"{report['sim_events_per_sec']:.0f} sim events/s, "
+            f"{report['sim_requests_per_sec']:.0f} sim requests/s, "
             f"served {report['served_fraction']:.0%} "
             f"(wall {report['wall_s']:.2f}s = setup {report['setup_s']:.2f} "
             f"+ simulate {report['simulate_self_s']:.2f} + control {report['control_s']:.2f})"

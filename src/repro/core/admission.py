@@ -84,7 +84,9 @@ class AdmissionSignal(NamedTuple):
     a frozen dataclass pays.
     """
 
-    #: Simulation time the hook fires at.
+    #: Simulation time the hook is for: the arrival's own time for
+    #: ``admit`` (see :meth:`AdmissionPolicy.admit`), the round's for the
+    #: round hooks.
     time: float
     #: Requests waiting in the FIFO queue (in-flight batches excluded).
     queue_depth: int = 0
@@ -115,11 +117,14 @@ class AdmissionPolicy(ABC):
     def admit(self, request: "Request", signal: AdmissionSignal) -> bool:
         """Decide whether *request* may enter the queue.
 
-        Called on every ``REQUEST_ARRIVAL`` event, before the request is
-        enqueued or counted in the arrival-rate window, when the policy's
-        class overrides this method.  The serving system checks that once,
-        when it is built: this base admits everything, so a policy that
-        inherits it is never called and no signal is built for it.
+        Called on every arrival, before the request is enqueued or
+        counted in the arrival-rate window, when the policy's class
+        overrides this method.  An arrival that finds every pipeline busy
+        may be taken in by an earlier arrival's event; *signal* still
+        carries its own arrival time and the queue depth it found.  The
+        serving system checks the override once, when it is built: this
+        base admits everything, so a policy that inherits it is never
+        called and no signal is built for it.
 
         Args:
             request: The arriving request (not yet enqueued).

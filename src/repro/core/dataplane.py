@@ -224,6 +224,9 @@ class Dataplane:
         cancelled and its ``current_batch`` is gone.  Even the empty daemon
         a lookup would re-create is skipped by the migration planner's
         walk of the meta-context.
+
+        It calls :meth:`dispatch` only when a queued request or an
+        interrupted batch waits, since otherwise that call does nothing.
         """
         pipeline, batch = event.payload  # type: InferencePipeline, Batch
         if pipeline.current_batch is not batch:
@@ -238,7 +241,8 @@ class Dataplane:
             stats.record_completion(request)
         for daemon in pipeline.daemons:
             daemon.cache_context = None
-        self.dispatch()
+        if self.queue._queue or self.resume_batches:
+            self.dispatch()
 
     # ------------------------------------------------------------------
     # Interruption

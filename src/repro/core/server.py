@@ -58,7 +58,7 @@ from ..engine.context import MetaContextManager
 from ..llm.costmodel import LatencyModel
 from ..llm.memory import DEFAULT_MIGRATION_BUFFER_BYTES, MemoryModel
 from ..llm.spec import ModelSpec
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, schedule_error
 from ..sim.events import Event, EventType
 from ..sim.network import NetworkModel, OffloadTierSpec
 from ..workload.arrival import ArrivalProcess, check_non_negative_finite, check_positive_finite
@@ -282,13 +282,16 @@ class ServingSystemBase:
     def submit_arrival_process(self, process: ArrivalProcess, duration: float) -> None:
         """Stream arrivals from *process* instead of pre-scheduling them all.
 
-        Only the *next* arrival is ever pending: when the stream's pending
-        request arrives, :meth:`_on_request_arrival` first arms the
-        following timestamp from
+        Only the *next* arrival is ever pending: the first one is scheduled
+        here, and when the stream's pending request arrives,
+        :meth:`_on_request_arrival` arms the following timestamp from
         :meth:`~repro.workload.arrival.ArrivalProcess.iter_times`, so the
         event heap holds O(1) arrival entries instead of one per request
-        and no :class:`Request` exists before its arrival instant.  Arrival
-        times are generated by exactly the same seeded draws as
+        and no :class:`Request` exists before its arrival instant.  While
+        every pipeline is busy, the arrivals before the simulator's next
+        pending event are taken in by that handler without events of their
+        own (see :meth:`_arm_next_arrival`).  Arrival times are generated
+        by exactly the same seeded draws as
         ``process.arrival_times(duration)``, and a tie-break order slot
         reserved *now* makes every streamed arrival sort against same-time
         events exactly as if the whole workload had been pre-scheduled
@@ -304,27 +307,73 @@ class ServingSystemBase:
         self._arrival_iter = process.iter_times(duration)
         self._arrival_token_sizes = (process.input_tokens, process.output_tokens)
         self._arrival_order_major = self.simulator.reserve_order()
-        self._arm_next_arrival()
+        # Nothing is taken in here: there are no pipelines before ``initialize``.
+        self._arm_next_arrival(self.simulator.now)
 
     @property
     def submitted_requests(self) -> int:
         """Requests submitted so far (pre-scheduled and streamed)."""
         return self._submitted_requests
 
-    def _arm_next_arrival(self) -> None:
-        """Schedule the stream's next arrival, or end the stream.
+    def _arm_next_arrival(self, horizon: float) -> None:
+        """Take in the stream's arrivals before *horizon*; schedule the next one.
 
-        :meth:`_on_request_arrival` does the same inline, since it runs
-        once per streamed arrival.
+        The caller passes the simulator's :meth:`~repro.sim.engine.Simulator.horizon`
+        only when every pipeline is busy.  Nothing frees a pipeline before
+        that next pending event, so each arrival strictly before it could
+        only join the queue: it is taken in here, in stream order, as its
+        own ``REQUEST_ARRIVAL`` event would have done it (counted, offered
+        to a refusing admission policy at its own time, then queued).  The
+        first arrival at or past *horizon* is scheduled with its reserved
+        tie-break order, or the stream ends.  Nothing is taken in unless
+        *horizon* is past ``now``.
+
+        Times keep every check :meth:`~repro.sim.engine.Simulator.schedule_at`
+        makes, measured from the previous arrival: a step back under 1 ns
+        takes the previous arrival's time, a larger one raises
+        ``ValueError``, and a non-finite time is refused.
         """
-        time = next(self._arrival_iter, None)
+        arrivals = self._arrival_iter
+        input_tokens, output_tokens = self._arrival_token_sizes
+        tenant = self.tenant
+        time = next(arrivals, None)
+        last = self.simulator.now
+        if last < horizon and time is not None:
+            queue = self.request_queue
+            # Looked up per call: a wrapper installed on the queue sees each request.
+            enqueue = queue.enqueue
+            arrival_times = self._arrival_times
+            admission = self.admission if self._admit_can_refuse else None
+            taken = 0
+            while last - 1e-9 <= time < horizon:
+                if time > last:
+                    last = time
+                request = Request(time, input_tokens, output_tokens, None, tenant)
+                taken += 1
+                if admission is None or admission.admit(
+                    request,
+                    AdmissionSignal(
+                        last, queue.pending, 0.0, 0.0, 0.0, self.options.slo_latency
+                    ),
+                ):
+                    arrival_times.append(time)
+                    enqueue(request)
+                else:
+                    self.stats.requests_rejected += 1
+                time = next(arrivals, None)
+                if time is None:
+                    break
+            # Nothing above reads the two counters, so they are added once.
+            self._submitted_requests += taken
+            self._arrived_requests += taken
+            if time is not None and time < last - 1e-9:
+                raise schedule_error(last, time)
         if time is None:
             self._arrival_iter = self._streamed = None
             return
-        input_tokens, output_tokens = self._arrival_token_sizes
-        following = Request(time, input_tokens, output_tokens, None, self.tenant)
-        # Scheduled before any state changes: a first time behind ``now``
-        # raises here and leaves no stream active.
+        following = Request(time, input_tokens, output_tokens, None, tenant)
+        # Scheduled before ``_streamed`` is set: at submit time, a first
+        # time behind ``now`` raises here and leaves no stream active.
         self.simulator.schedule_at(
             time,
             _REQUEST_ARRIVAL,
@@ -413,25 +462,8 @@ class ServingSystemBase:
     # ------------------------------------------------------------------
     def _on_request_arrival(self, event: Event) -> None:
         request: Request = event.payload
-        if request is self._streamed:
-            # The stream's pending request: arm the next one first, as
-            # :meth:`_arm_next_arrival` does (inline: this runs per arrival).
-            time = next(self._arrival_iter, None)
-            if time is None:
-                self._arrival_iter = self._streamed = None
-            else:
-                input_tokens, output_tokens = self._arrival_token_sizes
-                following = Request(time, input_tokens, output_tokens, None, self.tenant)
-                self.simulator.schedule_at(
-                    time,
-                    _REQUEST_ARRIVAL,
-                    following,
-                    self._on_request_arrival,
-                    (self._arrival_order_major, self._submitted_requests + 1),
-                )
-                self._submitted_requests += 1
-                self._streamed = following
         self._arrived_requests += 1
+        dataplane = self.dataplane
         if self._admit_can_refuse and not self.admission.admit(
             request,
             # Positional: time, queue depth, and no round estimates.
@@ -448,12 +480,14 @@ class ServingSystemBase:
             # window: the autoscaler and controller size the fleet for the
             # admitted load only (post-admission effective demand).
             self.stats.requests_rejected += 1
-            return
-        self._arrival_times.append(request.arrival_time)
-        self.request_queue.enqueue(request)
-        dataplane = self.dataplane
-        if dataplane.idle:
-            dataplane.dispatch()
+        else:
+            self._arrival_times.append(request.arrival_time)
+            self.request_queue.enqueue(request)
+            if dataplane.idle:
+                dataplane.dispatch()
+        if request is self._streamed:
+            simulator = self.simulator
+            self._arm_next_arrival(simulator.now if dataplane.idle else simulator.horizon())
 
     def _on_preemption_notice(self, event: Event) -> None:
         instance: Instance = event.payload["instance"]

@@ -217,7 +217,8 @@ def result_row(
         **stats.counters(),
         "autoscale_actions": len(stats.autoscale_actions),
         "reconfigurations": len(stats.reconfigurations),
-        "cost_per_token": _finite(result.cost_per_token),
+        # USD per million output tokens: per token, 4 decimals read 0.0.
+        "cost_per_mtok_usd": _finite(result.cost_per_token * 1e6),
     }
 
 

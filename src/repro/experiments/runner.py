@@ -48,9 +48,8 @@ class ExperimentResult:
     on_demand_cost: float
     tokens_generated: int
     cost_by_zone: Dict[str, float] = field(default_factory=dict)
-    #: Simulation events dispatched during the run (the perf harness divides
-    #: this by the seconds spent in ``Simulator.run`` to report
-    #: ``sim_events_per_sec``).
+    #: Simulation events dispatched during the run (the perf harness
+    #: reports it next to ``sim_requests_per_sec``).
     dispatched_events: int = 0
 
     @property

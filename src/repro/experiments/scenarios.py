@@ -332,7 +332,7 @@ def heavy_traffic_scenario(
     The MAF-like fluctuating profile is rescaled so the *expected* request
     count exceeds ``target_requests`` by a few percent (a CV=6 renewal
     process realises the count within ~2%), which makes this the event-core
-    workload the perf harness tracks with ``sim_events_per_sec``: streaming
+    workload the perf harness tracks with ``sim_requests_per_sec``: streaming
     arrivals keep O(1) pending arrival events and the incremental stats keep
     memory flat (``retain_completed_requests=False``) while the fleet rides
     out preemption waves and a mid-run price spike.

@@ -19,6 +19,14 @@ tuples extended at registration time (not resolved per event), and
 :meth:`Simulator.run` pops the heap and fires each event in one loop turn;
 :meth:`Simulator.step` does the same for one event, through
 :meth:`Simulator._fire`.
+
+:meth:`Simulator.horizon` tells a handler how far it may look ahead: no
+event fires before the heap's earliest entry, and a :meth:`Simulator.run`
+fires none after its ``until`` bound, which it records while it runs (a
+:meth:`Simulator.step` records its own event's time).  Anything a handler
+knows would happen strictly before the horizon, with no event in between,
+it may do at once; the streamed arrivals of a saturated serving system are
+taken in that way (``ServingSystemBase._arm_next_arrival``).
 """
 
 from __future__ import annotations
@@ -38,6 +46,16 @@ _NO_HANDLERS: Tuple[EventHandler, ...] = ()
 _INFINITY = math.inf
 
 
+def schedule_error(now: float, time: float) -> ValueError:
+    """The error :meth:`Simulator.schedule_at` raises for *time* at *now*.
+
+    *time* is either more than 1 ns behind *now* or not finite.
+    """
+    if time < now - 1e-9:
+        return ValueError(f"cannot schedule event in the past: now={now:.3f}, time={time:.3f}")
+    return ValueError(f"cannot schedule event at a non-finite time: {time}")
+
+
 class Simulator:
     """Minimal deterministic discrete-event simulator."""
 
@@ -50,6 +68,9 @@ class Simulator:
         #: Per-type dispatch table: extended on registration, read per event.
         self._dispatch: Dict[EventType, Tuple[EventHandler, ...]] = {}
         self._dispatched = 0
+        #: Latest time the :meth:`run` (or :meth:`step`) in progress may
+        #: fire an event at; infinite while none is in progress.
+        self._bound = _INFINITY
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -86,11 +107,7 @@ class Simulator:
         """
         now = self.now
         if not now - 1e-9 <= time < _INFINITY:
-            if time < now - 1e-9:
-                raise ValueError(
-                    f"cannot schedule event in the past: now={now:.3f}, time={time:.3f}"
-                )
-            raise ValueError(f"cannot schedule event at a non-finite time: {time}")
+            raise schedule_error(now, time)
         if time <= now:
             time = now
         event = Event(time, event_type, payload, callback)
@@ -121,6 +138,21 @@ class Simulator:
         """
         return next(self._counter)
 
+    def horizon(self) -> float:
+        """The earliest time anything pending can happen at; ``now`` if nothing is.
+
+        That is the heap's earliest entry, capped by the ``until`` bound of
+        the :meth:`run` in progress (inside :meth:`step`, by the stepped
+        event's time).  A cancelled entry at the top still counts, which
+        only makes the horizon earlier.  Read-only: it pops nothing.
+        """
+        heap = self._heap
+        if not heap:
+            return self.now
+        time = heap[0][0]
+        bound = self._bound
+        return time if time < bound else bound
+
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
@@ -149,12 +181,20 @@ class Simulator:
             handler(event)
 
     def step(self) -> Optional[Event]:
-        """Dispatch the next live event, or return ``None`` if none is left."""
+        """Dispatch the next live event, or return ``None`` if none is left.
+
+        The step runs until that event's time: :meth:`horizon` reads no
+        later while its handlers run.
+        """
         heap = self._heap
         while heap:
             event = heappop(heap)[3]
             if not event.cancelled:
-                self._fire(event)
+                self._bound = event.time
+                try:
+                    self._fire(event)
+                finally:
+                    self._bound = _INFINITY
                 return event
         return None
 
@@ -171,11 +211,13 @@ class Simulator:
         cancelled entries at the top are dropped, and an event more than
         1 ns behind ``now`` is popped and raises before it fires.  The loop
         counts events in a local and adds it to :attr:`dispatched_events`
-        when it returns or raises.
+        when it returns or raises.  The bound is recorded for
+        :meth:`horizon` while the loop runs, and cleared when it returns or
+        raises.
         """
         if until is not None and not math.isfinite(until):
             raise ValueError(f"cannot run until a non-finite time: {until}")
-        bound = _INFINITY if until is None else until
+        bound = self._bound = _INFINITY if until is None else until
         heap = self._heap
         table = self._dispatch
         dispatched = 0
@@ -203,6 +245,7 @@ class Simulator:
                     handler(event)
         finally:
             self._dispatched += dispatched
+            self._bound = _INFINITY
         if until is not None and until > self.now:
             self.now = float(until)
         return dispatched

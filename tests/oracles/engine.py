@@ -1,11 +1,19 @@
-"""Stepping reference for the simulator's run loop, and raw heap entries.
+"""References for the simulator's run loop and horizon, and raw heap entries.
 
 :meth:`~repro.sim.engine.Simulator.run` pops the simulator's heap and
 fires each event in one loop turn.  :class:`SteppingSimulator` runs the way
 that loop used to: pop the next live event off the heap, then one
 :meth:`~repro.sim.engine.Simulator._fire` call per event.  Both must
 dispatch the same events in the same order, leave ``now`` and
-``dispatched_events`` equal and return the same counts.
+``dispatched_events`` equal and return the same counts.  The stepping
+reference records its ``until`` bound for
+:meth:`~repro.sim.engine.Simulator.horizon` as ``run`` does.
+
+:class:`PerArrivalSimulator` has a horizon that is always ``now``, so a
+serving system's streamed arrivals take nothing in and every arrival
+fires as an event of its own, as before arrivals were taken in.  A run on
+it must leave every outcome and every ``run(until=)`` boundary state equal
+to the same run on a :class:`~repro.sim.engine.Simulator`.
 
 :func:`push_raw` is the one place tests write a heap entry themselves, to
 put an event behind ``now`` that ``schedule_at`` would refuse or clamp.
@@ -46,13 +54,24 @@ class SteppingSimulator(Simulator):
     def run(self, until=None):
         if until is not None and not math.isfinite(until):
             raise ValueError(f"cannot run until a non-finite time: {until}")
+        self._bound = math.inf if until is None else until
         dispatched = 0
-        while True:
-            event = self._pop_next(until)
-            if event is None:
-                break
-            self._fire(event)
-            dispatched += 1
+        try:
+            while True:
+                event = self._pop_next(until)
+                if event is None:
+                    break
+                self._fire(event)
+                dispatched += 1
+        finally:
+            self._bound = math.inf
         if until is not None and until > self.now:
             self.now = float(until)
         return dispatched
+
+
+class PerArrivalSimulator(Simulator):
+    """Looks no further than ``now``: every streamed arrival is an event."""
+
+    def horizon(self):
+        return self.now

@@ -1,18 +1,24 @@
-"""A guard on the Python calls the per-request path makes per event.
+"""A guard on the Python calls the serving path makes per submitted request.
 
 Wall-clock guards depend on the host; a call count does not.  Each test
 builds one perfbench workload at a shortened size (``serve`` over 1200
 simulated seconds, ``ingest`` over 600, both seed 0), runs it under
 ``sys.setprofile`` and counts the ``'call'`` events whose code lies under
-``src/repro``, per event the simulator dispatched.  Only ``repro`` frames
-count, so stdlib differences between Python versions stay out of the
-number, and the counts repeat exactly (checked under ``PYTHONHASHSEED``
-0, 1 and 2).
+``src/repro``, per request the system was submitted.  Only ``repro``
+frames count, so stdlib differences between Python versions stay out of
+the number, and the counts repeat exactly (checked under
+``PYTHONHASHSEED`` 0, 1 and 2).
 
-A rise above a workload's bound in :data:`MAX_CALLS_PER_EVENT` means a
-call came back into the per-event path: a helper, property or wrapper the
-run loop, an arrival or a batch now goes through.  The failure message lists the most frequent
-callees; ``python -m cProfile`` on the same workload shows who calls them.
+The count is per request, not per dispatched event, because one event can
+carry many requests: an arrival that finds every pipeline busy takes in
+the arrivals before the simulator's next pending event without events of
+their own.  Firing each of them as an event again raises both counts.
+
+A rise above a workload's bound in :data:`MAX_CALLS_PER_REQUEST` means a
+call came back into the per-request path: a helper, property or wrapper
+the run loop, an arrival or a batch now goes through.  The failure
+message lists the most frequent callees; ``python -m cProfile`` on the
+same workload shows who calls them.
 """
 
 import os
@@ -34,11 +40,12 @@ if str(REPO_ROOT) not in sys.path:
 
 from perfbench import workloads  # noqa: E402
 
-#: Calls into ``repro`` per dispatched event allowed on each workload: the
-#: measured count plus one.  Measured 8.38 on serve and 6.35 on ingest; a
-#: run loop that goes back through a pop helper and ``_fire`` adds two per
-#: event and fails both.
-MAX_CALLS_PER_EVENT = {"serve": 9.38, "ingest": 7.35}
+#: Calls into ``repro`` per submitted request allowed on each workload: the
+#: measured count plus one.  Measured 10.50 on serve and 3.60 on ingest;
+#: they read 12.02 and 6.55 while every arrival was an event and every
+#: completion called ``dispatch``, and firing each arrival as an event
+#: again fails both.
+MAX_CALLS_PER_REQUEST = {"serve": 11.50, "ingest": 4.60}
 
 #: Shortened workload sizes, in simulated seconds.
 SIZES = {"serve": 1200.0, "ingest": 600.0}
@@ -46,8 +53,8 @@ SIZES = {"serve": 1200.0, "ingest": 600.0}
 _REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 
 
-def calls_per_event(name):
-    """Run workload *name* under the profiler; return calls/event and callees."""
+def calls_per_request(name):
+    """Run workload *name* under the profiler; return calls/request and callees."""
     work = workloads.build(name, 0, SIZES[name])
     scenario = work.scenario
     assert scenario.fault_plan is None, "the guard builds no fault injector"
@@ -78,12 +85,13 @@ def calls_per_event(name):
         system.run(until=scenario.duration + work.drain_time)
     finally:
         sys.setprofile(None)
-    assert sim.dispatched_events > 10_000
-    return sum(callees.values()) / sim.dispatched_events, callees
+    submitted = system.submitted_requests
+    assert submitted > 10_000
+    return sum(callees.values()) / submitted, callees
 
 
 @pytest.mark.parametrize("name", sorted(SIZES))
-def test_calls_per_event_stay_under_the_guard(name):
-    ratio, callees = calls_per_event(name)
+def test_calls_per_request_stay_under_the_guard(name):
+    ratio, callees = calls_per_request(name)
     top = ", ".join(f"{file}:{function} {count}" for (file, function), count in callees.most_common(8))
-    assert ratio <= MAX_CALLS_PER_EVENT[name], f"{name}: {ratio:.2f} calls per event ({top})"
+    assert ratio <= MAX_CALLS_PER_REQUEST[name], f"{name}: {ratio:.2f} calls per request ({top})"

@@ -52,7 +52,7 @@ def test_benchmarks_doc_consolidates_the_harness():
         "--check",
         "--policy-benchmark",
         "adaptation_round_ms",
-        "sim_events_per_sec",
+        "sim_requests_per_sec",
         "-m slow",
     ):
         assert needle in text, f"BENCHMARKS.md lost its {needle!r} section"

@@ -571,10 +571,10 @@ class TestPerfCheckMapGuard:
     """run_perf.py --check guards the map phase's ms/call per scenario."""
 
     @staticmethod
-    def report(map_ms, round_ms=5.0, events=50000.0):
+    def report(map_ms, round_ms=5.0, requests=50000.0):
         return {
             "adaptation_round_ms": round_ms,
-            "sim_events_per_sec": events,
+            "sim_requests_per_sec": requests,
             "phases": {"map": {"seconds": 1.0, "calls": 10, "ms_per_call": map_ms}},
         }
 

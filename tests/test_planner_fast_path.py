@@ -388,10 +388,10 @@ class TestPerfCheckPlanGuard:
     """run_perf.py --check guards the plan phase's ms/call per scenario."""
 
     @staticmethod
-    def report(plan_ms, round_ms=5.0, events=50000.0):
+    def report(plan_ms, round_ms=5.0, requests=50000.0):
         return {
             "adaptation_round_ms": round_ms,
-            "sim_events_per_sec": events,
+            "sim_requests_per_sec": requests,
             "phases": {"plan": {"seconds": 1.0, "calls": 10, "ms_per_call": plan_ms}},
         }
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles.engine import push_raw
+from oracles.engine import SteppingSimulator, push_raw
 from repro.experiments.runner import run_scenario_experiment
 from repro.experiments.scenarios import chaos_scenario
 from repro.sim.engine import Simulator
@@ -374,3 +374,70 @@ class TestSimulator:
         sim.schedule_at(2.0)
         sim.run()
         assert sim.dispatched_events == 2
+
+
+class TestHorizon:
+    """``Simulator.horizon``: the earliest pending entry, capped by the running bound."""
+
+    def test_empty_heap_gives_now(self):
+        sim = Simulator()
+        assert sim.horizon() == 0.0
+        sim.run(until=4.0)
+        assert sim.horizon() == 4.0
+
+    def test_earliest_entry_outside_a_run(self):
+        sim = Simulator()
+        push_at(sim, 7.0)
+        push_at(sim, 3.0)
+        assert sim.horizon() == 3.0
+
+    def test_cancelled_top_entry_counts(self):
+        sim = Simulator()
+        push_at(sim, 2.0).cancel()
+        push_at(sim, 5.0)
+        assert sim.horizon() == 2.0
+        # Reading it pops nothing: the run still drops the cancelled entry.
+        assert sim.run() == 1
+
+    @pytest.mark.parametrize("simulator_class", [Simulator, SteppingSimulator])
+    def test_capped_by_the_running_bound_inside_a_handler(self, simulator_class):
+        sim = simulator_class()
+        seen = []
+        sim.schedule_at(1.0, EventType.GENERIC, callback=lambda e: seen.append(sim.horizon()))
+        sim.schedule_at(2.0, EventType.GENERIC, callback=lambda e: seen.append(sim.horizon()))
+        push_at(sim, 10.0)
+        sim.run(until=5.0)
+        # The entry at 10 is pending, but this run stops at 5.
+        assert seen == [2.0, 5.0]
+        sim.run()
+        assert sim.horizon() == sim.now == 10.0
+
+    @pytest.mark.parametrize("simulator_class", [Simulator, SteppingSimulator])
+    def test_bound_is_gone_after_the_run_returns(self, simulator_class):
+        sim = simulator_class()
+        push_at(sim, 1.0)
+        push_at(sim, 10.0)
+        sim.run(until=5.0)
+        assert sim.horizon() == 10.0
+
+    @pytest.mark.parametrize("simulator_class", [Simulator, SteppingSimulator])
+    def test_bound_is_gone_after_the_run_raises(self, simulator_class):
+        sim = simulator_class()
+
+        def boom(event):
+            raise RuntimeError("boom")
+
+        sim.schedule_at(1.0, EventType.GENERIC, callback=boom)
+        push_at(sim, 10.0)
+        with pytest.raises(RuntimeError):
+            sim.run(until=5.0)
+        assert sim.horizon() == 10.0
+
+    def test_step_caps_at_its_own_event(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, EventType.GENERIC, callback=lambda e: seen.append(sim.horizon()))
+        push_at(sim, 10.0)
+        sim.step()
+        assert seen == [1.0]
+        assert sim.horizon() == 10.0

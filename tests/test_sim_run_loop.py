@@ -4,7 +4,8 @@
 turn; ``oracles.engine.SteppingSimulator`` does the same work through one
 pop of the next live event and one ``_fire`` call per event.  Random schedules run
 on both in ``run(until=)`` slices must dispatch the same events in the same
-order, and after every slice leave the same ``now`` and
+order, read the same :meth:`~repro.sim.engine.Simulator.horizon` in their
+handlers, and after every slice leave the same ``now`` and
 ``dispatched_events`` and return the same count, or raise the same error.
 
 A schedule mixes same-time ties, events pushed into reserved order slots,
@@ -97,7 +98,7 @@ class Schedule:
         self.act(event.payload)
 
     def logging_handler(self, event):
-        self.log.append(("logger", event.payload, self.sim.now))
+        self.log.append(("logger", event.payload, self.sim.now, self.sim.horizon()))
 
     def act(self, ident):
         action = self.actions[ident % len(self.actions)]

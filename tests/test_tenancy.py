@@ -497,7 +497,10 @@ class _OwnershipWatch:
     def __init__(self, system):
         self.system = system
         self.simulator = system.simulator
-        self.events = 0
+        #: Events checked other than arrivals.  Arrivals never change
+        #: ownership, and one arrival event can take in many requests, so
+        #: their count says nothing about how much the checks covered.
+        self.non_arrival_events = 0
         self.violations = []
         #: ``(time, instance id, owner)`` each time an owner-map entry changes.
         self.history = [(0.0, iid, owner) for iid, owner in sorted(system.owners.items())]
@@ -509,7 +512,7 @@ class _OwnershipWatch:
             self.simulator.on(event_type, self.check)
 
     def check(self, event):
-        self.events += 1
+        self.non_arrival_events += event.event_type is not EventType.REQUEST_ARRIVAL
         now = self.simulator.now
         owners = self.system.owners
         for iid, owner in owners.items():
@@ -656,7 +659,8 @@ class TestSharedZoneEvacuation:
     @pytest.mark.parametrize("run", ["shared_zone_run", "every_zone_run"])
     def test_ownership_holds_after_every_event(self, run, request):
         watch = request.getfixturevalue(run)
-        assert watch.events > 500
+        # 293 on the shared-zone run and 196 on the every-zone run.
+        assert watch.non_arrival_events > 150
         assert not watch.violations, watch.violations[:5]
         # Both tenants served: the checks ran on live fleets.
         for tenant in watch.system.systems.values():
@@ -840,10 +844,10 @@ class TestPerfCheckMultiTenantGuard:
     """run_perf.py --check guards the multi_tenant scenario (fail/pass/skip)."""
 
     @staticmethod
-    def report(round_ms, events):
+    def report(round_ms, requests):
         return {
             "adaptation_round_ms": round_ms,
-            "sim_events_per_sec": events,
+            "sim_requests_per_sec": requests,
             "phases": {},
         }
 
@@ -861,7 +865,7 @@ class TestPerfCheckMultiTenantGuard:
         )
         entry = baseline["scenarios"]["multi_tenant"]
         assert entry["adaptation_round_ms"] > 0
-        assert entry["min_sim_events_per_sec"] > 0
+        assert entry["min_sim_requests_per_sec"] > 0
 
     def test_ci_matrix_runs_the_scenario(self):
         workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
@@ -869,27 +873,27 @@ class TestPerfCheckMultiTenantGuard:
 
     def test_round_regression_fails_the_check(self, run_perf, tmp_path):
         baseline = self.baseline(
-            tmp_path, {"adaptation_round_ms": 4.5, "min_sim_events_per_sec": 25000}
+            tmp_path, {"adaptation_round_ms": 4.5, "min_sim_requests_per_sec": 22893}
         )
-        reports = {"multi_tenant": self.report(round_ms=20.0, events=90000.0)}
+        reports = {"multi_tenant": self.report(round_ms=20.0, requests=90000.0)}
         assert run_perf.check_regression(reports, baseline, max_regression=2.0) == 1
 
-    def test_events_floor_regression_fails_the_check(self, run_perf, tmp_path):
+    def test_requests_floor_regression_fails_the_check(self, run_perf, tmp_path):
         baseline = self.baseline(
-            tmp_path, {"adaptation_round_ms": 4.5, "min_sim_events_per_sec": 25000}
+            tmp_path, {"adaptation_round_ms": 4.5, "min_sim_requests_per_sec": 22893}
         )
-        reports = {"multi_tenant": self.report(round_ms=2.0, events=10000.0)}
+        reports = {"multi_tenant": self.report(round_ms=2.0, requests=10000.0)}
         assert run_perf.check_regression(reports, baseline, max_regression=2.0) == 1
 
     def test_within_limits_passes(self, run_perf, tmp_path):
         baseline = self.baseline(
-            tmp_path, {"adaptation_round_ms": 4.5, "min_sim_events_per_sec": 25000}
+            tmp_path, {"adaptation_round_ms": 4.5, "min_sim_requests_per_sec": 22893}
         )
-        reports = {"multi_tenant": self.report(round_ms=4.0, events=90000.0)}
+        reports = {"multi_tenant": self.report(round_ms=4.0, requests=90000.0)}
         assert run_perf.check_regression(reports, baseline, max_regression=2.0) == 0
 
     def test_unlisted_scenario_skips_the_guard(self, run_perf, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({"scenarios": {}}))
-        reports = {"multi_tenant": self.report(round_ms=999.0, events=1.0)}
+        reports = {"multi_tenant": self.report(round_ms=999.0, requests=1.0)}
         assert run_perf.check_regression(reports, path, max_regression=2.0) == 0

@@ -1003,10 +1003,10 @@ class TestPerfHarnessWiring:
     """run_perf.py --check gains a guarded tiered_offload entry."""
 
     @staticmethod
-    def report(round_ms=5.0, events=50000.0):
+    def report(round_ms=5.0, requests=50000.0):
         return {
             "adaptation_round_ms": round_ms,
-            "sim_events_per_sec": events,
+            "sim_requests_per_sec": requests,
             "phases": {
                 "map": {"seconds": 1.0, "calls": 10, "ms_per_call": 2.0},
                 "plan": {"seconds": 1.0, "calls": 10, "ms_per_call": 2.0},
@@ -1025,7 +1025,7 @@ class TestPerfHarnessWiring:
             "adaptation_round_ms",
             "map_ms_per_call",
             "plan_ms_per_call",
-            "min_sim_events_per_sec",
+            "min_sim_requests_per_sec",
         ):
             assert guard in entry
 
@@ -1043,7 +1043,7 @@ class TestPerfHarnessWiring:
                             "adaptation_round_ms": 8.5,
                             "map_ms_per_call": 6.0,
                             "plan_ms_per_call": 6.5,
-                            "min_sim_events_per_sec": 1800,
+                            "min_sim_requests_per_sec": 1367,
                         }
                     }
                 }
@@ -1060,8 +1060,8 @@ class TestPerfHarnessWiring:
             == 1
         )
 
-    def test_events_floor_regression_fails_the_check(self, run_perf, tmp_path):
-        report = self.report(events=100.0)
+    def test_requests_floor_regression_fails_the_check(self, run_perf, tmp_path):
+        report = self.report(requests=100.0)
         assert (
             run_perf.check_regression(
                 {"tiered_offload": report}, self.baseline(tmp_path), 2.0
