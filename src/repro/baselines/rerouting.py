@@ -49,12 +49,9 @@ class RequestReroutingSystem(ServingSystemBase):
                 next(self._pipeline_counter)
 
     # ------------------------------------------------------------------
-    # Event hooks
+    # Event hooks (a reactive baseline: preemption notices change nothing,
+    # and the fixed shape never re-plans for the workload)
     # ------------------------------------------------------------------
-    def handle_preemption_notice(self, instance: Instance, deadline: float) -> None:
-        # Reactive baseline: nothing happens until the instance disappears.
-        return
-
     def handle_preemption_final(self, instance: Instance) -> None:
         affected = self.dataplane.teardown({instance.instance_id})
         if affected:
@@ -75,10 +72,6 @@ class RequestReroutingSystem(ServingSystemBase):
 
     def handle_acquisition_ready(self, instance: Instance) -> None:
         self._try_add_pipelines()
-
-    def handle_workload_check(self) -> None:
-        # The fixed-shape baseline never re-optimises for workload changes.
-        return
 
     # ------------------------------------------------------------------
     # Pipeline management

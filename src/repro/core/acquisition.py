@@ -70,7 +70,7 @@ class FleetAcquirer:
         """
         system = self.system
         autoscaler = system.autoscaler
-        if autoscaler is None or system.reconfiguring:
+        if system.reconfiguring:
             # Mid-migration the pipeline set is empty, so the release guard
             # could not protect instances the in-flight placement depends
             # on; defer to the next round.

@@ -21,11 +21,17 @@ inference recovery.  The baselines in :mod:`repro.baselines` subclass the
 same base so that every system sees the identical workload, trace and
 inference engine.
 
+The adaptation round runs every :data:`ADAPTATION_INTERVAL` seconds: the
+system's ``round_steps``, built once from the options, in order --
+overload control, fleet sizing, then the system's own re-evaluation.
+
 Event addressing: the four event types a system schedules for itself
 (``REQUEST_ARRIVAL``, ``BATCH_COMPLETION``, ``RECONFIGURATION``,
 ``MIGRATION_COMPLETE``) carry their handler as the event callback.
 ``WORKLOAD_CHECK`` and the cloud events are broadcast to every system on
-the simulator and filtered by ownership.
+the simulator: a workload check names the system that armed it in its
+``{"system": ...}`` payload, and the cloud events are filtered by
+ownership.
 
 Invariants maintained here (and pinned by the regression suites):
 
@@ -49,7 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cloud.instance import Instance
 from ..cloud.manager import InstanceManager
@@ -61,7 +67,7 @@ from ..llm.spec import ModelSpec
 from ..sim.engine import Simulator, schedule_error
 from ..sim.events import Event, EventType
 from ..sim.network import NetworkModel, OffloadTierSpec
-from ..workload.arrival import ArrivalProcess, check_non_negative_finite, check_positive_finite
+from ..workload.arrival import ArrivalProcess, check_positive_finite
 from ..workload.request import Request
 from .acquisition import MAX_ON_DEMAND_EXTRA, FleetAcquirer
 from .admission import AdmissionPolicy, AdmissionSignal, make_admission_policy
@@ -79,31 +85,35 @@ from .stats import ReconfigurationRecord, ServingStats
 # ~0.1 us on Python 3.11, against one global lookup here.
 _REQUEST_ARRIVAL = EventType.REQUEST_ARRIVAL
 
+#: Seconds between adaptation rounds.  The multi-tenant rebalance runs on
+#: the same period, just before each tenant's round.
+ADAPTATION_INTERVAL = 30.0
+#: The arrival-rate estimate's short trailing window (four rounds); its
+#: long window is three times this.
+ARRIVAL_RATE_WINDOW = 4 * ADAPTATION_INTERVAL
+
 
 @dataclass
 class SpotServeOptions:
     """Feature switches and policy choices of the SpotServe system.
 
-    The boolean switches correspond one-to-one to the components removed in
-    the paper's ablation study (Figure 9).
+    The first four boolean switches correspond one-to-one to the four
+    components the paper's ablation study (Figure 9) removes.
     """
 
     #: Dynamically re-optimise the parallel configuration (Algorithm 1).
     adaptive_controller: bool = True
-    #: Use Kuhn-Munkres optimal matching in the device mapper (vs. arbitrary).
+    #: Device mapper: Kuhn-Munkres optimal matching in the hierarchical
+    #: (intra-/inter-instance) two-step form; off, one greedy flat matching.
     optimal_device_mapping: bool = True
-    #: Use the hierarchical (intra-/inter-instance) two-step matching.
-    hierarchical_mapping: bool = True
-    #: Order layer migration under the U_max buffer bound (Algorithm 2).
+    #: Migration planner (Algorithm 2): order layer migration under the
+    #: U_max buffer bound, front-loading early pipeline stages so that
+    #: migration overlaps serving.
     memory_optimized_migration: bool = True
-    #: Overlap migration with serving by front-loading early pipeline stages.
-    progressive_migration: bool = True
     #: Token-level commit + KV-cache migration (stateful inference recovery).
     stateful_recovery: bool = True
     #: Allow mixing on-demand instances when spot capacity is insufficient.
     allow_on_demand: bool = False
-    #: Seconds between workload re-evaluations (also the arrival-rate window).
-    workload_check_interval: float = 30.0
     #: Optional latency SLO passed to the configuration optimizer.
     slo_latency: Optional[float] = None
     #: Autoscaling policy name ("target-utilization", "queue-latency",
@@ -133,8 +143,6 @@ class SpotServeOptions:
     offload_tier: Optional[OffloadTierSpec] = None
 
     def __post_init__(self) -> None:
-        # 0 is valid: it disables the periodic workload checks.
-        check_non_negative_finite("workload_check_interval", self.workload_check_interval)
         if self.slo_latency is not None:
             check_positive_finite("slo_latency", self.slo_latency)
 
@@ -143,6 +151,9 @@ class ServingSystemBase:
     """Shared machinery for every serving system in the reproduction."""
 
     name = "base"
+    #: The system's own re-evaluation, the last step of each adaptation
+    #: round; ``None`` for a system that never re-plans for the workload.
+    handle_workload_check: Optional[Callable[[], None]] = None
 
     def __init__(
         self,
@@ -216,9 +227,22 @@ class ServingSystemBase:
         # injector (the default) the run is byte-identical to the
         # fault-free code.
         self.fault_injector = provider.fault_injector
-        if self.options.offload_tier is not None:
-            self.network.offload_tier = self.options.offload_tier
+        self.network.offload_tier = self.options.offload_tier
         self.acquirer = FleetAcquirer(self)
+
+        # One adaptation round, in order: overload control sheds first, so
+        # fleet sizing and the re-evaluation see the post-shed backlog.
+        # A step exists only for a configured subsystem, and each reads its
+        # subsystem when called, so a wrapper installed on it later sees
+        # every call.
+        steps: List[Callable[[], None]] = []
+        if self.admission is not None:
+            steps.append(self._run_admission_round)
+        if self.autoscaler is not None:
+            steps.append(self.acquirer.run_autoscaler)
+        if self.handle_workload_check is not None and self.options.adaptive_controller:
+            steps.append(self.handle_workload_check)
+        self.round_steps: Tuple[Callable[[], None], ...] = tuple(steps)
 
         #: True from scheduling a reconfiguration until its migration ends.
         self.reconfiguring = False
@@ -396,12 +420,9 @@ class ServingSystemBase:
                 config, default_placement(config, manager.stable_devices())
             )
             self.stats.record_config(0.0, config)
-        if self.options.workload_check_interval > 0:
-            self.simulator.schedule_after(
-                self.options.workload_check_interval,
-                EventType.WORKLOAD_CHECK,
-                payload={"system": self},
-            )
+        self.simulator.schedule_after(
+            ADAPTATION_INTERVAL, EventType.WORKLOAD_CHECK, payload={"system": self}
+        )
 
     def run(self, until: float) -> ServingStats:
         """Initialise (if not done yet), run the simulation, return the statistics."""
@@ -447,15 +468,11 @@ class ServingSystemBase:
     def handle_acquisition_ready(self, instance: Instance) -> None:
         """React to a new instance becoming usable (subclasses override)."""
 
-    def handle_workload_check(self) -> None:
-        """Periodic workload re-evaluation (subclasses override)."""
-
     def handle_zone_outage(self, zone: str, phase: str, payload: Dict) -> None:
         """React to a zone-outage phase (subclasses override)."""
 
     def handle_replan(self) -> None:
         """Re-evaluate the deployment after a deferred trigger (subclasses override)."""
-        self.handle_workload_check()
 
     # ------------------------------------------------------------------
     # Event handlers (shared bookkeeping, then delegate to hooks)
@@ -572,25 +589,16 @@ class ServingSystemBase:
     def _on_workload_check(self, event: Event) -> None:
         # On a shared simulator every system sees every WORKLOAD_CHECK; the
         # ``system`` payload key scopes each round to the system that armed
-        # it (absent on legacy events, so single-tenant behaviour and the
-        # golden digests are untouched).
-        owner = event.payload.get("system") if event.payload else None
-        if owner is not None and owner is not self:
+        # it.  (In multi-tenant mode the coordinator's rebalance, just before
+        # this round, already narrowed the instance manager to this tenant's
+        # share of the fleet.)
+        if event.payload["system"] is not self:
             return
-        # Overload control first: shedding runs before the autoscaler and
-        # the workload re-evaluation so sizing and configuration decisions
-        # see the post-shed backlog.  (In multi-tenant mode the coordinator's
-        # rebalance, just before this round, already narrowed the instance
-        # manager to this tenant's share of the fleet.)
-        self._run_admission_round()
-        self.acquirer.run_autoscaler()
-        self.handle_workload_check()
-        if self.options.workload_check_interval > 0:
-            self.simulator.schedule_after(
-                self.options.workload_check_interval,
-                EventType.WORKLOAD_CHECK,
-                payload={"system": self},
-            )
+        for step in self.round_steps:
+            step()
+        self.simulator.schedule_after(
+            ADAPTATION_INTERVAL, EventType.WORKLOAD_CHECK, payload={"system": self}
+        )
 
     def _run_admission_round(self) -> None:
         """Consult the shedding policy once per adaptation round.
@@ -598,8 +606,6 @@ class ServingSystemBase:
         Every signal field is a pure function of the seeded simulation
         state, so a policy that ignores the signal cannot perturb the run.
         """
-        if self.admission is None:
-            return
         arrival_rate, estimate = self.serving_estimate()
         signal = AdmissionSignal(
             time=self.simulator.now,
@@ -636,8 +642,7 @@ class ServingSystemBase:
         configuration that exactly matches the arrival rate would never catch
         up after a stall).
         """
-        short_window = max(4.0 * self.options.workload_check_interval, 120.0)
-        long_window = 3.0 * short_window
+        long_window = 3.0 * ARRIVAL_RATE_WINDOW
         now = self.simulator.now
         arrivals = self._arrival_times
         total = len(arrivals)
@@ -664,8 +669,8 @@ class ServingSystemBase:
 
         # The short window reacts to ramps quickly; the long window keeps a
         # quiet burst gap from looking like a workload collapse.
-        observed = max(rate_over(short_window), rate_over(long_window))
-        backlog_pressure = self.request_queue.pending / short_window
+        observed = max(rate_over(ARRIVAL_RATE_WINDOW), rate_over(long_window))
+        backlog_pressure = self.request_queue.pending / ARRIVAL_RATE_WINDOW
         return max(observed + backlog_pressure, 1e-3)
 
     # ------------------------------------------------------------------
@@ -803,14 +808,14 @@ class SpotServeSystem(ServingSystemBase):
             self.model,
             gpus_per_instance=self.gpus_per_instance,
             use_optimal_matching=self.options.optimal_device_mapping,
-            hierarchical=self.options.hierarchical_mapping,
+            hierarchical=self.options.optimal_device_mapping,
             zone_of=self.provider.zone_of,
         )
         self.migration_planner = MigrationPlanner(
             self.model,
             self.network,
             memory_optimized=self.options.memory_optimized_migration,
-            progressive=self.options.progressive_migration,
+            progressive=self.options.memory_optimized_migration,
         )
         self.transitions = TransitionPlanner(self)
         self._downscale_votes = 0
@@ -895,9 +900,10 @@ class SpotServeSystem(ServingSystemBase):
         self._plan_reconfiguration(reason="followup")
 
     def handle_workload_check(self) -> None:
-        """Adaptation round: re-optimise the configuration with hysteresis."""
-        if not self.options.adaptive_controller:
-            return
+        """The round's last step: re-optimise the configuration with hysteresis.
+
+        A step only with the adaptive controller (see ``round_steps``).
+        """
         decision = self._propose()
         if decision is None:
             return

@@ -41,13 +41,8 @@ from ..cloud.provider import CloudProvider
 from ..llm.spec import get_model
 from ..sim.engine import Simulator
 from ..sim.events import Event, EventType
-from ..workload.arrival import (
-    ArrivalProcess,
-    GammaArrivals,
-    check_non_negative_finite,
-    check_positive_finite,
-)
-from .server import ServingSystemBase, SpotServeOptions, SpotServeSystem
+from ..workload.arrival import ArrivalProcess, GammaArrivals, check_positive_finite
+from .server import ADAPTATION_INTERVAL, ServingSystemBase, SpotServeOptions, SpotServeSystem
 from .stats import ServingStats
 
 
@@ -119,8 +114,6 @@ class TenantSpec:
     autoscale_policy: Optional[str] = None
     #: Autoscaler kwargs as ``((key, value), ...)`` pairs.
     autoscale_params: Optional[Tuple[Tuple[str, object], ...]] = None
-    #: Seconds between this tenant's adaptation rounds (0 disables them).
-    workload_check_interval: float = 30.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -139,8 +132,6 @@ class TenantSpec:
             raise ValueError("zones must name at least one zone (None means every zone)")
         check_positive_finite("arrival_rate", self.arrival_rate)
         check_positive_finite("cv", self.cv)
-        # 0 is valid: it disables the tenant's adaptation rounds.
-        check_non_negative_finite("workload_check_interval", self.workload_check_interval)
 
     def arrival_process(self) -> ArrivalProcess:
         """The tenant's seeded Gamma arrival workload."""
@@ -158,7 +149,6 @@ class TenantSpec:
             autoscale_params=(
                 dict(self.autoscale_params) if self.autoscale_params else None
             ),
-            workload_check_interval=self.workload_check_interval,
         )
 
     def demand(self, arrival_rate: Optional[float] = None) -> TenantDemand:
@@ -299,11 +289,12 @@ class MultiTenantSystem:
       coordinator's owner map (so instance-scoped events -- preemptions,
       acquisitions, launch failures -- only reach the owning tenant) and
       the tenant's zones, and claims granted instances into the owner map;
-    * a periodic rebalance round splits the fleet once for every tenant
-      (:func:`partition_fleet`): it moves *idle* instances to the tenant
-      the split gives them, and hides the *busy* ones it gave away from
-      their holder's planning view (``InstanceManager.excluded``) until
-      they drain.
+    * a rebalance round, every :data:`~repro.core.server.ADAPTATION_INTERVAL`
+      seconds and just before the tenants' own rounds, splits the fleet
+      once for every tenant (:func:`partition_fleet`): it moves *idle*
+      instances to the tenant the split gives them, and hides the *busy*
+      ones it gave away from their holder's planning view
+      (``InstanceManager.excluded``) until they drain.
 
     The per-tenant runs compose exactly like independent single-tenant runs
     on the partitioned sub-fleets -- the differential test in
@@ -331,13 +322,6 @@ class MultiTenantSystem:
         #: Instance id -> ``(time, previous owner)`` per rebalance handover,
         #: in time order; :meth:`tenant_costs` splits each bill there.
         self.handovers: Dict[str, List[Tuple[float, str]]] = {}
-        intervals = [
-            spec.workload_check_interval
-            for spec in tenants
-            if spec.workload_check_interval > 0
-        ]
-        #: Seconds between rebalance rounds (the shortest tenant interval).
-        self.rebalance_interval = min(intervals) if intervals else 0.0
         self.systems: Dict[str, ServingSystemBase] = {}
         for spec in self.tenants:
             system = SpotServeSystem(
@@ -387,10 +371,11 @@ class MultiTenantSystem:
     def initialize(self) -> None:
         """Partition the time-zero fleet and deploy every tenant.
 
-        The rebalance round is armed *before* the tenants initialise, so on
-        exact timestamp ties the fleet split settles first and each
-        tenant's same-time workload check already sees it (insertion order
-        breaks simulator ties).
+        The rebalance and every tenant's round share one period
+        (:data:`~repro.core.server.ADAPTATION_INTERVAL`), and the rebalance
+        is armed *before* the tenants initialise, so it precedes each
+        tenant's same-instant round (insertion order breaks simulator ties)
+        and every round plans on a fresh split.
         """
         shares = partition_fleet(
             self.provider.usable_instances(),
@@ -399,8 +384,7 @@ class MultiTenantSystem:
         for tenant, instance_ids in shares.items():
             for instance_id in instance_ids:
                 self.owners[instance_id] = tenant
-        if self.rebalance_interval > 0:
-            self._arm_rebalance()
+        self._arm_rebalance()
         for spec in self.tenants:
             self.systems[spec.name].initialize()
         self._initialized = True
@@ -416,9 +400,9 @@ class MultiTenantSystem:
     # Rebalance round
     # ------------------------------------------------------------------
     def _arm_rebalance(self) -> None:
-        """Schedule the next rebalance round one interval from now."""
+        """Schedule the next rebalance round one adaptation interval from now."""
         self.simulator.schedule_after(
-            self.rebalance_interval,
+            ADAPTATION_INTERVAL,
             EventType.GENERIC,
             payload={"server_action": "tenant_rebalance"},
             callback=self._on_rebalance,

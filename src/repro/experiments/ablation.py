@@ -9,7 +9,7 @@ Each preset below is cumulative, exactly like the figure.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..core.server import SpotServeOptions
 
@@ -21,36 +21,20 @@ ABLATION_ORDER: List[str] = [
     "- Interruption Arranger",
     "- Device Mapper",
 ]
+#: The :class:`SpotServeOptions` switch each step after the first turns off.
+ABLATED_SWITCHES: Tuple[str, ...] = (
+    "adaptive_controller",
+    "memory_optimized_migration",
+    "stateful_recovery",
+    "optimal_device_mapping",
+)
 
 
 def ablation_options(allow_on_demand: bool = False) -> Dict[str, SpotServeOptions]:
     """Cumulative ablation presets keyed by the labels used in Figure 9."""
-    presets: Dict[str, SpotServeOptions] = {}
-    presets["SpotServe"] = SpotServeOptions(allow_on_demand=allow_on_demand)
-    presets["- Controller"] = SpotServeOptions(
-        allow_on_demand=allow_on_demand,
-        adaptive_controller=False,
-    )
-    presets["- Migration Planner"] = SpotServeOptions(
-        allow_on_demand=allow_on_demand,
-        adaptive_controller=False,
-        memory_optimized_migration=False,
-        progressive_migration=False,
-    )
-    presets["- Interruption Arranger"] = SpotServeOptions(
-        allow_on_demand=allow_on_demand,
-        adaptive_controller=False,
-        memory_optimized_migration=False,
-        progressive_migration=False,
-        stateful_recovery=False,
-    )
-    presets["- Device Mapper"] = SpotServeOptions(
-        allow_on_demand=allow_on_demand,
-        adaptive_controller=False,
-        memory_optimized_migration=False,
-        progressive_migration=False,
-        stateful_recovery=False,
-        optimal_device_mapping=False,
-        hierarchical_mapping=False,
-    )
-    return presets
+    return {
+        label: SpotServeOptions(
+            allow_on_demand=allow_on_demand, **dict.fromkeys(ABLATED_SWITCHES[:step], False)
+        )
+        for step, label in enumerate(ABLATION_ORDER)
+    }

@@ -209,9 +209,9 @@ class FaultInjector:
     One injector instance serves one simulation run.  The provider consults
     it at allocation and launch-scheduling time, the server consults it for
     retry jitter, and each reconfiguration reads :meth:`bandwidth_factor`
-    once and stores it on the serving system's network model.  Counters
-    accumulate here for the whole run; each serving system counts the
-    refusals and launch failures that hit its own requests in its
+    once and stores it on the serving system's network model.  Refusal and
+    launch-failure counters accumulate here for the whole run; each serving
+    system counts the ones that hit its own requests in its
     :class:`~repro.core.stats.ServingStats`.
     """
 
@@ -221,8 +221,6 @@ class FaultInjector:
         self.counters: Dict[str, int] = {
             "allocation_refusals": 0,
             "launch_failures": 0,
-            "stragglers": 0,
-            "early_preemptions_injected": 0,
         }
 
     # ------------------------------------------------------------------
@@ -274,10 +272,7 @@ class FaultInjector:
         if stream.random() >= model.straggler_prob:
             return 1.0
         span = model.straggler_multiplier - 1.0
-        multiplier = 1.0 + span * stream.random()
-        if multiplier != 1.0:
-            self.record("stragglers")
-        return multiplier
+        return 1.0 + span * stream.random()
 
     def launch_failure_at(self, zone: str, now: float, ready_at: float) -> Optional[float]:
         """Time at which a launch in *zone* dies, or None if it survives.
@@ -311,10 +306,7 @@ class FaultInjector:
             return None
         earliest = now + model.min_grace_fraction * grace
         reclaim_at = earliest + (deadline - earliest) * stream.random()
-        if reclaim_at >= deadline:
-            return None
-        self.record("early_preemptions_injected")
-        return reclaim_at
+        return reclaim_at if reclaim_at < deadline else None
 
     def bandwidth_factor(self, time: float) -> float:
         """Bandwidth divisor active at *time* (1.0 when undegraded).

@@ -221,18 +221,6 @@ class NetworkModel:
             loads[loads.index(min(loads))] += duration
         return max(loads)
 
-    def _tier_bandwidth(self, restore: bool) -> float:
-        """Per-instance spill (or restore) bandwidth, degradation applied."""
-        assert self.offload_tier is not None
-        if restore:
-            bandwidth = self.offload_tier.restore_bandwidth
-        else:
-            bandwidth = self.offload_tier.spill_bandwidth
-        factor = self.bandwidth_factor
-        if factor != 1.0 and factor > 0.0:
-            bandwidth = bandwidth / factor
-        return bandwidth
-
     def spill_time(self, transfers: Iterable[Transfer]) -> float:
         """Duration of spilling *transfers*' payloads to the offload tier.
 
@@ -241,19 +229,7 @@ class NetworkModel:
         the slowest instance's ``latency + bytes / spill_bandwidth``.
         Returns 0.0 when no tier is configured or nothing needs moving.
         """
-        if self.offload_tier is None:
-            return 0.0
-        per_instance: dict = {}
-        for transfer in transfers:
-            if transfer.is_noop or transfer.size_bytes <= 0:
-                continue
-            src = transfer.src[0]
-            per_instance[src] = per_instance.get(src, 0.0) + transfer.size_bytes
-        if not per_instance:
-            return 0.0
-        latency = self.offload_tier.per_spill_latency
-        bandwidth = self._tier_bandwidth(restore=False)
-        return max(latency + size / bandwidth for size in per_instance.values())
+        return self._tier_time(transfers, restore=False)
 
     def restore_time(self, transfers: Iterable[Transfer]) -> float:
         """Duration of restoring *transfers*' payloads from the offload tier.
@@ -262,19 +238,26 @@ class NetworkModel:
         instance downloads its payload independently and the batch finishes
         with the slowest one.
         """
-        if self.offload_tier is None:
+        return self._tier_time(transfers, restore=True)
+
+    def _tier_time(self, transfers: Iterable[Transfer], restore: bool) -> float:
+        """Tier time of *transfers*, grouped by source (spill) or destination (restore)."""
+        tier = self.offload_tier
+        if tier is None:
             return 0.0
         per_instance: dict = {}
         for transfer in transfers:
             if transfer.is_noop or transfer.size_bytes <= 0:
                 continue
-            dst = transfer.dst[0]
-            per_instance[dst] = per_instance.get(dst, 0.0) + transfer.size_bytes
+            instance = transfer.dst[0] if restore else transfer.src[0]
+            per_instance[instance] = per_instance.get(instance, 0.0) + transfer.size_bytes
         if not per_instance:
             return 0.0
-        latency = self.offload_tier.per_spill_latency
-        bandwidth = self._tier_bandwidth(restore=True)
-        return max(latency + size / bandwidth for size in per_instance.values())
+        bandwidth = tier.restore_bandwidth if restore else tier.spill_bandwidth
+        factor = self.bandwidth_factor
+        if factor != 1.0 and factor > 0.0:
+            bandwidth = bandwidth / factor
+        return max(tier.per_spill_latency + size / bandwidth for size in per_instance.values())
 
     def remote_bytes(self, transfers: Sequence[Transfer]) -> float:
         """Payload that crosses instance boundaries (the expensive part)."""

@@ -27,15 +27,13 @@ import pytest
 from repro.core.server import ServingSystemBase
 
 
-def naive_rate(
-    times,
-    now,
-    pending=0,
-    interval=30.0,
-    initial_rate=0.35,
-):
-    """Reference implementation: full scan, no trimming, no bisect."""
-    short = max(4.0 * interval, 120.0)
+def naive_rate(times, now, pending=0, initial_rate=0.35):
+    """Reference implementation: full scan, no trimming, no bisect.
+
+    The short window is four 30 s adaptation rounds, the long one three
+    times that.
+    """
+    short = 120.0
     long = 3.0 * short
 
     def rate_over(window):
@@ -61,9 +59,8 @@ class EstimatorHarness:
 
     estimate_arrival_rate = ServingSystemBase.estimate_arrival_rate
 
-    def __init__(self, times=(), now=0.0, pending=0, interval=30.0, initial_rate=0.35):
+    def __init__(self, times=(), now=0.0, pending=0, initial_rate=0.35):
         self.simulator = SimpleNamespace(now=now)
-        self.options = SimpleNamespace(workload_check_interval=interval)
         self.request_queue = SimpleNamespace(pending=pending)
         self.initial_arrival_rate = initial_rate
         self._arrival_times = list(times)
@@ -79,7 +76,6 @@ class EstimatorHarness:
             self.history,
             self.simulator.now,
             self.request_queue.pending,
-            self.options.workload_check_interval,
             self.initial_arrival_rate,
         )
 
@@ -100,9 +96,9 @@ class TestAdversarialPatterns:
         assert late.estimate_arrival_rate() == pytest.approx(1e-3)
 
     def test_burst_ties_on_the_window_boundary(self):
-        # 40 arrivals at *exactly* now - short_window (120 s with the default
-        # 30 s interval): bisect_left must count every tie, like the naive
-        # ``t >= now - window`` scan does.
+        # 40 arrivals at *exactly* now - short_window (120 s): bisect_left
+        # must count every tie, like the naive ``t >= now - window`` scan
+        # does.
         now = 1000.0
         boundary = now - 120.0
         long_boundary = now - 360.0

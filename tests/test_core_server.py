@@ -6,7 +6,7 @@ import pytest
 
 from repro.cloud.provider import CloudProvider
 from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind
-from repro.core.server import SpotServeOptions, SpotServeSystem
+from repro.core.server import ARRIVAL_RATE_WINDOW, SpotServeOptions, SpotServeSystem
 from repro.llm.spec import GPT_20B, OPT_6_7B
 from repro.sim.engine import Simulator
 from repro.sim.events import EventType
@@ -216,9 +216,6 @@ class TestOptionsValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            pytest.param({"workload_check_interval": -30.0}, id="negative-check-interval"),
-            pytest.param({"workload_check_interval": float("inf")}, id="infinite-check-interval"),
-            pytest.param({"workload_check_interval": float("nan")}, id="nan-check-interval"),
             pytest.param({"slo_latency": 0.0}, id="zero-slo"),
             pytest.param({"slo_latency": -60.0}, id="negative-slo"),
             pytest.param({"slo_latency": float("nan")}, id="nan-slo"),
@@ -234,9 +231,9 @@ class TestOptionsValidation:
             dataclasses.replace(SpotServeOptions(), slo_latency=float("nan"))
 
     def test_boundary_values_construct(self):
-        # 0 disables the periodic workload checks; None means no SLO.
-        SpotServeOptions(workload_check_interval=0.0, slo_latency=None)
-        SpotServeOptions(workload_check_interval=1e-6, slo_latency=1e-6)
+        # None means no SLO.
+        SpotServeOptions(slo_latency=None)
+        SpotServeOptions(slo_latency=1e-6)
 
 
 class TestArrivalRateEstimator:
@@ -248,7 +245,7 @@ class TestArrivalRateEstimator:
         from collections import deque
 
         times = deque(arrival_times)
-        short_window = max(4.0 * system.options.workload_check_interval, 120.0)
+        short_window = ARRIVAL_RATE_WINDOW
         long_window = 3.0 * short_window
         while times and times[0] < now - 2 * long_window:
             times.popleft()
@@ -288,8 +285,7 @@ class TestArrivalRateEstimator:
         trace = steady_trace(duration=10_000.0)
         simulator, _, system = build_system(trace, rate=0.4)
         now = 500.0
-        short_window = max(4.0 * system.options.workload_check_interval, 120.0)
-        boundary = now - short_window
+        boundary = now - ARRIVAL_RATE_WINDOW
         times = [boundary - 1.0, boundary, boundary + 1e-9, now - 1.0]
         system._arrival_times.extend(times)
         simulator.run(until=now)
@@ -298,8 +294,7 @@ class TestArrivalRateEstimator:
     def test_lazy_trim_keeps_memory_bounded(self):
         trace = steady_trace(duration=100_000.0)
         simulator, _, system = build_system(trace, rate=0.4)
-        short_window = max(4.0 * system.options.workload_check_interval, 120.0)
-        horizon = 2 * 3.0 * short_window  # the estimator's retention window
+        horizon = 2 * 3.0 * ARRIVAL_RATE_WINDOW  # the estimator's retention window
         step = 0.5
         now = 0.0
         for i in range(40_000):

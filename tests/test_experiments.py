@@ -8,8 +8,9 @@ import pytest
 
 from repro.baselines.rerouting import RequestReroutingSystem
 from repro.core.server import SpotServeOptions, SpotServeSystem
+from repro.cloud.provider import CloudProvider
 from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind, get_trace
-from repro.experiments.ablation import ABLATION_ORDER, ablation_options
+from repro.experiments.ablation import ABLATED_SWITCHES, ABLATION_ORDER, ablation_options
 from repro.experiments.metrics import REPORTED_PERCENTILES, LatencyStats
 from repro.experiments.runner import run_comparison, run_serving_experiment
 from repro.experiments.scenarios import (
@@ -21,6 +22,8 @@ from repro.experiments.scenarios import (
     heavy_traffic_scenario,
     stable_workload_scenario,
 )
+from repro.llm.spec import OPT_6_7B
+from repro.sim.engine import Simulator
 from repro.workload.arrival import FixedArrivals, GammaArrivals
 
 
@@ -208,18 +211,25 @@ class TestAblation:
         assert not presets["- Migration Planner"].adaptive_controller
         assert not presets["- Interruption Arranger"].stateful_recovery
         assert not presets["- Device Mapper"].optimal_device_mapping
-        # Every later preset disables at least everything the previous one did.
-        flags = [
-            "adaptive_controller",
-            "memory_optimized_migration",
-            "progressive_migration",
-            "stateful_recovery",
-            "optimal_device_mapping",
-        ]
-        for earlier, later in zip(ABLATION_ORDER, ABLATION_ORDER[1:]):
-            for flag in flags:
-                if not getattr(presets[earlier], flag):
-                    assert not getattr(presets[later], flag)
+        # One switch per Figure 9 component: each step turns exactly one
+        # more off and keeps everything the previous step turned off.
+        for step, label in enumerate(ABLATION_ORDER):
+            for index, flag in enumerate(ABLATED_SWITCHES):
+                assert getattr(presets[label], flag) == (index >= step), (label, flag)
+
+    def test_each_component_switch_drives_both_of_its_flags(self):
+        # The mapper's hierarchy follows optimal_device_mapping, and the
+        # planner's progressive ordering follows memory_optimized_migration.
+        trace = AvailabilityTrace(name="flat", initial_instances=4, events=[], duration=60.0)
+        for preset in ablation_options().values():
+            simulator = Simulator()
+            provider = CloudProvider(simulator, trace)
+            system = SpotServeSystem(simulator, provider, OPT_6_7B, options=preset)
+            mapper, planner = system.device_mapper, system.migration_planner
+            assert mapper.use_optimal_matching == preset.optimal_device_mapping
+            assert mapper.hierarchical == preset.optimal_device_mapping
+            assert planner.memory_optimized == preset.memory_optimized_migration
+            assert planner.progressive == preset.memory_optimized_migration
 
     def test_ablation_presets_respect_on_demand_flag(self):
         presets = ablation_options(allow_on_demand=True)

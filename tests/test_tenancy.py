@@ -43,6 +43,7 @@ import pytest
 
 from repro.cloud.provider import CloudProvider
 from repro.cloud.zone import AvailabilityTrace, OutageWindow, PriceSchedule, ZoneSpec
+from repro.core.server import ADAPTATION_INTERVAL
 from repro.core.stats import ServingStats
 from repro.core.tenancy import (
     STARVATION_FLOOR,
@@ -683,11 +684,10 @@ class TestOneSplitPerRound:
             if later and later[0][1] != holder:
                 handed_over.append((time, holder, iid, later[0]))
         assert handed_over, watch.exclusions
-        rebalance = watch.system.rebalance_interval
         for time, _, iid, (moved_at, owner) in handed_over:
             # The move lands on a later rebalance round.
             assert moved_at > time
-            assert moved_at % rebalance == 0
+            assert moved_at % ADAPTATION_INTERVAL == 0
             assert owner in watch.system.systems
         _tenant_conservation(watch.system)
         _fleet_conservation(watch.system)
@@ -727,7 +727,7 @@ class TestPerTenantBills:
         assert owner == "b"
         # The first rebalance hides the busy instance from "a"; the second
         # hands it over once "a" drained its pipelines off it.
-        assert handover == 2 * system.rebalance_interval
+        assert handover == 2 * ADAPTATION_INTERVAL
         costs = system.tenant_costs(simulator.now)
         assert costs["a"] == pytest.approx(0.001 * (200.0 + handover))
         assert costs["b"] == pytest.approx(0.001 * (200.0 + 200.0 - handover))
@@ -806,12 +806,6 @@ class TestTenantSpecValidation:
             pytest.param({"arrival_rate": float("nan")}, id="nan-arrival-rate"),
             pytest.param({"cv": float("inf")}, id="infinite-cv"),
             pytest.param({"cv": float("nan")}, id="nan-cv"),
-            pytest.param(
-                {"workload_check_interval": -30.0}, id="negative-check-interval"
-            ),
-            pytest.param(
-                {"workload_check_interval": float("inf")}, id="infinite-check-interval"
-            ),
         ],
     )
     def test_rejects(self, kwargs):
@@ -827,7 +821,6 @@ class TestTenantSpecValidation:
             zones=("z",),
             arrival_rate=1e-6,
             cv=1e-6,
-            workload_check_interval=0.0,
         )
 
     @pytest.mark.parametrize("slo_latency", [0.0, float("nan"), float("inf")])
