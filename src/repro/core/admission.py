@@ -53,8 +53,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 from ..workload.arrival import check_positive_finite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..engine.batching import RequestQueue
-    from ..workload.request import Request
+    from ..engine.batching import QueueEntry, RequestQueue
 
 #: Default queue-depth cap of :class:`QueueCapPolicy` (requests).
 DEFAULT_QUEUE_CAP = 64
@@ -114,30 +113,31 @@ class AdmissionPolicy(ABC):
     #: Registry/reporting name (also the ``SpotServeOptions.admission`` key).
     name = "base"
 
-    def admit(self, request: "Request", signal: AdmissionSignal) -> bool:
-        """Decide whether *request* may enter the queue.
+    def admit(self, signal: AdmissionSignal) -> bool:
+        """Decide whether the arrival *signal* describes may enter the queue.
 
-        Called on every arrival, before the request is enqueued or
-        counted in the arrival-rate window, when the policy's class
-        overrides this method.  An arrival that finds every pipeline busy
-        may be taken in by an earlier arrival's event; *signal* still
+        Called on every arrival, before it is enqueued or counted in the
+        arrival-rate window, when the policy's class overrides this
+        method.  The decision reads the serving state, not the request:
+        an arrival that finds every pipeline busy is taken in by an
+        earlier arrival's event and has no ``Request`` yet (the queue
+        builds one only when a batch takes it), and *signal* still
         carries its own arrival time and the queue depth it found.  The
         serving system checks the override once, when it is built: this
         base admits everything, so a policy that inherits it is never
         called and no signal is built for it.
 
         Args:
-            request: The arriving request (not yet enqueued).
             signal: Arrival-instant snapshot (time, queue depth).
 
         Returns:
-            ``True`` to enqueue the request, ``False`` to reject it (the
+            ``True`` to enqueue the arrival, ``False`` to reject it (the
             server then increments ``ServingStats.requests_rejected``).
         """
         return True
 
-    def shed(self, queue: "RequestQueue", signal: AdmissionSignal) -> List["Request"]:
-        """Remove and return queued requests that should be abandoned.
+    def shed(self, queue: "RequestQueue", signal: AdmissionSignal) -> List["QueueEntry"]:
+        """Remove and return the queued entries that should be abandoned.
 
         Called once per adaptation round (the workload check), before the
         autoscaler runs, so sizing policies see the post-shed backlog.
@@ -147,8 +147,10 @@ class AdmissionPolicy(ABC):
             signal: Round snapshot including the controller's estimates.
 
         Returns:
-            The requests removed from *queue* (the server counts them in
-            ``ServingStats.requests_shed``).
+            The entries removed from *queue*, each a ``Request`` or a bare
+            arrival time (see :meth:`RequestQueue.shed_before
+            <repro.engine.batching.RequestQueue.shed_before>`); the server
+            counts them in ``ServingStats.requests_shed``.
         """
         return []
 
@@ -177,7 +179,7 @@ class QueueCapPolicy(AdmissionPolicy):
         check_positive_finite("max_queue_depth", max_queue_depth)
         self.max_queue_depth = max_queue_depth
 
-    def admit(self, request: "Request", signal: AdmissionSignal) -> bool:
+    def admit(self, signal: AdmissionSignal) -> bool:
         return signal.queue_depth < self.max_queue_depth
 
 
@@ -214,7 +216,7 @@ class DeadlineAwarePolicy(AdmissionPolicy):
             slo = signal.slo_latency if signal.slo_latency else DEFAULT_SLO_LATENCY
         return max(slo - signal.execution_latency, self.min_age_fraction * slo)
 
-    def shed(self, queue: "RequestQueue", signal: AdmissionSignal) -> List["Request"]:
+    def shed(self, queue: "RequestQueue", signal: AdmissionSignal) -> List["QueueEntry"]:
         bound = self._age_bound(signal)
         cutoff = signal.time - bound
         if cutoff <= 0:
@@ -269,7 +271,7 @@ class TokenBucketPolicy(AdmissionPolicy):
         if signal.serving_throughput > 0:
             self._rate = max(signal.serving_throughput, MIN_BUCKET_RATE)
 
-    def admit(self, request: "Request", signal: AdmissionSignal) -> bool:
+    def admit(self, signal: AdmissionSignal) -> bool:
         self._refill(signal.time)
         if self._tokens >= 1.0:
             self._tokens -= 1.0

@@ -246,7 +246,6 @@ class ServingSystemBase:
 
         #: True from scheduling a reconfiguration until its migration ends.
         self.reconfiguring = False
-        self._replan_after_migration = False
         #: Spilled bytes awaiting their destination-side restore, per
         #: destination instance (set while a tiered reconfiguration is in
         #: flight, empty otherwise).  Closes the spill conservation equation
@@ -261,7 +260,6 @@ class ServingSystemBase:
         #: and its pending request (``None`` once the stream has ended).
         self._arrival_iter: Optional[Iterator[float]] = None
         self._streamed: Optional[Request] = None
-        self._arrival_token_sizes: Tuple[int, int] = (0, 0)
         self._arrival_order_major: int = 0
         self._submitted_requests: int = 0
         self._arrived_requests: int = 0
@@ -293,8 +291,6 @@ class ServingSystemBase:
         """Schedule arrival events for *requests* (pre-materialised workload)."""
         schedule = self.simulator.schedule_at
         for request in requests:
-            if self.tenant:
-                request.tenant = self.tenant
             schedule(
                 request.arrival_time,
                 _REQUEST_ARRIVAL,
@@ -310,12 +306,15 @@ class ServingSystemBase:
         here, and when the stream's pending request arrives,
         :meth:`_on_request_arrival` arms the following timestamp from
         :meth:`~repro.workload.arrival.ArrivalProcess.iter_times`, so the
-        event heap holds O(1) arrival entries instead of one per request
-        and no :class:`Request` exists before its arrival instant.  While
-        every pipeline is busy, the arrivals before the simulator's next
-        pending event are taken in by that handler without events of their
-        own (see :meth:`_arm_next_arrival`).  Arrival times are generated
-        by exactly the same seeded draws as
+        event heap holds O(1) arrival entries instead of one per request.
+        While every pipeline is busy, the arrivals before the simulator's
+        next pending event are taken in by that handler without events of
+        their own (see :meth:`_arm_next_arrival`).  Each of those waits in
+        the queue as its bare arrival time and gets its :class:`Request`,
+        with the stream's token sizes (handed to the queue here), only when
+        a batch takes it; one that is shed never gets one.  Only the
+        pending arrival is a ``Request`` before its arrival instant.
+        Arrival times are generated by exactly the same seeded draws as
         ``process.arrival_times(duration)``, and a tie-break order slot
         reserved *now* makes every streamed arrival sort against same-time
         events exactly as if the whole workload had been pre-scheduled
@@ -329,7 +328,7 @@ class ServingSystemBase:
         if self._streamed is not None:
             raise ValueError("an arrival process is already streaming into this system")
         self._arrival_iter = process.iter_times(duration)
-        self._arrival_token_sizes = (process.input_tokens, process.output_tokens)
+        self.request_queue.set_token_sizes(process.input_tokens, process.output_tokens)
         self._arrival_order_major = self.simulator.reserve_order()
         # Nothing is taken in here: there are no pipelines before ``initialize``.
         self._arm_next_arrival(self.simulator.now)
@@ -347,24 +346,24 @@ class ServingSystemBase:
         that next pending event, so each arrival strictly before it could
         only join the queue: it is taken in here, in stream order, as its
         own ``REQUEST_ARRIVAL`` event would have done it (counted, offered
-        to a refusing admission policy at its own time, then queued).  The
-        first arrival at or past *horizon* is scheduled with its reserved
-        tie-break order, or the stream ends.  Nothing is taken in unless
-        *horizon* is past ``now``.
+        to a refusing admission policy at its own time, then queued), and
+        it is queued as its bare arrival time.  The first arrival at or past
+        *horizon* is scheduled, as a :class:`Request` with the queue's
+        token sizes and its reserved tie-break order, or the stream ends.
+        Nothing is taken in unless *horizon* is past ``now``.
 
         Times keep every check :meth:`~repro.sim.engine.Simulator.schedule_at`
         makes, measured from the previous arrival: a step back under 1 ns
         takes the previous arrival's time, a larger one raises
-        ``ValueError``, and a non-finite time is refused.
+        ``ValueError``, and a non-finite time is refused.  A negative time
+        is refused too, as its ``Request`` would refuse it.
         """
         arrivals = self._arrival_iter
-        input_tokens, output_tokens = self._arrival_token_sizes
-        tenant = self.tenant
+        queue = self.request_queue
         time = next(arrivals, None)
         last = self.simulator.now
         if last < horizon and time is not None:
-            queue = self.request_queue
-            # Looked up per call: a wrapper installed on the queue sees each request.
+            # Looked up per call: a wrapper installed on the queue sees each arrival.
             enqueue = queue.enqueue
             arrival_times = self._arrival_times
             admission = self.admission if self._admit_can_refuse else None
@@ -372,16 +371,16 @@ class ServingSystemBase:
             while last - 1e-9 <= time < horizon:
                 if time > last:
                     last = time
-                request = Request(time, input_tokens, output_tokens, None, tenant)
+                elif time < 0:
+                    raise ValueError(f"arrival_time must be non-negative, got {time}")
                 taken += 1
                 if admission is None or admission.admit(
-                    request,
                     AdmissionSignal(
                         last, queue.pending, 0.0, 0.0, 0.0, self.options.slo_latency
-                    ),
+                    )
                 ):
                     arrival_times.append(time)
-                    enqueue(request)
+                    enqueue(time)
                 else:
                     self.stats.requests_rejected += 1
                 time = next(arrivals, None)
@@ -395,7 +394,7 @@ class ServingSystemBase:
         if time is None:
             self._arrival_iter = self._streamed = None
             return
-        following = Request(time, input_tokens, output_tokens, None, tenant)
+        following = Request(time, queue.input_tokens, queue.output_tokens)
         # Scheduled before ``_streamed`` is set: at submit time, a first
         # time behind ``now`` raises here and leaves no stream active.
         self.simulator.schedule_at(
@@ -471,9 +470,6 @@ class ServingSystemBase:
     def handle_zone_outage(self, zone: str, phase: str, payload: Dict) -> None:
         """React to a zone-outage phase (subclasses override)."""
 
-    def handle_replan(self) -> None:
-        """Re-evaluate the deployment after a deferred trigger (subclasses override)."""
-
     # ------------------------------------------------------------------
     # Event handlers (shared bookkeeping, then delegate to hooks)
     # ------------------------------------------------------------------
@@ -482,7 +478,6 @@ class ServingSystemBase:
         self._arrived_requests += 1
         dataplane = self.dataplane
         if self._admit_can_refuse and not self.admission.admit(
-            request,
             # Positional: time, queue depth, and no round estimates.
             AdmissionSignal(
                 event.time,
@@ -792,9 +787,6 @@ class ServingSystemBase:
         )
         self.reconfiguring = False
         self.dataplane.dispatch()
-        if self._replan_after_migration:
-            self._replan_after_migration = False
-            self.handle_replan()
 
 
 class SpotServeSystem(ServingSystemBase):
@@ -819,6 +811,9 @@ class SpotServeSystem(ServingSystemBase):
         )
         self.transitions = TransitionPlanner(self)
         self._downscale_votes = 0
+        #: A trigger arrived while a reconfiguration was in flight: re-plan
+        #: once its migration completes.
+        self._replan_after_migration = False
         #: Zones currently under an outage (warning or dark).  While any is
         #: active the mapper and planner run in evacuation mode: intra-zone
         #: placement preference and same-zone source ranking are suspended so
@@ -895,10 +890,6 @@ class SpotServeSystem(ServingSystemBase):
         """Fold the new instance into the deployment (JIT arrangement)."""
         self._plan_reconfiguration(reason="acquisition")
 
-    def handle_replan(self) -> None:
-        """Deferred re-plan after an in-flight migration finished."""
-        self._plan_reconfiguration(reason="followup")
-
     def handle_workload_check(self) -> None:
         """The round's last step: re-optimise the configuration with hysteresis.
 
@@ -940,6 +931,13 @@ class SpotServeSystem(ServingSystemBase):
     # ------------------------------------------------------------------
     # Reconfiguration planning
     # ------------------------------------------------------------------
+    def _finish_reconfiguration(self, event: Event) -> None:
+        """Deploy the new configuration, then the re-plan a trigger deferred."""
+        super()._finish_reconfiguration(event)
+        if self._replan_after_migration:
+            self._replan_after_migration = False
+            self._plan_reconfiguration(reason="followup")
+
     def _propose(self) -> Optional[OptimizerDecision]:
         available = self.instance_manager.available_count()
         if available <= 0:

@@ -84,8 +84,8 @@ class TenantSpec:
     benchmark sweeps; dict-valued knobs are carried as tuples of pairs.
     """
 
-    #: Unique tenant name; becomes the ``tenant`` label on its requests,
-    #: stats and billing share.
+    #: Unique tenant name; becomes the ``tenant`` label on its serving
+    #: system, stats and billing share.
     name: str
     #: Model catalog name served for this tenant.
     model_name: str = "OPT-6.7B"
@@ -282,9 +282,9 @@ class MultiTenantSystem:
     simulator and cloud provider; this class wires the tenancy hooks that
     keep them from treading on each other:
 
-    * every tenant's requests carry its ``tenant`` label, and each arrival
-      and batch-completion event calls back only the system that
-      scheduled it;
+    * each arrival and batch-completion event calls back only the system
+      that scheduled it, so a tenant's requests need no label of their
+      own;
     * each tenant's instance manager gets an ownership predicate over the
       coordinator's owner map (so instance-scoped events -- preemptions,
       acquisitions, launch failures -- only reach the owning tenant) and

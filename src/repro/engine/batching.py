@@ -5,7 +5,9 @@ mini-batches of at most ``B`` requests (the batch-size component of the
 parallel configuration) and dispatches them to idle inference pipelines.
 This module provides the FIFO queue and the :class:`Batch` object used by
 every serving system in the reproduction (SpotServe and baselines share it
-so comparisons stay apples-to-apples).
+so comparisons stay apples-to-apples).  A streamed arrival waits in the
+queue as its arrival time, and becomes a
+:class:`~repro.workload.request.Request` only when a batch takes it.
 
 A batch's shape (its size and token lengths) is fixed when it is built,
 and its progress is a field that committing tokens and dropping the cache
@@ -17,11 +19,15 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, Iterable, List, Optional, Union
 
-from ..workload.request import Request
+from ..workload.request import DEFAULT_INPUT_TOKENS, DEFAULT_OUTPUT_TOKENS, Request
 
 _batch_ids = itertools.count()
+
+#: A waiting entry of :class:`RequestQueue`: a request, or a streamed
+#: arrival's bare arrival time.
+QueueEntry = Union[Request, float]
 
 
 class Batch:
@@ -108,6 +114,16 @@ class Batch:
 class RequestQueue:
     """FIFO queue with batch formation.
 
+    An entry is a :class:`Request` or a bare arrival time.  A streamed
+    arrival the serving system takes in without an event (see
+    ``ServingSystemBase._arm_next_arrival``) waits as its arrival time, and
+    :meth:`next_batch` builds its ``Request`` with the stream's token sizes
+    only when a batch takes it: on a deep queue that sheds most of what it
+    holds, most arrivals never become objects, and a float in a deque is
+    not tracked by the cyclic garbage collector.  Pre-scheduled requests,
+    streamed arrivals that fire as events and re-queued requests wait as
+    themselves.
+
     ``Dataplane.dispatch`` tests the deque ``_queue`` for emptiness
     directly, so an arrival or completion with nothing waiting makes no
     call here.
@@ -117,7 +133,11 @@ class RequestQueue:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
         self.max_batch_size = max_batch_size
-        self._queue: Deque[Request] = deque()
+        self._queue: Deque[QueueEntry] = deque()
+        #: Token sizes a waiting arrival time's ``Request`` is built with:
+        #: the current stream's (see :meth:`set_token_sizes`).
+        self.input_tokens = DEFAULT_INPUT_TOKENS
+        self.output_tokens = DEFAULT_OUTPUT_TOKENS
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -127,9 +147,26 @@ class RequestQueue:
         """Requests waiting to be dispatched."""
         return len(self._queue)
 
-    def enqueue(self, request: Request) -> None:
-        """Add a newly arrived request to the back of the queue."""
-        self._queue.append(request)
+    def enqueue(self, entry: QueueEntry) -> None:
+        """Add a newly arrived request, or a bare arrival time, to the back."""
+        self._queue.append(entry)
+
+    def set_token_sizes(self, input_tokens: int, output_tokens: int) -> None:
+        """Give the arrival times enqueued from now on these token sizes.
+
+        Times already waiting came from an earlier stream, so when the
+        sizes change each of them is first built into its ``Request`` with
+        the old sizes: once per stream switch, never per arrival.
+        """
+        old_input, old_output = self.input_tokens, self.output_tokens
+        if (input_tokens, output_tokens) == (old_input, old_output):
+            return
+        self._queue = deque(
+            entry if entry.__class__ is Request else Request(entry, old_input, old_output)
+            for entry in self._queue
+        )
+        self.input_tokens = input_tokens
+        self.output_tokens = output_tokens
 
     def enqueue_front(self, requests: Iterable[Request]) -> None:
         """Put interrupted requests back at the *front* of the queue.
@@ -141,36 +178,46 @@ class RequestQueue:
             self._queue.appendleft(request)
 
     def next_batch(self, max_batch_size: Optional[int] = None) -> Optional[Batch]:
-        """Pop up to ``max_batch_size`` requests as a batch (None when empty)."""
+        """Pop up to ``max_batch_size`` requests as a batch (None when empty).
+
+        A waiting arrival time becomes its ``Request`` here, with the
+        stream's token sizes and every check ``Request`` makes.
+        """
         limit = max_batch_size if max_batch_size is not None else self.max_batch_size
         if limit <= 0:
             raise ValueError("max_batch_size must be positive")
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return None
         members: List[Request] = []
-        while self._queue and len(members) < limit:
-            members.append(self._queue.popleft())
+        while queue and len(members) < limit:
+            entry = queue.popleft()
+            if entry.__class__ is not Request:
+                entry = Request(entry, self.input_tokens, self.output_tokens)
+            members.append(entry)
         return Batch(members)
 
-    def shed_before(self, cutoff: float) -> List[Request]:
-        """Remove and return every queued request that arrived before *cutoff*.
+    def shed_before(self, cutoff: float) -> List[QueueEntry]:
+        """Remove and return every queued entry that arrived before *cutoff*.
 
         One pass over the queue, comparing arrival times in place; it is
         exact in any queue order (``enqueue_front`` can put older requests
-        behind newer ones).  The relative order of the surviving requests
-        is preserved.  Used by the overload-control shedding policies
-        (:mod:`repro.core.admission`); the caller is responsible for
-        accounting the removed requests (the serving system counts them in
-        ``ServingStats.requests_shed`` so the request-conservation
-        invariant keeps holding).
+        behind newer ones, and a streamed time up to 1 ns behind the
+        previous arrival keeps its own value).  The relative order of the
+        surviving entries is preserved.  Used by the overload-control
+        shedding policies (:mod:`repro.core.admission`); the caller is
+        responsible for accounting the removed entries (the serving system
+        counts them in ``ServingStats.requests_shed`` so the
+        request-conservation invariant keeps holding).  A shed arrival
+        time is returned as itself: it never becomes a ``Request``.
         """
-        shed: List[Request] = []
-        kept: List[Request] = []
-        for request in self._queue:
-            if request.arrival_time < cutoff:
-                shed.append(request)
+        shed: List[QueueEntry] = []
+        kept: List[QueueEntry] = []
+        for entry in self._queue:
+            if (entry.arrival_time if entry.__class__ is Request else entry) < cutoff:
+                shed.append(entry)
             else:
-                kept.append(request)
+                kept.append(entry)
         if shed:
             self._queue = deque(kept)
         return shed

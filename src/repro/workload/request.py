@@ -22,10 +22,15 @@ _request_ids = itertools.count()
 class Request:
     """A single generative-inference request.
 
-    One is built per arrival, so the class is a hand-written ``__slots__``
-    class (Python 3.9 has no ``dataclass(slots=True)``): it has no
-    ``__dict__``, and writing an attribute it does not declare raises.
-    The token counts are fixed when the request is built.
+    One is built per pre-scheduled request, per streamed arrival that
+    fires as an event, and per streamed arrival a batch takes: a streamed
+    arrival taken in without an event waits in
+    :class:`~repro.engine.batching.RequestQueue` as its bare arrival time
+    until then.  Tens of thousands are built per run, so the class is a
+    hand-written ``__slots__`` class (Python 3.9 has no
+    ``dataclass(slots=True)``): it has no ``__dict__``, and writing an
+    attribute it does not declare raises.  The token counts are fixed
+    when the request is built.
     """
 
     __slots__ = (
@@ -33,7 +38,6 @@ class Request:
         "input_tokens",
         "output_tokens",
         "request_id",
-        "tenant",
         "committed_tokens",
         "first_start_time",
         "completion_time",
@@ -47,10 +51,10 @@ class Request:
         input_tokens: int = DEFAULT_INPUT_TOKENS,
         output_tokens: int = DEFAULT_OUTPUT_TOKENS,
         request_id: Optional[int] = None,
-        tenant: str = "",
     ) -> None:
         # Checked inline, not through ``workload.arrival.check_token_count``
-        # (that module imports this one), and kept cheap: this runs per arrival.
+        # (that module imports this one), and kept cheap: tens of thousands
+        # are built per run.
         if not (arrival_time >= 0 and isfinite(arrival_time)):
             raise ValueError(f"arrival_time must be finite and non-negative, got {arrival_time}")
         try:
@@ -66,10 +70,6 @@ class Request:
         self.input_tokens = input_tokens
         self.output_tokens = output_tokens
         self.request_id = next(_request_ids) if request_id is None else request_id
-        #: Tenant that submitted the request (``""`` in single-tenant mode; set
-        #: by :mod:`repro.core.tenancy` so each tenant's serving system only
-        #: processes its own arrivals on a shared simulator).
-        self.tenant = tenant
         #: Number of output tokens whose KV cache has been committed so far.
         self.committed_tokens = 0
         #: Time the request first started executing on a pipeline (set by

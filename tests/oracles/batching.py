@@ -1,4 +1,4 @@
-"""Member-walk reference for a batch's aggregates.
+"""Member-walk reference for a batch's aggregates, and a queue of requests only.
 
 :class:`~repro.engine.batching.Batch` sets its shape (``size``,
 ``input_tokens``, ``output_tokens``) once, when it is built, and keeps its
@@ -11,7 +11,21 @@ suite checks that the two agree after every step.
 completion as the member walks they used to be, which
 ``InferencePipeline.start_batch`` and ``complete_batch`` now do in one walk
 each.
+
+:class:`RequestPerArrivalQueue` is the request queue as it was when every
+waiting arrival was a :class:`~repro.workload.request.Request` built at
+arrival: ``enqueue`` builds a time's request at once, with the sizes of
+the stream it came from.  The production
+:class:`~repro.engine.batching.RequestQueue` keeps a streamed arrival as
+its bare time and builds its request only when a batch takes it; the
+queue suites drive both with the same operations, and the serving suites
+run whole workloads on each.
 """
+
+from collections import deque
+
+from repro.engine.batching import Batch, RequestQueue
+from repro.workload.request import Request
 
 
 def size(batch):
@@ -61,3 +75,44 @@ def start_and_complete(batch, start, end, resume):
         batch.commit_tokens(remaining)
     for request in batch.requests:
         request.completion_time = end
+
+
+class RequestPerArrivalQueue(RequestQueue):
+    """A queue in which every waiting entry is a ``Request``.
+
+    ``enqueue`` turns a bare arrival time into its request at once, so a
+    later change of token sizes has nothing to relabel, ``next_batch`` pops
+    requests as they are and ``shed_before`` reads each one's arrival time.
+    """
+
+    def enqueue(self, entry):
+        if not isinstance(entry, Request):
+            entry = Request(entry, self.input_tokens, self.output_tokens)
+        self._queue.append(entry)
+
+    def set_token_sizes(self, input_tokens, output_tokens):
+        self.input_tokens = input_tokens
+        self.output_tokens = output_tokens
+
+    def next_batch(self, max_batch_size=None):
+        limit = max_batch_size if max_batch_size is not None else self.max_batch_size
+        if limit <= 0:
+            raise ValueError("max_batch_size must be positive")
+        if not self._queue:
+            return None
+        members = []
+        while self._queue and len(members) < limit:
+            members.append(self._queue.popleft())
+        return Batch(members)
+
+    def shed_before(self, cutoff):
+        shed = []
+        kept = []
+        for request in self._queue:
+            if request.arrival_time < cutoff:
+                shed.append(request)
+            else:
+                kept.append(request)
+        if shed:
+            self._queue = deque(kept)
+        return shed

@@ -98,10 +98,10 @@ class TestFactory:
 class TestQueueCap:
     def test_admits_below_and_rejects_at_the_cap(self):
         policy = QueueCapPolicy(max_queue_depth=2)
-        assert policy.admit(request(0.0), signal(queue_depth=0))
-        assert policy.admit(request(0.0), signal(queue_depth=1))
-        assert not policy.admit(request(0.0), signal(queue_depth=2))
-        assert not policy.admit(request(0.0), signal(queue_depth=50))
+        assert policy.admit(signal(queue_depth=0))
+        assert policy.admit(signal(queue_depth=1))
+        assert not policy.admit(signal(queue_depth=2))
+        assert not policy.admit(signal(queue_depth=50))
 
     @pytest.mark.parametrize(
         "cap",
@@ -167,37 +167,37 @@ class TestDeadlineAware:
 class TestTokenBucket:
     def test_consumes_and_refills(self):
         policy = TokenBucketPolicy(rate=1.0, burst=2.0)
-        assert policy.admit(request(0.0), signal(time=0.0))
-        assert policy.admit(request(0.0), signal(time=0.0))
-        assert not policy.admit(request(0.0), signal(time=0.0))  # bucket dry
-        assert policy.admit(request(0.0), signal(time=1.0))  # one refilled
-        assert not policy.admit(request(0.0), signal(time=1.0))
+        assert policy.admit(signal(time=0.0))
+        assert policy.admit(signal(time=0.0))
+        assert not policy.admit(signal(time=0.0))  # bucket dry
+        assert policy.admit(signal(time=1.0))  # one refilled
+        assert not policy.admit(signal(time=1.0))
 
     def test_burst_caps_the_refill(self):
         policy = TokenBucketPolicy(rate=10.0, burst=2.0)
-        assert policy.admit(request(0.0), signal(time=100.0))
-        assert policy.admit(request(0.0), signal(time=100.0))
-        assert not policy.admit(request(0.0), signal(time=100.0))
+        assert policy.admit(signal(time=100.0))
+        assert policy.admit(signal(time=100.0))
+        assert not policy.admit(signal(time=100.0))
 
     def test_adaptive_rate_follows_the_round_signal(self):
         policy = TokenBucketPolicy(burst=1.0)
-        assert policy.admit(request(0.0), signal(time=0.0))
+        assert policy.admit(signal(time=0.0))
         # Before any round the bucket refills at the floor rate.
         refill = 1.0 / MIN_BUCKET_RATE
-        assert not policy.admit(request(0.0), signal(time=0.95 * refill))
-        assert policy.admit(request(0.0), signal(time=1.05 * refill))
+        assert not policy.admit(signal(time=0.95 * refill))
+        assert policy.admit(signal(time=1.05 * refill))
         # After a round it refills at the estimated throughput: the next
         # token takes 0.4 s, not another 20.
         now = 1.05 * refill
         policy.observe_round(signal(time=now, serving_throughput=2.5))
-        assert not policy.admit(request(0.0), signal(time=now + 0.3))
-        assert policy.admit(request(0.0), signal(time=now + 0.5))
+        assert not policy.admit(signal(time=now + 0.3))
+        assert policy.admit(signal(time=now + 0.5))
         # A configured rate never adapts.
         fixed = TokenBucketPolicy(rate=1.5, burst=1.0)
-        assert fixed.admit(request(0.0), signal(time=0.0))
+        assert fixed.admit(signal(time=0.0))
         fixed.observe_round(signal(time=0.0, serving_throughput=9.0))
-        assert not fixed.admit(request(0.0), signal(time=0.5))
-        assert fixed.admit(request(0.0), signal(time=0.7))
+        assert not fixed.admit(signal(time=0.5))
+        assert fixed.admit(signal(time=0.7))
 
 
 class TestRequestQueueShed:
@@ -380,9 +380,9 @@ class TestGoldenDigestNeutrality:
         calls = {"admit": 0}
         admit = AdmissionPolicy.admit
 
-        def counting_admit(self, request, signal):
+        def counting_admit(self, signal):
             calls["admit"] += 1
-            return admit(self, request, signal)
+            return admit(self, signal)
 
         monkeypatch.setattr(AdmissionPolicy, "admit", counting_admit)
         assert PassThroughPolicy.admit is DeadlineAwarePolicy.admit is counting_admit
@@ -410,9 +410,9 @@ class TestGoldenDigestNeutrality:
         calls = {"admit": 0, "shed": 0}
         admit, shed = PassThroughPolicy.admit, PassThroughPolicy.shed
 
-        def counting_admit(self, request, signal):
+        def counting_admit(self, signal):
             calls["admit"] += 1
-            return admit(self, request, signal)
+            return admit(self, signal)
 
         def counting_shed(self, queue, signal):
             calls["shed"] += 1

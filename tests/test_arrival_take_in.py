@@ -38,6 +38,7 @@ SIZES = {"serve": 1200.0, "ingest": 600.0}
 #: Admission settings each workload runs under (replacing its own).
 ADMISSION = {
     "none": {"admission": None, "admission_params": None},
+    "deadline-aware": {"admission": "deadline-aware", "admission_params": {"slo_latency": 60.0}},
     "queue-cap": {"admission": "queue-cap", "admission_params": {"max_queue_depth": 200}},
     "token-bucket": {"admission": "token-bucket", "admission_params": None},
 }
@@ -60,8 +61,11 @@ def boundary(system):
     )
 
 
-def run_workload(simulator_class, name, admission):
-    """Run perfbench workload *name* (seed 0, shortened) in slices."""
+def run_workload(simulator_class, name, admission, queue_class=None):
+    """Run perfbench workload *name* (seed 0, shortened) in slices.
+
+    With *queue_class*, the system's request queue is one of those.
+    """
     work = workloads.build(name, 0, SIZES[name])
     scenario = work.scenario
     sim = simulator_class()
@@ -76,6 +80,8 @@ def run_workload(simulator_class, name, admission):
         options=dataclasses.replace(scenario.options(), **ADMISSION[admission]),
         initial_arrival_rate=max(arrivals / max(scenario.duration, 1.0), 1e-3),
     )
+    if queue_class is not None:
+        system.dataplane.queue = system.request_queue = queue_class()
     system.submit_arrival_process(work.arrivals, scenario.duration)
     system.initialize()
     end = scenario.duration + work.drain_time
@@ -138,8 +144,8 @@ class ListedArrivals(ArrivalProcess):
         return [time for time in self.times if time < duration]
 
 
-def saturated_system(simulator_class, after, output_tokens=128):
-    """A pinned fleet whose pipelines all take a batch at t=1, then *after*.
+def saturated_system(simulator_class, after, output_tokens=128, start=1.0):
+    """A pinned fleet whose pipelines all take a batch at *start*, then *after*.
 
     ``initialize`` schedules the first workload check (t=30) before the
     stream reserves its tie-break slot, so the check wins a tie with an
@@ -150,7 +156,7 @@ def saturated_system(simulator_class, after, output_tokens=128):
     system = SpotServeSystem(sim, CloudProvider(sim, trace), OPT_6_7B, initial_arrival_rate=0.1)
     system.initialize()
     pipelines = len(system.dataplane.pipelines)
-    times = [1.0] * pipelines + after
+    times = [start] * pipelines + after
     system.submit_arrival_process(ListedArrivals(times, output_tokens), 300.0)
     return system
 

@@ -115,6 +115,93 @@ TestBatchAggregates = BatchAggregates.TestCase
 TestBatchAggregates.settings = settings(max_examples=60, stateful_step_count=25, deadline=None)
 
 
+#: Arrival times: ties, in any order, and ints as a custom arrival
+#: process may yield them.
+TIMES = st.one_of(st.integers(0, 12).map(lambda t: t / 2), st.integers(0, 6))
+
+#: A stream's (input tokens, output tokens).
+SIZES = st.tuples(st.sampled_from([16, 512]), st.sampled_from([32, 128]))
+
+
+def request_view(request):
+    return request.arrival_time, request.input_tokens, request.output_tokens
+
+
+def entry_view(queue, entry):
+    """A waiting entry as (arrival time, input tokens, output tokens)."""
+    if isinstance(entry, Request):
+        return request_view(entry)
+    return entry, queue.input_tokens, queue.output_tokens
+
+
+class QueueOfTimes(RuleBasedStateMachine):
+    """The queue of times and requests against one that holds requests only.
+
+    A stream switch changes the sizes later times are built with, so the
+    times still waiting must keep their own stream's sizes.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.queue = RequestQueue(max_batch_size=3)
+        self.oracle = batching_oracle.RequestPerArrivalQueue(max_batch_size=3)
+        #: The last batch each queue handed out, for ``enqueue_front``.
+        self.taken = ([], [])
+
+    @rule(time=TIMES)
+    def enqueue_time(self, time):
+        self.queue.enqueue(time)
+        self.oracle.enqueue(time)
+
+    @rule(time=TIMES, sizes=SIZES)
+    def enqueue_request(self, time, sizes):
+        self.queue.enqueue(Request(time, *sizes))
+        self.oracle.enqueue(Request(time, *sizes))
+
+    @rule(sizes=SIZES)
+    def switch_stream(self, sizes):
+        self.queue.set_token_sizes(*sizes)
+        self.oracle.set_token_sizes(*sizes)
+
+    @rule(limit=st.one_of(st.none(), st.integers(1, 4)))
+    def next_batch(self, limit):
+        batch = self.queue.next_batch(limit)
+        expected = self.oracle.next_batch(limit)
+        if expected is None:
+            assert batch is None
+            return
+        assert [request_view(r) for r in batch.requests] == [
+            request_view(r) for r in expected.requests
+        ]
+        self.taken = (batch.requests, expected.requests)
+
+    @rule()
+    def enqueue_front(self):
+        """Put the last batch back at the front, as an interruption does."""
+        self.queue.enqueue_front(self.taken[0])
+        self.oracle.enqueue_front(self.taken[1])
+        self.taken = ([], [])
+
+    @rule(cutoff=st.integers(-1, 13).map(lambda t: t / 2))
+    def shed_before(self, cutoff):
+        shed = self.queue.shed_before(cutoff)
+        expected = self.oracle.shed_before(cutoff)
+        assert [entry_view(self.queue, entry)[0] for entry in shed] == [
+            request.arrival_time for request in expected
+        ]
+
+    @invariant()
+    def queues_agree(self):
+        assert self.queue.pending == self.oracle.pending
+        assert [entry_view(self.queue, entry) for entry in self.queue._queue] == [
+            request_view(request) for request in self.oracle._queue
+        ]
+
+
+TestQueueOfTimes = QueueOfTimes.TestCase
+TestQueueOfTimes.settings = settings(max_examples=80, stateful_step_count=30, deadline=None)
+
+
 class TestBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -187,6 +274,29 @@ class TestRequestQueue:
         queue.enqueue(make_requests(1)[0])
         with pytest.raises(ValueError):
             queue.next_batch(max_batch_size=0)
+
+    def test_a_time_waits_bare_until_a_batch_builds_its_request(self):
+        queue = RequestQueue(max_batch_size=2)
+        queue.set_token_sizes(64, 32)
+        queue.enqueue(3.0)
+        assert list(queue._queue) == [3.0]
+        (request,) = queue.next_batch().requests
+        assert request_view(request) == (3.0, 64, 32)
+
+    def test_a_stream_switch_keeps_the_waiting_times_sizes(self):
+        queue = RequestQueue(max_batch_size=4)
+        queue.set_token_sizes(64, 32)
+        queue.enqueue(1.0)
+        queue.set_token_sizes(64, 128)
+        queue.enqueue(2.0)
+        batch = queue.next_batch()
+        assert [request_view(r) for r in batch.requests] == [(1.0, 64, 32), (2.0, 64, 128)]
+
+    def test_a_waiting_time_is_checked_when_its_request_is_built(self):
+        queue = RequestQueue()
+        queue.enqueue(-1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            queue.next_batch()
 
     def test_enqueue_front_preserves_relative_order(self):
         queue = RequestQueue(max_batch_size=4)
