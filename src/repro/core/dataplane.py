@@ -37,7 +37,7 @@ from ..engine.batching import Batch, RequestQueue
 from ..engine.context import DeviceId, MetaContextManager
 from ..engine.pipeline import InferencePipeline, PipelineAssignment
 from ..engine.placement import TopologyPosition
-from ..llm.costmodel import DEFAULT_INPUT_LENGTH, LatencyModel
+from ..llm.costmodel import LatencyModel
 from ..sim.engine import Simulator
 from ..sim.events import Event, EventType
 from .config import ParallelConfig
@@ -236,9 +236,11 @@ class Dataplane:
         if position is not None:  # Not when the list was replaced under it.
             heappush(self.idle, position)
         stats = self.stats
-        stats.tokens_generated += batch.output_tokens * batch.size
+        tokens = 0
         for request in batch.requests:
+            tokens += request.output_tokens
             stats.record_completion(request)
+        stats.tokens_generated += tokens
         for daemon in pipeline.daemons:
             daemon.cache_context = None
         if self.queue._queue or self.resume_batches:
@@ -312,7 +314,7 @@ class Dataplane:
                 config.tensor_degree,
                 position,
                 batch.size,
-                DEFAULT_INPUT_LENGTH + batch.committed_tokens,
+                batch.input_tokens + batch.committed_tokens,
                 batch.batch_id,
             )
 

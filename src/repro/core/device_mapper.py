@@ -184,25 +184,32 @@ class DeviceMapper:
     ) -> np.ndarray:
         """Reuse-weight matrix, bit-identical to :meth:`reuse_weight` per cell.
 
-        Two observations make this fast without changing a single bit:
+        A device's weights depend on few of its context's fields, and a
+        fleet repeats them, so each distinct value is built once:
 
-        * a device's whole weight row is a function of its *context
-          signature* -- the (degrees, position, batch geometry) of its model
-          and cache contexts -- so the row is computed once per distinct
-          signature and shared across all devices carrying it (a fleet has
-          only O(positions) distinct signatures, not O(devices));
-        * within one signature the row factorises over the new mesh into a
-          per-stage layer overlap times a per-shard interval overlap, so one
-          (P_new,) x (M_new,) outer product replaces P*M scalar calls.
+        * the model part depends only on the model context's
+          ``(P, M, stage, shard)`` *model signature* -- replicas hold
+          identical parameters, so the old data index does not matter.  It
+          is one row over the whole new mesh, the same for every new
+          pipeline;
+        * the cache part depends only on the cache context's ``(P, M,
+          stage, shard, batch, tokens)`` *cache signature*, plus which new
+          pipeline inherits the old one.  It is one *cell*: the weights of
+          one new pipeline's ``P_new * M_new`` positions, which land in the
+          inheriting pipeline's slice of the row (every slice without an
+          inheritance map).
 
-        Bit-identity with the scalar path holds because every numpy
-        expression mirrors the scalar arithmetic operation for operation:
-        the ``max(0.0, min(..) - max(..))`` interval overlaps, the
-        left-associated ``(overlap * bytes) * fraction`` products and the
-        final ``model + cache`` addition are the same IEEE-754 operations in
-        the same order, and the early ``return 0.0`` guards of the scalar
-        code coincide with multiplying by a ``+0.0`` overlap factor
-        (non-negative throughout, so no ``-0.0`` can appear).
+        Within a signature the weights factorise over the new mesh into a
+        per-stage layer overlap times a per-shard interval overlap, so one
+        ``(P_new,) x (M_new,)`` outer product replaces ``P * M`` scalar
+        calls.  Each device's row is then ``0 + model``, with ``+ cache``
+        on the inheriting slice: the same IEEE-754 operations in the same
+        order as :meth:`reuse_weight`.  The overlaps are the same
+        ``max(0.0, min(..) - max(..))`` expressions, the products keep the
+        scalar ``(overlap * bytes) * fraction`` association, and the early
+        ``return 0.0`` guards of the scalar code coincide with multiplying
+        by a ``+0.0`` overlap factor (every factor is non-negative, so no
+        ``-0.0`` can appear).
         """
         model = self.model
         num_layers = model.num_layers
@@ -210,7 +217,6 @@ class DeviceMapper:
         pipeline_degree = new_config.pipeline_degree
         tensor_degree = new_config.tensor_degree
         cells_per_pipeline = pipeline_degree * tensor_degree
-        n_positions = data_degree * cells_per_pipeline
 
         # New-mesh geometry, shared by every device: stage layer ranges and
         # shard intervals exactly as stage_layer_range / shard_interval
@@ -224,107 +230,84 @@ class DeviceMapper:
         new_shard_lo = shard_idx * shard_width
         new_shard_hi = (shard_idx + 1) * shard_width
 
-        def overlap_factors(old_pipeline, old_tensor, old_position):
-            """(per-stage layer overlap, per-shard fraction overlap)."""
+        def pipeline_cell(old_pipeline, old_tensor, stage, shard, layer_bytes):
+            """One new pipeline's weights for an old slice, in (p, m) order."""
             old_lps = num_layers / old_pipeline
-            old_lo = old_position.stage_index * old_lps
-            old_hi = (old_position.stage_index + 1) * old_lps
             layer_overlap = np.maximum(
-                0.0, np.minimum(old_hi, new_layer_hi) - np.maximum(old_lo, new_layer_lo)
+                0.0,
+                np.minimum((stage + 1) * old_lps, new_layer_hi)
+                - np.maximum(stage * old_lps, new_layer_lo),
             )
             old_width = 1.0 / old_tensor
-            old_shard_lo = old_position.shard_index * old_width
-            old_shard_hi = (old_position.shard_index + 1) * old_width
             fraction_overlap = np.maximum(
                 0.0,
-                np.minimum(old_shard_hi, new_shard_hi)
-                - np.maximum(old_shard_lo, new_shard_lo),
+                np.minimum((shard + 1) * old_width, new_shard_hi)
+                - np.maximum(shard * old_width, new_shard_lo),
             )
-            return layer_overlap, fraction_overlap
+            return np.outer(layer_overlap * layer_bytes, fraction_overlap).ravel()
 
-        def signature_row(model_sig, cache_sig):
-            row = np.zeros(n_positions)
-            if model_sig is not None:
-                layer_overlap, fraction_overlap = overlap_factors(*model_sig)
-                # (layer_overlap * layer_param_bytes) * fraction_overlap --
-                # same association as model_context_overlap_bytes.
-                cell = (layer_overlap * model.layer_param_bytes)[:, None] * (
-                    fraction_overlap[None, :]
-                )
-                # The model part ignores the data index (replicas hold
-                # identical parameters): tile across the D pipelines.
-                row += np.tile(cell.ravel(), data_degree)
-            if cache_sig is not None:
-                ctx, batch_size, cached_tokens = cache_sig
-                if cached_tokens > 0 and batch_size > 0:
-                    layer_overlap, fraction_overlap = overlap_factors(
-                        ctx.pipeline_degree, ctx.tensor_degree, ctx.position
-                    )
-                    per_layer_cache = (
-                        2.0
-                        * model.hidden_size
-                        * model.bytes_per_cache_element
-                        * batch_size
-                        * cached_tokens
-                    )
-                    cell = (layer_overlap * per_layer_cache)[:, None] * (
-                        fraction_overlap[None, :]
-                    )
-                    flat_cell = cell.ravel()
-                    old_data_index = ctx.position.data_index
-                    for new_data_index in range(data_degree):
-                        # Cache bytes only transfer into the pipeline that
-                        # inherits the old pipeline's in-flight requests.
-                        inherits = True
-                        if pipeline_inheritance is not None:
-                            inherits = (
-                                pipeline_inheritance.get(old_data_index)
-                                == new_data_index
-                            )
-                        if inherits:
-                            start = new_data_index * cells_per_pipeline
-                            row[start : start + cells_per_pipeline] += flat_cell
-            return row
-
-        matrix = np.zeros((len(devices), n_positions))
-        row_cache: Dict[Tuple, np.ndarray] = {}
+        matrix = np.zeros((len(devices), data_degree * cells_per_pipeline))
+        model_rows: Dict[Tuple[int, int, int, int], np.ndarray] = {}
+        cache_cells: Dict[Tuple[int, int, int, int, int, int], np.ndarray] = {}
+        all_pipelines = range(data_degree)
         for row_index, device_id in enumerate(devices):
             daemon = meta_context.daemon(device_id)
-            model_ctx = daemon.model_context
-            cache_ctx = daemon.cache_context
-            if model_ctx is None and cache_ctx is None:
-                continue  # stateless: the row stays provably all-zero
-            model_sig = (
-                (
-                    model_ctx.pipeline_degree,
-                    model_ctx.tensor_degree,
-                    model_ctx.position,
+            context = daemon.model_context
+            if context is not None:
+                position = context.position
+                model_key = (
+                    context.pipeline_degree,
+                    context.tensor_degree,
+                    position.stage_index,
+                    position.shard_index,
                 )
-                if model_ctx is not None
-                else None
+                model_row = model_rows.get(model_key)
+                if model_row is None:
+                    model_row = np.tile(
+                        pipeline_cell(*model_key, model.layer_param_bytes),
+                        data_degree,
+                    )
+                    model_rows[model_key] = model_row
+                matrix[row_index] += model_row
+            context = daemon.cache_context
+            if (
+                context is None
+                or context.cached_tokens <= 0
+                or context.batch_size <= 0
+            ):
+                continue
+            position = context.position
+            if pipeline_inheritance is None:
+                targets = all_pipelines
+            else:
+                # Cache bytes only transfer into the pipeline that inherits
+                # the old pipeline's in-flight requests.
+                target = pipeline_inheritance.get(position.data_index)
+                if target not in all_pipelines:
+                    continue
+                targets = (target,)
+            cache_key = (
+                context.pipeline_degree,
+                context.tensor_degree,
+                position.stage_index,
+                position.shard_index,
+                context.batch_size,
+                context.cached_tokens,
             )
-            cache_sig = (
-                (cache_ctx, cache_ctx.batch_size, cache_ctx.cached_tokens)
-                if cache_ctx is not None
-                else None
-            )
-            key = (
-                model_sig,
-                None
-                if cache_ctx is None
-                else (
-                    cache_ctx.pipeline_degree,
-                    cache_ctx.tensor_degree,
-                    cache_ctx.position,
-                    cache_ctx.batch_size,
-                    cache_ctx.cached_tokens,
-                ),
-            )
-            row = row_cache.get(key)
-            if row is None:
-                row = signature_row(model_sig, cache_sig)
-                row_cache[key] = row
-            matrix[row_index] = row
+            cache_cell = cache_cells.get(cache_key)
+            if cache_cell is None:
+                per_layer_cache = (
+                    2.0
+                    * model.hidden_size
+                    * model.bytes_per_cache_element
+                    * context.batch_size
+                    * context.cached_tokens
+                )
+                cache_cell = pipeline_cell(*cache_key[:4], per_layer_cache)
+                cache_cells[cache_key] = cache_cell
+            for target in targets:
+                start = target * cells_per_pipeline
+                matrix[row_index, start : start + cells_per_pipeline] += cache_cell
         return matrix
 
     # ------------------------------------------------------------------

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from ..engine.context import DeviceId
 from ..engine.placement import TopologyPosition, mesh_positions
-from ..llm.costmodel import DEFAULT_INPUT_LENGTH
 from .config import ParallelConfig
 from .interruption import InterruptionArranger
 from .migration import MigrationPlan
@@ -220,6 +219,6 @@ class TransitionPlanner:
             requirements[new_index] = (
                 old_index,
                 batch.size,
-                DEFAULT_INPUT_LENGTH + batch.committed_tokens,
+                batch.input_tokens + batch.committed_tokens,
             )
         return requirements

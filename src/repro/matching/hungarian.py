@@ -7,6 +7,12 @@ implements the O(n^3) Jonker-style shortest-augmenting-path variant from
 scratch (no scipy dependency in the library code; the test-suite
 cross-checks against ``scipy.optimize.linear_sum_assignment``).
 
+The solver is one plain Python loop over lists.  The mapper's matrices are
+small: most are the 4x4 intra-instance blocks, and no perfbench workload or
+run_perf scenario solves one with more than 33 rows.  A numpy sweep of the
+inner loops pays a fixed cost per call that it only earns back from about
+130-170 rows up; at 9 to 33 rows this loop is 3-10x faster than one.
+
 Two public entry points are provided:
 
 * :func:`minimum_cost_assignment` -- classic rectangular assignment
@@ -23,136 +29,66 @@ import numpy as np
 
 _INF = float("inf")
 
-#: Below this size the scalar solver beats the vectorized one (numpy call
-#: overhead exceeds the loop cost on tiny matrices, and the device mapper's
-#: inner intra-instance matchings are typically 4x4).  Both solvers perform
-#: the identical arithmetic in the identical order, so the choice of path
-#: never changes an assignment (pinned by tests/test_matching_bruteforce.py).
-_SCALAR_THRESHOLD = 8
 
+def _solve_square(cost: np.ndarray) -> List[int]:
+    """Solve the square assignment problem, returning the column of each row.
 
-def _extract_assignment(match_col: Sequence[int], n: int) -> List[int]:
-    """Row -> column assignment (0-based) from the 1-based matched columns."""
-    assignment = [0] * n
-    for j in range(1, n + 1):
-        if match_col[j] != 0:
-            assignment[match_col[j] - 1] = j - 1
-    return assignment
-
-
-def _solve_square_scalar(cost: np.ndarray) -> List[int]:
-    """Scalar-loop variant of :func:`_solve_square` for tiny matrices."""
+    Rows join one at a time.  Each joins along a shortest augmenting path
+    found with row potentials ``u`` and column potentials ``v``; column
+    ``n`` is the virtual column every path starts from.  A step relaxes the
+    free columns against the row matched to the newest column on the path
+    and moves to the free column of smallest reduced cost.  The free columns
+    are walked in index order with strict ``<`` updates, so among equal
+    reduced costs the lowest column wins.
+    """
     n = cost.shape[0]
-    u = [0.0] * (n + 1)
+    rows = cost.tolist()
+    u = [0.0] * n
     v = [0.0] * (n + 1)
-    match_col = [0] * (n + 1)
-    way = [0] * (n + 1)
-    padded = [[0.0] * (n + 1)] + [
-        [0.0] + [float(cost[i, j]) for j in range(n)] for i in range(n)
-    ]
-
-    for row in range(1, n + 1):
-        match_col[0] = row
-        j0 = 0
-        minv = [_INF] * (n + 1)
-        used = [False] * (n + 1)
+    match_col = [-1] * (n + 1)  # row matched to each column, -1 when free
+    way = [0] * (n + 1)  # previous column on the augmenting path
+    for row in range(n):
+        match_col[n] = row
+        j0 = n
+        minv = [_INF] * n
+        free = list(range(n))
+        used = [n]
         while True:
-            used[j0] = True
             i0 = match_col[j0]
-            row_i0 = padded[i0]
+            row_i0 = rows[i0]
             u_i0 = u[i0]
             delta = _INF
             j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
+            for j in free:
                 cur = row_i0[j] - u_i0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                low = minv[j]
+                if cur < low:
+                    minv[j] = low = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                if low < delta:
+                    delta = low
                     j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            # Each used column holds a distinct row, so each of these
+            # potentials moves by delta once, whatever the order.
+            for j in used:
+                u[match_col[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
-            if match_col[j0] == 0:
+            if match_col[j0] < 0:
                 break
-        while True:
-            j1 = way[j0]
-            match_col[j0] = match_col[j1]
-            j0 = j1
-            if j0 == 0:
-                break
-
-    return _extract_assignment(match_col, n)
-
-
-def _solve_square(cost: np.ndarray) -> List[int]:
-    """Solve the square assignment problem, returning column of each row.
-
-    Implementation of the Jonker-Volgenant style shortest augmenting path
-    formulation of the Hungarian method with potentials, O(n^3).  The inner
-    loops are vectorized with numpy; tiny matrices take the scalar path.
-    """
-    n = cost.shape[0]
-    if n <= _SCALAR_THRESHOLD:
-        return _solve_square_scalar(cost)
-    # Potentials for rows (u) and columns (v); way[j] remembers the previous
-    # column on the augmenting path to column j.
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match_col = np.full(n + 1, 0, dtype=int)  # p[j] = row matched to column j (1-based)
-    way = np.zeros(n + 1, dtype=int)
-
-    # 1-based padded cost matrix for cleaner index arithmetic.
-    padded = np.zeros((n + 1, n + 1))
-    padded[1:, 1:] = cost
-    for row in range(1, n + 1):
-        match_col[0] = row
-        j0 = 0
-        minv = np.full(n + 1, _INF)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match_col[j0]
-            # Relax every free column against the newly used column j0.  The
-            # element-wise arithmetic and the strict ``<`` comparisons mirror
-            # the scalar loop exactly, so potentials, reduced costs and the
-            # final assignment are bit-for-bit identical to the scalar path.
-            free = ~used
-            free[0] = False
-            cur = padded[i0] - u[i0] - v
-            improved = free & (cur < minv)
-            minv[improved] = cur[improved]
-            way[improved] = j0
-            # Among free columns pick the smallest reduced cost; argmin
-            # returns the first (lowest-index) minimiser, matching the
-            # strict-inequality running minimum of the scalar loop.
-            candidates = np.where(free, minv, _INF)
-            j1 = int(np.argmin(candidates[1:])) + 1
-            delta = candidates[j1]
-            # match_col is injective on the used columns (each matched column
-            # holds a distinct row and column 0 holds the yet-unmatched
-            # current row), so the fancy-indexed += touches each row once.
-            u[match_col[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if match_col[j0] == 0:
-                break
+            free.remove(j0)
+            used.append(j0)
         # Augment along the found path.
-        while True:
+        while j0 != n:
             j1 = way[j0]
             match_col[j0] = match_col[j1]
             j0 = j1
-            if j0 == 0:
-                break
-    return _extract_assignment(match_col, n)
+    assignment = [0] * n
+    for col in range(n):
+        assignment[match_col[col]] = col
+    return assignment
 
 
 def minimum_cost_assignment(

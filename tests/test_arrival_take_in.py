@@ -25,6 +25,7 @@ from repro.llm.spec import OPT_6_7B, get_model
 from repro.sim.engine import Simulator
 from repro.sim.events import EventType
 from repro.workload.arrival import ArrivalProcess
+from repro.workload.request import DEFAULT_INPUT_TOKENS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:
@@ -136,15 +137,17 @@ def test_two_tenants_match_one_event_per_arrival():
 class ListedArrivals(ArrivalProcess):
     """Arrivals at the listed times, in the listed order (unsorted)."""
 
-    def __init__(self, times, output_tokens=128):
-        super().__init__(output_tokens=output_tokens)
+    def __init__(self, times, output_tokens=128, input_tokens=DEFAULT_INPUT_TOKENS):
+        super().__init__(input_tokens=input_tokens, output_tokens=output_tokens)
         self.times = list(times)
 
     def arrival_times(self, duration):
         return [time for time in self.times if time < duration]
 
 
-def saturated_system(simulator_class, after, output_tokens=128, start=1.0):
+def saturated_system(
+    simulator_class, after, output_tokens=128, start=1.0, input_tokens=DEFAULT_INPUT_TOKENS
+):
     """A pinned fleet whose pipelines all take a batch at *start*, then *after*.
 
     ``initialize`` schedules the first workload check (t=30) before the
@@ -157,7 +160,9 @@ def saturated_system(simulator_class, after, output_tokens=128, start=1.0):
     system.initialize()
     pipelines = len(system.dataplane.pipelines)
     times = [start] * pipelines + after
-    system.submit_arrival_process(ListedArrivals(times, output_tokens), 300.0)
+    system.submit_arrival_process(
+        ListedArrivals(times, output_tokens, input_tokens), 300.0
+    )
     return system
 
 

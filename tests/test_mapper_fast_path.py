@@ -225,7 +225,101 @@ def zone_by_ordinal(instance_id):
     return f"z{int(instance_id.split('-')[1]) % 3}"
 
 
+def assert_matrix_matches_reuse_weight(mapper, meta, devices, new, inheritance):
+    """Every cell of the round's matrix equals ``reuse_weight`` bitwise."""
+    positions = mesh_positions(new.data_degree, new.pipeline_degree, new.tensor_degree)
+    matrix, row_of, col_of = mapper._weight_lookup(
+        meta, devices, positions, new, inheritance
+    )
+    assert matrix.shape == (len(devices), len(positions))
+    for device in devices:
+        for position in positions:
+            reference = mapper.reuse_weight(meta, device, position, new, inheritance)
+            cell = float(matrix[row_of[device], col_of[position]])
+            # Bitwise: exact equality *and* no -0.0 creeping in.
+            assert cell == reference
+            assert np.signbit(cell) == np.signbit(reference)
+    return matrix
+
+
+def twin_cache_fleet(caches=((3, 300), (3, 300))):
+    """Two old pipelines of (D=2, P=2, M=2), each holding a batch's cache.
+
+    ``caches[d]`` is old pipeline d's ``(batch_size, cached_tokens)``, or
+    ``None`` for no cache.  Every device holds its model slice.  With the
+    default, both old pipelines share each (P, M, stage, shard, batch,
+    tokens) cache signature and differ only in their data index.
+    """
+    meta = MetaContextManager()
+    devices = devices_for(2)
+    old = ParallelConfig(2, 2, 2, 8)
+    for device, position in zip(
+        devices, mesh_positions(old.data_degree, old.pipeline_degree, old.tensor_degree)
+    ):
+        daemon = meta.daemon(device)
+        daemon.install_model_context(old.pipeline_degree, old.tensor_degree, position)
+        cache = caches[position.data_index]
+        if cache is not None:
+            daemon.install_cache_context(
+                old.pipeline_degree,
+                old.tensor_degree,
+                position,
+                batch_size=cache[0],
+                cached_tokens=cache[1],
+            )
+    return meta, devices
+
+
 class TestWeightMatrixBitIdentity:
+    @pytest.mark.parametrize(
+        "inheritance",
+        [
+            pytest.param(None, id="no-map"),
+            pytest.param({0: 1, 1: 0}, id="swapped"),
+            pytest.param({0: 0}, id="old-pipeline-missing"),
+            pytest.param({0: 2, 1: -1}, id="target-outside-mesh"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "new",
+        [ParallelConfig(2, 2, 2, 8), ParallelConfig(2, 1, 4, 8), ParallelConfig(1, 3, 2, 8)],
+        ids=lambda c: f"D{c.data_degree}P{c.pipeline_degree}M{c.tensor_degree}",
+    )
+    def test_cache_signature_on_two_old_pipelines(self, new, inheritance):
+        meta, devices = twin_cache_fleet()
+        mapper = DeviceMapper(GPT_20B)
+        matrix = assert_matrix_matches_reuse_weight(mapper, meta, devices, new, inheritance)
+        model_only, _ = twin_cache_fleet(caches=(None, None))
+        without_cache = assert_matrix_matches_reuse_weight(
+            mapper, model_only, devices, new, inheritance
+        )
+        # Each old pipeline's cache lands in exactly the new pipelines that
+        # inherit it: devices 0 and 4 hold the same slice of old pipelines
+        # 0 and 1.
+        cells = new.pipeline_degree * new.tensor_degree
+        for row, old_index in ((0, 0), (4, 1)):
+            for d in range(new.data_degree):
+                block = slice(d * cells, (d + 1) * cells)
+                inherits = inheritance is None or inheritance.get(old_index) == d
+                moved = (matrix[row, block] != without_cache[row, block]).any()
+                assert moved == inherits
+
+    @pytest.mark.parametrize(
+        "caches",
+        [
+            pytest.param(((3, 300), (5, 300)), id="batch-differs"),
+            pytest.param(((3, 300), (3, 200)), id="tokens-differ"),
+            pytest.param(((3, 300), (3, 0)), id="no-tokens"),
+            pytest.param(((3, 300), None), id="one-cache"),
+        ],
+    )
+    def test_cache_signatures_that_differ_in_one_field(self, caches):
+        meta, devices = twin_cache_fleet(caches)
+        for inheritance in (None, {0: 1, 1: 0}):
+            assert_matrix_matches_reuse_weight(
+                DeviceMapper(OPT_6_7B), meta, devices, ParallelConfig(2, 2, 2, 8), inheritance
+            )
+
     @pytest.mark.parametrize("seed", range(10))
     def test_vectorized_matrix_equals_scalar_weights_bitwise(self, seed):
         rng = np.random.default_rng(seed)
@@ -243,20 +337,9 @@ class TestWeightMatrixBitIdentity:
                 d: int(rng.integers(0, new.data_degree))
                 for d in range(old.data_degree)
             }
-        mapper = DeviceMapper(model)
-        positions = mesh_positions(
-            new.data_degree, new.pipeline_degree, new.tensor_degree
+        assert_matrix_matches_reuse_weight(
+            DeviceMapper(model), meta, devices, new, inheritance
         )
-        matrix, row_of, col_of = mapper._weight_lookup(
-            meta, devices, positions, new, inheritance
-        )
-        for device in devices:
-            for position in positions:
-                reference = mapper.reuse_weight(meta, device, position, new, inheritance)
-                cell = float(matrix[row_of[device], col_of[position]])
-                # Bitwise: exact equality *and* no -0.0 creeping in.
-                assert cell == reference
-                assert np.signbit(cell) == np.signbit(reference)
 
 
 class TestFastPathEquivalence:

@@ -12,11 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.matching import hungarian
 from repro.matching.hungarian import (
-    _SCALAR_THRESHOLD,
     _solve_square,
-    _solve_square_scalar,
     assignment_weight,
     greedy_assignment,
     maximum_weight_assignment,
@@ -27,10 +24,10 @@ from repro.matching.hungarian import (
 def reference_solve_square(cost):
     """The original scalar-loop Jonker-Volgenant solver, kept verbatim.
 
-    The production solver routes small matrices through a scalar fast path
-    and larger ones through numpy-vectorized inner loops; both must
-    reproduce this reference *assignment* (not merely its cost), pinning
-    the tie-breaking order of the vectorized argmin.
+    It walks every column on every step, 1-based, with column 0 as the
+    start of each augmenting path.  The production solver walks only the
+    free columns; it must reproduce this reference *assignment* (not merely
+    its cost), which pins its tie-breaking order.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
@@ -194,37 +191,47 @@ class TestRandomizedCrossCheck:
         assert optimal >= greedy - 1e-9
 
 
-class TestVectorizedSolver:
-    """Pin the vectorized solver against the scalar reference implementation.
+def uniform_costs(rng, n):
+    return rng.uniform(0.0, 10.0, size=(n, n))
 
-    These matrices exercise the numpy fast path (sizes beyond the scalar
-    threshold), the scalar fast path, and the shapes the device mapper
-    produces at scale: rectangular fleets, all-zero (stateless) graphs and
-    tie-heavy duplicate weights.  Assignments -- not just costs -- must match
-    so the vectorized argmin tie-breaking is pinned exactly.
+
+def tie_heavy_costs(rng, n):
+    # Integer costs from a tiny alphabet maximise duplicate weights; the
+    # exact optimum chosen depends entirely on tie-breaking order.
+    return rng.integers(0, 2, size=(n, n)).astype(float)
+
+
+def mapper_shaped_costs(rng, n):
+    # What the device mapper solves: ``max - w`` over mostly-zero integer
+    # weights (byte counts), so most cells tie at the maximum.
+    weights = np.floor(rng.uniform(0.0, 4.0, size=(n, n))) * 2.0**27
+    weights[rng.random((n, n)) < 0.75] = 0.0
+    return weights.max() - weights
+
+
+class TestSolverMatchesReference:
+    """Pin the solver's assignments against the verbatim reference loop.
+
+    The device mapper solves matrices of 1 to 33 rows, mostly the 4x4
+    intra-instance blocks.  Every size from 1 to 40 runs on three kinds of
+    cost: uniform, tie-heavy, and shaped like the mapper's.  Assignments --
+    not just costs -- must match, so the tie-breaking order is pinned.
     """
 
-    @pytest.mark.parametrize("seed", range(100, 120))
-    def test_assignments_identical_to_reference_across_threshold(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 2 * _SCALAR_THRESHOLD))
-        cost = rng.uniform(0.0, 10.0, size=(n, n))
-        assert _solve_square(cost.copy()) == reference_solve_square(cost)
+    @pytest.mark.parametrize("n", range(1, 41))
+    @pytest.mark.parametrize(
+        "costs", [uniform_costs, tie_heavy_costs, mapper_shaped_costs]
+    )
+    def test_assignment_identical_to_reference(self, n, costs):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(3):
+            cost = costs(rng, n)
+            assert _solve_square(cost.copy()) == reference_solve_square(cost)
 
-    @pytest.mark.parametrize("seed", range(120, 136))
-    def test_tie_heavy_assignments_identical_to_reference(self, seed):
-        # Integer costs from a tiny alphabet maximise duplicate weights; the
-        # exact optimum chosen depends entirely on tie-breaking order.
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 14))
-        cost = rng.integers(0, 2, size=(n, n)).astype(float)
-        assert _solve_square(cost.copy()) == reference_solve_square(cost)
-
-    @pytest.mark.parametrize("n", [1, 4, _SCALAR_THRESHOLD, _SCALAR_THRESHOLD + 1, 12])
+    @pytest.mark.parametrize("n", [1, 4, 8, 9, 12, 33])
     def test_all_zero_square_yields_identity(self, n):
         # The device mapper skips inner solves for stateless instances on the
-        # grounds that KM on an all-zero matrix is the identity pairing; this
-        # pins that equivalence on both solver paths.
+        # grounds that KM on an all-zero matrix is the identity pairing.
         assert _solve_square(np.zeros((n, n))) == list(range(n))
 
     @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (2, 12), (12, 2)])
@@ -233,11 +240,15 @@ class TestVectorizedSolver:
         expected = [(i, i) for i in range(min(shape))]
         assert sorted(assignment) == expected
 
+
+class TestMatchesScipy:
+    """Optimal totals against ``scipy.optimize.linear_sum_assignment``."""
+
     @pytest.mark.parametrize("seed", range(136, 148))
-    def test_large_square_matches_scipy(self, seed):
+    def test_square_matches_scipy(self, seed):
         scipy_opt = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(8, 16))
+        n = int(rng.integers(8, 41))
         cost = rng.uniform(0.0, 10.0, size=(n, n))
         assignment = minimum_cost_assignment(cost)
         rows, cols = scipy_opt.linear_sum_assignment(cost)
@@ -246,7 +257,7 @@ class TestVectorizedSolver:
         )
 
     @pytest.mark.parametrize("seed", range(148, 160))
-    def test_large_rectangular_matches_scipy(self, seed):
+    def test_rectangular_matches_scipy(self, seed):
         scipy_opt = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(seed)
         rows = int(rng.integers(2, 14))
@@ -272,39 +283,3 @@ class TestVectorizedSolver:
         assert assignment_weight(weights, assignment) == pytest.approx(
             weights[srows, scols].sum()
         )
-
-
-class TestSolverPathsAgree:
-    """Run the scalar and the vectorized sweep on the same matrices.
-
-    :func:`_solve_square` picks its path by size alone, so the tests above
-    check each path only on its own side of ``_SCALAR_THRESHOLD``.  The
-    device mapper solves every flat-matching component cold, and a component
-    of eight rows or fewer takes the scalar path: both paths must give the
-    same assignment at every size, on both sides of the threshold.
-    """
-
-    @staticmethod
-    def vectorized(cost, monkeypatch):
-        monkeypatch.setattr(hungarian, "_SCALAR_THRESHOLD", 0)
-        return _solve_square(cost.copy())
-
-    @pytest.mark.parametrize("seed", range(170, 178))
-    def test_paths_agree_on_uniform_costs(self, seed, monkeypatch):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 2 * _SCALAR_THRESHOLD))
-        cost = rng.uniform(0.0, 10.0, size=(n, n))
-        scalar = _solve_square_scalar(cost)
-        assert scalar == reference_solve_square(cost)
-        assert self.vectorized(cost, monkeypatch) == scalar
-
-    @pytest.mark.parametrize("seed", range(178, 186))
-    def test_paths_agree_on_tie_heavy_costs(self, seed, monkeypatch):
-        # The mapper's costs are ``max - weight`` over mostly-zero weights, so
-        # most cells tie and the chosen optimum rests on tie-breaking order.
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 2 * _SCALAR_THRESHOLD))
-        cost = rng.integers(0, 2, size=(n, n)).astype(float)
-        scalar = _solve_square_scalar(cost)
-        assert scalar == reference_solve_square(cost)
-        assert self.vectorized(cost, monkeypatch) == scalar

@@ -7,8 +7,9 @@ in ``RequestQueue`` as its bare arrival time, and the queue builds its
 enqueued, as the queue did before.  Whole perfbench workloads on the two
 queues must end with the same extended digest, latencies and ``run(until=)``
 boundary states; a stream switch must leave each waiting time its own
-stream's token sizes; and no waiting time is an object the cyclic garbage
-collector tracks.
+stream's token sizes, and a batch that mixes two streams counts each
+member's own output tokens; and no waiting time is an object the cyclic
+garbage collector tracks.
 """
 
 import gc
@@ -56,6 +57,21 @@ def test_a_stream_switch_keeps_the_waiting_times_own_sizes():
     streamed = (pipelines + len(first), len(second))
     assert stats.completed_count == system.submitted_requests == sum(streamed)
     assert stats.tokens_generated == 32 * streamed[0] + 128 * streamed[1]
+
+
+def test_a_batch_that_mixes_output_lengths_counts_each_members_tokens():
+    # The 128-token stream starts while most 32-token arrivals still wait,
+    # so batches mix the two lengths.  Counting the longest member's
+    # length for every member would read 3,936 here.
+    first = [1.0 + 0.005 * k for k in range(60)]
+    system = saturated_system(Simulator, first, output_tokens=32)
+    system.run(until=1.5)
+    assert len(system.dataplane.pipelines) == 3
+    second = [2.0 + k for k in range(12)]
+    system.submit_arrival_process(ListedArrivals(second, output_tokens=128), 300.0)
+    stats = system.run(until=300.0)
+    assert stats.completed_count == system.submitted_requests == 75
+    assert stats.tokens_generated == 32 * 63 + 128 * 12 == 3552
 
 
 def test_no_waiting_time_is_tracked_by_the_collector():
