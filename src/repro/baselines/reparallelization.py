@@ -20,6 +20,7 @@ import dataclasses
 
 from ..cloud.instance import Instance
 from ..core.config import ParallelConfig
+from ..core.migration import restart_stall_time
 from ..core.reconfiguration import Transition, TransitionPlanner, default_placement
 from ..core.server import SpotServeSystem
 
@@ -29,15 +30,12 @@ class RestartTransitions(TransitionPlanner):
 
     def prepare(self, config: ParallelConfig, reason: str, objective: str) -> Transition:
         system = self.system
-        restart = system.migration_planner.estimate_restart_plan(
-            config, gpus_per_instance=system.gpus_per_instance
-        )
         # Everything stops immediately and stays down for the full restart:
         # the engines relaunch and reload every parameter from storage.
         return Transition(
             config=config,
             placement=default_placement(config, system.instance_manager.stable_devices()),
-            stall_time=restart.stall_time,
+            stall_time=restart_stall_time(system.model, config, system.gpus_per_instance),
             stop_time=system.simulator.now,
             reason=reason,
             preserve_cache=False,

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from ..cloud.instance import Instance
 from ..core.config import ParallelConfig
-from ..core.migration import MigrationPlanner
+from ..core.migration import restart_stall_time
 from ..core.reconfiguration import ENGINE_LAUNCH_TIME
 from ..core.server import ServingSystemBase
 from ..core.stats import ReconfigurationRecord
@@ -32,7 +32,6 @@ class RequestReroutingSystem(ServingSystemBase):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.restart_planner = MigrationPlanner(self.model, self.network)
         self._fixed_shape: Optional[ParallelConfig] = None
         self._pipeline_counter = itertools.count()
         self._reserved_instances: set = set()
@@ -106,8 +105,10 @@ class RequestReroutingSystem(ServingSystemBase):
         single = ParallelConfig(
             1, shape.pipeline_degree, shape.tensor_degree, shape.batch_size
         )
-        load_plan = self.restart_planner.estimate_restart_plan(single)
-        delay = load_plan.stall_time + ENGINE_LAUNCH_TIME
+        delay = (
+            restart_stall_time(self.model, single, self.gpus_per_instance)
+            + ENGINE_LAUNCH_TIME
+        )
         instance_ids = [instance.instance_id for instance in instances]
         self._reserved_instances.update(instance_ids)
         self.simulator.schedule_after(

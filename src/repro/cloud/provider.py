@@ -327,8 +327,6 @@ class CloudProvider:
             pending_ready.cancel()
         instance.fail(event.time)
         self.cost_tracker.stop_billing(instance, event.time)
-        if self.fault_injector is not None:
-            self.fault_injector.record("launch_failures")
         event.payload["applied"] = True
 
     def _select_preemption_victims(self, count: int, zone_name: str) -> List[Instance]:

@@ -80,14 +80,14 @@ class FleetAcquirer:
         if decision.is_noop:
             return
         acquired: Dict[str, int] = {}
-        shortfall: Dict[str, int] = {}
+        missing = 0
         for zone in sorted(decision.acquire):
             want = decision.acquire[zone]
             granted = self._allocate(want, zone=zone)
             if granted:
                 acquired[zone] = len(granted)
             if want > len(granted):
-                shortfall[zone] = want - len(granted)
+                missing += want - len(granted)
         released: Dict[str, int] = {}
         if decision.release:
             in_use = system.dataplane.instance_ids()
@@ -97,7 +97,6 @@ class FleetAcquirer:
                 )
                 if freed:
                     released[zone] = len(freed)
-        missing = sum(shortfall.values())
         if not acquired and not released:
             # Nothing could be applied (e.g. every grant failed); undo the
             # cooldown so the phantom action does not suppress real scaling.
@@ -119,8 +118,6 @@ class FleetAcquirer:
                 acquired=acquired,
                 released=released,
                 fleet_before=signal.current_instances,
-                desired_instances=decision.desired_instances,
-                shortfall=shortfall,
             )
         )
 
@@ -236,11 +233,9 @@ class FleetAcquirer:
         injector = self.injector
         if injector is None:
             return system.instance_manager.alloc(count, zone=zone, avoid_zones=avoid_zones)
-        refused_before = injector.counters["allocation_refusals"]
+        refused_before = injector.allocation_refusals
         granted = system.instance_manager.alloc(count, zone=zone, avoid_zones=avoid_zones)
-        system.stats.allocation_refusals += (
-            injector.counters["allocation_refusals"] - refused_before
-        )
+        system.stats.allocation_refusals += injector.allocation_refusals - refused_before
         timeout = LAUNCH_WATCHDOG_MULTIPLIER * system.provider.instance_type.startup_delay
         for instance in granted:
             self._watchdogs[instance.instance_id] = system.simulator.schedule_after(

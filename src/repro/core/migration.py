@@ -90,29 +90,6 @@ _Holders = Dict[int, List[Tuple[Tuple[float, float], DeviceId]]]
 _NO_CONTEXT: Tuple[None, None] = (None, None)
 
 
-@lru_cache(maxsize=1024)
-def _stage_counts(num_layers: int, pipeline_degree: int) -> Tuple[int, ...]:
-    """Layers per stage, mirroring ``_stage_of_layer`` exactly.
-
-    Computed as the same ``int(layer / layers_per_stage)`` float division
-    the scalar ``_stage_of_layer`` performs (element-wise, then truncated),
-    NOT from the ceil-range boundaries of :func:`stage_layers` — division
-    and multiplication can round differently at stage boundaries, and the
-    stage counts must agree with ``_stage_of_layer`` or ``stages_ready``
-    bookkeeping would drift.
-    """
-    if num_layers <= 0:
-        return (0,) * pipeline_degree
-    layers_per_stage = num_layers / pipeline_degree
-    stage_of = np.minimum(
-        (np.arange(num_layers) / layers_per_stage).astype(np.int64),
-        pipeline_degree - 1,
-    )
-    return tuple(
-        int(count) for count in np.bincount(stage_of, minlength=pipeline_degree)
-    )
-
-
 @lru_cache(maxsize=4096)
 def _context_span(
     num_layers: int,
@@ -127,6 +104,23 @@ def _context_span(
     if not owned_layers:
         return 0, 0, interval
     return owned_layers[0], owned_layers[-1] + 1, interval
+
+
+def restart_stall_time(
+    model: ModelSpec, config: ParallelConfig, gpus_per_instance: int
+) -> float:
+    """Serving stall of a full restart with no context reuse (the baselines').
+
+    Every instance loads its GPUs' model slices from storage in parallel
+    with the other instances, and the engine is re-initialised; nothing
+    overlaps with serving.
+    """
+    per_gpu_bytes = model.total_param_bytes / (
+        config.pipeline_degree * config.tensor_degree
+    )
+    per_instance_bytes = per_gpu_bytes * min(gpus_per_instance, config.num_gpus)
+    load_time = per_instance_bytes / DEFAULT_STORAGE_BANDWIDTH
+    return load_time + ENGINE_RESTART_TIME
 
 
 @dataclass
@@ -163,18 +157,16 @@ class MigrationPlan:
     peak_buffer_bytes: float
     storage_load_time: float
     total_bytes: float
-    remote_bytes: float
     #: Transport tier of the plan: ``"direct"`` or ``"offload"``.
     tier: str = "direct"
-    #: Bytes written to the offload tier during the grace window.
-    spilled_bytes: float = 0.0
     #: Spilled bytes each destination instance restores from the tier
-    #: after the switch (offload plans only, else ``None``).
+    #: after the switch (offload plans only, else ``None``); their sum is
+    #: what the grace window writes to the tier.
     spill_restores: Optional[Dict[str, float]] = None
-    #: Duration of the source-side spill phase.
+    #: Duration of the source-side spill phase.  The destination-side
+    #: restore takes the rest of an offload plan's stall:
+    #: ``stall_time - window_time``.
     spill_time: float = 0.0
-    #: Duration of the destination-side restore phase.
-    restore_time: float = 0.0
     #: Duration of the direct (GPU-to-GPU) prefix kept inside the window.
     direct_window_time: float = 0.0
 
@@ -283,32 +275,6 @@ class MigrationPlanner:
             self._plan_memo.popitem(last=False)
         return built
 
-    def estimate_restart_plan(
-        self, config: ParallelConfig, gpus_per_instance: int = 4
-    ) -> MigrationPlan:
-        """Plan for a full restart with no context reuse (baseline behaviour).
-
-        Every instance loads its GPUs' model slices from storage in parallel
-        with the other instances and the engine is re-initialised; there is
-        nothing to overlap with serving.
-        """
-        per_gpu_bytes = self.model.total_param_bytes / (
-            config.pipeline_degree * config.tensor_degree
-        )
-        per_instance_bytes = per_gpu_bytes * min(gpus_per_instance, config.num_gpus)
-        load_time = per_instance_bytes / DEFAULT_STORAGE_BANDWIDTH
-        stall = load_time + ENGINE_RESTART_TIME
-        return MigrationPlan(
-            steps=[],
-            layer_order=[],
-            total_time=stall,
-            stall_time=stall,
-            peak_buffer_bytes=0.0,
-            storage_load_time=0.0,
-            total_bytes=0.0,
-            remote_bytes=0.0,
-        )
-
     def derive_tiered_plan(
         self, plan: MigrationPlan, window: float
     ) -> Optional[MigrationPlan]:
@@ -358,20 +324,17 @@ class MigrationPlanner:
         if best_k is None:
             return None
         suffix_transfers = [t for step in steps[best_k:] for t in step.transfers]
-        spill_time = self.network.spill_time(suffix_transfers)
-        restore_time = self.network.restore_time(suffix_transfers)
-        spilled_bytes = float(
-            sum(t.size_bytes for t in suffix_transfers if not t.is_noop)
-        )
-        if spilled_bytes <= 0.0:
-            # The deadline miss is not transfer-bound (e.g. storage loads):
-            # spilling moves nothing and cannot shorten the plan.
-            return None
         spill_restores: Dict[str, float] = {}
         for t in suffix_transfers:
             if not t.is_noop and t.size_bytes > 0:
                 dst = t.dst[0]
                 spill_restores[dst] = spill_restores.get(dst, 0.0) + t.size_bytes
+        if not spill_restores:
+            # The deadline miss is not transfer-bound (e.g. storage loads):
+            # spilling moves nothing and cannot shorten the plan.
+            return None
+        spill_time = self.network.spill_time(suffix_transfers)
+        restore_time = self.network.restore_time(suffix_transfers)
         direct_window_time = prefix_times[best_k]
         stall_time = direct_window_time + spill_time + restore_time
         return MigrationPlan(
@@ -382,12 +345,9 @@ class MigrationPlanner:
             peak_buffer_bytes=plan.peak_buffer_bytes,
             storage_load_time=plan.storage_load_time,
             total_bytes=plan.total_bytes,
-            remote_bytes=plan.remote_bytes,
             tier="offload",
-            spilled_bytes=spilled_bytes,
             spill_restores=spill_restores,
             spill_time=spill_time,
-            restore_time=restore_time,
             direct_window_time=direct_window_time,
         )
 
@@ -405,10 +365,18 @@ class MigrationPlanner:
         ordered_steps: List[MigrationStep] = []
         if cache_step.transfers or cache_step.storage_bytes:
             ordered_steps.append(cache_step)
-        stage_remaining = self._layers_per_stage(config)
+        # A stage is ready on the step of the last of its layers to move.
+        # Stages own the ``stage_layers`` partition, the one every holder
+        # table and transfer above is built from.
+        stage_of: Dict[int, int] = {}
+        stage_remaining: List[int] = []
+        for stage in range(config.pipeline_degree):
+            layers = stage_layers(self.model.num_layers, config.pipeline_degree, stage)
+            stage_of.update(dict.fromkeys(layers, stage))
+            stage_remaining.append(len(layers))
         for layer_index in layer_order:
             step = layer_steps[layer_index]
-            stage = self._stage_of_layer(layer_index, config)
+            stage = stage_of[layer_index]
             stage_remaining[stage] -= 1
             if stage_remaining[stage] == 0:
                 step.stages_ready.append(stage)
@@ -793,25 +761,19 @@ class MigrationPlanner:
         stall_time = 0.0
         storage_bytes = 0.0
         total_bytes = 0.0
-        remote_bytes = 0.0
         usage: Dict[str, float] = {}
         peak = 0.0
         first_stage_ready_time: Optional[float] = None
-        all_stages = set(range(config.pipeline_degree))
-        stages_seen: set = set()
 
         for step in steps:
             duration = self.network.batch_time(step.transfers)
             total_time += duration
             total_bytes += step.total_bytes
-            remote_bytes += self.network.remote_bytes(step.transfers)
             storage_bytes += step.storage_bytes
             self._apply_deltas(usage, self._buffer_deltas(step))
             peak = max(peak, max(usage.values(), default=0.0))
-            for stage in step.stages_ready:
-                stages_seen.add(stage)
-                if stage == 0 and first_stage_ready_time is None:
-                    first_stage_ready_time = total_time
+            if 0 in step.stages_ready and first_stage_ready_time is None:
+                first_stage_ready_time = total_time
 
         if self.progressive and first_stage_ready_time is not None:
             # Serving resumes once the cache and the first stage are in place;
@@ -831,7 +793,6 @@ class MigrationPlanner:
             peak_buffer_bytes=peak,
             storage_load_time=storage_load_time,
             total_bytes=total_bytes,
-            remote_bytes=remote_bytes,
         )
 
     def _storage_time(self, storage_bytes: float, parallelism: int) -> float:
@@ -850,15 +811,6 @@ class MigrationPlanner:
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
-    def _stage_of_layer(self, layer_index: int, config: ParallelConfig) -> int:
-        layers_per_stage = self.model.num_layers / config.pipeline_degree
-        return min(int(layer_index / layers_per_stage), config.pipeline_degree - 1)
-
-    def _layers_per_stage(self, config: ParallelConfig) -> Dict[int, int]:
-        counts = _stage_counts(self.model.num_layers, config.pipeline_degree)
-        # Fresh dict per call: plan assembly decrements the counts in place.
-        return {stage: counts[stage] for stage in range(config.pipeline_degree)}
-
     def _holder_table(
         self, contexts: Iterable[Tuple[DeviceId, _Context]]
     ) -> Tuple[_Holders, Dict[int, Set[str]]]:

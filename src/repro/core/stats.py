@@ -53,11 +53,6 @@ class AutoscaleRecord:
     acquired: Dict[str, int] = field(default_factory=dict)
     released: Dict[str, int] = field(default_factory=dict)
     fleet_before: int = 0
-    desired_instances: int = 0
-    #: Instances requested but *not* granted, per zone (cloud capacity or
-    #: injected insufficient-capacity refusals).  Empty when every request
-    #: was satisfied, so pre-existing records digest identically.
-    shortfall: Dict[str, int] = field(default_factory=dict)
 
     @property
     def delta(self) -> int:
@@ -137,8 +132,7 @@ class ServingStats:
     migration_fallbacks: int = _counter("faults")
     #: Instances the serving system asked for and *terminally* never
     #: received: autoscaler demand with no retry machinery to chase it, or
-    #: demand whose bounded-backoff retries exhausted.  Per-round detail
-    #: lives in :attr:`AutoscaleRecord.shortfall`.
+    #: demand whose bounded-backoff retries exhausted.
     allocation_shortfall: int = _counter("faults")
     #: Context bytes spilled to the host/object-storage offload tier during
     #: grace windows (tiered migration; zero when no tier is configured).

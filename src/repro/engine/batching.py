@@ -105,11 +105,6 @@ class Batch:
             request.drop_cache()
         self.committed_tokens = 0
 
-    def mark_interrupted(self) -> None:
-        """Record an interruption on every member request."""
-        for request in self.requests:
-            request.mark_interrupted()
-
 
 class RequestQueue:
     """FIFO queue with batch formation.

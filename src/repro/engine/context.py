@@ -55,9 +55,8 @@ class CacheContext:
 
 @dataclass
 class ContextDaemon:
-    """Per-GPU context holder."""
+    """Per-GPU context holder; the meta-context keys it by its device."""
 
-    device_id: DeviceId
     model_context: Optional[ModelContext] = None
     cache_context: Optional[CacheContext] = None
 
@@ -109,7 +108,7 @@ class MetaContextManager:
     def daemon(self, device_id: DeviceId) -> ContextDaemon:
         """Return (creating if needed) the daemon for *device_id*."""
         if device_id not in self._daemons:
-            self._daemons[device_id] = ContextDaemon(device_id)
+            self._daemons[device_id] = ContextDaemon()
         return self._daemons[device_id]
 
     def drop_instance(self, instance_id: str) -> None:

@@ -216,7 +216,6 @@ class InferencePipeline:
             self.commit_progress(time)
         else:
             batch.drop_cache()
-        batch.mark_interrupted()
         self.current_batch = None
         self._batch_start_time = None
         self._tokens_at_start = 0

@@ -37,15 +37,12 @@ class ExperimentResult:
 
     system_name: str
     model_name: str
-    trace_name: str
     duration: float
     stats: ServingStats
     latency: LatencyStats
     submitted_requests: int
     completed_requests: int
     total_cost: float
-    spot_cost: float
-    on_demand_cost: float
     tokens_generated: int
     cost_by_zone: Dict[str, float] = field(default_factory=dict)
     #: Simulation events dispatched during the run (the perf harness
@@ -147,10 +144,8 @@ def run_serving_experiment(
     model_spec = get_model(model) if isinstance(model, str) else model
     if trace is not None:
         default_duration = trace.duration
-        trace_name = trace.name
     elif zones:
         default_duration = max(zone.trace.duration for zone in zones)
-        trace_name = "+".join(zone.name for zone in zones)
     else:
         raise ValueError("either a trace or zones must be provided")
     run_duration = duration if duration is not None else default_duration
@@ -195,15 +190,12 @@ def run_serving_experiment(
     return ExperimentResult(
         system_name=system.name,
         model_name=model_spec.name,
-        trace_name=trace_name,
         duration=run_duration,
         stats=stats,
         latency=latency,
         submitted_requests=system.submitted_requests,
         completed_requests=stats.completed_count,
         total_cost=tracker.total_cost(now),
-        spot_cost=tracker.total_cost(now, Market.SPOT),
-        on_demand_cost=tracker.total_cost(now, Market.ON_DEMAND),
         tokens_generated=stats.tokens_generated,
         cost_by_zone=tracker.cost_by_zone(now),
         dispatched_events=simulator.dispatched_events,
@@ -313,7 +305,6 @@ def run_multi_tenant_experiment(
 
     now = simulator.now
     tracker = provider.cost_tracker
-    trace_name = "+".join(zone.name for zone in scenario.zones)
     tenant_costs = system.tenant_costs(now)
     tenant_results: Dict[str, ExperimentResult] = {}
     for spec in scenario.tenants:
@@ -322,15 +313,12 @@ def run_multi_tenant_experiment(
         tenant_results[spec.name] = ExperimentResult(
             system_name=tenant_system.name,
             model_name=spec.model_name,
-            trace_name=trace_name,
             duration=scenario.duration,
             stats=stats,
             latency=LatencyStats.from_latencies(stats.latencies()),
             submitted_requests=tenant_system.submitted_requests,
             completed_requests=stats.completed_count,
             total_cost=tenant_costs.get(spec.name, 0.0),
-            spot_cost=tenant_costs.get(spec.name, 0.0),
-            on_demand_cost=0.0,
             tokens_generated=stats.tokens_generated,
             dispatched_events=simulator.dispatched_events,
         )
@@ -338,15 +326,12 @@ def run_multi_tenant_experiment(
     return MultiTenantResult(
         system_name=system.name,
         model_name="+".join(sorted({spec.model_name for spec in scenario.tenants})),
-        trace_name=trace_name,
         duration=scenario.duration,
         stats=aggregate,
         latency=LatencyStats.from_latencies(aggregate.latencies()),
         submitted_requests=system.submitted_requests,
         completed_requests=aggregate.completed_count,
         total_cost=tracker.total_cost(now),
-        spot_cost=tracker.total_cost(now, Market.SPOT),
-        on_demand_cost=tracker.total_cost(now, Market.ON_DEMAND),
         tokens_generated=aggregate.tokens_generated,
         cost_by_zone=tracker.cost_by_zone(now),
         dispatched_events=simulator.dispatched_events,

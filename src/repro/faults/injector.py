@@ -32,6 +32,15 @@ pinned in
 ``tests/test_streaming_equivalence.py`` do not move.  A null plan (all
 probabilities zero) keeps the hooks *running* but behavior-free, which is
 what the non-vacuous hooks-installed test pins.
+
+Counting
+--------
+
+The injector draws faults; each serving system counts the ones that hit
+it in its :class:`~repro.core.stats.ServingStats` when they land, so a
+launch failure that a zone outage reclaims first is never counted.  The
+one total the injector keeps is :attr:`FaultInjector.allocation_refusals`,
+which a system's acquirer diffs around each of its own allocations.
 """
 
 from __future__ import annotations
@@ -209,22 +218,19 @@ class FaultInjector:
     One injector instance serves one simulation run.  The provider consults
     it at allocation and launch-scheduling time, the server consults it for
     retry jitter, and each reconfiguration reads :meth:`bandwidth_factor`
-    once and stores it on the serving system's network model.  Refusal and
-    launch-failure counters accumulate here for the whole run; each serving
-    system counts the ones that hit its own requests in its
-    :class:`~repro.core.stats.ServingStats`.
+    once and stores it on the serving system's network model.  Of the
+    faults it draws it totals only :attr:`allocation_refusals`; each
+    serving system counts the faults that hit it (see *Counting* above).
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
         self.plan = plan or FaultPlan()
         self._streams: Dict[str, np.random.Generator] = {}
-        self.counters: Dict[str, int] = {
-            "allocation_refusals": 0,
-            "launch_failures": 0,
-        }
+        #: Instances refused so far in the run, over every zone and market.
+        self.allocation_refusals = 0
 
     # ------------------------------------------------------------------
-    # streams and counters
+    # streams
     # ------------------------------------------------------------------
     def _stream(self, zone: str, kind: str) -> np.random.Generator:
         """Return the RNG stream for (*zone*, *kind*), creating on first use."""
@@ -234,15 +240,6 @@ class FaultInjector:
             stream = np.random.default_rng(derive_seed(self.plan.seed, name))
             self._streams[name] = stream
         return stream
-
-    def record(self, key: str, amount: int = 1) -> None:
-        """Bump counter *key* by *amount*.
-
-        Fault kinds whose effect can be pre-empted by another event (launch
-        failures racing zone outages) are recorded by the provider at the
-        moment the fault actually lands, not at draw time.
-        """
-        self.counters[key] = self.counters.get(key, 0) + amount
 
     # ------------------------------------------------------------------
     # fault draws (one method per fault kind; all zone-scoped)
@@ -259,8 +256,7 @@ class FaultInjector:
             return 0
         stream = self._stream(zone, f"refusal:{market}")
         refused = int(np.count_nonzero(stream.random(requested) < model.refusal_prob))
-        if refused:
-            self.record("allocation_refusals", refused)
+        self.allocation_refusals += refused
         return refused
 
     def launch_delay_multiplier(self, zone: str) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 GB = 1024 ** 3
 
@@ -258,9 +258,3 @@ class NetworkModel:
         if factor != 1.0 and factor > 0.0:
             bandwidth = bandwidth / factor
         return max(tier.per_spill_latency + size / bandwidth for size in per_instance.values())
-
-    def remote_bytes(self, transfers: Sequence[Transfer]) -> float:
-        """Payload that crosses instance boundaries (the expensive part)."""
-        return float(
-            sum(t.size_bytes for t in transfers if not t.is_noop and not t.is_local)
-        )

@@ -41,7 +41,6 @@ class Request:
         "committed_tokens",
         "first_start_time",
         "completion_time",
-        "interruptions",
         "recomputed_tokens",
     )
 
@@ -79,8 +78,6 @@ class Request:
         #: when the final token is produced; ``completion_time -
         #: arrival_time`` is the end-to-end latency ``l_req``.
         self.completion_time: Optional[float] = None
-        #: Number of times the request was interrupted by a preemption.
-        self.interruptions = 0
         #: Output tokens recomputed because their KV cache was lost.
         self.recomputed_tokens = 0
 
@@ -102,7 +99,3 @@ class Request:
         """The KV cache of committed tokens was lost; they must be recomputed."""
         self.recomputed_tokens += self.committed_tokens
         self.committed_tokens = 0
-
-    def mark_interrupted(self) -> None:
-        """Record an interruption (preemption hit the serving pipeline)."""
-        self.interruptions += 1

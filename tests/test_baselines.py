@@ -5,9 +5,12 @@ import pytest
 from repro.baselines.ondemand import on_demand_trace
 from repro.baselines.reparallelization import ReparallelizationSystem
 from repro.baselines.rerouting import RequestReroutingSystem
-from repro.cloud.instance import Market
+from repro.cloud.instance import InstanceType, Market
 from repro.cloud.provider import CloudProvider
 from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind
+from repro.core.config import ParallelConfig
+from repro.core.migration import restart_stall_time
+from repro.core.reconfiguration import ENGINE_LAUNCH_TIME
 from repro.core.server import SpotServeSystem
 from repro.llm.spec import GPT_20B
 from repro.sim.engine import Simulator
@@ -116,6 +119,45 @@ class TestRerouting:
         recovered = len(system.dataplane.pipelines)
         assert dropped < initial_pipelines
         assert recovered >= dropped
+
+    def test_warm_up_loads_the_weights_of_its_own_instance_size(self, monkeypatch):
+        """On 8-GPU instances one instance holds a whole (P=2, M=4) pipeline."""
+        trace = AvailabilityTrace(
+            name="rebuild-8-gpu",
+            initial_instances=3,
+            events=[
+                TraceEvent(150.0, TraceEventKind.PREEMPT, 1),
+                TraceEvent(400.0, TraceEventKind.ACQUIRE, 1),
+            ],
+            duration=1200.0,
+        )
+        warm_ups = []
+        schedule_after = Simulator.schedule_after
+
+        def recording_schedule_after(simulator, delay, *args, **kwargs):
+            event = schedule_after(simulator, delay, *args, **kwargs)
+            if isinstance(event.payload, dict) and "instance_ids" in event.payload:
+                warm_ups.append(delay)
+            return event
+
+        monkeypatch.setattr(Simulator, "schedule_after", recording_schedule_after)
+        simulator = Simulator()
+        provider = CloudProvider(
+            simulator, trace, instance_type=InstanceType(gpus_per_instance=8)
+        )
+        system = RequestReroutingSystem(
+            simulator, provider, GPT_20B, initial_arrival_rate=0.3
+        )
+        system.submit_requests(FixedArrivals([100.0]).generate(trace.duration))
+        system.initialize()
+        shape = system.current_config
+        assert (shape.pipeline_degree, shape.tensor_degree) == (2, 4)
+        system.run(until=trace.duration)
+        single = ParallelConfig(1, 2, 4, shape.batch_size)
+        expected = restart_stall_time(GPT_20B, single, 8) + ENGINE_LAUNCH_TIME
+        assert warm_ups == [expected]
+        # A 4-GPU instance would load half of the pipeline's weights.
+        assert restart_stall_time(GPT_20B, single, 4) < restart_stall_time(GPT_20B, single, 8)
 
 
 def on_demand_provider(simulator, num_instances, duration):

@@ -8,9 +8,10 @@ from repro.core.migration import (
     DEFAULT_STORAGE_BANDWIDTH,
     ENGINE_RESTART_TIME,
     MigrationPlanner,
+    restart_stall_time,
 )
 from repro.engine.context import MetaContextManager
-from repro.engine.placement import mesh_positions
+from repro.engine.placement import mesh_positions, stage_layers
 from repro.llm.memory import DEFAULT_MIGRATION_BUFFER_BYTES
 from repro.llm.spec import GPT_20B, OPT_6_7B
 
@@ -142,28 +143,49 @@ class TestMigrationPlan:
         ready = [stage for step in plan.steps for stage in step.stages_ready]
         assert sorted(ready) == list(range(new.pipeline_degree))
 
+    def test_stage_markers_follow_the_stage_layer_partition(self):
+        """A stage is ready on the step of the last of its own layers to move.
+
+        At P = 20, GPT-20B's 44 layers split at fractional boundaries, and
+        ``int(layer / (L / P))`` puts layer 33 in stage 14 while
+        ``stage_layers``, which every transfer is built from, gives it to
+        stage 15 (layers 33-35).  Layers move in index order here, so
+        layer 33 moves after stage 14's last layer, 32.
+        """
+        pipeline_degree = 20
+        old = ParallelConfig(1, 4, 4, 8)
+        new = ParallelConfig(1, pipeline_degree, 1, 8)
+        planner = MigrationPlanner(GPT_20B, memory_optimized=False)
+        plan, _ = plan_transition(GPT_20B, old, new, num_instances=5, planner=planner)
+        assert plan.layer_order == list(range(GPT_20B.num_layers))
+        assert stage_layers(GPT_20B.num_layers, pipeline_degree, 15) == (33, 34, 35)
+        marker_layer = {
+            stage: step.layer_index for step in plan.steps for stage in step.stages_ready
+        }
+        assert sorted(marker_layer) == list(range(pipeline_degree))
+        for stage in range(pipeline_degree):
+            layers = stage_layers(GPT_20B.num_layers, pipeline_degree, stage)
+            assert marker_layer[stage] == max(layers, key=plan.layer_order.index)
+
 
 class TestRestartPlan:
     def test_restart_time_scales_with_model_size(self):
         """At the same parallelism a bigger model means more bytes per instance."""
-        small = MigrationPlanner(OPT_6_7B).estimate_restart_plan(ParallelConfig(1, 2, 4, 8))
-        large = MigrationPlanner(GPT_20B).estimate_restart_plan(ParallelConfig(1, 2, 4, 8))
-        assert large.stall_time > small.stall_time
-        assert small.stall_time > 0
+        small = restart_stall_time(OPT_6_7B, ParallelConfig(1, 2, 4, 8), 4)
+        large = restart_stall_time(GPT_20B, ParallelConfig(1, 2, 4, 8), 4)
+        assert large > small
+        assert small > 0
 
     def test_restart_time_matches_per_instance_load(self):
-        planner = MigrationPlanner(GPT_20B)
         config = ParallelConfig(2, 3, 4, 8)
-        plan = planner.estimate_restart_plan(config, gpus_per_instance=4)
+        stall = restart_stall_time(GPT_20B, config, gpus_per_instance=4)
         per_instance_bytes = GPT_20B.total_param_bytes / 12 * 4
         expected = per_instance_bytes / DEFAULT_STORAGE_BANDWIDTH + ENGINE_RESTART_TIME
-        assert plan.stall_time == pytest.approx(expected)
+        assert stall == pytest.approx(expected)
 
     def test_120b_model_restart_takes_minutes(self):
         """The paper observes >2 minutes to load a 120B-parameter GPT."""
         from repro.llm.spec import ModelSpec
 
         gpt_120b = ModelSpec(name="GPT-120B", num_layers=96, hidden_size=10240, num_heads=80)
-        planner = MigrationPlanner(gpt_120b)
-        plan = planner.estimate_restart_plan(ParallelConfig(1, 8, 4, 1))
-        assert plan.stall_time > 60.0
+        assert restart_stall_time(gpt_120b, ParallelConfig(1, 8, 4, 1), 4) > 60.0

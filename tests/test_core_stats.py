@@ -69,7 +69,6 @@ class TestServingStats:
             acquired={"us-east-1a": 2},
             released={},
             fleet_before=4,
-            desired_instances=6,
         )
         stats.record_autoscale(record)
         assert stats.autoscale_actions == [record]

@@ -37,12 +37,10 @@ from repro.sim.events import EventType
 def assert_held_daemons_current(dataplane):
     daemons = dataplane.meta_context._daemons
     for pipeline in dataplane.pipelines:
-        held = pipeline.daemons
-        assert [daemon.device_id for daemon in held] == list(
-            pipeline.assignment.devices.values()
-        )
-        for daemon in held:
-            assert daemons.get(daemon.device_id) is daemon
+        devices = list(pipeline.assignment.devices.values())
+        assert len(pipeline.daemons) == len(devices)
+        for device_id, daemon in zip(devices, pipeline.daemons):
+            assert daemons.get(device_id) is daemon
 
 
 @pytest.fixture

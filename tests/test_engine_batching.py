@@ -32,7 +32,6 @@ REQUEST_STATE = (
     "first_start_time",
     "completion_time",
     "recomputed_tokens",
-    "interruptions",
 )
 
 #: One cost model for every pipeline the state machine builds.
@@ -229,11 +228,6 @@ class TestBatch:
         batch.drop_cache()
         assert batch.committed_tokens == 0
         assert all(r.recomputed_tokens == 6 for r in batch.requests)
-
-    def test_mark_interrupted(self):
-        batch = Batch(make_requests(2))
-        batch.mark_interrupted()
-        assert all(r.interruptions == 1 for r in batch.requests)
 
     def test_unique_batch_ids(self):
         assert Batch(make_requests(1)).batch_id != Batch(make_requests(1)).batch_id

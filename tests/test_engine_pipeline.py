@@ -120,7 +120,6 @@ class TestInterruption:
         assert interrupted is batch
         assert batch.committed_tokens > 0
         assert not pipeline.is_busy
-        assert all(r.interruptions == 1 for r in batch.requests)
 
     def test_interrupt_without_cache_drops_progress(self):
         pipeline = make_pipeline()

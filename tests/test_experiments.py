@@ -81,7 +81,6 @@ class TestRunner:
         )
         assert result.system_name == "SpotServe"
         assert result.model_name == "GPT-20B"
-        assert result.trace_name == "tiny"
         assert result.submitted_requests == 3
         assert result.completed_requests == 3
         assert result.completion_ratio == pytest.approx(1.0)

@@ -10,8 +10,7 @@ Four claims are pinned here:
   hook invocations so the claim is not vacuous (the hooks really ran).
 * **Resilience accounting** -- every refused or failed acquisition is
   either satisfied by a bounded-backoff retry or reported in the terminal
-  ``allocation_shortfall`` counter (with per-round detail on the
-  :class:`~repro.core.stats.AutoscaleRecord`).
+  ``allocation_shortfall`` counter.
 * **Conservation under chaos** -- ``submitted == completed + unfinished +
   dropped + rejected + shed`` holds at random mid-run probe points under
   randomized fault mixes, and the Section 4.2 early-preemption path is
@@ -28,6 +27,7 @@ import pytest
 
 from repro.cloud.manager import InstanceManager
 from repro.cloud.provider import CloudProvider
+from repro.core.acquisition import FleetAcquirer
 from repro.core.reconfiguration import TransitionPlanner
 from repro.core.server import SpotServeOptions, SpotServeSystem
 from repro.experiments.runner import run_scenario_experiment, run_serving_experiment
@@ -191,7 +191,7 @@ class TestInjectorDeterminism:
         a, b = FaultInjector(plan), FaultInjector(plan)
         for injector in (a, b):
             injector.refused_count("us-east-1a", "spot", 5)
-        assert a.counters == b.counters
+        assert a.allocation_refusals == b.allocation_refusals
         assert a.launch_delay_multiplier("us-east-1a") == b.launch_delay_multiplier(
             "us-east-1a"
         )
@@ -226,7 +226,7 @@ class TestInjectorDeterminism:
             FaultPlan(default_model=ZoneFaultModel(refusal_prob=1.0))
         )
         assert always.refused_count("z", "spot", 4) == 4
-        assert always.counters["allocation_refusals"] == 4
+        assert always.allocation_refusals == 4
         never = FaultInjector(FaultPlan(default_model=ZoneFaultModel()))
         assert never.refused_count("z", "spot", 4) == 0
 
@@ -256,7 +256,7 @@ class TestInjectorDeterminism:
             FaultPlan(default_model=ZoneFaultModel(refusal_prob=1.0))
         )
         assert injector.refused_count("z", "spot", 3) == 3
-        assert injector.counters["allocation_refusals"] == 3
+        assert injector.allocation_refusals == 3
 
     def test_streams_are_seeded_through_derive_seed(self):
         injector = FaultInjector(FaultPlan(seed=5))
@@ -400,9 +400,18 @@ class TestResilienceAccounting:
         # Bounded backoff found capacity eventually: nothing terminally lost.
         assert stats.allocation_shortfall == 0
 
-    def test_partial_grants_report_per_round_shortfall(self):
-        # Refusal rate low enough that some round is granted only in part:
-        # the record carries what was missing while a retry chases it.
+    def test_partial_grants_are_chased_by_retries(self, monkeypatch):
+        # Refusal rate low enough that some allocation is granted only in
+        # part while a retry chases what was missing.
+        grants = []
+        allocate = FleetAcquirer._allocate
+
+        def recording_allocate(acquirer, count, zone=None, avoid_zones=None):
+            granted = allocate(acquirer, count, zone=zone, avoid_zones=avoid_zones)
+            grants.append((count, len(granted)))
+            return granted
+
+        monkeypatch.setattr(FleetAcquirer, "_allocate", recording_allocate)
         plan = FaultPlan(
             seed=2, default_model=ZoneFaultModel(refusal_prob=0.7)
         )
@@ -410,9 +419,7 @@ class TestResilienceAccounting:
         stats = result.stats
         assert stats.allocation_refusals > 0
         assert stats.acquisition_retries > 0
-        # Per-round detail rides on the autoscale records, whether or not
-        # a retry later finds the capacity.
-        assert any(sum(record.shortfall.values()) > 0 for record in stats.autoscale_actions)
+        assert any(0 < granted < count for count, granted in grants)
 
     def test_total_refusals_never_exceed_requests_plus_retries(self):
         # Every refused instance is either re-requested (a retry fired) or
@@ -426,7 +433,7 @@ class TestResilienceAccounting:
         # attempts the unmet demand must land in the shortfall counter.
         assert stats.allocation_shortfall > 0
 
-    def test_single_tenant_counts_equal_the_injector_totals(self):
+    def test_single_tenant_counts_equal_the_injector_totals(self, applied_launch_failures):
         # One serving system makes every request, so it counts every fault.
         plan = FaultPlan(
             seed=4,
@@ -437,9 +444,10 @@ class TestResilienceAccounting:
         stats = run_scenario_experiment(
             scenario, arrivals, drain_time=300.0, fault_injector=injector
         ).stats
-        for key in ("allocation_refusals", "launch_failures"):
-            assert injector.counters[key] > 0, key
-            assert getattr(stats, key) == injector.counters[key], key
+        assert injector.allocation_refusals > 0
+        assert stats.allocation_refusals == injector.allocation_refusals
+        assert len(applied_launch_failures) > 0
+        assert stats.launch_failures == len(applied_launch_failures)
 
     def test_launch_failures_trigger_rerequests(self):
         plan = FaultPlan(

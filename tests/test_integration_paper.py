@@ -122,4 +122,4 @@ class TestOnDemandMixing:
             options=SpotServeOptions(allow_on_demand=True),
         )
         assert mixed.latency.p99 <= spot_only.latency.p99 * 1.1
-        assert mixed.on_demand_cost >= 0.0
+        assert mixed.total_cost > 0.0

@@ -115,7 +115,6 @@ class TestBatchTime:
 
 class TestByteAccounting:
     def test_total_and_remote_bytes(self):
-        model = NetworkModel()
         transfers = [
             make_transfer("a", "a", 1 * GB, dst_gpu=1),  # local
             make_transfer("a", "b", 2 * GB),  # remote
@@ -124,7 +123,8 @@ class TestByteAccounting:
         # The migration step's total is the production byte count.
         step = MigrationStep(kind="weight", layer_index=0, transfers=transfers)
         assert step.total_bytes == pytest.approx(3 * GB)
-        assert model.remote_bytes(transfers) == pytest.approx(2 * GB)
+        remote = sum(t.size_bytes for t in transfers if not t.is_noop and not t.is_local)
+        assert remote == pytest.approx(2 * GB)
 
 
 class TestBandwidthFactor:

@@ -2,10 +2,12 @@
 
 Runs the stdlib-only ``tools/surface_census.py`` the CI docs job runs, on
 the repository and on small synthetic trees that each pin one rule of
-the census.
+one of its two passes: definitions only tests use, and stored names only
+tests read.
 """
 
 import ast
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -31,6 +33,7 @@ def test_repository_census_matches_the_kept_table(capsys):
 
 def test_kept_entries_all_carry_a_reason():
     assert all(reason.strip() for reason in surface_census.KEPT.values())
+    assert all(reason.strip() for reason in surface_census.KEPT_UNREAD.values())
 
 
 def test_dead_chain_is_listed_and_getattr_names_are_not(tmp_path):
@@ -90,12 +93,17 @@ def test_dead_chain_is_listed_and_getattr_names_are_not(tmp_path):
     assert surface_census.main(["--root", str(tmp_path), "--check"]) == 1
 
 
-def listed(tmp_path, modules, users=None):
-    """Census of a synthetic tree: ``src/repro/<name>.py`` plus user files."""
+def lay_out(tmp_path, modules, users):
+    """A synthetic tree: ``src/repro/<name>.py`` plus user files."""
     for name, source in modules.items():
         write(tmp_path, f"src/repro/{name}.py", source)
     for relative, source in (users or {}).items():
         write(tmp_path, relative, source)
+
+
+def listed(tmp_path, modules, users=None):
+    """Definitions census of a synthetic tree."""
+    lay_out(tmp_path, modules, users)
     return surface_census.census(tmp_path)
 
 
@@ -203,6 +211,8 @@ def test_annotated_constants_are_listed(tmp_path):
 def test_check_passes_when_the_list_equals_kept(tmp_path, monkeypatch):
     names = listed(tmp_path, {"mod": "def kept():\n    return 1\n"})
     monkeypatch.setattr(surface_census, "KEPT", {name: "a reason" for name in names})
+    # The tree stores nothing, so the write-only pass lists nothing either.
+    monkeypatch.setattr(surface_census, "KEPT_UNREAD", {})
     assert surface_census.main(["--root", str(tmp_path), "--check"]) == 0
 
 
@@ -211,8 +221,234 @@ def test_check_fails_on_a_stale_kept_entry(tmp_path, monkeypatch, capsys):
     users = {"examples/run.py": "from repro.mod import kept\n\nkept()\n"}
     assert listed(tmp_path, modules, users) == []
     monkeypatch.setattr(surface_census, "KEPT", {"repro.mod.kept": "a reason"})
+    monkeypatch.setattr(surface_census, "KEPT_UNREAD", {})
     assert surface_census.main(["--root", str(tmp_path), "--check"]) == 1
     assert "STALE KEPT ENTRY: repro.mod.kept" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# The write-only pass: stored names nothing outside tests reads
+# ----------------------------------------------------------------------
+
+
+def unread(tmp_path, modules, users=None):
+    """Write-only listing of a synthetic tree."""
+    lay_out(tmp_path, modules, users)
+    return surface_census.unread(tmp_path)
+
+
+def test_every_kind_of_store_is_listed_until_something_loads_it(tmp_path):
+    modules = {
+        "mod": """
+        from dataclasses import dataclass
+        from typing import NamedTuple
+
+
+        @dataclass
+        class Plan:
+            size: float
+            spare: float = 0.0
+
+
+        class Point(NamedTuple):
+            x: int
+            y: int
+
+
+        class Counter:
+            __slots__ = ("hits", "misses")
+
+            def __init__(self):
+                self.hits = 0
+                self.misses = 0
+                self.total = 0
+
+            def hit(self):
+                # An augmented store writes the name; it reads nothing.
+                self.hits += 1
+                self.total += 1
+
+
+        def use(plan, point, counter):
+            return plan.size + point.x + counter.hits
+        """
+    }
+    assert unread(tmp_path, modules) == [
+        "repro.mod.Counter.misses",
+        "repro.mod.Counter.total",
+        "repro.mod.Plan.spare",
+        "repro.mod.Point.y",
+    ]
+
+
+BOX = """
+class Box:
+    def __init__(self):
+        self.kept = 1
+        self.dropped = 2
+"""
+
+
+@pytest.mark.parametrize("tree", ["benchmarks", "examples", "perfbench", "tools"])
+def test_a_load_in_each_user_tree_is_a_read_and_one_in_tests_is_not(tmp_path, tree):
+    users = {
+        f"{tree}/user.py": "from repro.mod import Box\n\nprint(Box().kept)\n",
+        "tests/test_mod.py": "from repro.mod import Box\n\nassert Box().dropped == 2\n",
+    }
+    assert unread(tmp_path, {"mod": BOX}, users) == ["repro.mod.Box.dropped"]
+
+
+def test_a_getattr_key_is_a_read(tmp_path):
+    users = {"examples/run.py": 'from repro.mod import Box\n\nprint(getattr(Box(), "kept"))\n'}
+    assert unread(tmp_path, {"mod": BOX}, users) == ["repro.mod.Box.dropped"]
+
+
+def test_a_same_named_keyword_copy_and_method_call_are_not_reads(tmp_path):
+    modules = {
+        "mod": """
+        from dataclasses import dataclass
+
+
+        @dataclass
+        class Plan:
+            size: float
+            total: float
+
+
+        @dataclass
+        class Summary:
+            size: float
+            amount: float
+
+
+        class Network:
+            def size(self, transfers):
+                return len(transfers)
+
+
+        def summarize(plan, network):
+            network.size([])
+            return Summary(size=plan.size, amount=plan.total)
+
+
+        def report(summary):
+            return summary.amount
+        """
+    }
+    # ``size=plan.size`` only copies the value into another unread field,
+    # and ``network.size([])`` calls a method; ``amount=plan.total`` reads.
+    assert unread(tmp_path, modules) == ["repro.mod.Plan.size", "repro.mod.Summary.size"]
+
+
+def test_docstrings_and_slots_strings_are_not_reads(tmp_path):
+    modules = {
+        "mod": '''
+        """Module notes: ``noted`` is documented here."""
+
+
+        class Box:
+            """A box; ``noted`` again."""
+
+            __slots__ = ("noted", "named")
+
+            def __init__(self):
+                """Sets ``noted`` and ``named``."""
+                self.noted = 1
+                self.named = 2
+
+
+        LABELS = ("named",)
+        '''
+    }
+    # Any other string still counts, as a getattr key does.
+    assert unread(tmp_path, modules) == ["repro.mod.Box.noted"]
+
+
+def test_dataclasses_iterated_with_fields_are_exempt(tmp_path):
+    modules = {
+        "mod": """
+        import dataclasses
+        from dataclasses import dataclass, fields
+
+
+        @dataclass
+        class Counters:
+            hits: int = 0
+
+            def report(self):
+                return {f.name: 0 for f in fields(self)}
+
+
+        @dataclass
+        class Totals:
+            misses: int = 0
+
+
+        @dataclass
+        class Other:
+            spare: int = 0
+
+
+        def names():
+            return [f.name for f in dataclasses.fields(Totals)]
+        """
+    }
+    assert unread(tmp_path, modules) == ["repro.mod.Other.spare"]
+
+
+def test_a_store_on_another_object_is_listed_by_module_unless_a_class_declares_it(
+    tmp_path,
+):
+    modules = {
+        "mod": """
+        class Request:
+            __slots__ = ("done",)
+
+
+        def finish(request):
+            request.done = True
+            request.flagged = True
+        """
+    }
+    assert unread(tmp_path, modules) == ["repro.mod.Request.done", "repro.mod.flagged"]
+
+
+def test_check_fails_on_an_unread_store_not_in_kept_unread(tmp_path, monkeypatch, capsys):
+    users = {"examples/run.py": "from repro.mod import Box\n\nprint(Box().kept)\n"}
+    assert unread(tmp_path, {"mod": BOX}, users) == ["repro.mod.Box.dropped"]
+    monkeypatch.setattr(surface_census, "KEPT", {})
+    monkeypatch.setattr(surface_census, "KEPT_UNREAD", {})
+    assert surface_census.main(["--root", str(tmp_path), "--check"]) == 1
+    assert "NOT IN KEPT_UNREAD: repro.mod.Box.dropped" in capsys.readouterr().out
+    monkeypatch.setattr(surface_census, "KEPT_UNREAD", {"repro.mod.Box.dropped": "a reason"})
+    assert surface_census.main(["--root", str(tmp_path), "--check"]) == 0
+
+
+def test_check_fails_on_a_stale_kept_unread_entry(tmp_path, monkeypatch, capsys):
+    users = {"examples/run.py": "from repro.mod import Box\n\nprint(Box().kept, Box().dropped)\n"}
+    assert unread(tmp_path, {"mod": BOX}, users) == []
+    monkeypatch.setattr(surface_census, "KEPT", {})
+    monkeypatch.setattr(surface_census, "KEPT_UNREAD", {"repro.mod.Box.dropped": "a reason"})
+    assert surface_census.main(["--root", str(tmp_path), "--check"]) == 1
+    assert "STALE KEPT_UNREAD ENTRY: repro.mod.Box.dropped" in capsys.readouterr().out
+
+
+def test_a_field_added_to_a_repository_class_is_listed(tmp_path):
+    """A copy of the sources with one unread ``MigrationPlan`` field fails."""
+    for tree in ("src", *surface_census.USER_TREES):
+        for path in (REPO_ROOT / tree).rglob("*.py"):
+            target = tmp_path / path.relative_to(REPO_ROOT)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(path, target)
+    planner = tmp_path / "src" / "repro" / "core" / "migration.py"
+    source = planner.read_text(encoding="utf-8")
+    anchor = "    #: Transport tier of the plan"
+    assert source.count(anchor) == 1
+    probe = "    unread_probe: float = 0.0\n"
+    planner.write_text(source.replace(anchor, probe + anchor), encoding="utf-8")
+    assert set(surface_census.unread(tmp_path)) == set(surface_census.KEPT_UNREAD) | {
+        "repro.core.migration.MigrationPlan.unread_probe"
+    }
 
 
 def test_the_tool_parses_as_python_3_9():

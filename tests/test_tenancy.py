@@ -351,15 +351,12 @@ class TestAggregateStats:
         result = ExperimentResult(
             system_name="fleet",
             model_name="OPT-6.7B",
-            trace_name="none",
             duration=600.0,
             stats=aggregate,
             latency=LatencyStats.from_latencies([]),
             submitted_requests=30,
             completed_requests=21,
             total_cost=1.0,
-            spot_cost=1.0,
-            on_demand_cost=0.0,
             tokens_generated=aggregate.tokens_generated,
         )
         row = result_row("multi-tenant", "fixed-fleet", result)
@@ -447,7 +444,7 @@ class TestPerTenantConservationUnderFaults:
 
 
 class TestPerTenantFaultCounts:
-    def test_faults_are_counted_for_the_tenant_they_hit(self):
+    def test_faults_are_counted_for_the_tenant_they_hit(self, applied_launch_failures):
         # Only the latency tier allocates, and only its zones fault; the
         # batch tier shares the one injector but never requests capacity.
         base = multi_tenant_scenario("OPT-6.7B", duration=600.0)
@@ -477,8 +474,11 @@ class TestPerTenantFaultCounts:
 
         latency = system.systems["latency-tier"].stats
         batch = system.systems["batch-tier"].stats
-        for key in ("allocation_refusals", "launch_failures"):
-            total = injector.counters[key]
+        totals = {
+            "allocation_refusals": injector.allocation_refusals,
+            "launch_failures": len(applied_launch_failures),
+        }
+        for key, total in totals.items():
             assert total > 0, key
             assert getattr(latency, key) == total, key
             assert getattr(batch, key) == 0, key

@@ -40,13 +40,6 @@ class TestRequest:
         assert request.first_start_time is None
         assert request.completion_time is None
 
-    def test_interruption_counter(self):
-        request = Request(arrival_time=0.0)
-        request.mark_interrupted()
-        request.mark_interrupted()
-        assert request.interruptions == 2
-        assert request.completion_time is None
-
     def test_invalid_requests_rejected(self):
         with pytest.raises(ValueError):
             Request(arrival_time=-1.0)
