@@ -52,10 +52,8 @@ def test_device_mapper_strategies(benchmark):
         greedy = DeviceMapper(GPT_20B, use_optimal_matching=False).map_devices(meta, devices, new)
         positions = mesh_positions(1, 3, 4)
         mapper = DeviceMapper(GPT_20B)
-        arbitrary_reuse = sum(
-            mapper.reuse_weight(meta, device, position, new)
-            for device, position in zip(devices, positions)
-        )
+        lookup = mapper._weight_lookup(meta, devices, positions, new, None)
+        arbitrary_reuse = mapper._placement_reuse(lookup, dict(zip(devices, positions)))
         rows["Kuhn-Munkres"] = (optimal.reused_bytes, optimal.transfer_bytes)
         rows["Greedy"] = (greedy.reused_bytes, greedy.transfer_bytes)
         rows["Arbitrary"] = (arbitrary_reuse, optimal.required_bytes - arbitrary_reuse)

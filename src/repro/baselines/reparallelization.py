@@ -28,7 +28,7 @@ from ..core.server import SpotServeSystem
 class RestartTransitions(TransitionPlanner):
     """Every switch is a full restart: nothing migrates, nothing is preserved."""
 
-    def prepare(self, config: ParallelConfig, reason: str, objective: str) -> Transition:
+    def prepare(self, config: ParallelConfig, reason: str) -> Transition:
         system = self.system
         # Everything stops immediately and stays down for the full restart:
         # the engines relaunch and reload every parameter from storage.
@@ -39,7 +39,6 @@ class RestartTransitions(TransitionPlanner):
             stop_time=system.simulator.now,
             reason=reason,
             preserve_cache=False,
-            objective=objective,
         )
 
 

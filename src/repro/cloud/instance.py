@@ -77,12 +77,6 @@ class InstanceType:
                 f"grace period and startup delay must be finite and non-negative, got {delays}"
             )
 
-    def price_per_hour(self, market: Market) -> float:
-        """Hourly price for the given market."""
-        if market is Market.SPOT:
-            return self.spot_price_per_hour
-        return self.on_demand_price_per_hour
-
 
 G4DN_12XLARGE = InstanceType()
 

@@ -101,17 +101,16 @@ class InstanceManager:
         Spot instances also receive individual preemption notices from the
         provider, but on-demand instances get none -- a zone outage is the
         only thing that kills them -- so the whole zone is excluded from
-        :meth:`stable_instances` here.  Instances already in a grace period
-        keep their announced deadline.
+        :meth:`stable_instances` here.  An instance already in a grace
+        period keeps the earlier of its two deadlines, as in
+        :meth:`on_preemption_notice`.
         """
         self.doomed_zones[zone] = deadline
         for instance in self._held.values():
-            if (
-                instance.zone == zone
-                and instance.is_usable
-                and instance.instance_id not in self.grace_deadlines
-            ):
-                self.grace_deadlines[instance.instance_id] = deadline
+            if instance.zone == zone and instance.is_usable:
+                existing = self.grace_deadlines.get(instance.instance_id)
+                if existing is None or deadline < existing:
+                    self.grace_deadlines[instance.instance_id] = deadline
 
     def on_zone_outage_down(self, zone: str) -> List[Instance]:
         """Drop every held instance of *zone* that the outage killed.

@@ -2,8 +2,8 @@
 
 Figure 7 of the paper compares per-token cost and latency of SpotServe and
 the baselines against an on-demand-only deployment.  :class:`CostTracker`
-accumulates instance-hours per market as instances come and go and converts
-them into total and per-token USD figures.
+keeps one billing record per instance as instances come and go and converts
+them into USD, in total and per zone.
 
 Spot markets do not have one fixed price: every availability zone publishes
 its own price that drifts over time (price spikes are exactly what a
@@ -111,31 +111,20 @@ class CostTracker:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def start_billing(
-        self,
-        instance: Instance,
-        time: float,
-        schedule: Optional[PriceSchedule] = None,
-        zone: Optional[str] = None,
-    ) -> None:
+    def start_billing(self, instance: Instance, time: float, schedule: PriceSchedule) -> None:
         """Begin billing *instance* at *time* (normally its launch time).
 
-        When *schedule* is given the record accrues at the (possibly
-        time-varying) scheduled price; otherwise the instance type's flat
-        market price applies.
+        The record accrues at *schedule*'s (possibly time-varying) price:
+        the price of the instance's market in its zone.
         """
         if instance.instance_id in self._records:
             raise ValueError(f"instance {instance.instance_id} already billed")
-        if schedule is not None:
-            price = schedule.price_at(time)
-        else:
-            price = instance.instance_type.price_per_hour(instance.market)
         self._records[instance.instance_id] = BillingRecord(
             instance_id=instance.instance_id,
             market=instance.market,
             start=time,
-            price_per_hour=price,
-            zone=zone if zone is not None else instance.zone,
+            price_per_hour=schedule.price_at(time),
+            zone=instance.zone,
             schedule=schedule,
         )
 
@@ -150,24 +139,13 @@ class CostTracker:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def total_cost(
-        self,
-        now: float,
-        market: Optional[Market] = None,
-        zone: Optional[str] = None,
-    ) -> float:
-        """Total USD spent up to *now*, optionally filtered by market and zone."""
+    def total_cost(self, now: float) -> float:
+        """Total USD spent up to *now*."""
         total = 0.0
         for record in self._closed:
-            if (market is None or record.market is market) and (
-                zone is None or record.zone == zone
-            ):
-                total += record.cost(now)
+            total += record.cost(now)
         for record in self._records.values():
-            if (market is None or record.market is market) and (
-                zone is None or record.zone == zone
-            ):
-                total += record.cost(now)
+            total += record.cost(now)
         return total
 
     def cost_by_zone(self, now: float) -> Dict[str, float]:
@@ -185,9 +163,3 @@ class CostTracker:
         :meth:`BillingRecord.cost_between` billed to the tenant owning it.
         """
         return list(self._closed) + list(self._records.values())
-
-    def cost_per_token(self, now: float, tokens_generated: int) -> float:
-        """USD per generated token (``inf`` when nothing was generated)."""
-        if tokens_generated <= 0:
-            return float("inf")
-        return self.total_cost(now) / tokens_generated

@@ -104,14 +104,6 @@ class CloudProvider:
             self._schedule_trace(zone)
             self._schedule_outages(zone)
 
-    # ------------------------------------------------------------------
-    # Backward-compatible single-zone accessors
-    # ------------------------------------------------------------------
-    @property
-    def trace(self) -> AvailabilityTrace:
-        """The first zone's trace (legacy single-zone accessor)."""
-        return next(iter(self.zones.values())).trace
-
     @property
     def zone_names(self) -> List[str]:
         """Names of every managed zone, in declaration order."""
@@ -259,7 +251,7 @@ class CloudProvider:
             if self.trace_market is Market.SPOT
             else zone.on_demand_schedule(self.instance_type)
         )
-        self.cost_tracker.start_billing(instance, time, schedule=schedule, zone=zone.name)
+        self.cost_tracker.start_billing(instance, time, schedule)
         if ready_immediately:
             instance.mark_ready(time)
             if announce:
@@ -454,10 +446,7 @@ class CloudProvider:
                 )
                 self._instances[instance.instance_id] = instance
                 self.cost_tracker.start_billing(
-                    instance,
-                    now,
-                    schedule=zone_spec.on_demand_schedule(self.instance_type),
-                    zone=zone_spec.name,
+                    instance, now, zone_spec.on_demand_schedule(self.instance_type)
                 )
                 self._schedule_ready(instance, now + self.instance_type.startup_delay)
                 granted.append(instance)
@@ -514,11 +503,6 @@ class CloudProvider:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def instances(self) -> List[Instance]:
-        """Every instance ever granted (alive or not)."""
-        return list(self._instances.values())
-
     def usable_instances(self) -> List[Instance]:
         """Instances that can currently run inference."""
         return [inst for inst in self._instances.values() if inst.is_usable]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class TraceEventKind(Enum):
@@ -99,33 +99,6 @@ class AvailabilityTrace:
                 break
             count += event.delta
         return count
-
-    @property
-    def min_instances(self) -> int:
-        """Lowest concurrent instance count over the trace."""
-        return min(count for _, count in self.instance_counts())
-
-    @property
-    def max_instances(self) -> int:
-        """Highest concurrent instance count over the trace."""
-        return max(count for _, count in self.instance_counts())
-
-    # ------------------------------------------------------------------
-    # Manipulation
-    # ------------------------------------------------------------------
-    def scaled(self, factor: float, name: Optional[str] = None) -> "AvailabilityTrace":
-        """Return a copy with every timestamp multiplied by *factor*."""
-        if not (math.isfinite(factor) and factor > 0):
-            raise ValueError(f"factor must be finite and positive, got {factor}")
-        return AvailabilityTrace(
-            name=name or f"{self.name}x{factor:g}",
-            initial_instances=self.initial_instances,
-            events=[
-                TraceEvent(event.time * factor, event.kind, event.count)
-                for event in self.events
-            ],
-            duration=self.duration * factor,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -113,7 +113,6 @@ class FleetAcquirer:
         system.stats.record_autoscale(
             AutoscaleRecord(
                 time=signal.time,
-                policy=autoscaler.policy.name,
                 reason=decision.reason,
                 acquired=acquired,
                 released=released,

@@ -172,10 +172,6 @@ class ConfigurationSpace:
         """
         return [self.config_at(row) for row in self.feasible_rows(num_instances)]
 
-    def max_gpus(self, num_instances: int) -> int:
-        """GPUs available on *num_instances* instances."""
-        return num_instances * self.gpus_per_instance
-
     def fits(self, config: ParallelConfig) -> bool:
         """Memory feasibility of *config* (independent of fleet size)."""
         return config.is_compatible_with(self.model) and self.memory_model.fits(

@@ -35,9 +35,7 @@ import numpy as np
 from ..engine.context import DeviceId, MetaContextManager
 from ..engine.placement import (
     TopologyPosition,
-    cache_context_overlap_bytes,
     mesh_positions,
-    model_context_overlap_bytes,
     position_cache_bytes,
     position_model_bytes,
 )
@@ -48,7 +46,8 @@ from .config import ParallelConfig
 
 #: Dense reuse-weight view of one map round: the full device x position
 #: matrix plus the index maps back to device ids and positions.  Every cell
-#: is bit-identical to the scalar :meth:`DeviceMapper.reuse_weight` value.
+#: is bit-identical to the scalar weight of its (device, position) pair
+#: (``reuse_weight`` in tests/oracles/device_mapper.py).
 _WeightLookup = Tuple[
     np.ndarray, Dict[DeviceId, int], Dict[TopologyPosition, int]
 ]
@@ -107,56 +106,6 @@ class DeviceMapper:
         self.evacuation_mode = False
 
     # ------------------------------------------------------------------
-    # Edge weights
-    # ------------------------------------------------------------------
-    def reuse_weight(
-        self,
-        meta_context: MetaContextManager,
-        device_id: DeviceId,
-        position: TopologyPosition,
-        new_config: ParallelConfig,
-        pipeline_inheritance: Optional[Dict[int, int]] = None,
-    ) -> float:
-        """Bytes of context device *device_id* could reuse at *position*.
-
-        This is the edge-weight definition; :meth:`_weight_matrix` computes
-        the same value for every (device, position) cell at once.
-        """
-        daemon = meta_context.daemon(device_id)
-        weight = 0.0
-        model_ctx = daemon.model_context
-        if model_ctx is not None:
-            weight += model_context_overlap_bytes(
-                self.model,
-                model_ctx.pipeline_degree,
-                model_ctx.tensor_degree,
-                model_ctx.position,
-                new_config.pipeline_degree,
-                new_config.tensor_degree,
-                position,
-            )
-        cache_ctx = daemon.cache_context
-        if cache_ctx is not None:
-            inherits = True
-            if pipeline_inheritance is not None:
-                inherits = (
-                    pipeline_inheritance.get(cache_ctx.position.data_index) == position.data_index
-                )
-            weight += cache_context_overlap_bytes(
-                self.model,
-                cache_ctx.cached_tokens,
-                cache_ctx.batch_size,
-                cache_ctx.pipeline_degree,
-                cache_ctx.tensor_degree,
-                cache_ctx.position,
-                new_config.pipeline_degree,
-                new_config.tensor_degree,
-                position,
-                inherits_requests=inherits,
-            )
-        return weight
-
-    # ------------------------------------------------------------------
     # Vectorized weight matrix
     # ------------------------------------------------------------------
     def _weight_lookup(
@@ -182,7 +131,14 @@ class DeviceMapper:
         new_config: ParallelConfig,
         pipeline_inheritance: Optional[Dict[int, int]],
     ) -> np.ndarray:
-        """Reuse-weight matrix, bit-identical to :meth:`reuse_weight` per cell.
+        """Reuse-weight matrix: the bytes each device could reuse at each position.
+
+        A device's weight at a position is its model context's reusable
+        bytes there, plus its cache context's when that position's pipeline
+        inherits the old pipeline's in-flight requests (every pipeline
+        without an inheritance map; Figure 4b).  Each part is the old and
+        new stages' layer overlap times the bytes per layer, times the old
+        and new shards' interval overlap.
 
         A device's weights depend on few of its context's fields, and a
         fleet repeats them, so each distinct value is built once:
@@ -202,14 +158,14 @@ class DeviceMapper:
         Within a signature the weights factorise over the new mesh into a
         per-stage layer overlap times a per-shard interval overlap, so one
         ``(P_new,) x (M_new,)`` outer product replaces ``P * M`` scalar
-        calls.  Each device's row is then ``0 + model``, with ``+ cache``
+        weights.  Each device's row is then ``0 + model``, with ``+ cache``
         on the inheriting slice: the same IEEE-754 operations in the same
-        order as :meth:`reuse_weight`.  The overlaps are the same
-        ``max(0.0, min(..) - max(..))`` expressions, the products keep the
-        scalar ``(overlap * bytes) * fraction`` association, and the early
-        ``return 0.0`` guards of the scalar code coincide with multiplying
-        by a ``+0.0`` overlap factor (every factor is non-negative, so no
-        ``-0.0`` can appear).
+        order as the scalar weight of one (device, position) pair.  The
+        overlaps are the same ``max(0.0, min(..) - max(..))`` expressions,
+        the products keep the scalar ``(overlap * bytes) * fraction``
+        association, and the scalar weight's early ``return 0.0`` guards
+        coincide with multiplying by a ``+0.0`` overlap factor (every
+        factor is non-negative, so no ``-0.0`` can appear).
         """
         model = self.model
         num_layers = model.num_layers
@@ -399,8 +355,8 @@ class DeviceMapper:
 
         The sum runs in ``placement`` insertion order and the matrix cells
         equal the scalar weights bitwise, so the total is bit-identical to
-        summing :meth:`reuse_weight` over the placement (IEEE-754 addition
-        is deterministic for a fixed operand order).
+        summing the scalar weight over the placement (IEEE-754 addition is
+        deterministic for a fixed operand order).
         """
         matrix, row_of, col_of = lookup
         return float(

@@ -48,7 +48,6 @@ class Transition:
     preserve_cache: bool
     migrated_bytes: float = 0.0
     reused_bytes: float = 0.0
-    objective: str = ""
     #: Offload-tier bytes each destination instance restores after the
     #: switch (tiered plans only, else ``None``).
     spill_restores: Optional[Dict[str, float]] = None
@@ -75,7 +74,7 @@ class TransitionPlanner:
         self.system = system
         self.arranger = InterruptionArranger(system.latency_model)
 
-    def prepare(self, config: ParallelConfig, reason: str, objective: str) -> Transition:
+    def prepare(self, config: ParallelConfig, reason: str) -> Transition:
         """Compute placement, stall, stop time and migration volume for a switch."""
         system = self.system
         planner = system.migration_planner
@@ -168,7 +167,6 @@ class TransitionPlanner:
             preserve_cache=preserve,
             migrated_bytes=plan.total_bytes,
             reused_bytes=mapping.reused_bytes,
-            objective=objective,
             spill_restores=plan.spill_restores,
         )
 

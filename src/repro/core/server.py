@@ -737,7 +737,6 @@ class ServingSystemBase:
                 stall_time=transition.stall_time,
                 migrated_bytes=transition.migrated_bytes,
                 reused_bytes=transition.reused_bytes,
-                objective=transition.objective,
             )
         )
         spill_restores = transition.spill_restores
@@ -984,7 +983,7 @@ class SpotServeSystem(ServingSystemBase):
         if self._can_skip_reconfiguration(target.config, reason):
             return
         self._schedule_reconfiguration(
-            self.transitions.prepare(target.config, reason, target.objective)
+            self.transitions.prepare(target.config, reason)
         )
 
     def _apply_sticky_policy(

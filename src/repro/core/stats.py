@@ -40,7 +40,6 @@ class ReconfigurationRecord:
     stall_time: float
     migrated_bytes: float = 0.0
     reused_bytes: float = 0.0
-    objective: str = ""
 
 
 @dataclass
@@ -48,7 +47,6 @@ class AutoscaleRecord:
     """One fleet-sizing action taken by the autoscaler."""
 
     time: float
-    policy: str
     reason: str
     acquired: Dict[str, int] = field(default_factory=dict)
     released: Dict[str, int] = field(default_factory=dict)

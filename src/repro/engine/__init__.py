@@ -11,9 +11,7 @@ from .context import (
 from .pipeline import InferencePipeline, PipelineAssignment
 from .placement import (
     TopologyPosition,
-    cache_context_overlap_bytes,
     mesh_positions,
-    model_context_overlap_bytes,
     position_cache_bytes,
     position_model_bytes,
     shard_interval,
@@ -31,9 +29,7 @@ __all__ = [
     "PipelineAssignment",
     "RequestQueue",
     "TopologyPosition",
-    "cache_context_overlap_bytes",
     "mesh_positions",
-    "model_context_overlap_bytes",
     "position_cache_bytes",
     "position_model_bytes",
     "shard_interval",

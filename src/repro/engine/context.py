@@ -85,11 +85,6 @@ class ContextDaemon:
             batch_id,
         )
 
-    def clear(self) -> None:
-        """Drop everything (instance lost or restarted from scratch)."""
-        self.model_context = None
-        self.cache_context = None
-
 
 class MetaContextManager:
     """Cluster-wide view of every GPU's context daemon.

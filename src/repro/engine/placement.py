@@ -10,11 +10,11 @@ of the model a GPU holds:
 * the shard ``m`` owns a ``1/M`` interval of every owned layer's parameters
   (and of the KV cache of those layers).
 
-The device mapper needs to know, for any (old position, new position) pair,
-how many bytes of model context and cache context could be *reused* if the
-same physical GPU moved from the old position to the new one.  That overlap
-is a pure function of the two configurations and the model geometry, which
-is what this module computes.
+The bytes of model context and cache context a GPU could *reuse* by moving
+from an old position to a new one are the overlap of the two positions'
+layer ranges times the overlap of their shard intervals, the geometry this
+module defines; the device mapper's weight matrix evaluates that product
+for a whole mesh at once.
 """
 
 from __future__ import annotations
@@ -104,75 +104,6 @@ def stage_layers(
     """
     start, end = stage_layer_range(num_layers, pipeline_degree, stage_index)
     return tuple(range(min(ceil(start), num_layers), min(ceil(end), num_layers)))
-
-
-def _interval_overlap(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
-
-
-def model_context_overlap_bytes(
-    model: ModelSpec,
-    old_pipeline_degree: int,
-    old_tensor_degree: int,
-    old_position: TopologyPosition,
-    new_pipeline_degree: int,
-    new_tensor_degree: int,
-    new_position: TopologyPosition,
-) -> float:
-    """Reusable model-context bytes if a GPU moves between two positions.
-
-    The overlap is the product of the overlapping layer span and the
-    overlapping shard interval, independent of the data-parallel index
-    (every pipeline replica holds identical parameters).
-    """
-    old_layers = stage_layer_range(model.num_layers, old_pipeline_degree, old_position.stage_index)
-    new_layers = stage_layer_range(model.num_layers, new_pipeline_degree, new_position.stage_index)
-    layer_overlap = _interval_overlap(old_layers, new_layers)
-    if layer_overlap <= 0:
-        return 0.0
-    old_shard = shard_interval(old_tensor_degree, old_position.shard_index)
-    new_shard = shard_interval(new_tensor_degree, new_position.shard_index)
-    fraction_overlap = _interval_overlap(old_shard, new_shard)
-    if fraction_overlap <= 0:
-        return 0.0
-    return layer_overlap * model.layer_param_bytes * fraction_overlap
-
-
-def cache_context_overlap_bytes(
-    model: ModelSpec,
-    cached_tokens: int,
-    batch_size: int,
-    old_pipeline_degree: int,
-    old_tensor_degree: int,
-    old_position: TopologyPosition,
-    new_pipeline_degree: int,
-    new_tensor_degree: int,
-    new_position: TopologyPosition,
-    inherits_requests: bool = True,
-) -> float:
-    """Reusable KV-cache bytes between two positions.
-
-    Cache context is only reusable when the new pipeline actually inherits
-    the in-flight requests whose cache the old position holds
-    (``inherits_requests``); the paper's Figure 4b uses this to prefer
-    matching ``u1`` with ``v0`` over ``v3``.
-    """
-    if cached_tokens <= 0 or batch_size <= 0 or not inherits_requests:
-        return 0.0
-    old_layers = stage_layer_range(model.num_layers, old_pipeline_degree, old_position.stage_index)
-    new_layers = stage_layer_range(model.num_layers, new_pipeline_degree, new_position.stage_index)
-    layer_overlap = _interval_overlap(old_layers, new_layers)
-    if layer_overlap <= 0:
-        return 0.0
-    old_shard = shard_interval(old_tensor_degree, old_position.shard_index)
-    new_shard = shard_interval(new_tensor_degree, new_position.shard_index)
-    fraction_overlap = _interval_overlap(old_shard, new_shard)
-    if fraction_overlap <= 0:
-        return 0.0
-    per_layer_cache = (
-        2.0 * model.hidden_size * model.bytes_per_cache_element * batch_size * cached_tokens
-    )
-    return layer_overlap * per_layer_cache * fraction_overlap
 
 
 def position_model_bytes(

@@ -103,16 +103,6 @@ class ZoneFaultModel:
                 f"straggler_multiplier must be >= 1, got {self.straggler_multiplier}"
             )
 
-    @property
-    def is_null(self) -> bool:
-        """True when every fault probability is zero."""
-        return (
-            self.refusal_prob <= 0.0
-            and self.launch_failure_prob <= 0.0
-            and self.straggler_prob <= 0.0
-            and self.early_preemption_prob <= 0.0
-        )
-
 
 @dataclass(frozen=True)
 class DegradedWindow:
@@ -168,16 +158,6 @@ class FaultPlan:
             if name == zone:
                 return model
         return self.default_model
-
-    @property
-    def is_null(self) -> bool:
-        """True when no zone model enables any fault and no window degrades."""
-        models = [model for _, model in self.zone_models]
-        if self.default_model is not None:
-            models.append(self.default_model)
-        if any(not model.is_null for model in models):
-            return False
-        return all(window.bandwidth_factor <= 1.0 for window in self.degraded_windows)
 
 
 @dataclass(frozen=True)

@@ -9,24 +9,22 @@ callback.
 
 The heap holds ``(time, major, minor, event)`` entries, and only this
 module writes or reads them: :meth:`Simulator.schedule_at` pushes them and
-:meth:`Simulator.run` and :meth:`Simulator.step` pop them.  ``major`` is the
-insertion counter (or a slot claimed by :meth:`Simulator.reserve_order`),
-so same-time events fire in the order they were scheduled.  Cancelled
-entries stay in the heap until they reach its top, where they are dropped.
+:meth:`Simulator.run` pops them.  ``major`` is the insertion counter (or a
+slot claimed by :meth:`Simulator.reserve_order`), so same-time events fire
+in the order they were scheduled.  Cancelled entries stay in the heap
+until they reach its top, where they are dropped.
 
 Dispatch is the simulator's hottest loop, so handlers are kept as per-type
 tuples extended at registration time (not resolved per event), and
-:meth:`Simulator.run` pops the heap and fires each event in one loop turn;
-:meth:`Simulator.step` does the same for one event, through
-:meth:`Simulator._fire`.
+:meth:`Simulator.run` pops the heap and fires each event in one loop turn.
 
 :meth:`Simulator.horizon` tells a handler how far it may look ahead: no
 event fires before the heap's earliest entry, and a :meth:`Simulator.run`
-fires none after its ``until`` bound, which it records while it runs (a
-:meth:`Simulator.step` records its own event's time).  Anything a handler
-knows would happen strictly before the horizon, with no event in between,
-it may do at once; the streamed arrivals of a saturated serving system are
-taken in that way (``ServingSystemBase._arm_next_arrival``).
+fires none after its ``until`` bound, which it records while it runs.
+Anything a handler knows would happen strictly before the horizon, with no
+event in between, it may do at once; the streamed arrivals of a saturated
+serving system are taken in that way
+(``ServingSystemBase._arm_next_arrival``).
 """
 
 from __future__ import annotations
@@ -68,8 +66,8 @@ class Simulator:
         #: Per-type dispatch table: extended on registration, read per event.
         self._dispatch: Dict[EventType, Tuple[EventHandler, ...]] = {}
         self._dispatched = 0
-        #: Latest time the :meth:`run` (or :meth:`step`) in progress may
-        #: fire an event at; infinite while none is in progress.
+        #: Latest time the :meth:`run` in progress may fire an event at;
+        #: infinite while none is in progress.
         self._bound = _INFINITY
 
     # ------------------------------------------------------------------
@@ -142,9 +140,9 @@ class Simulator:
         """The earliest time anything pending can happen at; ``now`` if nothing is.
 
         That is the heap's earliest entry, capped by the ``until`` bound of
-        the :meth:`run` in progress (inside :meth:`step`, by the stepped
-        event's time).  A cancelled entry at the top still counts, which
-        only makes the horizon earlier.  Read-only: it pops nothing.
+        the :meth:`run` in progress.  A cancelled entry at the top still
+        counts, which only makes the horizon earlier.  Read-only: it pops
+        nothing.
         """
         heap = self._heap
         if not heap:
@@ -163,41 +161,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _fire(self, event: Event) -> None:
-        """Move ``now`` to *event*'s time and invoke its callback + handlers."""
-        time = event.time
-        now = self.now
-        if time > now:
-            self.now = float(time)
-        elif time < now - 1e-9:
-            raise ValueError(
-                f"cannot move time backwards: now={now:.6f}, requested={time:.6f}"
-            )
-        self._dispatched += 1
-        callback = event.callback
-        if callback is not None:
-            callback(event)
-        for handler in self._dispatch.get(event.event_type, _NO_HANDLERS):
-            handler(event)
-
-    def step(self) -> Optional[Event]:
-        """Dispatch the next live event, or return ``None`` if none is left.
-
-        The step runs until that event's time: :meth:`horizon` reads no
-        later while its handlers run.
-        """
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[3]
-            if not event.cancelled:
-                self._bound = event.time
-                try:
-                    self._fire(event)
-                finally:
-                    self._bound = _INFINITY
-                return event
-        return None
-
     def run(self, until: Optional[float] = None) -> int:
         """Run the simulation and return the number of events it dispatched.
 
@@ -207,8 +170,7 @@ class Simulator:
         finite: ``nan`` fails every comparison and would ignore the bound,
         and ``inf`` would move ``now`` to infinity.
 
-        Each loop turn does what :meth:`step` does through :meth:`_fire`:
-        cancelled entries at the top are dropped, and an event more than
+        Cancelled entries at the top are dropped, and an event more than
         1 ns behind ``now`` is popped and raises before it fires.  The loop
         counts events in a local and adds it to :attr:`dispatched_events`
         when it returns or raises.  The bound is recorded for

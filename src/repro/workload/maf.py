@@ -16,7 +16,7 @@ by :class:`~repro.workload.arrival.TimeVaryingArrivals`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -30,14 +30,6 @@ class MAFProfile:
     name: str
     breakpoints: Tuple[Tuple[float, float], ...]
     duration: float
-
-    def rates(self) -> List[float]:
-        """The rate values of every breakpoint."""
-        return [rate for _, rate in self.breakpoints]
-
-    def peak_rate(self) -> float:
-        """Maximum rate across the profile."""
-        return max(self.rates())
 
     def mean_rate(self) -> float:
         """Time-weighted average rate across the profile."""

@@ -1,8 +1,9 @@
 """Scalar reference implementations the differential suites compare against.
 
-Each control-stack algorithm, the cost table and the dataplane's dispatch
-have one production implementation in ``src/repro``.  The straightforward
-scalar version of each lives here, next to the tests that use it:
+Each control-stack algorithm, the cost table, the dataplane's dispatch and
+the simulator's run loop have one production implementation in
+``src/repro``.  The straightforward scalar version of each lives here, next
+to the tests that use it:
 
 * :mod:`oracles.controller` -- Algorithm 1 as one Python-level estimate per
   feasible configuration, enumerated and profiled through the two oracles
@@ -11,8 +12,10 @@ scalar version of each lives here, next to the tests that use it:
   memory check per configuration, instead of a mask over rows built once;
 * :mod:`oracles.costmodel` -- ``l_exe`` as a per-token loop of decode
   iterations instead of one vectorised pass over many shapes;
-* :mod:`oracles.device_mapper` -- Section 3.3's matching with one
-  ``reuse_weight`` call per (device, position) pair, solved through
+* :mod:`oracles.device_mapper` -- Section 3.3's edge weight for one
+  (device, position) pair, ``reuse_weight``, which every cell of the
+  production weight matrix equals bitwise; the matching with one
+  ``reuse_weight`` call per pair, solved through
   :class:`oracles.bipartite.BipartiteGraph`; and the adoption rule before
   the reuse-bound skip, which solves the flat matching in every round;
 * :mod:`oracles.migration` -- Algorithm 2 with per-device meta-context
@@ -26,8 +29,9 @@ scalar version of each lives here, next to the tests that use it:
   that builds each arrival's ``Request`` when it is enqueued, instead of
   keeping a streamed arrival as its bare time until a batch takes it;
 * :mod:`oracles.engine` -- the simulator's run loop as one pop of the
-  next live event and one ``_fire`` call per event, instead of one loop
-  turn that pops the heap and fires the event.
+  next live event and one ``fire`` call per event, instead of one loop
+  turn that pops the heap and fires the event; ``step`` dispatches a
+  single event of any simulator that way.
 
 The oracles subclass (or take) the production classes and share their
 unchanged helpers, so a comparison isolates exactly the code that was made

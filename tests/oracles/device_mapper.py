@@ -1,8 +1,16 @@
 """References for the device mapper (Section 3.3).
 
+:func:`reuse_weight` is the edge weight of one (device, position) pair:
+the bytes of model context, and of cache context when the position's
+pipeline inherits the old one's requests, that the device could keep by
+moving there.  Every cell of the production mapper's weight matrix must
+equal it bitwise.  :func:`model_context_overlap_bytes` and
+:func:`cache_context_overlap_bytes` price one context each, from the
+layer-range and shard-interval overlap of its old and new positions.
+
 :class:`ReferenceDeviceMapper` is the scalar reference: every edge weight
-is one :meth:`DeviceMapper.reuse_weight` call and every matching goes
-through :class:`~oracles.bipartite.BipartiteGraph`: no weight matrix, no
+is one :func:`reuse_weight` call and every matching goes through
+:class:`~oracles.bipartite.BipartiteGraph`: no weight matrix, no
 sparsification, no component decomposition and no memoised solves.  The
 production mapper's hierarchical placement must equal this one down to
 dict order, and its flat matching must reuse the same number of bytes.
@@ -18,11 +26,130 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import ParallelConfig
 from repro.core.device_mapper import DeviceMapper, DeviceMapping
 from repro.engine.context import DeviceId, MetaContextManager
-from repro.engine.placement import TopologyPosition, mesh_positions
+from repro.engine.placement import (
+    TopologyPosition,
+    mesh_positions,
+    shard_interval,
+    stage_layer_range,
+)
+from repro.llm.spec import ModelSpec
 
 from .bipartite import BipartiteGraph
 
 Placement = Dict[DeviceId, TopologyPosition]
+
+
+def _interval_overlap(a: Tuple[float, float], b: Tuple[float, float]) -> float:
+    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+
+
+def model_context_overlap_bytes(
+    model: ModelSpec,
+    old_pipeline_degree: int,
+    old_tensor_degree: int,
+    old_position: TopologyPosition,
+    new_pipeline_degree: int,
+    new_tensor_degree: int,
+    new_position: TopologyPosition,
+) -> float:
+    """Reusable model-context bytes if a GPU moves between two positions.
+
+    The overlap is the product of the overlapping layer span and the
+    overlapping shard interval, independent of the data-parallel index
+    (every pipeline replica holds identical parameters).
+    """
+    old_layers = stage_layer_range(model.num_layers, old_pipeline_degree, old_position.stage_index)
+    new_layers = stage_layer_range(model.num_layers, new_pipeline_degree, new_position.stage_index)
+    layer_overlap = _interval_overlap(old_layers, new_layers)
+    if layer_overlap <= 0:
+        return 0.0
+    old_shard = shard_interval(old_tensor_degree, old_position.shard_index)
+    new_shard = shard_interval(new_tensor_degree, new_position.shard_index)
+    fraction_overlap = _interval_overlap(old_shard, new_shard)
+    if fraction_overlap <= 0:
+        return 0.0
+    return layer_overlap * model.layer_param_bytes * fraction_overlap
+
+
+def cache_context_overlap_bytes(
+    model: ModelSpec,
+    cached_tokens: int,
+    batch_size: int,
+    old_pipeline_degree: int,
+    old_tensor_degree: int,
+    old_position: TopologyPosition,
+    new_pipeline_degree: int,
+    new_tensor_degree: int,
+    new_position: TopologyPosition,
+    inherits_requests: bool = True,
+) -> float:
+    """Reusable KV-cache bytes between two positions.
+
+    Cache context is only reusable when the new pipeline actually inherits
+    the in-flight requests whose cache the old position holds
+    (``inherits_requests``); the paper's Figure 4b uses this to prefer
+    matching ``u1`` with ``v0`` over ``v3``.
+    """
+    if cached_tokens <= 0 or batch_size <= 0 or not inherits_requests:
+        return 0.0
+    old_layers = stage_layer_range(model.num_layers, old_pipeline_degree, old_position.stage_index)
+    new_layers = stage_layer_range(model.num_layers, new_pipeline_degree, new_position.stage_index)
+    layer_overlap = _interval_overlap(old_layers, new_layers)
+    if layer_overlap <= 0:
+        return 0.0
+    old_shard = shard_interval(old_tensor_degree, old_position.shard_index)
+    new_shard = shard_interval(new_tensor_degree, new_position.shard_index)
+    fraction_overlap = _interval_overlap(old_shard, new_shard)
+    if fraction_overlap <= 0:
+        return 0.0
+    per_layer_cache = (
+        2.0 * model.hidden_size * model.bytes_per_cache_element * batch_size * cached_tokens
+    )
+    return layer_overlap * per_layer_cache * fraction_overlap
+
+
+def reuse_weight(
+    model: ModelSpec,
+    meta_context: MetaContextManager,
+    device_id: DeviceId,
+    position: TopologyPosition,
+    new_config: ParallelConfig,
+    pipeline_inheritance: Optional[Dict[int, int]] = None,
+) -> float:
+    """Bytes of context device *device_id* could reuse at *position*."""
+    daemon = meta_context.daemon(device_id)
+    weight = 0.0
+    model_ctx = daemon.model_context
+    if model_ctx is not None:
+        weight += model_context_overlap_bytes(
+            model,
+            model_ctx.pipeline_degree,
+            model_ctx.tensor_degree,
+            model_ctx.position,
+            new_config.pipeline_degree,
+            new_config.tensor_degree,
+            position,
+        )
+    cache_ctx = daemon.cache_context
+    if cache_ctx is not None:
+        inherits = True
+        if pipeline_inheritance is not None:
+            inherits = (
+                pipeline_inheritance.get(cache_ctx.position.data_index) == position.data_index
+            )
+        weight += cache_context_overlap_bytes(
+            model,
+            cache_ctx.cached_tokens,
+            cache_ctx.batch_size,
+            cache_ctx.pipeline_degree,
+            cache_ctx.tensor_degree,
+            cache_ctx.position,
+            new_config.pipeline_degree,
+            new_config.tensor_degree,
+            position,
+            inherits_requests=inherits,
+        )
+    return weight
 
 
 class TwoSolveDeviceMapper(DeviceMapper):
@@ -105,7 +232,9 @@ class ReferenceDeviceMapper(DeviceMapper):
     ) -> float:
         """Reusable bytes of *placement*, summed in placement order."""
         return sum(
-            self.reuse_weight(meta_context, device_id, position, new_config, pipeline_inheritance)
+            reuse_weight(
+                self.model, meta_context, device_id, position, new_config, pipeline_inheritance
+            )
             for device_id, position in placement.items()
         )
 
@@ -127,8 +256,8 @@ class ReferenceDeviceMapper(DeviceMapper):
             graph.add_right(position)
         for device_id in devices:
             for position in positions:
-                weight = self.reuse_weight(
-                    meta_context, device_id, position, new_config, pipeline_inheritance
+                weight = reuse_weight(
+                    self.model, meta_context, device_id, position, new_config, pipeline_inheritance
                 )
                 if weight > 0:
                     graph.set_weight(device_id, position, weight)
@@ -212,8 +341,8 @@ class ReferenceDeviceMapper(DeviceMapper):
             graph.add_right(position)
         for device_id in instance_devices:
             for position in group:
-                weight = self.reuse_weight(
-                    meta_context, device_id, position, new_config, pipeline_inheritance
+                weight = reuse_weight(
+                    self.model, meta_context, device_id, position, new_config, pipeline_inheritance
                 )
                 if weight > 0:
                     graph.set_weight(device_id, position, weight)

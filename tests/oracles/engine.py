@@ -3,11 +3,12 @@
 :meth:`~repro.sim.engine.Simulator.run` pops the simulator's heap and
 fires each event in one loop turn.  :class:`SteppingSimulator` runs the way
 that loop used to: pop the next live event off the heap, then one
-:meth:`~repro.sim.engine.Simulator._fire` call per event.  Both must
-dispatch the same events in the same order, leave ``now`` and
-``dispatched_events`` equal and return the same counts.  The stepping
-reference records its ``until`` bound for
-:meth:`~repro.sim.engine.Simulator.horizon` as ``run`` does.
+:func:`fire` call per event.  Both must dispatch the same events in the
+same order, leave ``now`` and ``dispatched_events`` equal and return the
+same counts.  The stepping reference records its ``until`` bound for
+:meth:`~repro.sim.engine.Simulator.horizon` as ``run`` does.  :func:`step`
+dispatches one event of any simulator the same way, with the stepped
+event's time as its bound.
 
 :class:`PerArrivalSimulator` has a horizon that is always ``now``, so a
 serving system's streamed arrivals take nothing in and every arrival
@@ -35,8 +36,46 @@ def push_raw(sim, event):
     return event
 
 
+def fire(sim, event):
+    """Move ``sim.now`` to *event*'s time and invoke its callback + handlers.
+
+    An event more than 1 ns behind ``now`` raises before anything fires.
+    """
+    time = event.time
+    now = sim.now
+    if time > now:
+        sim.now = float(time)
+    elif time < now - 1e-9:
+        raise ValueError(f"cannot move time backwards: now={now:.6f}, requested={time:.6f}")
+    sim._dispatched += 1
+    callback = event.callback
+    if callback is not None:
+        callback(event)
+    for handler in sim._dispatch.get(event.event_type, ()):
+        handler(event)
+
+
+def step(sim):
+    """Dispatch *sim*'s next live event and return it, or ``None`` if none is left.
+
+    The step runs until that event's time: ``horizon`` reads no later
+    while its handlers run.
+    """
+    heap = sim._heap
+    while heap:
+        event = heappop(heap)[3]
+        if not event.cancelled:
+            sim._bound = event.time
+            try:
+                fire(sim, event)
+            finally:
+                sim._bound = math.inf
+            return event
+    return None
+
+
 class SteppingSimulator(Simulator):
-    """Pops the next live event, then calls ``_fire``, once per event."""
+    """Pops the next live event, then calls :func:`fire`, once per event."""
 
     def _pop_next(self, until):
         heap = self._heap
@@ -61,7 +100,7 @@ class SteppingSimulator(Simulator):
                 event = self._pop_next(until)
                 if event is None:
                     break
-                self._fire(event)
+                fire(self, event)
                 dispatched += 1
         finally:
             self._bound = math.inf

@@ -182,7 +182,8 @@ class TestOnDemand:
         provider = on_demand_provider(simulator, num_instances=2, duration=3600.0)
         simulator.run(until=3600.0)
         assert provider.cost_tracker.total_cost(3600.0) == pytest.approx(2 * 3.9, rel=1e-6)
-        assert provider.cost_tracker.total_cost(3600.0, Market.SPOT) == 0.0
+        records = provider.cost_tracker.iter_records()
+        assert [record.market for record in records] == [Market.ON_DEMAND] * 2
 
     def test_on_demand_system_serves_without_reconfiguring_for_preemptions(self):
         simulator = Simulator()

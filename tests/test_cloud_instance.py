@@ -29,11 +29,6 @@ class TestInstanceType:
         assert G4DN_12XLARGE.gpus_per_instance == 4
         assert G4DN_12XLARGE.grace_period == pytest.approx(30.0)
 
-    def test_price_per_market(self):
-        assert G4DN_12XLARGE.price_per_hour(Market.SPOT) < G4DN_12XLARGE.price_per_hour(
-            Market.ON_DEMAND
-        )
-
     def test_invalid_gpu_count_rejected(self):
         with pytest.raises(ValueError):
             InstanceType(gpus_per_instance=0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.instance import G4DN_12XLARGE, Instance, InstanceState, Market
 from repro.cloud.manager import CANDIDATE_POOL_SIZE, InstanceManager
-from repro.cloud.pricing import CostTracker
+from repro.cloud.pricing import CostTracker, PriceSchedule
 from repro.cloud.provider import CloudProvider
 from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind
 from repro.sim.engine import Simulator
@@ -105,7 +105,7 @@ class TestCloudProvider:
             )
             sim.run(until=200.0)
             # Normalise: ids are globally unique, compare by index in fleet.
-            fleet = sorted(inst.instance_id for inst in provider.instances)
+            fleet = sorted(inst.instance_id for inst in provider._instances.values())
             return [fleet.index(v) for v in preempted]
 
         assert victims(1) == victims(1)
@@ -113,41 +113,37 @@ class TestCloudProvider:
     def test_on_demand_trace_market(self):
         sim = Simulator()
         provider = CloudProvider(sim, small_trace(), trace_market=Market.ON_DEMAND)
-        assert all(inst.market is Market.ON_DEMAND for inst in provider.instances)
+        assert all(inst.market is Market.ON_DEMAND for inst in provider._instances.values())
 
 
 class TestCostTracker:
     def test_cost_accrues_per_hour(self):
         tracker = CostTracker()
         instance = Instance(instance_type=G4DN_12XLARGE, market=Market.SPOT, launch_time=0.0)
-        tracker.start_billing(instance, 0.0)
+        tracker.start_billing(instance, 0.0, PriceSchedule.flat(1.9))
         assert tracker.total_cost(3600.0) == pytest.approx(1.9)
         tracker.stop_billing(instance, 3600.0)
         assert tracker.total_cost(7200.0) == pytest.approx(1.9)
 
-    def test_market_breakdown(self):
+    def test_each_record_bills_at_its_own_schedule(self):
         tracker = CostTracker()
         spot = Instance(instance_type=G4DN_12XLARGE, market=Market.SPOT, launch_time=0.0)
         od = Instance(instance_type=G4DN_12XLARGE, market=Market.ON_DEMAND, launch_time=0.0)
-        tracker.start_billing(spot, 0.0)
-        tracker.start_billing(od, 0.0)
-        assert tracker.total_cost(3600.0, Market.SPOT) == pytest.approx(1.9)
-        assert tracker.total_cost(3600.0, Market.ON_DEMAND) == pytest.approx(3.9)
-        assert len(tracker.iter_records()) == 2
+        tracker.start_billing(spot, 0.0, PriceSchedule.flat(1.9))
+        tracker.start_billing(od, 0.0, PriceSchedule(3.9, changes=((1800.0, 5.9),)))
+        costs = {record.market: record.cost(3600.0) for record in tracker.iter_records()}
+        assert costs == {
+            Market.SPOT: pytest.approx(1.9),
+            Market.ON_DEMAND: pytest.approx(0.5 * 3.9 + 0.5 * 5.9),
+        }
+        assert tracker.total_cost(3600.0) == pytest.approx(1.9 + 4.9)
 
     def test_double_billing_rejected(self):
         tracker = CostTracker()
         instance = Instance(instance_type=G4DN_12XLARGE, market=Market.SPOT, launch_time=0.0)
-        tracker.start_billing(instance, 0.0)
+        tracker.start_billing(instance, 0.0, PriceSchedule.flat(1.9))
         with pytest.raises(ValueError):
-            tracker.start_billing(instance, 10.0)
-
-    def test_cost_per_token(self):
-        tracker = CostTracker()
-        instance = Instance(instance_type=G4DN_12XLARGE, market=Market.SPOT, launch_time=0.0)
-        tracker.start_billing(instance, 0.0)
-        assert tracker.cost_per_token(3600.0, 0) == float("inf")
-        assert tracker.cost_per_token(3600.0, 1000) == pytest.approx(1.9 / 1000)
+            tracker.start_billing(instance, 10.0, PriceSchedule.flat(1.9))
 
     def test_stop_billing_unknown_instance_is_noop(self):
         tracker = CostTracker()

@@ -18,6 +18,11 @@ def preempted(trace):
     return sum(e.count for e in trace.events if e.kind is TraceEventKind.PREEMPT)
 
 
+def counts(trace):
+    """Available spot instances after each step of the trace."""
+    return [count for _, count in trace.instance_counts()]
+
+
 class TestTraceEvents:
     def test_delta_sign(self):
         assert TraceEvent(10.0, TraceEventKind.ACQUIRE, 2).delta == 2
@@ -42,8 +47,8 @@ class TestBuiltinTraces:
     @pytest.mark.parametrize("name", sorted(BUILTIN_TRACES))
     def test_builtin_traces_are_valid(self, name):
         trace = BUILTIN_TRACES[name]()
-        assert trace.min_instances >= 0
-        assert trace.max_instances <= 16
+        assert min(counts(trace)) >= 0
+        assert max(counts(trace)) <= 16
         assert trace.duration > 0
 
     def test_figure5_shape(self):
@@ -52,13 +57,13 @@ class TestBuiltinTraces:
         for trace in (trace_as(), trace_bs()):
             assert trace.duration == pytest.approx(1200.0)
             assert trace.initial_instances == 12
-            assert trace.min_instances < trace.initial_instances
+            assert min(counts(trace)) < trace.initial_instances
             kinds = {e.kind for e in trace.events}
             assert kinds == {TraceEventKind.PREEMPT, TraceEventKind.ACQUIRE}
 
     def test_bs_is_harsher_than_as(self):
         assert preempted(trace_bs()) > preempted(trace_as())
-        assert trace_bs().min_instances <= trace_as().min_instances
+        assert min(counts(trace_bs())) <= min(counts(trace_as()))
 
     def test_get_trace_aliases(self):
         assert get_trace("as").name == "AS"
@@ -85,17 +90,6 @@ class TestTraceQueries:
                 events=[TraceEvent(1.0, TraceEventKind.PREEMPT, 5)],
             )
 
-    def test_scaled_trace(self):
-        trace = trace_as()
-        scaled = trace.scaled(2.0)
-        assert scaled.duration == pytest.approx(2 * trace.duration)
-        assert scaled.instances_at(2 * 200.0) == trace.instances_at(200.0)
-
-    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
-    def test_invalid_scale_factor_rejected(self, factor):
-        with pytest.raises(ValueError):
-            trace_as().scaled(factor)
-
     @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf")])
     def test_invalid_duration_rejected(self, duration):
         with pytest.raises(ValueError):
@@ -109,7 +103,6 @@ class TestTraceQueries:
             duration=1e-9,
         )
         assert trace.instances_at(0.0) == 2
-        assert trace.scaled(1e-3).duration == pytest.approx(1e-12)
 
     def test_events_sorted_on_construction(self):
         trace = AvailabilityTrace(

@@ -131,7 +131,7 @@ class TestMultiZoneProvider:
     def test_instances_carry_zone_identity(self):
         sim = Simulator()
         provider = CloudProvider(sim, zones=three_zones())
-        zones = {provider.zone_of(inst.instance_id) for inst in provider.instances}
+        zones = {provider.zone_of(inst.instance_id) for inst in provider._instances.values()}
         assert zones == {"alpha", "beta", "gamma"}
         for inst in provider.instances_in_zone("alpha"):
             assert inst.zone == "alpha"

@@ -6,9 +6,11 @@ from repro.core.config import ParallelConfig
 from repro.core.device_mapper import DeviceMapper
 from repro.engine.batching import Batch
 from repro.engine.context import MetaContextManager
-from repro.engine.placement import TopologyPosition, mesh_positions, position_model_bytes
+from repro.engine.placement import mesh_positions
 from repro.llm.spec import GPT_20B, OPT_6_7B
 from repro.workload.request import Request
+
+from oracles.device_mapper import reuse_weight
 
 
 def devices_for(num_instances, gpus_per_instance=4):
@@ -85,9 +87,8 @@ class TestMapping:
         # An arbitrary (identity-order) placement is never better than KM.
         positions = mesh_positions(new.data_degree, new.pipeline_degree, new.tensor_degree)
         arbitrary = dict(zip(devices, positions))
-        mapper = DeviceMapper(GPT_20B)
         arbitrary_reuse = sum(
-            mapper.reuse_weight(meta, device, position, new)
+            reuse_weight(GPT_20B, meta, device, position, new)
             for device, position in arbitrary.items()
         )
         assert optimal.reused_bytes >= arbitrary_reuse - 1e-6

@@ -103,7 +103,7 @@ class TestPreemptionHandling:
         assert stats.completed_count == len(requests)
         # The new deployment never uses the preempted instances.
         preempted = {
-            inst.instance_id for inst in provider.instances if not inst.is_alive
+            inst.instance_id for inst in provider._instances.values() if not inst.is_alive
         }
         for pipeline in system.dataplane.pipelines:
             assert not preempted & set(pipeline.assignment.instance_ids)
@@ -196,7 +196,7 @@ class TestOptions:
             GammaArrivals(rate=0.6, cv=2.0, seed=0).generate(trace.duration)
         )
         system.run(until=trace.duration + 600.0)
-        markets = {inst.market.value for inst in provider.instances}
+        markets = {inst.market.value for inst in provider._instances.values()}
         assert "on_demand" in markets
 
     def test_workload_check_scales_for_demand_surge(self):

@@ -64,7 +64,6 @@ class TestServingStats:
         stats = ServingStats()
         record = AutoscaleRecord(
             time=30.0,
-            policy="cost-aware",
             reason="scale up",
             acquired={"us-east-1a": 2},
             released={},
@@ -77,7 +76,6 @@ class TestServingStats:
     def test_autoscale_delta_counts_releases(self):
         record = AutoscaleRecord(
             time=0.0,
-            policy="queue-latency",
             reason="scale down",
             acquired={"a": 1},
             released={"b": 3},
@@ -93,7 +91,7 @@ class TestSummary:
         stats.record_completion(finished_request(1.0, 2.5))
         stats.record_config(0.0, ParallelConfig(2, 1, 4, 2))
         stats.record_autoscale(
-            AutoscaleRecord(time=30.0, policy="p", reason="r", acquired={"z": 1})
+            AutoscaleRecord(time=30.0, reason="r", acquired={"z": 1})
         )
         return stats
 

@@ -40,6 +40,7 @@ from repro.workload.arrival import FixedArrivals, GammaArrivals
 from repro.workload.request import Request
 
 from oracles.dataplane import ReferenceDataplane
+from oracles.engine import step
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +171,7 @@ class Side:
                 )
             dataplane.dispatch()
         elif name == "step":
-            self.simulator.step()
+            step(self.simulator)
         elif name == "advance":
             self.simulator.run(until=now + args[0])
         elif name == "teardown":

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import ParallelConfig
 from repro.core.dataplane import Dataplane
 from repro.core.stats import ServingStats
-from repro.engine.context import ContextDaemon, MetaContextManager, ModelContext
+from repro.engine.context import CacheContext, ContextDaemon, MetaContextManager, ModelContext
 from repro.engine.placement import TopologyPosition
 from repro.llm.costmodel import LatencyModel
 from repro.llm.spec import OPT_6_7B
@@ -27,14 +27,13 @@ def model_replica_coverage(manager, pipeline_degree, tensor_degree):
 
 
 class TestContextDaemon:
-    def test_install_and_clear_model_context(self):
-        daemon = ContextDaemon(("inst-0", 0))
+    def test_install_model_and_cache_context(self):
+        daemon = ContextDaemon()
         daemon.install_model_context(2, 4, TopologyPosition(0, 1, 2))
         assert daemon.model_context == ModelContext(2, 4, TopologyPosition(0, 1, 2))
         daemon.install_cache_context(2, 4, TopologyPosition(0, 1, 2), batch_size=4, cached_tokens=600)
-        daemon.clear()
-        assert daemon.model_context is None
-        assert daemon.cache_context is None
+        assert daemon.cache_context == CacheContext(2, 4, TopologyPosition(0, 1, 2), 4, 600)
+        assert daemon.model_context == ModelContext(2, 4, TopologyPosition(0, 1, 2))
 
     def test_clearing_the_cache_keeps_the_model_context(self):
         # A completed batch clears its pipeline's cache contexts in place.

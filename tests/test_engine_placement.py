@@ -1,19 +1,19 @@
-"""Tests for device-mesh placement math and context-overlap computation."""
+"""Tests for device-mesh placement math and the scalar context-overlap reference."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.placement import (
     TopologyPosition,
-    cache_context_overlap_bytes,
     mesh_positions,
-    model_context_overlap_bytes,
     position_cache_bytes,
     position_model_bytes,
     shard_interval,
     stage_layer_range,
 )
 from repro.llm.spec import GPT_20B, OPT_6_7B
+
+from oracles.device_mapper import cache_context_overlap_bytes, model_context_overlap_bytes
 
 
 class TestTopology:

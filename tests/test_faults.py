@@ -59,8 +59,17 @@ MULTI_ZONE_SHA256 = "33c8a35b9b2764488dda4379defb50adea6283cafdcfed7618b22167ecc
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_default_model_is_null(self):
-        assert ZoneFaultModel().is_null
-        assert FaultPlan().is_null
+        model = ZoneFaultModel()
+        probabilities = (
+            model.refusal_prob,
+            model.launch_failure_prob,
+            model.straggler_prob,
+            model.early_preemption_prob,
+        )
+        assert probabilities == (0.0, 0.0, 0.0, 0.0)
+        plan = FaultPlan()
+        assert plan.model_for("us-east-1a") is None
+        assert plan.degraded_windows == ()
 
     def test_zone_model_overrides_default(self):
         harsh = ZoneFaultModel(refusal_prob=0.5)
@@ -68,7 +77,6 @@ class TestFaultPlan:
         plan = FaultPlan(default_model=mild, zone_models=(("us-east-1a", harsh),))
         assert plan.model_for("us-east-1a") is harsh
         assert plan.model_for("us-west-2a") is mild
-        assert not plan.is_null
 
     def test_plan_is_hashable_and_picklable(self):
         import pickle
@@ -554,8 +562,8 @@ class TestBandwidthFactorPerReconfiguration:
         records = []
         prepare = TransitionPlanner.prepare
 
-        def recording_prepare(self, config, reason, objective):
-            transition = prepare(self, config, reason, objective)
+        def recording_prepare(self, config, reason):
+            transition = prepare(self, config, reason)
             system = self.system
             records.append((system.simulator.now, system.network.bandwidth_factor))
             return transition

@@ -18,6 +18,8 @@ from repro.llm.spec import OPT_6_7B
 from repro.sim.engine import Simulator
 from test_arrival_take_in import saturated_system
 
+from oracles.device_mapper import reuse_weight
+
 PROMPT = 256
 
 
@@ -73,15 +75,14 @@ def test_kept_cache_is_weighed_for_the_prompt_plus_committed_tokens(decoding_sys
         for p in system.dataplane.pipelines
     }
     system.dataplane.interrupt_all(preserve_cache=True)
-    mapper = system.device_mapper
     for index, (devices, batch) in held.items():
         elsewhere = {index: index + 1}  # A pipeline that inherits nothing here.
         for position, device in devices.items():
             context = system.meta_context.daemon(device).cache_context
             assert context.cached_tokens == PROMPT + batch.committed_tokens
-            cache_weight = mapper.reuse_weight(
-                system.meta_context, device, position, config, {index: index}
-            ) - mapper.reuse_weight(system.meta_context, device, position, config, elsewhere)
+            cache_weight = reuse_weight(
+                system.model, system.meta_context, device, position, config, {index: index}
+            ) - reuse_weight(system.model, system.meta_context, device, position, config, elsewhere)
             assert cache_weight == pytest.approx(kv_bytes_per_gpu(system, batch), rel=1e-12)
 
 

@@ -3,7 +3,7 @@
 The map-phase fast path rests on three claims, each pinned here:
 
 * the vectorized weight matrix is **bitwise** equal to the scalar
-  :meth:`DeviceMapper.reuse_weight`, cell by cell;
+  ``reuse_weight`` of ``tests/oracles/device_mapper.py``, cell by cell;
 * per-zone / per-component decomposition only fires when its dominance
   condition holds (no positive edge crosses a component boundary) and then
   matches the global solve's total matched weight exactly;
@@ -42,7 +42,7 @@ from repro.matching.hungarian import (
     maximum_weight_assignment,
 )
 
-from oracles.device_mapper import ReferenceDeviceMapper, TwoSolveDeviceMapper
+from oracles.device_mapper import ReferenceDeviceMapper, TwoSolveDeviceMapper, reuse_weight
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -234,7 +234,7 @@ def assert_matrix_matches_reuse_weight(mapper, meta, devices, new, inheritance):
     assert matrix.shape == (len(devices), len(positions))
     for device in devices:
         for position in positions:
-            reference = mapper.reuse_weight(meta, device, position, new, inheritance)
+            reference = reuse_weight(mapper.model, meta, device, position, new, inheritance)
             cell = float(matrix[row_of[device], col_of[position]])
             # Bitwise: exact equality *and* no -0.0 creeping in.
             assert cell == reference

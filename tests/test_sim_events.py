@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles.engine import SteppingSimulator, push_raw
+from oracles.engine import SteppingSimulator, push_raw, step
 from repro.experiments.runner import run_scenario_experiment
 from repro.experiments.scenarios import chaos_scenario
 from repro.sim.engine import Simulator
@@ -14,13 +14,12 @@ def push_at(sim, time, payload=None):
     return sim.schedule_at(time, EventType.GENERIC, payload)
 
 
-def drain(sim):
+def drain(sim, until=None):
+    """Run *sim* (to *until*) and return the generic events it dispatched, in order."""
     events = []
-    while True:
-        event = sim.step()
-        if event is None:
-            return events
-        events.append(event)
+    sim.on(EventType.GENERIC, events.append)
+    sim.run(until)
+    return events
 
 
 class TestEventOrder:
@@ -34,8 +33,7 @@ class TestEventOrder:
         sim = Simulator()
         first = push_at(sim, 1.0, {"idx": 1})
         second = push_at(sim, 1.0, {"idx": 2})
-        assert sim.step() is first
-        assert sim.step() is second
+        assert drain(sim) == [first, second]
 
     def test_reserved_slot_sorts_where_it_was_reserved(self):
         sim = Simulator()
@@ -51,13 +49,13 @@ class TestEventOrder:
         cancelled = push_at(sim, 1.0)
         kept = push_at(sim, 2.0)
         cancelled.cancel()
-        assert sim.step() is kept
+        assert drain(sim) == [kept]
 
     def test_negative_time_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.schedule_at(-1.0)
-        assert sim.step() is None
+        assert sim.run() == 0
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
     def test_pop_is_monotone_nondecreasing(self, times):
@@ -76,7 +74,8 @@ class TestEventOrder:
         assert sim.run(until=5.0) == 1
         assert sim.run(until=5.0) == 0
         assert seen == [1.0]
-        assert sim.step().time == 10.0
+        assert sim.run() == 1
+        assert seen == [1.0, 10.0]
 
 
 class TestCancellation:
@@ -104,9 +103,8 @@ class TestCancellation:
         sim = Simulator()
         first = push_at(sim, 1.0)
         push_at(sim, 2.0)
-        popped = sim.step()
-        assert popped is first
-        popped.cancel()  # already dispatched: must not disturb the heap
+        assert drain(sim, until=1.0) == [first]
+        first.cancel()  # already dispatched: must not disturb the heap
         assert [event.time for event in drain(sim)] == [2.0]
 
     def test_double_cancel_is_harmless(self):
@@ -292,7 +290,7 @@ class TestSimulator:
         sim.run()
         push_raw(sim, Event(9.0, EventType.GENERIC, callback=lambda e: seen.append(-1.0)))
         with pytest.raises(ValueError):
-            sim.step()
+            sim.run()
         assert seen == [10.0]
         assert sim.dispatched_events == 1
 
@@ -330,13 +328,13 @@ class TestSimulator:
         assert event.time == 6.5
         assert sim.schedule_after(0.0).time == 4.0
 
-    def test_step_moves_now_to_the_event(self):
+    def test_reference_step_moves_now_to_the_event(self):
         sim = Simulator()
         sim.schedule_at(2.0)
         sim.schedule_at(9.0)
-        assert sim.step().time == 2.0
+        assert step(sim).time == 2.0
         assert sim.now == 2.0
-        assert sim.step().time == 9.0
+        assert step(sim).time == 9.0
         assert sim.now == 9.0
 
     def test_handlers_read_now_at_their_event(self):
@@ -365,8 +363,8 @@ class TestSimulator:
         sim.run()
         assert seen == [1.0, 2.0, 3.0]
 
-    def test_step_returns_none_when_empty(self):
-        assert Simulator().step() is None
+    def test_reference_step_returns_none_when_empty(self):
+        assert step(Simulator()) is None
 
     def test_dispatched_events_counter(self):
         sim = Simulator()
@@ -433,11 +431,11 @@ class TestHorizon:
             sim.run(until=5.0)
         assert sim.horizon() == 10.0
 
-    def test_step_caps_at_its_own_event(self):
+    def test_reference_step_caps_at_its_own_event(self):
         sim = Simulator()
         seen = []
         sim.schedule_at(1.0, EventType.GENERIC, callback=lambda e: seen.append(sim.horizon()))
         push_at(sim, 10.0)
-        sim.step()
+        step(sim)
         assert seen == [1.0]
         assert sim.horizon() == 10.0

@@ -2,7 +2,7 @@
 
 ``Simulator.run`` pops the event heap and fires each event in one loop
 turn; ``oracles.engine.SteppingSimulator`` does the same work through one
-pop of the next live event and one ``_fire`` call per event.  Random schedules run
+pop of the next live event and one ``fire`` call per event.  Random schedules run
 on both in ``run(until=)`` slices must dispatch the same events in the same
 order, read the same :meth:`~repro.sim.engine.Simulator.horizon` in their
 handlers, and after every slice leave the same ``now`` and

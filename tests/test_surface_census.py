@@ -208,6 +208,101 @@ def test_annotated_constants_are_listed(tmp_path):
     assert listed(tmp_path, modules, users) == ["repro.mod.LIMIT"]
 
 
+#: A class whose method ``rates`` shares its name with a local, a
+#: parameter and a keyword elsewhere, none of which loads it.
+PROFILE = """
+class Profile:
+    def rates(self):
+        return [1.0]
+
+    def mean(self):
+        return 1.0
+
+
+def summarize(profile, rates=None):
+    rates = rates or [profile.mean()]
+    return dict(rates=rates)
+"""
+
+
+def test_a_method_hidden_only_by_a_local_parameter_or_keyword_is_listed(tmp_path):
+    users = {
+        "examples/run.py": "from repro.mod import Profile, summarize\n\nrates = summarize(Profile())\n"
+    }
+    assert listed(tmp_path, {"mod": PROFILE}, users) == ["repro.mod.Profile.rates"]
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        "Profile().rates()",
+        "print(Profile.rates)",
+        'getattr(Profile(), "rates")()',
+    ],
+    ids=["instance-attribute", "class-attribute", "getattr-string"],
+)
+@pytest.mark.parametrize("tree", ["src/repro/user.py", "examples/run.py"])
+def test_an_attribute_load_or_a_string_keeps_a_method(tmp_path, use, tree):
+    users = {tree: f"from repro.mod import Profile, summarize\n\nsummarize(Profile())\n{use}\n"}
+    assert listed(tmp_path, {"mod": PROFILE}, users) == []
+
+
+def test_a_top_level_function_used_by_bare_name_still_counts(tmp_path):
+    modules = {
+        "mod": """
+        def helper():
+            return 1
+
+
+        def entry():
+            return helper()
+
+
+        def spare():
+            return 2
+        """
+    }
+    users = {"examples/run.py": "from repro.mod import entry\n\nentry()\n"}
+    assert listed(tmp_path, modules, users) == ["repro.mod.spare"]
+
+
+def test_the_listing_is_the_same_under_the_python_3_9_grammar(tmp_path, monkeypatch):
+    """CI also runs the census on 3.9: f-strings must not change what it lists.
+
+    A bare name inside an f-string's braces is a load of that name, not a
+    string word, on every version; an attribute inside the braces is an
+    attribute load, and the literal part is a string.
+    """
+    modules = {
+        "mod": """
+        class Profile:
+            def rates(self):
+                return [1.0]
+
+            def peak(self):
+                return 2.0
+
+            def spread(self):
+                return 3.0
+
+            def trough(self):
+                return 0.0
+
+
+        def report(profile, rates):
+            return f"{rates} {profile.peak()} spread {0:>{len(rates)}}"
+        """
+    }
+    users = {"examples/run.py": "from repro.mod import Profile, report\n\nreport(Profile(), [])\n"}
+    expected = ["repro.mod.Profile.rates", "repro.mod.Profile.trough"]
+    assert listed(tmp_path, modules, users) == expected
+    parse = ast.parse
+    monkeypatch.setattr(
+        ast, "parse", lambda source, *args, **kwargs: parse(source, feature_version=(3, 9))
+    )
+    assert surface_census.census(tmp_path) == expected
+
+
 def test_check_passes_when_the_list_equals_kept(tmp_path, monkeypatch):
     names = listed(tmp_path, {"mod": "def kept():\n    return 1\n"})
     monkeypatch.setattr(surface_census, "KEPT", {name: "a reason" for name in names})

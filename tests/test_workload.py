@@ -224,9 +224,8 @@ class TestTimeVaryingArrivals:
 class TestMAFProfile:
     def test_profile_shape(self):
         profile = synthesize_maf_profile()
-        rates = profile.rates()
-        assert profile.peak_rate() == pytest.approx(max(rates))
-        assert profile.peak_rate() > rates[0]
+        rates = [rate for _, rate in profile.breakpoints]
+        assert max(rates) > rates[0]
         assert min(rates) > 0
 
     def test_rescaling_sets_mean_rate(self):

@@ -279,6 +279,49 @@ class TestProviderOutage:
 # ----------------------------------------------------------------------
 # System-level evacuation
 # ----------------------------------------------------------------------
+class TestGraceDeadlines:
+    """Two reclaim deadlines for one instance: the manager keeps the earlier.
+
+    Zone-a goes dark at 200 s.  A trace preemption notices one of its
+    instances with the 30 s grace period, before or after the outage
+    warning; either way the instance dies at 200 s, and the JIT arrangement
+    must budget against that.
+    """
+
+    def deadlines_at(self, time, warning, preempt_at):
+        simulator = Simulator()
+        trace_events = [TraceEvent(preempt_at, TraceEventKind.PREEMPT, 1)]
+        provider = CloudProvider(
+            simulator, zones=outage_zones(warning=warning, trace_events=trace_events)
+        )
+        system = SpotServeSystem(
+            simulator, provider, get_model("OPT-6.7B"), initial_arrival_rate=0.3
+        )
+        notices = []
+        simulator.on(EventType.PREEMPTION_NOTICE, notices.append)
+        system.initialize()
+        simulator.run(until=time)
+        manager = system.instance_manager
+        assert manager.doomed_zones == {"zone-a": 200.0}
+        traced = [e.payload for e in notices if e.time == preempt_at]
+        assert [payload["deadline"] for payload in traced] == [preempt_at + 30.0]
+        return manager.grace_deadlines, traced[0]["instance"]
+
+    def test_a_warning_shortens_an_earlier_trace_notice(self):
+        # Noticed at 175 s (deadline 205 s), then warned at 190 s.
+        deadlines, victim = self.deadlines_at(195.0, warning=10.0, preempt_at=175.0)
+        assert deadlines[victim.instance_id] == 200.0
+        assert set(deadlines.values()) == {200.0}
+        assert len(deadlines) == 3
+
+    def test_a_trace_notice_after_the_warning_keeps_the_outage_deadline(self):
+        # Warned at 170 s (deadline 200 s), then noticed at 185 s (deadline 215 s).
+        deadlines, victim = self.deadlines_at(195.0, warning=30.0, preempt_at=185.0)
+        assert deadlines[victim.instance_id] == 200.0
+        assert set(deadlines.values()) == {200.0}
+        assert len(deadlines) == 3
+
+
 class TestEvacuation:
     def build_system(self, warning=30.0):
         simulator = Simulator()

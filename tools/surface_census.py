@@ -8,8 +8,12 @@ Definitions (``KEPT``)
 
 Lists every top-level function, class and constant under ``src/repro``,
 and every method not named like ``__x__``, whose name is used nowhere
-else.  A name counts as used when it appears as a whole word in a token
-that is not a comment:
+else.  A top-level name counts as used when it appears as a whole word
+in a token that is not a comment; a method (a ``def`` in a class body)
+only where its name is loaded as an attribute (``obj.name``,
+``Cls.name``) or appears as a whole word in a string, the rule the
+write-only pass applies to reads, so a local, parameter or keyword of
+the same name does not hide it.  Uses count:
 
 * anywhere under ``src/``, outside the definition itself and outside
   ``__init__.py`` files (re-exports are not uses);
@@ -50,9 +54,10 @@ counter goes unlisted.  Stores into a dict held by an attribute
 (``x.table[key] += 1``) load the attribute, so a string-keyed registry
 is never listed.
 
-Names collide in both passes (a method called ``plan`` is used wherever
-any ``plan`` is, and a field called ``kind`` is read wherever any
-``kind`` is), so each list is a floor, not the whole dead surface.
+Names still collide in both passes (a method called ``plan`` is used
+wherever any ``obj.plan`` is loaded, and a field called ``kind`` is read
+wherever any ``kind`` is), so each list is a floor, not the whole dead
+surface.
 
 Stdlib only; it parses the sources and never imports ``repro``.
 
@@ -140,19 +145,25 @@ KEPT_UNREAD: Dict[str, str] = {
     "repro.core.autoscaler.AutoscaleDecision.desired_instances": (
         "the autoscaler tests pin each policy's clamped target through it"
     ),
+    "repro.core.controller.OptimizerDecision.objective": (
+        "the controller tests pin which line of Algorithm 1 chose the "
+        "configuration, and the decision-trace item on ROADMAP.md records it"
+    ),
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class Definition(NamedTuple):
-    """One candidate: where it is defined and the lines it spans."""
+    """One candidate: where it is defined, the lines it spans, and its kind."""
 
     qualname: str
     name: str
     path: Path
     start: int
     end: int
+    #: A ``def`` in a class body: used only where loaded as an attribute.
+    method: bool = False
 
 
 def _is_dunder(name: str) -> bool:
@@ -198,7 +209,7 @@ def definitions(path: Path, src: Path) -> List[Definition]:
                     continue
                 if not _is_dunder(item.name):
                     qualname = f"{module}.{node.name}.{item.name}"
-                    found.append(Definition(qualname, item.name, path, *_span(item)))
+                    found.append(Definition(qualname, item.name, path, *_span(item), True))
     return found
 
 
@@ -247,6 +258,30 @@ def word_lines(path: Path) -> Dict[str, List[int]]:
     return lines
 
 
+def attribute_lines(path: Path) -> Dict[str, List[int]]:
+    """Map each attribute-loaded name, and each string word, to its lines.
+
+    The uses a method can have: an attribute load (the name after a
+    ``.``), or a whole word in a string that is not a docstring or a
+    ``__slots__`` entry.  A string's words are placed on its first line,
+    which lies inside exactly the definitions the whole string does.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skipped = _skipped_strings(tree)
+    lines: Dict[str, List[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            lines.setdefault(node.attr, []).append(node.end_lineno)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in skipped
+        ):
+            for word in _WORD.findall(node.value):
+                lines.setdefault(word, []).append(node.lineno)
+    return lines
+
+
 def _user_files(root: Path) -> List[Path]:
     """The sources of the user trees, this file (or its copy) excepted."""
     this_file = root / "tools" / Path(__file__).name
@@ -268,8 +303,14 @@ def census(root: Path = REPO_ROOT) -> List[str]:
         defs.extend(definitions(path, src))
     user_files = _user_files(root)
     src_files = [path for path in sorted(src.rglob("*.py")) if path.name != "__init__.py"]
-    words = {path: word_lines(path) for path in src_files}
-    user_words = {word for path in user_files for word in word_lines(path)}
+    # (src lines per file, user-tree names) for a top-level name and a method.
+    uses = {
+        method: (
+            {path: lines_of(path) for path in src_files},
+            {word for path in user_files for word in lines_of(path)},
+        )
+        for method, lines_of in ((False, word_lines), (True, attribute_lines))
+    }
 
     dead: List[Definition] = []
     while True:
@@ -277,8 +318,8 @@ def census(root: Path = REPO_ROOT) -> List[str]:
             d
             for d in defs
             if d not in dead
-            and d.name not in user_words
-            and not _used_in_src(d, src_files, words, dead)
+            and d.name not in uses[d.method][1]
+            and not _used_in_src(d, src_files, uses[d.method][0], dead)
         ]
         if not grown:
             break
