@@ -1,12 +1,19 @@
-"""Design-choice micro-benchmarks called out in DESIGN.md.
+"""Design-choice micro-benchmarks: device mapper and migration planner.
 
 Two ablations that the paper motivates but reports only indirectly:
 
 * Kuhn-Munkres optimal device mapping vs. a greedy matcher vs. an arbitrary
   placement -- measured as reused context bytes and migration volume for the
-  Figure 4a reconfiguration.
-* Memory-optimised migration ordering vs. naive layer order -- measured as
-  peak receive-buffer bytes (what lets GPT-20B stay on 12 GPUs).
+  Figure 4a reconfiguration.  "Kuhn-Munkres" is the production mapper (the
+  hierarchical matching, replaced by the flat one when that reuses more);
+  "Greedy" is the one flat greedy matching that Figure 9's
+  "- Device Mapper" preset runs.
+* Memory-optimised migration vs. the "- Migration Planner" preset's
+  planner -- measured as peak receive-buffer bytes (what lets GPT-20B stay
+  on 12 GPUs) and serving stall.  "memory-optimised" orders layers under
+  the buffer bound and resumes serving once the cache and the first stage
+  are in place; "naive order" migrates layers in naive order and stalls
+  for the whole migration (no progressive resume).
 """
 
 import pytest
@@ -55,6 +62,7 @@ def test_device_mapper_strategies(benchmark):
         lookup = mapper._weight_lookup(meta, devices, positions, new, None)
         arbitrary_reuse = mapper._placement_reuse(lookup, dict(zip(devices, positions)))
         rows["Kuhn-Munkres"] = (optimal.reused_bytes, optimal.transfer_bytes)
+        # The flat greedy matching of the "- Device Mapper" preset.
         rows["Greedy"] = (greedy.reused_bytes, greedy.transfer_bytes)
         rows["Arbitrary"] = (arbitrary_reuse, optimal.required_bytes - arbitrary_reuse)
         return rows
@@ -83,6 +91,8 @@ def test_migration_planner_memory_bound(benchmark):
                 max_buffer_bytes=DEFAULT_MIGRATION_BUFFER_BYTES,
             )
             plan = planner.plan(meta, mapping, {})
+            # "naive order" is the "- Migration Planner" preset's planner:
+            # naive layer order and no progressive resume.
             label = "memory-optimised" if optimized else "naive order"
             results[label] = (plan.peak_buffer_bytes, plan.stall_time, plan.total_time)
         return results

@@ -1,8 +1,7 @@
 """Setuptools entry point.
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in
-offline environments whose setuptools/pip are too old for PEP 660 editable
-installs.
+A ``setup.py`` lets ``pip install -e .`` work in offline environments whose
+setuptools/pip are too old for PEP 660 editable installs.
 """
 
 from setuptools import find_packages, setup

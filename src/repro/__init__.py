@@ -18,14 +18,14 @@ The package layout follows the paper's architecture:
   planner, stateful recovery, serving system.
 * :mod:`repro.baselines` -- Rerouting, Reparallelization and on-demand-only.
 * :mod:`repro.faults` -- seeded cloud-fault injection (refusals, launch
-  failures, stragglers, early reclaims, degraded bandwidth) + retry policy.
+  failures, stragglers, early reclaims, degraded bandwidth).
 * :mod:`repro.experiments` -- runners, metrics, scenarios and ablations.
 """
 
 from .core.config import ParallelConfig
 from .core.server import SpotServeOptions, SpotServeSystem
 from .experiments.runner import ExperimentResult, run_comparison, run_serving_experiment
-from .faults import FaultInjector, FaultPlan, RetryPolicy, ZoneFaultModel
+from .faults import FaultInjector, FaultPlan, ZoneFaultModel
 
 __version__ = "1.0.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "ParallelConfig",
-    "RetryPolicy",
     "SpotServeOptions",
     "SpotServeSystem",
     "ZoneFaultModel",

@@ -178,14 +178,6 @@ class InstanceManager:
             if inst.is_launching and self.owns(inst)
         ]
 
-    def alive_in_zone(self, zone: str) -> int:
-        """Alive (launching or usable) instances of this tenant in *zone*."""
-        return sum(
-            1
-            for inst in self.provider.instances_in_zone(zone)
-            if inst.is_alive and self.owns(inst)
-        )
-
     def visible_zones(self) -> List[str]:
         """The market zones this manager may use (all of them by default)."""
         if self.allowed_zones is None:

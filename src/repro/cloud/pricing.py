@@ -71,23 +71,17 @@ class PriceSchedule:
             total += (right - left) / 3600.0 * self.price_at(left)
         return total
 
-    @property
-    def is_flat(self) -> bool:
-        """True when the price never changes."""
-        return not self.changes
-
 
 @dataclass
 class BillingRecord:
-    """One instance's billed interval."""
+    """One instance's billed interval, priced by its zone's market schedule."""
 
     instance_id: str
     market: Market
     start: float
+    schedule: PriceSchedule
     end: Optional[float] = None
-    price_per_hour: float = 0.0
     zone: str = DEFAULT_ZONE
-    schedule: Optional[PriceSchedule] = None
 
     def cost(self, now: float) -> float:
         """Cost in USD accrued up to *now* (or to the interval end)."""
@@ -95,10 +89,7 @@ class BillingRecord:
 
     def cost_between(self, start: float, end: float) -> float:
         """Cost in USD accrued from *start* to *end* at this record's prices."""
-        if self.schedule is not None and not self.schedule.is_flat:
-            return self.schedule.cost_between(start, end)
-        hours = max(end - start, 0.0) / 3600.0
-        return hours * self.price_per_hour
+        return self.schedule.cost_between(start, end)
 
 
 class CostTracker:
@@ -123,9 +114,8 @@ class CostTracker:
             instance_id=instance.instance_id,
             market=instance.market,
             start=time,
-            price_per_hour=schedule.price_at(time),
-            zone=instance.zone,
             schedule=schedule,
+            zone=instance.zone,
         )
 
     def stop_billing(self, instance: Instance, time: float) -> None:

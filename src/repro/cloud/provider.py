@@ -511,10 +511,6 @@ class CloudProvider:
         """Instances that are launching or usable."""
         return [inst for inst in self._instances.values() if inst.is_alive]
 
-    def instances_in_zone(self, zone: str) -> List[Instance]:
-        """Every instance ever granted in *zone*."""
-        return [inst for inst in self._instances.values() if inst.zone == zone]
-
     def alive_in_zone(self, zone: str) -> int:
         """Alive (launching or usable) instances currently in *zone*."""
         return sum(

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..cloud.instance import Instance
-from ..faults.injector import RetryPolicy
 from ..sim.events import Event, EventType
 from .autoscaler import AutoscaleSignal, ZoneView
 from .controller import OptimizerDecision
@@ -40,8 +39,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 MAX_ON_DEMAND_EXTRA = 4
 #: Launch-watchdog timeout as a multiple of the instance startup delay.
 LAUNCH_WATCHDOG_MULTIPLIER = 3.0
-#: Capped exponential backoff for acquisition retries.
-RETRY_POLICY = RetryPolicy()
+#: Backoff before the first acquisition retry (seconds); each further
+#: attempt doubles it up to :data:`RETRY_MAX_DELAY`.
+RETRY_BASE_DELAY = 2.0
+#: Cap of the exponential retry backoff (seconds), before jitter.
+RETRY_MAX_DELAY = 30.0
+#: Retries of one refused or failed acquisition before its demand counts
+#: as a shortfall.
+RETRY_MAX_ATTEMPTS = 6
+#: Largest jitter, as a fraction of the backoff.
+RETRY_JITTER = 0.25
+
+
+def retry_delay(attempt: int, u: float) -> float:
+    """Backoff before retry *attempt* (0-based), jittered by *u* in [0,1).
+
+    Pure: the caller supplies the uniform draw *u* from its own seeded
+    stream, so two runs with the same streams back off identically.
+    """
+    raw = min(RETRY_BASE_DELAY * (2.0 ** attempt), RETRY_MAX_DELAY)
+    return raw * (1.0 + RETRY_JITTER * u)
 
 
 class FleetAcquirer:
@@ -135,7 +152,6 @@ class FleetAcquirer:
         zones = tuple(
             ZoneView(
                 name=name,
-                alive_instances=manager.alive_in_zone(name),
                 # A zone under an outage warning still *sells* capacity (the
                 # provider only zeroes it inside the window), but buying
                 # there would burn the acquire budget on instances that die
@@ -146,7 +162,7 @@ class FleetAcquirer:
                 ),
                 spot_price=provider.spot_price(name, now),
                 on_demand_price=provider.on_demand_price(name, now),
-                releasable_instances=releasable.get(name, 0),
+                releasable=releasable.get(name, 0),
             )
             for name in manager.visible_zones()
         )
@@ -264,9 +280,9 @@ class FleetAcquirer:
         zone so capacity recovers wherever the cloud still sells it.
         """
         injector = self.injector
-        if injector is None or count <= 0 or attempt >= RETRY_POLICY.max_attempts:
+        if injector is None or count <= 0 or attempt >= RETRY_MAX_ATTEMPTS:
             return False
-        delay = RETRY_POLICY.delay(attempt, injector.retry_jitter(zone or "any"))
+        delay = retry_delay(attempt, injector.retry_jitter(zone or "any"))
         self.pending_retries += count
         self.system.simulator.schedule_after(
             delay,

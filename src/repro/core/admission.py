@@ -17,12 +17,11 @@ workload check), both pluggable:
   SLO-derived bound (they could not meet the SLO even if dispatched
   immediately), so the fleet spends its capacity on requests that can
   still be served in time.
-* ``"token-bucket"`` -- :class:`TokenBucketPolicy`: classic token-bucket
-  rate limiting.  With ``rate=None`` (the default) the refill rate adapts
-  every adaptation round to the serving throughput the controller
-  estimates for the current configuration -- i.e. the bucket admits what
-  the fleet can actually serve, computed from the same
-  ``estimate_arrival_rate`` window the autoscaler consumes.
+* ``"token-bucket"`` -- :class:`TokenBucketPolicy`: token-bucket rate
+  limiting whose refill rate adapts every adaptation round to the serving
+  throughput the controller estimates for the current configuration --
+  i.e. the bucket admits what the fleet can actually serve, computed from
+  the same ``estimate_arrival_rate`` window the autoscaler consumes.
 
 Invariants
 ----------
@@ -55,17 +54,21 @@ from ..workload.arrival import check_positive_finite
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..engine.batching import QueueEntry, RequestQueue
 
-#: Default queue-depth cap of :class:`QueueCapPolicy` (requests).
-DEFAULT_QUEUE_CAP = 64
+#: Queue-depth cap of :class:`QueueCapPolicy` (requests).
+QUEUE_CAP = 64
 
 #: Default SLO of :class:`DeadlineAwarePolicy` when the serving system has
 #: none configured (seconds; generous for the paper's 512->128 workloads).
 DEFAULT_SLO_LATENCY = 120.0
 
-#: Default burst capacity of :class:`TokenBucketPolicy` (tokens).
-DEFAULT_BUCKET_BURST = 16.0
+#: Floor of :class:`DeadlineAwarePolicy`'s age bound, as a fraction of the
+#: SLO.
+MIN_AGE_FRACTION = 0.1
 
-#: Floor of an adaptive :class:`TokenBucketPolicy` refill rate (tokens/s).
+#: Burst capacity of :class:`TokenBucketPolicy` (tokens).
+BUCKET_BURST = 16.0
+
+#: Floor of the :class:`TokenBucketPolicy` refill rate (tokens/s).
 MIN_BUCKET_RATE = 0.05
 
 
@@ -168,19 +171,15 @@ class AdmissionPolicy(ABC):
 class QueueCapPolicy(AdmissionPolicy):
     """Bounded-buffer admission: reject arrivals while the queue is full.
 
-    The cap bounds the *queue* only -- requests already dispatched in a
-    batch are unaffected -- so the worst-case scheduling delay of an
-    admitted request is roughly ``cap / serving_throughput``.
+    The cap (:data:`QUEUE_CAP`) bounds the *queue* only -- requests already
+    dispatched in a batch are unaffected -- so the worst-case scheduling
+    delay of an admitted request is roughly ``cap / serving_throughput``.
     """
 
     name = "queue-cap"
 
-    def __init__(self, max_queue_depth: int = DEFAULT_QUEUE_CAP) -> None:
-        check_positive_finite("max_queue_depth", max_queue_depth)
-        self.max_queue_depth = max_queue_depth
-
     def admit(self, signal: AdmissionSignal) -> bool:
-        return signal.queue_depth < self.max_queue_depth
+        return signal.queue_depth < QUEUE_CAP
 
 
 class DeadlineAwarePolicy(AdmissionPolicy):
@@ -192,29 +191,22 @@ class DeadlineAwarePolicy(AdmissionPolicy):
     serving it would burn capacity that requests still inside their
     deadline need.  The execution-latency term comes from the round
     signal; while nothing is deployed the bound degrades gracefully to
-    the full SLO.  ``min_age_fraction`` floors the bound so a pathological
-    ``l_exe >= slo`` estimate cannot shed fresh arrivals.
+    the full SLO.  :data:`MIN_AGE_FRACTION` floors the bound so a
+    pathological ``l_exe >= slo`` estimate cannot shed fresh arrivals.
     """
 
     name = "deadline-aware"
 
-    def __init__(
-        self,
-        slo_latency: Optional[float] = None,
-        min_age_fraction: float = 0.1,
-    ) -> None:
+    def __init__(self, slo_latency: Optional[float] = None) -> None:
         if slo_latency is not None:
             check_positive_finite("slo_latency", slo_latency)
-        if not 0 < min_age_fraction <= 1:
-            raise ValueError("min_age_fraction must be in (0, 1]")
         self.slo_latency = slo_latency
-        self.min_age_fraction = min_age_fraction
 
     def _age_bound(self, signal: AdmissionSignal) -> float:
         slo = self.slo_latency
         if slo is None:
             slo = signal.slo_latency if signal.slo_latency else DEFAULT_SLO_LATENCY
-        return max(slo - signal.execution_latency, self.min_age_fraction * slo)
+        return max(slo - signal.execution_latency, MIN_AGE_FRACTION * slo)
 
     def shed(self, queue: "RequestQueue", signal: AdmissionSignal) -> List["QueueEntry"]:
         bound = self._age_bound(signal)
@@ -227,44 +219,31 @@ class DeadlineAwarePolicy(AdmissionPolicy):
 class TokenBucketPolicy(AdmissionPolicy):
     """Token-bucket rate limiting at the admission boundary.
 
-    The bucket holds at most ``burst`` tokens and refills continuously at
-    ``rate`` tokens/second; each admitted request consumes one token and
-    an arrival finding an empty bucket is rejected.  With ``rate=None``
-    the refill rate *adapts*: every adaptation round it is reset to the
-    serving throughput the controller estimates for the current
-    configuration (clamped below by :data:`MIN_BUCKET_RATE`), so the bucket
-    admits exactly the sustained load the fleet can serve -- the
+    The bucket holds at most :data:`BUCKET_BURST` tokens and refills
+    continuously; each admitted request consumes one token and an arrival
+    finding an empty bucket is rejected.  The refill rate *adapts*: every
+    adaptation round it is reset to the serving throughput the controller
+    estimates for the current configuration (clamped below by
+    :data:`MIN_BUCKET_RATE`, the rate before the first estimate), so the
+    bucket admits exactly the sustained load the fleet can serve -- the
     admission-side dual of the autoscaler, driven by the same
     adaptation-round signal.
     """
 
     name = "token-bucket"
 
-    def __init__(
-        self,
-        rate: Optional[float] = None,
-        burst: float = DEFAULT_BUCKET_BURST,
-    ) -> None:
-        if rate is not None:
-            check_positive_finite("rate", rate)
-        check_positive_finite("burst", burst)
-        if burst < 1:
-            raise ValueError("burst must be at least one token")
-        self.configured_rate = rate
-        self.burst = float(burst)
-        self._rate = rate if rate is not None else MIN_BUCKET_RATE
-        self._tokens = float(burst)
+    def __init__(self) -> None:
+        self._rate = MIN_BUCKET_RATE
+        self._tokens = BUCKET_BURST
         self._last_refill = 0.0
 
     def _refill(self, now: float) -> None:
         elapsed = now - self._last_refill
         if elapsed > 0:
-            self._tokens = min(self.burst, self._tokens + elapsed * self._rate)
+            self._tokens = min(BUCKET_BURST, self._tokens + elapsed * self._rate)
         self._last_refill = now
 
     def observe_round(self, signal: AdmissionSignal) -> None:
-        if self.configured_rate is not None:
-            return
         # Refill at the old rate up to now, then adopt the new estimate so
         # the rate change never applies retroactively.
         self._refill(signal.time)
@@ -293,9 +272,8 @@ def make_admission_policy(policy: str, **params) -> AdmissionPolicy:
     Args:
         policy: One of ``"queue-cap"``, ``"deadline-aware"``,
             ``"token-bucket"`` (see :data:`ADMISSION_POLICIES`).
-        **params: Forwarded to the policy constructor (e.g.
-            ``max_queue_depth`` for ``queue-cap``, ``slo_latency`` for
-            ``deadline-aware``, ``rate``/``burst`` for ``token-bucket``).
+        **params: Forwarded to the policy constructor (``slo_latency``
+            for ``deadline-aware``; the other policies take none).
 
     Returns:
         The constructed :class:`AdmissionPolicy`.

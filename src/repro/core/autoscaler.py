@@ -13,7 +13,7 @@ cheapest zone that still has capacity.  This module provides that layer:
   target), :class:`QueueLatencyPolicy` (bound the estimated queueing delay)
   and :class:`CostAwarePolicy` (consult the offline-profiled cost model via
   the :class:`~repro.core.controller.ParallelizationController` for the
-  smallest fleet that sustains the demand within an hourly budget),
+  smallest fleet that sustains the demand),
 * :class:`Autoscaler` -- wraps a policy with min/max fleet bounds, a
   cooldown, and the *zone arbitrage* step: acquisitions go to the cheapest
   zones with free capacity, releases come from the most expensive zones
@@ -40,32 +40,42 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..workload.arrival import check_non_negative_finite, check_positive_finite
+from ..workload.arrival import check_non_negative_finite
 from .controller import ParallelizationController
+
+#: Utilization :class:`TargetUtilizationPolicy` steers the fleet toward.
+TARGET_UTILIZATION = 0.7
+#: Half-width of the band around :data:`TARGET_UTILIZATION` inside which
+#: :class:`TargetUtilizationPolicy` holds the fleet.
+UTILIZATION_DEAD_BAND = 0.1
+#: Estimated queue drain delay above which :class:`QueueLatencyPolicy`
+#: grows the fleet (seconds).
+MAX_QUEUE_DELAY = 60.0
+#: Utilization below which :class:`QueueLatencyPolicy` sheds an instance
+#: from a fleet with an empty queue.
+SCALE_DOWN_UTILIZATION = 0.5
+#: Demand multiplier :class:`CostAwarePolicy` provisions for.
+COST_AWARE_HEADROOM = 1.1
+#: Fleet size :class:`CostAwarePolicy` probes up to at least; the factory
+#: raises the probe to an autoscaler bound above it.
+MIN_PROBE_INSTANCES = 32
+#: Scale-down cooldown as a multiple of the scale-up cooldown.
+SCALE_DOWN_COOLDOWN_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
 class ZoneView:
     """Snapshot of one availability zone at decision time.
 
-    ``releasable_instances`` counts instances that could actually be given
-    back right now (held, ready, not hosting a live pipeline); it defaults
-    to ``alive_instances`` when the caller does not track pipeline usage.
+    ``releasable`` counts instances that could actually be given back right
+    now (held, ready, not hosting a live pipeline).
     """
 
     name: str
-    alive_instances: int
     capacity_remaining: int
     spot_price: float
     on_demand_price: float
-    releasable_instances: Optional[int] = None
-
-    @property
-    def releasable(self) -> int:
-        """Instances this zone can give back immediately."""
-        if self.releasable_instances is None:
-            return self.alive_instances
-        return self.releasable_instances
+    releasable: int
 
 
 @dataclass(frozen=True)
@@ -132,18 +142,11 @@ class TargetUtilizationPolicy(AutoscalePolicy):
     """Scale so that arrival rate / serving throughput approaches a target.
 
     The classic cluster-autoscaler rule: ``desired = ceil(current *
-    utilization / target)``.  A dead band around the target suppresses
-    oscillation between adjacent fleet sizes.
+    utilization / TARGET_UTILIZATION)``.  A dead band around the target
+    suppresses oscillation between adjacent fleet sizes.
     """
 
     name = "target-utilization"
-
-    def __init__(self, target: float = 0.7, dead_band: float = 0.1) -> None:
-        if not 0 < target <= 1:
-            raise ValueError("target utilization must be in (0, 1]")
-        check_non_negative_finite("dead_band", dead_band)
-        self.target = target
-        self.dead_band = dead_band
 
     def desired_instances(self, signal: AutoscaleSignal) -> int:
         """Fleet size that brings utilization back to the target band."""
@@ -151,9 +154,9 @@ class TargetUtilizationPolicy(AutoscalePolicy):
         utilization = signal.utilization
         if utilization == float("inf"):
             return current + 1
-        if abs(utilization - self.target) <= self.dead_band:
+        if abs(utilization - TARGET_UTILIZATION) <= UTILIZATION_DEAD_BAND:
             return current
-        return max(int(math.ceil(current * utilization / self.target)), 1)
+        return max(int(math.ceil(current * utilization / TARGET_UTILIZATION)), 1)
 
 
 class QueueLatencyPolicy(AutoscalePolicy):
@@ -161,23 +164,13 @@ class QueueLatencyPolicy(AutoscalePolicy):
 
     The backlog drains at the serving throughput, so ``queue_depth /
     throughput`` estimates the wait of the last queued request.  Above
-    ``max_queue_delay`` the policy adds instances proportionally to the
-    excess; with an empty queue and low utilization it sheds one instance per
-    round (slow down, fast up).
+    :data:`MAX_QUEUE_DELAY` the policy adds instances proportionally to the
+    excess; with an empty queue and a utilization below
+    :data:`SCALE_DOWN_UTILIZATION` it sheds one instance per round (slow
+    down, fast up).
     """
 
     name = "queue-latency"
-
-    def __init__(
-        self,
-        max_queue_delay: float = 60.0,
-        scale_down_utilization: float = 0.5,
-    ) -> None:
-        check_positive_finite("max_queue_delay", max_queue_delay)
-        if not 0 <= scale_down_utilization < 1:
-            raise ValueError("scale_down_utilization must be in [0, 1)")
-        self.max_queue_delay = max_queue_delay
-        self.scale_down_utilization = scale_down_utilization
 
     def desired_instances(self, signal: AutoscaleSignal) -> int:
         """Fleet size that bounds the estimated queue drain delay."""
@@ -185,23 +178,22 @@ class QueueLatencyPolicy(AutoscalePolicy):
         if signal.serving_throughput <= 0:
             return current + 1 if signal.queue_depth > 0 else current
         queue_delay = signal.queue_depth / signal.serving_throughput
-        if queue_delay > self.max_queue_delay:
-            excess = queue_delay / self.max_queue_delay
+        if queue_delay > MAX_QUEUE_DELAY:
+            excess = queue_delay / MAX_QUEUE_DELAY
             return current + max(int(math.ceil(excess)) - 1, 1)
-        if signal.queue_depth == 0 and signal.utilization < self.scale_down_utilization:
+        if signal.queue_depth == 0 and signal.utilization < SCALE_DOWN_UTILIZATION:
             return current - 1
         return current
 
 
 class CostAwarePolicy(AutoscalePolicy):
-    """Smallest fleet that sustains the demand, within an hourly budget.
+    """Smallest fleet that sustains the demand.
 
     Consults the offline-profiled cost model through the parallelization
-    controller: for each candidate fleet size the controller proposes the
-    best configuration, and the first size whose throughput covers the
-    arrival rate (with headroom) wins.  ``budget_per_hour`` caps the fleet by
-    what the *cheapest currently available* spot price can buy, so a price
-    spike shrinks the ceiling instead of silently overspending.
+    controller: for each candidate fleet size up to ``max_probe_instances``
+    the controller proposes the best configuration, and the first size
+    whose throughput covers the arrival rate (with
+    :data:`COST_AWARE_HEADROOM`) wins.
     """
 
     name = "cost-aware"
@@ -209,75 +201,50 @@ class CostAwarePolicy(AutoscalePolicy):
     def __init__(
         self,
         controller: ParallelizationController,
-        headroom: float = 1.1,
-        budget_per_hour: Optional[float] = None,
-        max_probe_instances: int = 32,
+        max_probe_instances: int = MIN_PROBE_INSTANCES,
     ) -> None:
-        check_positive_finite("headroom", headroom)
-        if headroom < 1.0:
-            raise ValueError("headroom must be at least 1.0")
-        if budget_per_hour is not None:
-            check_positive_finite("budget_per_hour", budget_per_hour)
         self.controller = controller
-        self.headroom = headroom
-        self.budget_per_hour = budget_per_hour
         self.max_probe_instances = max_probe_instances
-        self._sweep_cache: Dict[int, Dict[int, float]] = {}
+        self._best_by_count: Optional[Dict[int, float]] = None
 
-    def _budget_cap(self, signal: AutoscaleSignal) -> int:
-        if self.budget_per_hour is None or not signal.zones:
-            return self.max_probe_instances
-        # Cap by the price grants will actually accrue: spot when extra spot
-        # requests are possible, on-demand otherwise.
-        if signal.spot_requests_allowed:
-            cheapest = min(zone.spot_price for zone in signal.zones)
-        else:
-            cheapest = min(zone.on_demand_price for zone in signal.zones)
-        if cheapest <= 0:
-            return self.max_probe_instances
-        return max(int(self.budget_per_hour / cheapest), 1)
-
-    def _best_throughput_by_count(self, cap: int) -> Dict[int, float]:
-        """Best sustained throughput per fleet size, for every size <= *cap*.
+    def _best_throughput_by_count(self) -> Dict[int, float]:
+        """Best sustained throughput per fleet size up to the probe cap.
 
         One sweep of the configuration space at the cap covers every smaller
         fleet too (a config needing n instances is reachable by every count
         >= n), so the smallest sustaining fleet falls out of a single
         enumeration instead of one optimizer run per candidate.  Throughput,
         execution latency and instance count are all independent of the
-        arrival rate, so the sweep is cached per cap -- the fluctuating rate
-        that changes every round cannot change this table, only *where* the
+        arrival rate, so the sweep runs once -- the fluctuating rate that
+        changes every round cannot change this table, only *where* the
         demand threshold lands in it.
         """
-        cached = self._sweep_cache.get(cap)
-        if cached is not None:
-            return cached
-        best_by_count: Dict[int, float] = {}
-        for config in self.controller.config_space.feasible_configs(cap):
-            estimate = self.controller.estimate(config, 0.0)
-            if estimate.execution_latency == float("inf"):
-                continue
-            n = estimate.num_instances
-            best_by_count[n] = max(best_by_count.get(n, 0.0), estimate.throughput)
-        if len(self._sweep_cache) >= 8:
-            self._sweep_cache.clear()
-        self._sweep_cache[cap] = best_by_count
-        return best_by_count
+        if self._best_by_count is None:
+            best_by_count: Dict[int, float] = {}
+            for config in self.controller.config_space.feasible_configs(
+                self.max_probe_instances
+            ):
+                estimate = self.controller.estimate(config, 0.0)
+                if estimate.execution_latency == float("inf"):
+                    continue
+                n = estimate.num_instances
+                best_by_count[n] = max(best_by_count.get(n, 0.0), estimate.throughput)
+            self._best_by_count = best_by_count
+        return self._best_by_count
 
     def desired_instances(self, signal: AutoscaleSignal) -> int:
         """Smallest fleet whose profiled throughput sustains the demand."""
-        demand = signal.arrival_rate * self.headroom
-        cap = min(self.max_probe_instances, self._budget_cap(signal))
-        best_by_count = self._best_throughput_by_count(cap)
+        demand = signal.arrival_rate * COST_AWARE_HEADROOM
+        best_by_count = self._best_throughput_by_count()
         best_feasible: Optional[int] = None
         reachable_best = 0.0
-        for count in range(1, cap + 1):
+        for count in range(1, self.max_probe_instances + 1):
             if count in best_by_count and best_by_count[count] > reachable_best:
                 reachable_best = best_by_count[count]
                 best_feasible = count
             if best_feasible is not None and reachable_best >= demand:
                 return count
-        # Nothing sustains the demand within the cap: run the *smallest*
+        # Nothing sustains the demand within the probe: run the *smallest*
         # fleet that reaches the best attainable throughput -- larger fleets
         # whose configs are all slower would only add idle cost.
         return best_feasible if best_feasible is not None else max(signal.current_instances, 1)
@@ -300,14 +267,11 @@ class Autoscaler:
         min_instances: int = 1,
         max_instances: int = 32,
         cooldown: float = 60.0,
-        scale_down_cooldown: Optional[float] = None,
         arbitrage: str = "cheapest",
     ) -> None:
         if min_instances < 0 or max_instances < min_instances:
             raise ValueError("need 0 <= min_instances <= max_instances")
         check_non_negative_finite("cooldown", cooldown)
-        if scale_down_cooldown is not None:
-            check_non_negative_finite("scale_down_cooldown", scale_down_cooldown)
         if arbitrage not in ARBITRAGE_MODES:
             raise ValueError(
                 f"unknown arbitrage mode {arbitrage!r}; available: {ARBITRAGE_MODES}"
@@ -317,9 +281,6 @@ class Autoscaler:
         self.max_instances = max_instances
         self.arbitrage = arbitrage
         self.cooldown = cooldown
-        self.scale_down_cooldown = (
-            scale_down_cooldown if scale_down_cooldown is not None else 2.0 * cooldown
-        )
         self._last_action_time: Optional[float] = None
         self._previous_action_time: Optional[float] = None
 
@@ -403,7 +364,9 @@ class Autoscaler:
     def _in_cooldown(self, time: float, scaling_down: bool) -> bool:
         if self._last_action_time is None:
             return False
-        window = self.scale_down_cooldown if scaling_down else self.cooldown
+        window = self.cooldown
+        if scaling_down:
+            window *= SCALE_DOWN_COOLDOWN_FACTOR
         return time - self._last_action_time < window
 
     # ------------------------------------------------------------------
@@ -489,22 +452,23 @@ POLICY_NAMES = ("target-utilization", "queue-latency", "cost-aware")
 def make_policy(
     name: str,
     controller: Optional[ParallelizationController] = None,
-    **params,
+    max_probe_instances: int = MIN_PROBE_INSTANCES,
 ) -> AutoscalePolicy:
     """Instantiate a sizing policy by name.
 
     ``controller`` is required for the cost-aware policy (it consults the
-    offline-profiled cost model through it).
+    offline-profiled cost model through it), which probes fleets up to
+    ``max_probe_instances``.
     """
     key = name.lower().replace("_", "-")
     if key == "target-utilization":
-        return TargetUtilizationPolicy(**params)
+        return TargetUtilizationPolicy()
     if key == "queue-latency":
-        return QueueLatencyPolicy(**params)
+        return QueueLatencyPolicy()
     if key == "cost-aware":
         if controller is None:
             raise ValueError("the cost-aware policy needs a ParallelizationController")
-        return CostAwarePolicy(controller, **params)
+        return CostAwarePolicy(controller, max_probe_instances)
     raise KeyError(f"unknown autoscaling policy {name!r}; available: {POLICY_NAMES}")
 
 
@@ -514,16 +478,22 @@ def make_autoscaler(
     min_instances: int = 1,
     max_instances: int = 32,
     cooldown: float = 60.0,
-    scale_down_cooldown: Optional[float] = None,
     arbitrage: str = "cheapest",
-    **policy_params,
 ) -> Autoscaler:
-    """Convenience constructor: policy by name plus autoscaler bounds."""
+    """Convenience constructor: policy by name plus autoscaler bounds.
+
+    The cost-aware policy probes up to the larger of ``max_instances`` and
+    :data:`MIN_PROBE_INSTANCES`, so every fleet the bounds allow is
+    reachable.
+    """
     return Autoscaler(
-        make_policy(policy, controller=controller, **policy_params),
+        make_policy(
+            policy,
+            controller=controller,
+            max_probe_instances=max(max_instances, MIN_PROBE_INSTANCES),
+        ),
         min_instances=min_instances,
         max_instances=max_instances,
         cooldown=cooldown,
-        scale_down_cooldown=scale_down_cooldown,
         arbitrage=arbitrage,
     )

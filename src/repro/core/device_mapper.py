@@ -19,10 +19,9 @@ of the weight matrix.  When every weight is an integer and that bound is
 below 2^53, every float sum over the matrix is exact, so a hierarchical
 placement that reaches the bound is optimal and the flat global matching is
 not solved.  Otherwise the flat matching is solved too and replaces the
-hierarchical placement only when it reuses strictly more.  Without the
-hierarchy (single-GPU instances, or the ablation) the flat matching is the
-only one; it doubles as the ablation baseline together with a greedy
-matcher.
+hierarchical placement only when it reuses strictly more.  Single-GPU
+instances have no hierarchy, and the ablation (``use_optimal_matching``
+off) swaps Kuhn-Munkres for one greedy flat matching.
 """
 
 from __future__ import annotations
@@ -89,13 +88,11 @@ class DeviceMapper:
         model: ModelSpec,
         gpus_per_instance: int = 4,
         use_optimal_matching: bool = True,
-        hierarchical: bool = True,
         zone_of: Optional[Callable[[str], str]] = None,
     ) -> None:
         self.model = model
         self.gpus_per_instance = gpus_per_instance
         self.use_optimal_matching = use_optimal_matching
-        self.hierarchical = hierarchical
         self.zone_of = zone_of
         #: During a zone-outage evacuation the intra-zone clustering
         #: preference is suspended: re-placing the lost pipelines on whatever
@@ -284,13 +281,13 @@ class DeviceMapper:
         resume; it is only used to compute the total context the new
         deployment requires (the denominator of the reuse fraction).
 
-        With the hierarchy on (``hierarchical`` and more than one GPU per
-        instance) the hierarchical placement is solved first, and the flat
-        matching only when :meth:`_reaches_reuse_bound` cannot rule out
-        that it reuses more; it replaces the hierarchical placement only
-        on strictly more reuse.  The adopted placement, its dict order and
-        ``reused_bytes`` are bit-identical to solving both and keeping the
-        hierarchical placement on ties, for the greedy matcher too.
+        With Kuhn-Munkres on more than one GPU per instance the
+        hierarchical placement is solved first, and the flat matching only
+        when :meth:`_reaches_reuse_bound` cannot rule out that it reuses
+        more; it replaces the hierarchical placement only on strictly more
+        reuse.  The adopted placement, its dict order and ``reused_bytes``
+        are bit-identical to solving both and keeping the hierarchical
+        placement on ties.  The greedy ablation solves one flat matching.
         """
         positions = mesh_positions(
             new_config.data_degree, new_config.pipeline_degree, new_config.tensor_degree
@@ -303,7 +300,7 @@ class DeviceMapper:
         lookup = self._weight_lookup(
             meta_context, devices, positions, new_config, pipeline_inheritance
         )
-        if self.hierarchical and self.gpus_per_instance > 1:
+        if self.use_optimal_matching and self.gpus_per_instance > 1:
             # The two-step (inter-instance, then intra-instance) matching
             # keeps tensor groups co-located on fast links, but when shard
             # widths change it can strand reusable context on unmatched
@@ -519,12 +516,8 @@ class DeviceMapper:
                 inner_pairs[(instance_id, group_index)] = memoised[0]
                 outer[instance_index, group_index] = memoised[1]
 
-        if self.use_optimal_matching:
-            instance_pairs = maximum_weight_assignment(outer)
-        else:
-            instance_pairs = greedy_assignment(outer)
         placement: Dict[DeviceId, TopologyPosition] = {}
-        for row, group_index in instance_pairs:
+        for row, group_index in maximum_weight_assignment(outer):
             instance_id = instance_ids[row]
             placement.update(
                 self._materialise_inner(

@@ -31,6 +31,16 @@ from ..engine.batching import Batch
 from ..llm.costmodel import LatencyModel
 from .config import ParallelConfig
 
+#: Fewest committed-plus-arranged tokens for which a preemption
+#: arrangement migrates the KV cache instead of rerouting.
+MIN_USEFUL_TOKENS = 1
+
+#: Slack under which a reclaim still counts as on time (seconds): it
+#: absorbs floating-point noise so an on-time reclaim (the only kind the
+#: fault-free provider ever delivers) is never misclassified as early,
+#: which keeps the detection digest-neutral.
+EARLY_PREEMPTION_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class InterruptionArrangement:
@@ -49,9 +59,8 @@ class InterruptionArrangement:
 class InterruptionArranger:
     """Implements the JIT arrangement and its fault-tolerance guards."""
 
-    def __init__(self, latency_model: LatencyModel, min_useful_tokens: int = 1) -> None:
+    def __init__(self, latency_model: LatencyModel) -> None:
         self.latency_model = latency_model
-        self.min_useful_tokens = min_useful_tokens
 
     # ------------------------------------------------------------------
     # Decoding-time helpers
@@ -108,7 +117,7 @@ class InterruptionArranger:
         # stall (T_mig < l_exe(S_t | C_t)).
         migrate_cache = (
             migration_time < preserved_work
-            and batch.committed_tokens + tokens >= self.min_useful_tokens
+            and batch.committed_tokens + tokens >= MIN_USEFUL_TOKENS
         )
         stop_time = now + tokens * iteration
         stop_time = min(stop_time, grace_deadline)
@@ -164,16 +173,13 @@ class InterruptionArranger:
 
     @staticmethod
     def is_early_preemption(
-        announced_deadline: Optional[float],
-        actual_time: float,
-        tolerance: float = 1e-9,
+        announced_deadline: Optional[float], actual_time: float
     ) -> bool:
         """Whether a reclaim at *actual_time* beats its announced deadline.
 
-        The tolerance absorbs floating-point noise so an on-time reclaim
-        (the only kind the fault-free provider ever delivers) is never
-        misclassified as early -- that keeps the detection digest-neutral.
+        Only a reclaim more than :data:`EARLY_PREEMPTION_TOLERANCE` before
+        the deadline counts as early.
         """
         if announced_deadline is None:
             return False
-        return actual_time < announced_deadline - tolerance
+        return actual_time < announced_deadline - EARLY_PREEMPTION_TOLERANCE

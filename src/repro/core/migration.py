@@ -196,7 +196,12 @@ class MigrationPlan:
 
 
 class MigrationPlanner:
-    """Implements Algorithm 2 (progressive + memory-optimised migration)."""
+    """Implements Algorithm 2 (progressive + memory-optimised migration).
+
+    ``memory_optimized`` off (the Figure 9 ablation) migrates layers in
+    naive order and stalls serving for the whole migration instead of
+    resuming once the cache and the first stage are in place.
+    """
 
     #: Cross-round plan-memo capacity.  The adaptation loop revisits a
     #: handful of (placement, placement) shapes between fleet changes, so a
@@ -209,13 +214,11 @@ class MigrationPlanner:
         network: Optional[NetworkModel] = None,
         max_buffer_bytes: float = DEFAULT_MIGRATION_BUFFER_BYTES,
         memory_optimized: bool = True,
-        progressive: bool = True,
     ) -> None:
         self.model = model
         self.network = network or NetworkModel()
         self.max_buffer_bytes = max_buffer_bytes
         self.memory_optimized = memory_optimized
-        self.progressive = progressive
         #: During a zone-outage evacuation the same-zone source preference is
         #: suspended: the richest context sources are the doomed zone itself,
         #: and every pull out of it is cross-zone by definition, so ranking
@@ -450,7 +453,6 @@ class MigrationPlanner:
             self.evacuation_mode,
             self.max_buffer_bytes,
             self.memory_optimized,
-            self.progressive,
             self.network.spec,
             self.network.bandwidth_factor,
         )
@@ -775,7 +777,7 @@ class MigrationPlanner:
             if 0 in step.stages_ready and first_stage_ready_time is None:
                 first_stage_ready_time = total_time
 
-        if self.progressive and first_stage_ready_time is not None:
+        if self.memory_optimized and first_stage_ready_time is not None:
             # Serving resumes once the cache and the first stage are in place;
             # the remaining stages migrate while the pipeline refills.
             stall_time = first_stage_ready_time

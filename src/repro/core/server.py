@@ -53,6 +53,7 @@ Invariants maintained here (and pinned by the regression suites):
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -147,8 +148,14 @@ class SpotServeOptions:
             check_positive_finite("slo_latency", self.slo_latency)
 
 
-class ServingSystemBase:
-    """Shared machinery for every serving system in the reproduction."""
+class ServingSystemBase(ABC):
+    """Shared machinery for every serving system in the reproduction.
+
+    A concrete system implements the three cloud-event hooks
+    (:meth:`handle_preemption_final`, :meth:`handle_acquisition_ready`
+    and :meth:`handle_zone_outage`); the preemption-notice and
+    early-reclaim hooks default to doing nothing.
+    """
 
     name = "base"
     #: The system's own re-evaluation, the last step of each adaptation
@@ -450,8 +457,9 @@ class ServingSystemBase:
     def handle_preemption_notice(self, instance: Instance, deadline: float) -> None:
         """React to a preemption notice (subclasses override)."""
 
+    @abstractmethod
     def handle_preemption_final(self, instance: Instance) -> None:
-        """React to an instance disappearing (subclasses override)."""
+        """React to an instance disappearing."""
 
     def handle_early_preemption(
         self, instance: Instance, announced_deadline: float
@@ -464,11 +472,13 @@ class ServingSystemBase:
         subclasses override to rearrange in-flight work).
         """
 
+    @abstractmethod
     def handle_acquisition_ready(self, instance: Instance) -> None:
-        """React to a new instance becoming usable (subclasses override)."""
+        """React to a new instance becoming usable."""
 
+    @abstractmethod
     def handle_zone_outage(self, zone: str, phase: str, payload: Dict) -> None:
-        """React to a zone-outage phase (subclasses override)."""
+        """React to a zone-outage phase."""
 
     # ------------------------------------------------------------------
     # Event handlers (shared bookkeeping, then delegate to hooks)
@@ -799,14 +809,12 @@ class SpotServeSystem(ServingSystemBase):
             self.model,
             gpus_per_instance=self.gpus_per_instance,
             use_optimal_matching=self.options.optimal_device_mapping,
-            hierarchical=self.options.optimal_device_mapping,
             zone_of=self.provider.zone_of,
         )
         self.migration_planner = MigrationPlanner(
             self.model,
             self.network,
             memory_optimized=self.options.memory_optimized_migration,
-            progressive=self.options.memory_optimized_migration,
         )
         self.transitions = TransitionPlanner(self)
         self._downscale_votes = 0

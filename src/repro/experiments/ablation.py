@@ -30,11 +30,12 @@ ABLATED_SWITCHES: Tuple[str, ...] = (
 )
 
 
-def ablation_options(allow_on_demand: bool = False) -> Dict[str, SpotServeOptions]:
-    """Cumulative ablation presets keyed by the labels used in Figure 9."""
+def ablation_options() -> Dict[str, SpotServeOptions]:
+    """Cumulative ablation presets keyed by the labels used in Figure 9.
+
+    Every preset serves on spot instances only (no on-demand mixing).
+    """
     return {
-        label: SpotServeOptions(
-            allow_on_demand=allow_on_demand, **dict.fromkeys(ABLATED_SWITCHES[:step], False)
-        )
+        label: SpotServeOptions(**dict.fromkeys(ABLATED_SWITCHES[:step], False))
         for step, label in enumerate(ABLATION_ORDER)
     }

@@ -168,11 +168,6 @@ class MultiZoneScenario:
             "cooldown": self.cooldown,
             "arbitrage": self.arbitrage,
         }
-        if self.autoscale_policy == "cost-aware":
-            # The policy's probe cap must reach the scenario's fleet bound,
-            # or fleets past the default 32-instance probe would be
-            # unreachable (the heavy-traffic market allows 36).
-            params["max_probe_instances"] = max(self.max_instances, 32)
         return SpotServeOptions(
             allow_on_demand=self.allow_on_demand,
             autoscale_policy=self.autoscale_policy,

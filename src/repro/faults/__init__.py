@@ -1,10 +1,9 @@
-"""Cloud-fault injection: seeded per-zone fault models and retry policy."""
+"""Cloud-fault injection: seeded per-zone fault models."""
 
 from .injector import (
     DegradedWindow,
     FaultInjector,
     FaultPlan,
-    RetryPolicy,
     ZoneFaultModel,
 )
 
@@ -12,6 +11,5 @@ __all__ = [
     "DegradedWindow",
     "FaultInjector",
     "FaultPlan",
-    "RetryPolicy",
     "ZoneFaultModel",
 ]

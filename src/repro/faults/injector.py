@@ -56,7 +56,6 @@ __all__ = [
     "DegradedWindow",
     "FaultInjector",
     "FaultPlan",
-    "RetryPolicy",
     "ZoneFaultModel",
 ]
 
@@ -158,38 +157,6 @@ class FaultPlan:
             if name == zone:
                 return model
         return self.default_model
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Deterministic capped exponential backoff with seeded jitter.
-
-    ``delay(attempt, u)`` is pure: the caller supplies the uniform draw *u*
-    from its own seeded stream, so the policy itself holds no state and two
-    runs with the same streams back off identically.
-    """
-
-    base_delay: float = 2.0
-    max_delay: float = 30.0
-    max_attempts: int = 6
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if not self.base_delay > 0.0:
-            raise ValueError(f"base_delay must be positive, got {self.base_delay}")
-        if not self.max_delay >= self.base_delay:
-            raise ValueError(
-                f"max_delay must be >= base_delay, got {self.max_delay} < {self.base_delay}"
-            )
-        if self.max_attempts < 0:
-            raise ValueError(f"max_attempts must be >= 0, got {self.max_attempts}")
-        if not self.jitter >= 0.0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-
-    def delay(self, attempt: int, u: float) -> float:
-        """Backoff before retry *attempt* (0-based), jittered by *u* in [0,1)."""
-        raw = min(self.base_delay * (2.0 ** attempt), self.max_delay)
-        return raw * (1.0 + self.jitter * u)
 
 
 class FaultInjector:

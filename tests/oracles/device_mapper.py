@@ -16,9 +16,9 @@ production mapper's hierarchical placement must equal this one down to
 dict order, and its flat matching must reuse the same number of bytes.
 
 :class:`TwoSolveDeviceMapper` is the adoption rule the reuse-bound skip
-replaced: the production matchers, both solved in every round.  The
-production mapper must adopt its placement down to dict order, with
-bit-equal ``reused_bytes``.
+replaced: the production matchers, both solved in every round (the
+greedy ablation has only the flat one).  The production mapper must adopt
+its placement down to dict order, with bit-equal ``reused_bytes``.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -174,7 +174,7 @@ class TwoSolveDeviceMapper(DeviceMapper):
         )
         flat = self._flat_matching(lookup, devices, positions)
         placement = flat
-        if self.hierarchical and self.gpus_per_instance > 1:
+        if self.use_optimal_matching and self.gpus_per_instance > 1:
             hierarchical = self._hierarchical_matching(lookup, devices, positions)
             if self._placement_reuse(lookup, hierarchical) >= self._placement_reuse(
                 lookup, flat
@@ -208,7 +208,7 @@ class ReferenceDeviceMapper(DeviceMapper):
         args = (meta_context, devices, positions, new_config, pipeline_inheritance)
         flat = self.flat_matching(*args)
         placement = flat
-        if self.hierarchical and self.gpus_per_instance > 1:
+        if self.use_optimal_matching and self.gpus_per_instance > 1:
             hierarchical = self.hierarchical_matching(*args)
             if self.placement_reuse(
                 meta_context, hierarchical, new_config, pipeline_inheritance
@@ -315,12 +315,8 @@ class ReferenceDeviceMapper(DeviceMapper):
                 best_inner[(instance_id, group_index)] = inner
                 if weight > 0:
                     group_graph.set_weight(instance_id, group_index, weight)
-        if self.use_optimal_matching:
-            instance_matching = group_graph.maximum_weight_matching()
-        else:
-            instance_matching = group_graph.greedy_matching()
         placement: Placement = {}
-        for instance_id, group_index in instance_matching.items():
+        for instance_id, group_index in group_graph.maximum_weight_matching().items():
             placement.update(best_inner[(instance_id, group_index)])
         self._fill_unassigned(placement, devices, positions)
         return placement

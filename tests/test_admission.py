@@ -4,7 +4,7 @@ Three contracts are pinned here:
 
 * **Policy semantics** -- queue-cap rejects at the cap, deadline-aware
   sheds exactly the requests past the SLO-derived age bound, the token
-  bucket refills at its (possibly adaptive) rate.
+  bucket refills at its adaptive rate up to its burst.
 * **Request conservation under every policy** -- probed at arbitrary
   mid-run instants: ``submitted == completed + unfinished + dropped +
   rejected + shed``.  Rejection and shedding are accounting actions, not
@@ -28,7 +28,10 @@ from repro.core.admission import (
     ADMISSION_POLICIES,
     AdmissionPolicy,
     AdmissionSignal,
+    BUCKET_BURST,
+    MIN_AGE_FRACTION,
     MIN_BUCKET_RATE,
+    QUEUE_CAP,
     DeadlineAwarePolicy,
     QueueCapPolicy,
     TokenBucketPolicy,
@@ -91,29 +94,18 @@ class TestFactory:
             make_admission_policy("definitely-not-a-policy")
 
     def test_params_are_forwarded(self):
-        policy = make_admission_policy("queue-cap", max_queue_depth=3)
-        assert policy.max_queue_depth == 3
+        policy = make_admission_policy("deadline-aware", slo_latency=30.0)
+        assert policy.slo_latency == 30.0
 
 
 class TestQueueCap:
     def test_admits_below_and_rejects_at_the_cap(self):
-        policy = QueueCapPolicy(max_queue_depth=2)
+        assert QUEUE_CAP == 64
+        policy = QueueCapPolicy()
         assert policy.admit(signal(queue_depth=0))
-        assert policy.admit(signal(queue_depth=1))
-        assert not policy.admit(signal(queue_depth=2))
-        assert not policy.admit(signal(queue_depth=50))
-
-    @pytest.mark.parametrize(
-        "cap",
-        [
-            pytest.param(0, id="zero"),
-            pytest.param(float("nan"), id="nan"),
-            pytest.param(float("inf"), id="inf"),
-        ],
-    )
-    def test_rejects_invalid_cap(self, cap):
-        with pytest.raises(ValueError):
-            QueueCapPolicy(max_queue_depth=cap)
+        assert policy.admit(signal(queue_depth=63))
+        assert not policy.admit(signal(queue_depth=64))
+        assert not policy.admit(signal(queue_depth=500))
 
 
 @pytest.mark.parametrize(
@@ -121,10 +113,6 @@ class TestQueueCap:
     [
         pytest.param(DeadlineAwarePolicy, {"slo_latency": float("nan")}, id="nan-slo"),
         pytest.param(DeadlineAwarePolicy, {"slo_latency": float("inf")}, id="inf-slo"),
-        pytest.param(TokenBucketPolicy, {"rate": float("nan")}, id="nan-rate"),
-        pytest.param(TokenBucketPolicy, {"rate": float("inf")}, id="inf-rate"),
-        pytest.param(TokenBucketPolicy, {"burst": float("nan")}, id="nan-burst"),
-        pytest.param(TokenBucketPolicy, {"burst": float("inf")}, id="inf-burst"),
     ],
 )
 def test_rejects_non_finite_params(cls, kwargs):
@@ -147,7 +135,8 @@ class TestDeadlineAware:
     def test_bound_floors_at_the_min_age_fraction(self):
         queue = RequestQueue()
         queue.enqueue(request(94.0))
-        policy = DeadlineAwarePolicy(slo_latency=60.0, min_age_fraction=0.1)
+        assert MIN_AGE_FRACTION == 0.1
+        policy = DeadlineAwarePolicy(slo_latency=60.0)
         # l_exe >= slo would shed brand-new arrivals without the floor
         # (bound would be <= 0); the 0.1 * slo floor keeps t >= 94 alive.
         shed = policy.shed(queue, signal(time=100.0, execution_latency=120.0))
@@ -164,24 +153,33 @@ class TestDeadlineAware:
         assert len(shed) == 1
 
 
+def drain(policy, time):
+    """Admit at *time* until the bucket is dry; return the admitted count."""
+    admitted = 0
+    while policy.admit(signal(time=time)):
+        admitted += 1
+    return admitted
+
+
 class TestTokenBucket:
     def test_consumes_and_refills(self):
-        policy = TokenBucketPolicy(rate=1.0, burst=2.0)
-        assert policy.admit(signal(time=0.0))
-        assert policy.admit(signal(time=0.0))
-        assert not policy.admit(signal(time=0.0))  # bucket dry
+        assert BUCKET_BURST == 16
+        policy = TokenBucketPolicy()
+        policy.observe_round(signal(time=0.0, serving_throughput=1.0))
+        assert drain(policy, 0.0) == 16  # a full bucket, then dry
         assert policy.admit(signal(time=1.0))  # one refilled
         assert not policy.admit(signal(time=1.0))
 
     def test_burst_caps_the_refill(self):
-        policy = TokenBucketPolicy(rate=10.0, burst=2.0)
-        assert policy.admit(signal(time=100.0))
-        assert policy.admit(signal(time=100.0))
-        assert not policy.admit(signal(time=100.0))
+        policy = TokenBucketPolicy()
+        policy.observe_round(signal(time=0.0, serving_throughput=10.0))
+        assert drain(policy, 0.0) == 16
+        # 100 s at 10 tokens/s refill 1,000 tokens; the bucket keeps 16.
+        assert drain(policy, 100.0) == 16
 
     def test_adaptive_rate_follows_the_round_signal(self):
-        policy = TokenBucketPolicy(burst=1.0)
-        assert policy.admit(signal(time=0.0))
+        policy = TokenBucketPolicy()
+        assert drain(policy, 0.0) == 16
         # Before any round the bucket refills at the floor rate.
         refill = 1.0 / MIN_BUCKET_RATE
         assert not policy.admit(signal(time=0.95 * refill))
@@ -192,12 +190,6 @@ class TestTokenBucket:
         policy.observe_round(signal(time=now, serving_throughput=2.5))
         assert not policy.admit(signal(time=now + 0.3))
         assert policy.admit(signal(time=now + 0.5))
-        # A configured rate never adapts.
-        fixed = TokenBucketPolicy(rate=1.5, burst=1.0)
-        assert fixed.admit(signal(time=0.0))
-        fixed.observe_round(signal(time=0.0, serving_throughput=9.0))
-        assert not fixed.admit(signal(time=0.5))
-        assert fixed.admit(signal(time=0.7))
 
 
 class TestRequestQueueShed:

@@ -40,7 +40,7 @@ SIZES = {"serve": 1200.0, "ingest": 600.0}
 ADMISSION = {
     "none": {"admission": None, "admission_params": None},
     "deadline-aware": {"admission": "deadline-aware", "admission_params": {"slo_latency": 60.0}},
-    "queue-cap": {"admission": "queue-cap", "admission_params": {"max_queue_depth": 200}},
+    "queue-cap": {"admission": "queue-cap", "admission_params": None},
     "token-bucket": {"admission": "token-bucket", "admission_params": None},
 }
 

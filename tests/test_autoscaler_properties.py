@@ -89,11 +89,10 @@ def random_signal(rng: np.random.Generator, time: float = 0.0) -> AutoscaleSigna
         zones.append(
             ZoneView(
                 name=f"zone-{index}",
-                alive_instances=alive,
                 capacity_remaining=int(rng.integers(0, 9)),
                 spot_price=float(np.round(rng.uniform(0.5, 5.0), 2)),
                 on_demand_price=float(np.round(rng.uniform(2.0, 9.0), 2)),
-                releasable_instances=releasable,
+                releasable=releasable,
             )
         )
     current = int(rng.integers(0, 17))

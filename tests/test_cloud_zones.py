@@ -5,7 +5,7 @@ import pytest
 
 from repro.cloud.instance import DEFAULT_ZONE, G4DN_12XLARGE, Market
 from repro.cloud.manager import InstanceManager
-from repro.cloud.pricing import PriceSchedule
+from repro.cloud.pricing import BillingRecord, PriceSchedule
 from repro.cloud.provider import CloudProvider
 from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind
 from repro.cloud.zone import ZoneSpec, single_zone, validate_zones
@@ -39,7 +39,7 @@ def three_zones():
 class TestPriceSchedule:
     def test_flat_schedule(self):
         schedule = PriceSchedule.flat(1.9)
-        assert schedule.is_flat
+        assert schedule.changes == ()
         assert schedule.price_at(0.0) == 1.9
         assert schedule.price_at(1e6) == 1.9
 
@@ -62,6 +62,21 @@ class TestPriceSchedule:
         schedule = PriceSchedule.flat(2.0)
         assert schedule.cost_between(50.0, 50.0) == 0.0
         assert schedule.cost_between(60.0, 50.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "start, end, price",
+        [
+            (0.0, 3600.0, 1.9),
+            (12.3, 4567.89, 3.06),
+            (1e-3, 1e6 + 0.1, 0.7),
+            (250.0, 100.0, 2.0),
+        ],
+    )
+    def test_a_flat_bill_is_one_product(self, start, end, price):
+        # One billing path for every record: at a flat price it accrues the
+        # same float as the hours-times-price product.
+        record = BillingRecord("i-0", Market.SPOT, start, PriceSchedule.flat(price), end=end)
+        assert record.cost(end) == max(end - start, 0.0) / 3600.0 * price
 
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
@@ -133,8 +148,9 @@ class TestMultiZoneProvider:
         provider = CloudProvider(sim, zones=three_zones())
         zones = {provider.zone_of(inst.instance_id) for inst in provider._instances.values()}
         assert zones == {"alpha", "beta", "gamma"}
-        for inst in provider.instances_in_zone("alpha"):
-            assert inst.zone == "alpha"
+        alpha = [inst for inst in provider._instances.values() if inst.zone == "alpha"]
+        assert alpha
+        for inst in alpha:
             assert inst.instance_id.startswith("alpha-")
 
     def test_preemptions_stay_in_their_zone(self):
@@ -212,7 +228,9 @@ class TestMultiZoneProvider:
                 lambda e: picked.append(e.payload["instance"].zone),
             )
             sim.run(until=200.0)
-            fleet = sorted(i.instance_id for i in provider.instances_in_zone("alpha"))
+            fleet = sorted(
+                i.instance_id for i in provider._instances.values() if i.zone == "alpha"
+            )
             return picked, len(fleet)
 
         assert run_once() == run_once()

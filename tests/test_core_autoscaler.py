@@ -3,6 +3,12 @@
 import pytest
 
 from repro.core.autoscaler import (
+    COST_AWARE_HEADROOM,
+    MAX_QUEUE_DELAY,
+    MIN_PROBE_INSTANCES,
+    SCALE_DOWN_UTILIZATION,
+    TARGET_UTILIZATION,
+    UTILIZATION_DEAD_BAND,
     Autoscaler,
     AutoscaleSignal,
     CostAwarePolicy,
@@ -43,31 +49,32 @@ def make_signal(
     )
 
 
-def zone(name, alive=2, room=4, spot=1.9, on_demand=3.9, releasable=None):
+def zone(name, room=4, spot=1.9, on_demand=3.9, releasable=2):
     return ZoneView(
         name=name,
-        alive_instances=alive,
         capacity_remaining=room,
         spot_price=spot,
         on_demand_price=on_demand,
-        releasable_instances=releasable,
+        releasable=releasable,
     )
 
 
 class TestTargetUtilizationPolicy:
     def test_holds_inside_dead_band(self):
-        policy = TargetUtilizationPolicy(target=0.5, dead_band=0.1)
-        signal = make_signal(arrival_rate=1.0, serving_throughput=2.0)  # util 0.5
+        assert (TARGET_UTILIZATION, UTILIZATION_DEAD_BAND) == (0.7, 0.1)
+        policy = TargetUtilizationPolicy()
+        signal = make_signal(arrival_rate=1.5, serving_throughput=2.0)  # util 0.75
         assert policy.desired_instances(signal) == signal.current_instances
 
     def test_scales_up_proportionally(self):
-        policy = TargetUtilizationPolicy(target=0.5, dead_band=0.05)
-        # Utilization 1.0 at 4 instances -> needs 8 to sit at 50%.
+        policy = TargetUtilizationPolicy()
+        # Utilization 1.0 at 4 instances -> needs ceil(4 / 0.7) = 6 to sit
+        # at or below 70%.
         signal = make_signal(arrival_rate=2.0, serving_throughput=2.0, current_instances=4)
-        assert policy.desired_instances(signal) == 8
+        assert policy.desired_instances(signal) == 6
 
     def test_scales_down_when_idle(self):
-        policy = TargetUtilizationPolicy(target=0.8, dead_band=0.05)
+        policy = TargetUtilizationPolicy()
         signal = make_signal(arrival_rate=0.2, serving_throughput=2.0, current_instances=10)
         assert policy.desired_instances(signal) < 10
 
@@ -76,34 +83,23 @@ class TestTargetUtilizationPolicy:
         signal = make_signal(serving_throughput=0.0, arrival_rate=1.0, current_instances=3)
         assert policy.desired_instances(signal) == 4
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            pytest.param({"target": 0.0}, id="zero-target"),
-            pytest.param({"dead_band": -0.1}, id="negative-dead-band"),
-            pytest.param({"dead_band": float("nan")}, id="nan-dead-band"),
-            pytest.param({"dead_band": float("inf")}, id="inf-dead-band"),
-        ],
-    )
-    def test_invalid_params_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            TargetUtilizationPolicy(**kwargs)
-
 
 class TestQueueLatencyPolicy:
     def test_holds_when_queue_drains_fast(self):
-        policy = QueueLatencyPolicy(max_queue_delay=60.0)
+        assert MAX_QUEUE_DELAY == 60.0
+        policy = QueueLatencyPolicy()
         signal = make_signal(queue_depth=10, serving_throughput=1.0, arrival_rate=0.9)
         assert policy.desired_instances(signal) == signal.current_instances
 
     def test_scales_up_on_deep_queue(self):
-        policy = QueueLatencyPolicy(max_queue_delay=60.0)
+        policy = QueueLatencyPolicy()
         # 300 queued at 1 req/s -> 300s of backlog, 5x the bound.
         signal = make_signal(queue_depth=300, serving_throughput=1.0, current_instances=4)
         assert policy.desired_instances(signal) == 8
 
     def test_scales_down_when_empty_and_underutilized(self):
-        policy = QueueLatencyPolicy(scale_down_utilization=0.5)
+        assert SCALE_DOWN_UTILIZATION == 0.5
+        policy = QueueLatencyPolicy()
         signal = make_signal(queue_depth=0, arrival_rate=0.1, serving_throughput=1.0,
                              current_instances=6)
         assert policy.desired_instances(signal) == 5
@@ -112,19 +108,6 @@ class TestQueueLatencyPolicy:
         policy = QueueLatencyPolicy()
         signal = make_signal(queue_depth=5, serving_throughput=0.0, current_instances=2)
         assert policy.desired_instances(signal) == 3
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            pytest.param({"max_queue_delay": 0.0}, id="zero-max-queue-delay"),
-            pytest.param({"scale_down_utilization": 1.0}, id="full-scale-down-utilization"),
-            pytest.param({"max_queue_delay": float("nan")}, id="nan-max-queue-delay"),
-            pytest.param({"max_queue_delay": float("inf")}, id="inf-max-queue-delay"),
-        ],
-    )
-    def test_invalid_params_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            QueueLatencyPolicy(**kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -144,32 +127,13 @@ class TestCostAwarePolicy:
         assert 1 <= desired < 8
         # The chosen fleet really does sustain the demand with headroom.
         decision = controller.propose(desired, signal.arrival_rate)
-        assert decision.estimate.throughput >= 0.3 * policy.headroom
+        assert decision.estimate.throughput >= 0.3 * COST_AWARE_HEADROOM
 
     def test_higher_rate_needs_more_instances(self, controller):
         policy = CostAwarePolicy(controller)
         low = policy.desired_instances(make_signal(arrival_rate=0.2))
         high = policy.desired_instances(make_signal(arrival_rate=3.0))
         assert high > low
-
-    def test_budget_caps_fleet(self, controller):
-        zones = [zone("cheap", spot=2.0)]
-        unbounded = CostAwarePolicy(controller)
-        capped = CostAwarePolicy(controller, budget_per_hour=4.0)  # 2 instances max
-        signal = make_signal(arrival_rate=5.0, zones=zones)
-        assert capped.desired_instances(signal) <= 2
-        assert unbounded.desired_instances(signal) > 2
-
-    def test_budget_uses_on_demand_price_when_spot_closed(self, controller):
-        # Regression: with spot requests closed, grants accrue at on-demand
-        # prices, so the budget must divide by those.
-        zones = [zone("z", spot=1.0, on_demand=3.0)]
-        policy = CostAwarePolicy(controller, budget_per_hour=10.0)
-        open_market = make_signal(arrival_rate=5.0, zones=zones)
-        closed_market = make_signal(arrival_rate=5.0, zones=zones,
-                                    spot_requests_allowed=False)
-        assert policy.desired_instances(open_market) <= 10
-        assert policy.desired_instances(closed_market) <= 3  # 10 / $3 on-demand
 
     def test_unreachable_demand_picks_smallest_max_throughput_fleet(self):
         # Regression: when no fleet sustains the demand, pay for the
@@ -203,32 +167,17 @@ class TestCostAwarePolicy:
         with pytest.raises(ValueError):
             make_policy("cost-aware")
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            pytest.param({"headroom": 0.5}, id="headroom-below-one"),
-            pytest.param({"budget_per_hour": 0.0}, id="zero-budget"),
-            pytest.param({"headroom": float("nan")}, id="nan-headroom"),
-            pytest.param({"headroom": float("inf")}, id="inf-headroom"),
-            pytest.param({"budget_per_hour": float("nan")}, id="nan-budget"),
-            pytest.param({"budget_per_hour": float("inf")}, id="inf-budget"),
-        ],
-    )
-    def test_invalid_params_rejected(self, controller, kwargs):
-        with pytest.raises(ValueError):
-            CostAwarePolicy(controller, **kwargs)
-
 
 class TestAutoscaler:
     def _autoscaler(self, **kwargs):
         kwargs.setdefault("min_instances", 1)
         kwargs.setdefault("max_instances", 10)
         kwargs.setdefault("cooldown", 60.0)
-        return Autoscaler(TargetUtilizationPolicy(target=0.5, dead_band=0.05), **kwargs)
+        return Autoscaler(TargetUtilizationPolicy(), **kwargs)
 
     def test_noop_when_at_desired_size(self):
         scaler = self._autoscaler()
-        signal = make_signal(arrival_rate=1.0, serving_throughput=2.0)  # util at target
+        signal = make_signal(arrival_rate=1.4, serving_throughput=2.0)  # util at target
         decision = scaler.plan(signal)
         assert decision.is_noop
 
@@ -236,7 +185,7 @@ class TestAutoscaler:
         scaler = self._autoscaler()
         zones = [zone("pricey", spot=3.0, room=8), zone("cheap", spot=1.0, room=2),
                  zone("mid", spot=2.0, room=8)]
-        signal = make_signal(arrival_rate=2.0, serving_throughput=2.0,
+        signal = make_signal(arrival_rate=2.6, serving_throughput=2.0,
                              current_instances=4, zones=zones)
         decision = scaler.plan(signal)  # wants 8, delta +4
         assert decision.acquire == {"cheap": 2, "mid": 2}
@@ -244,7 +193,7 @@ class TestAutoscaler:
 
     def test_releases_most_expensive_zone_first(self):
         scaler = self._autoscaler()
-        zones = [zone("cheap", spot=1.0, alive=4), zone("pricey", spot=3.0, alive=2)]
+        zones = [zone("cheap", spot=1.0, releasable=4), zone("pricey", spot=3.0)]
         signal = make_signal(arrival_rate=0.25, serving_throughput=2.0,
                              current_instances=6, zones=zones)
         decision = scaler.plan(signal)  # wants ~2, delta -4
@@ -276,7 +225,7 @@ class TestAutoscaler:
 
     def test_scale_down_cooldown_is_longer(self):
         scaler = self._autoscaler(cooldown=60.0)  # scale-down window 120s
-        zones = [zone("z", alive=8, room=4)]
+        zones = [zone("z", releasable=8, room=4)]
         grow = make_signal(time=0.0, arrival_rate=2.0, serving_throughput=2.0,
                            current_instances=4, zones=zones)
         assert not scaler.plan(grow).is_noop
@@ -287,6 +236,22 @@ class TestAutoscaler:
                                   current_instances=8, zones=zones)
         assert not scaler.plan(shrink_late).is_noop
 
+    @pytest.mark.parametrize("cooldown", [15.0, 45.0, 90.0])
+    def test_scale_down_waits_twice_the_cooldown(self, cooldown):
+        scaler = self._autoscaler(cooldown=cooldown)
+        zones = [zone("z", releasable=8, room=4)]
+        grow = make_signal(time=0.0, arrival_rate=2.0, serving_throughput=2.0,
+                           current_instances=4, zones=zones)
+        assert not scaler.plan(grow).is_noop
+
+        def shrink(time):
+            return scaler.plan(make_signal(time=time, arrival_rate=0.25,
+                                           serving_throughput=2.0,
+                                           current_instances=8, zones=zones))
+
+        assert shrink(2.0 * cooldown - 1.0).is_noop
+        assert not shrink(2.0 * cooldown).is_noop
+
     def test_acquire_uses_on_demand_prices_when_spot_requests_disabled(self):
         # Regression: with spot requests off every grant lands on-demand, so
         # "cheapest zone" must mean cheapest *on-demand* zone.
@@ -295,7 +260,7 @@ class TestAutoscaler:
             zone("spot-cheap", spot=1.5, on_demand=5.0, room=8),
             zone("od-cheap", spot=1.9, on_demand=3.0, room=8),
         ]
-        signal = make_signal(arrival_rate=2.0, serving_throughput=2.0,
+        signal = make_signal(arrival_rate=2.6, serving_throughput=2.0,
                              current_instances=4, spot_requests_allowed=False,
                              zones=zones)
         decision = scaler.plan(signal)
@@ -306,8 +271,8 @@ class TestAutoscaler:
         # highest on-demand price, whatever the spot quotes say.
         scaler = self._autoscaler()
         zones = [
-            zone("spot-pricey", spot=2.0, on_demand=3.0, alive=4, releasable=4),
-            zone("od-pricey", spot=1.5, on_demand=5.0, alive=4, releasable=4),
+            zone("spot-pricey", spot=2.0, on_demand=3.0, releasable=4),
+            zone("od-pricey", spot=1.5, on_demand=5.0, releasable=4),
         ]
         signal = make_signal(arrival_rate=0.25, serving_throughput=2.0,
                              current_instances=8, spot_requests_allowed=False,
@@ -335,12 +300,12 @@ class TestAutoscaler:
         scaler = self._autoscaler(cooldown=0.0)
         zones = [zone("z", room=20)]
         first = scaler.plan(
-            make_signal(arrival_rate=2.0, serving_throughput=2.0,
+            make_signal(arrival_rate=2.6, serving_throughput=2.0,
                         current_instances=4, zones=zones)
         )
         assert first.acquire == {"z": 4}
         followup = scaler.plan(
-            make_signal(time=30.0, arrival_rate=2.0, serving_throughput=2.0,
+            make_signal(time=30.0, arrival_rate=2.6, serving_throughput=2.0,
                         current_instances=4, pending_instances=4, zones=zones)
         )
         assert followup.is_noop
@@ -350,8 +315,8 @@ class TestAutoscaler:
         # (releasable=0) must not absorb the whole release request.
         scaler = self._autoscaler()
         zones = [
-            zone("pricey", spot=3.0, alive=2, releasable=0),
-            zone("cheap", spot=1.0, alive=4, releasable=2),
+            zone("pricey", spot=3.0, releasable=0),
+            zone("cheap", spot=1.0, releasable=2),
         ]
         signal = make_signal(arrival_rate=0.25, serving_throughput=2.0,
                              current_instances=6, zones=zones)
@@ -360,13 +325,13 @@ class TestAutoscaler:
 
     def test_nothing_releasable_does_not_burn_cooldown(self):
         scaler = self._autoscaler()
-        pinned = [zone("z", alive=4, releasable=0)]
+        pinned = [zone("z", releasable=0)]
         shrink = make_signal(arrival_rate=0.25, serving_throughput=2.0,
                              current_instances=4, zones=pinned)
         assert scaler.plan(shrink).is_noop
         # A release becomes possible immediately afterwards: no cooldown in
         # the way because the failed attempt never counted as an action.
-        free = [zone("z", alive=4, releasable=2)]
+        free = [zone("z", releasable=2)]
         retry = make_signal(time=1.0, arrival_rate=0.25, serving_throughput=2.0,
                             current_instances=4, zones=free)
         assert scaler.plan(retry).release == {"z": 2}
@@ -385,9 +350,6 @@ class TestAutoscaler:
             pytest.param({"cooldown": -1.0}, id="negative-cooldown"),
             pytest.param({"cooldown": float("nan")}, id="nan-cooldown"),
             pytest.param({"cooldown": float("inf")}, id="inf-cooldown"),
-            pytest.param({"scale_down_cooldown": -1.0}, id="negative-scale-down-cooldown"),
-            pytest.param({"scale_down_cooldown": float("nan")}, id="nan-scale-down-cooldown"),
-            pytest.param({"scale_down_cooldown": float("inf")}, id="inf-scale-down-cooldown"),
         ],
     )
     def test_invalid_bounds_rejected(self, kwargs):
@@ -412,11 +374,19 @@ class TestFactories:
             min_instances=2,
             max_instances=12,
             cooldown=90.0,
-            headroom=1.2,
         )
         assert scaler.min_instances == 2
         assert scaler.max_instances == 12
-        assert scaler.policy.headroom == 1.2
+        assert scaler.cooldown == 90.0
+
+    def test_cost_aware_probe_reaches_the_fleet_bound(self, controller):
+        # The probe covers every fleet the bounds allow, and never fewer
+        # than MIN_PROBE_INSTANCES.
+        assert MIN_PROBE_INSTANCES == 32
+        small = make_autoscaler("cost-aware", controller=controller, max_instances=12)
+        large = make_autoscaler("cost-aware", controller=controller, max_instances=36)
+        assert small.policy.max_probe_instances == 32
+        assert large.policy.max_probe_instances == 36
 
 
 class TestCostAwareSweepCache:
@@ -425,8 +395,8 @@ class TestCostAwareSweepCache:
     @staticmethod
     def uncached_desired(controller, policy, signal):
         """The pre-cache implementation: re-sweep with the signal's rate."""
-        demand = signal.arrival_rate * policy.headroom
-        cap = min(policy.max_probe_instances, policy._budget_cap(signal))
+        demand = signal.arrival_rate * COST_AWARE_HEADROOM
+        cap = policy.max_probe_instances
         best_by_count = {}
         for config in controller.config_space.feasible_configs(cap):
             estimate = controller.estimate(config, signal.arrival_rate)
@@ -455,7 +425,8 @@ class TestCostAwareSweepCache:
     def test_repeated_rounds_hit_the_cache(self, controller):
         policy = CostAwarePolicy(controller)
         policy.desired_instances(make_signal(arrival_rate=0.4))
-        assert len(policy._sweep_cache) == 1
+        table = policy._best_by_count
+        assert table
         policy.desired_instances(make_signal(arrival_rate=0.9))
         policy.desired_instances(make_signal(arrival_rate=2.2))
-        assert len(policy._sweep_cache) == 1  # same cap
+        assert policy._best_by_count is table  # swept once

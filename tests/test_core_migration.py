@@ -80,15 +80,46 @@ class TestMigrationPlan:
         assert plan.storage_load_time == 0.0
 
     def test_progressive_stall_is_at_most_total_time(self):
+        # The memory-optimised planner resumes progressively; the naive
+        # ablation blocks for the whole migration.
         old = ParallelConfig(1, 2, 8, 8)
         new = ParallelConfig(1, 3, 4, 8)
-        progressive = MigrationPlanner(GPT_20B, progressive=True)
-        blocking = MigrationPlanner(GPT_20B, progressive=False)
+        progressive = MigrationPlanner(GPT_20B, memory_optimized=True)
+        blocking = MigrationPlanner(GPT_20B, memory_optimized=False)
         plan_prog, _ = plan_transition(GPT_20B, old, new, 4, planner=progressive)
         plan_block, _ = plan_transition(GPT_20B, old, new, 4, planner=blocking)
         assert plan_prog.stall_time <= plan_prog.total_time + 1e-9
         assert plan_block.stall_time == pytest.approx(plan_block.total_time)
         assert plan_prog.stall_time < plan_block.stall_time
+
+    @pytest.mark.parametrize(
+        "model, old, new, num_instances, cached_tokens",
+        [
+            pytest.param(GPT_20B, (1, 2, 8, 8), (1, 3, 4, 8), 4, 0, id="20b-reshape"),
+            pytest.param(GPT_20B, (1, 2, 8, 8), (1, 3, 4, 8), 4, 256, id="20b-reshape-cache"),
+            pytest.param(GPT_20B, (1, 3, 4, 8), (2, 3, 4, 8), 6, 0, id="20b-add-pipeline"),
+            pytest.param(OPT_6_7B, (1, 2, 4, 8), (2, 2, 2, 8), 2, 128, id="6.7b-split-cache"),
+        ],
+    )
+    def test_only_the_memory_optimized_planner_resumes_progressively(
+        self, model, old, new, num_instances, cached_tokens
+    ):
+        plans = {
+            memory_optimized: plan_transition(
+                model,
+                ParallelConfig(*old),
+                ParallelConfig(*new),
+                num_instances,
+                planner=MigrationPlanner(model, memory_optimized=memory_optimized),
+                cached_tokens=cached_tokens,
+            )[0]
+            for memory_optimized in (True, False)
+        }
+        naive, optimized = plans[False], plans[True]
+        assert naive.total_time > 0
+        assert naive.stall_time == pytest.approx(naive.total_time)
+        assert optimized.stall_time <= optimized.total_time + 1e-9
+        assert optimized.stall_time < naive.stall_time
 
     def test_memory_optimized_ordering_respects_buffer_bound(self):
         old = ParallelConfig(1, 2, 8, 8)

@@ -6,7 +6,12 @@ import pytest
 
 from repro.cloud.provider import CloudProvider
 from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind
-from repro.core.server import ARRIVAL_RATE_WINDOW, SpotServeOptions, SpotServeSystem
+from repro.core.server import (
+    ARRIVAL_RATE_WINDOW,
+    ServingSystemBase,
+    SpotServeOptions,
+    SpotServeSystem,
+)
 from repro.llm.spec import GPT_20B, OPT_6_7B
 from repro.sim.engine import Simulator
 from repro.sim.events import EventType
@@ -234,6 +239,79 @@ class TestOptionsValidation:
         # None means no SLO.
         SpotServeOptions(slo_latency=None)
         SpotServeOptions(slo_latency=1e-6)
+
+
+CLOUD_EVENT_HOOKS = (
+    "handle_preemption_final",
+    "handle_acquisition_ready",
+    "handle_zone_outage",
+)
+
+
+def system_class(hooks):
+    """A ServingSystemBase subclass defining exactly *hooks* as no-ops."""
+    return type(
+        "PartialSystem",
+        (ServingSystemBase,),
+        {hook: lambda self, *args: None for hook in hooks},
+    )
+
+
+class TestSystemHooks:
+    @pytest.mark.parametrize("missing", CLOUD_EVENT_HOOKS)
+    def test_a_system_missing_a_cloud_event_hook_cannot_be_built(self, missing):
+        cls = system_class(hook for hook in CLOUD_EVENT_HOOKS if hook != missing)
+        simulator = Simulator()
+        provider = CloudProvider(simulator, steady_trace())
+        with pytest.raises(TypeError, match=missing):
+            cls(simulator, provider, OPT_6_7B)
+
+    def test_the_notice_and_early_reclaim_hooks_default_to_nothing(self):
+        # RequestReroutingSystem inherits both, so they stay concrete.
+        assert ServingSystemBase.__abstractmethods__ == frozenset(CLOUD_EVENT_HOOKS)
+        simulator = Simulator()
+        provider = CloudProvider(simulator, steady_trace())
+        system = system_class(CLOUD_EVENT_HOOKS)(simulator, provider, OPT_6_7B)
+        instance = next(iter(provider._instances.values()))
+        assert system.handle_preemption_notice(instance, 30.0) is None
+        assert system.handle_early_preemption(instance, 30.0) is None
+
+
+class TestFoldedSettings:
+    """A configuration still naming a setting that became a constant is
+    refused when the system is built, so no run silently serves with the
+    constant in place of the value it asked for."""
+
+    @pytest.mark.parametrize(
+        "policy, param",
+        [
+            ("target-utilization", "scale_down_cooldown"),
+            ("target-utilization", "target"),
+            ("target-utilization", "dead_band"),
+            ("queue-latency", "max_queue_delay"),
+            ("queue-latency", "scale_down_utilization"),
+            ("cost-aware", "headroom"),
+            ("cost-aware", "budget_per_hour"),
+        ],
+    )
+    def test_autoscale_params(self, policy, param):
+        options = SpotServeOptions(autoscale_policy=policy, autoscale_params={param: 1.0})
+        with pytest.raises(TypeError, match=param):
+            build_system(steady_trace(), model=OPT_6_7B, options=options)
+
+    @pytest.mark.parametrize(
+        "policy, param",
+        [
+            ("queue-cap", "max_queue_depth"),
+            ("deadline-aware", "min_age_fraction"),
+            ("token-bucket", "rate"),
+            ("token-bucket", "burst"),
+        ],
+    )
+    def test_admission_params(self, policy, param):
+        options = SpotServeOptions(admission=policy, admission_params={param: 1.0})
+        with pytest.raises(TypeError, match=f"{param}|takes no arguments"):
+            build_system(steady_trace(), model=OPT_6_7B, options=options)
 
 
 class TestArrivalRateEstimator:

@@ -27,7 +27,15 @@ import pytest
 
 from repro.cloud.manager import InstanceManager
 from repro.cloud.provider import CloudProvider
-from repro.core.acquisition import FleetAcquirer
+from repro.cloud.trace import AvailabilityTrace
+from repro.core.acquisition import (
+    RETRY_BASE_DELAY,
+    RETRY_JITTER,
+    RETRY_MAX_ATTEMPTS,
+    RETRY_MAX_DELAY,
+    FleetAcquirer,
+    retry_delay,
+)
 from repro.core.reconfiguration import TransitionPlanner
 from repro.core.server import SpotServeOptions, SpotServeSystem
 from repro.experiments.runner import run_scenario_experiment, run_serving_experiment
@@ -41,7 +49,6 @@ from repro.faults.injector import (
     DegradedWindow,
     FaultInjector,
     FaultPlan,
-    RetryPolicy,
     ZoneFaultModel,
 )
 from repro.llm.spec import get_model
@@ -105,10 +112,11 @@ class TestFaultPlan:
         assert injector.bandwidth_factor(175.0) == 1.0
 
 
-class TestRetryPolicy:
+class TestRetryDelay:
     def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy(base_delay=2.0, max_delay=30.0, jitter=0.0)
-        assert [policy.delay(a, 0.0) for a in range(6)] == [
+        assert (RETRY_BASE_DELAY, RETRY_MAX_DELAY) == (2.0, 30.0)
+        # A zero draw adds no jitter.
+        assert [retry_delay(a, 0.0) for a in range(6)] == [
             2.0,
             4.0,
             8.0,
@@ -118,13 +126,42 @@ class TestRetryPolicy:
         ]
 
     def test_jitter_scales_with_draw(self):
-        policy = RetryPolicy(base_delay=2.0, jitter=0.25)
-        assert policy.delay(0, 0.0) == 2.0
-        assert policy.delay(0, 1.0) == pytest.approx(2.5)
+        assert RETRY_JITTER == 0.25
+        assert retry_delay(0, 0.0) == 2.0
+        assert retry_delay(0, 1.0) == pytest.approx(2.5)
 
     def test_delay_is_pure(self):
-        policy = RetryPolicy()
-        assert policy.delay(3, 0.5) == policy.delay(3, 0.5)
+        assert retry_delay(3, 0.5) == retry_delay(3, 0.5)
+
+
+class TestRetryBudget:
+    @pytest.mark.parametrize("first_attempt", range(RETRY_MAX_ATTEMPTS + 1))
+    def test_a_refused_request_retries_until_the_budget_is_spent(self, first_attempt):
+        # The cloud refuses every request, so a retry chain started at
+        # *first_attempt* fires once per attempt left in the budget, each
+        # after its jittered backoff, then reports the instance unmet; a
+        # chain whose budget is already spent schedules nothing.
+        simulator = Simulator()
+        trace = AvailabilityTrace(name="flat", initial_instances=2, events=[], duration=600.0)
+        plan = FaultPlan(seed=0, default_model=ZoneFaultModel(refusal_prob=1.0))
+        provider = CloudProvider(simulator, trace, fault_injector=FaultInjector(plan))
+        system = SpotServeSystem(
+            simulator, provider, get_model("OPT-6.7B"),
+            options=SpotServeOptions(allow_on_demand=True),
+        )
+        fired = RETRY_MAX_ATTEMPTS - first_attempt
+        assert system.acquirer._retry(1, None, attempt=first_attempt, trigger="test") == (
+            fired > 0
+        )
+        simulator.run()
+        stats = system.stats
+        assert stats.acquisition_retries == fired
+        assert stats.allocation_refusals == fired
+        assert stats.allocation_shortfall == (1 if fired else 0)
+        assert system.acquirer.pending_retries == 0
+        backoffs = range(first_attempt, RETRY_MAX_ATTEMPTS)
+        assert sum(retry_delay(a, 0.0) for a in backoffs) <= simulator.now
+        assert simulator.now <= sum(retry_delay(a, 1.0) for a in backoffs)
 
 
 class TestSpecValidation:
@@ -146,20 +183,6 @@ class TestSpecValidation:
     def test_zone_fault_model_rejects(self, kwargs):
         with pytest.raises(ValueError):
             ZoneFaultModel(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"base_delay": -1.0},
-            {"base_delay": 0.0},
-            {"base_delay": 10.0, "max_delay": 5.0},
-            {"max_attempts": -3},
-            {"jitter": -0.5},
-        ],
-    )
-    def test_retry_policy_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
 
     @pytest.mark.parametrize(
         "window",
@@ -189,7 +212,6 @@ class TestSpecValidation:
             min_grace_fraction=0.0,
         )
         ZoneFaultModel(min_grace_fraction=1.0)
-        RetryPolicy(base_delay=5.0, max_delay=5.0, max_attempts=0, jitter=0.0)
         DegradedWindow(0.0, 1e-9, 0.5)
 
 

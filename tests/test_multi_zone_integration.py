@@ -42,7 +42,7 @@ class TestThreeZoneScenario:
         # The cheap zone spikes mid-run (the capacity-crunch event).
         cheap = min(prices, key=prices.get)
         spiking = next(zone for zone in zones if zone.name == cheap)
-        assert not spiking.spot_pricing.is_flat
+        assert spiking.spot_pricing.changes
 
     def test_serves_the_workload(self, result):
         assert result.submitted_requests > 100

@@ -749,7 +749,8 @@ class TestPerTenantBills:
         )
         expected = {name: 0.0 for name in watch.system.systems}
         for record in tracker.iter_records():
-            assert record.schedule is None or record.schedule.is_flat
+            assert not record.schedule.changes  # every zone here bills flat
+            price = record.schedule.base_price
             end = record.end if record.end is not None else now
             changes = sorted(
                 t for t, iid, _ in watch.history
@@ -758,7 +759,7 @@ class TestPerTenantBills:
             bounds = [record.start, *changes, end]
             for left, right in zip(bounds, bounds[1:]):
                 owner = watch.owner_at(record.instance_id, left)
-                expected[owner] += (right - left) / 3600.0 * record.price_per_hour
+                expected[owner] += (right - left) / 3600.0 * price
         costs = watch.system.tenant_costs(now)
         assert set(costs) == set(expected)
         for name, cost in expected.items():

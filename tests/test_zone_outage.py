@@ -152,7 +152,7 @@ class TestProviderOutage:
         assert not notices
         phases = [e.payload["phase"] for e in outage_events]
         assert phases == ["down"]
-        dead = provider.instances_in_zone("zone-a")
+        dead = [inst for inst in provider._instances.values() if inst.zone == "zone-a"]
         assert all(inst.state is InstanceState.PREEMPTED for inst in dead)
         assert outage_events[0].payload["failed_instances"] == sorted(
             dead, key=lambda inst: inst.instance_id
