@@ -122,13 +122,12 @@ class AdmissionPolicy(ABC):
         Called on every arrival, before it is enqueued or counted in the
         arrival-rate window, when the policy's class overrides this
         method.  The decision reads the serving state, not the request:
-        an arrival that finds every pipeline busy is taken in by an
-        earlier arrival's event and has no ``Request`` yet (the queue
-        builds one only when a batch takes it), and *signal* still
-        carries its own arrival time and the queue depth it found.  The
-        serving system checks the override once, when it is built: this
-        base admits everything, so a policy that inherits it is never
-        called and no signal is built for it.
+        an arrival the serving system takes in without an event of its
+        own has no ``Request`` yet (the queue builds one only when a batch
+        takes it), and *signal* still carries its own arrival time and the
+        queue depth it found.  The serving system checks the override
+        once, when it is built: this base admits everything, so a policy
+        that inherits it is never called and no signal is built for it.
 
         Args:
             signal: Arrival-instant snapshot (time, queue depth).

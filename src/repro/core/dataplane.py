@@ -3,24 +3,35 @@
 :class:`Dataplane` owns everything between an admitted request and a
 completed one: the FIFO :class:`~repro.engine.batching.RequestQueue`, the
 deployed configuration's :class:`~repro.engine.pipeline.InferencePipeline`
-set, the ``BATCH_COMPLETION`` events that drive them, the interrupted
-batches waiting to resume, and the stall gate that holds dispatch while a
+set, the pending completions of their batches, the interrupted batches
+waiting to resume, and the stall gate that holds dispatch while a
 migration runs.  The control plane tells it what to deploy, when to stop
 and when to resume; it never picks a configuration itself.
 
-Dispatch claims idle pipelines from an index, so an event on a saturated
-fleet reads no pipeline state: :attr:`Dataplane.idle`, a min-heap of the
+A started batch schedules no event.  Its completion joins
+:attr:`Dataplane.completions`, a min-heap of ``(time, order, pipeline,
+batch)`` entries, with the tie-break slot
+:meth:`~repro.sim.engine.Simulator.reserve_order` gives the batch at start.
+The owning serving system completes them in that order
+(``ServingSystemBase._take_in``) and arms events only for those it cannot
+reach.  An interrupt leaves its entry stale; the heap drops it at the top.
+Each control-plane dispatch and interrupt ends with the owner's
+:attr:`Dataplane.arm` hook, so a completion it adds or strands gets an
+event in time.
+
+Dispatch claims idle pipelines from an index, so a saturated fleet reads
+no pipeline state per arrival: :attr:`Dataplane.idle`, a min-heap of the
 idle pipelines' positions in :attr:`Dataplane.pipelines`, claimed lowest
 position first (the order a scan of the list visits them in) and released
 when a batch completes or is interrupted.  Each pipeline holds its own
-position and its pending completion event.  Only :class:`Dataplane`
-methods replace ``pipelines``, and each replacement renumbers the
-positions and rebuilds the index.
+position and its pending completion.  Only :class:`Dataplane` methods
+replace ``pipelines``, and each replacement renumbers the positions and
+rebuilds the index.
 
 Each pipeline holds the context daemons of its GPUs, resolved once when
 the dataplane builds it, and a completed batch clears their cache contexts
-through those references; :meth:`Dataplane._on_batch_completion` explains
-why that equals a meta-context lookup per device.
+through those references; :meth:`Dataplane.finish` explains why that
+equals a meta-context lookup per device.
 
 Requests are never lost here: an interrupted batch either resumes with its
 KV cache or is re-queued at the front (see :meth:`Dataplane.reroute`), and
@@ -31,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
 from ..engine.batching import Batch, RequestQueue
 from ..engine.context import DeviceId, MetaContextManager
@@ -39,13 +50,8 @@ from ..engine.pipeline import InferencePipeline, PipelineAssignment
 from ..engine.placement import TopologyPosition
 from ..llm.costmodel import LatencyModel
 from ..sim.engine import Simulator
-from ..sim.events import Event, EventType
 from .config import ParallelConfig
 from .stats import ServingStats
-
-# Read once per batch; an Enum member read through its class costs ~0.1 us
-# on Python 3.11, against one global lookup here.
-_BATCH_COMPLETION = EventType.BATCH_COMPLETION
 
 
 class Dataplane:
@@ -57,11 +63,19 @@ class Dataplane:
         stats: ServingStats,
         meta_context: MetaContextManager,
         latency_model: LatencyModel,
+        arm: Callable[[], None],
     ) -> None:
         self.simulator = simulator
         self.stats = stats
         self.meta_context = meta_context
         self.latency_model = latency_model
+        #: The owner's hook that arms an event for its earliest pending
+        #: dataplane occurrence; called after each control-plane dispatch
+        #: and interrupt (see the module docstring).
+        self.arm = arm
+        #: Pending completions, one ``(time, order, pipeline, batch)`` entry
+        #: per started batch (a min-heap; see the module docstring).
+        self.completions: List[tuple] = []
         self.queue = RequestQueue(max_batch_size=8)
         #: The deployed configuration (``None`` before the first deployment
         #: and after a halt; kept through a migration's stall).
@@ -125,7 +139,7 @@ class Dataplane:
         """Install *placement*'s model contexts and build the pipelines of *indices*.
 
         Each pipeline holds its devices' context daemons, resolved here once
-        (see :meth:`_on_batch_completion`).
+        (see :meth:`finish`).
         """
         daemon = self.meta_context.daemon
         assignments = {
@@ -165,6 +179,11 @@ class Dataplane:
     # Dispatch
     # ------------------------------------------------------------------
     def dispatch(self) -> None:
+        """The control plane's dispatch: :meth:`start_batches`, then :attr:`arm`."""
+        self.start_batches()
+        self.arm()
+
+    def start_batches(self) -> None:
         """Start a batch on every idle pipeline while work is waiting.
 
         Idle pipelines are claimed lowest position first, so batches land
@@ -172,7 +191,9 @@ class Dataplane:
         Interrupted batches resume before queued requests start; one too
         large for the deployed batch size is rerouted instead.  The loop
         stops as soon as no interrupted batch and no queued request waits,
-        so an idle pipeline with nothing to take costs no call.
+        so an idle pipeline with nothing to take costs no call.  Each
+        started batch's completion joins :attr:`completions` with the next
+        insertion-order slot of the simulator.
         """
         idle = self.idle
         simulator = self.simulator
@@ -182,6 +203,7 @@ class Dataplane:
         queue = self.queue
         resume_batches = self.resume_batches
         config = self.config
+        completions = self.completions
         while idle:
             if resume_batches:
                 batch = resume_batches.popleft()
@@ -197,15 +219,19 @@ class Dataplane:
             else:
                 return
             pipeline = self.pipelines[heappop(idle)]
-            pipeline.completion = simulator.schedule_at(
+            entry = pipeline.completion = (
                 pipeline.start_batch(batch, now, resume),
-                _BATCH_COMPLETION,
-                (pipeline, batch),
-                self._on_batch_completion,
+                simulator.reserve_order(),
+                pipeline,
+                batch,
             )
+            heappush(completions, entry)
 
-    def _on_batch_completion(self, event: Event) -> None:
-        """Finish a batch, free its pipeline and clear the batch's KV cache.
+    def finish(self, pipeline: InferencePipeline, time: float) -> None:
+        """Complete *pipeline*'s batch at *time*, free it and clear its KV cache.
+
+        The serving system calls this for a live entry of
+        :attr:`completions`, with ``now`` at *time*.
 
         The cache contexts are cleared through the daemons the pipeline has
         held since :meth:`_build`, not through
@@ -220,18 +246,15 @@ class Dataplane:
         * a zone outage's ``down`` phase tears down before it drops;
         * the tenant rebalance skips instances in :meth:`instance_ids`.
 
-        A torn-down pipeline's completion never gets here: its event was
-        cancelled and its ``current_batch`` is gone.  Even the empty daemon
-        a lookup would re-create is skipped by the migration planner's
-        walk of the meta-context.
+        A torn-down pipeline's completion never gets here: its entry went
+        stale and its event, if armed, was cancelled.  Even the empty
+        daemon a lookup would re-create is skipped by the migration
+        planner's walk of the meta-context.
 
-        It calls :meth:`dispatch` only when a queued request or an
+        It calls :meth:`start_batches` only when a queued request or an
         interrupted batch waits, since otherwise that call does nothing.
         """
-        pipeline, batch = event.payload  # type: InferencePipeline, Batch
-        if pipeline.current_batch is not batch:
-            return  # The batch was interrupted before completing.
-        pipeline.complete_batch(event.time)
+        batch = pipeline.complete_batch(time)
         position = pipeline.position
         if position is not None:  # Not when the list was replaced under it.
             heappush(self.idle, position)
@@ -244,7 +267,7 @@ class Dataplane:
         for daemon in pipeline.daemons:
             daemon.cache_context = None
         if self.queue._queue or self.resume_batches:
-            self.dispatch()
+            self.start_batches()
 
     # ------------------------------------------------------------------
     # Interruption
@@ -283,6 +306,7 @@ class Dataplane:
                 self.reroute(batch)
         torn_down = set(map(id, affected))
         self._install([p for p in self.pipelines if id(p) not in torn_down])
+        self.arm()
         return affected
 
     def interrupt_all(self, preserve_cache: bool) -> List[Batch]:
@@ -291,7 +315,7 @@ class Dataplane:
         now = self.simulator.now
         for pipeline in self.pipelines:
             if not pipeline.is_busy:
-                continue  # An idle pipeline holds no completion event.
+                continue  # An idle pipeline holds no pending completion.
             batch = pipeline.interrupt(now, preserve_cache=preserve_cache)
             heappush(self.idle, pipeline.position)
             self.stats.interrupted_batches += 1
@@ -301,6 +325,7 @@ class Dataplane:
             else:
                 batch.cache_preserved = False
             interrupted.append(batch)
+        self.arm()
         return interrupted
 
     def _store_cache_context(self, pipeline: InferencePipeline, batch: Batch) -> None:

@@ -31,7 +31,10 @@ Event addressing: the four event types a system schedules for itself
 ``WORKLOAD_CHECK`` and the cloud events are broadcast to every system on
 the simulator: a workload check names the system that armed it in its
 ``{"system": ...}`` payload, and the cloud events are filtered by
-ownership.
+ownership.  Streamed arrivals and batch completions are events only when
+:meth:`ServingSystemBase._take_in`, which handles them between two control
+events in the order their events would fire, stops at the simulator's
+horizon before one.
 
 Invariants maintained here (and pinned by the regression suites):
 
@@ -56,6 +59,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cloud.instance import Instance
@@ -82,9 +86,12 @@ from .migration import MigrationPlanner
 from .reconfiguration import Transition, TransitionPlanner, default_placement
 from .stats import ReconfigurationRecord, ServingStats
 
-# Read once per arrival; an Enum member read through its class costs
-# ~0.1 us on Python 3.11, against one global lookup here.
+# Read once per arrival or armed completion; an Enum member read through
+# its class costs ~0.1 us on Python 3.11, against one global lookup here.
 _REQUEST_ARRIVAL = EventType.REQUEST_ARRIVAL
+_BATCH_COMPLETION = EventType.BATCH_COMPLETION
+
+_INFINITY = float("inf")
 
 #: Seconds between adaptation rounds.  The multi-tenant rebalance runs on
 #: the same period, just before each tenant's round.
@@ -195,7 +202,9 @@ class ServingSystemBase(ABC):
             tenant=self.tenant,
             retain_requests=self.options.retain_completed_requests,
         )
-        self.dataplane = Dataplane(simulator, self.stats, self.meta_context, self.latency_model)
+        self.dataplane = Dataplane(
+            simulator, self.stats, self.meta_context, self.latency_model, self._arm
+        )
         #: The dataplane's FIFO queue (the admission hooks consult it).
         self.request_queue = self.dataplane.queue
 
@@ -263,9 +272,13 @@ class ServingSystemBase(ABC):
         #: estimator trims lazily instead of popping per call.
         self._arrival_times: List[float] = []
         self._arrival_start: int = 0
-        #: Streaming workload source (see :meth:`submit_arrival_process`)
-        #: and its pending request (``None`` once the stream has ended).
+        #: Streaming workload source (see :meth:`submit_arrival_process`),
+        #: ``None`` once the stream has ended, and its next arrival, drawn
+        #: ahead: its own time, the time it sorts at (``inf`` when none is
+        #: pending) and the ``Request`` of its armed event, if any.
         self._arrival_iter: Optional[Iterator[float]] = None
+        self._arrival_time = 0.0
+        self._arrival_at = _INFINITY
         self._streamed: Optional[Request] = None
         self._arrival_order_major: int = 0
         self._submitted_requests: int = 0
@@ -309,19 +322,14 @@ class ServingSystemBase(ABC):
     def submit_arrival_process(self, process: ArrivalProcess, duration: float) -> None:
         """Stream arrivals from *process* instead of pre-scheduling them all.
 
-        Only the *next* arrival is ever pending: the first one is scheduled
-        here, and when the stream's pending request arrives,
-        :meth:`_on_request_arrival` arms the following timestamp from
-        :meth:`~repro.workload.arrival.ArrivalProcess.iter_times`, so the
-        event heap holds O(1) arrival entries instead of one per request.
-        While every pipeline is busy, the arrivals before the simulator's
-        next pending event are taken in by that handler without events of
-        their own (see :meth:`_arm_next_arrival`).  Each of those waits in
-        the queue as its bare arrival time and gets its :class:`Request`,
-        with the stream's token sizes (handed to the queue here), only when
-        a batch takes it; one that is shed never gets one.  Only the
-        pending arrival is a ``Request`` before its arrival instant.
-        Arrival times are generated by exactly the same seeded draws as
+        Only the *next* arrival is ever pending: it is drawn from
+        :meth:`~repro.workload.arrival.ArrivalProcess.iter_times` here, and
+        :meth:`_take_in` handles it, mostly without an event, and draws the
+        following one.  Each arrival waits in the queue as its bare arrival
+        time and gets its :class:`Request`, with the stream's token sizes
+        (handed to the queue here), only when a batch takes it or it fires
+        as an event; one that is shed never gets one.  Arrival times are
+        generated by exactly the same seeded draws as
         ``process.arrival_times(duration)``, and a tie-break order slot
         reserved *now* makes every streamed arrival sort against same-time
         events exactly as if the whole workload had been pre-scheduled
@@ -329,90 +337,191 @@ class ServingSystemBase(ABC):
         on exact timestamp ties (e.g. integer ``FixedArrivals`` colliding
         with a workload check).
 
+        Times keep every check :meth:`~repro.sim.engine.Simulator.schedule_at`
+        makes, measured from the previous arrival (the first one from
+        ``now``): a step back under 1 ns sorts at the previous arrival's
+        time, a larger one raises ``ValueError``, and a non-finite time is
+        refused.  A negative time is refused too, as its ``Request`` would
+        refuse it.
+
         Raises ``ValueError`` while an earlier stream still has arrivals to
-        come: one system streams from one source at a time.
+        come: one system streams from one source at a time.  A first time
+        the checks refuse leaves no stream active.
         """
-        if self._streamed is not None:
+        if self._arrival_at < _INFINITY:
             raise ValueError("an arrival process is already streaming into this system")
-        self._arrival_iter = process.iter_times(duration)
+        arrivals = process.iter_times(duration)
         self.request_queue.set_token_sizes(process.input_tokens, process.output_tokens)
         self._arrival_order_major = self.simulator.reserve_order()
-        # Nothing is taken in here: there are no pipelines before ``initialize``.
-        self._arm_next_arrival(self.simulator.now)
+        now = self.simulator.now
+        time = next(arrivals, None)
+        if time is None:
+            return
+        if not now - 1e-9 <= time < _INFINITY:
+            raise schedule_error(now, time)
+        if time < 0:
+            raise ValueError(f"arrival_time must be non-negative, got {time}")
+        self._arrival_iter = arrivals
+        self._arrival_time = time
+        self._arrival_at = time if time > now else now
+        self._submitted_requests += 1
+        self._arm()
 
     @property
     def submitted_requests(self) -> int:
         """Requests submitted so far (pre-scheduled and streamed)."""
         return self._submitted_requests
 
-    def _arm_next_arrival(self, horizon: float) -> None:
-        """Take in the stream's arrivals before *horizon*; schedule the next one.
+    def _take_in(self, due: bool = False) -> None:
+        """Handle the dataplane's occurrences before the horizon, then :meth:`_arm`.
 
-        The caller passes the simulator's :meth:`~repro.sim.engine.Simulator.horizon`
-        only when every pipeline is busy.  Nothing frees a pipeline before
-        that next pending event, so each arrival strictly before it could
-        only join the queue: it is taken in here, in stream order, as its
-        own ``REQUEST_ARRIVAL`` event would have done it (counted, offered
-        to a refusing admission policy at its own time, then queued), and
-        it is queued as its bare arrival time.  The first arrival at or past
-        *horizon* is scheduled, as a :class:`Request` with the queue's
-        token sizes and its reserved tie-break order, or the stream ends.
-        Nothing is taken in unless *horizon* is past ``now``.
+        The occurrences are the stream's next arrival and the entries of
+        ``dataplane.completions``.  Each is handled in the order its own
+        event would fire (by time, then by tie-break slot: the stream's
+        reserved one for an arrival, the one its batch took at start for a
+        completion), and only while it sorts strictly before the simulator's
+        :meth:`~repro.sim.engine.Simulator.horizon`: nothing else acts
+        before that.  ``now`` is at an occurrence's time whenever the
+        dataplane acts on it.  With *due*, the earliest one is handled
+        whatever the horizon: its own event fired.
 
-        Times keep every check :meth:`~repro.sim.engine.Simulator.schedule_at`
-        makes, measured from the previous arrival: a step back under 1 ns
-        takes the previous arrival's time, a larger one raises
-        ``ValueError``, and a non-finite time is refused.  A negative time
-        is refused too, as its ``Request`` would refuse it.
+        An arrival is counted, offered to a refusing admission policy and
+        queued as its bare time (an armed one as its ``Request``); with a
+        pipeline idle, batches then start.  With none idle, the arrivals
+        before the next completion only queue, so they are taken in one
+        after another.  A completion is :meth:`Dataplane.finish`.
+        ``enqueue`` is looked up per call, so a wrapper installed on it
+        sees each arrival.
         """
-        arrivals = self._arrival_iter
+        simulator = self.simulator
+        dataplane = self.dataplane
+        completions = dataplane.completions
+        finish = dataplane.finish
         queue = self.request_queue
-        time = next(arrivals, None)
-        last = self.simulator.now
-        if last < horizon and time is not None:
-            # Looked up per call: a wrapper installed on the queue sees each arrival.
-            enqueue = queue.enqueue
-            arrival_times = self._arrival_times
-            admission = self.admission if self._admit_can_refuse else None
-            taken = 0
-            while last - 1e-9 <= time < horizon:
-                if time > last:
-                    last = time
-                elif time < 0:
-                    raise ValueError(f"arrival_time must be non-negative, got {time}")
-                taken += 1
-                if admission is None or admission.admit(
-                    AdmissionSignal(
-                        last, queue.pending, 0.0, 0.0, 0.0, self.options.slo_latency
-                    )
-                ):
-                    arrival_times.append(time)
-                    enqueue(time)
+        enqueue = queue.enqueue
+        arrival_times = self._arrival_times
+        admission = self.admission if self._admit_can_refuse else None
+        arrivals = self._arrival_iter
+        time = self._arrival_time
+        at = self._arrival_at
+        major = self._arrival_order_major
+        streamed = self._streamed
+        horizon = simulator.horizon()
+        infinity = _INFINITY
+        bound = infinity if due else horizon
+        now = simulator.now
+        drawn = taken = 0
+        try:
+            while True:
+                if completions:
+                    entry = completions[0]
+                    pipeline = entry[2]
+                    if pipeline.completion is not entry:
+                        heappop(completions)  # Interrupted, or completed by its event.
+                        continue
+                    done = entry[0]
+                    if not (at < done or (at == done and major < entry[1])):
+                        if done >= bound:
+                            break
+                        heappop(completions)
+                        simulator.now = now = done
+                        finish(pipeline, done)
+                        bound = horizon
+                        continue
                 else:
-                    self.stats.requests_rejected += 1
-                time = next(arrivals, None)
-                if time is None:
+                    done = infinity
+                if at >= bound:
                     break
+                bound = horizon
+                now = at
+                item = time if streamed is None else streamed
+                streamed = None
+                # Read afresh, and kept as a flag: with a pipeline idle, one
+                # arrival is handled, and a batch it starts may complete
+                # before the next; with none, no pipeline frees up before
+                # the next completion, so arrivals until then only queue.
+                idle = bool(dataplane.idle)
+                limit = done if done < horizon else horizon
+                while True:
+                    taken += 1
+                    if admission is None or admission.admit(
+                        AdmissionSignal(
+                            now, queue.pending, 0.0, 0.0, 0.0, self.options.slo_latency
+                        )
+                    ):
+                        arrival_times.append(time)
+                        enqueue(item)
+                        if idle:
+                            simulator.now = now
+                            dataplane.start_batches()
+                    else:
+                        self.stats.requests_rejected += 1
+                    time = next(arrivals, None)
+                    if time is None:
+                        arrivals = None
+                        at = infinity
+                        break
+                    if at < time < infinity:
+                        at = time
+                    elif not at - 1e-9 <= time < infinity:
+                        raise schedule_error(at, time)
+                    elif time < 0:
+                        raise ValueError(f"arrival_time must be non-negative, got {time}")
+                    drawn += 1
+                    if idle or not at < limit:
+                        break
+                    now = at
+                    item = time
+        finally:
+            # Arrivals that only join the queue read no clock, so a run of
+            # them moves ``now`` once, to the last.
+            simulator.now = now
+            self._arrival_iter = arrivals
+            self._arrival_time = time
+            self._arrival_at = at
+            self._streamed = streamed
             # Nothing above reads the two counters, so they are added once.
-            self._submitted_requests += taken
+            self._submitted_requests += drawn
             self._arrived_requests += taken
-            if time is not None and time < last - 1e-9:
-                raise schedule_error(last, time)
-        if time is None:
-            self._arrival_iter = self._streamed = None
-            return
-        following = Request(time, queue.input_tokens, queue.output_tokens)
-        # Scheduled before ``_streamed`` is set: at submit time, a first
-        # time behind ``now`` raises here and leaves no stream active.
-        self.simulator.schedule_at(
-            time,
-            _REQUEST_ARRIVAL,
-            following,
-            self._on_request_arrival,
-            (self._arrival_order_major, self._submitted_requests + 1),
-        )
-        self._submitted_requests += 1
-        self._streamed = following
+        self._arm()
+
+    def _arm(self) -> None:
+        """Arm an event for the earliest pending dataplane occurrence, unless it has one.
+
+        The event takes its occurrence's tie-break slot, so it fires where
+        the occurrence sorts.  An occurrence is armed at most once and an
+        armed one is never taken in (its event caps the horizon), so no two
+        heap entries share a key.  Called after each :meth:`_take_in`, and
+        through ``Dataplane.arm`` after each control-plane dispatch or
+        interrupt, which may add an earlier completion or strand the next.
+        """
+        completions = self.dataplane.completions
+        while completions and completions[0][2].completion is not completions[0]:
+            heappop(completions)
+        at = self._arrival_at
+        if completions:
+            done, order, pipeline, batch = completions[0]
+            if done < at or (done == at and order < self._arrival_order_major):
+                if pipeline.completion_event is None:
+                    pipeline.completion_event = self.simulator.schedule_at(
+                        done,
+                        _BATCH_COMPLETION,
+                        (pipeline, batch),
+                        self._on_batch_completion,
+                        (order, 0),
+                    )
+                return
+        if at < _INFINITY and self._streamed is None:
+            queue = self.request_queue
+            request = Request(self._arrival_time, queue.input_tokens, queue.output_tokens)
+            self.simulator.schedule_at(
+                at,
+                _REQUEST_ARRIVAL,
+                request,
+                self._on_request_arrival,
+                (self._arrival_order_major, self._submitted_requests),
+            )
+            self._streamed = request
 
     def initialize(self) -> None:
         """Deploy the initial configuration on the time-zero fleet (pre-warmed)."""
@@ -485,6 +594,10 @@ class ServingSystemBase(ABC):
     # ------------------------------------------------------------------
     def _on_request_arrival(self, event: Event) -> None:
         request: Request = event.payload
+        if request is self._streamed:
+            self._take_in(due=True)
+            return
+        # A pre-scheduled request (see :meth:`submit_requests`).
         self._arrived_requests += 1
         dataplane = self.dataplane
         if self._admit_can_refuse and not self.admission.admit(
@@ -506,10 +619,11 @@ class ServingSystemBase(ABC):
             self._arrival_times.append(request.arrival_time)
             self.request_queue.enqueue(request)
             if dataplane.idle:
-                dataplane.dispatch()
-        if request is self._streamed:
-            simulator = self.simulator
-            self._arm_next_arrival(simulator.now if dataplane.idle else simulator.horizon())
+                dataplane.start_batches()
+        self._take_in()
+
+    def _on_batch_completion(self, event: Event) -> None:
+        self._take_in(due=True)
 
     def _on_preemption_notice(self, event: Event) -> None:
         instance: Instance = event.payload["instance"]
@@ -538,7 +652,7 @@ class ServingSystemBase(ABC):
         self.handle_preemption_final(instance)
         # Only now, with the instance's pipelines torn down: a live pipeline
         # clears its cache through the daemons it holds (see
-        # ``Dataplane._on_batch_completion``).
+        # ``Dataplane.finish``).
         self.meta_context.drop_instance(instance.instance_id)
 
     def _on_acquisition_ready(self, event: Event) -> None:

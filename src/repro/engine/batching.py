@@ -111,7 +111,7 @@ class RequestQueue:
 
     An entry is a :class:`Request` or a bare arrival time.  A streamed
     arrival the serving system takes in without an event (see
-    ``ServingSystemBase._arm_next_arrival``) waits as its arrival time, and
+    ``ServingSystemBase._take_in``) waits as its arrival time, and
     :meth:`next_batch` builds its ``Request`` with the stream's token sizes
     only when a batch takes it: on a deep queue that sheds most of what it
     holds, most arrivals never become objects, and a float in a deque is
@@ -119,9 +119,9 @@ class RequestQueue:
     streamed arrivals that fire as events and re-queued requests wait as
     themselves.
 
-    ``Dataplane.dispatch`` tests the deque ``_queue`` for emptiness
-    directly, so an arrival or completion with nothing waiting makes no
-    call here.
+    ``Dataplane.finish`` tests the deque ``_queue`` for emptiness
+    directly, so a completion with nothing waiting makes no call here, and
+    ``Dataplane.start_batches`` does too before each ``next_batch``.
     """
 
     def __init__(self, max_batch_size: int = 8) -> None:

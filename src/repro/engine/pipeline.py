@@ -65,9 +65,14 @@ class InferencePipeline:
         self.latency_model = latency_model
         self.batch_size = batch_size
         self.current_batch: Optional[Batch] = None
-        #: The pending ``BATCH_COMPLETION`` event of ``current_batch``, set by
-        #: the dataplane that scheduled it; :meth:`interrupt` cancels it.
-        self.completion: Optional[Event] = None
+        #: The pending completion of ``current_batch``: its ``(time, order,
+        #: pipeline, batch)`` entry in the owning dataplane's heap of pending
+        #: completions, set by the dataplane that started the batch.
+        #: :meth:`interrupt` clears it, which leaves that entry stale.
+        self.completion: Optional[tuple] = None
+        #: The ``BATCH_COMPLETION`` event armed for ``completion``, if the
+        #: serving system armed one; :meth:`interrupt` cancels it.
+        self.completion_event: Optional[Event] = None
         #: Index in the owning dataplane's ``pipelines`` (``None`` outside
         #: that list); the dataplane's idle index holds these.
         self.position: Optional[int] = None
@@ -192,7 +197,7 @@ class InferencePipeline:
             request.completion_time = time
         batch.committed_tokens = batch.shortest_output
         self.current_batch = None
-        self.completion = None
+        self.completion = self.completion_event = None
         self._batch_start_time = None
         self._tokens_at_start = 0
         self._prefill_needed = True
@@ -201,17 +206,18 @@ class InferencePipeline:
     def interrupt(self, time: float, preserve_cache: bool = True) -> Optional[Batch]:
         """Stop decoding at *time*, committing progress when the cache survives.
 
-        Returns the interrupted batch (None when idle) and cancels its
-        completion event.  With ``preserve_cache=False`` the KV cache is
-        lost and the batch's progress is reset (the request-rerouting
-        baseline behaviour).
+        Returns the interrupted batch (None when idle).  Its pending
+        completion goes stale and its armed completion event, if any, is
+        cancelled, so neither completes it.  With ``preserve_cache=False``
+        the KV cache is lost and the batch's progress is reset (the
+        request-rerouting baseline behaviour).
         """
         if self.current_batch is None:
             return None
         batch = self.current_batch
-        if self.completion is not None:
-            self.completion.cancel()
-            self.completion = None
+        if self.completion_event is not None:
+            self.completion_event.cancel()
+        self.completion = self.completion_event = None
         if preserve_cache:
             self.commit_progress(time)
         else:

@@ -2,8 +2,11 @@
 
 The :class:`Simulator` owns simulated time and the event heap and
 repeatedly dispatches the earliest event, moving ``now`` forward to its
-timestamp.  ``now`` is a plain float that only the simulator writes; every
-component reads it from there.  Serving systems register handlers per
+timestamp.  ``now`` is a plain float that every component reads from here.
+Besides the simulator, only a handler that takes work in before the
+horizon (see below) writes it: forward only, to the times of the
+occurrences it handles, and never past :meth:`Simulator.horizon`.
+Serving systems register handlers per
 :class:`~repro.sim.events.EventType`; events can also carry their own
 callback.
 
@@ -22,9 +25,10 @@ tuples extended at registration time (not resolved per event), and
 event fires before the heap's earliest entry, and a :meth:`Simulator.run`
 fires none after its ``until`` bound, which it records while it runs.
 Anything a handler knows would happen strictly before the horizon, with no
-event in between, it may do at once; the streamed arrivals of a saturated
-serving system are taken in that way
-(``ServingSystemBase._arm_next_arrival``).
+event in between, it may do at once, moving ``now`` along; a serving
+system's streamed arrivals and batch completions are taken in that way
+(``ServingSystemBase._take_in``), and each fires as an event only when the
+horizon stops the loop before it.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class Simulator:
     """Minimal deterministic discrete-event simulator."""
 
     def __init__(self) -> None:
-        #: Current simulation time in seconds (never moves backwards).
+        #: Current simulation time in seconds (never moves backwards; see
+        #: the module docstring for who writes it).
         self.now = 0.0
         #: ``(time, major, minor, event)`` entries; see the module docstring.
         self._heap: list = []

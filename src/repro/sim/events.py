@@ -11,15 +11,19 @@ The simulator breaks ties between events scheduled for the same instant by
 the order they were scheduled in, which keeps the simulation fully
 deterministic.
 
-The event core is the simulator's hot path: a heavy-traffic run dispatches
-hundreds of thousands of events, so :class:`Event` uses ``__slots__`` and the
-hot event types carry their payload as a bare object or tuple instead of a
-per-event dict (``REQUEST_ARRIVAL`` carries the request itself,
-``BATCH_COMPLETION`` a ``(pipeline, batch)`` tuple).  Cancelled events are
+Streamed arrivals and batch completions are events only when a serving
+system cannot take them in before the simulator's horizon (see
+``ServingSystemBase._take_in``); the rest happen inside the handler of the
+event that precedes them.  The hot event types still carry their payload as
+a bare object or tuple instead of a per-event dict (``REQUEST_ARRIVAL``
+carries the request itself, ``BATCH_COMPLETION`` a ``(pipeline, batch)``
+tuple), and :class:`Event` uses ``__slots__``.  Cancelled events are
 dropped lazily as they reach the top of the heap.  The events that get
-cancelled (batch completions, launch watchdogs, instance-ready events) fall
-due within one batch or startup horizon, so they leave the heap as simulated
-time passes; ``tests/test_sim_events.py`` pins the bound under chaos traffic.
+cancelled are launch watchdogs, instance-ready events and the armed
+completion of a batch that an interrupt stops; an armed arrival is never
+cancelled.  They fall due within one batch or startup horizon, so they
+leave the heap as simulated time passes; ``tests/test_sim_events.py`` pins
+the bound under chaos traffic.
 """
 
 from __future__ import annotations

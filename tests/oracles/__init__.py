@@ -22,7 +22,7 @@ to the tests that use it:
   scans, ``sorted`` source ranking and a scalar deferred-layer drain;
 * :mod:`oracles.dataplane` -- batch dispatch, and the arrival's "is any
   pipeline idle?" question, as a scan of every pipeline's ``is_busy`` per
-  event instead of the idle-pipeline index;
+  arrival and completion instead of the idle-pipeline index;
 * :mod:`oracles.batching` -- a batch's size, token lengths and progress
   as a walk over its member requests on every read, instead of a shape
   fixed when the batch is built and a progress field; and a request queue
@@ -31,7 +31,9 @@ to the tests that use it:
 * :mod:`oracles.engine` -- the simulator's run loop as one pop of the
   next live event and one ``fire`` call per event, instead of one loop
   turn that pops the heap and fires the event; ``step`` dispatches a
-  single event of any simulator that way.
+  single event of any simulator that way; and a simulator whose horizon
+  is always ``now``, so every streamed arrival and batch completion is
+  an event of its own instead of being taken in.
 
 The oracles subclass (or take) the production classes and share their
 unchanged helpers, so a comparison isolates exactly the code that was made

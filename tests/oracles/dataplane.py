@@ -5,15 +5,18 @@ on every arrival and every completion it reads ``is_busy`` on each
 pipeline, in list order, and starts a batch on each idle one until the
 queue runs dry.  The production :class:`~repro.core.dataplane.Dataplane`
 claims idle pipelines from an index, lowest position first, and must start
-the same batches on the same pipelines at the same instants.
+the same batches on the same pipelines at the same instants.  Both enter
+each started batch's completion in ``completions`` the same way, and an
+interrupt leaves that entry stale in both.
 
 The serving system asks the dataplane's ``idle`` whether any pipeline is
 idle before it dispatches an arrival; here that question is answered by
 the same scan.
 """
 
+from heapq import heappush
+
 from repro.core.dataplane import Dataplane
-from repro.sim.events import EventType
 
 
 class ReferenceDataplane(Dataplane):
@@ -28,7 +31,7 @@ class ReferenceDataplane(Dataplane):
     def idle(self, _positions):
         """The scan reads idleness off the pipelines: nothing to store."""
 
-    def dispatch(self) -> None:
+    def start_batches(self) -> None:
         if not self.pipelines or self.simulator.now < self.stalled_until:
             return
         for pipeline in self.pipelines:
@@ -38,12 +41,8 @@ class ReferenceDataplane(Dataplane):
             if batch is None:
                 break
             finish_time = pipeline.start_batch(batch, self.simulator.now, resume=resume)
-            pipeline.completion = self.simulator.schedule_at(
-                finish_time,
-                EventType.BATCH_COMPLETION,
-                (pipeline, batch),
-                self._on_batch_completion,
-            )
+            pipeline.completion = (finish_time, self.simulator.reserve_order(), pipeline, batch)
+            heappush(self.completions, pipeline.completion)
 
     def _next_batch(self):
         if self.resume_batches:

@@ -11,10 +11,12 @@ dispatches one event of any simulator the same way, with the stepped
 event's time as its bound.
 
 :class:`PerArrivalSimulator` has a horizon that is always ``now``, so a
-serving system's streamed arrivals take nothing in and every arrival
-fires as an event of its own, as before arrivals were taken in.  A run on
-it must leave every outcome and every ``run(until=)`` boundary state equal
-to the same run on a :class:`~repro.sim.engine.Simulator`.
+serving system's take-in loop handles only the occurrence whose event
+fired, and every streamed arrival and every batch completion fires as an
+event of its own, at the heap key its event had before they were taken
+in.  A run on it must leave every outcome and every ``run(until=)``
+boundary state equal to the same run on a
+:class:`~repro.sim.engine.Simulator`.
 
 :func:`push_raw` is the one place tests write a heap entry themselves, to
 put an event behind ``now`` that ``schedule_at`` would refuse or clamp.
@@ -110,7 +112,7 @@ class SteppingSimulator(Simulator):
 
 
 class PerArrivalSimulator(Simulator):
-    """Looks no further than ``now``: every streamed arrival is an event."""
+    """Looks no further than ``now``: every arrival and completion is an event."""
 
     def horizon(self):
         return self.now

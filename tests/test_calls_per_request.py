@@ -10,8 +10,8 @@ the number, and the counts repeat exactly (checked under
 ``PYTHONHASHSEED`` 0, 1 and 2).
 
 The count is per request, not per dispatched event, because one event can
-carry many requests: an arrival that finds every pipeline busy takes in
-the arrivals before the simulator's next pending event without events of
+carry many requests: between two control events the serving system takes
+in the stream's arrivals and its batches' completions without events of
 their own.  Firing each of them as an event again raises both counts.
 
 A rise above a workload's bound in :data:`MAX_CALLS_PER_REQUEST` means a
@@ -41,12 +41,14 @@ if str(REPO_ROOT) not in sys.path:
 from perfbench import workloads  # noqa: E402
 
 #: Calls into ``repro`` per submitted request allowed on each workload.
-#: Measured 10.50 on serve (bound: plus one) and 2.84 on ingest (bound:
-#: plus one half).  They read 12.02 and 6.55 while every arrival was an
-#: event and every completion called ``dispatch``, and firing each arrival
-#: as an event again fails both.  Ingest read 3.60 while each arrival taken
-#: in built its ``Request`` at once: its half-call margin fails that too.
-MAX_CALLS_PER_REQUEST = {"serve": 11.50, "ingest": 3.34}
+#: Measured 8.22 on serve (bound: plus one) and 2.75 on ingest (bound:
+#: plus one half).  They read 10.32 and 2.84 while every completion was an
+#: event, and firing each completion as an event again fails the serve
+#: bound.  They read 12.02 and 6.55 while every arrival was an event and
+#: every completion called ``dispatch``, and 3.60 on ingest while each
+#: arrival taken in built its ``Request`` at once: its half-call margin
+#: fails that too.
+MAX_CALLS_PER_REQUEST = {"serve": 9.22, "ingest": 3.25}
 
 #: Shortened workload sizes, in simulated seconds.
 SIZES = {"serve": 1200.0, "ingest": 600.0}

@@ -10,7 +10,9 @@ min-heap of their list positions.  The reference,
   pipeline additions produce byte-identical extended summaries;
 * random sequences of dataplane operations leave both with the same
   busy/idle pipeline sequence, queue and resumable batches after every
-  step, and the index always holds exactly the idle positions;
+  step, and the index always holds exactly the idle positions (each
+  dataplane belongs to a serving system with no fleet, whose events
+  complete its batches);
 * on a saturated fleet, arrivals read no ``is_busy`` at all (the scan
   reads it once per pipeline per arrival).
 """
@@ -27,13 +29,10 @@ from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind
 from repro.core.config import ParallelConfig
 from repro.core.dataplane import Dataplane
 from repro.core.server import SpotServeSystem
-from repro.core.stats import ServingStats
-from repro.engine.context import MetaContextManager
 from repro.engine.pipeline import InferencePipeline
 from repro.engine.placement import TopologyPosition
 from repro.experiments.runner import run_scenario_experiment
 from repro.experiments.scenarios import zone_outage_scenario
-from repro.llm.costmodel import LatencyModel
 from repro.llm.spec import GPT_20B, OPT_6_7B
 from repro.sim.engine import Simulator
 from repro.workload.arrival import FixedArrivals, GammaArrivals
@@ -137,14 +136,23 @@ def test_index_matches_the_scan_on_whole_runs(monkeypatch, scenario):
 # ----------------------------------------------------------------------
 # Random operation sequences, step by step
 # ----------------------------------------------------------------------
+def serving_dataplane(simulator, dataplane_cls):
+    """A *dataplane_cls* dataplane of a serving system with no fleet.
+
+    The system arms the events that complete the dataplane's batches.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server_module, "Dataplane", dataplane_cls)
+        trace = AvailabilityTrace(name="none", initial_instances=0, events=[], duration=1.0)
+        return SpotServeSystem(simulator, CloudProvider(simulator, trace), OPT_6_7B).dataplane
+
+
 class Side:
     """One dataplane on its own simulator, fed the same operations as its twin."""
 
     def __init__(self, dataplane_cls):
         self.simulator = Simulator()
-        self.dataplane = dataplane_cls(
-            self.simulator, ServingStats(), MetaContextManager(), LatencyModel(OPT_6_7B)
-        )
+        self.dataplane = serving_dataplane(self.simulator, dataplane_cls)
         self.request_ids = itertools.count()
         self.extra_indices = itertools.count(100)
 
@@ -242,21 +250,52 @@ def test_random_operations_match_the_scan_step_by_step(ops):
         assert sorted(dataplane.idle) == idle, op
 
 
+@pytest.mark.parametrize("dataplane_cls", [Dataplane, ReferenceDataplane])
 @pytest.mark.parametrize("interrupt", ["interrupt_all", "teardown"])
-def test_an_interrupted_batch_leaves_no_completion_event(interrupt):
-    side = Side(Dataplane)
+def test_an_interrupted_batch_is_completed_by_neither_entry_nor_event(interrupt, dataplane_cls):
+    side = Side(dataplane_cls)
     side.apply(("deploy", 2, 1))
     side.apply(("arrive", [4, 4]))
     dataplane = side.dataplane
-    events = [pipeline.completion for pipeline in dataplane.pipelines]
-    assert all(event is not None and not event.cancelled for event in events)
+    pipelines = list(dataplane.pipelines)
+    entries = [pipeline.completion for pipeline in pipelines]
+    assert sorted(dataplane.completions) == sorted(entries)
+    # The earlier completion holds the system's one armed event.
+    armed = [pipeline.completion_event for pipeline in pipelines]
+    assert armed[0] is not None and not armed[0].cancelled and armed[1] is None
     if interrupt == "interrupt_all":
         dataplane.interrupt_all(preserve_cache=True)
     else:
         dataplane.teardown({"i0"})  # Both pipelines' GPUs live on i0.
-    assert all(event.cancelled for event in events)
-    assert all(pipeline.completion is None for pipeline in dataplane.pipelines)
+    assert armed[0].cancelled
+    assert all(p.completion is None and p.completion_event is None for p in pipelines)
+    # Both entries are stale: no event fires and no request completes.
     assert side.simulator.run() == 0
+    assert dataplane.stats.completed_count == 0
+    assert dataplane.completions == []
+
+
+def test_a_teardown_of_the_armed_completion_strands_no_survivor():
+    simulator = Simulator()
+    dataplane = serving_dataplane(simulator, Dataplane)
+    dataplane.deploy(
+        ParallelConfig(2, 1, 1, 1),
+        {("i0", 0): TopologyPosition(0, 0, 0), ("i1", 0): TopologyPosition(1, 0, 0)},
+    )
+    dataplane.queue.enqueue(Request(0.0, output_tokens=4))
+    dataplane.queue.enqueue(Request(0.0, output_tokens=64))
+    dataplane.dispatch()
+    doomed, survivor = dataplane.pipelines
+    # The earlier completion holds the one armed event; the survivor's none.
+    assert doomed.completion[0] < survivor.completion[0]
+    assert doomed.completion_event is not None and survivor.completion_event is None
+    request = survivor.current_batch.requests[0]
+    finish_time = survivor.completion[0]
+    dataplane.teardown({"i0"})
+    simulator.run()
+    assert request.completion_time == finish_time
+    # The torn-down batch's request was re-queued, and the survivor served it next.
+    assert dataplane.stats.completed_count == 2
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.cloud.provider import CloudProvider
+from repro.cloud.trace import AvailabilityTrace
 from repro.core.config import ParallelConfig
-from repro.core.dataplane import Dataplane
-from repro.core.stats import ServingStats
+from repro.core.server import SpotServeSystem
 from repro.engine.context import CacheContext, ContextDaemon, MetaContextManager, ModelContext
 from repro.engine.placement import TopologyPosition
-from repro.llm.costmodel import LatencyModel
 from repro.llm.spec import OPT_6_7B
 from repro.sim.engine import Simulator
 from repro.workload.request import Request
@@ -37,8 +37,12 @@ class TestContextDaemon:
 
     def test_clearing_the_cache_keeps_the_model_context(self):
         # A completed batch clears its pipeline's cache contexts in place.
-        simulator, manager = Simulator(), MetaContextManager()
-        dataplane = Dataplane(simulator, ServingStats(), manager, LatencyModel(OPT_6_7B))
+        # The dataplane belongs to a serving system with no fleet, whose
+        # event completes the batch.
+        simulator = Simulator()
+        trace = AvailabilityTrace(name="none", initial_instances=0, events=[], duration=1.0)
+        system = SpotServeSystem(simulator, CloudProvider(simulator, trace), OPT_6_7B)
+        dataplane, manager = system.dataplane, system.meta_context
         placement = {("inst-0", m): TopologyPosition(0, 0, m) for m in range(2)}
         dataplane.deploy(ParallelConfig(1, 1, 2, 1), placement)
         for device_id, position in placement.items():
@@ -48,7 +52,7 @@ class TestContextDaemon:
             assert manager.daemon(device_id).cache_context.cached_tokens == 600
         dataplane.queue.enqueue(Request(arrival_time=0.0, output_tokens=4))
         dataplane.dispatch()
-        simulator.run()
+        assert simulator.run() == 1
         assert dataplane.stats.completed_count == 1
         for device_id, position in placement.items():
             daemon = manager.daemon(device_id)

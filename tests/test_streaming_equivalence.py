@@ -140,7 +140,16 @@ class TestExactTimestampTies:
             simulator, provider, get_model("GPT-20B"), initial_arrival_rate=0.05
         )
         seen = []
-        simulator.on(EventType.REQUEST_ARRIVAL, lambda e: seen.append(("arrival", e.time)))
+        # Arrivals are recorded as they join the queue: a streamed arrival
+        # taken in without an event of its own is seen there too.
+        queue = system.request_queue
+        enqueue = queue.enqueue
+
+        def recording_enqueue(entry):
+            seen.append(("arrival", getattr(entry, "arrival_time", entry)))
+            enqueue(entry)
+
+        queue.enqueue = recording_enqueue
         simulator.on(EventType.WORKLOAD_CHECK, lambda e: seen.append(("check", e.time)))
         # The arrival at t=120 ties the workload check at t=120, and the
         # check event is scheduled (at t=90) *before* the streaming source
