@@ -13,15 +13,20 @@ A batch's shape (its size and token lengths) is fixed when it is built,
 and its progress is a field that committing tokens and dropping the cache
 update, so the per-event dispatch and completion paths read plain
 attributes instead of walking the member requests.
+:meth:`RequestQueue.next_batch` builds a batch in one walk: it pops the
+members, builds each waiting time's request without a class call and
+computes the shape on the way.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from math import inf
 from typing import Deque, Iterable, List, Optional, Union
 
-from ..workload.request import DEFAULT_INPUT_TOKENS, DEFAULT_OUTPUT_TOKENS, Request
+from ..workload.arrival import check_token_count
+from ..workload.request import DEFAULT_INPUT_TOKENS, DEFAULT_OUTPUT_TOKENS, Request, request_ids
 
 _batch_ids = itertools.count()
 
@@ -35,12 +40,15 @@ class Batch:
 
     The batch's shape is fixed when it is built: nothing changes its
     members or their token counts afterwards, so ``size``, ``input_tokens``,
-    ``output_tokens`` and ``shortest_output`` are set once.  Its progress,
-    ``committed_tokens``, is a field that :meth:`commit_tokens` and
-    :meth:`drop_cache` keep equal to the smallest progress among the
-    members, even when they start out of step or differ in length:
-    committing *k* tokens moves every member to ``min(c + k, o)``, and the
-    minimum of those is ``min(min(c) + k, min(o))``.
+    ``output_tokens`` and ``shortest_output`` are set once, by whoever
+    builds the batch (:meth:`RequestQueue.next_batch`, which derives them
+    while it takes the members; ``tests/oracles/batching.py`` holds the
+    member walks they equal).  Its progress, ``committed_tokens``, is a
+    field that :meth:`commit_tokens` and :meth:`drop_cache` keep equal to
+    the smallest progress among the members, even when they start out of
+    step or differ in length: committing *k* tokens moves every member to
+    ``min(c + k, o)``, and the minimum of those is ``min(min(c) + k,
+    min(o))``.
     """
 
     __slots__ = (
@@ -54,37 +62,28 @@ class Batch:
         "shortest_output",
     )
 
-    def __init__(self, requests: List[Request]) -> None:
-        if not requests:
-            raise ValueError("a batch must contain at least one request")
-        # One walk over the members for all four aggregates: a batch is
-        # built per dispatch, and most hold one or two requests.
-        first = requests[0]
-        prompt = first.input_tokens
-        longest = shortest = first.output_tokens
-        committed = first.committed_tokens
-        for request in requests:
-            if request.input_tokens > prompt:
-                prompt = request.input_tokens
-            if request.output_tokens > longest:
-                longest = request.output_tokens
-            elif request.output_tokens < shortest:
-                shortest = request.output_tokens
-            if request.committed_tokens < committed:
-                committed = request.committed_tokens
+    def __init__(
+        self,
+        requests: List[Request],
+        size: int,
+        input_tokens: int,
+        output_tokens: int,
+        shortest_output: int,
+        committed_tokens: int,
+    ) -> None:
         self.requests = requests
         self.batch_id = next(_batch_ids)
         #: Number of requests in the batch.
-        self.size = len(requests)
+        self.size = size
         #: Prompt length (the paper uses a uniform S_in per experiment).
-        self.input_tokens = prompt
+        self.input_tokens = input_tokens
         #: Output length to generate for the batch (its longest member).
-        self.output_tokens = longest
+        self.output_tokens = output_tokens
         #: Output length of the batch's shortest member: the progress a
         #: completed batch ends at.
-        self.shortest_output = shortest
+        self.shortest_output = shortest_output
         #: Decoding progress already committed (minimum across requests).
-        self.committed_tokens = committed
+        self.committed_tokens = committed_tokens
         #: Whether the KV cache survived the batch's most recent interruption.
         self.cache_preserved = True
 
@@ -149,10 +148,15 @@ class RequestQueue:
     def set_token_sizes(self, input_tokens: int, output_tokens: int) -> None:
         """Give the arrival times enqueued from now on these token sizes.
 
-        Times already waiting came from an earlier stream, so when the
-        sizes change each of them is first built into its ``Request`` with
-        the old sizes: once per stream switch, never per arrival.
+        Both sizes get ``check_token_count``'s check here, once per stream,
+        since :meth:`next_batch` builds requests with them unchecked; a bad
+        pair raises before the queue or its sizes change.  Times already
+        waiting came from an earlier stream, so when the sizes change each
+        of them is first built into its ``Request`` with the old sizes:
+        once per stream switch, never per arrival.
         """
+        input_tokens = check_token_count("input_tokens", input_tokens)
+        output_tokens = check_token_count("output_tokens", output_tokens)
         old_input, old_output = self.input_tokens, self.output_tokens
         if (input_tokens, output_tokens) == (old_input, old_output):
             return
@@ -175,8 +179,14 @@ class RequestQueue:
     def next_batch(self, max_batch_size: Optional[int] = None) -> Optional[Batch]:
         """Pop up to ``max_batch_size`` requests as a batch (None when empty).
 
-        A waiting arrival time becomes its ``Request`` here, with the
-        stream's token sizes and every check ``Request`` makes.
+        One walk pops the members and computes the batch's shape on the
+        way.  A waiting arrival time becomes its ``Request`` here, without
+        the class call: its slots are stored directly, with the stream's
+        token sizes (checked once by :meth:`set_token_sizes`) and the
+        arrival-time check ``Request`` makes.  A batch of bare times has
+        the stream's sizes and no progress; a waiting request adds its own
+        sizes and progress.  No member has a ``first_start_time`` until
+        ``InferencePipeline.start_batch``.
         """
         limit = max_batch_size if max_batch_size is not None else self.max_batch_size
         if limit <= 0:
@@ -184,13 +194,43 @@ class RequestQueue:
         queue = self._queue
         if not queue:
             return None
+        input_tokens = self.input_tokens
+        output_tokens = self.output_tokens
         members: List[Request] = []
+        # The shape of the members that waited as requests, and their count.
+        prompt = longest = requeued = 0
+        shortest = committed = inf
         while queue and len(members) < limit:
             entry = queue.popleft()
-            if entry.__class__ is not Request:
-                entry = Request(entry, self.input_tokens, self.output_tokens)
-            members.append(entry)
-        return Batch(members)
+            if entry.__class__ is Request:
+                requeued += 1
+                prompt = max(prompt, entry.input_tokens)
+                longest = max(longest, entry.output_tokens)
+                shortest = min(shortest, entry.output_tokens)
+                committed = min(committed, entry.committed_tokens)
+                members.append(entry)
+                continue
+            if not 0 <= entry < inf:
+                raise ValueError(f"arrival_time must be finite and non-negative, got {entry}")
+            request = object.__new__(Request)
+            request.arrival_time = entry
+            request.input_tokens = input_tokens
+            request.output_tokens = output_tokens
+            request.request_id = next(request_ids)
+            request.committed_tokens = 0
+            request.first_start_time = None
+            request.completion_time = None
+            request.recomputed_tokens = 0
+            members.append(request)
+        size = len(members)
+        if not requeued:
+            return Batch(members, size, input_tokens, output_tokens, output_tokens, 0)
+        if requeued < size:  # Bare times joined the waiting requests.
+            prompt = max(prompt, input_tokens)
+            longest = max(longest, output_tokens)
+            shortest = min(shortest, output_tokens)
+            committed = 0
+        return Batch(members, size, prompt, longest, shortest, committed)
 
     def shed_before(self, cutoff: float) -> List[QueueEntry]:
         """Remove and return every queued entry that arrived before *cutoff*.

@@ -12,7 +12,7 @@ SpotServe's stateful inference recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..llm.costmodel import LatencyModel
 from ..sim.events import Event
@@ -46,7 +46,15 @@ class PipelineAssignment:
 
 
 class InferencePipeline:
-    """One data-parallel replica decoding batches with incremental decoding."""
+    """One data-parallel replica decoding batches with incremental decoding.
+
+    A batch's execution latency is ``l_exe(S_out | S_in) = t_exe(S_in) +
+    S_out * t_exe(1)`` (Eqs. 1-2).  The pipeline's (P, M) is fixed, so both
+    terms depend only on the batch's size and prompt length: :attr:`timings`
+    holds them per ``(size, input_tokens)``, filled on first use by the cost
+    model, and a started batch reads its pair there instead of calling the
+    cost model.
+    """
 
     def __init__(
         self,
@@ -76,6 +84,9 @@ class InferencePipeline:
         #: Index in the owning dataplane's ``pipelines`` (``None`` outside
         #: that list); the dataplane's idle index holds these.
         self.position: Optional[int] = None
+        #: ``(size, input_tokens) -> (decode iteration time, prefill time)``
+        #: of this pipeline's (P, M); see :meth:`_timing`.
+        self.timings: Dict[Tuple[int, int], Tuple[float, float]] = {}
         self._batch_start_time: Optional[float] = None
         self._tokens_at_start: int = 0
         self._prefill_needed: bool = True
@@ -124,40 +135,45 @@ class InferencePipeline:
         for request in batch.requests:
             if request.first_start_time is None:
                 request.first_start_time = time
-        assignment = self.assignment
-        iteration = self.latency_model.decode_iteration_time(
-            assignment.pipeline_degree,
-            assignment.tensor_degree,
-            batch.size,
-            context_length=batch.input_tokens,
+        iteration, prefill = (
+            self.timings.get((batch.size, batch.input_tokens)) or self._timing(batch)
         )
         if not self._prefill_needed:
             return time + batch.remaining_tokens * iteration
-        prefill = self.latency_model.prefill_time(
-            assignment.pipeline_degree, assignment.tensor_degree, batch.size, batch.input_tokens
-        )
         return time + (prefill + batch.output_tokens * iteration)
+
+    def _timing(self, batch: Batch) -> Tuple[float, float]:
+        """*batch*'s ``(decode iteration time, prefill time)``, entered in :attr:`timings`."""
+        assignment = self.assignment
+        timing = self.timings[batch.size, batch.input_tokens] = (
+            self.latency_model.decode_iteration_time(
+                assignment.pipeline_degree,
+                assignment.tensor_degree,
+                batch.size,
+                context_length=batch.input_tokens,
+            ),
+            self.latency_model.prefill_time(
+                assignment.pipeline_degree,
+                assignment.tensor_degree,
+                batch.size,
+                batch.input_tokens,
+            ),
+        )
+        return timing
 
     def tokens_decoded_by(self, time: float) -> int:
         """Output tokens (per request) decoded between batch start and *time*."""
         if self.current_batch is None or self._batch_start_time is None:
             return 0
         batch = self.current_batch
-        assignment = self.assignment
+        iteration, prefill = (
+            self.timings.get((batch.size, batch.input_tokens)) or self._timing(batch)
+        )
         elapsed = max(time - self._batch_start_time, 0.0)
         if self._prefill_needed:
-            prefill = self.latency_model.prefill_time(
-                assignment.pipeline_degree, assignment.tensor_degree, batch.size, batch.input_tokens
-            )
             if elapsed <= prefill:
                 return 0
             elapsed -= prefill
-        iteration = self.latency_model.decode_iteration_time(
-            assignment.pipeline_degree,
-            assignment.tensor_degree,
-            batch.size,
-            context_length=batch.input_tokens,
-        )
         if iteration <= 0:
             return batch.output_tokens - self._tokens_at_start
         decoded = int(elapsed // iteration)

@@ -16,7 +16,9 @@ from typing import Optional
 DEFAULT_INPUT_TOKENS = 512
 DEFAULT_OUTPUT_TOKENS = 128
 
-_request_ids = itertools.count()
+#: The counter every request id is drawn from, by ``Request`` and by
+#: ``RequestQueue.next_batch``, which builds requests without the class call.
+request_ids = itertools.count()
 
 
 class Request:
@@ -26,7 +28,9 @@ class Request:
     fires as an event, and per streamed arrival a batch takes: a streamed
     arrival taken in without an event waits in
     :class:`~repro.engine.batching.RequestQueue` as its bare arrival time
-    until then.  Tens of thousands are built per run, so the class is a
+    until then, and ``next_batch`` builds that one without the class
+    call, storing every slot itself (a slot added here must be set there
+    too).  Tens of thousands are built per run, so the class is a
     hand-written ``__slots__`` class (Python 3.9 has no
     ``dataclass(slots=True)``): it has no ``__dict__``, and writing an
     attribute it does not declare raises.  The token counts are fixed
@@ -68,7 +72,7 @@ class Request:
         self.arrival_time = arrival_time
         self.input_tokens = input_tokens
         self.output_tokens = output_tokens
-        self.request_id = next(_request_ids) if request_id is None else request_id
+        self.request_id = next(request_ids) if request_id is None else request_id
         #: Number of output tokens whose KV cache has been committed so far.
         self.committed_tokens = 0
         #: Time the request first started executing on a pipeline (set by

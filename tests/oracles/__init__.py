@@ -25,9 +25,11 @@ to the tests that use it:
   arrival and completion instead of the idle-pipeline index;
 * :mod:`oracles.batching` -- a batch's size, token lengths and progress
   as a walk over its member requests on every read, instead of a shape
-  fixed when the batch is built and a progress field; and a request queue
-  that builds each arrival's ``Request`` when it is enqueued, instead of
-  keeping a streamed arrival as its bare time until a batch takes it;
+  computed while ``next_batch`` takes the members and a progress field;
+  the batch constructor that derived that shape from the members; and a
+  request queue that builds each arrival's ``Request`` when it is
+  enqueued, instead of keeping a streamed arrival as its bare time until
+  a batch takes it;
 * :mod:`oracles.engine` -- the simulator's run loop as one pop of the
   next live event and one ``fire`` call per event, instead of one loop
   turn that pops the heap and fires the event; ``step`` dispatches a

@@ -1,11 +1,15 @@
 """Member-walk reference for a batch's aggregates, and a queue of requests only.
 
-:class:`~repro.engine.batching.Batch` sets its shape (``size``,
-``input_tokens``, ``output_tokens``) once, when it is built, and keeps its
-progress (``committed_tokens``) as a field that ``commit_tokens`` and
-``drop_cache`` update.  Each function here derives one aggregate from the
-member requests on every read, the way the batch used to; the batching
-suite checks that the two agree after every step.
+:class:`~repro.engine.batching.Batch` stores the shape it is given
+(``size``, ``input_tokens``, ``output_tokens``, ``shortest_output``) and
+keeps its progress (``committed_tokens``) as a field that ``commit_tokens``
+and ``drop_cache`` update;
+:meth:`~repro.engine.batching.RequestQueue.next_batch` derives the shape
+while it takes the members.  Each function here derives one aggregate from
+the member requests on every read, the way the batch used to; the batching
+suite checks that the two agree after every step.  :func:`build` is the
+batch constructor as it was: the member walks, then the batch.  Tests that
+need a batch of given requests build it there.
 
 :func:`start_and_complete` is the other half: a batch's start and
 completion as the member walks they used to be, which
@@ -43,6 +47,11 @@ def output_tokens(batch):
     return max(request.output_tokens for request in batch.requests)
 
 
+def shortest_output(batch):
+    """The shortest output among the members."""
+    return min(request.output_tokens for request in batch.requests)
+
+
 def committed_tokens(batch):
     """The smallest decoding progress among the members."""
     return min(request.committed_tokens for request in batch.requests)
@@ -54,7 +63,28 @@ def remaining_tokens(batch):
 
 
 #: Every aggregate, each named like the ``Batch`` attribute it pins.
-AGGREGATES = (size, input_tokens, output_tokens, committed_tokens, remaining_tokens)
+AGGREGATES = (
+    size,
+    input_tokens,
+    output_tokens,
+    shortest_output,
+    committed_tokens,
+    remaining_tokens,
+)
+
+
+def build(requests):
+    """A ``Batch`` of *requests*, its shape derived by the member walks."""
+    if not requests:
+        raise ValueError("a batch must contain at least one request")
+    return Batch(
+        requests,
+        len(requests),
+        max(request.input_tokens for request in requests),
+        max(request.output_tokens for request in requests),
+        min(request.output_tokens for request in requests),
+        min(request.committed_tokens for request in requests),
+    )
 
 
 def start_and_complete(batch, start, end, resume):
@@ -103,7 +133,7 @@ class RequestPerArrivalQueue(RequestQueue):
         members = []
         while self._queue and len(members) < limit:
             members.append(self._queue.popleft())
-        return Batch(members)
+        return build(members)
 
     def shed_before(self, cutoff):
         shed = []

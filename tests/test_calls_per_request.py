@@ -19,11 +19,19 @@ call came back into the per-request path: a helper, property or wrapper
 the run loop, an arrival or a batch now goes through.  The failure
 message lists the most frequent callees; ``python -m cProfile`` on the
 same workload shows who calls them.
+
+The same serve run also counts the cost model's memo lookups (the hits
+and misses of ``LatencyModel.cache_info()``) per started batch.  A
+pipeline times its batches from its own table, so only a table miss
+looks up; a rise above :data:`MAX_COST_MODEL_LOOKUPS_PER_BATCH` means a
+started batch calls the cost model again.  The lookups go through C-level
+memo wrappers, which the call count does not see.
 """
 
 import os
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -41,14 +49,20 @@ if str(REPO_ROOT) not in sys.path:
 from perfbench import workloads  # noqa: E402
 
 #: Calls into ``repro`` per submitted request allowed on each workload.
-#: Measured 8.22 on serve (bound: plus one) and 2.75 on ingest (bound:
-#: plus one half).  They read 10.32 and 2.84 while every completion was an
-#: event, and firing each completion as an event again fails the serve
-#: bound.  They read 12.02 and 6.55 while every arrival was an event and
-#: every completion called ``dispatch``, and 3.60 on ingest while each
-#: arrival taken in built its ``Request`` at once: its half-call margin
-#: fails that too.
-MAX_CALLS_PER_REQUEST = {"serve": 9.22, "ingest": 3.25}
+#: Measured 6.24 on serve (bound: plus one) and 1.52 on ingest (bound:
+#: plus one half).  They read 8.22 and 2.75 while ``next_batch`` built each
+#: taken arrival's ``Request`` through the class and the Gamma stream
+#: stepped a generator per arrival: both back fail the serve bound (8.24),
+#: and the generator alone fails ingest's (2.52).  They read 10.32 and 2.84
+#: while every completion was an event, 12.02 and 6.55 while every arrival
+#: was an event and every completion called ``dispatch``, and 3.60 on
+#: ingest while each arrival taken in built its ``Request`` at once.
+MAX_CALLS_PER_REQUEST = {"serve": 7.24, "ingest": 2.02}
+
+#: Cost-model memo lookups per started batch allowed on serve.  Measured
+#: 0.08 (the pipelines' table misses); 2.01 while every started batch
+#: asked the memo for its decode iteration and prefill times.
+MAX_COST_MODEL_LOOKUPS_PER_BATCH = 0.5
 
 #: Shortened workload sizes, in simulated seconds.
 SIZES = {"serve": 1200.0, "ingest": 600.0}
@@ -56,8 +70,9 @@ SIZES = {"serve": 1200.0, "ingest": 600.0}
 _REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 
 
-def calls_per_request(name):
-    """Run workload *name* under the profiler; return calls/request and callees."""
+@lru_cache(maxsize=None)
+def profiled_run(name):
+    """Run workload *name* under the profiler; return the system and its callees."""
     work = workloads.build(name, 0, SIZES[name])
     scenario = work.scenario
     assert scenario.fault_plan is None, "the guard builds no fault injector"
@@ -88,9 +103,14 @@ def calls_per_request(name):
         system.run(until=scenario.duration + work.drain_time)
     finally:
         sys.setprofile(None)
-    submitted = system.submitted_requests
-    assert submitted > 10_000
-    return sum(callees.values()) / submitted, callees
+    assert system.submitted_requests > 10_000
+    return system, callees
+
+
+def calls_per_request(name):
+    """Calls into ``repro`` per submitted request on workload *name*, and the callees."""
+    system, callees = profiled_run(name)
+    return sum(callees.values()) / system.submitted_requests, callees
 
 
 @pytest.mark.parametrize("name", sorted(SIZES))
@@ -98,3 +118,14 @@ def test_calls_per_request_stay_under_the_guard(name):
     ratio, callees = calls_per_request(name)
     top = ", ".join(f"{file}:{function} {count}" for (file, function), count in callees.most_common(8))
     assert ratio <= MAX_CALLS_PER_REQUEST[name], f"{name}: {ratio:.2f} calls per request ({top})"
+
+
+def test_started_batches_time_themselves_without_the_cost_model():
+    system, callees = profiled_run("serve")
+    lookups = system.latency_model.cache_info()
+    batches = callees[("pipeline.py", "start_batch")]
+    assert batches > 5_000
+    ratio = sum(hits + misses for hits, misses in lookups.values()) / batches
+    assert ratio <= MAX_COST_MODEL_LOOKUPS_PER_BATCH, (
+        f"serve: {ratio:.2f} cost-model lookups per started batch ({lookups})"
+    )

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.config import ParallelConfig
 from repro.core.device_mapper import DeviceMapper
-from repro.engine.batching import Batch
 from repro.engine.context import MetaContextManager
 from repro.engine.placement import mesh_positions
 from repro.llm.spec import GPT_20B, OPT_6_7B
 from repro.workload.request import Request
 
+from oracles import batching as batching_oracle
 from oracles.device_mapper import reuse_weight
 
 
@@ -156,7 +156,7 @@ class TestBatchSelection:
     def test_keeps_most_advanced_batches(self):
         batches = []
         for progress in (3, 10, 7):
-            batch = Batch([Request(arrival_time=0.0, output_tokens=32)])
+            batch = batching_oracle.build([Request(arrival_time=0.0, output_tokens=32)])
             batch.commit_tokens(progress)
             batches.append(batch)
         kept, discarded = DeviceMapper.select_batches_to_keep(batches, capacity=2)
@@ -164,7 +164,7 @@ class TestBatchSelection:
         assert [b.committed_tokens for b in discarded] == [3]
 
     def test_zero_capacity_discards_everything(self):
-        batch = Batch([Request(arrival_time=0.0)])
+        batch = batching_oracle.build([Request(arrival_time=0.0)])
         kept, discarded = DeviceMapper.select_batches_to_keep([batch], capacity=0)
         assert kept == []
         assert discarded == [batch]

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.config import ParallelConfig
 from repro.core.interruption import InterruptionArranger
-from repro.engine.batching import Batch
 from repro.llm.costmodel import LatencyModel
 from repro.llm.spec import GPT_20B
 from repro.workload.request import Request
+
+from oracles import batching as batching_oracle
 
 
 @pytest.fixture()
@@ -16,7 +17,9 @@ def arranger():
 
 
 def make_batch(size=4, output_tokens=128, committed=0):
-    batch = Batch([Request(arrival_time=0.0, output_tokens=output_tokens) for _ in range(size)])
+    batch = batching_oracle.build(
+        [Request(arrival_time=0.0, output_tokens=output_tokens) for _ in range(size)]
+    )
     if committed:
         batch.commit_tokens(committed)
     return batch

@@ -1,11 +1,11 @@
 """Tests for the request queue and batch formation."""
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from oracles import batching as batching_oracle
-from repro.engine.batching import Batch, RequestQueue
+from repro.engine.batching import RequestQueue
 from repro.engine.pipeline import InferencePipeline, PipelineAssignment
 from repro.engine.placement import TopologyPosition
 from repro.llm.costmodel import LatencyModel
@@ -68,7 +68,7 @@ class BatchAggregates(RuleBasedStateMachine):
             )
             request.commit_tokens(committed)
             requests.append(request)
-        self.batch = Batch(requests)
+        self.batch = batching_oracle.build(requests)
 
     @initialize(members=MEMBERS)
     def build(self, members):
@@ -89,7 +89,7 @@ class BatchAggregates(RuleBasedStateMachine):
 
     @rule(start=st.integers(0, 40), duration=st.integers(0, 40), resume=st.booleans())
     def start_and_complete(self, start, duration, resume):
-        expected = Batch([clone(request) for request in self.batch.requests])
+        expected = batching_oracle.build([clone(request) for request in self.batch.requests])
         batching_oracle.start_and_complete(expected, start, start + duration, resume)
         assignment = PipelineAssignment(0, 1, 1, {TopologyPosition(0, 0, 0): ("inst-0", 0)})
         pipeline = InferencePipeline(assignment, LATENCY_MODEL, self.batch.size, ())
@@ -204,17 +204,17 @@ TestQueueOfTimes.settings = settings(max_examples=80, stateful_step_count=30, de
 class TestBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            Batch([])
+            batching_oracle.build([])
 
     def test_progress_tracks_slowest_request(self):
         requests = make_requests(3)
         requests[0].commit_tokens(5)
-        batch = Batch(requests)
+        batch = batching_oracle.build(requests)
         assert batch.committed_tokens == 0
         assert batch.remaining_tokens == 16
 
     def test_commit_tokens_applies_to_all(self):
-        batch = Batch(make_requests(4))
+        batch = batching_oracle.build(make_requests(4))
         batch.commit_tokens(6)
         assert all(r.committed_tokens == 6 for r in batch.requests)
         assert batch.remaining_tokens == 10
@@ -223,18 +223,19 @@ class TestBatch:
         assert batch.remaining_tokens == 0
 
     def test_drop_cache_resets_all(self):
-        batch = Batch(make_requests(2))
+        batch = batching_oracle.build(make_requests(2))
         batch.commit_tokens(6)
         batch.drop_cache()
         assert batch.committed_tokens == 0
         assert all(r.recomputed_tokens == 6 for r in batch.requests)
 
     def test_unique_batch_ids(self):
-        assert Batch(make_requests(1)).batch_id != Batch(make_requests(1)).batch_id
+        first, second = (batching_oracle.build(make_requests(1)) for _ in range(2))
+        assert first.batch_id != second.batch_id
 
     def test_undeclared_attributes_are_refused(self):
         request = make_requests(1)[0]
-        batch = Batch([request])
+        batch = batching_oracle.build([request])
         for instance in (request, batch):
             assert not hasattr(instance, "__dict__")
             with pytest.raises(AttributeError):
@@ -291,6 +292,23 @@ class TestRequestQueue:
         queue.enqueue(-1.0)
         with pytest.raises(ValueError, match="non-negative"):
             queue.next_batch()
+        for bad in (float("nan"), float("inf")):
+            queue = RequestQueue()
+            queue.enqueue(bad)
+            with pytest.raises(ValueError, match="finite"):
+                queue.next_batch()
+
+    @pytest.mark.parametrize(
+        "sizes", [(0, 32), (64, -1), (64, 2.5), ("64", 32), (64, None), (float("nan"), 32)]
+    )
+    def test_a_bad_stream_size_leaves_the_queue_as_it_was(self, sizes):
+        queue = RequestQueue()
+        queue.set_token_sizes(64, 32)
+        queue.enqueue(1.0)
+        with pytest.raises(ValueError, match="positive integer"):
+            queue.set_token_sizes(*sizes)
+        assert list(queue._queue) == [1.0]
+        assert (queue.input_tokens, queue.output_tokens) == (64, 32)
 
     def test_enqueue_front_preserves_relative_order(self):
         queue = RequestQueue(max_batch_size=4)
@@ -301,3 +319,78 @@ class TestRequestQueue:
         queue.enqueue_front(interrupted)
         batch = queue.next_batch()
         assert batch.requests == interrupted + tail
+
+
+def slots(instance, *skipped):
+    """Every ``__slots__`` entry of *instance* but *skipped*; an unset one raises."""
+    names = [name for name in type(instance).__slots__ if name not in skipped]
+    return {name: getattr(instance, name) for name in names}
+
+
+def requeued(arrival_time, input_tokens, output_tokens, committed):
+    """A request that waited as itself, with decoding progress."""
+    request = Request(arrival_time, input_tokens, output_tokens)
+    request.commit_tokens(committed)
+    return request
+
+
+class TestBuiltInOneWalk:
+    """``next_batch`` builds requests and batches slot for slot as the constructors do."""
+
+    @pytest.mark.parametrize("mix", ["bare times", "requests", "mixed"])
+    def test_every_slot_matches_the_constructors(self, mix):
+        times = [] if mix == "requests" else [1.0, 2.5, 4]
+        waiting = []
+        if mix != "bare times":
+            waiting = [requeued(0.5, 16, 128, 40), requeued(0.75, 96, 24, 3)]
+        queue = RequestQueue(max_batch_size=8)
+        queue.set_token_sizes(64, 32)
+        for time in times:
+            queue.enqueue(time)
+        queue.enqueue_front(waiting)
+        batch = queue.next_batch()
+        assert queue.pending == 0
+        assert batch.requests[: len(waiting)] == waiting
+        built = batch.requests[len(waiting) :]
+        assert [slots(request, "request_id") for request in built] == [
+            slots(Request(time, 64, 32), "request_id") for time in times
+        ]
+        if built:  # Consecutive ids, from the counter ``Request`` draws from.
+            first = built[0].request_id
+            assert [r.request_id for r in built] == list(range(first, first + len(built)))
+        expected = batching_oracle.build(batch.requests)
+        assert slots(batch, "batch_id") == slots(expected, "batch_id")
+        assert batch.batch_id != expected.batch_id
+
+    @given(
+        entries=st.lists(
+            st.one_of(
+                st.tuples(st.just("time"), TIMES),
+                st.tuples(st.just("request"), TIMES, SIZES, st.integers(0, 140), st.booleans()),
+                st.tuples(st.just("switch"), SIZES),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        limit=st.integers(1, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_batch_shape_matches_the_member_walks(self, entries, limit):
+        queue = RequestQueue(max_batch_size=8)
+        for kind, *values in entries:
+            if kind == "time":
+                queue.enqueue(values[0])
+            elif kind == "request":
+                time, sizes, committed, front = values
+                request = requeued(time, *sizes, committed)
+                if front:
+                    queue.enqueue_front([request])
+                else:
+                    queue.enqueue(request)
+            else:
+                queue.set_token_sizes(*values[0])
+        while queue.pending:
+            batch = queue.next_batch(limit)
+            assert batch.size == min(limit, batch.size + queue.pending)
+            for aggregate in batching_oracle.AGGREGATES:
+                assert getattr(batch, aggregate.__name__) == aggregate(batch), aggregate.__name__

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.engine.batching import Batch
 from repro.engine.context import ContextDaemon
 from repro.engine.pipeline import InferencePipeline, PipelineAssignment
 from repro.engine.placement import TopologyPosition, mesh_positions
 from repro.llm.costmodel import LatencyModel
 from repro.llm.spec import GPT_20B
 from repro.workload.request import Request
+
+from oracles import batching as batching_oracle
 
 
 def make_pipeline(pipeline_degree=3, tensor_degree=4, batch_size=4, pipeline_index=0):
@@ -26,7 +27,9 @@ def make_pipeline(pipeline_degree=3, tensor_degree=4, batch_size=4, pipeline_ind
 
 
 def make_batch(size=4, output_tokens=64):
-    return Batch([Request(arrival_time=0.0, output_tokens=output_tokens) for _ in range(size)])
+    return batching_oracle.build(
+        [Request(arrival_time=0.0, output_tokens=output_tokens) for _ in range(size)]
+    )
 
 
 class TestAssignment:
@@ -174,3 +177,72 @@ class TestInterruption:
         assignment = PipelineAssignment(0, 1, 1)
         with pytest.raises(ValueError):
             InferencePipeline(assignment, LatencyModel(GPT_20B), 0, ())
+
+
+#: The cost model whose uncached class methods give the expected times.
+FRESH_MODEL = LatencyModel(GPT_20B)
+
+
+def fresh_timing(batch, pipeline_degree=3, tensor_degree=4):
+    """``(decode iteration time, prefill time)`` from the cost model, past its memo."""
+    return (
+        LatencyModel.decode_iteration_time(
+            FRESH_MODEL,
+            pipeline_degree,
+            tensor_degree,
+            batch.size,
+            context_length=batch.input_tokens,
+        ),
+        LatencyModel.prefill_time(
+            FRESH_MODEL, pipeline_degree, tensor_degree, batch.size, batch.input_tokens
+        ),
+    )
+
+
+def decoded_by(time, start, timing, prefill_needed, at_start, output_tokens):
+    """``tokens_decoded_by`` as it was, with the cost model's times passed in."""
+    iteration, prefill = timing
+    elapsed = max(time - start, 0.0)
+    if prefill_needed:
+        if elapsed <= prefill:
+            return 0
+        elapsed -= prefill
+    if iteration <= 0:
+        return output_tokens - at_start
+    return min(int(elapsed // iteration), output_tokens - at_start)
+
+
+class TestTimingTable:
+    """A pipeline times its batches from its table, bit for bit as the cost model does."""
+
+    @pytest.mark.parametrize("committed, resume", [(0, False), (24, False), (24, True)])
+    def test_times_equal_the_cost_model(self, committed, resume):
+        pipeline = make_pipeline(batch_size=8)
+        start = 3.0
+        # 512 comes back after a prompt-length change, to entries already filled.
+        for visit, prompt in enumerate((128, 512, 2048, 512)):
+            for size in range(1, 9):
+                batch = batching_oracle.build(
+                    [Request(0.0, prompt, 64 + member) for member in range(size)]
+                )
+                batch.commit_tokens(committed)
+                timing = fresh_timing(batch)
+                iteration, prefill = timing
+                lookups = pipeline.latency_model.cache_info()
+                finish = pipeline.start_batch(batch, start, resume=resume)
+                if resume:
+                    assert finish == start + batch.remaining_tokens * iteration
+                else:
+                    assert finish == start + (prefill + batch.output_tokens * iteration)
+                if visit == 3:  # A filled entry: no cost-model lookup.
+                    assert pipeline.latency_model.cache_info() == lookups
+                for fraction in (0.0, 0.01, 0.3, 0.77, 1.0, 1.5):
+                    time = start + fraction * (finish - start)
+                    assert pipeline.tokens_decoded_by(time) == decoded_by(
+                        time, start, timing, not resume, committed if resume else 0, 64 + size - 1
+                    )
+                pipeline.complete_batch(finish)
+                start = finish
+        assert sorted(pipeline.timings) == sorted(
+            (size, prompt) for size in range(1, 9) for prompt in (128, 512, 2048)
+        )

@@ -136,8 +136,15 @@ class TestMapperMatchesReference:
         assert list(mapped.placement) == list(reference.placement)
 
 
+class NoTable(dict):
+    """A pipeline timing table that keeps no entry: every batch is timed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class UncachedSpotServe(SpotServeSystem):
-    """SpotServe whose controller and cost model never serve a memo."""
+    """SpotServe whose controller, cost model and pipelines never serve a memo."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -151,14 +158,32 @@ class UncachedSpotServe(SpotServeSystem):
         for name in LatencyModel._CACHED_ENTRY_POINTS:
             delattr(self.latency_model, name)
         assert self.latency_model.cache_info() == {}
+        build = self.dataplane._build
+        #: Every pipeline built, to check that none kept a timing.
+        self.built_pipelines = []
+
+        def build_tableless(*args):
+            pipelines = build(*args)
+            for pipeline in pipelines:
+                pipeline.timings = NoTable()
+            self.built_pipelines.extend(pipelines)
+            return pipelines
+
+        self.dataplane._build = build_tableless
 
 
 class TestCachedRunsAreByteIdentical:
     def test_golden_scenario_digest_identical_with_caches_off(self):
+        systems = []
+
         def run(system_cls):
+            def build(*args, **kwargs):
+                systems.append(system_cls(*args, **kwargs))
+                return systems[-1]
+
             scenario = stable_workload_scenario("OPT-6.7B", "AS", duration=400.0)
             return run_serving_experiment(
-                system_cls,
+                build,
                 scenario.model_name,
                 scenario.trace,
                 scenario.arrival_process(),
@@ -171,3 +196,6 @@ class TestCachedRunsAreByteIdentical:
         uncached = run(UncachedSpotServe)
         assert cached.stats.summary_text() == uncached.stats.summary_text()
         assert cached.total_cost == uncached.total_cost
+        assert cached.completed_requests > 0
+        assert systems[1].built_pipelines
+        assert not any(pipeline.timings for pipeline in systems[1].built_pipelines)

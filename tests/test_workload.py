@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workload.arrival import (
+    _DRAW_BLOCK,
     DEFAULT_ARRIVAL_RATES,
     FixedArrivals,
     GammaArrivals,
@@ -281,6 +282,36 @@ class TestStreamingIterTimes:
     def test_count_arrivals_matches_length(self):
         process = GammaArrivals(rate=1.5, cv=6.0, seed=11)
         assert process.count_arrivals(3000.0) == len(process.arrival_times(3000.0))
+
+    #: perfbench's serve and ingest streams, and the paper's CV of 6.
+    @pytest.mark.parametrize("rate, cv", [(13.0, 1.0), (40.0, 2.0), (1.5, 6.0)])
+    def test_gamma_blocks_match_reference_over_seeds(self, rate, cv):
+        duration = 2.5 * _DRAW_BLOCK / rate  # Two whole draw blocks and part of a third.
+        for seed in range(50):
+            process = GammaArrivals(rate=rate, cv=cv, seed=seed)
+            times = process.arrival_times(duration)
+            assert list(process.iter_times(duration)) == times
+            assert process.count_arrivals(duration) == len(times)
+
+    @pytest.mark.parametrize("cv", [1.0, 6.0])
+    def test_gamma_blocks_cut_where_the_reference_stops(self, cv):
+        process = GammaArrivals(rate=2.0, cv=cv, seed=5)
+        times = process.arrival_times(4 * _DRAW_BLOCK / 2.0)
+        assert len(times) > 2 * _DRAW_BLOCK
+        durations = [
+            0.0,
+            times[0] / 2,  # Before the first arrival.
+            times[0],
+            times[_DRAW_BLOCK - 1],  # The last arrival of the first block.
+            times[_DRAW_BLOCK],  # The first of the second.
+            times[2 * _DRAW_BLOCK - 1],
+            np.nextafter(times[_DRAW_BLOCK - 1], np.inf),
+        ]
+        for duration in durations:
+            expected = process.arrival_times(duration)
+            assert expected == [time for time in times if time < duration]
+            assert list(process.iter_times(duration)) == expected
+            assert process.count_arrivals(duration) == len(expected)
 
     def test_generate_uses_streaming_times(self):
         process = GammaArrivals(rate=0.5, cv=3.0, seed=2)
