@@ -30,28 +30,34 @@ per-device reference in ``tests/oracles/migration.py`` that
 1. **Geometry interning** — ``shard_interval`` / ``stage_layers`` are pure
    functions of small integer signatures and are memoised at module level;
    holder tables are built per distinct (degrees, stage, shard) context
-   signature instead of per device.
-2. **Signature-grouped step construction** — the sorted source candidate
-   order for a destination depends on the destination only through its
-   instance (when that instance holds the layer) or its zone (when it does
-   not), so the ranked candidate list and the greedy piece decomposition
-   are computed once per (layer, rank class, needed segment) and the
-   resulting ``Transfer`` lists instantiated per device.  The weight steps
-   and the cache step share that loop (``_missing_pieces``).  Equivalence
-   with the reference reduces to the candidate order being equal — which
-   it is, because the sort key ``(not same_instance, not same_zone,
-   device_id)`` is a total order (device ids are unique).
+   signature instead of per device, and every layer held by the same set
+   of signatures shares one numbered holder bucket.
+2. **Per-bucket step construction** — destinations whose own context
+   already sits at their new position need nothing and are dropped first,
+   before any holder table is built; a table is built only when a
+   destination remains.  The sorted source candidate order for a
+   destination depends on it only through its instance (when the layer's
+   bucket holds that instance) or its zone (when it does not), so the
+   ranked candidate list is computed once per (bucket, destination class)
+   and the greedy piece cover once per (bucket, destination class, missing
+   segments), not per layer, and the resulting ``Transfer`` lists are
+   instantiated per device and layer.  The weight steps and the cache step
+   share that loop (``_missing_pieces``).  Equivalence with the reference
+   reduces to the candidate order being equal — which it is, because the
+   sort key ``(not same_instance, not same_zone, device_id)`` is a total
+   order (device ids are unique).
 3. **Cross-round plan memoisation** — the finished plan is a pure function
    of (context signatures, placement, config, cache requirements,
    evacuation mode, buffer budget, network spec, bandwidth factor and
    zones), so repeated (placement, placement) shapes across rounds return
    the cached :class:`MigrationPlan` object.  Nothing clears the memo:
    every input is in the key, and the LRU bound caps what it retains.
-4. **Ordering** — ``_buffer_deltas`` is computed once per step and the
-   deferred-layer greedy argmin is evaluated as a numpy sweep over an
-   (instances x layers) delta matrix, with dead columns masked to +inf so
-   ``argmin``'s first-occurrence rule reproduces a strict-less first-min
-   scan exactly.
+4. **Ordering** — ``_assemble`` computes ``_buffer_deltas`` once per step
+   and shares them between the ordering and the finalisation, which
+   prices only steps with transfers.  The deferred-layer greedy argmin is
+   evaluated as a numpy sweep over an (instances x layers) delta matrix,
+   with dead columns masked to +inf so ``argmin``'s first-occurrence rule
+   reproduces a strict-less first-min scan exactly.
 """
 
 from __future__ import annotations
@@ -83,8 +89,20 @@ ENGINE_RESTART_TIME = 10.0
 
 _Context = Union[ModelContext, CacheContext]
 
-#: Layer -> (shard interval, device) pairs holding a slice of that layer.
-_Holders = Dict[int, List[Tuple[Tuple[float, float], DeviceId]]]
+#: A holder bucket: ``(bucket id, (shard interval, device) pairs sorted by
+#: device id, the instances of those devices)``.  Every layer held by the
+#: same set of contexts shares one bucket.
+_Bucket = Tuple[int, List[Tuple[Tuple[float, float], DeviceId]], Set[str]]
+
+#: Layer -> the holder bucket of that layer.
+_Holders = Dict[int, _Bucket]
+
+#: Bucket of a layer that no device holds.
+_NO_HOLDERS: _Bucket = (-1, [], set())
+
+#: The pieces covering a layer's missing segments, in order: ``(source
+#: device, or None for storage, shard fraction)``.
+_Cover = List[Tuple[Optional[DeviceId], float]]
 
 #: ``context_map`` entry of a device that holds no context at all.
 _NO_CONTEXT: Tuple[None, None] = (None, None)
@@ -104,6 +122,19 @@ def _context_span(
     if not owned_layers:
         return 0, 0, interval
     return owned_layers[0], owned_layers[-1] + 1, interval
+
+
+def _settled(
+    ctx: Optional[_Context], config: ParallelConfig, position: TopologyPosition
+) -> bool:
+    """True when *ctx* already sits at *position* of *config*: nothing moves to it."""
+    return (
+        ctx is not None
+        and ctx.pipeline_degree == config.pipeline_degree
+        and ctx.tensor_degree == config.tensor_degree
+        and ctx.position.stage_index == position.stage_index
+        and ctx.position.shard_index == position.shard_index
+    )
 
 
 def restart_stall_time(
@@ -255,8 +286,7 @@ class MigrationPlanner:
         # One walk of the meta-context feeds the memo key, the holder
         # tables and the per-destination own-context lookups.
         context_map: Dict[DeviceId, Tuple] = {}
-        for device_id in meta_context.devices():
-            daemon = meta_context.daemon(device_id)
+        for device_id, daemon in meta_context.daemons():
             mctx = daemon.model_context
             cctx = daemon.cache_context
             if mctx is not None or cctx is not None:
@@ -364,10 +394,17 @@ class MigrationPlanner:
         mapping: DeviceMapping,
     ) -> MigrationPlan:
         config = mapping.config
-        layer_order = self._order_layers(layer_steps, mapping)
+        # One delta walk per step, shared by the ordering and the
+        # finalisation.
+        deltas_by_layer = {
+            layer: self._buffer_deltas(step) for layer, step in layer_steps.items()
+        }
+        layer_order = self._order_layers(deltas_by_layer)
         ordered_steps: List[MigrationStep] = []
+        step_deltas: List[Dict[str, float]] = []
         if cache_step.transfers or cache_step.storage_bytes:
             ordered_steps.append(cache_step)
+            step_deltas.append(self._buffer_deltas(cache_step))
         # A stage is ready on the step of the last of its layers to move.
         # Stages own the ``stage_layers`` partition, the one every holder
         # table and transfer above is built from.
@@ -384,8 +421,9 @@ class MigrationPlanner:
             if stage_remaining[stage] == 0:
                 step.stages_ready.append(stage)
             ordered_steps.append(step)
+            step_deltas.append(deltas_by_layer[layer_index])
 
-        return self._finalize(ordered_steps, layer_order, config)
+        return self._finalize(ordered_steps, step_deltas, layer_order, config)
 
     def _zones_for(
         self, context_map: Dict[DeviceId, Tuple], mapping: DeviceMapping
@@ -471,7 +509,9 @@ class MigrationPlanner:
 
         Weight slices that no surviving GPU holds are billed to storage.
         Lost cache cannot be reloaded from storage; it is simply recomputed
-        and not billed to the plan.
+        and not billed to the plan.  Destinations whose own context already
+        sits at their new position are dropped before any holder table is
+        built, and a table is built only for the destinations that remain.
         """
         config = mapping.config
         rank_zones = (
@@ -479,42 +519,52 @@ class MigrationPlanner:
             if self.network.zone_of is not None and not self.evacuation_mode
             else None
         )
+        num_layers = self.model.num_layers
         layer_steps: Dict[int, MigrationStep] = {
             layer: MigrationStep(kind="weight", layer_index=layer)
-            for layer in range(self.model.num_layers)
+            for layer in range(num_layers)
         }
-        model_holders = self._holder_table(
-            (device_id, mctx)
-            for device_id, (mctx, _) in context_map.items()
-            if mctx is not None
-        )
-        targets = [
-            (device_id, position, context_map.get(device_id, _NO_CONTEXT)[0])
-            for device_id, position in mapping.placement.items()
-        ]
-        layer_param_bytes = self.model.layer_param_bytes
-        for layer, device_id, source, fraction in self._missing_pieces(
-            targets, config, model_holders, rank_zones
-        ):
-            size = fraction * layer_param_bytes
-            if size <= 0:
-                continue
-            step = layer_steps[layer]
-            if source is None:
-                step.storage_bytes += size
-            else:
-                step.transfers.append(
-                    Transfer(
-                        src=source,
-                        dst=device_id,
-                        size_bytes=size,
-                        tag=f"model:layer{layer}",
-                    )
-                )
+        targets = []
+        for device_id, position in mapping.placement.items():
+            mctx = context_map.get(device_id, _NO_CONTEXT)[0]
+            if not _settled(mctx, config, position):
+                targets.append((device_id, position, mctx))
+        if targets:
+            model_holders = self._holder_table(
+                (device_id, mctx)
+                for device_id, (mctx, _) in context_map.items()
+                if mctx is not None
+            )
+            layer_param_bytes = self.model.layer_param_bytes
+            tags = [f"model:layer{layer}" for layer in range(num_layers)]
+            for layer, device_id, cover in self._missing_pieces(
+                targets, config, model_holders, rank_zones
+            ):
+                step = layer_steps[layer]
+                tag = tags[layer]
+                for source, fraction in cover:
+                    size = fraction * layer_param_bytes
+                    if size <= 0:
+                        continue
+                    if source is None:
+                        step.storage_bytes += size
+                    else:
+                        step.transfers.append(Transfer(source, device_id, size, tag))
 
         cache_step = MigrationStep(kind="cache", layer_index=None)
         for new_data_index, (old_data_index, batch_size, cached_tokens) in cache_requirements.items():
             if cached_tokens <= 0:
+                continue
+            targets = []
+            for device_id, position in mapping.placement.items():
+                if position.data_index != new_data_index:
+                    continue
+                cctx = context_map.get(device_id, _NO_CONTEXT)[1]
+                if cctx is not None and cctx.position.data_index != old_data_index:
+                    cctx = None
+                if not _settled(cctx, config, position):
+                    targets.append((device_id, position, cctx))
+            if not targets:
                 continue
             per_layer_bytes = (
                 2.0
@@ -528,64 +578,56 @@ class MigrationPlanner:
                 for device_id, (_, cctx) in context_map.items()
                 if cctx is not None and cctx.position.data_index == old_data_index
             )
-            targets = []
-            for device_id, position in mapping.placement.items():
-                if position.data_index != new_data_index:
-                    continue
-                cctx = context_map.get(device_id, _NO_CONTEXT)[1]
-                if cctx is not None and cctx.position.data_index != old_data_index:
-                    cctx = None
-                targets.append((device_id, position, cctx))
             tag = f"cache:pipeline{new_data_index}"
-            for _, device_id, source, fraction in self._missing_pieces(
+            for _, device_id, cover in self._missing_pieces(
                 targets, config, cache_holders, rank_zones
             ):
-                size = fraction * per_layer_bytes
-                if size > 0 and source is not None:
-                    cache_step.transfers.append(
-                        Transfer(src=source, dst=device_id, size_bytes=size, tag=tag)
-                    )
+                for source, fraction in cover:
+                    size = fraction * per_layer_bytes
+                    if size > 0 and source is not None:
+                        cache_step.transfers.append(Transfer(source, device_id, size, tag))
         return layer_steps, cache_step
 
     def _missing_pieces(
         self,
         targets: Sequence[Tuple[DeviceId, TopologyPosition, Optional[_Context]]],
         config: ParallelConfig,
-        holder_table: Tuple[_Holders, Dict[int, Set[str]]],
+        holders: _Holders,
         rank_zones: Optional[Dict[str, Optional[str]]],
-    ) -> Iterator[Tuple[int, DeviceId, Optional[DeviceId], float]]:
-        """Yield ``(layer, destination, source, fraction)`` for each missing piece.
+    ) -> Iterator[Tuple[int, DeviceId, _Cover]]:
+        """Yield ``(layer, destination, cover)`` for each layer a destination misses.
 
-        A target is ``(device, new position, own context or None)``.  Every
-        shard segment of the new position that the own context does not
-        cover is split greedily across the ranked holders; ``source=None``
-        marks a portion nobody holds.  Targets whose own context already
-        sits at their new position are skipped: every missing set is empty.
+        A target is ``(device, new position, own context or None)``, and no
+        target is settled (:func:`_settled`).  The shard segments of the new
+        position that the own context does not cover on a layer are split
+        greedily across that layer's ranked holders.  The cover lists the
+        resulting ``(source, fraction)`` pieces segment by segment;
+        ``source=None`` marks a portion nobody holds.
 
-        Ranked candidate lists are cached per :meth:`_rank_class` and
-        greedy covers per (rank class, segment), then reused across every
-        destination of the class.  Iteration order -- targets, then layers,
-        then segments, then pieces -- fixes the ``Transfer`` order in steps.
+        The sort key ``(not same_instance, not same_zone, device_id)``
+        depends on the destination only through its instance and zone, so a
+        layer's ranked candidates depend only on its holder bucket and the
+        destination's class in it: its instance when the bucket holds that
+        instance (``0``), else its zone (``1``; the discriminant keeps
+        instance ids and zone names apart).  Ranked lists are cached per
+        (bucket, class) and covers per (bucket, class, missing segments),
+        then shared by every layer and destination that meet them.  A
+        destination's adjacent layers mostly share both, so a cover is
+        looked up only when either changes.  Iteration order -- targets,
+        then layers, then segments, then pieces -- fixes the ``Transfer``
+        order in steps.
         """
         num_layers = self.model.num_layers
         new_pd = config.pipeline_degree
         new_td = config.tensor_degree
-        holders, holder_instances = holder_table
         ranked_cache: Dict[Tuple, List[Tuple[Tuple[float, float], DeviceId]]] = {}
-        pieces_cache: Dict[Tuple, List[Tuple[Optional[DeviceId], float]]] = {}
-        missing_cache: Dict[Tuple, List[Tuple[float, float]]] = {}
+        covers: Dict[Tuple, _Cover] = {}
         for device_id, position, own in targets:
-            new_stage = position.stage_index
-            new_shard = position.shard_index
+            whole = (shard_interval(new_td, position.shard_index),)
+            rest = whole
+            own_lo = own_hi = 0
             if own is not None:
                 cpos = own.position
-                if (
-                    own.pipeline_degree == new_pd
-                    and own.tensor_degree == new_td
-                    and cpos.stage_index == new_stage
-                    and cpos.shard_index == new_shard
-                ):
-                    continue
                 own_lo, own_hi, own_interval = _context_span(
                     num_layers,
                     own.pipeline_degree,
@@ -593,73 +635,48 @@ class MigrationPlanner:
                     cpos.stage_index,
                     cpos.shard_index,
                 )
-            new_interval = shard_interval(new_td, new_shard)
+                rest = self._subtract_interval(whole[0], own_interval)
             instance = device_id[0]
             dest_zone = rank_zones[instance] if rank_zones is not None else None
-            for layer in stage_layers(num_layers, new_pd, new_stage):
-                owned = (
-                    own_interval
-                    if own is not None and own_lo <= layer < own_hi
-                    else None
-                )
-                mkey = (new_interval, owned)
-                missing = missing_cache.get(mkey)
-                if missing is None:
-                    missing = self._subtract_interval(new_interval, owned)
-                    missing_cache[mkey] = missing
+            last_bucket = last_missing = cover = None
+            for layer in stage_layers(num_layers, new_pd, position.stage_index):
+                missing = rest if own_lo <= layer < own_hi else whole
                 if not missing:
                     continue
-                rank_class = self._rank_class(
-                    layer, instance, dest_zone, holder_instances.get(layer)
-                )
-                for segment in missing:
-                    pkey = (rank_class, segment)
-                    pieces = pieces_cache.get(pkey)
-                    if pieces is None:
-                        ranked = ranked_cache.get(rank_class)
+                bucket = holders.get(layer, _NO_HOLDERS)
+                if bucket is not last_bucket or missing is not last_missing:
+                    last_bucket, last_missing = bucket, missing
+                    bucket_id, candidates, instances = bucket
+                    rank_key = (
+                        (bucket_id, 0, instance)
+                        if instance in instances
+                        else (bucket_id, 1, dest_zone)
+                    )
+                    cover_key = (rank_key, missing)
+                    cover = covers.get(cover_key)
+                    if cover is None:
+                        ranked = ranked_cache.get(rank_key)
                         if ranked is None:
                             ranked = self._partition_ranked(
-                                holders.get(layer, ()), instance, dest_zone, rank_zones
+                                candidates, instance, dest_zone, rank_zones
                             )
-                            ranked_cache[rank_class] = ranked
-                        pieces = self._pieces_from_sources(ranked, segment)
-                        pieces_cache[pkey] = pieces
-                    for source, fraction in pieces:
-                        yield layer, device_id, source, fraction
-
-    @staticmethod
-    def _rank_class(
-        layer: int,
-        instance: str,
-        dest_zone: Optional[str],
-        layer_instances: Optional[Set[str]],
-    ) -> Tuple:
-        """Equivalence class of destinations sharing one candidate order.
-
-        The sort key ``(not same_instance, not same_zone, device_id)``
-        depends on the destination only through its instance and zone.  Two
-        destinations produce the same sorted candidate list when they share
-        an instance, or when neither instance holds the layer (so
-        ``same_instance`` is uniformly False) and they share a zone.  The
-        ``0`` / ``1`` discriminants keep instance ids and zone names from
-        colliding.
-        """
-        if layer_instances and instance in layer_instances:
-            return (layer, 0, instance)
-        return (layer, 1, dest_zone)
+                            ranked_cache[rank_key] = ranked
+                        cover = [
+                            piece
+                            for segment in missing
+                            for piece in self._pieces_from_sources(ranked, segment)
+                        ]
+                        covers[cover_key] = cover
+                yield layer, device_id, cover
 
     # ------------------------------------------------------------------
     # Layer ordering (Algorithm 2)
     # ------------------------------------------------------------------
-    def _order_layers(
-        self, layer_steps: Dict[int, MigrationStep], mapping: DeviceMapping
-    ) -> List[int]:
+    def _order_layers(self, deltas_by_layer: Dict[int, Dict[str, float]]) -> List[int]:
+        """Algorithm 2's layer order, from each layer step's buffer deltas."""
         layers = list(range(self.model.num_layers))
         if not self.memory_optimized:
             return layers
-        deltas_by_layer = {
-            layer: self._buffer_deltas(layer_steps[layer]) for layer in layers
-        }
         usage: Dict[str, float] = {}
         order: List[int] = []
         deferred: List[int] = []
@@ -756,9 +773,15 @@ class MigrationPlanner:
     def _finalize(
         self,
         steps: List[MigrationStep],
+        step_deltas: List[Dict[str, float]],
         layer_order: List[int],
         config: ParallelConfig,
     ) -> MigrationPlan:
+        """Price the ordered *steps*; ``step_deltas[i]`` is step i's buffer deltas.
+
+        A step without transfers adds no time, bytes or buffer use, so it
+        is not priced.
+        """
         total_time = 0.0
         stall_time = 0.0
         storage_bytes = 0.0
@@ -767,13 +790,13 @@ class MigrationPlanner:
         peak = 0.0
         first_stage_ready_time: Optional[float] = None
 
-        for step in steps:
-            duration = self.network.batch_time(step.transfers)
-            total_time += duration
-            total_bytes += step.total_bytes
+        for step, deltas in zip(steps, step_deltas):
+            if step.transfers:
+                total_time += self.network.batch_time(step.transfers)
+                total_bytes += step.total_bytes
+                self._apply_deltas(usage, deltas)
+                peak = max(peak, max(usage.values(), default=0.0))
             storage_bytes += step.storage_bytes
-            self._apply_deltas(usage, self._buffer_deltas(step))
-            peak = max(peak, max(usage.values(), default=0.0))
             if 0 in step.stages_ready and first_stage_ready_time is None:
                 first_stage_ready_time = total_time
 
@@ -813,20 +836,18 @@ class MigrationPlanner:
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
-    def _holder_table(
-        self, contexts: Iterable[Tuple[DeviceId, _Context]]
-    ) -> Tuple[_Holders, Dict[int, Set[str]]]:
-        """Per-layer holders of the given contexts, plus per-layer instances.
+    def _holder_table(self, contexts: Iterable[Tuple[DeviceId, _Context]]) -> _Holders:
+        """The holder bucket of every layer some given context holds.
 
         Devices are grouped by their (degrees, stage, shard) context
         signature so each group's layer span and shard interval resolve
         once.  Stage spans are contiguous, so runs of adjacent layers are
         covered by the same set of groups; each distinct coverage set is
-        expanded and device-id-sorted once, and the resulting bucket (plus
-        its instance set) is shared by every layer with that coverage.
-        Buckets are therefore shared, read-only lists.  The device-id sort
-        is what lets :meth:`_partition_ranked` skip sorting entirely; the
-        instance sets feed :meth:`_rank_class`.
+        expanded and device-id-sorted once into one bucket, numbered in
+        build order and shared, read-only, by every layer with that
+        coverage.  The device-id sort is what lets
+        :meth:`_partition_ranked` skip sorting entirely; the bucket number
+        and instance set key and class :meth:`_missing_pieces`' caches.
         """
         groups: Dict[Tuple[int, int, int, int], List[DeviceId]] = {}
         for device_id, ctx in contexts:
@@ -846,24 +867,23 @@ class MigrationPlanner:
             for layer in stage_layers(num_layers, pd, stage):
                 coverage.setdefault(layer, []).append(gi)
         holders: _Holders = {}
-        holder_instances: Dict[int, Set[str]] = {}
-        bucket_cache: Dict[Tuple[int, ...], Tuple[List, Set[str]]] = {}
+        buckets: Dict[Tuple[int, ...], _Bucket] = {}
         for layer, group_ids in coverage.items():
             ckey = tuple(group_ids)
-            cached = bucket_cache.get(ckey)
-            if cached is None:
-                bucket: List[Tuple[Tuple[float, float], DeviceId]] = []
+            bucket = buckets.get(ckey)
+            if bucket is None:
+                entries: List[Tuple[Tuple[float, float], DeviceId]] = []
                 instances: Set[str] = set()
                 for gi in group_ids:
                     interval, devices = group_entries[gi]
                     for device_id in devices:
-                        bucket.append((interval, device_id))
+                        entries.append((interval, device_id))
                         instances.add(device_id[0])
-                bucket.sort(key=lambda item: item[1])
-                cached = (bucket, instances)
-                bucket_cache[ckey] = cached
-            holders[layer], holder_instances[layer] = cached
-        return holders, holder_instances
+                entries.sort(key=lambda item: item[1])
+                bucket = (len(buckets), entries, instances)
+                buckets[ckey] = bucket
+            holders[layer] = bucket
+        return holders
 
     @staticmethod
     def _partition_ranked(
@@ -941,13 +961,13 @@ class MigrationPlanner:
     @staticmethod
     def _subtract_interval(
         needed: Tuple[float, float], owned: Optional[Tuple[float, float]]
-    ) -> List[Tuple[float, float]]:
-        """Portions of *needed* not covered by *owned*."""
+    ) -> Tuple[Tuple[float, float], ...]:
+        """Portions of *needed* not covered by *owned*, as a hashable tuple."""
         if owned is None:
-            return [needed]
+            return (needed,)
         result: List[Tuple[float, float]] = []
         if owned[0] > needed[0]:
             result.append((needed[0], min(owned[0], needed[1])))
         if owned[1] < needed[1]:
             result.append((max(owned[1], needed[0]), needed[1]))
-        return [segment for segment in result if segment[1] - segment[0] > 1e-12]
+        return tuple(segment for segment in result if segment[1] - segment[0] > 1e-12)

@@ -25,7 +25,7 @@ live pipeline uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, ItemsView, Optional, Tuple
 
 from .placement import TopologyPosition
 
@@ -115,6 +115,6 @@ class MetaContextManager:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def devices(self) -> List[DeviceId]:
-        """Every tracked GPU."""
-        return list(self._daemons)
+    def daemons(self) -> ItemsView[DeviceId, ContextDaemon]:
+        """Every tracked GPU with its daemon, as a live ``(device, daemon)`` view."""
+        return self._daemons.items()

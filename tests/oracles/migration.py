@@ -190,8 +190,8 @@ class ReferenceMigrationPlanner(MigrationPlanner):
     def _model_holders(self, meta_context: MetaContextManager) -> Holders:
         """Layer -> list of (shard interval, device) currently holding it."""
         holders: Holders = {}
-        for device_id in meta_context.devices():
-            ctx = meta_context.daemon(device_id).model_context
+        for device_id, daemon in meta_context.daemons():
+            ctx = daemon.model_context
             if ctx is None:
                 continue
             layers = self._stage_layers(ctx.position.stage_index, ctx.pipeline_degree)
@@ -203,8 +203,8 @@ class ReferenceMigrationPlanner(MigrationPlanner):
     def _cache_holders(self, meta_context: MetaContextManager) -> Dict[int, Holders]:
         """Old data index -> layer -> holders of that pipeline's cache."""
         holders: Dict[int, Holders] = {}
-        for device_id in meta_context.devices():
-            ctx = meta_context.daemon(device_id).cache_context
+        for device_id, daemon in meta_context.daemons():
+            ctx = daemon.cache_context
             if ctx is None:
                 continue
             layers = self._stage_layers(ctx.position.stage_index, ctx.pipeline_degree)

@@ -16,8 +16,8 @@ from repro.workload.request import Request
 def model_replica_coverage(manager, pipeline_degree, tensor_degree):
     """Fraction of a (P, M) deployment's positions held by some GPU."""
     present = set()
-    for device_id in manager.devices():
-        ctx = manager.daemon(device_id).model_context
+    for _, daemon in manager.daemons():
+        ctx = daemon.model_context
         if ctx is not None and (ctx.pipeline_degree, ctx.tensor_degree) == (
             pipeline_degree,
             tensor_degree,
@@ -65,7 +65,7 @@ class TestMetaContextManager:
         manager = MetaContextManager()
         daemon = manager.daemon(("inst-0", 0))
         assert manager.daemon(("inst-0", 0)) is daemon
-        assert ("inst-0", 0) in manager.devices()
+        assert (("inst-0", 0), daemon) in manager.daemons()
 
     def test_drop_instance_removes_all_gpus(self):
         manager = MetaContextManager()
@@ -73,7 +73,7 @@ class TestMetaContextManager:
             manager.daemon(("inst-0", gpu))
         manager.daemon(("inst-1", 0))
         manager.drop_instance("inst-0")
-        assert manager.devices() == [("inst-1", 0)]
+        assert [device_id for device_id, _ in manager.daemons()] == [("inst-1", 0)]
 
     def test_replica_coverage(self):
         manager = MetaContextManager()

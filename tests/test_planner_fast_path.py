@@ -5,12 +5,15 @@ The plan-phase fast path rests on four claims, each pinned here:
 * the interned geometry helper ``stage_layers`` equals its O(num_layers)
   scan reference for every (layers, degree) signature, fractional stage
   boundaries included;
-* signature-grouped step construction -- interned holder tables, rank-class
-  candidate ranking, per-(layer, segment, rank class) piece memoisation --
-  produces **byte-equal** :class:`MigrationPlan` fields and identical
-  ``Transfer`` ordering vs the scalar reference in
-  ``tests/oracles/migration.py`` under randomized fleet churn, degrees,
-  evacuation mode, cache requirements and storage fallback;
+* per-bucket step construction -- interned holder buckets, candidates
+  ranked and pieces covered once per (bucket, destination class), settled
+  destinations dropped before any holder table is built -- produces
+  **byte-equal** :class:`MigrationPlan` fields and identical ``Transfer``
+  ordering vs the scalar reference in ``tests/oracles/migration.py`` under
+  randomized fleet churn, degrees, evacuation mode, cache requirements and
+  storage fallback, and on churn-shaped fleets whose contexts mostly sit
+  outside the placement; a bucket shared by every layer is ranked once
+  per destination class, and an all-settled placement builds no table;
 * the numpy deferred-layer drain picks the same layer order as the scalar
   greedy, strict-less first-min tie-breaks included;
 * the cross-round plan memo hits exactly when every plan input is unchanged
@@ -25,10 +28,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import ParallelConfig
-from repro.core.device_mapper import DeviceMapper
+from repro.core.device_mapper import DeviceMapper, DeviceMapping
 from repro.core.migration import MigrationPlanner, MigrationStep
 from repro.engine.context import MetaContextManager
-from repro.engine.placement import mesh_positions, stage_layer_range, stage_layers
+from repro.engine.placement import (
+    TopologyPosition,
+    mesh_positions,
+    stage_layer_range,
+    stage_layers,
+)
 from repro.llm.spec import GPT_20B, OPT_6_7B
 from repro.sim.network import NetworkModel, Transfer
 
@@ -221,6 +229,165 @@ class TestFastReferencePlanEquivalence:
             )
 
 
+class TestPerBucketPlanWork:
+    """Plan work done once per distinct input: per holder bucket, not per layer."""
+
+    def test_one_bucket_is_ranked_once_per_destination_class(self, monkeypatch):
+        """OPT-6.7B at P = 1: all 32 layers share one holder bucket."""
+        meta = MetaContextManager()
+        old = ParallelConfig(2, 1, 4, 8)
+        for device, position in zip(
+            devices_for(2), mesh_positions(old.data_degree, 1, old.tensor_degree)
+        ):
+            meta.daemon(device).install_model_context(1, 4, position)
+        # Two fresh instances join; M = 2 leaves every destination a gap.
+        devices = devices_for(4)
+        mapping = DeviceMapper(OPT_6_7B, zone_of=zone_of).map_devices(
+            meta, devices, ParallelConfig(8, 1, 2, 8)
+        )
+        ranked = []
+        partition = MigrationPlanner._partition_ranked
+
+        def counting(bucket, instance, dest_zone, zones):
+            holds = any(device_id[0] == instance for _, device_id in bucket)
+            ranked.append((id(bucket), instance if holds else dest_zone))
+            return partition(bucket, instance, dest_zone, zones)
+
+        monkeypatch.setattr(MigrationPlanner, "_partition_ranked", staticmethod(counting))
+        network = NetworkModel(zone_of=zone_of)
+        plan = MigrationPlanner(OPT_6_7B, network).plan(meta, mapping, {})
+        monkeypatch.undo()
+
+        holding = {"inst-00", "inst-01"}
+        classes = {
+            instance if instance in holding else zone_of(instance)
+            for instance, _ in mapping.placement
+        }
+        assert classes == {"inst-00", "inst-01", "z2", "z0"}
+        assert len({bucket for bucket, _ in ranked}) == 1
+        assert sorted(cls for _, cls in ranked) == sorted(classes)
+        reference = ReferenceMigrationPlanner(OPT_6_7B, network)
+        assert_plans_byte_equal(plan, reference.plan(meta, mapping, {}))
+
+    def test_settled_destinations_build_no_holder_table(self, monkeypatch):
+        """Every destination already holds its new position: no table, an empty plan."""
+        meta = MetaContextManager()
+        config = ParallelConfig(2, 2, 2, 8)
+        positions = mesh_positions(2, 2, 2)
+        placement = dict(zip(devices_for(2), positions))
+        for device, position in placement.items():
+            daemon = meta.daemon(device)
+            daemon.install_model_context(2, 2, position)
+            if position.data_index == 1:
+                daemon.install_cache_context(2, 2, position, batch_size=4, cached_tokens=300)
+        # A device outside the placement holds another layout's slice.
+        meta.daemon(("inst-09", 0)).install_model_context(1, 1, TopologyPosition(0, 0, 0))
+        mapping = DeviceMapping(config=config, placement=placement)
+        requirements = {1: (1, 4, 300)}
+        tables = []
+        holder_table = MigrationPlanner._holder_table
+
+        def counting(self, contexts):
+            contexts = list(contexts)
+            tables.append(contexts)
+            return holder_table(self, contexts)
+
+        monkeypatch.setattr(MigrationPlanner, "_holder_table", counting)
+        network = NetworkModel(zone_of=zone_of)
+        plan = MigrationPlanner(OPT_6_7B, network).plan(meta, mapping, requirements)
+        monkeypatch.undo()
+
+        assert tables == []
+        assert plan.is_empty
+        reference = ReferenceMigrationPlanner(OPT_6_7B, network)
+        assert_plans_byte_equal(plan, reference.plan(meta, mapping, requirements))
+
+    @staticmethod
+    def churn_state(rng):
+        """Four layouts' contexts on 8-12 instances, most outside the new fleet.
+
+        The first layout spans every device; each later one covers a window
+        of devices starting anywhere, so it overwrites parts of the earlier
+        ones.  A layout leaves about a tenth of its positions out.  The
+        fleet keeps a third of the instances and gains fresh ones.  Returns
+        the meta context, the fleet's devices and the last layout's config.
+        """
+        meta = MetaContextManager()
+        devices = devices_for(int(rng.integers(8, 13)))
+        for layout in range(4):
+            pipeline_degree = int(rng.choice([1, 2]))
+            tensor_degree = int(rng.choice([2, 4]))
+            data_degree = (
+                int(rng.integers(2, 7))
+                if layout
+                else len(devices) // (pipeline_degree * tensor_degree)
+            )
+            old = ParallelConfig(data_degree, pipeline_degree, tensor_degree, 8)
+            start = int(rng.integers(0, len(devices))) if layout else 0
+            positions = mesh_positions(
+                old.data_degree, old.pipeline_degree, old.tensor_degree
+            )
+            for offset, position in enumerate(positions):
+                if rng.random() < 0.1:
+                    continue
+                daemon = meta.daemon(devices[(start + offset) % len(devices)])
+                daemon.install_model_context(
+                    old.pipeline_degree, old.tensor_degree, position
+                )
+                if rng.random() < 0.5:
+                    daemon.install_cache_context(
+                        old.pipeline_degree,
+                        old.tensor_degree,
+                        position,
+                        batch_size=int(rng.integers(1, 9)),
+                        cached_tokens=int(rng.integers(1, 700)),
+                    )
+        instances = [instance for instance, _ in devices[::4]]
+        kept = {
+            instances[i]
+            for i in rng.choice(len(instances), size=len(instances) // 3, replace=False)
+        }
+        fleet = [device for device in devices if device[0] in kept]
+        fleet += devices_for(int(rng.integers(1, 4)), prefix="inst-9")
+        return meta, fleet, old
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_churn_shaped_plans_match_reference(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        model = OPT_6_7B if seed % 4 else GPT_20B
+        meta, fleet, old = self.churn_state(rng)
+        holding = [device for device, daemon in meta.daemons() if daemon.model_context]
+        assert len({device[0] for device in holding}) >= 8
+        assert len(set(holding) - set(fleet)) > len(holding) / 2
+        network = NetworkModel(zone_of=zone_of)
+        fast = MigrationPlanner(model, network)
+        reference = ReferenceMigrationPlanner(model, network)
+        mapper = DeviceMapper(model, zone_of=zone_of)
+        for pipeline_degree in (1, 2):
+            tensor_degree = int(rng.choice([1, 2, 4]))
+            data_degree = max(len(fleet) // (pipeline_degree * tensor_degree), 1)
+            new = ParallelConfig(data_degree, pipeline_degree, tensor_degree, 8)
+            inheritance = {
+                d: int(rng.integers(0, new.data_degree)) for d in range(old.data_degree)
+            }
+            mapping = mapper.map_devices(meta, fleet, new, inheritance)
+            requirements = {
+                new_index: (
+                    int(rng.integers(0, old.data_degree)),
+                    int(rng.integers(1, 9)),
+                    int(rng.integers(1, 700)),
+                )
+                for new_index in range(new.data_degree)
+                if rng.random() < 0.5
+            }
+            for evacuating in (False, True):
+                fast.evacuation_mode = reference.evacuation_mode = evacuating
+                assert_plans_byte_equal(
+                    fast.plan(meta, mapping, requirements),
+                    reference.plan(meta, mapping, requirements),
+                )
+
+
 class TestDeferredDrainEquivalence:
     """The numpy drain == the scalar greedy on synthetic step sets."""
 
@@ -240,6 +407,11 @@ class TestDeferredDrainEquivalence:
             steps[layer] = step
         return steps
 
+    @staticmethod
+    def deltas(planner, steps):
+        """Each step's buffer deltas, by layer, as ``_assemble`` builds them."""
+        return {layer: planner._buffer_deltas(step) for layer, step in steps.items()}
+
     @pytest.mark.parametrize("seed", range(15))
     def test_random_steps_same_order(self, seed):
         rng = np.random.default_rng(seed)
@@ -248,13 +420,12 @@ class TestDeferredDrainEquivalence:
             rng, num_layers, int(rng.integers(2, 7)), tie_heavy=seed % 3 == 0
         )
         model = SimpleNamespace(num_layers=num_layers)
-        mapping = SimpleNamespace(config=None)
         budget = float(rng.choice([0.5, 1.0, 2.0, 4.0])) * GB
         fast = MigrationPlanner(GPT_20B, max_buffer_bytes=budget)
         reference = ReferenceMigrationPlanner(GPT_20B, max_buffer_bytes=budget)
         fast.model = reference.model = model
-        fast_order = fast._order_layers(steps, mapping)
-        ref_order = reference._order_layers(steps, mapping)
+        fast_order = fast._order_layers(self.deltas(fast, steps))
+        ref_order = reference._order_layers(self.deltas(reference, steps))
         assert fast_order == ref_order
         assert sorted(fast_order) == list(range(num_layers))
 
@@ -262,12 +433,11 @@ class TestDeferredDrainEquivalence:
         rng = np.random.default_rng(7)
         steps = self.synthetic_steps(rng, 12, 4)
         model = SimpleNamespace(num_layers=12)
-        mapping = SimpleNamespace(config=None)
         fast = MigrationPlanner(GPT_20B, max_buffer_bytes=0.0)
         reference = ReferenceMigrationPlanner(GPT_20B, max_buffer_bytes=0.0)
         fast.model = reference.model = model
-        assert fast._order_layers(steps, mapping) == reference._order_layers(
-            steps, mapping
+        assert fast._order_layers(self.deltas(fast, steps)) == reference._order_layers(
+            self.deltas(reference, steps)
         )
 
 

@@ -951,16 +951,22 @@ class TestDrainDeferredGuard:
         reference = ReferenceMigrationPlanner(GPT_20B, network, max_buffer_bytes=budget)
         return fast, reference
 
+    @staticmethod
+    def order(planner, steps):
+        """The planner's layer order for *steps*, from their buffer deltas."""
+        return planner._order_layers(
+            {layer: planner._buffer_deltas(step) for layer, step in steps.items()}
+        )
+
     def test_overflowed_live_peaks_match_reference(self):
         """Astronomical sizes push every live peak to +inf: the fast drain
         must not confuse them with the +inf dead-column mask."""
         steps = self.overflowing_steps()
         model = SimpleNamespace(num_layers=3)
-        mapping = SimpleNamespace(config=None)
         fast, reference = self.planners()
         fast.model = reference.model = model
-        fast_order = fast._order_layers(steps, mapping)
-        ref_order = reference._order_layers(steps, mapping)
+        fast_order = self.order(fast, steps)
+        ref_order = self.order(reference, steps)
         assert fast_order == ref_order
         assert sorted(fast_order) == list(range(3))
 
@@ -980,11 +986,10 @@ class TestDrainDeferredGuard:
                 )
             steps[layer] = step
         model = SimpleNamespace(num_layers=num_layers)
-        mapping = SimpleNamespace(config=None)
         fast, reference = self.planners()
         fast.model = reference.model = model
-        fast_order = fast._order_layers(steps, mapping)
-        assert fast_order == reference._order_layers(steps, mapping)
+        fast_order = self.order(fast, steps)
+        assert fast_order == self.order(reference, steps)
         assert sorted(fast_order) == list(range(num_layers))
 
     def test_guard_does_not_disturb_finite_ordering(self):
@@ -1001,12 +1006,9 @@ class TestDrainDeferredGuard:
             )
             steps[layer] = step
         model = SimpleNamespace(num_layers=6)
-        mapping = SimpleNamespace(config=None)
         fast, reference = self.planners(budget=0.5 * GB)
         fast.model = reference.model = model
-        assert fast._order_layers(steps, mapping) == reference._order_layers(
-            steps, mapping
-        )
+        assert self.order(fast, steps) == self.order(reference, steps)
 
 
 class TestPerfHarnessWiring:
