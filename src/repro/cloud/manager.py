@@ -216,13 +216,6 @@ class InstanceManager:
         self.grace_deadlines.pop(instance.instance_id, None)
         return instance
 
-    def zone_counts(self) -> Dict[str, int]:
-        """Stable instances per availability zone (zones with none included)."""
-        counts: Dict[str, int] = {name: 0 for name in self.provider.zone_names}
-        for inst in self.stable_instances():
-            counts[inst.zone] = counts.get(inst.zone, 0) + 1
-        return counts
-
     # ------------------------------------------------------------------
     # Algorithm 1 allocation policy
     # ------------------------------------------------------------------

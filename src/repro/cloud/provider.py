@@ -95,7 +95,13 @@ class CloudProvider:
         self._victim_rngs = {
             name: np.random.default_rng(seed) for name, seed in seeds.items()
         }
+        #: Every instance ever granted, in grant order (:meth:`zone_of`).
         self._instances: Dict[str, Instance] = {}
+        #: The granted instances not yet preempted, failed or released, in
+        #: grant order: the fleet views walk this instead of every instance
+        #: ever granted.  The provider drops an instance when it kills it;
+        #: :meth:`alive_instances` drops one killed outside the provider.
+        self._alive: Dict[str, Instance] = {}
         #: Pending ``ACQUISITION_READY`` events per launching instance, so a
         #: zone outage can cancel the ready announcement of an instance that
         #: died before finishing its startup delay.
@@ -202,7 +208,7 @@ class CloudProvider:
         deadline = event.payload["start"]
         victims = [
             instance
-            for instance in self._instances.values()
+            for instance in self.alive_instances()
             if instance.zone == zone_name
             and instance.market is Market.SPOT
             and instance.state is InstanceState.RUNNING
@@ -215,15 +221,14 @@ class CloudProvider:
         """The zone goes dark: reclaim every instance in it atomically."""
         zone_name = event.payload["zone"]
         victims = [
-            instance
-            for instance in self._instances.values()
-            if instance.zone == zone_name and instance.is_alive
+            instance for instance in self.alive_instances() if instance.zone == zone_name
         ]
         victims.sort(key=lambda inst: inst.instance_id)
         for victim in victims:
             pending_ready = self._pending_ready.pop(victim.instance_id, None)
             if pending_ready is not None:
                 pending_ready.cancel()
+            self._alive.pop(victim.instance_id, None)
             victim.fail(event.time)
             self.cost_tracker.stop_billing(victim, event.time)
         # Handlers dispatched after this callback see exactly who died.
@@ -246,6 +251,7 @@ class CloudProvider:
             zone=zone.name,
         )
         self._instances[instance.instance_id] = instance
+        self._alive[instance.instance_id] = instance
         schedule = (
             zone.spot_schedule(self.instance_type)
             if self.trace_market is Market.SPOT
@@ -317,6 +323,7 @@ class CloudProvider:
         pending_ready = self._pending_ready.pop(instance.instance_id, None)
         if pending_ready is not None:
             pending_ready.cancel()
+        self._alive.pop(instance.instance_id, None)
         instance.fail(event.time)
         self.cost_tracker.stop_billing(instance, event.time)
         event.payload["applied"] = True
@@ -331,10 +338,8 @@ class CloudProvider:
         """
         candidates = [
             instance
-            for instance in self._instances.values()
-            if instance.market is Market.SPOT
-            and instance.is_alive
-            and instance.zone == zone_name
+            for instance in self.alive_instances()
+            if instance.market is Market.SPOT and instance.zone == zone_name
         ]
         candidates.sort(key=lambda inst: inst.instance_id)
         if not candidates:
@@ -390,6 +395,7 @@ class CloudProvider:
         instance: Instance = event.payload["instance"]
         if not instance.is_alive:
             return
+        self._alive.pop(instance.instance_id, None)
         instance.preempt(event.time)
         self.cost_tracker.stop_billing(instance, event.time)
 
@@ -445,6 +451,7 @@ class CloudProvider:
                     zone=zone_spec.name,
                 )
                 self._instances[instance.instance_id] = instance
+                self._alive[instance.instance_id] = instance
                 self.cost_tracker.start_billing(
                     instance, now, zone_spec.on_demand_schedule(self.instance_type)
                 )
@@ -497,6 +504,7 @@ class CloudProvider:
         pending_ready = self._pending_ready.pop(instance.instance_id, None)
         if pending_ready is not None:
             pending_ready.cancel()
+        self._alive.pop(instance.instance_id, None)
         instance.release(self.simulator.now)
         self.cost_tracker.stop_billing(instance, self.simulator.now)
 
@@ -505,19 +513,23 @@ class CloudProvider:
     # ------------------------------------------------------------------
     def usable_instances(self) -> List[Instance]:
         """Instances that can currently run inference."""
-        return [inst for inst in self._instances.values() if inst.is_usable]
+        return [inst for inst in self.alive_instances() if inst.is_usable]
 
     def alive_instances(self) -> List[Instance]:
-        """Instances that are launching or usable."""
-        return [inst for inst in self._instances.values() if inst.is_alive]
+        """Instances that are launching or usable, in grant order.
+
+        Walks the live index only.  An instance killed through its own
+        :class:`Instance` method, outside the provider, is dropped from the
+        index here.
+        """
+        alive = [inst for inst in self._alive.values() if inst.is_alive]
+        if len(alive) < len(self._alive):
+            self._alive = {inst.instance_id: inst for inst in alive}
+        return alive
 
     def alive_in_zone(self, zone: str) -> int:
         """Alive (launching or usable) instances currently in *zone*."""
-        return sum(
-            1
-            for inst in self._instances.values()
-            if inst.zone == zone and inst.is_alive
-        )
+        return sum(1 for inst in self.alive_instances() if inst.zone == zone)
 
     def capacity_remaining(self, zone: str) -> int:
         """Instances the zone can still host (a large number when unlimited).

@@ -145,10 +145,13 @@ class FleetAcquirer:
         now = system.simulator.now
         arrival_rate, estimate = system.serving_estimate()
         in_use = system.dataplane.instance_ids()
-        releasable = manager.zone_counts()
-        for instance in manager.stable_instances():
-            if instance.instance_id in in_use:
-                releasable[instance.zone] -= 1
+        # One read of the stable fleet: its size is N_t, and its instances
+        # hosting no live pipeline are each zone's releasable count.
+        stable = manager.stable_instances()
+        releasable: Dict[str, int] = {}
+        for instance in stable:
+            if instance.instance_id not in in_use:
+                releasable[instance.zone] = releasable.get(instance.zone, 0) + 1
         zones = tuple(
             ZoneView(
                 name=name,
@@ -171,7 +174,7 @@ class FleetAcquirer:
             arrival_rate=arrival_rate,
             serving_throughput=estimate.throughput if estimate is not None else 0.0,
             queue_depth=system.request_queue.pending,
-            current_instances=manager.available_count(),
+            current_instances=len(stable),
             gpus_per_instance=system.gpus_per_instance,
             pending_instances=len(manager.launching_instances()),
             pending_retries=self.pending_retries,

@@ -27,6 +27,7 @@ off) swaps Kuhn-Munkres for one greedy flat matching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +51,63 @@ from .config import ParallelConfig
 _WeightLookup = Tuple[
     np.ndarray, Dict[DeviceId, int], Dict[TopologyPosition, int]
 ]
+
+
+def _overlap_cell(
+    num_layers: int,
+    new_shape: Tuple[int, int],
+    signature: Tuple[int, int, int, int],
+    layer_bytes: float,
+) -> np.ndarray:
+    """One new pipeline's reusable bytes of one old slice, in (p, m) order.
+
+    *new_shape* is the new mesh's ``(P, M)``; *signature* is the old
+    slice's ``(P, M, stage, shard)``, holding *layer_bytes* per layer.
+    The new stages' layer ranges and shards' intervals are computed
+    exactly as ``stage_layer_range`` and ``shard_interval`` compute them
+    (int * float products, elementwise).
+    """
+    new_pipeline, new_tensor = new_shape
+    old_pipeline, old_tensor, stage, shard = signature
+    stages = np.arange(new_pipeline)
+    new_lps = num_layers / new_pipeline
+    old_lps = num_layers / old_pipeline
+    layer_overlap = np.maximum(
+        0.0,
+        np.minimum((stage + 1) * old_lps, (stages + 1) * new_lps)
+        - np.maximum(stage * old_lps, stages * new_lps),
+    )
+    shards = np.arange(new_tensor)
+    new_width = 1.0 / new_tensor
+    old_width = 1.0 / old_tensor
+    fraction_overlap = np.maximum(
+        0.0,
+        np.minimum((shard + 1) * old_width, (shards + 1) * new_width)
+        - np.maximum(shard * old_width, shards * new_width),
+    )
+    return np.outer(layer_overlap * layer_bytes, fraction_overlap).ravel()
+
+
+@lru_cache(maxsize=4096)
+def _model_row(
+    num_layers: int,
+    layer_bytes: float,
+    signature: Tuple[int, int, int, int],
+    data_degree: int,
+    pipeline_degree: int,
+    tensor_degree: int,
+) -> np.ndarray:
+    """The model part of a weight-matrix row over a whole (D, P, M) mesh.
+
+    *signature* is a model context's ``(P, M, stage, shard)``; replicas
+    hold identical parameters, so every new pipeline gets the same cell.
+    Pure and memoised, like ``stage_layers``: the row is shared by every
+    call, so it is read-only.
+    """
+    cell = _overlap_cell(num_layers, (pipeline_degree, tensor_degree), signature, layer_bytes)
+    row = np.tile(cell, data_degree)
+    row.setflags(write=False)
+    return row
 
 
 @dataclass
@@ -144,7 +202,8 @@ class DeviceMapper:
           ``(P, M, stage, shard)`` *model signature* -- replicas hold
           identical parameters, so the old data index does not matter.  It
           is one row over the whole new mesh, the same for every new
-          pipeline;
+          pipeline, built once per shape by :func:`_model_row` and added
+          to all of the signature's devices' rows in one step;
         * the cache part depends only on the cache context's ``(P, M,
           stage, shard, batch, tokens)`` *cache signature*, plus which new
           pipeline inherits the old one.  It is one *cell*: the weights of
@@ -171,40 +230,12 @@ class DeviceMapper:
         tensor_degree = new_config.tensor_degree
         cells_per_pipeline = pipeline_degree * tensor_degree
 
-        # New-mesh geometry, shared by every device: stage layer ranges and
-        # shard intervals exactly as stage_layer_range / shard_interval
-        # compute them (int * float products, elementwise).
-        layers_per_stage = num_layers / pipeline_degree
-        stage_idx = np.arange(pipeline_degree)
-        new_layer_lo = stage_idx * layers_per_stage
-        new_layer_hi = (stage_idx + 1) * layers_per_stage
-        shard_width = 1.0 / tensor_degree
-        shard_idx = np.arange(tensor_degree)
-        new_shard_lo = shard_idx * shard_width
-        new_shard_hi = (shard_idx + 1) * shard_width
-
-        def pipeline_cell(old_pipeline, old_tensor, stage, shard, layer_bytes):
-            """One new pipeline's weights for an old slice, in (p, m) order."""
-            old_lps = num_layers / old_pipeline
-            layer_overlap = np.maximum(
-                0.0,
-                np.minimum((stage + 1) * old_lps, new_layer_hi)
-                - np.maximum(stage * old_lps, new_layer_lo),
-            )
-            old_width = 1.0 / old_tensor
-            fraction_overlap = np.maximum(
-                0.0,
-                np.minimum((shard + 1) * old_width, new_shard_hi)
-                - np.maximum(shard * old_width, new_shard_lo),
-            )
-            return np.outer(layer_overlap * layer_bytes, fraction_overlap).ravel()
-
         matrix = np.zeros((len(devices), data_degree * cells_per_pipeline))
-        model_rows: Dict[Tuple[int, int, int, int], np.ndarray] = {}
-        cache_cells: Dict[Tuple[int, int, int, int, int, int], np.ndarray] = {}
-        all_pipelines = range(data_degree)
+        model_groups: Dict[Tuple[int, int, int, int], List[int]] = {}
+        caches = []
+        daemon_of = meta_context.daemon
         for row_index, device_id in enumerate(devices):
-            daemon = meta_context.daemon(device_id)
+            daemon = daemon_of(device_id)
             context = daemon.model_context
             if context is not None:
                 position = context.position
@@ -214,21 +245,27 @@ class DeviceMapper:
                     position.stage_index,
                     position.shard_index,
                 )
-                model_row = model_rows.get(model_key)
-                if model_row is None:
-                    model_row = np.tile(
-                        pipeline_cell(*model_key, model.layer_param_bytes),
-                        data_degree,
-                    )
-                    model_rows[model_key] = model_row
-                matrix[row_index] += model_row
+                model_groups.setdefault(model_key, []).append(row_index)
             context = daemon.cache_context
             if (
-                context is None
-                or context.cached_tokens <= 0
-                or context.batch_size <= 0
+                context is not None
+                and context.cached_tokens > 0
+                and context.batch_size > 0
             ):
-                continue
+                caches.append((row_index, context))
+        # One model row per signature, added to all of its devices' rows.
+        for model_key, rows in model_groups.items():
+            matrix[rows] += _model_row(
+                num_layers,
+                model.layer_param_bytes,
+                model_key,
+                data_degree,
+                pipeline_degree,
+                tensor_degree,
+            )
+        cache_cells: Dict[Tuple[int, int, int, int, int, int], np.ndarray] = {}
+        all_pipelines = range(data_degree)
+        for row_index, context in caches:
             position = context.position
             if pipeline_inheritance is None:
                 targets = all_pipelines
@@ -256,7 +293,12 @@ class DeviceMapper:
                     * context.batch_size
                     * context.cached_tokens
                 )
-                cache_cell = pipeline_cell(*cache_key[:4], per_layer_cache)
+                cache_cell = _overlap_cell(
+                    num_layers,
+                    (pipeline_degree, tensor_degree),
+                    cache_key[:4],
+                    per_layer_cache,
+                )
                 cache_cells[cache_key] = cache_cell
             for target in targets:
                 start = target * cells_per_pipeline
@@ -444,86 +486,41 @@ class DeviceMapper:
     ) -> Dict[DeviceId, TopologyPosition]:
         """Two-step matching: instances to position groups, then GPUs within.
 
-        The inner per-(instance, group) solves read submatrices of the
-        round's dense weight matrix, identical submatrices are solved once
-        (fleets are full of instances sharing a context signature), and the
-        outer instance x group matrix holds each inner solve's matched
-        weight.  Intra-instance placements are materialised lazily -- only
-        for the (instance, group) pairs the outer matching selects, rather
-        than eagerly for all n_instances x n_groups combinations.
+        The inner per-(instance, group) solves read submatrices (*blocks*)
+        of the round's dense weight matrix.  All-zero blocks are never
+        solved, byte-identical blocks are solved once (fleets are full of
+        instances sharing a context signature), and the outer instance x
+        group matrix holds each inner solve's matched weight.
+        Intra-instance placements are materialised only for the
+        (instance, group) pairs the outer matching selects.
         """
         # Group the target positions into instance-sized chunks, keeping the
         # deterministic (d, p, m) order so tensor shards stay co-located.
-        ordered = list(positions)
         gpi = self.gpus_per_instance
-        groups: List[List[TopologyPosition]] = [
-            ordered[i : i + gpi] for i in range(0, len(ordered), gpi)
-        ]
+        groups = [positions[i : i + gpi] for i in range(0, len(positions), gpi)]
         # Bucket devices per instance.
         per_instance: Dict[str, List[DeviceId]] = {}
         for device_id in devices:
             per_instance.setdefault(device_id[0], []).append(device_id)
         instance_ids = sorted(per_instance)
-
         matrix, row_of, _ = lookup
-        n_groups = len(groups)
-        outer = np.zeros((len(instance_ids), n_groups))
-        # groups chunk `positions` in order, so group g occupies the
-        # contiguous column slice [g * gpi, (g + 1) * gpi).
-        inner_pairs: Dict[Tuple[str, int], Optional[List[Tuple[int, int]]]] = {}
-        solve_memo: Dict[Tuple, Tuple[List[Tuple[int, int]], float]] = {}
-        # The common fleet shape -- every instance holds exactly gpi GPUs
-        # and the mesh splits into whole groups -- lets one 4-d reshape
-        # replace the n_instances x n_groups per-block nonzero probes.
-        uniform = len(ordered) == n_groups * gpi and all(
-            len(per_instance[instance_id]) == gpi for instance_id in instance_ids
-        )
-        if uniform:
-            row_block = np.array(
-                [
-                    [row_of[d] for d in per_instance[instance_id]]
-                    for instance_id in instance_ids
-                ]
-            )
-            gathered = matrix[row_block.reshape(-1)].reshape(
-                len(instance_ids), gpi, n_groups, gpi
-            )
-            nonzero = gathered.any(axis=(1, 3))
-        for instance_index, instance_id in enumerate(instance_ids):
-            if not uniform:
-                rows = [row_of[d] for d in per_instance[instance_id]]
-                instance_block = matrix[rows]
-            for group_index in range(n_groups):
-                if uniform:
-                    if not nonzero[instance_index, group_index]:
-                        # All weights provably zero: positional zip, weight 0.
-                        inner_pairs[(instance_id, group_index)] = None
-                        continue
-                    sub = gathered[instance_index, :, group_index, :]
-                else:
-                    start = group_index * gpi
-                    sub = instance_block[:, start : start + len(groups[group_index])]
-                    if not sub.any():
-                        inner_pairs[(instance_id, group_index)] = None
-                        continue
-                memo_key = (sub.shape, sub.tobytes())
-                memoised = solve_memo.get(memo_key)
-                if memoised is None:
-                    pairs = maximum_weight_assignment(sub)
-                    # Matched pairs summed in row order.
-                    memoised = (pairs, float(sum(sub[r, c] for r, c in pairs)))
-                    solve_memo[memo_key] = memoised
-                inner_pairs[(instance_id, group_index)] = memoised[0]
-                outer[instance_index, group_index] = memoised[1]
+        rows = [[row_of[d] for d in per_instance[i]] for i in instance_ids]
+        # The common fleet shape: every instance holds exactly gpi GPUs and
+        # the mesh splits into whole groups, so every block is gpi x gpi.
+        if len(positions) == len(groups) * gpi and all(len(r) == gpi for r in rows):
+            outer, block_of, solved = self._uniform_blocks(matrix, rows, gpi)
+        else:
+            outer, block_of, solved = self._ragged_blocks(matrix, rows, groups)
 
+        n_groups = len(groups)
         placement: Dict[DeviceId, TopologyPosition] = {}
         for row, group_index in maximum_weight_assignment(outer):
-            instance_id = instance_ids[row]
+            block = block_of[row * n_groups + group_index]
             placement.update(
                 self._materialise_inner(
-                    per_instance[instance_id],
+                    per_instance[instance_ids[row]],
                     groups[group_index],
-                    inner_pairs[(instance_id, group_index)],
+                    None if block < 0 else solved[block],
                 )
             )
         # Instances left unmatched (more instances than groups) contribute no
@@ -532,12 +529,96 @@ class DeviceMapper:
         return placement
 
     @staticmethod
+    def _uniform_blocks(
+        matrix: np.ndarray, rows: List[List[int]], gpi: int
+    ) -> Tuple[np.ndarray, np.ndarray, List[List[Tuple[int, int]]]]:
+        """Inner solves of a uniform fleet, deduped in whole-array steps.
+
+        ``rows[i]`` lists instance i's *gpi* matrix rows, and the columns
+        split into whole groups of *gpi*.  Block ``i * n_groups + g`` is
+        instance i's rows by group g's columns, flattened row by row, so
+        its bytes are the block's ``tobytes()``.  All-zero blocks are
+        dropped; the rest are deduped by their bytes through a void view,
+        whose ``np.unique`` compares exactly those bytes, and each distinct
+        block is solved once, in order of first appearance.
+
+        Returns the outer instance x group weight matrix, each block's
+        index into the distinct solves (-1 for an all-zero block) and the
+        distinct solves' pairs.
+        """
+        n_instances = len(rows)
+        n_groups = matrix.shape[1] // gpi
+        blocks = (
+            matrix[np.ravel(rows)]
+            .reshape(n_instances, gpi, n_groups, gpi)
+            .transpose(0, 2, 1, 3)
+            .reshape(n_instances * n_groups, gpi * gpi)
+        )
+        live = np.flatnonzero(blocks.any(axis=1))
+        block_of = np.full(len(blocks), -1)
+        outer = np.zeros(len(blocks))
+        solved: List[List[Tuple[int, int]]] = []
+        if live.size:
+            kept = blocks[live]
+            keys = kept.view(np.dtype((np.void, kept.itemsize * kept.shape[1])))
+            _, first, inverse = np.unique(
+                keys.ravel(), return_index=True, return_inverse=True
+            )
+            weights = np.zeros(len(first))
+            solved = [[] for _ in first]
+            for distinct in np.argsort(first):
+                sub = kept[first[distinct]].reshape(gpi, gpi)
+                pairs = solved[distinct] = maximum_weight_assignment(sub)
+                # Matched pairs summed in row order.
+                weights[distinct] = sum(sub[r, c] for r, c in pairs)
+            block_of[live] = inverse
+            outer[live] = weights[inverse]
+        return outer.reshape(n_instances, n_groups), block_of, solved
+
+    @staticmethod
+    def _ragged_blocks(
+        matrix: np.ndarray,
+        rows: List[List[int]],
+        groups: Sequence[Sequence[TopologyPosition]],
+    ) -> Tuple[np.ndarray, np.ndarray, List[List[Tuple[int, int]]]]:
+        """Inner solves of a fleet whose blocks differ in shape, block by block.
+
+        The result is laid out as :meth:`_uniform_blocks`'; identical
+        blocks (equal shape and bytes) share one solve.
+        """
+        n_groups = len(groups)
+        outer = np.zeros((len(rows), n_groups))
+        block_of = np.full(len(rows) * n_groups, -1)
+        solved: List[List[Tuple[int, int]]] = []
+        weights: List[float] = []
+        distinct: Dict[Tuple, int] = {}
+        for instance_index, instance_rows in enumerate(rows):
+            instance_block = matrix[instance_rows]
+            start = 0
+            for group_index, group in enumerate(groups):
+                sub = instance_block[:, start : start + len(group)]
+                start += len(group)
+                if not sub.any():
+                    continue
+                key = (sub.shape, sub.tobytes())
+                index = distinct.get(key)
+                if index is None:
+                    index = distinct[key] = len(solved)
+                    pairs = maximum_weight_assignment(sub)
+                    solved.append(pairs)
+                    # Matched pairs summed in row order.
+                    weights.append(float(sum(sub[r, c] for r, c in pairs)))
+                block_of[instance_index * n_groups + group_index] = index
+                outer[instance_index, group_index] = weights[index]
+        return outer, block_of, solved
+
+    @staticmethod
     def _materialise_inner(
         instance_devices: Sequence[DeviceId],
         group: Sequence[TopologyPosition],
         pairs: Optional[List[Tuple[int, int]]],
     ) -> Dict[DeviceId, TopologyPosition]:
-        """Intra-instance placement from memoised solver pairs.
+        """Intra-instance placement from an inner solve's pairs.
 
         Matched pairs first (in solver row order), then the leftover GPUs
         zipped onto the leftover positions.  ``pairs=None`` marks an

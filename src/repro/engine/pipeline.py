@@ -12,7 +12,8 @@ SpotServe's stateful inference recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..llm.costmodel import LatencyModel
 from ..sim.events import Event
@@ -30,14 +31,14 @@ class PipelineAssignment:
     tensor_degree: int
     devices: Dict[TopologyPosition, DeviceId] = field(default_factory=dict)
 
-    @property
-    def instance_ids(self) -> List[str]:
-        """Instances hosting this pipeline's devices (unique, ordered)."""
-        seen: List[str] = []
-        for device in self.devices.values():
-            if device[0] not in seen:
-                seen.append(device[0])
-        return seen
+    @cached_property
+    def instance_ids(self) -> Tuple[str, ...]:
+        """Instances hosting this pipeline's devices (unique, in device order).
+
+        Computed on the first read: the dataplane fills :attr:`devices`
+        before it builds the pipeline, and the assignment is fixed after.
+        """
+        return tuple(dict.fromkeys(device[0] for device in self.devices.values()))
 
     @property
     def is_fully_assigned(self) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
-from typing import List, Tuple
+from typing import Tuple
 
 from ..llm.spec import ModelSpec
 
@@ -43,16 +43,23 @@ class TopologyPosition:
         return f"(d={self.data_index}, p={self.stage_index}, m={self.shard_index})"
 
 
-def mesh_positions(data_degree: int, pipeline_degree: int, tensor_degree: int) -> List[TopologyPosition]:
-    """Every topology position of a ``(D, P, M)`` mesh, in deterministic order."""
+@lru_cache(maxsize=4096)
+def mesh_positions(
+    data_degree: int, pipeline_degree: int, tensor_degree: int
+) -> Tuple[TopologyPosition, ...]:
+    """Every topology position of a ``(D, P, M)`` mesh, in deterministic order.
+
+    Pure and memoised: each shape's positions are built once and shared as
+    one immutable tuple.
+    """
     if min(data_degree, pipeline_degree, tensor_degree) <= 0:
         raise ValueError("parallel degrees must be positive")
-    return [
+    return tuple(
         TopologyPosition(d, p, m)
         for d in range(data_degree)
         for p in range(pipeline_degree)
         for m in range(tensor_degree)
-    ]
+    )
 
 
 def stage_layer_range(

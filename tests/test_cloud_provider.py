@@ -1,5 +1,10 @@
 """Tests for the simulated cloud provider, instance manager and cost tracker."""
 
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.cloud.instance import G4DN_12XLARGE, Instance, InstanceState, Market
@@ -7,8 +12,19 @@ from repro.cloud.manager import CANDIDATE_POOL_SIZE, InstanceManager
 from repro.cloud.pricing import CostTracker, PriceSchedule
 from repro.cloud.provider import CloudProvider
 from repro.cloud.trace import AvailabilityTrace, TraceEvent, TraceEventKind
+from repro.cloud.zone import OutageWindow, ZoneSpec
+from repro.core.acquisition import FleetAcquirer
+from repro.core.server import SpotServeSystem
+from repro.faults.injector import FaultInjector, FaultPlan, ZoneFaultModel
+from repro.llm.spec import get_model
 from repro.sim.engine import Simulator
 from repro.sim.events import EventType
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from perfbench import workloads  # noqa: E402
 
 
 def small_trace():
@@ -203,3 +219,236 @@ class TestInstanceManager:
         released = manager.free(CANDIDATE_POOL_SIZE + 1)
         assert released
         assert released[0].market is Market.ON_DEMAND
+
+
+def random_trace(rng, name, initial):
+    """A seeded trace of grants and reclaims that never drives its count negative."""
+    events, count, time = [], initial, 0.0
+    for _ in range(6):
+        time += rng.uniform(10.0, 90.0)
+        if count and rng.random() < 0.5:
+            kind, amount = TraceEventKind.PREEMPT, rng.randint(1, count)
+        else:
+            kind, amount = TraceEventKind.ACQUIRE, rng.randint(1, 2)
+        count += amount if kind is TraceEventKind.ACQUIRE else -amount
+        events.append(TraceEvent(time, kind, amount))
+    return AvailabilityTrace(name=name, initial_instances=initial, events=events, duration=600.0)
+
+
+class ScanningProvider(CloudProvider):
+    """The scan reference: every view and victim pick scans every instance ever granted."""
+
+    def alive_instances(self):
+        return [inst for inst in self._instances.values() if inst.is_alive]
+
+
+def assert_views_match_a_scan(provider):
+    """Every fleet view equals a scan of every instance ever granted, order included."""
+    everyone = list(provider._instances.values())
+    alive = [inst for inst in everyone if inst.is_alive]
+    assert provider.alive_instances() == alive
+    assert provider.usable_instances() == [inst for inst in everyone if inst.is_usable]
+    now = provider.simulator.now
+    for zone, spec in provider.zones.items():
+        in_zone = sum(1 for inst in alive if inst.zone == zone)
+        assert provider.alive_in_zone(zone) == in_zone
+        if spec.outage_at(now) is not None:
+            room = 0
+        elif spec.capacity is None:
+            room = 1_000_000
+        else:
+            room = max(spec.capacity - in_zone, 0)
+        assert provider.capacity_remaining(zone) == room
+
+
+def drive(provider_class, seed, check=None):
+    """A seeded random sequence of grants, cloud events and releases.
+
+    It requests spot and on-demand instances, releases random instances
+    (live or not), advances the clock through trace grants and reclaims,
+    ready events, notices, finals, launch failures and a zone outage, and
+    once kills a usable instance through its own :class:`Instance` method,
+    outside the provider.  *check* runs after every event and every step.
+    Returns the provider and what happened.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    zones = [
+        ZoneSpec(
+            name="east",
+            trace=random_trace(rng, "e", 3),
+            capacity=6,
+            outages=(OutageWindow(start=200.0, duration=60.0, warning=30.0),),
+        ),
+        ZoneSpec(name="west", trace=random_trace(rng, "w", 2)),
+        ZoneSpec(name="north", trace=random_trace(rng, "n", 1), capacity=3),
+    ]
+    # Launches never fail in the zone that goes dark, so the on-demand
+    # instances requested there first are still alive for its outage.
+    plan = FaultPlan(
+        seed=seed,
+        default_model=ZoneFaultModel(launch_failure_prob=0.4, early_preemption_prob=0.3),
+        zone_models=(("east", ZoneFaultModel(early_preemption_prob=0.3)),),
+    )
+    provider = provider_class(
+        sim,
+        zones=zones,
+        allow_spot_requests=True,
+        victim_seed=seed,
+        fault_injector=FaultInjector(plan),
+    )
+    provider.request_on_demand(2, zone="east")
+    seen = Counter()
+    sim.on(EventType.ACQUISITION_READY, lambda e: seen.update(["ready"]))
+    sim.on(EventType.PREEMPTION_NOTICE, lambda e: seen.update(["notice"]))
+    sim.on(EventType.PREEMPTION_FINAL, lambda e: seen.update(["final"]))
+    sim.on(
+        EventType.LAUNCH_FAILURE,
+        lambda e: seen.update(["launch_failure"] * e.payload["applied"]),
+    )
+    sim.on(
+        EventType.ZONE_OUTAGE,
+        lambda e: seen.update(["down"] * len(e.payload.get("failed_instances", ()))),
+    )
+    if check is not None:
+        for event_type in EventType:
+            sim.on(event_type, lambda e: check(provider))
+    kill_step = rng.randrange(10, 30)
+    for step in range(70):
+        action = rng.choice(("spot", "on_demand", "release", "advance", "advance"))
+        zone = rng.choice((None, "east", "west", "north"))
+        if action == "spot":
+            provider.request_spot(rng.randint(1, 3), zone=zone)
+        elif action == "on_demand":
+            provider.request_on_demand(rng.randint(1, 2), zone=zone)
+        elif action == "release":
+            instance = rng.choice(list(provider._instances.values()))
+            seen["release"] += instance.is_alive
+            provider.release(instance)
+        else:
+            sim.run(until=sim.now + rng.uniform(5.0, 25.0))
+        if step >= kill_step and not seen["outside"] and provider.usable_instances():
+            rng.choice(provider.usable_instances()).fail(sim.now)
+            seen["outside"] += 1
+        if check is not None:
+            check(provider)
+    return provider, seen
+
+
+def history(provider):
+    """Each granted instance's lifecycle, in grant order (ids are process-global)."""
+    return [
+        (
+            inst.zone,
+            inst.market,
+            inst.state,
+            inst.launch_time,
+            inst.ready_time,
+            inst.preemption_notice_time,
+            inst.termination_time,
+        )
+        for inst in provider._instances.values()
+    ]
+
+
+class TestLiveFleetIndex:
+    """The provider's live index gives the views a scan of every grant gives."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_views_equal_a_scan_of_every_grant(self, seed):
+        _, seen = drive(CloudProvider, seed, check=assert_views_match_a_scan)
+        for happened in (
+            "ready",
+            "notice",
+            "final",
+            "launch_failure",
+            "down",
+            "release",
+            "outside",
+        ):
+            assert seen[happened], f"seed {seed} never saw {happened}: {dict(seen)}"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_histories_equal_a_scanning_providers(self, seed):
+        """Victim picks and outage scans pick what scanning every grant picks."""
+        indexed, seen = drive(CloudProvider, seed)
+        scanning, scanning_seen = drive(ScanningProvider, seed)
+        assert history(indexed) == history(scanning)
+        assert seen == scanning_seen
+
+    def test_a_kill_outside_the_provider_leaves_the_index(self):
+        sim = Simulator()
+        provider = CloudProvider(sim, small_trace())
+        victim = provider.usable_instances()[1]
+        victim.release(0.0)
+        assert victim not in provider.usable_instances()
+        assert victim.instance_id not in provider._alive
+        assert provider.alive_in_zone(victim.zone) == 2
+
+
+#: ``_autoscale_signal``'s ``Instance.is_alive`` reads allowed per live
+#: instance: one walk of the live fleet per zone's capacity and one for
+#: the launching instances read 4 on churn's three zones.  Scanning every
+#: instance ever granted read 6.2 at one chaos period and 9.8 at three.
+MAX_ALIVE_READS_PER_LIVE_INSTANCE = 5.0
+
+
+def alive_reads_per_live_instance(periods):
+    """``Instance.is_alive`` reads inside ``_autoscale_signal`` per live instance.
+
+    Runs perfbench's churn workload (seed 0) over *periods* chaos periods,
+    wired as ``perfbench/replay.py`` wires it, and divides the reads by
+    the live fleet (launching or usable instances) at each call, summed.
+    """
+    work = workloads.build("churn", 0, periods)
+    scenario = work.scenario
+    sim = Simulator()
+    provider = CloudProvider(
+        sim,
+        None,
+        zones=scenario.zones,
+        allow_spot_requests=work.allow_spot_requests,
+        fault_injector=FaultInjector(scenario.fault_plan),
+    )
+    arrivals = work.arrivals.count_arrivals(scenario.duration)
+    system = SpotServeSystem(
+        sim,
+        provider,
+        get_model(scenario.model_name),
+        options=scenario.options(),
+        initial_arrival_rate=max(arrivals / max(scenario.duration, 1.0), 1e-3),
+    )
+    system.submit_arrival_process(work.arrivals, scenario.duration)
+    system.initialize()
+    is_alive = Instance.is_alive.fget
+    signal = FleetAcquirer._autoscale_signal
+    counted = {"reads": 0, "live": 0, "calls": 0}
+    counting = [False]
+
+    def counting_is_alive(instance):
+        counted["reads"] += counting[0]
+        return is_alive(instance)
+
+    def counting_signal(acquirer):
+        counted["live"] += sum(1 for inst in provider._instances.values() if is_alive(inst))
+        counted["calls"] += 1
+        counting[0] = True
+        try:
+            return signal(acquirer)
+        finally:
+            counting[0] = False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Instance, "is_alive", property(counting_is_alive))
+        patch.setattr(FleetAcquirer, "_autoscale_signal", counting_signal)
+        system.run(until=scenario.duration + work.drain_time)
+    assert counted["calls"] > 50
+    return counted["reads"] / counted["live"]
+
+
+def test_the_fleet_snapshot_scales_with_the_live_fleet():
+    """More history (chaos periods) does not make a snapshot read more instances."""
+    short, long = alive_reads_per_live_instance(1), alive_reads_per_live_instance(3)
+    assert short <= MAX_ALIVE_READS_PER_LIVE_INSTANCE
+    assert long <= MAX_ALIVE_READS_PER_LIVE_INSTANCE
+    assert long <= short * 1.1

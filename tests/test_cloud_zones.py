@@ -1,5 +1,7 @@
 """Tests for the multi-zone spot market: zones, price schedules, provider."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -257,14 +259,15 @@ class TestZoneAwareManager:
 
     def test_zone_counts(self):
         _, _, manager = self._manager()
-        assert manager.zone_counts() == {"alpha": 2, "beta": 2, "gamma": 1}
+        counts = Counter(inst.zone for inst in manager.stable_instances())
+        assert counts == {"alpha": 2, "beta": 2, "gamma": 1}
 
     def test_zone_targeted_free(self):
         _, _, manager = self._manager()
         released = manager.free(1, zone="beta", keep_pool=False)
         assert len(released) == 1
         assert released[0].zone == "beta"
-        assert manager.zone_counts()["beta"] == 1
+        assert [inst.zone for inst in manager.stable_instances()].count("beta") == 1
 
     def test_free_respects_avoid_list(self):
         _, _, manager = self._manager()

@@ -14,6 +14,12 @@ The map-phase fast path rests on three claims, each pinned here:
   mapper reused across rounds keeps no state: it maps exactly as a fresh
   one does.
 
+The hierarchical phase's block pass is pinned through a wrapper on the
+module-global solver: each distinct non-zero (instance, group) block is
+solved once, blocks that differ in one cell are solved apart, all-zero
+blocks never reach the solver, and the placement equals the oracle's on
+fleets that hold cache contexts too.
+
 A fourth claim pins the reuse-bound skip: solving the hierarchical
 matching first and the flat one only when the bound cannot rule it out
 adopts exactly what solving both did (the oracle's ``TwoSolveDeviceMapper``),
@@ -471,6 +477,176 @@ class TestFastPathEquivalence:
         b = ReferenceDeviceMapper(OPT_6_7B).map_devices(meta, devices, config)
         assert a.placement == b.placement
         assert a.reused_bytes == b.reused_bytes
+
+
+def recording_solver(monkeypatch):
+    """Wrap the mapper's module-global solver; return the list of matrices it saw."""
+    import repro.core.device_mapper as dm
+
+    solved = []
+    solve = dm.maximum_weight_assignment
+
+    def recording(weights):
+        solved.append(np.array(weights, copy=True))
+        return solve(weights)
+
+    monkeypatch.setattr(dm, "maximum_weight_assignment", recording)
+    return solved
+
+
+def distinct_blocks(matrix, row_of, devices, positions, gpus_per_instance):
+    """The distinct non-zero (instance, group) blocks, by shape and bytes."""
+    per_instance = {}
+    for device in devices:
+        per_instance.setdefault(device[0], []).append(row_of[device])
+    keys = set()
+    for instance_id in sorted(per_instance):
+        block = matrix[per_instance[instance_id]]
+        for start in range(0, len(positions), gpus_per_instance):
+            sub = block[:, start : start + gpus_per_instance]
+            if sub.any():
+                keys.add((sub.shape, sub.tobytes()))
+    return keys
+
+
+def cache_fleet(model=OPT_6_7B, num_instances=6):
+    """Every device holds its (2, 3, 4) model slice; pipeline 0's also hold caches.
+
+    Pipeline 0's devices hold a batch's cache, stage by stage, so its
+    instances' blocks differ from pipeline 1's only where the cache adds
+    weight.
+    """
+    meta, devices, config = TestFastPathEquivalence.stateful_fleet(model, num_instances)
+    for device, position in zip(
+        devices,
+        mesh_positions(config.data_degree, config.pipeline_degree, config.tensor_degree),
+    ):
+        if position.data_index == 0:
+            meta.daemon(device).install_cache_context(
+                config.pipeline_degree,
+                config.tensor_degree,
+                position,
+                batch_size=4,
+                cached_tokens=300 + 40 * position.stage_index,
+            )
+    return meta, devices, config
+
+
+class TestBlockPass:
+    """The hierarchical phase solves each distinct non-zero block once, in one pass."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_solve_per_distinct_nonzero_block_plus_the_outer(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        model = GPT_20B if seed % 2 else OPT_6_7B
+        meta, devices, old = random_fleet_state(rng, model)
+        mapper = DeviceMapper(model)
+        solved = recording_solver(monkeypatch)
+        for _ in range(6):
+            devices, new = random_round(rng, meta, devices, old)
+            positions = mesh_positions(
+                new.data_degree, new.pipeline_degree, new.tensor_degree
+            )
+            lookup = mapper._weight_lookup(meta, devices, positions, new, None)
+            expected = distinct_blocks(lookup[0], lookup[1], devices, positions, 4)
+            solved.clear()
+            mapper._hierarchical_matching(lookup, devices, positions)
+            *inner, outer = solved
+            assert len(inner) == len(expected)
+            assert {(m.shape, m.tobytes()) for m in inner} == expected
+            # All-zero blocks never reach the solver.
+            assert all(m.any() for m in inner)
+            assert outer.shape[1] == -(-len(positions) // 4)
+
+    def test_a_repeating_uniform_fleet_solves_one_block(self, monkeypatch):
+        """A (2, 2, 4) fleet remapped to its own mesh repeats one block.
+
+        OPT-6.7B's 32 layers split evenly over two stages, so every
+        instance's block with a group of its own stage holds the same
+        bytes: one inner solve for its four non-zero blocks, then the
+        outer one.
+        """
+        meta = MetaContextManager()
+        devices = devices_for(4)
+        config = ParallelConfig(2, 2, 4, 8)
+        positions = mesh_positions(2, 2, 4)
+        for device, position in zip(devices, positions):
+            meta.daemon(device).install_model_context(2, 4, position)
+        mapper = DeviceMapper(OPT_6_7B)
+        lookup = mapper._weight_lookup(meta, devices, positions, config, None)
+        solved = recording_solver(monkeypatch)
+        placement = mapper._hierarchical_matching(lookup, devices, positions)
+        assert [m.shape for m in solved] == [(4, 4), (4, 4)]
+        assert placement == dict(zip(devices, positions))
+
+    def test_blocks_differing_in_one_later_cell_are_solved_apart(self, monkeypatch):
+        """Two instances' blocks equal in every row but the last are two solves."""
+        devices = [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
+        positions = mesh_positions(1, 2, 2)
+        matrix = np.zeros((4, 4))
+        matrix[0:2, 0:2] = [[5.0, 0.0], [0.0, 3.0]]
+        matrix[2:4, 0:2] = [[5.0, 0.0], [0.0, 4.0]]
+        lookup = (
+            matrix,
+            {device: row for row, device in enumerate(devices)},
+            {position: col for col, position in enumerate(positions)},
+        )
+        mapper = DeviceMapper(OPT_6_7B, gpus_per_instance=2)
+        solved = recording_solver(monkeypatch)
+        placement = mapper._hierarchical_matching(lookup, devices, positions)
+        *inner, outer = solved
+        assert [m.tolist() for m in inner] == [
+            [[5.0, 0.0], [0.0, 3.0]],
+            [[5.0, 0.0], [0.0, 4.0]],
+        ]
+        # The outer matching sees each block's own weight: b's is heavier.
+        assert outer.tolist() == [[8.0, 0.0], [9.0, 0.0]]
+        assert placement[("b", 1)] == positions[1]
+
+    @pytest.mark.parametrize(
+        "new",
+        [
+            ParallelConfig(2, 3, 4, 8),
+            ParallelConfig(1, 3, 8, 8),
+            ParallelConfig(2, 2, 4, 8),
+            ParallelConfig(1, 2, 4, 8),
+            ParallelConfig(1, 3, 2, 8),
+        ],
+        ids=lambda c: f"D{c.data_degree}P{c.pipeline_degree}M{c.tensor_degree}",
+    )
+    @pytest.mark.parametrize("inheritance", [None, {0: 1, 1: 0}], ids=["no-map", "swapped"])
+    def test_cache_fleet_matches_the_oracle(self, new, inheritance):
+        meta, devices, _ = cache_fleet()
+        mapper = DeviceMapper(OPT_6_7B, zone_of=zone_by_ordinal)
+        reference = ReferenceDeviceMapper(OPT_6_7B, zone_of=zone_by_ordinal)
+        positions = mesh_positions(new.data_degree, new.pipeline_degree, new.tensor_degree)
+        lookup = mapper._weight_lookup(meta, devices, positions, new, inheritance)
+        fast = mapper._hierarchical_matching(lookup, devices, positions)
+        expected = reference.hierarchical_matching(
+            meta, devices, positions, new, inheritance
+        )
+        assert list(fast.items()) == list(expected.items())
+
+    def test_mesh_positions_are_one_immutable_tuple_per_shape(self):
+        positions = mesh_positions(2, 3, 4)
+        assert isinstance(positions, tuple)
+        assert mesh_positions(2, 3, 4) is positions
+        assert mesh_positions(2, 4, 3) is not positions
+
+    def test_memoised_model_rows_are_read_only(self):
+        import repro.core.device_mapper as dm
+
+        meta, devices, config = cache_fleet()
+        DeviceMapper(OPT_6_7B).map_devices(meta, devices, ParallelConfig(1, 2, 8, 8))
+        row = dm._model_row(
+            OPT_6_7B.num_layers, OPT_6_7B.layer_param_bytes, (3, 4, 0, 0), 1, 2, 8
+        )
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        assert dm._model_row(
+            OPT_6_7B.num_layers, OPT_6_7B.layer_param_bytes, (3, 4, 0, 0), 1, 2, 8
+        ) is row
 
 
 #: (model, pipeline inheritance, zone_of, optimal matcher) for the skip suite.
