@@ -167,7 +167,7 @@ class MigrationStep:
     @property
     def total_bytes(self) -> float:
         """Bytes moved over the network by this step."""
-        return sum(t.size_bytes for t in self.transfers if not t.is_noop)
+        return sum(size for src, dst, size, _ in self.transfers if src != dst)
 
 
 @dataclass
@@ -749,11 +749,11 @@ class MigrationPlanner:
     def _buffer_deltas(self, step: MigrationStep) -> Dict[str, float]:
         """Net buffer-memory change per instance caused by one step."""
         deltas: Dict[str, float] = {}
-        for transfer in step.transfers:
-            if transfer.is_noop:
+        for src, dst, size, _ in step.transfers:
+            if src == dst:
                 continue
-            deltas[transfer.dst[0]] = deltas.get(transfer.dst[0], 0.0) + transfer.size_bytes
-            deltas[transfer.src[0]] = deltas.get(transfer.src[0], 0.0) - transfer.size_bytes
+            deltas[dst[0]] = deltas.get(dst[0], 0.0) + size
+            deltas[src[0]] = deltas.get(src[0], 0.0) - size
         return deltas
 
     def _within_budget(self, usage: Dict[str, float], deltas: Dict[str, float]) -> bool:

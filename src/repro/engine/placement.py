@@ -19,25 +19,40 @@ for a whole mesh at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from ..llm.spec import ModelSpec
 
 
-@dataclass(frozen=True, order=True)
-class TopologyPosition:
-    """A pipeline-stage-shard coordinate ``(d, p, m)`` (all zero-based)."""
+class _Coordinates(NamedTuple):
+    """The fields of :class:`TopologyPosition`, which adds the range check.
+
+    A ``NamedTuple`` class body cannot override ``__new__``, so the check
+    lives on a subclass.
+    """
 
     data_index: int
     stage_index: int
     shard_index: int
 
-    def __post_init__(self) -> None:
-        if min(self.data_index, self.stage_index, self.shard_index) < 0:
+
+class TopologyPosition(_Coordinates):
+    """A pipeline-stage-shard coordinate ``(d, p, m)`` (all zero-based).
+
+    The mapper and the planner key, hash and compare positions on every
+    round, so a position is a named tuple: immutable, with its hash
+    (``hash((d, p, m))``), equality and ordering done in C.  Like any
+    tuple it also equals, and unpacks as, a plain ``(d, p, m)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, data_index: int, stage_index: int, shard_index: int) -> "TopologyPosition":
+        if min(data_index, stage_index, shard_index) < 0:
             raise ValueError("topology coordinates must be non-negative")
+        return tuple.__new__(cls, (data_index, stage_index, shard_index))
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return f"(d={self.data_index}, p={self.stage_index}, m={self.shard_index})"

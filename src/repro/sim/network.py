@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 GB = 1024 ** 3
 
@@ -115,25 +115,23 @@ class OffloadTierSpec:
             )
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     """A single point-to-point context transfer.
 
     ``src`` and ``dst`` identify devices as ``(instance_id, gpu_index)``
     tuples; ``size_bytes`` is the payload size.  ``tag`` is free-form and used
     by the migration planner to distinguish model-context from cache-context
     transfers.
+
+    A plan builds one per moved piece, so the record is a named tuple: it is
+    immutable, it builds without the per-field ``object.__setattr__`` a
+    frozen dataclass pays, and it hashes and compares in C.
     """
 
     src: Tuple[str, int]
     dst: Tuple[str, int]
     size_bytes: float
     tag: str = "model"
-
-    @property
-    def is_local(self) -> bool:
-        """True when source and destination GPUs share an instance."""
-        return self.src[0] == self.dst[0]
 
     @property
     def is_noop(self) -> bool:
@@ -170,30 +168,6 @@ class NetworkModel:
         self.bandwidth_factor = 1.0
         self.offload_tier: Optional[OffloadTierSpec] = None
 
-    def is_cross_zone(self, transfer: Transfer) -> bool:
-        """True when the transfer's endpoints live in different zones."""
-        if transfer.is_local or self.zone_of is None:
-            return False
-        return self.zone_of(transfer.src[0]) != self.zone_of(transfer.dst[0])
-
-    def transfer_time(self, transfer: Transfer) -> float:
-        """Duration in seconds of a single transfer."""
-        if transfer.is_noop or transfer.size_bytes <= 0:
-            return 0.0
-        if transfer.is_local:
-            bandwidth = self.spec.intra_instance_bandwidth
-            latency = self.spec.per_transfer_latency
-        elif self.is_cross_zone(transfer):
-            bandwidth = self.spec.cross_zone_bandwidth
-            latency = self.spec.cross_zone_latency
-        else:
-            bandwidth = self.spec.inter_instance_bandwidth
-            latency = self.spec.per_transfer_latency
-        factor = self.bandwidth_factor
-        if factor != 1.0 and factor > 0.0:
-            bandwidth = bandwidth / factor
-        return latency + transfer.size_bytes / bandwidth
-
     def batch_time(self, transfers: Iterable[Transfer]) -> float:
         """Duration of a batch of transfers executed together.
 
@@ -201,13 +175,24 @@ class NetworkModel:
         parallel (up to ``concurrent_streams``); transfers sharing an
         endpoint pair are serialized.  This mirrors batched NCCL send/recv
         where distinct peer pairs progress concurrently.
+
+        A transfer takes ``latency + size_bytes / bandwidth`` of its
+        instance pair's link (:meth:`_link`), resolved once per pair and
+        call; same-device and empty transfers take nothing.  Each pair's
+        chain is the sum of its transfers' times in transfer order.
         """
-        per_pair: dict = {}
-        for transfer in transfers:
-            if transfer.is_noop or transfer.size_bytes <= 0:
+        links: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        per_pair: Dict[Tuple[str, str], float] = {}
+        for src, dst, size, _ in transfers:
+            if src == dst or size <= 0:
                 continue
-            key = (transfer.src[0], transfer.dst[0])
-            per_pair[key] = per_pair.get(key, 0.0) + self.transfer_time(transfer)
+            key = (src[0], dst[0])
+            link = links.get(key)
+            if link is None:
+                link = links[key] = self._link(src[0], dst[0])
+                per_pair[key] = 0.0
+            latency, bandwidth = link
+            per_pair[key] += latency + size / bandwidth
         if not per_pair:
             return 0.0
         durations = sorted(per_pair.values(), reverse=True)
@@ -220,6 +205,30 @@ class NetworkModel:
         for duration in durations:
             loads[loads.index(min(loads))] += duration
         return max(loads)
+
+    def _link(self, src_instance: str, dst_instance: str) -> Tuple[float, float]:
+        """``(latency, bandwidth)`` of the link from one instance to another.
+
+        Intra-instance when both are one instance, cross-zone when
+        ``zone_of`` puts them in different zones, inter-instance otherwise;
+        a ``bandwidth_factor`` other than 1.0 (and positive) divides the
+        bandwidth.
+        """
+        spec = self.spec
+        zone_of = self.zone_of
+        if src_instance == dst_instance:
+            bandwidth = spec.intra_instance_bandwidth
+            latency = spec.per_transfer_latency
+        elif zone_of is not None and zone_of(src_instance) != zone_of(dst_instance):
+            bandwidth = spec.cross_zone_bandwidth
+            latency = spec.cross_zone_latency
+        else:
+            bandwidth = spec.inter_instance_bandwidth
+            latency = spec.per_transfer_latency
+        factor = self.bandwidth_factor
+        if factor != 1.0 and factor > 0.0:
+            bandwidth = bandwidth / factor
+        return latency, bandwidth
 
     def spill_time(self, transfers: Iterable[Transfer]) -> float:
         """Duration of spilling *transfers*' payloads to the offload tier.

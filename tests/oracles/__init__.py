@@ -20,6 +20,9 @@ to the tests that use it:
   the reuse-bound skip, which solves the flat matching in every round;
 * :mod:`oracles.migration` -- Algorithm 2 with per-device meta-context
   scans, ``sorted`` source ranking and a scalar deferred-layer drain;
+* :mod:`oracles.network` -- a migration step's batch time with every
+  transfer priced on its own (link class, zone lookups and bandwidth
+  factor per transfer), instead of once per instance pair;
 * :mod:`oracles.dataplane` -- batch dispatch, and the arrival's "is any
   pipeline idle?" question, as a scan of every pipeline's ``is_busy`` per
   arrival and completion instead of the idle-pipeline index;

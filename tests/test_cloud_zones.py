@@ -16,6 +16,8 @@ from repro.sim.events import EventType
 from repro.sim.network import NetworkModel, NetworkSpec, Transfer
 from repro.sim.rng import derive_seed
 
+from oracles.network import PerTransferNetworkModel, is_local
+
 
 def make_trace(name="z", initial=2, events=(), duration=600.0):
     return AvailabilityTrace(
@@ -282,27 +284,32 @@ class TestZoneAwareManager:
 
 
 class TestCrossZoneNetwork:
-    def _model(self):
-        zones = {"a-0": "east", "a-1": "east", "b-0": "west"}
-        return NetworkModel(zone_of=lambda inst: zones.get(inst, "east"))
+    ZONES = {"a-0": "east", "a-1": "east", "b-0": "west"}
+
+    def _model(self, model_class=NetworkModel):
+        return model_class(zone_of=lambda inst: self.ZONES.get(inst, "east"))
 
     def test_cross_zone_transfers_are_slower(self):
         model = self._model()
         size = 1024 ** 3
-        intra = model.transfer_time(Transfer(("a-0", 0), ("a-0", 1), size))
-        inter = model.transfer_time(Transfer(("a-0", 0), ("a-1", 0), size))
-        cross = model.transfer_time(Transfer(("a-0", 0), ("b-0", 0), size))
+        intra = model.batch_time([Transfer(("a-0", 0), ("a-0", 1), size)])
+        inter = model.batch_time([Transfer(("a-0", 0), ("a-1", 0), size)])
+        cross = model.batch_time([Transfer(("a-0", 0), ("b-0", 0), size)])
         assert intra < inter < cross
 
     def test_is_cross_zone(self):
         model = self._model()
-        assert model.is_cross_zone(Transfer(("a-0", 0), ("b-0", 0), 1.0))
-        assert not model.is_cross_zone(Transfer(("a-0", 0), ("a-1", 0), 1.0))
+        spec = model.spec
+        cross = spec.cross_zone_latency + 1.0 / spec.cross_zone_bandwidth
+        inter = spec.per_transfer_latency + 1.0 / spec.inter_instance_bandwidth
+        intra = spec.per_transfer_latency + 1.0 / spec.intra_instance_bandwidth
+        assert model.batch_time([Transfer(("a-0", 0), ("b-0", 0), 1.0)]) == cross
+        assert model.batch_time([Transfer(("a-0", 0), ("a-1", 0), 1.0)]) == inter
         # Local transfers never count as cross-zone.
-        assert not model.is_cross_zone(Transfer(("a-0", 0), ("a-0", 1), 1.0))
+        assert model.batch_time([Transfer(("a-0", 0), ("a-0", 1), 1.0)]) == intra
 
     def test_cross_zone_bytes(self):
-        model = self._model()
+        model = self._model(PerTransferNetworkModel)
         transfers = [
             Transfer(("a-0", 0), ("b-0", 0), 100.0),
             Transfer(("a-0", 0), ("a-1", 0), 50.0),
@@ -310,11 +317,13 @@ class TestCrossZoneNetwork:
         cross = sum(t.size_bytes for t in transfers if model.is_cross_zone(t))
         assert cross == pytest.approx(100.0)
         # Both cross an instance boundary, whichever zone they land in.
-        assert not any(t.is_local for t in transfers)
+        assert not any(is_local(t) for t in transfers)
 
     def test_without_topology_everything_is_one_zone(self):
         model = NetworkModel()
-        assert not model.is_cross_zone(Transfer(("a-0", 0), ("b-0", 0), 1.0))
+        spec = model.spec
+        inter = spec.per_transfer_latency + 1.0 / spec.inter_instance_bandwidth
+        assert model.batch_time([Transfer(("a-0", 0), ("b-0", 0), 1.0)]) == inter
 
     def test_invalid_cross_zone_spec_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,17 @@
 """Tests for device-mesh placement math and the scalar context-overlap reference."""
 
+import pickle
+import random
+import sys
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cloud.provider import CloudProvider
+from repro.core.server import SpotServeSystem
 from repro.engine.placement import (
     TopologyPosition,
     mesh_positions,
@@ -11,9 +20,18 @@ from repro.engine.placement import (
     shard_interval,
     stage_layer_range,
 )
-from repro.llm.spec import GPT_20B, OPT_6_7B
+from repro.faults.injector import FaultInjector
+from repro.llm.spec import GPT_20B, OPT_6_7B, get_model
+from repro.sim.engine import Simulator
+from repro.sim.network import Transfer
 
 from oracles.device_mapper import cache_context_overlap_bytes, model_context_overlap_bytes
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from perfbench import workloads  # noqa: E402
 
 
 class TestTopology:
@@ -23,8 +41,9 @@ class TestTopology:
         assert len(set(positions)) == 24
 
     def test_negative_coordinates_rejected(self):
-        with pytest.raises(ValueError):
-            TopologyPosition(-1, 0, 0)
+        for coordinates in [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]:
+            with pytest.raises(ValueError):
+                TopologyPosition(*coordinates)
 
     def test_invalid_mesh_rejected(self):
         with pytest.raises(ValueError):
@@ -48,6 +67,126 @@ class TestTopology:
             stage_layer_range(44, 3, 3)
         with pytest.raises(ValueError):
             shard_interval(4, 4)
+
+
+@dataclass(frozen=True, order=True)
+class DataclassPosition:
+    """The dataclass ``TopologyPosition`` was, kept to compare the record with."""
+
+    data_index: int
+    stage_index: int
+    shard_index: int
+
+    def __str__(self) -> str:
+        return f"(d={self.data_index}, p={self.stage_index}, m={self.shard_index})"
+
+
+class TestPositionRecord:
+    """``TopologyPosition`` is a named tuple that behaves as the dataclass did."""
+
+    def test_assignment_refused(self):
+        position = TopologyPosition(0, 1, 2)
+        with pytest.raises(AttributeError):
+            position.stage_index = 3
+        with pytest.raises(AttributeError):
+            position.extra = 1
+
+    def test_hash_equals_the_dataclass_hash(self):
+        for d, p, m in [(0, 0, 0), (0, 1, 2), (3, 0, 7), (12, 5, 1)]:
+            position = TopologyPosition(d, p, m)
+            assert hash(position) == hash((d, p, m)) == hash(DataclassPosition(d, p, m))
+
+    def test_order_repr_and_str_equal_the_dataclass(self):
+        rng = random.Random(7)
+        coordinates = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(200)]
+        records = sorted(TopologyPosition(*c) for c in coordinates)
+        olds = sorted(DataclassPosition(*c) for c in coordinates)
+        assert [tuple(r) for r in records] == [
+            (q.data_index, q.stage_index, q.shard_index) for q in olds
+        ]
+        for record, old in zip(records, olds):
+            assert repr(record) == repr(old).replace("DataclassPosition", "TopologyPosition")
+            assert str(record) == str(old)
+
+    def test_set_order_follows_the_hash(self):
+        coordinates = [(d, p, m) for d in range(3) for p in range(4) for m in range(8)]
+        records = {TopologyPosition(*c) for c in coordinates}
+        olds = {DataclassPosition(*c) for c in coordinates}
+        assert [tuple(q) for q in records] == [
+            (q.data_index, q.stage_index, q.shard_index) for q in olds
+        ]
+
+    def test_survives_a_pickle_round_trip(self):
+        positions = mesh_positions(2, 3, 4)
+        restored = pickle.loads(pickle.dumps(positions))
+        assert restored == positions
+        assert all(type(position) is TopologyPosition for position in restored)
+
+
+def record_dunder_frames():
+    """Python frames of the records' dunders entered by a short churn run.
+
+    Runs perfbench's churn workload (seed 0, one chaos period), wired as
+    ``perfbench/replay.py`` wires it, under ``sys.setprofile`` and counts
+    the calls of a ``__hash__`` or ``__eq__`` whose ``self`` is a
+    :class:`TopologyPosition` and of an ``__init__`` whose ``self`` is a
+    :class:`Transfer`.  Returns the counts and the plans built.
+    """
+    work = workloads.build("churn", 0, 1)
+    scenario = work.scenario
+    sim = Simulator()
+    provider = CloudProvider(
+        sim,
+        None,
+        zones=scenario.zones,
+        allow_spot_requests=work.allow_spot_requests,
+        fault_injector=FaultInjector(scenario.fault_plan),
+    )
+    arrivals = work.arrivals.count_arrivals(scenario.duration)
+    system = SpotServeSystem(
+        sim,
+        provider,
+        get_model(scenario.model_name),
+        options=scenario.options(),
+        initial_arrival_rate=max(arrivals / max(scenario.duration, 1.0), 1e-3),
+    )
+    system.submit_arrival_process(work.arrivals, scenario.duration)
+    system.initialize()
+    watched = {
+        "__hash__": TopologyPosition,
+        "__eq__": TopologyPosition,
+        "__init__": Transfer,
+    }
+    frames = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            name = frame.f_code.co_name
+            owner = watched.get(name)
+            if owner is not None and isinstance(frame.f_locals.get("self"), owner):
+                frames[f"{owner.__name__}.{name}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        system.run(until=scenario.duration + work.drain_time)
+    finally:
+        sys.setprofile(None)
+    return frames, system.migration_planner.plan_memo_misses
+
+
+class TestNoPythonLevelRecordFrames:
+    """Positions hash and compare, and transfers build, in C.
+
+    A churn replay hashed positions ~130,000 times and built ~20,000
+    transfers per run while both were dataclasses; each of those calls ran
+    a generated Python method.  A record type that gains a Python-level
+    ``__hash__``, ``__eq__`` or ``__init__`` again fails here.
+    """
+
+    def test_churn_plans_enter_no_record_dunder_frame(self):
+        frames, plans = record_dunder_frames()
+        assert plans > 0
+        assert frames == Counter()
 
 
 class TestModelOverlap:

@@ -1,10 +1,15 @@
 """Tests for the network transfer model."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.migration import MigrationStep
 from repro.sim.network import GB, NetworkModel, NetworkSpec, Transfer
+
+from oracles.network import PerTransferNetworkModel, is_local
 
 
 def make_transfer(src_inst, dst_inst, size, src_gpu=0, dst_gpu=0, tag="model"):
@@ -42,27 +47,47 @@ class TestNetworkSpec:
             NetworkSpec(**{field: value})
 
 
+def one(model, transfer):
+    """Duration of *transfer* alone: a batch of one."""
+    return model.batch_time([transfer])
+
+
 class TestTransferTime:
     def test_noop_transfer_is_free(self):
         model = NetworkModel()
         transfer = make_transfer("a", "a", 1 * GB, src_gpu=1, dst_gpu=1)
-        assert model.transfer_time(transfer) == 0.0
+        assert one(model, transfer) == 0.0
 
     def test_intra_instance_faster_than_inter(self):
         model = NetworkModel()
         local = make_transfer("a", "a", 1 * GB, src_gpu=0, dst_gpu=1)
         remote = make_transfer("a", "b", 1 * GB)
-        assert model.transfer_time(local) < model.transfer_time(remote)
+        assert one(model, local) < one(model, remote)
 
     def test_time_scales_with_size(self):
         model = NetworkModel()
-        small = model.transfer_time(make_transfer("a", "b", 1 * GB))
-        large = model.transfer_time(make_transfer("a", "b", 4 * GB))
+        small = one(model, make_transfer("a", "b", 1 * GB))
+        large = one(model, make_transfer("a", "b", 4 * GB))
         assert large > small
 
     def test_zero_size_is_free(self):
         model = NetworkModel()
-        assert model.transfer_time(make_transfer("a", "b", 0.0)) == 0.0
+        assert one(model, make_transfer("a", "b", 0.0)) == 0.0
+
+    def test_each_link_class_prices_latency_plus_bytes_over_bandwidth(self):
+        spec = NetworkSpec()
+        model = NetworkModel(spec, zone_of=lambda instance: instance[0])
+        size = 3 * GB
+        intra = make_transfer("a1", "a1", size, dst_gpu=1)
+        inter = make_transfer("a1", "a2", size)
+        cross = make_transfer("a1", "b1", size)
+        assert one(model, intra) == (
+            spec.per_transfer_latency + size / spec.intra_instance_bandwidth
+        )
+        assert one(model, inter) == (
+            spec.per_transfer_latency + size / spec.inter_instance_bandwidth
+        )
+        assert one(model, cross) == spec.cross_zone_latency + size / spec.cross_zone_bandwidth
 
 
 class TestBatchTime:
@@ -87,7 +112,7 @@ class TestBatchTime:
         model = NetworkModel(spec)
         transfers = [make_transfer(f"s{i}", f"d{i}", 2 * GB) for i in range(4)]
         limited = model.batch_time(transfers)
-        single = model.transfer_time(transfers[0])
+        single = one(model, transfers[0])
         assert limited == pytest.approx(2 * single)
 
     def test_empty_batch_is_free(self):
@@ -107,8 +132,8 @@ class TestBatchTime:
         model = NetworkModel()
         transfers = [make_transfer(s, d, size) for s, d, size in raw]
         batch = model.batch_time(transfers)
-        serial = sum(model.transfer_time(t) for t in transfers)
-        longest = max((model.transfer_time(t) for t in transfers), default=0.0)
+        serial = sum(one(model, t) for t in transfers)
+        longest = max((one(model, t) for t in transfers), default=0.0)
         assert batch <= serial + 1e-9
         assert batch >= longest - 1e-9
 
@@ -123,7 +148,7 @@ class TestByteAccounting:
         # The migration step's total is the production byte count.
         step = MigrationStep(kind="weight", layer_index=0, transfers=transfers)
         assert step.total_bytes == pytest.approx(3 * GB)
-        remote = sum(t.size_bytes for t in transfers if not t.is_noop and not t.is_local)
+        remote = sum(t.size_bytes for t in transfers if not t.is_noop and not is_local(t))
         assert remote == pytest.approx(2 * GB)
 
 
@@ -148,24 +173,24 @@ class TestBandwidthFactor:
     def test_factor_divides_every_link_class(self, src, dst, src_gpu, dst_gpu):
         model = self.model()
         transfer = make_transfer(src, dst, 2 * GB, src_gpu=src_gpu, dst_gpu=dst_gpu)
-        clean = model.transfer_time(transfer)
+        clean = one(model, transfer)
         model.bandwidth_factor = 3.0
-        assert model.transfer_time(transfer) == pytest.approx(3.0 * clean)
+        assert one(model, transfer) == pytest.approx(3.0 * clean)
 
     def test_factor_leaves_startup_latency_untouched(self):
         model = NetworkModel(NetworkSpec(per_transfer_latency=0.5))
         transfer = make_transfer("a", "b", 4 * GB)
-        payload = model.transfer_time(transfer) - 0.5
+        payload = one(model, transfer) - 0.5
         model.bandwidth_factor = 2.0
-        assert model.transfer_time(transfer) == pytest.approx(0.5 + 2.0 * payload)
+        assert one(model, transfer) == pytest.approx(0.5 + 2.0 * payload)
 
     @pytest.mark.parametrize("factor", [0.0, -3.0])
     def test_non_positive_factor_is_ignored(self, factor):
         model = self.model()
         transfer = make_transfer("a1", "a2", 2 * GB)
-        clean = model.transfer_time(transfer)
+        clean = one(model, transfer)
         model.bandwidth_factor = factor
-        assert model.transfer_time(transfer) == clean
+        assert one(model, transfer) == clean
 
     def test_batch_time_scales_by_the_factor(self):
         model = self.model()
@@ -181,8 +206,111 @@ class TestBandwidthFactor:
     def test_resetting_to_one_restores_exact_times(self):
         model = NetworkModel()
         transfer = make_transfer("a", "b", 3 * GB)
-        clean = model.transfer_time(transfer)
+        clean = one(model, transfer)
         model.bandwidth_factor = 7.0
-        assert model.transfer_time(transfer) != clean
+        assert one(model, transfer) != clean
         model.bandwidth_factor = 1.0
-        assert model.transfer_time(transfer) == clean
+        assert one(model, transfer) == clean
+
+
+#: Zone = first letter: three instances in zone a, two in b, one in c.
+ZONED_INSTANCES = ("a0", "a1", "a2", "b0", "b1", "c0")
+
+
+def random_transfers(rng, seen):
+    """A random batch over :data:`ZONED_INSTANCES`; *seen* counts each kind drawn."""
+    transfers = []
+    for _ in range(rng.randint(0, 48)):
+        src = (rng.choice(ZONED_INSTANCES), rng.randrange(4))
+        roll = rng.random()
+        if roll < 0.1:
+            dst = src
+        elif roll < 0.3:
+            dst = (src[0], rng.randrange(4))
+        else:
+            dst = (rng.choice(ZONED_INSTANCES), rng.randrange(4))
+        roll = rng.random()
+        if roll < 0.08:
+            size = 0.0
+        elif roll < 0.1:
+            size = -1.0
+        else:
+            size = rng.uniform(0.0, 6.0) * GB
+        if src == dst:
+            seen["noop"] += 1
+        elif size <= 0:
+            seen["empty"] += 1
+        elif src[0] == dst[0]:
+            seen["intra"] += 1
+        elif src[0][0] == dst[0][0]:
+            seen["same_zone"] += 1
+        else:
+            seen["cross_zone"] += 1
+        transfers.append(Transfer(src, dst, size, rng.choice(["model", "cache"])))
+    return transfers
+
+
+class TestPricedOncePerPair:
+    """``batch_time`` resolves each instance pair's link once per call.
+
+    The per-transfer reference in ``tests/oracles/network.py`` prices every
+    transfer on its own; each pair's chain, the schedule and so the batch
+    time must be equal bit for bit.
+    """
+
+    @pytest.mark.parametrize("factor", [1.0, 0.5, 0.0, -1.0])
+    @pytest.mark.parametrize("zoned", [True, False], ids=["zone_of", "no_zone_of"])
+    @pytest.mark.parametrize("streams", [3, 8])
+    def test_batch_time_equals_per_transfer_pricing(self, factor, zoned, streams):
+        rng = random.Random(f"{factor}-{zoned}-{streams}")
+        spec = NetworkSpec(concurrent_streams=streams)
+        zone_of = (lambda instance: instance[0]) if zoned else None
+        fast = NetworkModel(spec, zone_of=zone_of)
+        reference = PerTransferNetworkModel(spec, zone_of=zone_of)
+        fast.bandwidth_factor = reference.bandwidth_factor = factor
+        seen = Counter()
+        for _ in range(300):
+            transfers = random_transfers(rng, seen)
+            pairs = {
+                (src[0], dst[0]) for src, dst, size, _ in transfers if src != dst and size > 0
+            }
+            if len(pairs) > streams:
+                seen["more_pairs_than_streams"] += 1
+            assert fast.batch_time(transfers).hex() == reference.batch_time(transfers).hex()
+        assert set(seen) == {
+            "noop",
+            "empty",
+            "intra",
+            "same_zone",
+            "cross_zone",
+            "more_pairs_than_streams",
+        }
+
+
+class TestTransferRecord:
+    """``Transfer`` is a named tuple with the old dataclass's fields and repr."""
+
+    def test_fields_and_default_tag(self):
+        transfer = Transfer(("a", 0), ("b", 1), 2.0)
+        assert transfer.src == ("a", 0)
+        assert transfer.dst == ("b", 1)
+        assert transfer.size_bytes == 2.0
+        assert transfer.tag == "model"
+        assert tuple(transfer) == (("a", 0), ("b", 1), 2.0, "model")
+
+    def test_is_immutable(self):
+        transfer = Transfer(("a", 0), ("b", 1), 2.0)
+        with pytest.raises(AttributeError):
+            transfer.size_bytes = 3.0
+        with pytest.raises(TypeError):
+            transfer[2] = 3.0
+
+    def test_repr_is_unchanged(self):
+        transfer = Transfer(("a", 0), ("b", 1), 2.0, "cache:pipeline0")
+        assert repr(transfer) == (
+            "Transfer(src=('a', 0), dst=('b', 1), size_bytes=2.0, tag='cache:pipeline0')"
+        )
+
+    def test_is_noop(self):
+        assert Transfer(("a", 1), ("a", 1), 2.0).is_noop
+        assert not Transfer(("a", 1), ("a", 2), 2.0).is_noop
